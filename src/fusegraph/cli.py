@@ -13,7 +13,8 @@ Subcommands mirror the offline/online split plus the evaluation machinery:
 
 Any library failure exits non-zero after printing one JSON line to stderr
 with the machine-readable error category. Worker count comes from --workers
-or the FUSEGRAPH_THREADS environment variable (default 1).
+or the FUSEGRAPH_THREADS environment variable (default 1), capped at the
+machine's CPU count.
 """
 
 from __future__ import annotations
@@ -57,13 +58,14 @@ DEFAULT_TAG = "FG"
 
 
 def _workers(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("FUSEGRAPH_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    """Requested worker count, at least 1 and at most the machine's CPU count."""
+    requested = getattr(args, "workers", None)
+    if not requested:
+        try:
+            requested = int(os.environ.get("FUSEGRAPH_THREADS", "") or 1)
+        except ValueError:
+            requested = 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -101,7 +103,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raw_index,
             normalized_index=normalized,
             exclude_self=exclude_self,
-            use_scope=args.scope,
         )
 
     fused = dict(map_ordered(run_one, sorted(rank_sets), _workers(args)))
@@ -220,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output TREC run file")
     p.add_argument("--tag", default=DEFAULT_TAG)
     p.add_argument("--exclude-self", action="store_true")
-    p.add_argument("--scope", action="store_true", help="restrict to vertex-sharing candidates")
     p.add_argument("--workers", type=int, default=0)
     p.set_defaults(fn=_cmd_search)
 

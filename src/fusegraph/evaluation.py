@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from scipy import stats as scipy_stats
-
 from .errors import (
     LengthMismatch,
     NotEnoughRankers,
@@ -341,6 +339,9 @@ def paired_t_test(
             return TTestResult(VERDICT_TIE, 0.0, 1.0, 0.0, n)
         verdict = VERDICT_A_BETTER if mean > 0 else VERDICT_B_BETTER
         return TTestResult(verdict, math.inf if mean > 0 else -math.inf, 0.0, mean, n)
+    # Imported here: loading scipy costs every other CLI command over a second.
+    from scipy import stats as scipy_stats
+
     t_stat = mean / math.sqrt(variance / n)
     p_value = 2.0 * float(scipy_stats.t.sf(abs(t_stat), n - 1))
     if p_value >= alpha:

@@ -13,14 +13,16 @@ recomputed deterministically from those.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .errors import BothEmpty, MalformedGraphRecord, MissingRank, RankerMismatch
+from .errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from .graph import BuildStats, FusionGraph, build_fusion_graph, deserialize_graph, serialize_graph
 from .model import (
     CollectionRankIndex,
@@ -90,9 +92,6 @@ class FusionGraphIndex:
     params: NormalizationParams
     ranker_names: tuple[str, ...]
     comparator: str
-    _vertex_owners: dict[ItemId, set[ItemId]] | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
 
     def __post_init__(self):
         if self.comparator not in COMPARATORS:
@@ -104,23 +103,23 @@ class FusionGraphIndex:
     def distance(self) -> Callable[[FusionGraph, FusionGraph], float]:
         return COMPARATORS[self.comparator]
 
+    @cached_property
     def vertex_owners(self) -> dict[ItemId, set[ItemId]]:
         """Inverted map vertex label -> items whose graphs contain it."""
-        if self._vertex_owners is None:
-            owners: dict[ItemId, set[ItemId]] = {}
-            for item, graph in self.graphs.items():
-                for label in graph.vertices:
-                    owners.setdefault(label, set()).add(item)
-            self._vertex_owners = owners
-        return self._vertex_owners
+        owners: dict[ItemId, set[ItemId]] = {}
+        for item, graph in self.graphs.items():
+            for label in graph.vertices:
+                owners.setdefault(label, set()).add(item)
+        return owners
 
 
-def map_ordered(fn, inputs, workers: int):
+def map_ordered(fn, inputs: Sequence, workers: int):
     """Apply fn over inputs, in order, optionally on a thread pool.
 
     Results are collected in input order, so output never depends on worker
-    count or scheduling.
+    count or scheduling. The pool never holds more threads than inputs.
     """
+    workers = min(workers, len(inputs))
     if workers <= 1:
         return [fn(x) for x in inputs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -164,14 +163,11 @@ def index_collection(
 def candidate_scope(fg_index: FusionGraphIndex, query_graph: FusionGraph) -> set[ItemId]:
     """Items whose graphs share at least one vertex label with the query's.
 
-    Every excluded item provably has distance 1, so scoping cannot change a
-    fused rank.
+    A shared edge implies shared endpoints, so every item outside the scope
+    has an empty common subgraph and distance 1.
     """
-    owners = fg_index.vertex_owners()
-    scope: set[ItemId] = set()
-    for label in query_graph.vertices:
-        scope.update(owners.get(label, ()))
-    return scope
+    owners = fg_index.vertex_owners
+    return set().union(*(owners.get(label, ()) for label in query_graph.vertices))
 
 
 def build_query_graph(
@@ -227,38 +223,26 @@ def fuse_query(
     index: RankLookup,
     normalized_index: RankLookup | None = None,
     exclude_self: bool = False,
-    use_scope: bool = False,
     workers: int = 1,
 ) -> FusedRank:
     """Rank the indexed collection by graph distance to the query's graph.
 
-    Distances are sorted ascending with ties broken by item id, then cut to
-    L. A comparison where both graphs are empty is reported as distance 1
-    (and logged) instead of failing the query.
+    Only items sharing a vertex label with the query's graph are scored, so
+    neither graph of a scored pair is empty. Every other item has distance 1,
+    and only the first L of them by id can enter the result. Distances are
+    sorted ascending with ties broken by item id, then cut to L.
     """
     query_graph = build_query_graph(query_ranks, fg_index, index, normalized_index)
-    candidates = sorted(fg_index.graphs)
-    scope = candidate_scope(fg_index, query_graph) if use_scope else None
-    distance = fg_index.distance
-
-    def score(item: ItemId) -> tuple[ItemId, float]:
-        if scope is not None and item not in scope:
-            return item, 1.0
-        try:
-            return item, distance(query_graph, fg_index.graphs[item])
-        except BothEmpty:
-            logger.warning(
-                "both graphs empty comparing query %s with %s; using distance 1",
-                query_ranks.query,
-                item,
-            )
-            return item, 1.0
-
-    scored = map_ordered(score, candidates, workers)
-    if exclude_self:
-        scored = [(item, d) for item, d in scored if item != query_ranks.query]
+    depth, distance = fg_index.params.depth, fg_index.distance
+    excluded = {query_ranks.query} if exclude_self else set()
+    scope = candidate_scope(fg_index, query_graph) - excluded
+    scored = map_ordered(
+        lambda item: (item, distance(query_graph, fg_index.graphs[item])), sorted(scope), workers
+    )
+    unscored = (i for i in sorted(fg_index.graphs) if i not in scope and i not in excluded)
+    scored.extend((item, 1.0) for item in itertools.islice(unscored, depth))
     scored.sort(key=lambda pair: (pair[1], pair[0]))
-    return FusedRank(query_ranks.query, tuple(scored[: fg_index.params.depth]))
+    return FusedRank(query_ranks.query, tuple(scored[:depth]))
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> None:
@@ -299,26 +283,56 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex, raw_index: Col
                 fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
 
 
+MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
+    "L": lambda v: type(v) is int,
+    "sentinel": lambda v: type(v) is int,
+    "graph_count": lambda v: type(v) is int,
+    "comparator": lambda v: isinstance(v, str) and v in COMPARATORS,
+    "rankers": lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
+    "files": lambda v: isinstance(v, dict)
+    and all(isinstance(v.get(role), str) for role in ("graphs", "ranks")),
+}
+
+
 def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankIndex]:
-    """Load a persisted index directory: (graph index, raw collection index)."""
+    """Load a persisted index directory: (graph index, raw collection index).
+
+    Every manifest field in MANIFEST_FIELDS must be present and well typed,
+    and every graph record must carry the manifest's L and a subset of its
+    rankers; otherwise MalformedGraphRecord is raised.
+    """
     directory = Path(directory)
     try:
         manifest = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedGraphRecord(f"cannot read index manifest: {exc}") from exc
-    if manifest.get("v") != MANIFEST_VERSION:
-        raise MalformedGraphRecord(f"unknown index manifest version {manifest.get('v')!r}")
-    params = NormalizationParams(int(manifest["L"]), int(manifest["sentinel"]))
-    rankers = tuple(str(r) for r in manifest["rankers"])
-    comparator = str(manifest["comparator"])
+    version = manifest.get("v") if isinstance(manifest, dict) else None
+    if version != MANIFEST_VERSION:
+        raise MalformedGraphRecord(f"unknown index manifest version {version!r}")
+    for name, valid in MANIFEST_FIELDS.items():
+        if not valid(manifest.get(name)):
+            raise MalformedGraphRecord(
+                f"index manifest field {name!r} is missing or ill-typed: {manifest.get(name)!r}"
+            )
+    try:
+        params = NormalizationParams(manifest["L"], manifest["sentinel"])
+    except ValueError as exc:
+        raise MalformedGraphRecord(f"bad index manifest: {exc}") from exc
+    rankers = tuple(manifest["rankers"])
+    comparator = manifest["comparator"]
 
     graphs: dict[ItemId, FusionGraph] = {}
     with open(directory / manifest["files"]["graphs"], encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
                 graph = deserialize_graph(line)
+                if graph.depth != params.depth or not set(graph.rankers) <= set(rankers):
+                    raise MalformedGraphRecord(
+                        f"graph record for {graph.query!r} disagrees with the manifest's "
+                        "L or rankers"
+                    )
                 graphs[graph.query] = graph
-    if len(graphs) != int(manifest["graph_count"]):
+    if len(graphs) != manifest["graph_count"]:
         raise MalformedGraphRecord(
             f"graph store holds {len(graphs)} graphs, manifest says {manifest['graph_count']}"
         )
@@ -336,13 +350,12 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
                     ScoredEntry(item, score)
                     for item, score in zip(record["items"], record["scores"], strict=True)
                 )
+                rank = ScoredRank(query, ranker, entries, params.depth)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise MalformedGraphRecord(
                     f"bad rank record at line {line_no}: {exc}"
                 ) from exc
-            ranks.setdefault(ranker, {})[query] = ScoredRank(
-                query, ranker, entries, params.depth
-            )
+            ranks.setdefault(ranker, {})[query] = rank
     raw_index = CollectionRankIndex(ranks)
     fg_index = FusionGraphIndex(graphs, params, rankers, comparator)
     return fg_index, raw_index

@@ -6,7 +6,7 @@ the conventional MCS/WGU names for the two distances derived from it.
 
 Because vertices are uniquely labeled, the maximum-weight common subgraph is
 simply the label intersection with min weights per shared vertex/edge, which
-needs no search: O(|V_a| * |V_b|) worst case, linear in practice. A brute
+needs no search: one hash probe per key of the smaller map. A brute
 force enumerator is provided as a test oracle for that shortcut.
 
 Graph sizes are computed with math.fsum (exactly rounded), so equal weight
@@ -35,56 +35,31 @@ class McsStats:
 def mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> FusionGraph:
     """Maximum-total-weight common subgraph of two uniquely-labeled graphs.
 
-    Shared vertices and edges keep the minimum of their two weights; an edge
-    survives only if both endpoints do. An empty intersection yields an empty
-    graph, not an error.
+    Shared vertices and edges keep the minimum of their two weights. Every
+    edge's endpoints lie in its own graph's vertex set, so a shared edge
+    always has shared endpoints and needs no further check. An empty
+    intersection yields an empty graph, not an error.
     """
-    if stats is None:
-        stats = McsStats()
-    small, large = (a, b) if len(a.vertices) <= len(b.vertices) else (b, a)
-    vertices: dict[str, float] = {}
-    for item, weight in small.vertices.items():
-        stats.comparisons += 1
-        other = large.vertices.get(item)
-        if other is not None:
-            vertices[item] = min(weight, other)
-    edges: dict[tuple[str, str], float] = {}
-    small_e, large_e = (a, b) if len(a.edges) <= len(b.edges) else (b, a)
-    for pair, weight in small_e.edges.items():
-        stats.comparisons += 1
-        other = large_e.edges.get(pair)
-        if other is not None and pair[0] in vertices and pair[1] in vertices:
-            edges[pair] = min(weight, other)
+    if stats is not None:
+        stats.comparisons += min(len(a.vertices), len(b.vertices)) + min(len(a.edges), len(b.edges))
+    av, bv, ae, be = a.vertices, b.vertices, a.edges, b.edges
+    vertices = {item: min(av[item], bv[item]) for item in av.keys() & bv.keys()}
+    edges = {pair: min(ae[pair], be[pair]) for pair in ae.keys() & be.keys()}
     return FusionGraph(a.query, vertices, edges, a.normalized, a.depth, a.rankers)
+
+
+def _weights(g: FusionGraph):
+    return itertools.chain(g.vertices.values(), g.edges.values())
 
 
 def graph_size(g: FusionGraph) -> float:
     """Sum of all vertex and edge weights; 0 for the empty graph."""
-    return math.fsum(itertools.chain(g.vertices.values(), g.edges.values()))
+    return math.fsum(_weights(g))
 
 
 def _require_nonempty(a: FusionGraph, b: FusionGraph) -> None:
     if not a.vertices and not b.vertices:
         raise BothEmpty("cannot compare two empty graphs (0/0)")
-
-
-def _union_size(a: FusionGraph, b: FusionGraph) -> float:
-    """Size of the union graph: max of the two weights on shared labels.
-
-    Equals |a| + |b| - |mcs| mathematically, but summing the union multiset
-    directly keeps the exactly-rounded ordering |union| >= max(|a|, |b|),
-    which in turn keeps dist_wgu >= dist_mcs exact in floating point.
-    """
-    parts = []
-    for item, weight in a.vertices.items():
-        other = b.vertices.get(item)
-        parts.append(weight if other is None else max(weight, other))
-    parts.extend(w for item, w in b.vertices.items() if item not in a.vertices)
-    for pair, weight in a.edges.items():
-        other = b.edges.get(pair)
-        parts.append(weight if other is None else max(weight, other))
-    parts.extend(w for pair, w in b.edges.items() if pair not in a.edges)
-    return math.fsum(parts)
 
 
 def dist_mcs(a: FusionGraph, b: FusionGraph) -> float:
@@ -97,11 +72,14 @@ def dist_mcs(a: FusionGraph, b: FusionGraph) -> float:
 def dist_wgu(a: FusionGraph, b: FusionGraph) -> float:
     """1 - |mcs| / |union|, the union size letting the smaller graph matter.
 
-    Never below dist_mcs for the same pair.
+    |union| sums the max weight per key, and max = a + b - min exactly, so
+    fsum over |a| + |b| - |mcs| gives the correctly rounded union size. Never
+    below dist_mcs for the same pair.
     """
     _require_nonempty(a, b)
-    common = graph_size(mcs(a, b))
-    return 1.0 - common / _union_size(a, b)
+    common = mcs(a, b)
+    union = math.fsum(itertools.chain(_weights(a), _weights(b), (-w for w in _weights(common))))
+    return 1.0 - graph_size(common) / union
 
 
 def brute_force_mcs(a: FusionGraph, b: FusionGraph) -> FusionGraph:

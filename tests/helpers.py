@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
 
+from fusegraph.graph import FusionGraph
 from fusegraph.model import CollectionRankIndex, RankSet, ScoredEntry, ScoredRank
+from fusegraph.retrieval import FusedRank, build_query_graph
+from fusegraph.similarity import McsStats, graph_size
 
 TOY_LAYOUT = {
     "r1": {"A": ["A", "B"], "B": ["B", "X"], "C": ["C", "X"]},
@@ -82,15 +86,23 @@ def worked_example_index(L=2):
     return CollectionRankIndex(ranks)
 
 
-def random_rank_index(rng: random.Random, n_items=20, n_rankers=3, depth=5):
-    """Random collection index: every item is a query with a random rank."""
+def random_rank_index(rng: random.Random, n_items=20, n_rankers=3, depth=5, cluster_size=None):
+    """Random collection index: every item is a query with a random rank.
+
+    With ``cluster_size``, items are split into consecutive clusters of that
+    size and a rank lists only items of the query's own cluster, so graphs of
+    different clusters share no vertex.
+    """
     items = [f"d{i:03d}" for i in range(n_items)]
+    cluster_of = {
+        item: i // cluster_size if cluster_size else 0 for i, item in enumerate(items)
+    }
     ranks = {}
     for r in range(n_rankers):
         ranker = f"r{r + 1}"
         per_query = {}
         for query in items:
-            pool = [i for i in items if i != query]
+            pool = [i for i in items if i != query and cluster_of[i] == cluster_of[query]]
             rng.shuffle(pool)
             listed = [query] + pool[: depth - 1]
             scores = sorted((rng.uniform(0.1, 10.0) for _ in listed), reverse=True)
@@ -142,3 +154,61 @@ def synthetic_collection(seed, n_items=60, n_classes=12, n_rankers=3, depth=10):
             per_query[query] = ScoredRank(query, ranker, entries, depth)
         ranks[ranker] = per_query
     return CollectionRankIndex(ranks), labels
+
+
+def reference_mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> FusionGraph:
+    """Loop formulation of the common subgraph, with the explicit endpoint check."""
+    if stats is None:
+        stats = McsStats()
+    small, large = (a, b) if len(a.vertices) <= len(b.vertices) else (b, a)
+    vertices = {}
+    for item, weight in small.vertices.items():
+        stats.comparisons += 1
+        other = large.vertices.get(item)
+        if other is not None:
+            vertices[item] = min(weight, other)
+    edges = {}
+    small_e, large_e = (a, b) if len(a.edges) <= len(b.edges) else (b, a)
+    for pair, weight in small_e.edges.items():
+        stats.comparisons += 1
+        other = large_e.edges.get(pair)
+        if other is not None and pair[0] in vertices and pair[1] in vertices:
+            edges[pair] = min(weight, other)
+    return FusionGraph(a.query, vertices, edges, a.normalized, a.depth, a.rankers)
+
+
+def reference_union_size(a: FusionGraph, b: FusionGraph) -> float:
+    """Size of the union graph, summed directly as the max weight per key."""
+    parts = []
+    for item, weight in a.vertices.items():
+        other = b.vertices.get(item)
+        parts.append(weight if other is None else max(weight, other))
+    parts.extend(w for item, w in b.vertices.items() if item not in a.vertices)
+    for pair, weight in a.edges.items():
+        other = b.edges.get(pair)
+        parts.append(weight if other is None else max(weight, other))
+    parts.extend(w for pair, w in b.edges.items() if pair not in a.edges)
+    return math.fsum(parts)
+
+
+def reference_dist_mcs(a: FusionGraph, b: FusionGraph) -> float:
+    return 1.0 - graph_size(reference_mcs(a, b)) / max(graph_size(a), graph_size(b))
+
+
+def reference_dist_wgu(a: FusionGraph, b: FusionGraph) -> float:
+    return 1.0 - graph_size(reference_mcs(a, b)) / reference_union_size(a, b)
+
+
+REFERENCE_DISTANCES = {"MCS": reference_dist_mcs, "WGU": reference_dist_wgu}
+
+
+def reference_fuse_query(query_ranks, fg_index, index, normalized_index=None, exclude_self=False):
+    """Score every indexed item with the reference distance; the full scan."""
+    query_graph = build_query_graph(query_ranks, fg_index, index, normalized_index)
+    distance = REFERENCE_DISTANCES[fg_index.comparator]
+    scored = []
+    for item in sorted(fg_index.graphs):
+        if not (exclude_self and item == query_ranks.query):
+            scored.append((item, distance(query_graph, fg_index.graphs[item])))
+    scored.sort(key=lambda pair: (pair[1], pair[0]))
+    return FusedRank(query_ranks.query, tuple(scored[: fg_index.params.depth]))

@@ -385,9 +385,7 @@ def test_ukbench_dataset_hook():
         items = index.collection_items()
         for query in items:
             rs = assemble_rank_set(query, index, config.ranker_names)
-            fused = fuse_query(
-                rs, fg_index, index, normalized_index=normalized, use_scope=True
-            )
+            fused = fuse_query(rs, fg_index, index, normalized_index=normalized)
             total += ns_score(fused, qrels)
         ns = total / len(items)
         assert abs(ns - 3.90) <= 0.05

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fusegraph.cli import main
+import fusegraph
+from fusegraph.cli import _workers, main
 from fusegraph.io import parse_run_file
 
 from helpers import TOY_LAYOUT, TOY_QUERY, write_config, write_runs
@@ -228,3 +234,46 @@ def test_cli_error_category_for_bad_run(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "DuplicateDoc"
+
+
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(fusegraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_cli_import_leaves_scipy_and_numpy_unloaded():
+    probe = "import sys, fusegraph.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    result = run_cli_process("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
+    index_dir = toy_files["dir"] / "index"
+    assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
+    manifest_path = index_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest["L"]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    result = run_cli_process(
+        "-m", "fusegraph.cli", "search",
+        "--index", str(index_dir),
+        "--queries", str(toy_files["queries"]),
+        "--out", str(toy_files["dir"] / "fg.run"),
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["error"] == "MalformedGraphRecord"
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert _workers(argparse.Namespace(workers=10**6)) == cpus
+    assert _workers(argparse.Namespace(workers=-3)) == 1
+    monkeypatch.setenv("FUSEGRAPH_THREADS", str(10**6))
+    assert _workers(argparse.Namespace(workers=0)) == cpus

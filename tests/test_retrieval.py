@@ -1,8 +1,12 @@
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fusegraph.errors import MissingRank, RankerMismatch
+from fusegraph import retrieval
+from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
 from fusegraph.normalize import NormalizationParams, normalize_collection
 from fusegraph.retrieval import (
@@ -11,11 +15,12 @@ from fusegraph.retrieval import (
     fuse_query,
     index_collection,
     load_index,
+    map_ordered,
     save_index,
 )
 from fusegraph.similarity import dist_wgu
 
-from helpers import mkrank, random_rank_index
+from helpers import mkrank, random_rank_index, reference_fuse_query
 
 
 def toy_collection_index():
@@ -156,9 +161,52 @@ def test_scope_equivalence_random():
     normalized = normalize_collection(index, index.rankers, params)
     for query in index.collection_items()[:6]:
         rs = assemble_rank_set(query, index, index.rankers)
-        plain = fuse_query(rs, fg_index, index, normalized_index=normalized)
-        scoped = fuse_query(rs, fg_index, index, normalized_index=normalized, use_scope=True)
-        assert plain == scoped
+        scoped = fuse_query(rs, fg_index, index, normalized_index=normalized)
+        assert scoped == reference_fuse_query(rs, fg_index, index, normalized_index=normalized)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_items=st.integers(2, 24),
+    n_rankers=st.integers(1, 3),
+    depth=st.integers(2, 6),
+    cluster_size=st.one_of(st.none(), st.integers(1, 6)),
+    comparator=st.sampled_from(["MCS", "WGU"]),
+    exclude_self=st.booleans(),
+    out_of_collection=st.booleans(),
+)
+# one-item clusters with exclude_self: nothing overlaps, the whole rank is fill
+@example(1, 12, 2, 4, 1, "WGU", True, False)
+@example(2, 12, 1, 5, 2, "MCS", False, True)
+def test_pruned_scan_equals_reference_scan(
+    seed, n_items, n_rankers, depth, cluster_size, comparator, exclude_self, out_of_collection
+):
+    # clusters smaller than L leave fewer than L items sharing a vertex with
+    # the query, so the distance-1 fill by item id decides the tail
+    rng = random.Random(seed)
+    index = random_rank_index(rng, n_items, n_rankers, depth, cluster_size)
+    params = NormalizationParams(depth)
+    fg_index = index_collection(index, index.rankers, params, comparator)
+    normalized = normalize_collection(index, index.rankers, params)
+    items = index.collection_items()
+    if out_of_collection:
+        pool = rng.sample(items, min(depth, len(items)))
+        rs = RankSet(
+            "zq",
+            tuple(
+                mkrank("zq", ranker, rng.sample(pool, rng.randint(1, len(pool))), depth=depth)
+                for ranker in index.rankers
+            ),
+        )
+    else:
+        rs = assemble_rank_set(rng.choice(items), index, index.rankers)
+    fused = fuse_query(rs, fg_index, index, normalized_index=normalized, exclude_self=exclude_self)
+    expected = reference_fuse_query(
+        rs, fg_index, index, normalized_index=normalized, exclude_self=exclude_self
+    )
+    assert fused == expected
+    assert [d.hex() for _, d in fused.entries] == [d.hex() for _, d in expected.entries]
 
 
 def test_scope_contains_equal_graph(toy_fg_index):
@@ -209,6 +257,99 @@ def test_save_is_byte_deterministic(tmp_path, toy_fg_index):
     save_index(tmp_path / "two", rebuilt, index)
     for name in ("manifest.json", "graphs.jsonl", "collection_ranks.jsonl"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_map_ordered_caps_pool_at_input_count(monkeypatch):
+    pool_sizes = []
+    real_pool = retrieval.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pool_sizes.append(max_workers)
+        return real_pool(max_workers)
+
+    monkeypatch.setattr(retrieval, "ThreadPoolExecutor", recording_pool)
+    assert map_ordered(lambda x: x * 2, [0, 1, 2], workers=64) == [0, 2, 4]
+    assert map_ordered(lambda x: x, [], workers=64) == []
+    assert pool_sizes == [3]
+
+
+def _corrupt_manifest(directory, edit):
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _edit_first_record(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    edit(record)
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+MANIFEST_FIELDS = ("L", "sentinel", "rankers", "comparator", "graph_count", "files")
+ILL_TYPED = {
+    "L": "2",
+    "sentinel": 3.5,
+    "rankers": "r1",
+    "comparator": "JACCARD",
+    "graph_count": None,
+    "files": {"graphs": "graphs.jsonl"},
+}
+
+
+@pytest.mark.parametrize("field", MANIFEST_FIELDS)
+def test_load_rejects_manifest_missing_field(tmp_path, toy_fg_index, field):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    _corrupt_manifest(tmp_path / "idx", lambda m: m.pop(field))
+    with pytest.raises(MalformedGraphRecord, match=field):
+        load_index(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("field", MANIFEST_FIELDS)
+def test_load_rejects_ill_typed_manifest_field(tmp_path, toy_fg_index, field):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    _corrupt_manifest(tmp_path / "idx", lambda m: m.update({field: ILL_TYPED[field]}))
+    with pytest.raises(MalformedGraphRecord, match=field):
+        load_index(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("record_field,value", [("L", 99), ("rankers", ["r1", "r9"])])
+def test_load_rejects_graph_record_disagreeing_with_manifest(
+    tmp_path, toy_fg_index, record_field, value
+):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    _edit_first_record(tmp_path / "idx" / "graphs.jsonl", lambda r: r.update({record_field: value}))
+    with pytest.raises(MalformedGraphRecord, match="disagrees with the manifest"):
+        load_index(tmp_path / "idx")
+
+
+def test_load_rejects_rank_record_with_bad_score(tmp_path, toy_fg_index):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    _edit_first_record(
+        tmp_path / "idx" / "collection_ranks.jsonl", lambda r: r["scores"].__setitem__(0, "x")
+    )
+    with pytest.raises(MalformedGraphRecord, match="line 1"):
+        load_index(tmp_path / "idx")
+
+
+def test_load_accepts_lenient_graph_with_ranker_subset(tmp_path):
+    index = toy_collection_index()
+    partial = CollectionRankIndex(
+        {
+            "r1": {q: index.get("r1", q) for q in ("A", "B", "C")},
+            "r2": {q: index.get("r2", q) for q in ("A", "B")},
+        }
+    )
+    lenient = index_collection(partial, ("r1", "r2"), NormalizationParams(2), "WGU")
+    save_index(tmp_path / "idx", lenient, partial)
+    loaded, _ = load_index(tmp_path / "idx")
+    assert loaded.graphs == lenient.graphs
 
 
 def test_fused_rank_rejects_duplicates():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusegraph.errors import BothEmpty, TooLarge
 from fusegraph.graph import FusionGraph
@@ -12,6 +14,8 @@ from fusegraph.similarity import (
     graph_size,
     mcs,
 )
+
+from helpers import reference_dist_mcs, reference_dist_wgu, reference_mcs
 
 
 def graph(name, vertices, edges=None):
@@ -165,3 +169,34 @@ def test_mcs_comparison_budget():
         mcs(a, b, stats)
         budget = len(a.vertices) * len(b.vertices) + len(a.edges) + len(b.edges)
         assert stats.comparisons <= budget
+
+
+# weights from 1e-300 up to 1, spread over every decade in between
+WEIGHTS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1.0),
+    st.integers(min_value=-300, max_value=0).map(lambda e: 10.0**e),
+    st.integers(min_value=-300, max_value=0).flatmap(
+        lambda e: st.floats(min_value=1.0, max_value=9.99).map(lambda m: m * 10.0**e)
+    ),
+)
+
+
+@st.composite
+def weighted_graphs(draw, name):
+    labels = draw(st.sets(st.sampled_from([f"v{i}" for i in range(8)]), min_size=1))
+    vertices = {v: draw(WEIGHTS) for v in sorted(labels)}
+    pairs = [(s, t) for s in sorted(labels) for t in sorted(labels) if s != t]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph(name, vertices, {pair: draw(WEIGHTS) for pair in chosen})
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs("a"), weighted_graphs("b"))
+def test_fast_kernel_bit_equal_to_reference(a, b):
+    stats, reference_stats = McsStats(), McsStats()
+    common, expected = mcs(a, b, stats), reference_mcs(a, b, reference_stats)
+    assert common.vertices == expected.vertices
+    assert common.edges == expected.edges
+    assert stats.comparisons == reference_stats.comparisons
+    assert dist_wgu(a, b).hex() == reference_dist_wgu(a, b).hex()
+    assert dist_mcs(a, b).hex() == reference_dist_mcs(a, b).hex()
