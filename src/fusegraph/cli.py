@@ -51,7 +51,7 @@ from .io import (
     write_per_query_metrics,
     write_run_file,
 )
-from .normalize import NormalizationParams, normalize_collection
+from .normalize import LazyNormalizedIndex, NormalizationParams
 from .retrieval import fuse_query, index_collection, load_index, map_ordered, save_index
 
 DEFAULT_TAG = "FG"
@@ -93,7 +93,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         for spec in config.rankers
     }
     rank_sets = rank_sets_from_runs(query_runs, tuple(config.ranker_names), strict=True)
-    normalized = normalize_collection(raw_index, fg_index.ranker_names, fg_index.params)
+    normalized = LazyNormalizedIndex(raw_index, fg_index.params)
     exclude_self = args.exclude_self or config.exclude_self
 
     def run_one(qid):

@@ -12,15 +12,22 @@ order: permuting the rankers of a rank set changes no final weight.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import EmptyGraph, MalformedGraphRecord, MissingRank
 from .model import ItemId, RankLookup, RankSet
 from .normalize import NormalizationParams
 
-GRAPH_RECORD_VERSION = 1
+GRAPH_RECORD_VERSION = 2
+PACKED = (("d", "vertex_weights"), ("I", "edges"), ("d", "edge_weights"))
+
+if array("d").itemsize != 8 or array("I").itemsize != 4:
+    raise ImportError("graph records need 8-byte 'd' and 4-byte 'I' arrays on this platform")
 
 
 @dataclass
@@ -134,29 +141,61 @@ def normalize_graph_weights(g: FusionGraph) -> FusionGraph:
     return FusionGraph(g.query, vertices, edges, True, g.depth, g.rankers)
 
 
+def _pack(typecode: str, values) -> str:
+    """Base64 of ``values`` as a little-endian array of ``typecode`` items."""
+    packed = array(typecode, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def _unpack(typecode: str, text: str, name: str) -> array:
+    """Inverse of _pack; MalformedGraphRecord for anything it cannot decode."""
+    unpacked = array(typecode)
+    try:
+        unpacked.frombytes(base64.b64decode(text, validate=True))
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise MalformedGraphRecord(f"graph record field {name!r} is not packed base64: {exc}") from exc
+    if sys.byteorder == "big":
+        unpacked.byteswap()
+    return unpacked
+
+
 def serialize_graph(g: FusionGraph) -> str:
     """One-line JSON record for the graph store.
 
-    Vertices and edges are emitted in sorted label order and floats in
-    round-trip decimal form, so serialization is byte-deterministic and
-    deserialize(serialize(g)) reproduces every weight bit-for-bit.
+    ``vertices`` lists the labels in sorted order; ``vertex_weights`` holds
+    their weights and ``edge_weights`` the weights of the edges in sorted
+    label-pair order, both as base64 little-endian float64, so every weight
+    round-trips bit for bit. ``edges`` holds each edge's (source, target)
+    positions in ``vertices`` as base64 little-endian uint32 pairs. The
+    record is byte-deterministic.
     """
     if g.depth is None or g.rankers is None:
         raise ValueError("only graphs carrying depth and ranker metadata can be stored")
+    labels = sorted(g.vertices)
+    slot = {label: i for i, label in enumerate(labels)}
+    pairs = sorted(g.edges)
     record = {
         "v": GRAPH_RECORD_VERSION,
         "query": g.query,
         "L": g.depth,
         "rankers": list(g.rankers),
         "normalized": g.normalized,
-        "vertices": {item: g.vertices[item] for item in sorted(g.vertices)},
-        "edges": [[src, tgt, g.edges[(src, tgt)]] for src, tgt in sorted(g.edges)],
+        "vertices": labels,
+        "vertex_weights": _pack("d", map(g.vertices.__getitem__, labels)),
+        "edges": _pack("I", [slot[label] for pair in pairs for label in pair]),
+        "edge_weights": _pack("d", map(g.edges.__getitem__, pairs)),
     }
     return json.dumps(record, separators=(",", ":"), sort_keys=True)
 
 
 def deserialize_graph(record: str | bytes) -> FusionGraph:
-    """Parse a graph-store record; rejects unknown versions and bad shapes."""
+    """Parse a graph-store record; rejects unknown versions and bad shapes.
+
+    Labels and edges must be distinct, weights and endpoint pairs must match
+    them in number, and every endpoint must name a label.
+    """
     try:
         data = json.loads(record)
     except json.JSONDecodeError as exc:
@@ -170,12 +209,30 @@ def deserialize_graph(record: str | bytes) -> FusionGraph:
         depth = int(data["L"])
         rankers = tuple(str(r) for r in data["rankers"])
         normalized = bool(data["normalized"])
-        vertices = {str(item): float(w) for item, w in data["vertices"].items()}
-        edges = {}
-        for src, tgt, weight in data["edges"]:
-            edges[(str(src), str(tgt))] = float(weight)
+        labels = data["vertices"]
+        weights, ends, edge_weights = (_unpack(code, data[name], name) for code, name in PACKED)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedGraphRecord(f"malformed graph record field: {exc}") from exc
+
+    def bad(problem: str) -> MalformedGraphRecord:
+        return MalformedGraphRecord(f"graph record for {query!r} has {problem}")
+
+    if not isinstance(labels, list) or not all(type(label) is str for label in labels):
+        raise bad("a non-string label")
+    if len(weights) != len(labels):
+        raise bad(f"{len(weights)} vertex weights for {len(labels)} labels")
+    if len(ends) != 2 * len(edge_weights):
+        raise bad(f"{len(ends)} edge endpoints for {len(edge_weights)} edge weights")
+    if ends and max(ends) >= len(labels):
+        raise bad(f"an edge endpoint at slot {max(ends)}, beyond its {len(labels)} labels")
+    vertices = dict(zip(labels, weights))
+    if len(vertices) != len(labels):
+        raise bad("a duplicate label")
+    named = map(labels.__getitem__, ends)
+    # zipping one iterator with itself pairs consecutive endpoints: (src, tgt)
+    edges = dict(zip(zip(named, named), edge_weights))
+    if len(edges) != len(edge_weights):
+        raise bad("a duplicate edge")
     if not vertices:
         raise EmptyGraph(f"graph record for {query!r} has an empty vertex map")
     try:

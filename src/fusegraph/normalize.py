@@ -13,6 +13,7 @@ normalization with the same index is idempotent in item order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import EmptyRank, InvalidRankSet
 from .model import (
@@ -156,3 +157,27 @@ def normalize_collection(
             bucket[query] = normalize_rank(rank, index, params)
         normalized[ranker] = bucket
     return CollectionRankIndex(normalized)
+
+
+class LazyNormalizedIndex(RankLookup):
+    """``normalize_collection`` of every ranker of ``index``, computed on demand.
+
+    A rank is normalized the first time it is asked for and then kept, so a
+    search pays only for the ranks its queries read. Safe to share across
+    threads: a race can only normalize a rank twice, and every caller
+    receives the one stored copy.
+    """
+
+    def __init__(self, index: RankLookup, params: NormalizationParams):
+        self._index = index
+        self._params = params
+        self._ranks: dict[tuple[str, ItemId], Optional[ScoredRank]] = {}
+
+    def get(self, ranker: str, query: ItemId) -> Optional[ScoredRank]:
+        key = (ranker, query)
+        if key not in self._ranks:
+            rank = self._index.get(ranker, query)
+            if rank is not None:
+                rank = normalize_rank(rank, self._index, self._params)
+            self._ranks.setdefault(key, rank)
+        return self._ranks[key]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,24 +30,22 @@ from .model import (
     ItemId,
     RankLookup,
     RankSet,
-    ScoredEntry,
     ScoredRank,
     assemble_rank_set,
 )
 from .normalize import (
+    LazyNormalizedIndex,
     NormalizationParams,
     normalize_collection,
-    normalize_rank,
     normalize_rank_set,
 )
 from .similarity import dist_mcs, dist_wgu
 
 logger = logging.getLogger(__name__)
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
-GRAPHS_NAME = "graphs.jsonl"
-RANKS_NAME = "collection_ranks.jsonl"
+INDEX_FILES = {"graphs": "graphs.jsonl", "ranks": "collection_ranks.jsonl"}
 
 COMPARATORS: dict[str, Callable[[FusionGraph, FusionGraph], float]] = {
     "MCS": dist_mcs,
@@ -182,7 +181,8 @@ def build_query_graph(
     ``index`` is the raw collection index; the query's own (raw) ranks are
     overlaid on it, so out-of-collection queries work as long as their m
     ranks over the collection are supplied. When ``normalized_index`` is not
-    given, the normalized neighbor ranks are recomputed from the raw index.
+    given, the neighbor ranks the query needs are normalized from the raw
+    index on demand.
     """
     params = fg_index.params
     if set(query_ranks.ranker_names) != set(fg_index.ranker_names):
@@ -199,22 +199,9 @@ def build_query_graph(
     raw = index.overlay(query_ranks)
     normalized_query = normalize_rank_set(query_ranks, raw, params)
     if normalized_index is None:
-        normalized_index = _normalize_neighbors(normalized_query, index, params)
+        normalized_index = LazyNormalizedIndex(index, params)
     lookup = normalized_index.overlay(normalized_query)
     return build_fusion_graph(normalized_query, lookup, params, strict=strict)
-
-
-def _normalize_neighbors(
-    normalized_query: RankSet, index: RankLookup, params: NormalizationParams
-) -> RankLookup:
-    """Normalize just the collection ranks the query's vertex items need."""
-    ranks: dict[str, dict[ItemId, ScoredRank]] = {r: {} for r in normalized_query.ranker_names}
-    for item in sorted(normalized_query.item_union()):
-        for ranker in normalized_query.ranker_names:
-            raw_rank = index.get(ranker, item)
-            if raw_rank is not None:
-                ranks[ranker][item] = normalize_rank(raw_rank, index, params)
-    return CollectionRankIndex(ranks)
 
 
 def fuse_query(
@@ -249,38 +236,65 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex, raw_index: Col
     """Persist the graph index plus the raw rank orders it was built from.
 
     File contents are fully sorted, so rebuilding from identical inputs is
-    byte-identical.
+    byte-identical. Every file is first written in full under a temporary
+    name in ``directory``; only then are they renamed into place, the
+    manifest (which records each data file's size) last, so a failed save
+    leaves an older index there intact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "v": MANIFEST_VERSION,
-        "rankers": list(fg_index.ranker_names),
-        "L": fg_index.params.depth,
-        "sentinel": fg_index.params.missing_position_sentinel,
-        "comparator": fg_index.comparator,
-        "n": raw_index.collection_size,
-        "graph_count": len(fg_index.graphs),
-        "files": {"graphs": GRAPHS_NAME, "ranks": RANKS_NAME},
+    contents = {
+        "graphs": (serialize_graph(fg_index.graphs[item]) + "\n" for item in sorted(fg_index.graphs)),
+        "ranks": _rank_lines(fg_index, raw_index),
     }
-    (directory / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    with open(directory / GRAPHS_NAME, "w", encoding="utf-8") as fh:
-        for item in sorted(fg_index.graphs):
-            fh.write(serialize_graph(fg_index.graphs[item]) + "\n")
-    with open(directory / RANKS_NAME, "w", encoding="utf-8") as fh:
-        for ranker in fg_index.ranker_names:
-            for query in sorted(raw_index.queries(ranker)):
-                rank = raw_index.get(ranker, query)
-                assert rank is not None
-                record = {
-                    "ranker": ranker,
-                    "query": query,
-                    "items": list(rank.items()),
-                    "scores": [entry.score for entry in rank],
-                }
-                fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
+    staged: list[tuple[Path, Path]] = []
+    try:
+        sizes = {
+            role: _stage(directory / INDEX_FILES[role], lines, staged)
+            for role, lines in contents.items()
+        }
+        manifest = {
+            "v": MANIFEST_VERSION,
+            "rankers": list(fg_index.ranker_names),
+            "L": fg_index.params.depth,
+            "sentinel": fg_index.params.missing_position_sentinel,
+            "comparator": fg_index.comparator,
+            "n": raw_index.collection_size,
+            "graph_count": len(fg_index.graphs),
+            "files": INDEX_FILES,
+            "bytes": sizes,
+        }
+        _stage(directory / MANIFEST_NAME, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"], staged)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def _stage(path: Path, lines: Iterable[str], staged: list[tuple[Path, Path]]) -> int:
+    """Write ``lines`` durably to a temporary sibling of ``path``; return its size."""
+    tmp = path.with_name(path.name + ".tmp")
+    staged.append((tmp, path))
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return tmp.stat().st_size
+
+
+def _rank_lines(fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> Iterable[str]:
+    for ranker in fg_index.ranker_names:
+        for query in sorted(raw_index.queries(ranker)):
+            rank = raw_index.get(ranker, query)
+            assert rank is not None
+            record = {
+                "ranker": ranker,
+                "query": query,
+                "items": list(rank.items()),
+                "scores": [entry.score for entry in rank],
+            }
+            yield json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
@@ -290,7 +304,9 @@ MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
     "comparator": lambda v: isinstance(v, str) and v in COMPARATORS,
     "rankers": lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
     "files": lambda v: isinstance(v, dict)
-    and all(isinstance(v.get(role), str) for role in ("graphs", "ranks")),
+    and all(isinstance(v.get(role), str) for role in INDEX_FILES),
+    "bytes": lambda v: isinstance(v, dict)
+    and all(type(v.get(role)) is int for role in INDEX_FILES),
 }
 
 
@@ -298,8 +314,9 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
     """Load a persisted index directory: (graph index, raw collection index).
 
     Every manifest field in MANIFEST_FIELDS must be present and well typed,
-    and every graph record must carry the manifest's L and a subset of its
-    rankers; otherwise MalformedGraphRecord is raised.
+    every data file must have its recorded size, and every graph record must
+    carry the manifest's L and a subset of its rankers; otherwise (and for an
+    index of an older format) MalformedGraphRecord is raised.
     """
     directory = Path(directory)
     try:
@@ -307,6 +324,11 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedGraphRecord(f"cannot read index manifest: {exc}") from exc
     version = manifest.get("v") if isinstance(manifest, dict) else None
+    if type(version) is int and version < MANIFEST_VERSION:
+        raise MalformedGraphRecord(
+            f"index at {directory} has manifest version {version}, which predates index "
+            f"format {MANIFEST_VERSION}; it must be re-extracted with `fusegraph extract`"
+        )
     if version != MANIFEST_VERSION:
         raise MalformedGraphRecord(f"unknown index manifest version {version!r}")
     for name, valid in MANIFEST_FIELDS.items():
@@ -320,6 +342,13 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
         raise MalformedGraphRecord(f"bad index manifest: {exc}") from exc
     rankers = tuple(manifest["rankers"])
     comparator = manifest["comparator"]
+    for role in INDEX_FILES:
+        name, expected = manifest["files"][role], manifest["bytes"][role]
+        size = (directory / name).stat().st_size
+        if size != expected:
+            raise MalformedGraphRecord(
+                f"index file {name!r} holds {size} bytes, manifest says {expected}"
+            )
 
     graphs: dict[ItemId, FusionGraph] = {}
     with open(directory / manifest["files"]["graphs"], encoding="utf-8") as fh:
@@ -346,10 +375,7 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
                 record = json.loads(line)
                 ranker = record["ranker"]
                 query = record["query"]
-                entries = tuple(
-                    ScoredEntry(item, score)
-                    for item, score in zip(record["items"], record["scores"], strict=True)
-                )
+                entries = zip(record["items"], record["scores"], strict=True)
                 rank = ScoredRank(query, ranker, entries, params.depth)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise MalformedGraphRecord(

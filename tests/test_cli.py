@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import fusegraph
+from fusegraph import normalize
 from fusegraph.cli import _workers, main
 from fusegraph.io import parse_run_file
 
-from helpers import TOY_LAYOUT, TOY_QUERY, write_config, write_runs
+from helpers import TOY_LAYOUT, TOY_QUERY, random_rank_index, write_config, write_runs
 
 
 @pytest.fixture
@@ -252,12 +254,16 @@ def test_cli_import_leaves_scipy_and_numpy_unloaded():
     assert result.stdout.strip() == "[]"
 
 
-def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
+def search_error_after_manifest_edit(toy_files, edit):
+    """Extract the toy index, edit its manifest, search it in a fresh process.
+
+    Returns the one JSON error line the search must print to stderr.
+    """
     index_dir = toy_files["dir"] / "index"
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
     manifest_path = index_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    del manifest["L"]
+    edit(manifest)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     result = run_cli_process(
         "-m", "fusegraph.cli", "search",
@@ -268,7 +274,47 @@ def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
     assert result.returncode == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
-    assert json.loads(lines[0])["error"] == "MalformedGraphRecord"
+    return json.loads(lines[0])
+
+
+def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
+    error = search_error_after_manifest_edit(toy_files, lambda m: m.pop("L"))
+    assert error["error"] == "MalformedGraphRecord"
+
+
+def test_search_on_v1_index_prints_one_json_line(toy_files):
+    error = search_error_after_manifest_edit(toy_files, lambda m: m.update({"v": 1}))
+    assert error["error"] == "MalformedGraphRecord"
+    assert "predates index format 2" in error["message"]
+    assert "re-extracted" in error["message"]
+
+
+def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
+    collection = random_rank_index(random.Random(8), n_items=40, n_rankers=3, depth=4, cluster_size=4)
+    layout = {
+        ranker: {q: list(collection.get(ranker, q).items()) for q in collection.queries(ranker)}
+        for ranker in collection.rankers
+    }
+    query_ranks = {"r1": {"zq": ["d004", "d005"]}, "r2": {"zq": ["d005", "d006", "d007"]},
+                   "r3": {"zq": ["d007"]}}
+    index_dir = tmp_path / "index"
+    config = write_config(tmp_path, "config.json", write_runs(tmp_path, layout, "coll"), depth=4)
+    queries = write_config(tmp_path, "queries.json", write_runs(tmp_path, query_ranks, "q"), depth=4)
+    assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
+    normalized = []
+    normalize_rank = normalize.normalize_rank
+
+    def counting(rank, index, params):
+        normalized.append((rank.ranker, rank.query))
+        return normalize_rank(rank, index, params)
+
+    monkeypatch.setattr(normalize, "normalize_rank", counting)
+    out = tmp_path / "fg.run"
+    assert main(["search", "--index", str(index_dir), "--queries", str(queries), "--out", str(out)]) == 0
+    collection_ranks = [pair for pair in normalized if pair[1] != "zq"]
+    m, item_union = 3, {"d004", "d005", "d006", "d007"}
+    assert 0 < len(collection_ranks) <= m * len(item_union)
+    assert len(collection_ranks) == len(set(collection_ranks))
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):

@@ -1,7 +1,12 @@
+import base64
 import itertools
+import json
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusegraph.errors import EmptyGraph, MalformedGraphRecord, MissingRank
 from fusegraph.graph import (
@@ -163,9 +168,80 @@ def test_deserialize_truncated_record(worked_graph):
 
 
 def test_deserialize_empty_vertex_map():
-    record = '{"v": 1, "query": "q", "L": 2, "rankers": ["r1"], "normalized": true, "vertices": {}, "edges": []}'
+    record = (
+        '{"v": 2, "query": "q", "L": 2, "rankers": ["r1"], "normalized": true, '
+        '"vertices": [], "vertex_weights": "", "edges": "", "edge_weights": ""}'
+    )
     with pytest.raises(EmptyGraph):
         deserialize_graph(record)
+
+
+def _packed(fmt, *values):
+    """Base64 of little-endian ``fmt`` items, written independently of the codec."""
+    return base64.b64encode(struct.pack("<" + fmt * len(values), *values)).decode("ascii")
+
+
+def test_record_layout(worked_graph):
+    record = json.loads(serialize_graph(worked_graph))
+    assert record["v"] == 2
+    assert record["vertices"] == ["A", "B", "C"]
+    assert record["vertex_weights"] == _packed("d", 1.0, 0.05, 0.05)
+    assert record["edges"] == _packed("I", 0, 1, 0, 2)
+    assert record["edge_weights"] == _packed("d", 1.0, 1.0)
+
+
+CORRUPTIONS = {
+    "invalid base64": ({"edge_weights": "AAAA!AAA"}, "base64"),
+    "partial item": ({"vertex_weights": base64.b64encode(b"1234567").decode()}, "multiple"),
+    "weight count": ({"vertex_weights": _packed("d", 1.0, 0.5)}, "vertex weights"),
+    "endpoint count": ({"edges": _packed("I", 0, 1, 0)}, "endpoints"),
+    "slot out of range": ({"edges": _packed("I", 0, 1, 0, 3)}, "slot 3"),
+    "duplicate label": ({"vertices": ["A", "A", "C"]}, "duplicate label"),
+    "duplicate edge": ({"edges": _packed("I", 0, 1, 0, 1)}, "duplicate edge"),
+    "non-string label": ({"vertices": ["A", 7, "C"]}, "non-string label"),
+    "self-edge": ({"edges": _packed("I", 0, 0, 0, 2)}, "self-edge"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_deserialize_rejects_corrupt_record(worked_graph, case):
+    edit, message = CORRUPTIONS[case]
+    record = json.loads(serialize_graph(worked_graph))
+    record.update(edit)
+    with pytest.raises(MalformedGraphRecord, match=message):
+        deserialize_graph(json.dumps(record))
+
+
+WEIGHTS = st.floats(min_value=5e-324, max_value=1.0)
+LABELS = st.text(min_size=1, max_size=6)  # any code points, spaces included
+
+
+@st.composite
+def stored_graphs(draw):
+    vertices = draw(st.dictionaries(LABELS, WEIGHTS, min_size=1, max_size=8))
+    pairs = [(a, b) for a in vertices for b in vertices if a != b]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), WEIGHTS, max_size=16)) if pairs else {}
+    rankers = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    return FusionGraph(
+        draw(LABELS), vertices, edges, draw(st.booleans()), draw(st.integers(1, 100)), tuple(rankers)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=stored_graphs())
+@example(graph=FusionGraph("q é", {"b c": 5e-324, "ü": 1.0}, {}, True, 3, ("r 1",)))
+@example(graph=FusionGraph("q", {"x y": 0.5, "日本": 1.0}, {("日本", "x y"): 5e-324}, True, 2, ("r",)))
+def test_serialize_round_trip_is_bit_exact(graph):
+    line = serialize_graph(graph)
+    restored = deserialize_graph(line)
+    assert restored == graph
+    assert {k: v.hex() for k, v in restored.vertices.items()} == {
+        k: v.hex() for k, v in graph.vertices.items()
+    }
+    assert {k: v.hex() for k, v in restored.edges.items()} == {
+        k: v.hex() for k, v in graph.edges.items()
+    }
+    assert serialize_graph(restored) == line
 
 
 def test_build_stats_counts_visits():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
-from fusegraph.normalize import NormalizationParams, normalize_collection
+from fusegraph.normalize import LazyNormalizedIndex, NormalizationParams, normalize_collection
 from fusegraph.retrieval import (
     FusedRank,
     candidate_scope,
@@ -209,6 +209,33 @@ def test_pruned_scan_equals_reference_scan(
     assert [d.hex() for _, d in fused.entries] == [d.hex() for _, d in expected.entries]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_items=st.integers(2, 20),
+    n_rankers=st.integers(1, 3),
+    depth=st.integers(2, 6),
+    cluster_size=st.one_of(st.none(), st.integers(1, 6)),
+    comparator=st.sampled_from(["MCS", "WGU"]),
+    exclude_self=st.booleans(),
+)
+def test_shared_lazy_lookup_equals_normalized_collection(
+    seed, n_items, n_rankers, depth, cluster_size, comparator, exclude_self
+):
+    rng = random.Random(seed)
+    index = random_rank_index(rng, n_items, n_rankers, depth, cluster_size)
+    params = NormalizationParams(depth)
+    fg_index = index_collection(index, index.rankers, params, comparator)
+    normalized = normalize_collection(index, index.rankers, params)
+    shared = LazyNormalizedIndex(index, params)
+    items = index.collection_items()
+    for query in rng.sample(items, min(4, len(items))):
+        rs = assemble_rank_set(query, index, index.rankers)
+        expected = fuse_query(rs, fg_index, index, normalized, exclude_self=exclude_self)
+        assert fuse_query(rs, fg_index, index, shared, exclude_self=exclude_self) == expected
+        assert fuse_query(rs, fg_index, index, exclude_self=exclude_self) == expected
+
+
 def test_scope_contains_equal_graph(toy_fg_index):
     from fusegraph.retrieval import build_query_graph
 
@@ -281,14 +308,21 @@ def _corrupt_manifest(directory, edit):
 
 
 def _edit_first_record(path, edit):
+    """Rewrite the first record of an index file and record the file's new size.
+
+    Keeping the manifest's byte count true gets past the size check to the
+    record checks, as an index written with a bad record would.
+    """
     lines = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[0])
     edit(record)
     lines[0] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    role = {"graphs.jsonl": "graphs", "collection_ranks.jsonl": "ranks"}[path.name]
+    _corrupt_manifest(path.parent, lambda m: m["bytes"].update({role: path.stat().st_size}))
 
 
-MANIFEST_FIELDS = ("L", "sentinel", "rankers", "comparator", "graph_count", "files")
+MANIFEST_FIELDS = ("L", "sentinel", "rankers", "comparator", "graph_count", "files", "bytes")
 ILL_TYPED = {
     "L": "2",
     "sentinel": 3.5,
@@ -296,6 +330,7 @@ ILL_TYPED = {
     "comparator": "JACCARD",
     "graph_count": None,
     "files": {"graphs": "graphs.jsonl"},
+    "bytes": {"graphs": 10, "ranks": "10"},
 }
 
 
@@ -326,6 +361,51 @@ def test_load_rejects_graph_record_disagreeing_with_manifest(
     _edit_first_record(tmp_path / "idx" / "graphs.jsonl", lambda r: r.update({record_field: value}))
     with pytest.raises(MalformedGraphRecord, match="disagrees with the manifest"):
         load_index(tmp_path / "idx")
+
+
+def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"v": 1}))
+    with pytest.raises(MalformedGraphRecord, match="predates index format 2.*re-extracted"):
+        load_index(tmp_path / "idx")
+
+
+def test_load_rejects_data_file_of_another_index(tmp_path, toy_fg_index):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    # same rankers, L and graph count: only the recorded size tells them apart
+    other = random_rank_index(random.Random(4), n_items=3, n_rankers=2, depth=2)
+    save_index(tmp_path / "other", index_collection(other, ("r1", "r2"), NormalizationParams(2)), other)
+    swapped = (tmp_path / "other" / "graphs.jsonl").read_bytes()
+    assert len(swapped) != (tmp_path / "idx" / "graphs.jsonl").stat().st_size
+    (tmp_path / "idx" / "graphs.jsonl").write_bytes(swapped)
+    with pytest.raises(MalformedGraphRecord, match="'graphs.jsonl' holds .* bytes"):
+        load_index(tmp_path / "idx")
+
+
+def test_failed_save_leaves_older_index_intact(tmp_path, toy_fg_index, monkeypatch):
+    index, fg_index = toy_fg_index
+    directory = tmp_path / "idx"
+    save_index(directory, fg_index, index)
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    serialize = retrieval.serialize_graph
+    calls = []
+
+    def fail_on_second_graph(graph):
+        calls.append(graph.query)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return serialize(graph)
+
+    monkeypatch.setattr(retrieval, "serialize_graph", fail_on_second_graph)
+    rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "MCS")
+    with pytest.raises(OSError, match="disk full"):
+        save_index(directory, rebuilt, index)
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+    loaded, _ = load_index(directory)
+    assert loaded.graphs == fg_index.graphs
+    assert loaded.comparator == "WGU"
 
 
 def test_load_rejects_rank_record_with_bad_score(tmp_path, toy_fg_index):
