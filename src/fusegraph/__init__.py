@@ -12,6 +12,7 @@ from .errors import FusionError
 from .graph import FusionGraph, build_fusion_graph, normalize_graph_weights
 from .model import (
     CollectionRankIndex,
+    FusedRank,
     ItemId,
     RankSet,
     ScoredEntry,
@@ -20,7 +21,6 @@ from .model import (
     position_of,
 )
 from .normalize import NormalizationParams, normalize_rank_set
-from .retrieval import FusedRank, FusionGraphIndex, fuse_query, index_collection
 from .similarity import dist_mcs, dist_wgu, graph_size, mcs
 
 __version__ = "0.1.0"
@@ -49,3 +49,15 @@ __all__ = [
     "position_of",
     "__version__",
 ]
+
+_RETRIEVAL_NAMES = ("FusionGraphIndex", "fuse_query", "index_collection")
+
+
+def __getattr__(name: str):
+    # The retrieval engine is imported on first use, so that importing
+    # fusegraph.io, .baselines or .evaluation does not load it.
+    if name in _RETRIEVAL_NAMES:
+        from . import retrieval
+
+        return getattr(retrieval, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

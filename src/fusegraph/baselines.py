@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 import statistics
 from collections import defaultdict
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import EmptyRankSet, MissingScores, TooManyItems
-from .model import ItemId, RankSet, ScoredRank
-from .retrieval import FusedRank
+from .model import FusedRank, ItemId, RankSet, ScoredRank
 
 RRF_DEFAULT_K = 60.0
 RLSIM_EPSILON = 0.01
@@ -287,7 +286,3 @@ def aggregate(method: str, rs: RankSet, **params) -> FusedRank:
     if key not in METHODS:
         raise ValueError(f"unknown aggregation method {method!r}; known: {sorted(METHODS)}")
     return METHODS[key](rs, **params)
-
-
-def method_names() -> Iterable[str]:
-    return tuple(METHODS)

@@ -11,17 +11,17 @@ Subcommands mirror the offline/online split plus the evaluation machinery:
     winners    effectiveness table -> winning number per method
     ttest      two per-query metric files -> significance verdict
 
-Any library failure exits non-zero after printing one JSON line to stderr
-with the machine-readable error category. Worker count comes from --workers
-or the FUSEGRAPH_THREADS environment variable (default 1), capped at the
-machine's CPU count.
+Any library failure, and any invalid value the library rejects with
+ValueError, exits non-zero after printing one JSON line to stderr with the
+machine-readable error category (the exception class name). ``--workers N``
+of extract and search is accepted and ignored: every command runs on one
+thread. The program reads no environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import baselines
@@ -52,20 +52,9 @@ from .io import (
     write_run_file,
 )
 from .normalize import LazyNormalizedIndex, NormalizationParams
-from .retrieval import fuse_query, index_collection, load_index, map_ordered, save_index
+from .retrieval import fuse_query, index_collection, load_index, save_index
 
 DEFAULT_TAG = "FG"
-
-
-def _workers(args: argparse.Namespace) -> int:
-    """Requested worker count, at least 1 and at most the machine's CPU count."""
-    requested = getattr(args, "workers", None)
-    if not requested:
-        try:
-            requested = int(os.environ.get("FUSEGRAPH_THREADS", "") or 1)
-        except ValueError:
-            requested = 1
-    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
@@ -78,7 +67,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         params,
         comparator=config.comparator,
         strict=config.strict,
-        workers=_workers(args),
     )
     save_index(args.out, fg_index, index)
     print(f"indexed {len(fg_index.graphs)} items into {args.out}")
@@ -95,17 +83,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
     rank_sets = rank_sets_from_runs(query_runs, tuple(config.ranker_names), strict=True)
     normalized = LazyNormalizedIndex(raw_index, fg_index.params)
     exclude_self = args.exclude_self or config.exclude_self
-
-    def run_one(qid):
-        return qid, fuse_query(
+    fused = {
+        qid: fuse_query(
             rank_sets[qid],
             fg_index,
             raw_index,
             normalized_index=normalized,
             exclude_self=exclude_self,
         )
-
-    fused = dict(map_ordered(run_one, sorted(rank_sets), _workers(args)))
+        for qid in sorted(rank_sets)
+    }
     write_run_file(args.out, fused, args.tag)
     print(f"searched {len(fused)} queries into {args.out}")
     return 0
@@ -212,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="build the fusion-graph index (offline)")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="index directory to create")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=int, help="accepted and ignored")
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("search", help="rank the collection for query runs (online)")
@@ -221,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output TREC run file")
     p.add_argument("--tag", default=DEFAULT_TAG)
     p.add_argument("--exclude-self", action="store_true")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=int, help="accepted and ignored")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("baseline", help="aggregate runs with a classical method")
@@ -272,8 +259,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FusionError as exc:
-        print(json.dumps({"error": exc.category, "message": str(exc)}), file=sys.stderr)
+    except (FusionError, ValueError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     except OSError as exc:
         print(json.dumps({"error": "IOError", "message": str(exc)}), file=sys.stderr)

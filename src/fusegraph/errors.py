@@ -10,10 +10,6 @@ from __future__ import annotations
 class FusionError(Exception):
     """Base class for all library errors."""
 
-    @property
-    def category(self) -> str:
-        return type(self).__name__
-
 
 class MissingRank(FusionError):
     """A required rank is absent from the collection index."""
@@ -42,10 +38,6 @@ class MalformedGraphRecord(FusionError):
 
 class BothEmpty(FusionError):
     """Both graphs in a distance computation are empty (0/0)."""
-
-
-class TooLarge(FusionError):
-    """Instance exceeds the brute-force oracle size cap."""
 
 
 class RankerMismatch(FusionError):

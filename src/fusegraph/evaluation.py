@@ -19,8 +19,7 @@ from .errors import (
     QuerySetMismatch,
     UnknownQuery,
 )
-from .model import ItemId, ScoredRank
-from .retrieval import FusedRank
+from .model import FusedRank, ItemId, ScoredRank
 
 def _rank_items(rank) -> Sequence[ItemId]:
     if isinstance(rank, (FusedRank, ScoredRank)):

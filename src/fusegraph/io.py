@@ -16,16 +16,49 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ConfigError, DuplicateDoc, MissingRank, ParseError, RankGap
 from .evaluation import EvalReport, Qrels
-from .model import CollectionRankIndex, ItemId, RankSet, ScoredEntry, ScoredRank
-from .retrieval import FusedRank
+from .model import CollectionRankIndex, FusedRank, ItemId, RankSet, ScoredEntry, ScoredRank
 
 POLARITY_SIMILARITY = "similarity"
 POLARITY_DISTANCE = "distance"
 POLARITIES = (POLARITY_SIMILARITY, POLARITY_DISTANCE)
+
+def _fields(path: Path, count: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank whitespace-separated line.
+
+    Raises ParseError on a line that does not hold exactly ``count`` fields.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != count:
+                raise ParseError(str(path), line_no, f"expected {count} fields, got {len(fields)}")
+            yield line_no, fields
+
+
+def _number(kind: Callable[[str], float], text: str, path: Path, line_no: int, what: str) -> float:
+    """``kind(text)``, or ParseError ``bad <what> <text>`` when it is not a number."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParseError(str(path), line_no, f"bad {what} {text!r}") from None
+
+
+def _valued_rows(path: str | Path, count: int, empty: str) -> list[tuple[list[str], float]]:
+    """(leading fields, value) for each line whose last of ``count`` fields is a float."""
+    path = Path(path)
+    rows = [
+        (fields[:-1], _number(float, fields[-1], path, line_no, "value"))
+        for line_no, fields in _fields(path, count)
+    ]
+    if not rows:
+        raise ParseError(str(path), 0, empty)
+    return rows
 
 
 def parse_run_file(
@@ -44,36 +77,19 @@ def parse_run_file(
         raise ConfigError(f"unknown polarity {polarity!r}, expected one of {POLARITIES}")
     rows: dict[ItemId, list[tuple[int, ItemId, float]]] = {}
     seen: dict[ItemId, set[ItemId]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise ParseError(
-                    str(path), line_no, f"expected 6 fields, got {len(fields)}"
-                )
-            qid, _q0, docid, rank_str, score_str, _tag = fields
-            try:
-                rank_pos = int(rank_str)
-            except ValueError:
-                raise ParseError(str(path), line_no, f"bad rank {rank_str!r}") from None
-            if rank_pos < 1:
-                raise ParseError(str(path), line_no, f"rank must be >= 1, got {rank_pos}")
-            try:
-                score = float(score_str)
-            except ValueError:
-                raise ParseError(str(path), line_no, f"bad score {score_str!r}") from None
-            if not math.isfinite(score) or score < 0:
-                raise ParseError(
-                    str(path), line_no, f"score must be finite and >= 0, got {score_str}"
-                )
-            if polarity == POLARITY_DISTANCE:
-                score = 1.0 / (1.0 + score)
-            if docid in seen.setdefault(qid, set()):
-                raise DuplicateDoc(qid, docid)
-            seen[qid].add(docid)
-            rows.setdefault(qid, []).append((rank_pos, docid, score))
+    for line_no, (qid, _q0, docid, rank_str, score_str, _tag) in _fields(path, 6):
+        rank_pos = _number(int, rank_str, path, line_no, "rank")
+        if rank_pos < 1:
+            raise ParseError(str(path), line_no, f"rank must be >= 1, got {rank_pos}")
+        score = _number(float, score_str, path, line_no, "score")
+        if not math.isfinite(score) or score < 0:
+            raise ParseError(str(path), line_no, f"score must be finite and >= 0, got {score_str}")
+        if polarity == POLARITY_DISTANCE:
+            score = 1.0 / (1.0 + score)
+        if docid in seen.setdefault(qid, set()):
+            raise DuplicateDoc(qid, docid)
+        seen[qid].add(docid)
+        rows.setdefault(qid, []).append((rank_pos, docid, score))
 
     runs: dict[ItemId, ScoredRank] = {}
     for qid, entries in rows.items():
@@ -117,21 +133,11 @@ def parse_qrels(path: str | Path) -> Qrels:
     """Parse whitespace-separated ``qid 0 docid rel`` judgment lines."""
     path = Path(path)
     grades: dict[ItemId, dict[ItemId, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(str(path), line_no, f"expected 4 fields, got {len(fields)}")
-            qid, _iter, docid, rel_str = fields
-            try:
-                rel = int(rel_str)
-            except ValueError:
-                raise ParseError(str(path), line_no, f"bad relevance {rel_str!r}") from None
-            if rel < 0:
-                raise ParseError(str(path), line_no, f"negative relevance {rel}")
-            grades.setdefault(qid, {})[docid] = rel
+    for line_no, (qid, _iter, docid, rel_str) in _fields(path, 4):
+        rel = _number(int, rel_str, path, line_no, "relevance")
+        if rel < 0:
+            raise ParseError(str(path), line_no, f"negative relevance {rel}")
+        grades.setdefault(qid, {})[docid] = rel
     if not grades:
         raise ParseError(str(path), 0, "qrels file is empty")
     return Qrels.from_grades(grades)
@@ -141,17 +147,10 @@ def parse_class_labels(path: str | Path) -> Qrels:
     """Parse ``docid classlabel`` lines; relevance is same-class membership."""
     path = Path(path)
     labels: dict[ItemId, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError(str(path), line_no, f"expected 2 fields, got {len(fields)}")
-            docid, label = fields
-            if docid in labels:
-                raise ParseError(str(path), line_no, f"duplicate label for {docid!r}")
-            labels[docid] = label
+    for line_no, (docid, label) in _fields(path, 2):
+        if docid in labels:
+            raise ParseError(str(path), line_no, f"duplicate label for {docid!r}")
+        labels[docid] = label
     if not labels:
         raise ParseError(str(path), 0, "class-label file is empty")
     return Qrels.from_class_labels(labels)
@@ -165,68 +164,24 @@ def write_per_query_metrics(path: str | Path, report: EvalReport) -> None:
 
 def parse_per_query_metrics(path: str | Path) -> dict[ItemId, float]:
     """Parse ``qid value`` lines as written by the eval command."""
-    path = Path(path)
-    values: dict[ItemId, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError(str(path), line_no, f"expected 2 fields, got {len(fields)}")
-            qid, value_str = fields
-            try:
-                values[qid] = float(value_str)
-            except ValueError:
-                raise ParseError(str(path), line_no, f"bad value {value_str!r}") from None
-    if not values:
-        raise ParseError(str(path), 0, "per-query metric file is empty")
-    return values
+    rows = _valued_rows(path, 2, "per-query metric file is empty")
+    return {qid: value for (qid,), value in rows}
 
 
 def parse_effectiveness_table(
     path: str | Path,
 ) -> dict[tuple[str, str], dict[str, float]]:
     """Parse ``dataset config method value`` lines into the winners table."""
-    path = Path(path)
     table: dict[tuple[str, str], dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(str(path), line_no, f"expected 4 fields, got {len(fields)}")
-            dataset, config, method, value_str = fields
-            try:
-                value = float(value_str)
-            except ValueError:
-                raise ParseError(str(path), line_no, f"bad value {value_str!r}") from None
-            table.setdefault((dataset, config), {})[method] = value
-    if not table:
-        raise ParseError(str(path), 0, "effectiveness table is empty")
+    for (dataset, config, method), value in _valued_rows(path, 4, "effectiveness table is empty"):
+        table.setdefault((dataset, config), {})[method] = value
     return table
 
 
 def parse_ranker_effectiveness(path: str | Path) -> dict[str, float]:
     """Parse ``ranker value`` lines (per-ranker effectiveness for selection)."""
-    path = Path(path)
-    values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ParseError(str(path), line_no, f"expected 2 fields, got {len(fields)}")
-            ranker, value_str = fields
-            try:
-                values[ranker] = float(value_str)
-            except ValueError:
-                raise ParseError(str(path), line_no, f"bad value {value_str!r}") from None
-    if not values:
-        raise ParseError(str(path), 0, "effectiveness file is empty")
-    return values
+    rows = _valued_rows(path, 2, "effectiveness file is empty")
+    return {ranker: value for (ranker,), value in rows}
 
 
 def write_correlation_matrix(

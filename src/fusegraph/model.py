@@ -1,4 +1,5 @@
-"""Core domain types: scored ranks, rank sets, and the collection rank index.
+"""Core domain types: scored and fused ranks, rank sets, and the collection
+rank index.
 
 Items are identified by opaque non-empty strings. Positions are 1-indexed
 everywhere. All types are immutable after construction and safe to share
@@ -72,13 +73,39 @@ class ScoredRank:
     def items(self) -> tuple[ItemId, ...]:
         return tuple(entry.item for entry in self.entries)
 
-    def score_of(self, item: ItemId) -> Optional[float]:
-        pos = self.positions.get(item)
-        return None if pos is None else self.entries[pos - 1].score
-
     def truncated(self, depth: int) -> "ScoredRank":
         """Copy of this rank cut to the first ``depth`` entries."""
         return ScoredRank(self.query, self.ranker, self.entries[:depth], depth)
+
+
+@dataclass(frozen=True)
+class FusedRank:
+    """The final fused rank for one query.
+
+    Entries are (item, value) in rank order. For graph retrieval the values
+    are distances and ascend; baseline aggregators reuse the type with
+    descending scores and set ``higher_is_better``.
+    """
+
+    query: ItemId
+    entries: tuple[tuple[ItemId, float], ...]
+    higher_is_better: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "entries", tuple((item, float(v)) for item, v in self.entries)
+        )
+        seen = set()
+        for item, _ in self.entries:
+            if item in seen:
+                raise ValueError(f"duplicate item {item!r} in fused rank")
+            seen.add(item)
+
+    def items(self) -> tuple[ItemId, ...]:
+        return tuple(item for item, _ in self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 def position_of(rank: ScoredRank, item: ItemId) -> Optional[int]:
@@ -187,13 +214,6 @@ class CollectionRankIndex(RankLookup):
                 bucket[query] = rank
             store[ranker] = bucket
         self._ranks = store
-
-    @classmethod
-    def from_ranks(cls, ranks: Iterable[ScoredRank]) -> "CollectionRankIndex":
-        grouped: dict[str, dict[ItemId, ScoredRank]] = {}
-        for rank in ranks:
-            grouped.setdefault(rank.ranker, {})[rank.query] = rank
-        return cls(grouped)
 
     @property
     def rankers(self) -> tuple[str, ...]:

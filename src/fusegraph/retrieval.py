@@ -17,16 +17,16 @@ import itertools
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from .graph import BuildStats, FusionGraph, build_fusion_graph, deserialize_graph, serialize_graph
 from .model import (
     CollectionRankIndex,
+    FusedRank,
     ItemId,
     RankLookup,
     RankSet,
@@ -51,36 +51,6 @@ COMPARATORS: dict[str, Callable[[FusionGraph, FusionGraph], float]] = {
     "MCS": dist_mcs,
     "WGU": dist_wgu,
 }
-
-
-@dataclass(frozen=True)
-class FusedRank:
-    """The final fused rank for one query.
-
-    Entries are (item, value) in rank order. For graph retrieval the values
-    are distances and ascend; baseline aggregators reuse the type with
-    descending scores and set ``higher_is_better``.
-    """
-
-    query: ItemId
-    entries: tuple[tuple[ItemId, float], ...]
-    higher_is_better: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple((item, float(v)) for item, v in self.entries)
-        )
-        seen = set()
-        for item, _ in self.entries:
-            if item in seen:
-                raise ValueError(f"duplicate item {item!r} in fused rank")
-            seen.add(item)
-
-    def items(self) -> tuple[ItemId, ...]:
-        return tuple(item for item, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass
@@ -112,26 +82,12 @@ class FusionGraphIndex:
         return owners
 
 
-def map_ordered(fn, inputs: Sequence, workers: int):
-    """Apply fn over inputs, in order, optionally on a thread pool.
-
-    Results are collected in input order, so output never depends on worker
-    count or scheduling. The pool never holds more threads than inputs.
-    """
-    workers = min(workers, len(inputs))
-    if workers <= 1:
-        return [fn(x) for x in inputs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, inputs))
-
-
 def index_collection(
     index: CollectionRankIndex,
     rankers: Iterable[str],
     params: NormalizationParams,
     comparator: str = "WGU",
     strict: bool = False,
-    workers: int = 1,
     stats: BuildStats | None = None,
 ) -> FusionGraphIndex:
     """Build one normalized fusion graph per collection item.
@@ -142,20 +98,17 @@ def index_collection(
     """
     rankers = tuple(rankers)
     normalized = normalize_collection(index, rankers, params)
-
-    def build(item: ItemId) -> tuple[ItemId, FusionGraph | None]:
+    graphs: dict[ItemId, FusionGraph] = {}
+    for item in index.collection_items():
         available = [r for r in rankers if normalized.get(r, item) is not None]
         if strict and len(available) < len(rankers):
             missing = next(r for r in rankers if normalized.get(r, item) is None)
             raise MissingRank(missing, item)
         if not available:
             logger.warning("item %s has no ranks under any chosen ranker; skipped", item)
-            return item, None
+            continue
         rs = assemble_rank_set(item, normalized, available)
-        return item, build_fusion_graph(rs, normalized, params, strict=strict, stats=stats)
-
-    results = map_ordered(build, index.collection_items(), workers)
-    graphs = {item: graph for item, graph in results if graph is not None}
+        graphs[item] = build_fusion_graph(rs, normalized, params, strict=strict, stats=stats)
     return FusionGraphIndex(graphs, params, rankers, comparator)
 
 
@@ -210,7 +163,6 @@ def fuse_query(
     index: RankLookup,
     normalized_index: RankLookup | None = None,
     exclude_self: bool = False,
-    workers: int = 1,
 ) -> FusedRank:
     """Rank the indexed collection by graph distance to the query's graph.
 
@@ -223,9 +175,7 @@ def fuse_query(
     depth, distance = fg_index.params.depth, fg_index.distance
     excluded = {query_ranks.query} if exclude_self else set()
     scope = candidate_scope(fg_index, query_graph) - excluded
-    scored = map_ordered(
-        lambda item: (item, distance(query_graph, fg_index.graphs[item])), sorted(scope), workers
-    )
+    scored = [(item, distance(query_graph, fg_index.graphs[item])) for item in sorted(scope)]
     unscored = (i for i in sorted(fg_index.graphs) if i not in scope and i not in excluded)
     scored.extend((item, 1.0) for item in itertools.islice(unscored, depth))
     scored.sort(key=lambda pair: (pair[1], pair[0]))

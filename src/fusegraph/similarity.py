@@ -6,8 +6,7 @@ the conventional MCS/WGU names for the two distances derived from it.
 
 Because vertices are uniquely labeled, the maximum-weight common subgraph is
 simply the label intersection with min weights per shared vertex/edge, which
-needs no search: one hash probe per key of the smaller map. A brute
-force enumerator is provided as a test oracle for that shortcut.
+needs no search: one hash probe per key of the smaller map.
 
 Graph sizes are computed with math.fsum (exactly rounded), so equal weight
 multisets always give equal sizes regardless of iteration order.
@@ -19,10 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BothEmpty, TooLarge
+from .errors import BothEmpty
 from .graph import FusionGraph
-
-BRUTE_FORCE_VERTEX_CAP = 8
 
 
 @dataclass
@@ -80,51 +77,3 @@ def dist_wgu(a: FusionGraph, b: FusionGraph) -> float:
     common = mcs(a, b)
     union = math.fsum(itertools.chain(_weights(a), _weights(b), (-w for w in _weights(common))))
     return 1.0 - graph_size(common) / union
-
-
-def brute_force_mcs(a: FusionGraph, b: FusionGraph) -> FusionGraph:
-    """Test oracle: exhaustively enumerate common subgraphs, keep a largest.
-
-    Enumerates every subset of the shared vertex labels and, within each,
-    every subset of the shared edges whose endpoints survive, scoring each
-    candidate under the same min-weight convention as mcs(). Raises TooLarge
-    when more than BRUTE_FORCE_VERTEX_CAP vertex labels are shared, which
-    bounds the enumeration at 2^8 vertex subsets.
-    """
-    shared_vertices = {
-        item: min(a.vertices[item], b.vertices[item])
-        for item in a.vertices.keys() & b.vertices.keys()
-    }
-    if len(shared_vertices) > BRUTE_FORCE_VERTEX_CAP:
-        raise TooLarge(
-            f"{len(shared_vertices)} shared vertices exceed the brute-force cap "
-            f"of {BRUTE_FORCE_VERTEX_CAP}"
-        )
-    shared_edges = {
-        pair: min(a.edges[pair], b.edges[pair])
-        for pair in a.edges.keys() & b.edges.keys()
-    }
-    labels = sorted(shared_vertices)
-    best: tuple[float, dict, dict] = (0.0, {}, {})
-    for r in range(len(labels) + 1):
-        for vertex_subset in itertools.combinations(labels, r):
-            kept = set(vertex_subset)
-            candidate_edges = [
-                pair for pair in shared_edges if pair[0] in kept and pair[1] in kept
-            ]
-            for k in range(len(candidate_edges) + 1):
-                for edge_subset in itertools.combinations(candidate_edges, k):
-                    size = math.fsum(
-                        itertools.chain(
-                            (shared_vertices[v] for v in vertex_subset),
-                            (shared_edges[e] for e in edge_subset),
-                        )
-                    )
-                    if size > best[0]:
-                        best = (
-                            size,
-                            {v: shared_vertices[v] for v in vertex_subset},
-                            {e: shared_edges[e] for e in edge_subset},
-                        )
-    _, vertices, edges = best
-    return FusionGraph(a.query, vertices, edges, a.normalized, a.depth, a.rankers)

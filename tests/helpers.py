@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 
 import numpy as np
 
+from fusegraph.errors import FusionError
 from fusegraph.graph import FusionGraph
 from fusegraph.model import CollectionRankIndex, RankSet, ScoredEntry, ScoredRank
 from fusegraph.retrieval import FusedRank, build_query_graph
@@ -212,3 +214,58 @@ def reference_fuse_query(query_ranks, fg_index, index, normalized_index=None, ex
             scored.append((item, distance(query_graph, fg_index.graphs[item])))
     scored.sort(key=lambda pair: (pair[1], pair[0]))
     return FusedRank(query_ranks.query, tuple(scored[: fg_index.params.depth]))
+
+
+BRUTE_FORCE_VERTEX_CAP = 8
+
+
+class TooLarge(FusionError):
+    """Instance exceeds the brute-force oracle size cap."""
+
+
+def brute_force_mcs(a: FusionGraph, b: FusionGraph) -> FusionGraph:
+    """Test oracle: exhaustively enumerate common subgraphs, keep a largest.
+
+    Enumerates every subset of the shared vertex labels and, within each,
+    every subset of the shared edges whose endpoints survive, scoring each
+    candidate under the same min-weight convention as mcs(). Raises TooLarge
+    when more than BRUTE_FORCE_VERTEX_CAP vertex labels are shared, which
+    bounds the enumeration at 2^8 vertex subsets.
+    """
+    shared_vertices = {
+        item: min(a.vertices[item], b.vertices[item])
+        for item in a.vertices.keys() & b.vertices.keys()
+    }
+    if len(shared_vertices) > BRUTE_FORCE_VERTEX_CAP:
+        raise TooLarge(
+            f"{len(shared_vertices)} shared vertices exceed the brute-force cap "
+            f"of {BRUTE_FORCE_VERTEX_CAP}"
+        )
+    shared_edges = {
+        pair: min(a.edges[pair], b.edges[pair])
+        for pair in a.edges.keys() & b.edges.keys()
+    }
+    labels = sorted(shared_vertices)
+    best: tuple[float, dict, dict] = (0.0, {}, {})
+    for r in range(len(labels) + 1):
+        for vertex_subset in itertools.combinations(labels, r):
+            kept = set(vertex_subset)
+            candidate_edges = [
+                pair for pair in shared_edges if pair[0] in kept and pair[1] in kept
+            ]
+            for k in range(len(candidate_edges) + 1):
+                for edge_subset in itertools.combinations(candidate_edges, k):
+                    size = math.fsum(
+                        itertools.chain(
+                            (shared_vertices[v] for v in vertex_subset),
+                            (shared_edges[e] for e in edge_subset),
+                        )
+                    )
+                    if size > best[0]:
+                        best = (
+                            size,
+                            {v: shared_vertices[v] for v in vertex_subset},
+                            {e: shared_edges[e] for e in edge_subset},
+                        )
+    _, vertices, edges = best
+    return FusionGraph(a.query, vertices, edges, a.normalized, a.depth, a.rankers)

@@ -38,11 +38,12 @@ from fusegraph.normalize import (
     reposition_rank,
 )
 from fusegraph.retrieval import fuse_query, index_collection
-from fusegraph.similarity import McsStats, brute_force_mcs, dist_mcs, dist_wgu, graph_size, mcs
+from fusegraph.similarity import McsStats, dist_mcs, dist_wgu, graph_size, mcs
 
 from helpers import (
     TOY_LAYOUT,
     TOY_QUERY,
+    brute_force_mcs,
     mkrank,
     mkrankset,
     random_rank_index,
@@ -377,9 +378,7 @@ def test_ukbench_dataset_hook():
         qrels = parse_class_labels(labels_path)
         index = build_collection_index(config)
         params = NormalizationParams(config.depth)
-        fg_index = index_collection(
-            index, config.ranker_names, params, config.comparator, workers=8
-        )
+        fg_index = index_collection(index, config.ranker_names, params, config.comparator)
         normalized = normalize_collection(index, config.ranker_names, params)
         total = 0.0
         items = index.collection_items()

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import random
@@ -10,7 +9,7 @@ import pytest
 
 import fusegraph
 from fusegraph import normalize
-from fusegraph.cli import _workers, main
+from fusegraph.cli import main
 from fusegraph.io import parse_run_file
 
 from helpers import TOY_LAYOUT, TOY_QUERY, random_rank_index, write_config, write_runs
@@ -254,6 +253,50 @@ def test_cli_import_leaves_scipy_and_numpy_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_io_baselines_evaluation_leave_retrieval_unloaded():
+    probe = (
+        "import sys, fusegraph.io, fusegraph.baselines, fusegraph.evaluation; "
+        "print('fusegraph.retrieval' in sys.modules)"
+    )
+    result = run_cli_process("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+INVALID_VALUE_COMMANDS = {
+    "select_best_pair_without_correlations": [
+        "select", "--effectiveness", "{eff}", "--strategy", "best-pair"
+    ],
+    "winners_cells_with_different_methods": ["winners", "--table", "{uneven}"],
+    "eval_empty_run": ["eval", "--run", "{empty}", "--qrels", "{qrels}"],
+    "eval_k_zero": ["eval", "--run", "{run}", "--qrels", "{qrels}", "--k", "0"],
+    "baseline_rrf_k_zero": [
+        "baseline", "rrf", "--config", "{config}", "--out", "{out}", "--rrf-k", "0"
+    ],
+}
+
+
+@pytest.mark.parametrize("args", INVALID_VALUE_COMMANDS.values(), ids=INVALID_VALUE_COMMANDS)
+def test_invalid_value_prints_one_json_line(toy_files, args):
+    base = toy_files["dir"]
+    paths = {"config": toy_files["config"], "out": base / "out.run"}
+    inputs = {
+        "eff": "LAS 0.85\nLBP 0.65\n",
+        "uneven": "d1 c1 m1 0.9\nd1 c2 m2 0.5\n",
+        "empty": "",
+        "run": "q1 Q0 a 1 3.0 t\n",
+        "qrels": "q1 0 a 1\n",
+    }
+    for name, text in inputs.items():
+        paths[name] = base / name
+        paths[name].write_text(text, encoding="utf-8")
+    result = run_cli_process("-m", "fusegraph.cli", *(arg.format(**paths) for arg in args))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["error"] == "ValueError"
+
+
 def search_error_after_manifest_edit(toy_files, edit):
     """Extract the toy index, edit its manifest, search it in a fresh process.
 
@@ -315,11 +358,3 @@ def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
     m, item_union = 3, {"d004", "d005", "d006", "d007"}
     assert 0 < len(collection_ranks) <= m * len(item_union)
     assert len(collection_ranks) == len(set(collection_ranks))
-
-
-def test_workers_capped_at_cpu_count(monkeypatch):
-    cpus = os.cpu_count() or 1
-    assert _workers(argparse.Namespace(workers=10**6)) == cpus
-    assert _workers(argparse.Namespace(workers=-3)) == 1
-    monkeypatch.setenv("FUSEGRAPH_THREADS", str(10**6))
-    assert _workers(argparse.Namespace(workers=0)) == cpus

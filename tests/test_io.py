@@ -16,6 +16,7 @@ from fusegraph.io import (
     parse_effectiveness_table,
     parse_per_query_metrics,
     parse_qrels,
+    parse_ranker_effectiveness,
     parse_run_file,
     write_correlation_matrix,
     write_run_file,
@@ -138,6 +139,96 @@ def test_parse_class_labels(tmp_path):
     assert qrels.relevance("a", "a") == 1
     with pytest.raises(ParseError):
         parse_class_labels(write(tmp_path, "dup.txt", "a c1\na c2\n"))
+
+
+# parser, two valid records, field count, [(bad record, message)], empty-file message
+LINE_PARSERS = [
+    pytest.param(
+        lambda path: parse_run_file(path, "r"),
+        ("q1 Q0 a 1 2.0 t", "q1 Q0 b 2 1.0 t"),
+        6,
+        [
+            ("q1 Q0 a x 2.0 t", "bad rank 'x'"),
+            ("q1 Q0 a 0 2.0 t", "rank must be >= 1, got 0"),
+            ("q1 Q0 a 1 x t", "bad score 'x'"),
+            ("q1 Q0 a 1 -2.0 t", "score must be finite and >= 0, got -2.0"),
+            ("q1 Q0 a 1 inf t", "score must be finite and >= 0, got inf"),
+        ],
+        None,
+        id="run",
+    ),
+    pytest.param(
+        parse_qrels,
+        ("q1 0 a 1", "q1 0 b 0"),
+        4,
+        [("q1 0 a x", "bad relevance 'x'"), ("q1 0 a -1", "negative relevance -1")],
+        "qrels file is empty",
+        id="qrels",
+    ),
+    pytest.param(
+        parse_class_labels, ("a c1", "b c1"), 2, [], "class-label file is empty", id="class_labels"
+    ),
+    pytest.param(
+        parse_per_query_metrics,
+        ("q1 0.5", "q2 0.25"),
+        2,
+        [("q1 x", "bad value 'x'")],
+        "per-query metric file is empty",
+        id="per_query_metrics",
+    ),
+    pytest.param(
+        parse_ranker_effectiveness,
+        ("r1 0.5", "r2 0.25"),
+        2,
+        [("r1 x", "bad value 'x'")],
+        "effectiveness file is empty",
+        id="ranker_effectiveness",
+    ),
+    pytest.param(
+        parse_effectiveness_table,
+        ("d c m1 0.5", "d c m2 0.25"),
+        4,
+        [("d c m1 x", "bad value 'x'")],
+        "effectiveness table is empty",
+        id="effectiveness_table",
+    ),
+]
+
+
+def _parse_error(parse, path):
+    with pytest.raises(ParseError) as excinfo:
+        parse(path)
+    return excinfo.value.line_no, str(excinfo.value)
+
+
+def _comparable(parsed):
+    return vars(parsed) if hasattr(parsed, "relevance") else parsed
+
+
+@pytest.mark.parametrize("parse, records, count, bad_numbers, empty_message", LINE_PARSERS)
+def test_line_parser_errors_pinned(tmp_path, parse, records, count, bad_numbers, empty_message):
+    first, second = records
+    path = write(tmp_path, "long.txt", f"{first}\n\n{second} extra\n")
+    assert _parse_error(parse, path) == (3, f"{path}:3: expected {count} fields, got {count + 1}")
+    path = write(tmp_path, "short.txt", f"{first}\nlonely\n")
+    assert _parse_error(parse, path) == (2, f"{path}:2: expected {count} fields, got 1")
+    for number, (bad, message) in enumerate(bad_numbers):
+        path = write(tmp_path, f"bad{number}.txt", f"{first}\n  \n{bad}\n")
+        assert _parse_error(parse, path) == (3, f"{path}:3: {message}")
+    for name, text in (("empty.txt", ""), ("blank.txt", "\n  \n\t\n")):
+        path = write(tmp_path, name, text)
+        if empty_message is None:
+            assert parse(path) == {}
+        else:
+            assert _parse_error(parse, path) == (0, f"{path}:0: {empty_message}")
+    spaced = parse(write(tmp_path, "spaced.txt", f"\n{first}\n\n \t\n{second}\n\n"))
+    dense = parse(write(tmp_path, "dense.txt", f"{first}\n{second}\n"))
+    assert _comparable(spaced) == _comparable(dense)
+
+
+def test_parse_ranker_effectiveness(tmp_path):
+    path = write(tmp_path, "eff.txt", "r1 0.5\nr2 0.25\n")
+    assert parse_ranker_effectiveness(path) == {"r1": 0.5, "r2": 0.25}
 
 
 def test_per_query_metrics_round_trip(tmp_path):

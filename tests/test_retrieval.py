@@ -15,7 +15,6 @@ from fusegraph.retrieval import (
     fuse_query,
     index_collection,
     load_index,
-    map_ordered,
     save_index,
 )
 from fusegraph.similarity import dist_wgu
@@ -256,10 +255,8 @@ def test_out_of_collection_query_supported(toy_fg_index):
 def test_worker_schedule_independence(toy_fg_index):
     index, fg_index = toy_fg_index
     rs = query_rank_set()
-    single = fuse_query(rs, fg_index, index, workers=1)
-    pooled = fuse_query(rs, fg_index, index, workers=8)
-    assert single == pooled
-    rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU", workers=8)
+    assert fuse_query(rs, fg_index, index) == fuse_query(rs, fg_index, index)
+    rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU")
     assert rebuilt.graphs == fg_index.graphs
 
 
@@ -280,24 +277,10 @@ def test_save_load_round_trip(tmp_path, toy_fg_index):
 def test_save_is_byte_deterministic(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "one", fg_index, index)
-    rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU", workers=4)
+    rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU")
     save_index(tmp_path / "two", rebuilt, index)
     for name in ("manifest.json", "graphs.jsonl", "collection_ranks.jsonl"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
-
-
-def test_map_ordered_caps_pool_at_input_count(monkeypatch):
-    pool_sizes = []
-    real_pool = retrieval.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pool_sizes.append(max_workers)
-        return real_pool(max_workers)
-
-    monkeypatch.setattr(retrieval, "ThreadPoolExecutor", recording_pool)
-    assert map_ordered(lambda x: x * 2, [0, 1, 2], workers=64) == [0, 2, 4]
-    assert map_ordered(lambda x: x, [], workers=64) == []
-    assert pool_sizes == [3]
 
 
 def _corrupt_manifest(directory, edit):

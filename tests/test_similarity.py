@@ -4,18 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusegraph.errors import BothEmpty, TooLarge
+from fusegraph.errors import BothEmpty
 from fusegraph.graph import FusionGraph
 from fusegraph.similarity import (
     McsStats,
-    brute_force_mcs,
     dist_mcs,
     dist_wgu,
     graph_size,
     mcs,
 )
 
-from helpers import reference_dist_mcs, reference_dist_wgu, reference_mcs
+from helpers import (
+    TooLarge,
+    brute_force_mcs,
+    reference_dist_mcs,
+    reference_dist_wgu,
+    reference_mcs,
+)
 
 
 def graph(name, vertices, edges=None):
