@@ -13,9 +13,8 @@ Subcommands mirror the offline/online split plus the evaluation machinery:
 
 Any library failure, and any invalid value the library rejects with
 ValueError, exits non-zero after printing one JSON line to stderr with the
-machine-readable error category (the exception class name). ``--workers N``
-of extract and search is accepted and ignored: every command runs on one
-thread. The program reads no environment variable.
+machine-readable error category (the exception class name). Every command
+runs on one thread, and the program reads no environment variable.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import json
 import sys
 
 from . import baselines
-from .errors import FusionError
+from .errors import FusionError, QuerySetMismatch
 from .evaluation import (
     CORRELATIONS,
     SELECTION_STRATEGIES,
@@ -172,11 +171,7 @@ def _cmd_ttest(args: argparse.Namespace) -> int:
     values_a = parse_per_query_metrics(args.a)
     values_b = parse_per_query_metrics(args.b)
     if set(values_a) != set(values_b):
-        print(
-            json.dumps({"error": "QuerySetMismatch", "message": "metric files cover different queries"}),
-            file=sys.stderr,
-        )
-        return 1
+        raise QuerySetMismatch("metric files cover different queries")
     qids = sorted(values_a)
     result = paired_t_test(
         [values_a[q] for q in qids], [values_b[q] for q in qids], alpha=args.alpha
@@ -199,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="build the fusion-graph index (offline)")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="index directory to create")
-    p.add_argument("--workers", type=int, help="accepted and ignored")
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("search", help="rank the collection for query runs (online)")
@@ -208,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output TREC run file")
     p.add_argument("--tag", default=DEFAULT_TAG)
     p.add_argument("--exclude-self", action="store_true")
-    p.add_argument("--workers", type=int, help="accepted and ignored")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("baseline", help="aggregate runs with a classical method")

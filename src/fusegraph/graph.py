@@ -17,13 +17,12 @@ import json
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyGraph, MalformedGraphRecord, MissingRank
 from .model import ItemId, RankLookup, RankSet
-from .normalize import NormalizationParams
 
-GRAPH_RECORD_VERSION = 2
+GRAPH_RECORD_VERSION = 3
 PACKED = (("d", "vertex_weights"), ("I", "edges"), ("d", "edge_weights"))
 
 if array("d").itemsize != 8 or array("I").itemsize != 4:
@@ -41,16 +40,13 @@ class BuildStats:
 class FusionGraph:
     """Weighted directed graph with uniquely labeled vertices.
 
-    ``depth`` and ``rankers`` record the parameters the graph was built with;
-    they ride along so a serialized record is self-contained.
+    A sparse map from keys to weights, where a key is a vertex label or an
+    edge (source, target) pair whose endpoints are both vertices.
     """
 
     query: ItemId
     vertices: dict[ItemId, float]
     edges: dict[tuple[ItemId, ItemId], float]
-    normalized: bool = False
-    depth: int | None = None
-    rankers: tuple[str, ...] | None = None
 
     def __post_init__(self):
         for (src, tgt) in self.edges:
@@ -59,15 +55,10 @@ class FusionGraph:
             if src not in self.vertices or tgt not in self.vertices:
                 raise ValueError(f"edge {src!r} -> {tgt!r} has endpoint outside vertex set")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
-
 
 def build_fusion_graph(
     rs: RankSet,
     index: RankLookup,
-    params: NormalizationParams,
     strict: bool = False,
     stats: BuildStats | None = None,
 ) -> FusionGraph:
@@ -111,16 +102,7 @@ def build_fusion_graph(
                         neighbor.score / pos
                     )
     edges = {pair: math.fsum(parts) for pair, parts in edge_parts.items()}
-
-    graph = FusionGraph(
-        query=rs.query,
-        vertices=vertices,
-        edges=edges,
-        normalized=False,
-        depth=params.depth,
-        rankers=rs.ranker_names,
-    )
-    return normalize_graph_weights(graph)
+    return _scaled(rs.query, vertices, edges)
 
 
 def normalize_graph_weights(g: FusionGraph) -> FusionGraph:
@@ -129,16 +111,20 @@ def normalize_graph_weights(g: FusionGraph) -> FusionGraph:
     Idempotent; a graph without edges skips edge normalization. Raises
     EmptyGraph when there is no vertex to normalize.
     """
-    if g.is_empty:
-        raise EmptyGraph(f"fusion graph for {g.query!r} has no vertices")
-    max_vertex = max(g.vertices.values())
-    vertices = {item: weight / max_vertex for item, weight in g.vertices.items()}
-    if g.edges:
-        max_edge = max(g.edges.values())
-        edges = {pair: weight / max_edge for pair, weight in g.edges.items()}
-    else:
-        edges = {}
-    return FusionGraph(g.query, vertices, edges, True, g.depth, g.rankers)
+    return _scaled(g.query, g.vertices, g.edges)
+
+
+def _scaled(query: ItemId, vertices: dict, edges: dict) -> FusionGraph:
+    """The graph of ``query`` with weights divided by their vertex/edge maxima."""
+    if not vertices:
+        raise EmptyGraph(f"fusion graph for {query!r} has no vertices")
+    max_vertex = max(vertices.values())
+    max_edge = max(edges.values(), default=1.0)
+    return FusionGraph(
+        query,
+        {item: weight / max_vertex for item, weight in vertices.items()},
+        {pair: weight / max_edge for pair, weight in edges.items()},
+    )
 
 
 def _pack(typecode: str, values) -> str:
@@ -171,17 +157,12 @@ def serialize_graph(g: FusionGraph) -> str:
     positions in ``vertices`` as base64 little-endian uint32 pairs. The
     record is byte-deterministic.
     """
-    if g.depth is None or g.rankers is None:
-        raise ValueError("only graphs carrying depth and ranker metadata can be stored")
     labels = sorted(g.vertices)
     slot = {label: i for i, label in enumerate(labels)}
     pairs = sorted(g.edges)
     record = {
         "v": GRAPH_RECORD_VERSION,
         "query": g.query,
-        "L": g.depth,
-        "rankers": list(g.rankers),
-        "normalized": g.normalized,
         "vertices": labels,
         "vertex_weights": _pack("d", map(g.vertices.__getitem__, labels)),
         "edges": _pack("I", [slot[label] for pair in pairs for label in pair]),
@@ -193,8 +174,9 @@ def serialize_graph(g: FusionGraph) -> str:
 def deserialize_graph(record: str | bytes) -> FusionGraph:
     """Parse a graph-store record; rejects unknown versions and bad shapes.
 
-    Labels and edges must be distinct, weights and endpoint pairs must match
-    them in number, and every endpoint must name a label.
+    The query and every label must be strings, labels and edges must be
+    distinct, weights and endpoint pairs must match them in number, and every
+    endpoint must name a label.
     """
     try:
         data = json.loads(record)
@@ -206,9 +188,6 @@ def deserialize_graph(record: str | bytes) -> FusionGraph:
         raise MalformedGraphRecord(f"unknown graph record version {data.get('v')!r}")
     try:
         query = data["query"]
-        depth = int(data["L"])
-        rankers = tuple(str(r) for r in data["rankers"])
-        normalized = bool(data["normalized"])
         labels = data["vertices"]
         weights, ends, edge_weights = (_unpack(code, data[name], name) for code, name in PACKED)
     except (KeyError, TypeError, ValueError) as exc:
@@ -217,6 +196,8 @@ def deserialize_graph(record: str | bytes) -> FusionGraph:
     def bad(problem: str) -> MalformedGraphRecord:
         return MalformedGraphRecord(f"graph record for {query!r} has {problem}")
 
+    if type(query) is not str:
+        raise bad("a non-string query")
     if not isinstance(labels, list) or not all(type(label) is str for label in labels):
         raise bad("a non-string label")
     if len(weights) != len(labels):
@@ -236,6 +217,6 @@ def deserialize_graph(record: str | bytes) -> FusionGraph:
     if not vertices:
         raise EmptyGraph(f"graph record for {query!r} has an empty vertex map")
     try:
-        return FusionGraph(query, vertices, edges, normalized, depth, rankers)
+        return FusionGraph(query, vertices, edges)
     except ValueError as exc:
         raise MalformedGraphRecord(str(exc)) from exc

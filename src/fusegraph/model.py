@@ -73,10 +73,6 @@ class ScoredRank:
     def items(self) -> tuple[ItemId, ...]:
         return tuple(entry.item for entry in self.entries)
 
-    def truncated(self, depth: int) -> "ScoredRank":
-        """Copy of this rank cut to the first ``depth`` entries."""
-        return ScoredRank(self.query, self.ranker, self.entries[:depth], depth)
-
 
 @dataclass(frozen=True)
 class FusedRank:
@@ -228,10 +224,6 @@ class CollectionRankIndex(RankLookup):
         for per_query in self._ranks.values():
             items.update(per_query)
         return tuple(sorted(items))
-
-    @property
-    def collection_size(self) -> int:
-        return len(self.collection_items())
 
     def get(self, ranker: str, query: ItemId) -> Optional[ScoredRank]:
         per_query = self._ranks.get(ranker)

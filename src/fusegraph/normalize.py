@@ -29,25 +29,22 @@ from .model import (
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Cut-off depth L and the position sentinel used for absent items.
+    """The method's one parameter, the cut-off depth L.
 
     An item absent from a rank (or whose own rank is missing) has no position;
-    the sentinel, which must exceed L, stands in for it. The default L + 1
-    penalizes absence minimally and uniformly.
+    the sentinel L + 1 stands in for it, penalizing absence minimally and
+    uniformly.
     """
 
     depth: int
-    missing_position_sentinel: int | None = None
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.missing_position_sentinel is None:
-            object.__setattr__(self, "missing_position_sentinel", self.depth + 1)
-        if self.missing_position_sentinel <= self.depth:
-            raise ValueError(
-                f"sentinel {self.missing_position_sentinel} must exceed depth {self.depth}"
-            )
+
+    @property
+    def missing_position_sentinel(self) -> int:
+        return self.depth + 1
 
 
 def _position_or_sentinel(

@@ -43,7 +43,7 @@ from .similarity import dist_mcs, dist_wgu
 
 logger = logging.getLogger(__name__)
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 INDEX_FILES = {"graphs": "graphs.jsonl", "ranks": "collection_ranks.jsonl"}
 
@@ -108,7 +108,7 @@ def index_collection(
             logger.warning("item %s has no ranks under any chosen ranker; skipped", item)
             continue
         rs = assemble_rank_set(item, normalized, available)
-        graphs[item] = build_fusion_graph(rs, normalized, params, strict=strict, stats=stats)
+        graphs[item] = build_fusion_graph(rs, normalized, strict=strict, stats=stats)
     return FusionGraphIndex(graphs, params, rankers, comparator)
 
 
@@ -127,7 +127,6 @@ def build_query_graph(
     fg_index: FusionGraphIndex,
     index: RankLookup,
     normalized_index: RankLookup | None = None,
-    strict: bool = False,
 ) -> FusionGraph:
     """Normalize a query's ranks and build its fusion graph on the fly.
 
@@ -154,7 +153,7 @@ def build_query_graph(
     if normalized_index is None:
         normalized_index = LazyNormalizedIndex(index, params)
     lookup = normalized_index.overlay(normalized_query)
-    return build_fusion_graph(normalized_query, lookup, params, strict=strict)
+    return build_fusion_graph(normalized_query, lookup)
 
 
 def fuse_query(
@@ -207,9 +206,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex, raw_index: Col
             "v": MANIFEST_VERSION,
             "rankers": list(fg_index.ranker_names),
             "L": fg_index.params.depth,
-            "sentinel": fg_index.params.missing_position_sentinel,
             "comparator": fg_index.comparator,
-            "n": raw_index.collection_size,
             "graph_count": len(fg_index.graphs),
             "files": INDEX_FILES,
             "bytes": sizes,
@@ -248,8 +245,7 @@ def _rank_lines(fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> I
 
 
 MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
-    "L": lambda v: type(v) is int,
-    "sentinel": lambda v: type(v) is int,
+    "L": lambda v: type(v) is int and v >= 1,
     "graph_count": lambda v: type(v) is int,
     "comparator": lambda v: isinstance(v, str) and v in COMPARATORS,
     "rankers": lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
@@ -264,9 +260,10 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
     """Load a persisted index directory: (graph index, raw collection index).
 
     Every manifest field in MANIFEST_FIELDS must be present and well typed,
-    every data file must have its recorded size, and every graph record must
-    carry the manifest's L and a subset of its rankers; otherwise (and for an
-    index of an older format) MalformedGraphRecord is raised.
+    every data file must have its recorded size, and every rank record must
+    hold string ids under one of the manifest's rankers, at most once per
+    (ranker, query); otherwise (and for an index of an older format)
+    MalformedGraphRecord is raised.
     """
     directory = Path(directory)
     try:
@@ -286,10 +283,7 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
             raise MalformedGraphRecord(
                 f"index manifest field {name!r} is missing or ill-typed: {manifest.get(name)!r}"
             )
-    try:
-        params = NormalizationParams(manifest["L"], manifest["sentinel"])
-    except ValueError as exc:
-        raise MalformedGraphRecord(f"bad index manifest: {exc}") from exc
+    params = NormalizationParams(manifest["L"])
     rankers = tuple(manifest["rankers"])
     comparator = manifest["comparator"]
     for role in INDEX_FILES:
@@ -305,11 +299,6 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
         for line in fh:
             if line.strip():
                 graph = deserialize_graph(line)
-                if graph.depth != params.depth or not set(graph.rankers) <= set(rankers):
-                    raise MalformedGraphRecord(
-                        f"graph record for {graph.query!r} disagrees with the manifest's "
-                        "L or rankers"
-                    )
                 graphs[graph.query] = graph
     if len(graphs) != manifest["graph_count"]:
         raise MalformedGraphRecord(
@@ -323,15 +312,21 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
                 continue
             try:
                 record = json.loads(line)
-                ranker = record["ranker"]
-                query = record["query"]
-                entries = zip(record["items"], record["scores"], strict=True)
-                rank = ScoredRank(query, ranker, entries, params.depth)
+                ranker, query, items = record["ranker"], record["query"], record["items"]
+                if ranker not in ranks:
+                    raise ValueError(f"ranker {ranker!r} is not in the manifest")
+                if type(query) is not str or type(items) is not list or not all(
+                    type(item) is str for item in items
+                ):
+                    raise ValueError("query must be a string and items a list of strings")
+                if query in ranks[ranker]:
+                    raise ValueError(f"repeats the rank of {query!r} under {ranker!r}")
+                entries = zip(items, record["scores"], strict=True)
+                ranks[ranker][query] = ScoredRank(query, ranker, entries, params.depth)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise MalformedGraphRecord(
                     f"bad rank record at line {line_no}: {exc}"
                 ) from exc
-            ranks.setdefault(ranker, {})[query] = rank
     raw_index = CollectionRankIndex(ranks)
     fg_index = FusionGraphIndex(graphs, params, rankers, comparator)
     return fg_index, raw_index

@@ -42,7 +42,7 @@ def mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> Fusion
     av, bv, ae, be = a.vertices, b.vertices, a.edges, b.edges
     vertices = {item: min(av[item], bv[item]) for item in av.keys() & bv.keys()}
     edges = {pair: min(ae[pair], be[pair]) for pair in ae.keys() & be.keys()}
-    return FusionGraph(a.query, vertices, edges, a.normalized, a.depth, a.rankers)
+    return FusionGraph(a.query, vertices, edges)
 
 
 def _weights(g: FusionGraph):

@@ -176,7 +176,7 @@ def reference_mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None)
         other = large_e.edges.get(pair)
         if other is not None and pair[0] in vertices and pair[1] in vertices:
             edges[pair] = min(weight, other)
-    return FusionGraph(a.query, vertices, edges, a.normalized, a.depth, a.rankers)
+    return FusionGraph(a.query, vertices, edges)
 
 
 def reference_union_size(a: FusionGraph, b: FusionGraph) -> float:
@@ -268,4 +268,4 @@ def brute_force_mcs(a: FusionGraph, b: FusionGraph) -> FusionGraph:
                             {e: shared_edges[e] for e in edge_subset},
                         )
     _, vertices, edges = best
-    return FusionGraph(a.query, vertices, edges, a.normalized, a.depth, a.rankers)
+    return FusionGraph(a.query, vertices, edges)

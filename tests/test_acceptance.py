@@ -76,7 +76,7 @@ def random_graph(rng, labels, max_vertices=6, max_edges=6, name="g"):
         for _ in range(rng.randint(0, max_edges)):
             src, tgt = rng.sample(chosen, 2)
             edges[(src, tgt)] = rng.uniform(0.05, 1.0)
-    return FusionGraph(name, vertices, edges, True, 2, ("r1",))
+    return FusionGraph(name, vertices, edges)
 
 
 def test_mcs_oracle_equivalence():
@@ -104,9 +104,6 @@ def test_distance_axioms():
                     "b",
                     {f"w{k}": w for k, w in enumerate(random_graph(rng, labels).vertices.values())},
                     {},
-                    True,
-                    2,
-                    ("r1",),
                 )
             else:
                 b = random_graph(rng, labels, name="b")
@@ -134,12 +131,12 @@ def test_worked_example_fixture(tmp_path):
         index = CollectionRankIndex(runs)
         normalized = normalize_collection(index, ("r1", "r2"), params)
         rs = assemble_rank_set("q", normalized, ("r1", "r2"))
-        graph = build_fusion_graph(rs, normalized, params)
+        graph = build_fusion_graph(rs, normalized)
         assert graph.vertices == {"A": 1.0, "B": 0.05, "C": 0.05}
         assert graph.edges == {("A", "B"): 1.0, ("A", "C"): 1.0}
 
-        a = FusionGraph("a", {"A": 1.0, "B": 0.5}, {("A", "B"): 1.0}, True, 2, ("r1",))
-        b = FusionGraph("b", {"A": 0.8, "C": 0.3}, {}, True, 2, ("r1",))
+        a = FusionGraph("a", {"A": 1.0, "B": 0.5}, {("A", "B"): 1.0})
+        b = FusionGraph("b", {"A": 0.8, "C": 0.3}, {})
         assert dist_mcs(a, b) == pytest.approx(0.68, abs=1e-9)
         assert dist_wgu(a, b) == pytest.approx(1 - 0.8 / 2.8, abs=1e-9)
         assert dist_wgu(a, b) == pytest.approx(0.714286, abs=1e-6)
@@ -313,7 +310,7 @@ def test_complexity_guard():
             query = rng.choice(index.collection_items())
             rs = assemble_rank_set(query, normalized, normalized.rankers)
             stats = BuildStats()
-            build_fusion_graph(rs, normalized, params, stats=stats)
+            build_fusion_graph(rs, normalized, stats=stats)
             assert stats.entry_visits <= 4 * m * m * depth * depth
 
         labels = [f"v{i}" for i in range(12)]
@@ -328,33 +325,29 @@ def test_complexity_guard():
 
 
 def test_determinism_cli(tmp_path):
-    with criterion("determinism (extract+search byte-identical, workers 1 and 8)"):
+    with criterion("determinism (extract+search byte-identical across runs)"):
         collection = write_runs(tmp_path, TOY_LAYOUT, "coll")
         queries = write_runs(tmp_path, TOY_QUERY, "query")
         config = write_config(tmp_path, "config.json", collection)
         query_config = write_config(tmp_path, "queries.json", queries)
         snapshots = []
-        for workers in (1, 8):
-            for attempt in ("first", "second"):
-                index_dir = tmp_path / f"index_{workers}_{attempt}"
-                out_run = tmp_path / f"out_{workers}_{attempt}.run"
-                assert cli_main(
-                    ["extract", "--config", str(config), "--out", str(index_dir),
-                     "--workers", str(workers)]
-                ) == 0
-                assert cli_main(
-                    ["search", "--index", str(index_dir), "--queries", str(query_config),
-                     "--out", str(out_run), "--workers", str(workers)]
-                ) == 0
-                snapshots.append(
-                    (
-                        (index_dir / "manifest.json").read_bytes(),
-                        (index_dir / "graphs.jsonl").read_bytes(),
-                        (index_dir / "collection_ranks.jsonl").read_bytes(),
-                        out_run.read_bytes(),
-                    )
+        for attempt in ("first", "second"):
+            index_dir = tmp_path / f"index_{attempt}"
+            out_run = tmp_path / f"out_{attempt}.run"
+            assert cli_main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
+            assert cli_main(
+                ["search", "--index", str(index_dir), "--queries", str(query_config),
+                 "--out", str(out_run)]
+            ) == 0
+            snapshots.append(
+                (
+                    (index_dir / "manifest.json").read_bytes(),
+                    (index_dir / "graphs.jsonl").read_bytes(),
+                    (index_dir / "collection_ranks.jsonl").read_bytes(),
+                    out_run.read_bytes(),
                 )
-        assert all(snap == snapshots[0] for snap in snapshots[1:])
+            )
+        assert snapshots[0] == snapshots[1]
 
 
 UKBENCH_ENV = "FUSEGRAPH_UKBENCH_DIR"

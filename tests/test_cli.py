@@ -52,20 +52,10 @@ def test_extract_and_search_reproduce_toy_ordering(toy_files, capsys):
 def test_extract_search_byte_identical_across_workers(toy_files):
     base = toy_files["dir"]
     outputs = []
-    for workers, label in ((1, "w1"), (8, "w8")):
+    for label in ("first", "second"):
         index_dir = base / f"index_{label}"
         out_run = base / f"fg_{label}.run"
-        assert (
-            main(
-                [
-                    "extract",
-                    "--config", str(toy_files["config"]),
-                    "--out", str(index_dir),
-                    "--workers", str(workers),
-                ]
-            )
-            == 0
-        )
+        assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
         assert (
             main(
                 [
@@ -73,7 +63,6 @@ def test_extract_search_byte_identical_across_workers(toy_files):
                     "--index", str(index_dir),
                     "--queries", str(toy_files["queries"]),
                     "--out", str(out_run),
-                    "--workers", str(workers),
                 ]
             )
             == 0
@@ -87,6 +76,18 @@ def test_extract_search_byte_identical_across_workers(toy_files):
             )
         )
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["extract", "search"])
+def test_workers_flag_is_rejected(toy_files, command, capsys):
+    args = {
+        "extract": ["--config", str(toy_files["config"]), "--out", str(toy_files["dir"] / "i")],
+        "search": ["--index", "i", "--queries", str(toy_files["queries"]), "--out", "o.run"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_baseline_command(toy_files):
@@ -207,13 +208,13 @@ def test_ttest_command(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ABetter")
 
 
-def test_threads_env_var_controls_workers(toy_files, monkeypatch):
+def test_threads_env_var_is_ignored(toy_files, monkeypatch):
     base = toy_files["dir"]
     monkeypatch.setenv("FUSEGRAPH_THREADS", "4")
     index_dir = base / "index_env"
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
     reference = base / "index_ref"
-    monkeypatch.setenv("FUSEGRAPH_THREADS", "not-a-number")  # falls back to 1
+    monkeypatch.setenv("FUSEGRAPH_THREADS", "not-a-number")
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(reference)]) == 0
     assert (index_dir / "graphs.jsonl").read_bytes() == (reference / "graphs.jsonl").read_bytes()
 
@@ -297,17 +298,57 @@ def test_invalid_value_prints_one_json_line(toy_files, args):
     assert json.loads(lines[0])["error"] == "ValueError"
 
 
-def search_error_after_manifest_edit(toy_files, edit):
-    """Extract the toy index, edit its manifest, search it in a fresh process.
+def test_ttest_on_different_query_sets_prints_one_json_line(tmp_path):
+    a = tmp_path / "a.tsv"
+    b = tmp_path / "b.tsv"
+    a.write_text("q1\t0.8\nq2\t0.7\n", encoding="utf-8")
+    b.write_text("q1\t0.3\nq3\t0.2\n", encoding="utf-8")
+    result = run_cli_process("-m", "fusegraph.cli", "ttest", "--a", str(a), "--b", str(b))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {
+        "error": "QuerySetMismatch",
+        "message": "metric files cover different queries",
+    }
+
+
+def edit_manifest(edit):
+    """An index edit that applies ``edit`` to the manifest's JSON object."""
+
+    def apply(index_dir):
+        path = index_dir / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    return apply
+
+
+def replace_first(name, old, new):
+    """A same-size index edit: the first ``old`` in data file ``name`` becomes ``new``.
+
+    The file keeps its byte size, so the manifest's size check passes it.
+    """
+
+    def apply(index_dir):
+        path = index_dir / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text and len(old) == len(new)
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+    return apply
+
+
+def search_error_after_edit(toy_files, edit):
+    """Extract the toy index, let ``edit`` change it, search it in a fresh process.
 
     Returns the one JSON error line the search must print to stderr.
     """
     index_dir = toy_files["dir"] / "index"
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
-    manifest_path = index_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    edit(manifest)
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    edit(index_dir)
     result = run_cli_process(
         "-m", "fusegraph.cli", "search",
         "--index", str(index_dir),
@@ -321,15 +362,33 @@ def search_error_after_manifest_edit(toy_files, edit):
 
 
 def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
-    error = search_error_after_manifest_edit(toy_files, lambda m: m.pop("L"))
+    error = search_error_after_edit(toy_files, edit_manifest(lambda m: m.pop("L")))
     assert error["error"] == "MalformedGraphRecord"
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    error = search_error_after_manifest_edit(toy_files, lambda m: m.update({"v": 1}))
+    """Indexes of format 1 and 2 are both rejected by name."""
+    for version in (1, 2):
+        error = search_error_after_edit(toy_files, edit_manifest(lambda m: m.update({"v": version})))
+        assert error["error"] == "MalformedGraphRecord"
+        assert "predates index format 3" in error["message"]
+        assert "re-extracted" in error["message"]
+
+
+SAME_SIZE_CORRUPTIONS = {
+    "graph_query_not_a_string": ("graphs.jsonl", '"query":"B"', '"query":555', "non-string query"),
+    "rank_ranker_not_in_manifest": (
+        "collection_ranks.jsonl", '"ranker":"r1"', '"ranker":"r9"', "'r9' is not in the manifest"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SAME_SIZE_CORRUPTIONS.values(), ids=SAME_SIZE_CORRUPTIONS)
+def test_search_on_same_size_corruption_prints_one_json_line(toy_files, case):
+    name, old, new, message = case
+    error = search_error_after_edit(toy_files, replace_first(name, old, new))
     assert error["error"] == "MalformedGraphRecord"
-    assert "predates index format 2" in error["message"]
-    assert "re-extracted" in error["message"]
+    assert message in error["message"]
 
 
 def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):

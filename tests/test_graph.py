@@ -23,17 +23,23 @@ from fusegraph.normalize import NormalizationParams, normalize_collection
 from helpers import mkrank, random_rank_index, worked_example_index
 
 
+def assert_weight_normalized(graph):
+    """The largest vertex weight, and the largest edge weight if any, is 1.0."""
+    assert max(graph.vertices.values()) == 1.0
+    assert max(graph.edges.values(), default=1.0) == 1.0
+
+
 @pytest.fixture
 def worked_graph():
     index = worked_example_index()
     rs = RankSet("q", (index.get("r1", "q"), index.get("r2", "q")))
-    return build_fusion_graph(rs, index, NormalizationParams(2))
+    return build_fusion_graph(rs, index)
 
 
 def test_worked_example_weights(worked_graph):
     assert worked_graph.vertices == {"A": 1.0, "B": 0.05, "C": 0.05}
     assert worked_graph.edges == {("A", "B"): 1.0, ("A", "C"): 1.0}
-    assert worked_graph.normalized
+    assert_weight_normalized(worked_graph)
 
 
 def test_smallest_graph_single_self_rank():
@@ -41,7 +47,7 @@ def test_smallest_graph_single_self_rank():
     from fusegraph.model import CollectionRankIndex
 
     index = CollectionRankIndex({"r1": {"q": index_rank}})
-    graph = build_fusion_graph(RankSet("q", (index_rank,)), index, NormalizationParams(1))
+    graph = build_fusion_graph(RankSet("q", (index_rank,)), index)
     assert graph.vertices == {"q": 1.0}
     assert graph.edges == {}
 
@@ -49,7 +55,7 @@ def test_smallest_graph_single_self_rank():
 def test_build_deterministic(worked_graph):
     index = worked_example_index()
     rs = RankSet("q", (index.get("r1", "q"), index.get("r2", "q")))
-    assert build_fusion_graph(rs, index, NormalizationParams(2)) == worked_graph
+    assert build_fusion_graph(rs, index) == worked_graph
 
 
 def test_ranker_permutation_changes_nothing():
@@ -58,10 +64,10 @@ def test_ranker_permutation_changes_nothing():
     params = NormalizationParams(5)
     normalized = normalize_collection(index, index.rankers, params)
     rs = assemble_rank_set("d003", normalized, normalized.rankers)
-    reference = build_fusion_graph(rs, normalized, params)
+    reference = build_fusion_graph(rs, normalized)
     for perm in itertools.permutations(rs.ranks):
         permuted = RankSet("d003", perm)
-        graph = build_fusion_graph(permuted, normalized, params)
+        graph = build_fusion_graph(permuted, normalized)
         assert graph.vertices == reference.vertices
         assert graph.edges == reference.edges
 
@@ -73,7 +79,7 @@ def test_vertex_bounds():
     normalized = normalize_collection(index, index.rankers, params)
     for item in normalized.collection_items()[:8]:
         rs = assemble_rank_set(item, normalized, normalized.rankers)
-        graph = build_fusion_graph(rs, normalized, params)
+        graph = build_fusion_graph(rs, normalized)
         assert set(graph.vertices) == rs.item_union()
         assert len(graph.vertices) <= len(rs) * params.depth
         assert graph.vertices
@@ -104,8 +110,8 @@ def test_strict_mode_raises_for_rankless_vertex():
         }
     )
     with pytest.raises(MissingRank):
-        build_fusion_graph(rs, partial, NormalizationParams(2), strict=True)
-    lenient = build_fusion_graph(rs, partial, NormalizationParams(2))
+        build_fusion_graph(rs, partial, strict=True)
+    lenient = build_fusion_graph(rs, partial)
     assert lenient.vertices == {"A": 1.0, "B": 0.05, "C": 0.05}
 
 
@@ -113,7 +119,7 @@ def test_normalize_graph_weights_values():
     graph = FusionGraph("q", {"A": 2.0, "B": 0.1, "C": 0.1}, {})
     out = normalize_graph_weights(graph)
     assert out.vertices == {"A": 1.0, "B": 0.05, "C": 0.05}
-    assert out.normalized
+    assert_weight_normalized(out)
 
 
 def test_normalize_graph_weights_idempotent(worked_graph):
@@ -147,11 +153,6 @@ def test_serialize_round_trip(worked_graph):
     assert serialize_graph(deserialize_graph(line)) == line
 
 
-def test_serialize_requires_metadata():
-    with pytest.raises(ValueError):
-        serialize_graph(FusionGraph("q", {"A": 1.0}, {}, True))
-
-
 def test_deserialize_rejects_garbage():
     with pytest.raises(MalformedGraphRecord):
         deserialize_graph("{not json")
@@ -169,8 +170,8 @@ def test_deserialize_truncated_record(worked_graph):
 
 def test_deserialize_empty_vertex_map():
     record = (
-        '{"v": 2, "query": "q", "L": 2, "rankers": ["r1"], "normalized": true, '
-        '"vertices": [], "vertex_weights": "", "edges": "", "edge_weights": ""}'
+        '{"v": 3, "query": "q", "vertices": [], "vertex_weights": "", "edges": "", '
+        '"edge_weights": ""}'
     )
     with pytest.raises(EmptyGraph):
         deserialize_graph(record)
@@ -183,7 +184,11 @@ def _packed(fmt, *values):
 
 def test_record_layout(worked_graph):
     record = json.loads(serialize_graph(worked_graph))
-    assert record["v"] == 2
+    assert sorted(record) == sorted(
+        ("v", "query", "vertices", "vertex_weights", "edges", "edge_weights")
+    )
+    assert record["v"] == 3
+    assert record["query"] == "q"
     assert record["vertices"] == ["A", "B", "C"]
     assert record["vertex_weights"] == _packed("d", 1.0, 0.05, 0.05)
     assert record["edges"] == _packed("I", 0, 1, 0, 2)
@@ -221,16 +226,13 @@ def stored_graphs(draw):
     vertices = draw(st.dictionaries(LABELS, WEIGHTS, min_size=1, max_size=8))
     pairs = [(a, b) for a in vertices for b in vertices if a != b]
     edges = draw(st.dictionaries(st.sampled_from(pairs), WEIGHTS, max_size=16)) if pairs else {}
-    rankers = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
-    return FusionGraph(
-        draw(LABELS), vertices, edges, draw(st.booleans()), draw(st.integers(1, 100)), tuple(rankers)
-    )
+    return FusionGraph(draw(LABELS), vertices, edges)
 
 
 @settings(max_examples=200, deadline=None)
 @given(graph=stored_graphs())
-@example(graph=FusionGraph("q é", {"b c": 5e-324, "ü": 1.0}, {}, True, 3, ("r 1",)))
-@example(graph=FusionGraph("q", {"x y": 0.5, "日本": 1.0}, {("日本", "x y"): 5e-324}, True, 2, ("r",)))
+@example(graph=FusionGraph("q é", {"b c": 5e-324, "ü": 1.0}, {}))
+@example(graph=FusionGraph("q", {"x y": 0.5, "日本": 1.0}, {("日本", "x y"): 5e-324}))
 def test_serialize_round_trip_is_bit_exact(graph):
     line = serialize_graph(graph)
     restored = deserialize_graph(line)
@@ -248,6 +250,6 @@ def test_build_stats_counts_visits():
     index = worked_example_index()
     rs = RankSet("q", (index.get("r1", "q"), index.get("r2", "q")))
     stats = BuildStats()
-    build_fusion_graph(rs, index, NormalizationParams(2), stats=stats)
+    build_fusion_graph(rs, index, stats=stats)
     m, L = 2, 2
     assert 0 < stats.entry_visits <= 4 * m * m * L * L

@@ -103,7 +103,6 @@ def test_collection_items_and_size():
         }
     )
     assert index.collection_items() == ("a", "b", "c")
-    assert index.collection_size == 3
 
 
 def test_overlay_prefers_extra_ranks():

@@ -31,8 +31,10 @@ def index_from(layout, depth):
 def test_params_default_sentinel():
     params = NormalizationParams(10)
     assert params.missing_position_sentinel == 11
-    with pytest.raises(ValueError):
-        NormalizationParams(10, 10)
+    with pytest.raises(TypeError):
+        NormalizationParams(10, 10)  # the sentinel is L + 1, not a setting
+    with pytest.raises(AttributeError):
+        params.missing_position_sentinel = 12
     with pytest.raises(ValueError):
         NormalizationParams(0)
 

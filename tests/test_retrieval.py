@@ -58,7 +58,8 @@ def test_index_collection_builds_one_graph_per_item(toy_fg_index):
     index, fg_index = toy_fg_index
     assert sorted(fg_index.graphs) == ["A", "B", "C"]
     for item, graph in fg_index.graphs.items():
-        assert graph.normalized
+        assert max(graph.vertices.values()) == 1.0
+        assert max(graph.edges.values(), default=1.0) == 1.0
         assert len(graph.vertices) <= 2 * 2
 
 
@@ -305,10 +306,20 @@ def _edit_first_record(path, edit):
     _corrupt_manifest(path.parent, lambda m: m["bytes"].update({role: path.stat().st_size}))
 
 
-MANIFEST_FIELDS = ("L", "sentinel", "rankers", "comparator", "graph_count", "files", "bytes")
+def test_manifest_layout(tmp_path, toy_fg_index):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest) == sorted(("v", "rankers", "L", "comparator", "graph_count", "files", "bytes"))
+    assert manifest["v"] == 3
+    assert manifest["L"] == 2
+    assert manifest["rankers"] == ["r1", "r2"]
+    assert manifest["files"] == {"graphs": "graphs.jsonl", "ranks": "collection_ranks.jsonl"}
+
+
+MANIFEST_FIELDS = ("L", "rankers", "comparator", "graph_count", "files", "bytes")
 ILL_TYPED = {
     "L": "2",
-    "sentinel": 3.5,
     "rankers": "r1",
     "comparator": "JACCARD",
     "graph_count": None,
@@ -335,23 +346,49 @@ def test_load_rejects_ill_typed_manifest_field(tmp_path, toy_fg_index, field):
         load_index(tmp_path / "idx")
 
 
-@pytest.mark.parametrize("record_field,value", [("L", 99), ("rankers", ["r1", "r9"])])
-def test_load_rejects_graph_record_disagreeing_with_manifest(
-    tmp_path, toy_fg_index, record_field, value
-):
+def test_load_rejects_depth_below_one(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
-    _edit_first_record(tmp_path / "idx" / "graphs.jsonl", lambda r: r.update({record_field: value}))
-    with pytest.raises(MalformedGraphRecord, match="disagrees with the manifest"):
+    _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"L": 0}))
+    with pytest.raises(MalformedGraphRecord, match="'L' is missing or ill-typed: 0"):
+        load_index(tmp_path / "idx")
+
+
+ID_TYPES = "line 1: query must be a string and items a list of strings"
+BAD_RECORDS = {
+    "graph query not a string": ("graphs.jsonl", lambda r: r.update({"query": 555}), "non-string query"),
+    "rank ranker not in manifest": (
+        "collection_ranks.jsonl", lambda r: r.update({"ranker": "r9"}), "line 1: ranker 'r9' is not in"
+    ),
+    "rank query not a string": ("collection_ranks.jsonl", lambda r: r.update({"query": 7}), ID_TYPES),
+    "rank items not a list": ("collection_ranks.jsonl", lambda r: r.update({"items": "AB"}), ID_TYPES),
+    "rank item not a string": (
+        "collection_ranks.jsonl", lambda r: r["items"].__setitem__(1, 7), ID_TYPES
+    ),
+    "rank repeated": (
+        "collection_ranks.jsonl", lambda r: r.update({"query": "B"}), "line 2: repeats the rank of 'B'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_load_rejects_bad_record(tmp_path, toy_fg_index, case):
+    name, edit, message = BAD_RECORDS[case]
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    _edit_first_record(tmp_path / "idx" / name, edit)
+    with pytest.raises(MalformedGraphRecord, match=message):
         load_index(tmp_path / "idx")
 
 
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
+    """Indexes of format 1 and 2 are both rejected by name."""
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
-    _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"v": 1}))
-    with pytest.raises(MalformedGraphRecord, match="predates index format 2.*re-extracted"):
-        load_index(tmp_path / "idx")
+    for version in (1, 2):
+        _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
+        with pytest.raises(MalformedGraphRecord, match="predates index format 3.*re-extracted"):
+            load_index(tmp_path / "idx")
 
 
 def test_load_rejects_data_file_of_another_index(tmp_path, toy_fg_index):

@@ -24,7 +24,7 @@ from helpers import (
 
 
 def graph(name, vertices, edges=None):
-    return FusionGraph(name, dict(vertices), dict(edges or {}), True, 2, ("r1",))
+    return FusionGraph(name, dict(vertices), dict(edges or {}))
 
 
 @pytest.fixture
