@@ -13,8 +13,9 @@ Subcommands mirror the offline/online split plus the evaluation machinery:
 
 Any library failure, and any invalid value the library rejects with
 ValueError, exits non-zero after printing one JSON line to stderr with the
-machine-readable error category (the exception class name). Every command
-runs on one thread, and the program reads no environment variable.
+machine-readable error category (the exception class name); an argument
+error prints one such line with the category UsageError and exits 2. Every
+command runs on one thread, and the program reads no environment variable.
 """
 
 from __future__ import annotations
@@ -50,13 +51,15 @@ from .io import (
     write_per_query_metrics,
     write_run_file,
 )
-from .normalize import LazyNormalizedIndex, NormalizationParams
-from .retrieval import fuse_query, index_collection, load_index, save_index
+from .normalize import NormalizationParams
 
 DEFAULT_TAG = "FG"
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    # imported here, as in _cmd_search: the other commands need no retrieval code
+    from .retrieval import index_collection, save_index
+
     config = load_config(args.config)
     index = build_collection_index(config)
     params = NormalizationParams(config.depth)
@@ -73,6 +76,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .retrieval import fuse_query, load_index
+
     fg_index, raw_index = load_index(args.index)
     config = load_config(args.queries)
     query_runs = {
@@ -80,16 +85,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         for spec in config.rankers
     }
     rank_sets = rank_sets_from_runs(query_runs, tuple(config.ranker_names), strict=True)
-    normalized = LazyNormalizedIndex(raw_index, fg_index.params)
     exclude_self = args.exclude_self or config.exclude_self
     fused = {
-        qid: fuse_query(
-            rank_sets[qid],
-            fg_index,
-            raw_index,
-            normalized_index=normalized,
-            exclude_self=exclude_self,
-        )
+        qid: fuse_query(rank_sets[qid], fg_index, raw_index, exclude_self=exclude_self)
         for qid in sorted(rank_sets)
     }
     write_run_file(args.out, fused, args.tag)
@@ -183,8 +181,17 @@ def _cmd_ttest(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as one JSON line on stderr, exit code 2."""
+
+    def error(self, message: str):
+        error = {"error": "UsageError", "message": f"{self.prog}: {message}"}
+        print(json.dumps(error), file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusegraph",
         description="Graph-based rank fusion, classical aggregation baselines, "
         "and retrieval evaluation.",

@@ -13,17 +13,18 @@ order: permuting the rankers of a rank set changes no final weight.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import sys
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyGraph, MalformedGraphRecord, MissingRank
 from .model import ItemId, RankLookup, RankSet
 
-GRAPH_RECORD_VERSION = 3
-PACKED = (("d", "vertex_weights"), ("I", "edges"), ("d", "edge_weights"))
+GRAPH_RECORD_VERSION = 4
 
 if array("d").itemsize != 8 or array("I").itemsize != 4:
     raise ImportError("graph records need 8-byte 'd' and 4-byte 'I' arrays on this platform")
@@ -61,13 +62,17 @@ def build_fusion_graph(
     index: RankLookup,
     strict: bool = False,
     stats: BuildStats | None = None,
+    pairs: dict[tuple[ItemId, ItemId], tuple[ItemId, ItemId]] | None = None,
 ) -> FusionGraph:
     """Build and weight-normalize the fusion graph of a normalized rank set.
 
     ``rs`` must already be normalized (repositioned, rescaled) and ``index``
     must hold the normalized ranks of the items appearing in ``rs``. A vertex
     item with no indexed ranks contributes no outgoing edges in lenient mode
-    (the default); strict mode raises MissingRank instead.
+    (the default); strict mode raises MissingRank instead. Edge keys are
+    taken from ``pairs`` when given, which maps each (source, target) pair to
+    one stored tuple: the graphs of a collection share most of their edges,
+    and sharing the keys too saves most of their memory.
 
     Vertex weights sum the item's rescaled scores across the query's ranks.
     The edge A -> B accumulates, for every rank of the query containing A and
@@ -101,7 +106,11 @@ def build_fusion_graph(
                     edge_parts.setdefault((item_a, item_b), []).append(
                         neighbor.score / pos
                     )
-    edges = {pair: math.fsum(parts) for pair, parts in edge_parts.items()}
+    if pairs is None:
+        pairs = {}
+    edges = {
+        pairs.setdefault(pair, pair): math.fsum(parts) for pair, parts in edge_parts.items()
+    }
     return _scaled(rs.query, vertices, edges)
 
 
@@ -127,6 +136,21 @@ def _scaled(query: ItemId, vertices: dict, edges: dict) -> FusionGraph:
     )
 
 
+def graph_size(g: FusionGraph) -> float:
+    """Sum of all vertex and edge weights; 0 for the empty graph."""
+    return math.fsum(itertools.chain(g.vertices.values(), g.edges.values()))
+
+
+def edge_masses(g: FusionGraph) -> dict[ItemId, tuple[float, float]]:
+    """Per vertex, the fsum of its outgoing and of its incoming edge weights."""
+    outgoing: dict[ItemId, list[float]] = {label: [] for label in g.vertices}
+    incoming: dict[ItemId, list[float]] = {label: [] for label in g.vertices}
+    for (src, tgt), weight in g.edges.items():
+        outgoing[src].append(weight)
+        incoming[tgt].append(weight)
+    return {label: (math.fsum(outgoing[label]), math.fsum(incoming[label])) for label in g.vertices}
+
+
 def _pack(typecode: str, values) -> str:
     """Base64 of ``values`` as a little-endian array of ``typecode`` items."""
     packed = array(typecode, values)
@@ -147,37 +171,64 @@ def _unpack(typecode: str, text: str, name: str) -> array:
     return unpacked
 
 
+class VertexRecord(NamedTuple):
+    """A graph's vertex fields as its record stores them, edges left out.
+
+    ``labels`` in record order with their weights, their edge masses
+    (edge_masses) and the graph's size (graph_size).
+    """
+
+    query: ItemId
+    labels: list[ItemId]
+    weights: Sequence[float]
+    out_mass: Sequence[float]
+    in_mass: Sequence[float]
+    size: float
+
+
+def vertex_record(g: FusionGraph) -> VertexRecord:
+    """The vertex fields serialize_graph stores for ``g``, labels sorted."""
+    labels = sorted(g.vertices)
+    masses = edge_masses(g)
+    return VertexRecord(
+        g.query,
+        labels,
+        [g.vertices[label] for label in labels],
+        [masses[label][0] for label in labels],
+        [masses[label][1] for label in labels],
+        graph_size(g),
+    )
+
+
 def serialize_graph(g: FusionGraph) -> str:
     """One-line JSON record for the graph store.
 
     ``vertices`` lists the labels in sorted order; ``vertex_weights`` holds
-    their weights and ``edge_weights`` the weights of the edges in sorted
-    label-pair order, both as base64 little-endian float64, so every weight
-    round-trips bit for bit. ``edges`` holds each edge's (source, target)
-    positions in ``vertices`` as base64 little-endian uint32 pairs. The
+    their weights, ``out_mass`` and ``in_mass`` their edge masses and
+    ``edge_weights`` the weights of the edges in sorted label-pair order, all
+    as base64 little-endian float64, so every weight round-trips bit for bit.
+    ``edges`` holds each edge's (source, target) positions in ``vertices`` as
+    base64 little-endian uint32 pairs, and ``size`` is graph_size(g). The
     record is byte-deterministic.
     """
-    labels = sorted(g.vertices)
-    slot = {label: i for i, label in enumerate(labels)}
+    head = vertex_record(g)
+    slot = {label: i for i, label in enumerate(head.labels)}
     pairs = sorted(g.edges)
     record = {
         "v": GRAPH_RECORD_VERSION,
         "query": g.query,
-        "vertices": labels,
-        "vertex_weights": _pack("d", map(g.vertices.__getitem__, labels)),
+        "vertices": head.labels,
+        "vertex_weights": _pack("d", head.weights),
         "edges": _pack("I", [slot[label] for pair in pairs for label in pair]),
         "edge_weights": _pack("d", map(g.edges.__getitem__, pairs)),
+        "out_mass": _pack("d", head.out_mass),
+        "in_mass": _pack("d", head.in_mass),
+        "size": head.size,
     }
     return json.dumps(record, separators=(",", ":"), sort_keys=True)
 
 
-def deserialize_graph(record: str | bytes) -> FusionGraph:
-    """Parse a graph-store record; rejects unknown versions and bad shapes.
-
-    The query and every label must be strings, labels and edges must be
-    distinct, weights and endpoint pairs must match them in number, and every
-    endpoint must name a label.
-    """
+def _parse(record: str | bytes) -> dict:
     try:
         data = json.loads(record)
     except json.JSONDecodeError as exc:
@@ -186,37 +237,84 @@ def deserialize_graph(record: str | bytes) -> FusionGraph:
         raise MalformedGraphRecord("graph record is not an object")
     if data.get("v") != GRAPH_RECORD_VERSION:
         raise MalformedGraphRecord(f"unknown graph record version {data.get('v')!r}")
+    return data
+
+
+def _bad(query, problem: str) -> MalformedGraphRecord:
+    return MalformedGraphRecord(f"graph record for {query!r} has {problem}")
+
+
+def _vertex_fields(data: dict) -> VertexRecord:
     try:
-        query = data["query"]
-        labels = data["vertices"]
-        weights, ends, edge_weights = (_unpack(code, data[name], name) for code, name in PACKED)
+        query, labels, size = data["query"], data["vertices"], data["size"]
+        weights, out_mass, in_mass = (
+            _unpack("d", data[name], name) for name in ("vertex_weights", "out_mass", "in_mass")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedGraphRecord(f"malformed graph record field: {exc}") from exc
-
-    def bad(problem: str) -> MalformedGraphRecord:
-        return MalformedGraphRecord(f"graph record for {query!r} has {problem}")
-
     if type(query) is not str:
-        raise bad("a non-string query")
+        raise _bad(query, "a non-string query")
     if not isinstance(labels, list) or not all(type(label) is str for label in labels):
-        raise bad("a non-string label")
-    if len(weights) != len(labels):
-        raise bad(f"{len(weights)} vertex weights for {len(labels)} labels")
+        raise _bad(query, "a non-string label")
+    counts = (("vertex weights", weights), ("out masses", out_mass), ("in masses", in_mass))
+    for name, values in counts:
+        if len(values) != len(labels):
+            raise _bad(query, f"{len(values)} {name} for {len(labels)} labels")
+    if not labels:
+        raise EmptyGraph(f"graph record for {query!r} has an empty vertex map")
+    if type(size) is not float or not 0.0 < size < math.inf:
+        raise _bad(query, f"size {size!r}, not a positive finite number")
+    return VertexRecord(query, labels, weights, out_mass, in_mass, size)
+
+
+def read_vertex_record(record: str | bytes) -> VertexRecord:
+    """The vertex fields of a graph-store record, checked as deserialize_graph checks them.
+
+    Edges are neither decoded nor checked, so this is cheap; deserialize_graph
+    stays the full validator.
+    """
+    return _vertex_fields(_parse(record))
+
+
+def deserialize_graph(record: str | bytes) -> FusionGraph:
+    """Parse a graph-store record; rejects unknown versions and bad shapes.
+
+    The query and every label must be strings, labels and edges must be
+    distinct, weights, masses and endpoint pairs must match them in number,
+    and every endpoint must name a label. Weights must not be negative, and
+    the stored masses and size must be those of the decoded graph, bit for bit.
+    """
+    data = _parse(record)
+    head = _vertex_fields(data)
+    query, labels = head.query, head.labels
+    try:
+        ends = _unpack("I", data["edges"], "edges")
+        edge_weights = _unpack("d", data["edge_weights"], "edge_weights")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedGraphRecord(f"malformed graph record field: {exc}") from exc
     if len(ends) != 2 * len(edge_weights):
-        raise bad(f"{len(ends)} edge endpoints for {len(edge_weights)} edge weights")
+        raise _bad(query, f"{len(ends)} edge endpoints for {len(edge_weights)} edge weights")
     if ends and max(ends) >= len(labels):
-        raise bad(f"an edge endpoint at slot {max(ends)}, beyond its {len(labels)} labels")
-    vertices = dict(zip(labels, weights))
+        raise _bad(query, f"an edge endpoint at slot {max(ends)}, beyond its {len(labels)} labels")
+    vertices = dict(zip(labels, head.weights))
     if len(vertices) != len(labels):
-        raise bad("a duplicate label")
+        raise _bad(query, "a duplicate label")
     named = map(labels.__getitem__, ends)
     # zipping one iterator with itself pairs consecutive endpoints: (src, tgt)
     edges = dict(zip(zip(named, named), edge_weights))
     if len(edges) != len(edge_weights):
-        raise bad("a duplicate edge")
-    if not vertices:
-        raise EmptyGraph(f"graph record for {query!r} has an empty vertex map")
+        raise _bad(query, "a duplicate edge")
     try:
-        return FusionGraph(query, vertices, edges)
+        graph = FusionGraph(query, vertices, edges)
     except ValueError as exc:
         raise MalformedGraphRecord(str(exc)) from exc
+    if min(head.weights) < 0.0 or min(edge_weights, default=0.0) < 0.0:
+        raise _bad(query, "a negative weight")
+    masses, stored = edge_masses(graph), list(zip(head.out_mass, head.in_mass))
+    try:
+        consistent = graph_size(graph) == head.size and [masses[v] for v in labels] == stored
+    except OverflowError:  # weights too large for fsum to sum
+        consistent = False
+    if not consistent:
+        raise _bad(query, "a size or edge masses that disagree with its weights")
+    return graph

@@ -13,7 +13,6 @@ normalization with the same index is idempotent in item order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import EmptyRank, InvalidRankSet
 from .model import (
@@ -97,26 +96,32 @@ def reposition_rank(
     return ScoredRank(rank.query, rank.ranker, tuple(reordered), params.depth)
 
 
+def grid_score(pos: int, depth: int) -> float:
+    """The rescaled score of position ``pos``: 1 - 0.9 * (pos - 1) / (L - 1).
+
+    The endpoints are pinned, so position 1 is exactly 1.0 and position L
+    exactly 0.1.
+    """
+    if pos == 1:
+        return 1.0
+    if pos == depth:
+        return 0.1
+    return 1.0 - 0.9 * (pos - 1) / (depth - 1)
+
+
 def rescale_scores(rank: ScoredRank, params: NormalizationParams) -> ScoredRank:
     """Replace scores with the uniform grid 1.0 down to 0.1 over L positions.
 
-    Position p gets 1 - 0.9 * (p - 1) / (L - 1); the endpoints are pinned so
-    position 1 is exactly 1.0 and position L exactly 0.1. The grid depends on
-    L, not on the actual kept length, so a truncated rank never reaches 0.1.
+    Position p gets grid_score(p, L). The grid depends on L, not on the
+    actual kept length, so a truncated rank never reaches 0.1.
     """
     if not rank.entries:
         raise EmptyRank(f"cannot rescale empty rank for query {rank.query!r}")
-    length = params.depth
-    rescaled = []
-    for pos, entry in enumerate(rank.entries, start=1):
-        if pos == 1:
-            score = 1.0
-        elif pos == length:
-            score = 0.1
-        else:
-            score = 1.0 - 0.9 * (pos - 1) / (length - 1)
-        rescaled.append(ScoredEntry(entry.item, score))
-    return ScoredRank(rank.query, rank.ranker, tuple(rescaled), params.depth)
+    rescaled = tuple(
+        ScoredEntry(entry.item, grid_score(pos, params.depth))
+        for pos, entry in enumerate(rank.entries, start=1)
+    )
+    return ScoredRank(rank.query, rank.ranker, rescaled, params.depth)
 
 
 def normalize_rank(
@@ -155,26 +160,3 @@ def normalize_collection(
         normalized[ranker] = bucket
     return CollectionRankIndex(normalized)
 
-
-class LazyNormalizedIndex(RankLookup):
-    """``normalize_collection`` of every ranker of ``index``, computed on demand.
-
-    A rank is normalized the first time it is asked for and then kept, so a
-    search pays only for the ranks its queries read. Safe to share across
-    threads: a race can only normalize a rank twice, and every caller
-    receives the one stored copy.
-    """
-
-    def __init__(self, index: RankLookup, params: NormalizationParams):
-        self._index = index
-        self._params = params
-        self._ranks: dict[tuple[str, ItemId], Optional[ScoredRank]] = {}
-
-    def get(self, ranker: str, query: ItemId) -> Optional[ScoredRank]:
-        key = (ranker, query)
-        if key not in self._ranks:
-            rank = self._index.get(ranker, query)
-            if rank is not None:
-                rank = normalize_rank(rank, self._index, self._params)
-            self._ranks.setdefault(key, rank)
-        return self._ranks[key]

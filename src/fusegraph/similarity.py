@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BothEmpty
-from .graph import FusionGraph
+from .graph import FusionGraph, graph_size
+
+UNION_SLACK = 2.0**-48
 
 
 @dataclass
@@ -49,11 +51,6 @@ def _weights(g: FusionGraph):
     return itertools.chain(g.vertices.values(), g.edges.values())
 
 
-def graph_size(g: FusionGraph) -> float:
-    """Sum of all vertex and edge weights; 0 for the empty graph."""
-    return math.fsum(_weights(g))
-
-
 def _require_nonempty(a: FusionGraph, b: FusionGraph) -> None:
     if not a.vertices and not b.vertices:
         raise BothEmpty("cannot compare two empty graphs (0/0)")
@@ -77,3 +74,28 @@ def dist_wgu(a: FusionGraph, b: FusionGraph) -> float:
     common = mcs(a, b)
     union = math.fsum(itertools.chain(_weights(a), _weights(b), (-w for w in _weights(common))))
     return 1.0 - graph_size(common) / union
+
+
+def dist_mcs_floor(common: float, size_a: float, size_b: float) -> float:
+    """A value never above dist_mcs(a, b), from the two sizes and a bound on |mcs|.
+
+    ``size_a`` and ``size_b`` must be graph_size(a) and graph_size(b), and
+    ``common`` at least graph_size(mcs(a, b)). The common subgraph is never
+    larger than the smaller graph, so capping ``common`` there keeps that
+    true; rounded division and subtraction are monotone, so the result is at
+    most what dist_mcs computes, bit for bit.
+    """
+    return 1.0 - min(common, size_a, size_b) / max(size_a, size_b)
+
+
+def dist_wgu_floor(common: float, size_a: float, size_b: float) -> float:
+    """A value never above dist_wgu(a, b), under dist_mcs_floor's conditions.
+
+    The exact union is at least |a| + |b| - |mcs|. With ``common`` capped at
+    the smaller size, that difference is at least the larger size, so its
+    rounding and that of the two sizes stay within a few units in the last
+    place; deflating it by UNION_SLACK (2^-48) relative keeps it below the
+    correctly rounded union dist_wgu divides by.
+    """
+    common = min(common, size_a, size_b)
+    return 1.0 - common / ((size_a + size_b - common) * (1.0 - UNION_SLACK))

@@ -194,10 +194,9 @@ def test_self_retrieval():
         index, _ = synthetic_collection(seed=1)
         params = NormalizationParams(10)
         fg_index = index_collection(index, index.rankers, params, "WGU")
-        normalized = normalize_collection(index, index.rankers, params)
         for query in index.collection_items():
             rs = assemble_rank_set(query, index, index.rankers)
-            fused = fuse_query(rs, fg_index, index, normalized_index=normalized)
+            fused = fuse_query(rs, fg_index, index)
             assert fused.entries[0] == (query, 0.0), f"query {query} not first"
 
 
@@ -209,7 +208,6 @@ def test_fusion_benefit():
             params = NormalizationParams(10)
             rankers = index.rankers
             fg_index = index_collection(index, rankers, params, "WGU")
-            normalized = normalize_collection(index, rankers, params)
             items = index.collection_items()
 
             def mean_ndcg(runs):
@@ -219,7 +217,7 @@ def test_fusion_benefit():
             singles = {r: {} for r in rankers}
             for q in items:
                 rs = assemble_rank_set(q, index, rankers)
-                fg[q] = fuse_query(rs, fg_index, index, normalized_index=normalized)
+                fg[q] = fuse_query(rs, fg_index, index)
                 borda_runs[q] = baselines.borda(rs)
                 rrf_runs[q] = baselines.rrf(rs)
                 comb_runs[q] = baselines.comb(rs, "SUM")
@@ -372,12 +370,11 @@ def test_ukbench_dataset_hook():
         index = build_collection_index(config)
         params = NormalizationParams(config.depth)
         fg_index = index_collection(index, config.ranker_names, params, config.comparator)
-        normalized = normalize_collection(index, config.ranker_names, params)
         total = 0.0
         items = index.collection_items()
         for query in items:
             rs = assemble_rank_set(query, index, config.ranker_names)
-            fused = fuse_query(rs, fg_index, index, normalized_index=normalized)
+            fused = fuse_query(rs, fg_index, index)
             total += ns_score(fused, qrels)
         ns = total / len(items)
         assert abs(ns - 3.90) <= 0.05

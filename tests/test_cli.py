@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fusegraph
-from fusegraph import normalize
+from fusegraph import normalize, retrieval
 from fusegraph.cli import main
 from fusegraph.io import parse_run_file
 
@@ -87,7 +87,11 @@ def test_workers_flag_is_rejected(toy_files, command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([command, *args, "--workers", "2"])
     assert exit_info.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])
+    assert error["error"] == "UsageError"
+    assert "unrecognized arguments: --workers 2" in error["message"]
 
 
 def test_baseline_command(toy_files):
@@ -367,11 +371,11 @@ def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    """Indexes of format 1 and 2 are both rejected by name."""
-    for version in (1, 2):
+    """Indexes of formats 1 to 3 are all rejected by name."""
+    for version in (1, 2, 3):
         error = search_error_after_edit(toy_files, edit_manifest(lambda m: m.update({"v": version})))
         assert error["error"] == "MalformedGraphRecord"
-        assert "predates index format 3" in error["message"]
+        assert "predates index format 4" in error["message"]
         assert "re-extracted" in error["message"]
 
 
@@ -379,6 +383,11 @@ SAME_SIZE_CORRUPTIONS = {
     "graph_query_not_a_string": ("graphs.jsonl", '"query":"B"', '"query":555', "non-string query"),
     "rank_ranker_not_in_manifest": (
         "collection_ranks.jsonl", '"ranker":"r1"', '"ranker":"r9"', "'r9' is not in the manifest"
+    ),
+    # no record check decodes edges at load: the file's sha256 catches this one
+    "graph_edge_weight_changed": (
+        "graphs.jsonl", '"edge_weights":"AAAA', '"edge_weights":"AAAB',
+        "'graphs.jsonl' does not match its sha256",
     ),
 }
 
@@ -413,7 +422,75 @@ def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
     monkeypatch.setattr(normalize, "normalize_rank", counting)
     out = tmp_path / "fg.run"
     assert main(["search", "--index", str(index_dir), "--queries", str(queries), "--out", str(out)]) == 0
-    collection_ranks = [pair for pair in normalized if pair[1] != "zq"]
-    m, item_union = 3, {"d004", "d005", "d006", "d007"}
-    assert 0 < len(collection_ranks) <= m * len(item_union)
-    assert len(collection_ranks) == len(set(collection_ranks))
+    # the index stores every collection rank's normalized order: only the
+    # query's own m ranks are normalized
+    assert sorted(normalized) == [("r1", "zq"), ("r2", "zq"), ("r3", "zq")]
+
+
+def test_eval_k_not_an_int_prints_one_json_line(tmp_path):
+    result = run_cli_process(
+        "-m", "fusegraph.cli", "eval", "--run", str(tmp_path / "x.run"),
+        "--qrels", str(tmp_path / "y.qrels"), "--k", "notanint",
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {
+        "error": "UsageError",
+        "message": "fusegraph eval: argument --k: invalid int value: 'notanint'",
+    }
+
+
+def test_one_query_search_decodes_few_graphs(tmp_path, monkeypatch):
+    depth = 5
+    collection = random_rank_index(
+        random.Random(3), n_items=120, n_rankers=3, depth=depth, cluster_size=40
+    )
+    layout = {
+        ranker: {q: list(collection.get(ranker, q).items()) for q in collection.queries(ranker)}
+        for ranker in collection.rankers
+    }
+    query_ranks = {
+        ranker: {"zq": list(collection.get(ranker, item).items())}
+        for ranker, item in (("r1", "d041"), ("r2", "d050"), ("r3", "d066"))
+    }
+    index_dir = tmp_path / "index"
+    config = write_config(tmp_path, "config.json", write_runs(tmp_path, layout, "coll"), depth=depth)
+    queries = write_config(tmp_path, "queries.json", write_runs(tmp_path, query_ranks, "q"), depth=depth)
+    assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
+    decoded = []
+    deserialize = retrieval.deserialize_graph
+
+    def counting(record):
+        graph = deserialize(record)
+        decoded.append(graph.query)
+        return graph
+
+    monkeypatch.setattr(retrieval, "deserialize_graph", counting)
+    out = tmp_path / "fg.run"
+    assert main(["search", "--index", str(index_dir), "--queries", str(queries), "--out", str(out)]) == 0
+    # the query shares a vertex with all 40 items of its cluster; pruning
+    # decodes only the graphs it scores exactly, each once
+    assert len(parse_run_file(out, "FG")["zq"]) == depth
+    assert 0 < len(decoded) <= 3 * depth
+    assert len(decoded) == len(set(decoded))
+
+
+def test_tracer_finds_every_traced_name(toy_files):
+    """perfbench/tracer.py wraps functions by name; none of them may be missing."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    base = toy_files["dir"]
+    index_dir = base / "index"
+    commands = {
+        "extract": ["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)],
+        "search": ["search", "--index", str(index_dir), "--queries", str(toy_files["queries"]),
+                   "--out", str(base / "fg.run")],
+    }
+    for name, args in commands.items():
+        spans = base / f"spans-{name}.json"
+        result = run_cli_process(str(tracer), str(spans), *args)
+        assert result.returncode == 0, result.stderr
+        trace = json.loads(spans.read_text(encoding="utf-8"))
+        assert trace["missing"] == [], name
+        assert trace["spans"]

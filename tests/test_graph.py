@@ -170,8 +170,8 @@ def test_deserialize_truncated_record(worked_graph):
 
 def test_deserialize_empty_vertex_map():
     record = (
-        '{"v": 3, "query": "q", "vertices": [], "vertex_weights": "", "edges": "", '
-        '"edge_weights": ""}'
+        '{"v": 4, "query": "q", "vertices": [], "vertex_weights": "", "edges": "", '
+        '"edge_weights": "", "out_mass": "", "in_mass": "", "size": 0.0}'
     )
     with pytest.raises(EmptyGraph):
         deserialize_graph(record)
@@ -185,14 +185,18 @@ def _packed(fmt, *values):
 def test_record_layout(worked_graph):
     record = json.loads(serialize_graph(worked_graph))
     assert sorted(record) == sorted(
-        ("v", "query", "vertices", "vertex_weights", "edges", "edge_weights")
+        ("v", "query", "vertices", "vertex_weights", "edges", "edge_weights", "out_mass",
+         "in_mass", "size")
     )
-    assert record["v"] == 3
+    assert record["v"] == 4
     assert record["query"] == "q"
     assert record["vertices"] == ["A", "B", "C"]
     assert record["vertex_weights"] == _packed("d", 1.0, 0.05, 0.05)
     assert record["edges"] == _packed("I", 0, 1, 0, 2)
     assert record["edge_weights"] == _packed("d", 1.0, 1.0)
+    assert record["out_mass"] == _packed("d", 2.0, 0.0, 0.0)
+    assert record["in_mass"] == _packed("d", 0.0, 1.0, 1.0)
+    assert record["size"] == 3.1
 
 
 CORRUPTIONS = {
@@ -205,6 +209,12 @@ CORRUPTIONS = {
     "duplicate edge": ({"edges": _packed("I", 0, 1, 0, 1)}, "duplicate edge"),
     "non-string label": ({"vertices": ["A", 7, "C"]}, "non-string label"),
     "self-edge": ({"edges": _packed("I", 0, 0, 0, 2)}, "self-edge"),
+    "mass count": ({"in_mass": _packed("d", 0.0, 1.0)}, "2 in masses for 3 labels"),
+    "size not positive": ({"size": 0.0}, "not a positive finite number"),
+    "size not a float": ({"size": 3}, "not a positive finite number"),
+    "size disagrees": ({"size": 3.0999999999999996}, "disagree with its weights"),
+    "mass disagrees": ({"out_mass": _packed("d", 1.0, 1.0, 0.0)}, "disagree with its weights"),
+    "negative weight": ({"vertex_weights": _packed("d", 1.0, -0.05, 0.05)}, "negative weight"),
 }
 
 

@@ -1,16 +1,12 @@
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from fusegraph.errors import EmptyRank, InvalidRankSet, MissingRank
 from fusegraph.model import CollectionRankIndex, RankSet, ScoredRank
 from fusegraph.normalize import (
-    LazyNormalizedIndex,
     NormalizationParams,
     delta,
-    normalize_collection,
     normalize_rank_set,
     reposition_rank,
     rescale_scores,
@@ -171,48 +167,3 @@ def test_normalize_rank_set_deterministic_and_idempotent_order():
     renormalized = normalize_rank_set(once, index, params)
     for a, b in zip(once, renormalized):
         assert a.items() == b.items()
-
-
-def _lookup_pairs(index):
-    """Every (ranker, item) pair of ``index``, plus pairs no rank answers."""
-    rankers = (*index.rankers, "r-unknown")
-    items = (*index.collection_items(), "not-an-item")
-    return [(ranker, item) for ranker in rankers for item in items]
-
-
-def test_lazy_normalized_index_equals_normalize_collection():
-    rng = random.Random(5)
-    index = random_rank_index(rng, n_items=16, n_rankers=3, depth=4)
-    # an item with no rank under r3 must come back as None, as it does eagerly
-    index = CollectionRankIndex(
-        {r: {q: index.get(r, q) for q in index.queries(r) if (r, q) != ("r3", "d004")}
-         for r in index.rankers}
-    )
-    params = NormalizationParams(4)
-    eager = normalize_collection(index, index.rankers, params)
-    lazy = LazyNormalizedIndex(index, params)
-    pairs = _lookup_pairs(index)
-    assert any(eager.get(r, q) is None for r, q in pairs)
-    for ranker, item in pairs:
-        assert lazy.get(ranker, item) == eager.get(ranker, item)
-        assert lazy.get(ranker, item) is lazy.get(ranker, item)
-
-
-def test_lazy_normalized_index_shared_by_threads():
-    index = random_rank_index(random.Random(9), n_items=30, n_rankers=3, depth=5)
-    params = NormalizationParams(5)
-    eager = normalize_collection(index, index.rankers, params)
-    pairs = _lookup_pairs(index)
-    lazy = LazyNormalizedIndex(index, params)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda: [lazy.get(r, q) for r, q in pairs]) for _ in range(8)]
-            results = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for got in results:
-        # every thread receives the one stored copy of each normalized rank
-        assert all(a is b for a, b in zip(got, results[0]))
-    assert results[0] == [eager.get(r, q) for r, q in pairs]

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import random
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,17 +11,21 @@ from hypothesis import strategies as st
 
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
+from fusegraph.graph import FusionGraph, graph_size
 from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
-from fusegraph.normalize import LazyNormalizedIndex, NormalizationParams, normalize_collection
+from fusegraph.normalize import NormalizationParams, normalize_collection
 from fusegraph.retrieval import (
     FusedRank,
+    FusionGraphIndex,
+    VertexPostings,
     candidate_scope,
+    common_bounds,
     fuse_query,
     index_collection,
     load_index,
     save_index,
 )
-from fusegraph.similarity import dist_wgu
+from fusegraph.similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor, mcs
 
 from helpers import mkrank, random_rank_index, reference_fuse_query
 
@@ -158,15 +166,46 @@ def test_scope_equivalence_random():
     index = random_rank_index(rng, n_items=18, n_rankers=3, depth=5)
     params = NormalizationParams(5)
     fg_index = index_collection(index, index.rankers, params, "WGU")
-    normalized = normalize_collection(index, index.rankers, params)
     for query in index.collection_items()[:6]:
         rs = assemble_rank_set(query, index, index.rankers)
-        scoped = fuse_query(rs, fg_index, index, normalized_index=normalized)
-        assert scoped == reference_fuse_query(rs, fg_index, index, normalized_index=normalized)
+        assert fuse_query(rs, fg_index, index) == reference_fuse_query(rs, fg_index, index)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def indexed_collection(rng, n_items, n_rankers, depth, cluster_size, comparator, twins):
+    """A random collection, and its graph index with ``twins`` extra items.
+
+    A twin, named after its item plus "~", has an exact copy of that item's
+    graph, so the two always tie on distance and only their ids order them.
+    """
+    index = random_rank_index(rng, n_items, n_rankers, depth, cluster_size)
+    built = index_collection(index, index.rankers, NormalizationParams(depth), comparator)
+    graphs = dict(built.graphs)
+    for item in rng.sample(sorted(graphs), min(twins, len(graphs))):
+        graphs[item + "~"] = FusionGraph(item + "~", graphs[item].vertices, graphs[item].edges)
+    return index, FusionGraphIndex(graphs, built.params, built.ranker_names, comparator, built.normalized)
+
+
+def query_ranks(rng, index, depth, out_of_collection):
+    """The ranks of a collection item, or of a query "zq" over part of the collection."""
+    items = index.collection_items()
+    if not out_of_collection:
+        return assemble_rank_set(rng.choice(items), index, index.rankers)
+    pool = rng.sample(items, min(depth, len(items)))
+    return RankSet(
+        "zq",
+        tuple(
+            mkrank("zq", ranker, rng.sample(pool, rng.randint(1, len(pool))), depth=depth)
+            for ranker in index.rankers
+        ),
+    )
+
+
+def assert_same_fused(fused, expected):
+    assert fused == expected
+    assert [d.hex() for _, d in fused.entries] == [d.hex() for _, d in expected.entries]
+
+
+SEARCH_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     n_items=st.integers(2, 24),
     n_rankers=st.integers(1, 3),
@@ -175,65 +214,51 @@ def test_scope_equivalence_random():
     comparator=st.sampled_from(["MCS", "WGU"]),
     exclude_self=st.booleans(),
     out_of_collection=st.booleans(),
+    twins=st.integers(0, 6),
 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(**SEARCH_CASES)
 # one-item clusters with exclude_self: nothing overlaps, the whole rank is fill
-@example(1, 12, 2, 4, 1, "WGU", True, False)
-@example(2, 12, 1, 5, 2, "MCS", False, True)
+@example(1, 12, 2, 4, 1, "WGU", True, False, 0)
+@example(2, 12, 1, 5, 2, "MCS", False, True, 0)
 def test_pruned_scan_equals_reference_scan(
-    seed, n_items, n_rankers, depth, cluster_size, comparator, exclude_self, out_of_collection
+    seed, n_items, n_rankers, depth, cluster_size, comparator, exclude_self, out_of_collection,
+    twins,
 ):
     # clusters smaller than L leave fewer than L items sharing a vertex with
-    # the query, so the distance-1 fill by item id decides the tail
+    # the query, so the distance-1 fill by item id decides the tail; twins
+    # tie exactly, also at the L-th distance
     rng = random.Random(seed)
-    index = random_rank_index(rng, n_items, n_rankers, depth, cluster_size)
-    params = NormalizationParams(depth)
-    fg_index = index_collection(index, index.rankers, params, comparator)
-    normalized = normalize_collection(index, index.rankers, params)
-    items = index.collection_items()
-    if out_of_collection:
-        pool = rng.sample(items, min(depth, len(items)))
-        rs = RankSet(
-            "zq",
-            tuple(
-                mkrank("zq", ranker, rng.sample(pool, rng.randint(1, len(pool))), depth=depth)
-                for ranker in index.rankers
-            ),
-        )
-    else:
-        rs = assemble_rank_set(rng.choice(items), index, index.rankers)
-    fused = fuse_query(rs, fg_index, index, normalized_index=normalized, exclude_self=exclude_self)
-    expected = reference_fuse_query(
-        rs, fg_index, index, normalized_index=normalized, exclude_self=exclude_self
+    index, fg_index = indexed_collection(
+        rng, n_items, n_rankers, depth, cluster_size, comparator, twins
     )
-    assert fused == expected
-    assert [d.hex() for _, d in fused.entries] == [d.hex() for _, d in expected.entries]
+    rs = query_ranks(rng, index, depth, out_of_collection)
+    assert_same_fused(
+        fuse_query(rs, fg_index, index, exclude_self=exclude_self),
+        reference_fuse_query(rs, fg_index, index, exclude_self=exclude_self),
+    )
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_items=st.integers(2, 20),
-    n_rankers=st.integers(1, 3),
-    depth=st.integers(2, 6),
-    cluster_size=st.one_of(st.none(), st.integers(1, 6)),
-    comparator=st.sampled_from(["MCS", "WGU"]),
-    exclude_self=st.booleans(),
-)
-def test_shared_lazy_lookup_equals_normalized_collection(
-    seed, n_items, n_rankers, depth, cluster_size, comparator, exclude_self
+@given(**SEARCH_CASES)
+def test_loaded_index_search_equals_reference_scan(
+    seed, n_items, n_rankers, depth, cluster_size, comparator, exclude_self, out_of_collection,
+    twins,
 ):
     rng = random.Random(seed)
-    index = random_rank_index(rng, n_items, n_rankers, depth, cluster_size)
-    params = NormalizationParams(depth)
-    fg_index = index_collection(index, index.rankers, params, comparator)
-    normalized = normalize_collection(index, index.rankers, params)
-    shared = LazyNormalizedIndex(index, params)
-    items = index.collection_items()
-    for query in rng.sample(items, min(4, len(items))):
-        rs = assemble_rank_set(query, index, index.rankers)
-        expected = fuse_query(rs, fg_index, index, normalized, exclude_self=exclude_self)
-        assert fuse_query(rs, fg_index, index, shared, exclude_self=exclude_self) == expected
-        assert fuse_query(rs, fg_index, index, exclude_self=exclude_self) == expected
+    index, fg_index = indexed_collection(
+        rng, n_items, n_rankers, depth, cluster_size, comparator, twins
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        save_index(directory, fg_index, index)
+        loaded, loaded_raw = load_index(directory)
+    for _ in range(3):
+        rs = query_ranks(rng, index, depth, out_of_collection)
+        expected = reference_fuse_query(rs, fg_index, index, exclude_self=exclude_self)
+        assert_same_fused(fuse_query(rs, loaded, loaded_raw, exclude_self=exclude_self), expected)
+        assert_same_fused(fuse_query(rs, fg_index, index, exclude_self=exclude_self), expected)
 
 
 def test_scope_contains_equal_graph(toy_fg_index):
@@ -273,6 +298,10 @@ def test_save_load_round_trip(tmp_path, toy_fg_index):
     fused_orig = fuse_query(query_rank_set(), fg_index, index)
     fused_loaded = fuse_query(query_rank_set(), loaded_fg, loaded_raw)
     assert fused_orig == fused_loaded
+    # the loaded index saves back to the same bytes
+    save_index(tmp_path / "again", loaded_fg, loaded_raw)
+    for name in ("manifest.json", "graphs.jsonl", "collection_ranks.jsonl"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()
 
 
 def test_save_is_byte_deterministic(tmp_path, toy_fg_index):
@@ -310,14 +339,32 @@ def test_manifest_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8"))
-    assert sorted(manifest) == sorted(("v", "rankers", "L", "comparator", "graph_count", "files", "bytes"))
-    assert manifest["v"] == 3
+    assert sorted(manifest) == sorted(
+        ("v", "rankers", "L", "comparator", "graph_count", "files", "bytes", "sha256")
+    )
+    assert manifest["v"] == 4
     assert manifest["L"] == 2
     assert manifest["rankers"] == ["r1", "r2"]
     assert manifest["files"] == {"graphs": "graphs.jsonl", "ranks": "collection_ranks.jsonl"}
+    for role, name in manifest["files"].items():
+        digest = hashlib.sha256((tmp_path / "idx" / name).read_bytes()).hexdigest()
+        assert manifest["sha256"][role] == digest
 
 
-MANIFEST_FIELDS = ("L", "rankers", "comparator", "graph_count", "files", "bytes")
+def test_rank_record_layout(tmp_path, toy_fg_index):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    lines = (tmp_path / "idx" / "collection_ranks.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [sorted(record) for record in records] == [["items", "normalized", "query", "ranker"]] * 6
+    for record in records:
+        raw = index.get(record["ranker"], record["query"]).items()
+        normalized = fg_index.normalized.get(record["ranker"], record["query"]).items()
+        assert record["items"] == list(raw)
+        assert [record["items"][slot] for slot in record["normalized"]] == list(normalized)
+
+
+MANIFEST_FIELDS = ("L", "rankers", "comparator", "graph_count", "files", "bytes", "sha256")
 ILL_TYPED = {
     "L": "2",
     "rankers": "r1",
@@ -325,6 +372,7 @@ ILL_TYPED = {
     "graph_count": None,
     "files": {"graphs": "graphs.jsonl"},
     "bytes": {"graphs": 10, "ranks": "10"},
+    "sha256": {"graphs": "00", "ranks": None},
 }
 
 
@@ -368,6 +416,14 @@ BAD_RECORDS = {
     "rank repeated": (
         "collection_ranks.jsonl", lambda r: r.update({"query": "B"}), "line 2: repeats the rank of 'B'"
     ),
+    "rank longer than L": (
+        "collection_ranks.jsonl",
+        lambda r: r.update({"items": ["A", "B", "C"], "normalized": [0, 1, 2]}),
+        "line 1: 3 items exceed L=2",
+    ),
+    "graph size not a number": (
+        "graphs.jsonl", lambda r: r.update({"size": "3.1"}), "not a positive finite number"
+    ),
 }
 
 
@@ -382,12 +438,12 @@ def test_load_rejects_bad_record(tmp_path, toy_fg_index, case):
 
 
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
-    """Indexes of format 1 and 2 are both rejected by name."""
+    """Indexes of formats 1 to 3 are all rejected by name."""
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
-        with pytest.raises(MalformedGraphRecord, match="predates index format 3.*re-extracted"):
+        with pytest.raises(MalformedGraphRecord, match="predates index format 4.*re-extracted"):
             load_index(tmp_path / "idx")
 
 
@@ -428,13 +484,42 @@ def test_failed_save_leaves_older_index_intact(tmp_path, toy_fg_index, monkeypat
     assert loaded.comparator == "WGU"
 
 
-def test_load_rejects_rank_record_with_bad_score(tmp_path, toy_fg_index):
+BAD_PERMUTATIONS = ([0, 0], [0, 2], [1], [0, 1, 2], "01", [1.0, 0], None)
+
+
+def test_load_rejects_bad_normalized_permutation(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
-    _edit_first_record(
-        tmp_path / "idx" / "collection_ranks.jsonl", lambda r: r["scores"].__setitem__(0, "x")
-    )
-    with pytest.raises(MalformedGraphRecord, match="line 1"):
+    ranks = tmp_path / "idx" / "collection_ranks.jsonl"
+    original = ranks.read_bytes()
+    for slots in BAD_PERMUTATIONS:
+        ranks.write_bytes(original)
+        _edit_first_record(ranks, lambda r: r.update({"normalized": slots}))
+        with pytest.raises(MalformedGraphRecord, match="bad rank record at line 1"):
+            load_index(tmp_path / "idx")
+
+
+def _replace_in_first_line(path, old, new):
+    """A same-size edit no record check catches: ``old`` becomes ``new`` in line 1."""
+    lines = path.read_bytes().split(b"\n")
+    assert old in lines[0] and len(old) == len(new)
+    lines[0] = lines[0].replace(old, new, 1)
+    path.write_bytes(b"\n".join(lines))
+
+
+SILENT_EDITS = {
+    "an edge weight": ("graphs.jsonl", b'"edge_weights":"AAAA', b'"edge_weights":"AAAB'),
+    "the normalized order": ("collection_ranks.jsonl", b'"normalized":[0,1]', b'"normalized":[1,0]'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SILENT_EDITS))
+def test_load_rejects_edit_only_the_digest_catches(tmp_path, toy_fg_index, case):
+    name, old, new = SILENT_EDITS[case]
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    _replace_in_first_line(tmp_path / "idx" / name, old, new)
+    with pytest.raises(MalformedGraphRecord, match=f"'{name}' does not match its sha256"):
         load_index(tmp_path / "idx")
 
 
@@ -455,3 +540,118 @@ def test_load_accepts_lenient_graph_with_ranker_subset(tmp_path):
 def test_fused_rank_rejects_duplicates():
     with pytest.raises(ValueError):
         FusedRank("q", (("A", 0.1), ("A", 0.2)))
+
+
+def _lookup_pairs(index):
+    """Every (ranker, item) pair of ``index``, plus pairs no rank answers."""
+    rankers = (*index.rankers, "r-unknown")
+    items = (*index.collection_items(), "not-an-item")
+    return [(ranker, item) for ranker in rankers for item in items]
+
+
+def test_loaded_normalized_lookup_equals_normalize_collection(tmp_path):
+    index = random_rank_index(random.Random(5), n_items=16, n_rankers=3, depth=4)
+    # an item with no rank under r3 must come back as None, as it does eagerly
+    index = CollectionRankIndex(
+        {r: {q: index.get(r, q) for q in index.queries(r) if (r, q) != ("r3", "d004")}
+         for r in index.rankers}
+    )
+    params = NormalizationParams(4)
+    save_index(tmp_path / "idx", index_collection(index, index.rankers, params), index)
+    loaded, loaded_raw = load_index(tmp_path / "idx")
+    eager = normalize_collection(index, index.rankers, params)
+    pairs = _lookup_pairs(index)
+    assert any(eager.get(r, q) is None for r, q in pairs)
+    for ranker, item in pairs:
+        assert loaded.normalized.get(ranker, item) == eager.get(ranker, item)
+        assert loaded.normalized.get(ranker, item) is loaded.normalized.get(ranker, item)
+        raw = index.get(ranker, item)
+        got = loaded_raw.get(ranker, item)
+        assert (got is None) == (raw is None)
+        if raw is not None:
+            # raw positions are kept; normalization reads nothing else of a raw rank
+            assert got.items() == raw.items()
+
+
+def test_loaded_index_shared_by_threads(tmp_path):
+    index = random_rank_index(random.Random(9), n_items=30, n_rankers=3, depth=5)
+    params = NormalizationParams(5)
+    built = index_collection(index, index.rankers, params)
+    save_index(tmp_path / "idx", built, index)
+    loaded, _ = load_index(tmp_path / "idx")
+    eager = normalize_collection(index, index.rankers, params)
+    pairs = _lookup_pairs(index)
+
+    def read_all():
+        ranks = [loaded.normalized.get(r, q) for r, q in pairs]
+        return ranks + [loaded.graphs[item] for item in sorted(loaded.graphs)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(read_all) for _ in range(8)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        # every thread receives the one stored copy of each rank and graph
+        assert all(a is b for a, b in zip(got, results[0]))
+    expected = [eager.get(r, q) for r, q in pairs] + [built.graphs[i] for i in sorted(built.graphs)]
+    assert results[0] == expected
+
+
+BOUND_WEIGHTS = st.floats(min_value=1e-300, max_value=1.0)
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two graphs over one small label pool, so they usually share vertices."""
+
+    def graph(query):
+        vertices = draw(st.dictionaries(st.sampled_from("abcdefgh"), BOUND_WEIGHTS, min_size=1))
+        pairs = [(a, b) for a in vertices for b in vertices if a != b]
+        edges = draw(st.dictionaries(st.sampled_from(pairs), BOUND_WEIGHTS)) if pairs else {}
+        return FusionGraph(query, vertices, edges)
+
+    return graph("q"), graph("d")
+
+
+TINY = 2.0**-53  # 1.0 + TINY + TINY sums to 1.0 in plain floats, to 1 + 2^-52 in fsum
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=graph_pairs())
+@example(pair=(FusionGraph("q", {"a": 1.0, "b": TINY, "c": TINY}, {}),
+               FusionGraph("d", {"a": 1.0, "b": TINY, "c": TINY}, {})))
+@example(pair=(FusionGraph("q", {"a": 1.0, "b": 1.0}, {("a", "b"): TINY, ("b", "a"): TINY}),
+               FusionGraph("d", {"a": 1.0, "b": 1.0}, {("a", "b"): TINY, ("b", "a"): TINY})))
+def test_common_bound_and_distance_floors_hold(pair):
+    query, item = pair
+    bounds = common_bounds(VertexPostings.of({"d": item}), query)
+    common = graph_size(mcs(query, item))
+    assert set(bounds) == ({"d"} if query.vertices.keys() & item.vertices.keys() else set())
+    sizes = graph_size(query), graph_size(item)
+    for bound in (*bounds.values(), common):
+        assert bound >= common
+        assert dist_mcs_floor(bound, *sizes) <= dist_mcs(query, item)
+        assert dist_wgu_floor(bound, *sizes) <= dist_wgu(query, item)
+
+
+def test_item_whose_bound_equals_the_lth_distance_is_scored(monkeypatch):
+    # "w" is a subgraph of the query, so its MCS bound is exact; "x" ties with
+    # it on distance but has a looser bound (two edges' masses without a
+    # shared edge), so it is scored first. The L-th distance then equals w's
+    # bound, and w must still be scored: it wins the tie by id.
+    query = FusionGraph("q", {"a": 1.0, "b": 1.0, "c": 1.0}, {("a", "b"): 1.0, ("b", "c"): 1.0})
+    graphs = {
+        "x": FusionGraph("x", {"a": 1.0, "b": 1.0, "c": 1.0}, {("a", "c"): 1.0}),
+        "w": FusionGraph("w", {"a": 1.0, "b": 1.0, "c": 1.0}, {}),
+    }
+    empty = CollectionRankIndex({})
+    fg_index = FusionGraphIndex(graphs, NormalizationParams(1), ("r1",), "MCS", empty)
+    bounds = common_bounds(fg_index.postings, query)
+    floors = {item: dist_mcs_floor(bounds[item], 5.0, graph_size(graphs[item])) for item in graphs}
+    assert floors["x"] < floors["w"] == dist_mcs(query, graphs["w"]) == dist_mcs(query, graphs["x"])
+    monkeypatch.setattr(retrieval, "build_query_graph", lambda *args: query)
+    assert fuse_query(RankSet("q", ()), fg_index, empty).entries == (("w", floors["w"]),)
