@@ -57,60 +57,118 @@ class FusionGraph:
                 raise ValueError(f"edge {src!r} -> {tgt!r} has endpoint outside vertex set")
 
 
+class Neighbours(NamedTuple):
+    """One item's row of a neighbour table, read from its ranks under one ranker tuple.
+
+    ``rows`` holds (B, (item, B), scores) for every B != item in those ranks,
+    sorted by B, where scores are B's scores in them: a bare float when B is
+    in one of them, else a tuple. ``missing`` is the first ranker of the tuple
+    without a rank of the item, or None.
+    """
+
+    missing: str | None
+    rows: list[tuple[ItemId, tuple[ItemId, ItemId], float | tuple[float, ...]]]
+
+
+# ranker tuple -> item -> the item's Neighbours under those rankers
+NeighbourTable = dict[tuple[str, ...], dict[ItemId, Neighbours]]
+
+
+def _neighbours(
+    index: RankLookup,
+    rankers: tuple[str, ...],
+    item: ItemId,
+    stats: BuildStats,
+    within: dict | None = None,
+) -> Neighbours:
+    """The neighbour-table row of ``item``: its ranks under ``rankers``, each read once.
+
+    With ``within``, neighbours outside it are left out.
+    """
+    missing = None
+    scores: dict[ItemId, float | tuple[float, ...]] = {}
+    for ranker in rankers:
+        rank = index.get(ranker, item)
+        if rank is None:
+            if missing is None:
+                missing = ranker
+            continue
+        stats.entry_visits += len(rank)
+        for neighbour, score in rank:
+            if neighbour == item or (within is not None and neighbour not in within):
+                continue
+            seen = scores.get(neighbour)
+            if seen is None:
+                scores[neighbour] = score
+            else:
+                scores[neighbour] = (*seen, score) if type(seen) is tuple else (seen, score)
+    rows = [(neighbour, (item, neighbour), x) for neighbour, x in sorted(scores.items())]
+    return Neighbours(missing, rows)
+
+
 def build_fusion_graph(
     rs: RankSet,
     index: RankLookup,
     strict: bool = False,
     stats: BuildStats | None = None,
-    pairs: dict[tuple[ItemId, ItemId], tuple[ItemId, ItemId]] | None = None,
+    table: NeighbourTable | None = None,
 ) -> FusionGraph:
     """Build and weight-normalize the fusion graph of a normalized rank set.
 
     ``rs`` must already be normalized (repositioned, rescaled) and ``index``
     must hold the normalized ranks of the items appearing in ``rs``. A vertex
     item with no indexed ranks contributes no outgoing edges in lenient mode
-    (the default); strict mode raises MissingRank instead. Edge keys are
-    taken from ``pairs`` when given, which maps each (source, target) pair to
-    one stored tuple: the graphs of a collection share most of their edges,
-    and sharing the keys too saves most of their memory.
+    (the default); strict mode raises MissingRank for the first vertex, in
+    rank order, that lacks a rank. A vertex's ranks are read into ``table``
+    only when it holds no row for the vertex yet: the graphs of a collection
+    share one table, so each collection rank is read once per ranker tuple,
+    and the graphs share the table's edge-key tuples. Without ``table`` the
+    graph reads into a table of its own.
 
     Vertex weights sum the item's rescaled scores across the query's ranks.
     The edge A -> B accumulates, for every rank of the query containing A and
     every rank of A containing B (with B also a vertex and B != A), B's
     rescaled score in A's rank divided by A's position in the query's rank.
+    Edges come out in sorted key order.
     """
     if stats is None:
         stats = BuildStats()
     vertex_parts: dict[ItemId, list[float]] = {}
+    positions: dict[ItemId, list[int]] = {}
     for rank in rs:
-        for entry in rank:
-            stats.entry_visits += 1
-            vertex_parts.setdefault(entry.item, []).append(entry.score)
+        stats.entry_visits += len(rank)
+        for pos, (item, score) in enumerate(rank, start=1):
+            parts = vertex_parts.get(item)
+            if parts is None:
+                vertex_parts[item] = [score]
+                positions[item] = [pos]
+            else:
+                parts.append(score)
+                positions[item].append(pos)
     vertices = {item: math.fsum(parts) for item, parts in vertex_parts.items()}
 
-    edge_parts: dict[tuple[ItemId, ItemId], list[float]] = {}
-    for rank in rs:
-        for pos, entry in enumerate(rank, start=1):
-            item_a = entry.item
-            for ranker in rs.ranker_names:
-                rank_a = index.get(ranker, item_a)
-                if rank_a is None:
-                    if strict:
-                        raise MissingRank(ranker, item_a)
-                    continue
-                for neighbor in rank_a:
-                    stats.entry_visits += 1
-                    item_b = neighbor.item
-                    if item_b == item_a or item_b not in vertices:
-                        continue
-                    edge_parts.setdefault((item_a, item_b), []).append(
-                        neighbor.score / pos
-                    )
-    if pairs is None:
-        pairs = {}
-    edges = {
-        pairs.setdefault(pair, pair): math.fsum(parts) for pair, parts in edge_parts.items()
-    }
+    rankers = rs.ranker_names
+    # a table of this graph's own needs no neighbour outside its vertices
+    within = vertices if table is None else None
+    tabled = ({} if table is None else table).setdefault(rankers, {})
+    for item in vertices:  # first occurrences, in rank order
+        row = tabled.get(item)
+        if row is None:
+            row = tabled[item] = _neighbours(index, rankers, item, stats, within)
+        if strict and row.missing is not None:
+            raise MissingRank(row.missing, item)
+
+    edges: dict[tuple[ItemId, ItemId], float] = {}
+    for item_a in sorted(vertices):
+        at = positions[item_a]
+        for item_b, key, scores in tabled[item_a].rows:
+            if item_b not in vertices:
+                continue
+            if len(at) == 1 and type(scores) is not tuple:
+                edges[key] = scores / at[0]  # what fsum gives for one part
+            else:
+                parts = scores if type(scores) is tuple else (scores,)
+                edges[key] = math.fsum([x / pos for pos in at for x in parts])
     return _scaled(rs.query, vertices, edges)
 
 
@@ -129,11 +187,15 @@ def _scaled(query: ItemId, vertices: dict, edges: dict) -> FusionGraph:
         raise EmptyGraph(f"fusion graph for {query!r} has no vertices")
     max_vertex = max(vertices.values())
     max_edge = max(edges.values(), default=1.0)
-    return FusionGraph(
-        query,
-        {item: weight / max_vertex for item, weight in vertices.items()},
-        {pair: weight / max_edge for pair, weight in edges.items()},
+    # the keys come from a checked graph or from build_fusion_graph, which
+    # joins two distinct vertices only, so the constructor's checks are skipped
+    graph = object.__new__(FusionGraph)
+    graph.__dict__.update(
+        query=query,
+        vertices={item: weight / max_vertex for item, weight in vertices.items()},
+        edges={pair: weight / max_edge for pair, weight in edges.items()},
     )
+    return graph
 
 
 def graph_size(g: FusionGraph) -> float:

@@ -33,6 +33,7 @@ from .errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from .graph import (
     BuildStats,
     FusionGraph,
+    NeighbourTable,
     VertexRecord,
     build_fusion_graph,
     deserialize_graph,
@@ -202,7 +203,7 @@ def index_collection(
     rankers = tuple(rankers)
     normalized = normalize_collection(index, rankers, params)
     graphs: dict[ItemId, FusionGraph] = {}
-    pairs: dict[tuple[ItemId, ItemId], tuple[ItemId, ItemId]] = {}
+    table: NeighbourTable = {}  # each item's ranks, read once for all graphs
     for item in index.collection_items():
         available = [r for r in rankers if normalized.get(r, item) is not None]
         if strict and len(available) < len(rankers):
@@ -212,7 +213,7 @@ def index_collection(
             logger.warning("item %s has no ranks under any chosen ranker; skipped", item)
             continue
         rs = assemble_rank_set(item, normalized, available)
-        graphs[item] = build_fusion_graph(rs, normalized, strict=strict, stats=stats, pairs=pairs)
+        graphs[item] = build_fusion_graph(rs, normalized, strict=strict, stats=stats, table=table)
     return FusionGraphIndex(graphs, params, rankers, comparator, normalized)
 
 
@@ -240,15 +241,6 @@ def common_bounds(postings: VertexPostings, query_graph: FusionGraph) -> dict[It
             acc[2] += in_mass if in_mass < in_q else in_q
     inflate = 1.0 + (len(head.labels) + 8) * 2.0**-52
     return {item: (v + min(o, i)) * inflate for item, (v, o, i) in sums.items()}
-
-
-def candidate_scope(fg_index: FusionGraphIndex, query_graph: FusionGraph) -> set[ItemId]:
-    """Items whose graphs share at least one vertex label with the query's.
-
-    A shared edge implies shared endpoints, so every item outside the scope
-    has an empty common subgraph and distance 1.
-    """
-    return set(common_bounds(fg_index.postings, query_graph))
 
 
 def build_query_graph(

@@ -9,8 +9,8 @@ import random
 
 import numpy as np
 
-from fusegraph.errors import FusionError
-from fusegraph.graph import FusionGraph
+from fusegraph.errors import FusionError, MissingRank
+from fusegraph.graph import FusionGraph, normalize_graph_weights
 from fusegraph.model import CollectionRankIndex, RankSet, ScoredEntry, ScoredRank
 from fusegraph.retrieval import FusedRank, build_query_graph
 from fusegraph.similarity import McsStats, graph_size
@@ -156,6 +156,39 @@ def synthetic_collection(seed, n_items=60, n_classes=12, n_rankers=3, depth=10):
             per_query[query] = ScoredRank(query, ranker, entries, depth)
         ranks[ranker] = per_query
     return CollectionRankIndex(ranks), labels
+
+
+def reference_build_fusion_graph(rs: RankSet, index, strict: bool = False) -> FusionGraph:
+    """Per-occurrence formulation of build_fusion_graph, kept as its specification.
+
+    Walks every neighbour rank once per occurrence of its vertex in the query's
+    ranks and sums each edge's parts with math.fsum.
+    """
+    vertex_parts: dict = {}
+    for rank in rs:
+        for entry in rank:
+            vertex_parts.setdefault(entry.item, []).append(entry.score)
+    vertices = {item: math.fsum(parts) for item, parts in vertex_parts.items()}
+
+    edge_parts: dict = {}
+    for rank in rs:
+        for pos, entry in enumerate(rank, start=1):
+            item_a = entry.item
+            for ranker in rs.ranker_names:
+                rank_a = index.get(ranker, item_a)
+                if rank_a is None:
+                    if strict:
+                        raise MissingRank(ranker, item_a)
+                    continue
+                for neighbor in rank_a:
+                    item_b = neighbor.item
+                    if item_b == item_a or item_b not in vertices:
+                        continue
+                    edge_parts.setdefault((item_a, item_b), []).append(
+                        neighbor.score / pos
+                    )
+    edges = {pair: math.fsum(parts) for pair, parts in edge_parts.items()}
+    return normalize_graph_weights(FusionGraph(rs.query, vertices, edges))
 
 
 def reference_mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> FusionGraph:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -12,7 +13,14 @@ from fusegraph import normalize, retrieval
 from fusegraph.cli import main
 from fusegraph.io import parse_run_file
 
-from helpers import TOY_LAYOUT, TOY_QUERY, random_rank_index, write_config, write_runs
+from helpers import (
+    TOY_LAYOUT,
+    TOY_QUERY,
+    random_rank_index,
+    synthetic_collection,
+    write_config,
+    write_runs,
+)
 
 
 @pytest.fixture
@@ -494,3 +502,31 @@ def test_tracer_finds_every_traced_name(toy_files):
         trace = json.loads(spans.read_text(encoding="utf-8"))
         assert trace["missing"] == [], name
         assert trace["spans"]
+
+
+# sha256 of the index files `extract` writes for PINNED_COLLECTION, recorded
+# with the per-occurrence graph builder that tests/helpers keeps as the spec
+PINNED_INDEX = {
+    "graphs.jsonl": "212ebbbfed670181059b97194044dec6a889bccf92bd5e01a1a8eef5a294c70a",
+    "collection_ranks.jsonl": "2ff8fdb7da5378982a06c516c95ca7b456437f3bae5fc6b56273d92354958db1",
+}
+
+
+def test_extract_index_bytes_are_pinned(tmp_path):
+    collection, _ = synthetic_collection(17, n_items=60, n_classes=12, depth=10)
+    layout = {
+        ranker: {q: list(collection.get(ranker, q).items()) for q in collection.queries(ranker)}
+        for ranker in collection.rankers
+    }
+    # lenient mode: two items lack one ranker's rank, one item lacks two
+    for ranker, item in (("r3", "s00_0"), ("r1", "s05_2"), ("r2", "s05_2"), ("r2", "s11_4")):
+        del layout[ranker][item]
+    config = write_config(tmp_path, "config.json", write_runs(tmp_path, layout, "coll"), depth=10)
+    index_dir = tmp_path / "index"
+    result = run_cli_process("-m", "fusegraph.cli", "extract", "--config", str(config),
+                             "--out", str(index_dir))
+    assert result.returncode == 0, result.stderr
+    digests = {
+        name: hashlib.sha256((index_dir / name).read_bytes()).hexdigest() for name in PINNED_INDEX
+    }
+    assert digests == PINNED_INDEX

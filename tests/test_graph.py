@@ -17,10 +17,10 @@ from fusegraph.graph import (
     normalize_graph_weights,
     serialize_graph,
 )
-from fusegraph.model import RankSet, assemble_rank_set
+from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
 from fusegraph.normalize import NormalizationParams, normalize_collection
 
-from helpers import mkrank, random_rank_index, worked_example_index
+from helpers import mkrank, random_rank_index, reference_build_fusion_graph, worked_example_index
 
 
 def assert_weight_normalized(graph):
@@ -263,3 +263,73 @@ def test_build_stats_counts_visits():
     build_fusion_graph(rs, index, stats=stats)
     m, L = 2, 2
     assert 0 < stats.entry_visits <= 4 * m * m * L * L
+
+
+def test_build_emits_edges_in_sorted_order():
+    index = random_rank_index(random.Random(13), n_items=20, n_rankers=3, depth=6)
+    normalized = normalize_collection(index, index.rankers, NormalizationParams(6))
+    for item in normalized.collection_items():
+        rs = assemble_rank_set(item, normalized, normalized.rankers)
+        graph = build_fusion_graph(rs, normalized)
+        assert graph.edges
+        assert list(graph.edges) == sorted(graph.edges)
+
+
+def hexes(weights):
+    return {key: weight.hex() for key, weight in weights.items()}
+
+
+@st.composite
+def partial_collections(draw):
+    """A random_rank_index collection with some ranks dropped, and a visiting order.
+
+    Items outnumber the depth by at most four, so an item often occurs in
+    several of a query's ranks, at different positions.
+    """
+    depth = draw(st.integers(1, 6))
+    n_rankers = draw(st.integers(1, 4))
+    n_items = draw(st.integers(max(depth, 2), depth + 4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    full = random_rank_index(rng, n_items=n_items, n_rankers=n_rankers, depth=depth)
+    items = full.collection_items()
+    dropped = draw(
+        st.sets(st.tuples(st.sampled_from(full.rankers), st.sampled_from(items)), max_size=n_items)
+    )
+    index = CollectionRankIndex(
+        {
+            ranker: {q: full.get(ranker, q) for q in items if (ranker, q) not in dropped}
+            for ranker in full.rankers
+        }
+    )
+    return index, draw(st.permutations(items))
+
+
+def raised_missing(build, *args, **kwargs):
+    try:
+        build(*args, **kwargs)
+    except MissingRank as exc:
+        return exc.ranker, exc.query
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(collection=partial_collections(), data=st.data())
+def test_build_matches_reference_bit_for_bit(collection, data):
+    index, order = collection
+    table = {}  # one table for the whole collection, as index_collection shares it
+    for item in order:
+        available = [r for r in index.rankers if index.get(r, item) is not None]
+        if not available:
+            continue
+        rs = assemble_rank_set(item, index, data.draw(st.permutations(available)))
+        expected = reference_build_fusion_graph(rs, index)
+        # with the shared table, and with a table of the graph's own
+        for graph in (build_fusion_graph(rs, index, table=table), build_fusion_graph(rs, index)):
+            assert graph.query == expected.query
+            assert list(graph.edges) == sorted(expected.edges)
+            assert hexes(graph.vertices) == hexes(expected.vertices)
+            assert hexes(graph.edges) == hexes(expected.edges)
+            FusionGraph(graph.query, graph.vertices, graph.edges)  # passes the public checks
+        assert raised_missing(build_fusion_graph, rs, index, strict=True, table=table) == (
+            raised_missing(reference_build_fusion_graph, rs, index, strict=True)
+        )

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
-from fusegraph.graph import FusionGraph, graph_size
+from fusegraph.graph import BuildStats, FusionGraph, graph_size
 from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
 from fusegraph.normalize import NormalizationParams, normalize_collection
 from fusegraph.retrieval import (
     FusedRank,
     FusionGraphIndex,
     VertexPostings,
-    candidate_scope,
     common_bounds,
     fuse_query,
     index_collection,
@@ -161,6 +160,14 @@ def test_index_collection_strict_missing_rank():
     assert sorted(lenient.graphs) == ["A", "B", "C"]
 
 
+def test_index_collection_reads_each_rank_once():
+    n, m, L = 30, 3, 6
+    index = random_rank_index(random.Random(12), n_items=n, n_rankers=m, depth=L)
+    stats = BuildStats()
+    index_collection(index, index.rankers, NormalizationParams(L), stats=stats)
+    assert 0 < stats.entry_visits <= 2 * n * m * L
+
+
 def test_scope_equivalence_random():
     rng = random.Random(21)
     index = random_rank_index(rng, n_items=18, n_rankers=3, depth=5)
@@ -266,8 +273,7 @@ def test_scope_contains_equal_graph(toy_fg_index):
 
     index, fg_index = toy_fg_index
     graph = build_query_graph(query_rank_set(), fg_index, index)
-    scope = candidate_scope(fg_index, graph)
-    assert "A" in scope
+    assert "A" in common_bounds(fg_index.postings, graph)
 
 
 def test_out_of_collection_query_supported(toy_fg_index):
