@@ -25,7 +25,7 @@ import json
 import sys
 
 from . import baselines
-from .errors import FusionError, QuerySetMismatch
+from .errors import FusionError, NotEnoughRankers, QuerySetMismatch
 from .evaluation import (
     CORRELATIONS,
     SELECTION_STRATEGIES,
@@ -134,8 +134,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     runs = load_runs(config)
     names = list(config.ranker_names)
     if len(names) < 2:
-        print("need at least two rankers to correlate", file=sys.stderr)
-        return 1
+        raise NotEnoughRankers("need at least two rankers to correlate")
     matrix = {
         a: {b: ranker_correlation(runs[a], runs[b], args.measure) for b in names}
         for a in names

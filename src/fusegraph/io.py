@@ -256,7 +256,6 @@ class PipelineConfig:
     comparator: str = "WGU"
     strict: bool = False
     exclude_self: bool = False
-    selection_strategy: str | None = None
 
     def __post_init__(self):
         if not self.rankers:
@@ -274,7 +273,16 @@ class PipelineConfig:
         return tuple(spec.name for spec in self.rankers)
 
 
+def _typed(data: dict, key: str, default: object, kind: type, what: str):
+    """``data[key]``, or ``default`` when absent; ConfigError unless its type is exactly ``kind``."""
+    value = data.get(key, default)
+    if type(value) is not kind:
+        raise ConfigError(f"config field {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> PipelineConfig:
+    """Read a pipeline config, checking every value's JSON type; nothing is coerced."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -290,27 +298,23 @@ def load_config(path: str | Path) -> PipelineConfig:
     for entry in raw_rankers:
         if not isinstance(entry, dict) or "name" not in entry or "run" not in entry:
             raise ConfigError("each ranker needs 'name' and 'run' fields")
-        run_path = entry["run"]
+        run_path = _typed(entry, "run", None, str, "a string")
         if not Path(run_path).is_absolute():
             run_path = str(base / run_path)
         rankers.append(
             RankerSpec(
-                name=str(entry["name"]),
+                name=_typed(entry, "name", None, str, "a string"),
                 run=run_path,
-                polarity=str(entry.get("polarity", POLARITY_SIMILARITY)),
+                polarity=_typed(entry, "polarity", POLARITY_SIMILARITY, str, "a string"),
             )
         )
-    try:
-        return PipelineConfig(
-            rankers=tuple(rankers),
-            depth=int(data.get("depth", 10)),
-            comparator=str(data.get("comparator", "WGU")),
-            strict=bool(data.get("strict", False)),
-            exclude_self=bool(data.get("exclude_self", False)),
-            selection_strategy=data.get("selection_strategy"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    return PipelineConfig(
+        rankers=tuple(rankers),
+        depth=_typed(data, "depth", 10, int, "an integer"),
+        comparator=data.get("comparator", "WGU"),
+        strict=_typed(data, "strict", False, bool, "true or false"),
+        exclude_self=_typed(data, "exclude_self", False, bool, "true or false"),
+    )
 
 
 def load_runs(config: PipelineConfig) -> dict[str, dict[ItemId, ScoredRank]]:

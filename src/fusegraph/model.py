@@ -141,12 +141,6 @@ class RankSet:
     def ranker_names(self) -> tuple[str, ...]:
         return tuple(rank.ranker for rank in self.ranks)
 
-    def item_union(self) -> set[ItemId]:
-        out: set[ItemId] = set()
-        for rank in self.ranks:
-            out.update(rank.positions)
-        return out
-
 
 class RankLookup:
     """Read-only lookup interface shared by the index and query overlays."""

@@ -3,7 +3,9 @@
 Repositioning sorts a rank's entries by a distance that rewards items ranking
 each other back (mutual plus reciprocal neighborhood). Rescaling then replaces
 raw scores with a uniform grid from 1.0 (top) down to 0.1 (position L), which
-is what the fusion-graph builder consumes.
+is what the fusion-graph builder consumes. The grid depends on L alone, so a
+normalized rank is an item order, and gridded_rank is the one place that
+builds it.
 
 Positions are always read from the original, pre-repositioning index; the
 output rank never feeds back into the distance computation, so repeated
@@ -12,7 +14,9 @@ normalization with the same index is idempotent in item order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import EmptyRank, InvalidRankSet
 from .model import (
@@ -78,24 +82,6 @@ def delta(
     return p_ij + p_ji + max(p_ij, p_ji)
 
 
-def reposition_rank(
-    rank: ScoredRank, index: RankLookup, params: NormalizationParams
-) -> ScoredRank:
-    """Stable-sort the top-L entries of ``rank`` by ascending delta.
-
-    The rank is first cut to the top-L positions, then reordered; ties keep
-    their original relative order. Scores are carried along unchanged (they
-    are superseded by rescale_scores immediately after).
-    """
-    kept = rank.entries[: params.depth]
-    deltas = {
-        entry.item: delta(rank.query, entry.item, index, rank.ranker, params)
-        for entry in kept
-    }
-    reordered = sorted(kept, key=lambda entry: deltas[entry.item])
-    return ScoredRank(rank.query, rank.ranker, tuple(reordered), params.depth)
-
-
 def grid_score(pos: int, depth: int) -> float:
     """The rescaled score of position ``pos``: 1 - 0.9 * (pos - 1) / (L - 1).
 
@@ -109,26 +95,43 @@ def grid_score(pos: int, depth: int) -> float:
     return 1.0 - 0.9 * (pos - 1) / (depth - 1)
 
 
-def rescale_scores(rank: ScoredRank, params: NormalizationParams) -> ScoredRank:
-    """Replace scores with the uniform grid 1.0 down to 0.1 over L positions.
+@functools.cache
+def _grid(depth: int) -> tuple[float, ...]:
+    """grid_score of positions 1 to L: the scores every normalized rank of depth L shares."""
+    return tuple(grid_score(pos, depth) for pos in range(1, depth + 1))
 
-    Position p gets grid_score(p, L). The grid depends on L, not on the
-    actual kept length, so a truncated rank never reaches 0.1.
+
+def gridded_rank(query: ItemId, ranker: str, items: Iterable[ItemId], depth: int) -> ScoredRank:
+    """The normalized rank of ``items`` in that order: position p scores grid_score(p, L).
+
+    The grid depends on L, not on the actual length, so a truncated rank
+    never reaches 0.1. The ids always come from a checked rank or a checked
+    index record, at most L of them, so the constructor's checks are skipped.
     """
-    if not rank.entries:
-        raise EmptyRank(f"cannot rescale empty rank for query {rank.query!r}")
-    rescaled = tuple(
-        ScoredEntry(entry.item, grid_score(pos, params.depth))
-        for pos, entry in enumerate(rank.entries, start=1)
+    rank = object.__new__(ScoredRank)
+    rank.__dict__.update(
+        query=query,
+        ranker=ranker,
+        entries=tuple(map(ScoredEntry, items, _grid(depth))),
+        depth=depth,
     )
-    return ScoredRank(rank.query, rank.ranker, rescaled, params.depth)
+    return rank
 
 
 def normalize_rank(
     rank: ScoredRank, index: RankLookup, params: NormalizationParams
 ) -> ScoredRank:
-    """Reposition then rescale one rank."""
-    return rescale_scores(reposition_rank(rank, index, params), params)
+    """Reposition then rescale one rank.
+
+    The rank is cut to its top-L items, which are stable-sorted by ascending
+    delta (ties keep their original order) and given the grid's scores.
+    """
+    if not rank.entries:
+        raise EmptyRank(f"cannot rescale empty rank for query {rank.query!r}")
+    kept = rank.items()[: params.depth]
+    deltas = {item: delta(rank.query, item, index, rank.ranker, params) for item in kept}
+    reordered = sorted(kept, key=deltas.__getitem__)
+    return gridded_rank(rank.query, rank.ranker, reordered, params.depth)
 
 
 def normalize_rank_set(

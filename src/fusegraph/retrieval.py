@@ -51,7 +51,7 @@ from .model import (
     ScoredRank,
     assemble_rank_set,
 )
-from .normalize import NormalizationParams, grid_score, normalize_collection, normalize_rank_set
+from .normalize import NormalizationParams, gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
 logger = logging.getLogger(__name__)
@@ -159,15 +159,14 @@ class StoredGraphs(Mapping[ItemId, FusionGraph]):
 class StoredRanks(CollectionRankIndex):
     """Stored rank orders, ranker -> query -> items, each built into a ScoredRank on first get.
 
-    Every rank gets rescale_scores' grid as scores. That is what a normalized
-    rank holds; the scores of a raw rank are never read, because
-    normalization reads positions only.
+    load_index has checked every order, so gridded_rank builds it, with the
+    grid as scores. That is what a normalized rank holds; the scores of a raw
+    rank are never read, because normalization reads positions only.
     """
 
     def __init__(self, orders: dict[str, dict[ItemId, list[ItemId]]], depth: int):
         self._ranks = orders  # the layout CollectionRankIndex's readers expect
         self._depth = depth
-        self._grid = [grid_score(pos, depth) for pos in range(1, depth + 1)]
         self._built: dict[tuple[str, ItemId], ScoredRank] = {}
 
     def get(self, ranker: str, query: ItemId) -> ScoredRank | None:
@@ -176,13 +175,9 @@ class StoredRanks(CollectionRankIndex):
             items = self._ranks.get(ranker, {}).get(query)
             if items is None:
                 return None
-            try:
-                rank = ScoredRank(query, ranker, zip(items, self._grid), self._depth)
-            except ValueError as exc:
-                raise MalformedGraphRecord(
-                    f"bad rank record of {query!r} under {ranker!r}: {exc}"
-                ) from exc
-            rank = self._built.setdefault((ranker, query), rank)
+            rank = self._built.setdefault(
+                (ranker, query), gridded_rank(query, ranker, items, self._depth)
+            )
         return rank
 
 
@@ -422,10 +417,11 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
     Every manifest field in MANIFEST_FIELDS must be present and well typed,
     every data file must have its recorded size and sha256, every graph
     record's vertex fields must pass read_vertex_record, and every rank
-    record must hold at most L string ids under one of the manifest's
-    rankers, at most once per (ranker, query), with a normalized order that
-    is a permutation of its slots; otherwise (and for an index of an older
-    format) MalformedGraphRecord is raised. Edges are decoded, by
+    record must hold a non-empty query id and at most L distinct non-empty
+    item ids under one of the manifest's rankers, at most once per (ranker,
+    query), with a normalized order that is a permutation of its slots;
+    otherwise (and for an index of an older format) MalformedGraphRecord is
+    raised. This is the one check of a rank record. Edges are decoded, by
     deserialize_graph, and ranks built only when first read.
     """
     directory = Path(directory)
@@ -483,6 +479,8 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
                 raise ValueError("query must be a string and items a list of strings")
             if query in raw[ranker]:
                 raise ValueError(f"repeats the rank of {query!r} under {ranker!r}")
+            if not query or "" in items or len(set(items)) != len(items):
+                raise ValueError("query and item ids must be non-empty and items distinct")
             if len(items) > params.depth:
                 raise ValueError(f"{len(items)} items exceed L={params.depth}")
             if type(slots) is not list or sorted(slots) != list(range(len(items))):

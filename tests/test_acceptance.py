@@ -34,8 +34,8 @@ from fusegraph.normalize import (
     NormalizationParams,
     delta,
     normalize_collection,
+    normalize_rank,
     normalize_rank_set,
-    reposition_rank,
 )
 from fusegraph.retrieval import fuse_query, index_collection
 from fusegraph.similarity import McsStats, dist_mcs, dist_wgu, graph_size, mcs
@@ -171,7 +171,7 @@ def test_normalization_contract():
                         (d, i, e) for i, (d, e) in enumerate(zip(deltas, kept))
                     )
                 ]
-                assert list(reposition_rank(raw, index, params).items()) == reference
+                assert list(normalize_rank(raw, index, params).items()) == reference
             # delta symmetry whenever both positions exist
             ranker = rng.choice(index.rankers)
             items = index.collection_items()

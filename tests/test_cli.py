@@ -12,6 +12,7 @@ import fusegraph
 from fusegraph import normalize, retrieval
 from fusegraph.cli import main
 from fusegraph.io import parse_run_file
+from fusegraph.model import ScoredRank
 
 from helpers import (
     TOY_LAYOUT,
@@ -408,7 +409,69 @@ def test_search_on_same_size_corruption_prints_one_json_line(toy_files, case):
     assert message in error["message"]
 
 
-def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
+def test_search_rejects_bad_rank_it_never_reads(tmp_path):
+    """A rank record that repeats an item fails load_index, even when search would not read it."""
+    layout = {ranker: {**per_query, "Z": ["Z", "X"]} for ranker, per_query in TOY_LAYOUT.items()}
+    config = write_config(tmp_path, "config.json", write_runs(tmp_path, layout, "coll"))
+    queries = write_config(tmp_path, "queries.json", write_runs(tmp_path, TOY_QUERY, "query"))
+    index_dir = tmp_path / "index"
+    assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
+    # Z's rank under r1 (line 4) repeats Z; the search of q reads only the ranks of A, B and C
+    replace_first("collection_ranks.jsonl", '"items":["Z","X"]', '"items":["Z","Z"]')(index_dir)
+    digest = hashlib.sha256((index_dir / "collection_ranks.jsonl").read_bytes()).hexdigest()
+    edit_manifest(lambda m: m["sha256"].update({"ranks": digest}))(index_dir)
+    out = tmp_path / "fg.run"
+    result = run_cli_process(
+        "-m", "fusegraph.cli", "search",
+        "--index", str(index_dir), "--queries", str(queries), "--out", str(out),
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {
+        "error": "MalformedGraphRecord",
+        "message": "bad rank record at line 4: query and item ids must be non-empty and items distinct",
+    }
+    assert not out.exists()
+
+
+def test_correlate_with_one_ranker_prints_one_json_line(toy_files):
+    run = next(toy_files["dir"].glob("r1.coll.run"))
+    config = write_config(toy_files["dir"], "one.json", {"r1": run})
+    result = run_cli_process("-m", "fusegraph.cli", "correlate", "--config", str(config))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {
+        "error": "NotEnoughRankers",
+        "message": "need at least two rankers to correlate",
+    }
+
+
+def test_config_string_for_bool_prints_one_json_line(toy_files):
+    config = json.loads(toy_files["config"].read_text(encoding="utf-8"))
+    config["strict"] = "false"
+    toy_files["config"].write_text(json.dumps(config), encoding="utf-8")
+    out = toy_files["dir"] / "index"
+    result = run_cli_process("-m", "fusegraph.cli", "extract", "--config", str(toy_files["config"]),
+                             "--out", str(out))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {
+        "error": "ConfigError",
+        "message": "config field 'strict' must be true or false, got 'false'",
+    }
+    assert not out.exists()
+
+
+def one_query_files(tmp_path):
+    """A 40-item collection in run files, and one out-of-collection query "zq" over it.
+
+    Returns the collection layout and the two config files.
+    """
     collection = random_rank_index(random.Random(8), n_items=40, n_rankers=3, depth=4, cluster_size=4)
     layout = {
         ranker: {q: list(collection.get(ranker, q).items()) for q in collection.queries(ranker)}
@@ -416,9 +479,14 @@ def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
     }
     query_ranks = {"r1": {"zq": ["d004", "d005"]}, "r2": {"zq": ["d005", "d006", "d007"]},
                    "r3": {"zq": ["d007"]}}
-    index_dir = tmp_path / "index"
     config = write_config(tmp_path, "config.json", write_runs(tmp_path, layout, "coll"), depth=4)
     queries = write_config(tmp_path, "queries.json", write_runs(tmp_path, query_ranks, "q"), depth=4)
+    return layout, config, queries
+
+
+def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
+    _, config, queries = one_query_files(tmp_path)
+    index_dir = tmp_path / "index"
     assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
     normalized = []
     normalize_rank = normalize.normalize_rank
@@ -433,6 +501,26 @@ def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
     # the index stores every collection rank's normalized order: only the
     # query's own m ranks are normalized
     assert sorted(normalized) == [("r1", "zq"), ("r2", "zq"), ("r3", "zq")]
+
+
+def test_rank_checks_run_once_per_rank_read_from_a_run_file(tmp_path, monkeypatch):
+    """ScoredRank's checks run on the ranks parsed from run files, and on no rank built from them."""
+    layout, config, queries = one_query_files(tmp_path)
+    index_dir = tmp_path / "index"
+    checked = []
+    post_init = ScoredRank.__post_init__
+
+    def counting(rank):
+        checked.append((rank.ranker, rank.query))
+        post_init(rank)
+
+    monkeypatch.setattr(ScoredRank, "__post_init__", counting)
+    assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
+    assert sorted(checked) == sorted((r, q) for r in layout for q in layout[r])  # n * m
+    checked.clear()
+    out = tmp_path / "fg.run"
+    assert main(["search", "--index", str(index_dir), "--queries", str(queries), "--out", str(out)]) == 0
+    assert sorted(checked) == [("r1", "zq"), ("r2", "zq"), ("r3", "zq")]
 
 
 def test_eval_k_not_an_int_prints_one_json_line(tmp_path):

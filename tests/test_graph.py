@@ -80,7 +80,7 @@ def test_vertex_bounds():
     for item in normalized.collection_items()[:8]:
         rs = assemble_rank_set(item, normalized, normalized.rankers)
         graph = build_fusion_graph(rs, normalized)
-        assert set(graph.vertices) == rs.item_union()
+        assert set(graph.vertices) == {item for rank in rs for item in rank.items()}
         assert len(graph.vertices) <= len(rs) * params.depth
         assert graph.vertices
         assert max(graph.vertices.values()) == 1.0

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fusegraph.errors import (
@@ -285,3 +287,33 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(write(tmp_path, "bad.json", "{broken"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "no_rankers.json", "{}"))
+
+
+def ranker_entry(**fields):
+    return {"name": "r1", "run": "a.run", **fields}
+
+
+BAD_CONFIG_VALUES = {
+    "strict as a string": ({"strict": "false"}, "'strict' must be true or false, got 'false'"),
+    "exclude_self as a number": ({"exclude_self": 1}, "'exclude_self' must be true or false, got 1"),
+    "fractional depth": ({"depth": 10.7}, "'depth' must be an integer, got 10.7"),
+    "depth as a bool": ({"depth": True}, "'depth' must be an integer, got True"),
+    "depth as a string": ({"depth": "10"}, "'depth' must be an integer, got '10'"),
+    "numeric run": ({"rankers": [ranker_entry(run=5)]}, "'run' must be a string, got 5"),
+    "numeric name": ({"rankers": [ranker_entry(name=3)]}, "'name' must be a string, got 3"),
+    "null polarity": ({"rankers": [ranker_entry(polarity=None)]}, "'polarity' must be a string, got None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_load_config_checks_value_types(tmp_path, case):
+    fields, message = BAD_CONFIG_VALUES[case]
+    config = {"rankers": [ranker_entry()], **fields}
+    with pytest.raises(ConfigError, match=f"config field {message}"):
+        load_config(write(tmp_path, "config.json", json.dumps(config)))
+
+
+def test_load_config_reads_json_booleans_and_integers(tmp_path):
+    config = {"rankers": [ranker_entry()], "depth": 7, "strict": True, "exclude_self": False}
+    loaded = load_config(write(tmp_path, "config.json", json.dumps(config)))
+    assert (loaded.depth, loaded.strict, loaded.exclude_self) == (7, True, False)

@@ -7,9 +7,9 @@ from fusegraph.model import CollectionRankIndex, RankSet, ScoredRank
 from fusegraph.normalize import (
     NormalizationParams,
     delta,
+    gridded_rank,
+    normalize_rank,
     normalize_rank_set,
-    reposition_rank,
-    rescale_scores,
 )
 
 from helpers import mkrank, random_rank_index
@@ -80,7 +80,7 @@ def test_reposition_stability_under_ties():
         {"r": {"q": ["A", "B", "C"], "A": ["A"], "B": ["B"], "C": ["C"]}}, depth=5
     )
     params = NormalizationParams(5)
-    out = reposition_rank(index.get("r", "q"), index, params)
+    out = normalize_rank(index.get("r", "q"), index, params)
     assert out.items() == ("A", "B", "C")
 
 
@@ -98,7 +98,7 @@ def test_reposition_reorders_by_delta():
         depth=10,
     )
     params = NormalizationParams(10)
-    out = reposition_rank(index.get("r", "q"), index, params)
+    out = normalize_rank(index.get("r", "q"), index, params)
     assert out.items() == ("B", "A", "C")
 
 
@@ -107,8 +107,8 @@ def test_reposition_fixed_point():
         {"r": {"q": ["A", "B"], "A": ["q", "A"], "B": ["x", "B"]}}, depth=2
     )
     params = NormalizationParams(2)
-    once = reposition_rank(index.get("r", "q"), index, params)
-    twice = reposition_rank(once, index, params)
+    once = normalize_rank(index.get("r", "q"), index, params)
+    twice = normalize_rank(once, index, params)
     assert once.items() == twice.items()
 
 
@@ -118,27 +118,25 @@ def test_reposition_truncates_prefix_first():
         depth=4,
     )
     params = NormalizationParams(2)
-    out = reposition_rank(index.get("r", "q"), index, params)
+    out = normalize_rank(index.get("r", "q"), index, params)
     # D would sort first by delta, but only the top-2 prefix is considered
     assert set(out.items()) == {"A", "B"}
 
 
 def test_rescale_grid_l5():
-    rank = mkrank("q", "r", ["a", "b", "c", "d", "e"])
-    out = rescale_scores(rank, NormalizationParams(5))
+    out = gridded_rank("q", "r", ["a", "b", "c", "d", "e"], 5)
     scores = [e.score for e in out.entries]
     assert scores == pytest.approx([1.0, 0.775, 0.55, 0.325, 0.1], abs=1e-12)
     assert scores[0] == 1.0 and scores[-1] == 0.1  # endpoints exact
 
 
 def test_rescale_l1_and_l2():
-    assert [e.score for e in rescale_scores(mkrank("q", "r", ["a"]), NormalizationParams(1)).entries] == [1.0]
-    assert [e.score for e in rescale_scores(mkrank("q", "r", ["a", "b"]), NormalizationParams(2)).entries] == [1.0, 0.1]
+    assert [e.score for e in gridded_rank("q", "r", ["a"], 1).entries] == [1.0]
+    assert [e.score for e in gridded_rank("q", "r", ["a", "b"], 2).entries] == [1.0, 0.1]
 
 
 def test_rescale_short_rank_never_reaches_floor():
-    rank = mkrank("q", "r", ["a", "b", "c"], depth=5)
-    out = rescale_scores(rank, NormalizationParams(5))
+    out = gridded_rank("q", "r", ["a", "b", "c"], 5)
     scores = [e.score for e in out.entries]
     assert scores[0] == 1.0
     assert all(s > 0.1 for s in scores)
@@ -147,8 +145,8 @@ def test_rescale_short_rank_never_reaches_floor():
 
 def test_rescale_empty_rank():
     empty = ScoredRank("q", "r", (), 3)
-    with pytest.raises(EmptyRank):
-        rescale_scores(empty, NormalizationParams(3))
+    with pytest.raises(EmptyRank, match="cannot rescale empty rank for query 'q'"):
+        normalize_rank(empty, CollectionRankIndex({}), NormalizationParams(3))
 
 
 def test_normalize_rank_set_rejects_empty_set():

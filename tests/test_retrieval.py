@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from fusegraph.graph import BuildStats, FusionGraph, graph_size
-from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
-from fusegraph.normalize import NormalizationParams, normalize_collection
+from fusegraph.model import CollectionRankIndex, RankSet, ScoredRank, assemble_rank_set
+from fusegraph.normalize import NormalizationParams, normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
     FusedRank,
     FusionGraphIndex,
@@ -268,6 +268,48 @@ def test_loaded_index_search_equals_reference_scan(
         assert_same_fused(fuse_query(rs, fg_index, index, exclude_self=exclude_self), expected)
 
 
+def assert_checked(rank):
+    """``rank`` equals what the public constructor, with all its checks, builds of its fields."""
+    assert rank == ScoredRank(rank.query, rank.ranker, rank.entries, rank.depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_items=st.integers(1, 16),
+    n_rankers=st.integers(1, 3),
+    depth=st.integers(1, 6),
+    cut=st.integers(0, 3),
+    out_of_collection=st.booleans(),
+)
+def test_unchecked_ranks_pass_the_public_constructor(
+    seed, n_items, n_rankers, depth, cut, out_of_collection
+):
+    """Every rank that normalization or a loaded index builds without ScoredRank's checks passes them.
+
+    ``cut`` also normalizes to an L below the ranks' depth, so ranks are cut.
+    """
+    rng = random.Random(seed)
+    index = random_rank_index(rng, n_items, n_rankers, depth)
+    for cut_depth in {depth, max(1, depth - cut)}:
+        params = NormalizationParams(cut_depth)
+        normalized = normalize_collection(index, index.rankers, params)
+        for ranker in normalized.rankers:
+            for query in normalized.queries(ranker):
+                assert_checked(normalized.get(ranker, query))
+        rs = query_ranks(rng, index, depth, out_of_collection)
+        for rank in normalize_rank_set(rs, index.overlay(rs), params):
+            assert_checked(rank)
+    with tempfile.TemporaryDirectory() as directory:
+        save_index(directory, index_collection(index, index.rankers, NormalizationParams(depth)), index)
+        loaded, loaded_raw = load_index(directory)
+    for ranker, item in _lookup_pairs(index):
+        for lookup in (loaded.normalized, loaded_raw):
+            rank = lookup.get(ranker, item)
+            if rank is not None:
+                assert_checked(rank)
+
+
 def test_scope_contains_equal_graph(toy_fg_index):
     from fusegraph.retrieval import build_query_graph
 
@@ -409,6 +451,7 @@ def test_load_rejects_depth_below_one(tmp_path, toy_fg_index):
 
 
 ID_TYPES = "line 1: query must be a string and items a list of strings"
+DISTINCT_IDS = "bad rank record at line 1: query and item ids must be non-empty and items distinct"
 BAD_RECORDS = {
     "graph query not a string": ("graphs.jsonl", lambda r: r.update({"query": 555}), "non-string query"),
     "rank ranker not in manifest": (
@@ -427,6 +470,11 @@ BAD_RECORDS = {
         lambda r: r.update({"items": ["A", "B", "C"], "normalized": [0, 1, 2]}),
         "line 1: 3 items exceed L=2",
     ),
+    "rank repeats an item": (
+        "collection_ranks.jsonl", lambda r: r["items"].__setitem__(1, "A"), DISTINCT_IDS
+    ),
+    "rank query empty": ("collection_ranks.jsonl", lambda r: r.update({"query": ""}), DISTINCT_IDS),
+    "rank item empty": ("collection_ranks.jsonl", lambda r: r["items"].__setitem__(1, ""), DISTINCT_IDS),
     "graph size not a number": (
         "graphs.jsonl", lambda r: r.update({"size": "3.1"}), "not a positive finite number"
     ),
