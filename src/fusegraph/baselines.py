@@ -15,6 +15,7 @@ deterministic and invariant to ranker order.
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
 from collections import defaultdict
 from typing import Callable, Sequence
@@ -25,6 +26,7 @@ from .model import FusedRank, ItemId, RankSet, ScoredRank
 RRF_DEFAULT_K = 60.0
 RLSIM_EPSILON = 0.01
 KEMENY_DEFAULT_CAP = 8
+KEMENY_MAX_CAP = 9  # the search is factorial: 9 items take seconds per query
 
 
 def _check(rs: RankSet) -> int:
@@ -64,8 +66,8 @@ def borda(rs: RankSet, depth: int | None = None) -> FusedRank:
 def rrf(rs: RankSet, k: float = RRF_DEFAULT_K, depth: int | None = None) -> FusedRank:
     """Reciprocal rank fusion: sum of 1 / (k + position) over the ranks."""
     _check(rs)
-    if k <= 0:
-        raise ValueError(f"rrf constant must be positive, got {k}")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"rrf constant must be finite and positive, got {k}")
     scores: dict[ItemId, float] = defaultdict(float)
     for rank in rs:
         for pos, entry in enumerate(rank, start=1):
@@ -196,27 +198,41 @@ def mra(rs: RankSet, depth: int | None = None) -> FusedRank:
 def condorcet(rs: RankSet, depth: int | None = None) -> FusedRank:
     """Order items by pairwise wins; a pair is won by strict majority.
 
-    Only ranks containing at least one of the pair vote, and an absent item
-    loses to a present one. Cycles fall back to the item-id tie rule.
+    A rank votes on a pair when it lists at least one of the two items, for
+    the one it lists first; an absent item loses to a listed one. A rank that
+    lists neither abstains. Cycles fall back to the item-id tie rule.
+
+    Votes are counted in bit lanes: the i-th item in id order owns the
+    ``width`` bits at offset ``width * i`` of an int. One walk per rank adds
+    to ``worse[x]`` a 1 in the lane of every item x beats there, and to
+    ``better[x]`` a 1 in the lane of every item that beats x. With each lane
+    biased to ``2**(width - 1) - 1``, lane y of ``bias + worse[x] - better[x]``
+    stays in ``[0, 2**width)``, so no lane carries into the next, and its top
+    bit is set exactly when x wins the pair: x's wins are its set top bits.
+    Cost: O(k·m) operations on (k·width)-bit ints for k items and m ranks,
+    where a loop over item pairs makes O(k²·m) lookups.
     """
     _check(rs)
     items = sorted({entry.item for rank in rs for entry in rank})
-    wins: dict[ItemId, float] = {item: 0.0 for item in items}
-    for x, y in itertools.combinations(items, 2):
-        x_better = y_better = 0
-        for rank in rs:
-            px = rank.positions.get(x)
-            py = rank.positions.get(y)
-            if px is None and py is None:
-                continue
-            if py is None or (px is not None and px < py):
-                x_better += 1
-            else:
-                y_better += 1
-        if x_better > y_better:
-            wins[x] += 1
-        elif y_better > x_better:
-            wins[y] += 1
+    width = len(rs).bit_length() + 1
+    lane = {item: 1 << (width * i) for i, item in enumerate(items)}
+    ones = sum(lane.values())
+    worse = dict.fromkeys(items, 0)
+    better = dict.fromkeys(items, 0)
+    for rank in rs:
+        above = 0  # lanes of the items this rank lists before the current one
+        for entry in rank:
+            better[entry.item] += above
+            above += lane[entry.item]
+            worse[entry.item] += ones - above  # every later item, absent ones included
+        for item in items:
+            if not above & lane[item]:  # absent: every listed item beats it
+                better[item] += above
+    bias = ones * ((1 << (width - 1)) - 1)
+    top = ones << (width - 1)
+    wins = {
+        item: float(((bias + worse[item] - better[item]) & top).bit_count()) for item in items
+    }
     return _finalize(rs, wins, depth)
 
 
@@ -248,8 +264,11 @@ def kemeny_exact(
 
     Minimizes total discordance to the input ranks; among optimal
     permutations the lexicographically smallest is returned. Instances with
-    more than ``cap`` distinct items are rejected (the search is factorial).
+    more than ``cap`` distinct items are rejected (the search is factorial),
+    and so is a cap outside 1..KEMENY_MAX_CAP.
     """
+    if not 1 <= cap <= KEMENY_MAX_CAP:
+        raise ValueError(f"kemeny cap must be in 1..{KEMENY_MAX_CAP}, got {cap}")
     _check(rs)
     items = sorted({entry.item for rank in rs for entry in rank})
     if len(items) > cap:

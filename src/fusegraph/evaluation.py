@@ -321,8 +321,11 @@ def paired_t_test(
     the verdict falls back to exact comparison: Tie at zero, otherwise the
     strict direction. The p-value comes from scipy's Student-t distribution,
     whose CDF (regularized incomplete beta) is accurate to near machine
-    precision, comfortably beyond six decimal places.
+    precision, comfortably beyond six decimal places. ``alpha`` must lie
+    strictly between 0 and 1.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if len(per_query_a) != len(per_query_b):
         raise LengthMismatch(
             f"paired lists differ in length: {len(per_query_a)} vs {len(per_query_b)}"

@@ -9,9 +9,10 @@ import random
 
 import numpy as np
 
+from fusegraph.baselines import _check, _finalize
 from fusegraph.errors import FusionError, MissingRank
 from fusegraph.graph import FusionGraph, normalize_graph_weights
-from fusegraph.model import CollectionRankIndex, RankSet, ScoredEntry, ScoredRank
+from fusegraph.model import CollectionRankIndex, ItemId, RankSet, ScoredEntry, ScoredRank
 from fusegraph.retrieval import FusedRank, build_query_graph
 from fusegraph.similarity import McsStats, graph_size
 
@@ -189,6 +190,33 @@ def reference_build_fusion_graph(rs: RankSet, index, strict: bool = False) -> Fu
                     )
     edges = {pair: math.fsum(parts) for pair, parts in edge_parts.items()}
     return normalize_graph_weights(FusionGraph(rs.query, vertices, edges))
+
+
+def reference_condorcet(rs: RankSet, depth: int | None = None) -> FusedRank:
+    """Pair-by-pair formulation of baselines.condorcet, kept as its specification.
+
+    Only ranks containing at least one of the pair vote, and an absent item
+    loses to a present one. Cycles fall back to the item-id tie rule.
+    """
+    _check(rs)
+    items = sorted({entry.item for rank in rs for entry in rank})
+    wins: dict[ItemId, float] = {item: 0.0 for item in items}
+    for x, y in itertools.combinations(items, 2):
+        x_better = y_better = 0
+        for rank in rs:
+            px = rank.positions.get(x)
+            py = rank.positions.get(y)
+            if px is None and py is None:
+                continue
+            if py is None or (px is not None and px < py):
+                x_better += 1
+            else:
+                y_better += 1
+        if x_better > y_better:
+            wins[x] += 1
+        elif y_better > x_better:
+            wins[y] += 1
+    return _finalize(rs, wins, depth)
 
 
 def reference_mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> FusionGraph:

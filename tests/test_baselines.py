@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusegraph import baselines
 from fusegraph.errors import EmptyRankSet, MissingScores, TooManyItems
 from fusegraph.model import RankSet
 
-from helpers import mkrank, mkrankset
+from helpers import mkrank, mkrankset, reference_condorcet
 
 
 def scores_of(fused):
@@ -120,6 +122,37 @@ def test_condorcet_single_rank_identity():
     assert baselines.condorcet(rs).items() == ("B", "A", "C")
 
 
+@st.composite
+def condorcet_rank_sets(draw):
+    """1 to 9 partial ranks over up to 12 items, one of them maybe listed by one rank only."""
+    universe = [f"d{i:02d}" for i in range(draw(st.integers(1, 12)))]
+    lists = []
+    for _ in range(draw(st.integers(1, 9))):
+        order = draw(st.permutations(universe))
+        lists.append(order[: draw(st.integers(0, len(order)))])
+    lone = draw(st.integers(0, len(lists)))
+    if lone < len(lists):
+        lists[lone].insert(draw(st.integers(0, len(lists[lone]))), "lone")
+    return mkrankset("q", *lists, depth=len(universe) + 1)
+
+
+# The lane width is len(rs).bit_length() + 1: 3 bits at m = 3, 4 at m = 4, 5 at m = 8.
+@settings(max_examples=300, deadline=None)
+@given(rs=condorcet_rank_sets(), depth=st.none() | st.integers(1, 13))
+@example(rs=mkrankset("q", ["A", "B", "C"], ["B", "C", "A"], ["C", "A", "B"]), depth=None)
+@example(rs=mkrankset("q", ["A", "B"], ["B"], ["C", "A", "B"], ["B", "A"], depth=3), depth=2)
+@example(
+    rs=mkrankset("q", *[["A", "B", "C"]] * 4, *[["A", "C", "B"]] * 3, ["A", "C", "B", "D"]),
+    depth=None,
+)
+@example(rs=mkrankset("q", ["A"]), depth=None)
+def test_condorcet_lanes_match_pair_loop(rs, depth):
+    fused = baselines.condorcet(rs, depth)
+    expected = reference_condorcet(rs, depth)
+    assert fused.entries == expected.entries
+    assert fused == expected
+
+
 def test_rlsim_full_score_top():
     rank1 = mkrank("q", "r1", ["A", "B"], scores=[8.0, 2.0])
     rank2 = mkrank("q", "r2", ["A", "C"], scores=[6.0, 3.0])
@@ -162,6 +195,22 @@ def test_kemeny_cap():
     rs = mkrankset("q", items)
     with pytest.raises(TooManyItems):
         baselines.kemeny_exact(rs)
+
+
+@pytest.mark.parametrize("cap", [0, baselines.KEMENY_MAX_CAP + 1])
+def test_kemeny_cap_outside_its_range_is_rejected_before_any_search(cap, monkeypatch):
+    def no_search(order, rs):
+        raise AssertionError("a permutation was scored")
+
+    monkeypatch.setattr(baselines, "kendall_discordance", no_search)
+    rs = mkrankset("q", ["A", "B"])
+    with pytest.raises(ValueError, match="kemeny cap"):
+        baselines.kemeny_exact(rs, cap=cap)
+
+
+def test_kemeny_accepts_the_largest_cap():
+    rs = mkrankset("q", ["B", "A"])
+    assert baselines.kemeny_exact(rs, cap=baselines.KEMENY_MAX_CAP).items() == ("B", "A")
 
 
 def test_kemeny_beats_every_input_rank():

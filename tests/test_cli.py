@@ -287,6 +287,21 @@ INVALID_VALUE_COMMANDS = {
     "baseline_rrf_k_zero": [
         "baseline", "rrf", "--config", "{config}", "--out", "{out}", "--rrf-k", "0"
     ],
+    "baseline_rrf_k_nan": [
+        "baseline", "rrf", "--config", "{config}", "--out", "{out}", "--rrf-k", "nan"
+    ],
+    "baseline_rrf_k_inf": [
+        "baseline", "rrf", "--config", "{config}", "--out", "{out}", "--rrf-k", "inf"
+    ],
+    "baseline_kemeny_cap_above_ceiling": [
+        "baseline", "kemeny", "--config", "{config}", "--out", "{out}", "--kemeny-cap", "10"
+    ],
+    "baseline_kemeny_cap_zero": [
+        "baseline", "kemeny", "--config", "{config}", "--out", "{out}", "--kemeny-cap", "0"
+    ],
+    "ttest_alpha_nan": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "nan"],
+    "ttest_alpha_zero": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "0"],
+    "ttest_alpha_above_one": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "1.5"],
 }
 
 
@@ -300,6 +315,8 @@ def test_invalid_value_prints_one_json_line(toy_files, args):
         "empty": "",
         "run": "q1 Q0 a 1 3.0 t\n",
         "qrels": "q1 0 a 1\n",
+        "a": "q1\t0.8\nq2\t0.7\nq3\t0.9\n",
+        "b": "q1\t0.3\nq2\t0.5\nq3\t0.2\n",
     }
     for name, text in inputs.items():
         paths[name] = base / name
@@ -309,6 +326,7 @@ def test_invalid_value_prints_one_json_line(toy_files, args):
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
     assert json.loads(lines[0])["error"] == "ValueError"
+    assert not paths["out"].exists()
 
 
 def test_ttest_on_different_query_sets_prints_one_json_line(tmp_path):
