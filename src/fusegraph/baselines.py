@@ -63,11 +63,22 @@ def borda(rs: RankSet, depth: int | None = None) -> FusedRank:
     return _finalize(rs, scores, depth)
 
 
+def check_rrf_k(k: float) -> None:
+    """ValueError unless ``k`` is a finite, positive RRF constant."""
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"rrf constant must be finite and positive, got {k}")
+
+
+def check_kemeny_cap(cap: int) -> None:
+    """ValueError unless ``cap`` lies in 1..KEMENY_MAX_CAP."""
+    if not 1 <= cap <= KEMENY_MAX_CAP:
+        raise ValueError(f"kemeny cap must be in 1..{KEMENY_MAX_CAP}, got {cap}")
+
+
 def rrf(rs: RankSet, k: float = RRF_DEFAULT_K, depth: int | None = None) -> FusedRank:
     """Reciprocal rank fusion: sum of 1 / (k + position) over the ranks."""
     _check(rs)
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"rrf constant must be finite and positive, got {k}")
+    check_rrf_k(k)
     scores: dict[ItemId, float] = defaultdict(float)
     for rank in rs:
         for pos, entry in enumerate(rank, start=1):
@@ -267,8 +278,7 @@ def kemeny_exact(
     more than ``cap`` distinct items are rejected (the search is factorial),
     and so is a cap outside 1..KEMENY_MAX_CAP.
     """
-    if not 1 <= cap <= KEMENY_MAX_CAP:
-        raise ValueError(f"kemeny cap must be in 1..{KEMENY_MAX_CAP}, got {cap}")
+    check_kemeny_cap(cap)
     _check(rs)
     items = sorted({entry.item for rank in rs for entry in rank})
     if len(items) > cap:

@@ -4,6 +4,7 @@ Subcommands mirror the offline/online split plus the evaluation machinery:
 
     extract    runs -> fusion-graph index directory
     search     query run rows + index -> fused TREC run
+    verify     index directory -> every record of it checked
     baseline   runs -> fused TREC run via a named aggregation method
     eval       run + qrels (or class labels) -> NDCG@k / N-S report
     correlate  run set -> pairwise ranker-correlation matrix
@@ -95,7 +96,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_verify(args: argparse.Namespace) -> int:
+    from .retrieval import verify_index
+
+    graphs, postings, ranks = verify_index(args.index)
+    print(f"verified {graphs} graphs, {postings} posting lists and {ranks} ranks in {args.index}")
+    return 0
+
+
 def _cmd_baseline(args: argparse.Namespace) -> int:
+    # both values are checked whatever the method, before any input is read
+    baselines.check_rrf_k(args.rrf_k)
+    baselines.check_kemeny_cap(args.kemeny_cap)
     config = load_config(args.config)
     runs = load_runs(config)
     rank_sets = rank_sets_from_runs(runs, config.ranker_names, strict=config.strict)
@@ -210,6 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-self", action="store_true")
     p.set_defaults(fn=_cmd_search)
 
+    p = sub.add_parser("verify", help="check every record of an index")
+    p.add_argument("--index", required=True, help="index directory from extract")
+    p.set_defaults(fn=_cmd_verify)
+
     p = sub.add_parser("baseline", help="aggregate runs with a classical method")
     p.add_argument("method", choices=sorted(baselines.METHODS))
     p.add_argument("--config", required=True)
@@ -224,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--qrels")
     group.add_argument("--class-labels")
     p.add_argument("--metric", choices=("ndcg", "ns"), default="ndcg")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, help="NDCG cutoff (default 10); N-S always reads 4")
     p.add_argument("--per-query", help="write per-query values to this file")
     p.set_defaults(fn=_cmd_eval)
 

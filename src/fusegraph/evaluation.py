@@ -365,10 +365,19 @@ def evaluate_runs(
     runs: Mapping[ItemId, "FusedRank | ScoredRank"],
     qrels: Qrels,
     metric: str = "ndcg",
-    k: int = 10,
+    k: int | None = None,
 ) -> EvalReport:
-    """Score every query in ``runs`` with NDCG@k or the N-S score."""
+    """Score every query in ``runs`` with NDCG@k or the N-S score.
+
+    ``k`` defaults to 10 for NDCG; N-S always counts the first 4 results, so
+    for it ``k`` must be None or 4. A ``k`` below 1 is a ValueError.
+    """
     metric = metric.lower()
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if metric == "ns" and k not in (None, 4):
+        raise ValueError(f"the N-S score counts the first 4 results; k must be 4 or unset, got {k}")
+    k = 10 if k is None else k
     per_query: dict[ItemId, float] = {}
     for qid in sorted(runs):
         if metric == "ndcg":

@@ -12,10 +12,10 @@ order: permuting the rankers of a rank set changes no final weight.
 
 from __future__ import annotations
 
-import base64
 import itertools
 import json
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -24,17 +24,21 @@ from typing import NamedTuple, Sequence
 from .errors import EmptyGraph, MalformedGraphRecord, MissingRank
 from .model import ItemId, RankLookup, RankSet
 
-GRAPH_RECORD_VERSION = 4
-
 if array("d").itemsize != 8 or array("I").itemsize != 4:
     raise ImportError("graph records need 8-byte 'd' and 4-byte 'I' arrays on this platform")
 
 
 @dataclass
 class BuildStats:
-    """Counts rank entries touched while building graphs (cost contract)."""
+    """Counts of an index build.
+
+    ``entry_visits`` counts the rank entries read while building graphs (a
+    cost contract); ``items_without_ranks`` counts the collection items that
+    a lenient build left out because no chosen ranker ranks them.
+    """
 
     entry_visits: int = 0
+    items_without_ranks: int = 0
 
 
 @dataclass(frozen=True)
@@ -188,13 +192,18 @@ def _scaled(query: ItemId, vertices: dict, edges: dict) -> FusionGraph:
     max_vertex = max(vertices.values())
     max_edge = max(edges.values(), default=1.0)
     # the keys come from a checked graph or from build_fusion_graph, which
-    # joins two distinct vertices only, so the constructor's checks are skipped
-    graph = object.__new__(FusionGraph)
-    graph.__dict__.update(
-        query=query,
-        vertices={item: weight / max_vertex for item, weight in vertices.items()},
-        edges={pair: weight / max_edge for pair, weight in edges.items()},
+    # joins two distinct vertices only
+    return _unchecked(
+        query,
+        {item: weight / max_vertex for item, weight in vertices.items()},
+        {pair: weight / max_edge for pair, weight in edges.items()},
     )
+
+
+def _unchecked(query: ItemId, vertices: dict, edges: dict) -> FusionGraph:
+    """A FusionGraph whose caller vouches for the constructor's checks, built without them."""
+    graph = object.__new__(FusionGraph)
+    graph.__dict__.update(query=query, vertices=vertices, edges=edges)
     return graph
 
 
@@ -213,31 +222,28 @@ def edge_masses(g: FusionGraph) -> dict[ItemId, tuple[float, float]]:
     return {label: (math.fsum(outgoing[label]), math.fsum(incoming[label])) for label in g.vertices}
 
 
-def _pack(typecode: str, values) -> str:
-    """Base64 of ``values`` as a little-endian array of ``typecode`` items."""
+def _raw(typecode: str, values) -> bytes:
+    """``values`` as the raw bytes of a little-endian array of ``typecode`` items."""
     packed = array(typecode, values)
     if sys.byteorder == "big":
         packed.byteswap()
-    return base64.b64encode(packed.tobytes()).decode("ascii")
+    return packed.tobytes()
 
 
-def _unpack(typecode: str, text: str, name: str) -> array:
-    """Inverse of _pack; MalformedGraphRecord for anything it cannot decode."""
+def _unraw(typecode: str, data: bytes) -> array:
+    """Inverse of _raw; the caller has checked that ``data`` holds whole items."""
     unpacked = array(typecode)
-    try:
-        unpacked.frombytes(base64.b64decode(text, validate=True))
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise MalformedGraphRecord(f"graph record field {name!r} is not packed base64: {exc}") from exc
+    unpacked.frombytes(data)
     if sys.byteorder == "big":
         unpacked.byteswap()
     return unpacked
 
 
 class VertexRecord(NamedTuple):
-    """A graph's vertex fields as its record stores them, edges left out.
+    """What a search bound reads of a graph, edges left out.
 
-    ``labels`` in record order with their weights, their edge masses
-    (edge_masses) and the graph's size (graph_size).
+    ``labels`` sorted, with their weights, their edge masses (edge_masses)
+    and the graph's size (graph_size).
     """
 
     query: ItemId
@@ -249,7 +255,7 @@ class VertexRecord(NamedTuple):
 
 
 def vertex_record(g: FusionGraph) -> VertexRecord:
-    """The vertex fields serialize_graph stores for ``g``, labels sorted."""
+    """The vertex record of ``g``, labels sorted."""
     labels = sorted(g.vertices)
     masses = edge_masses(g)
     return VertexRecord(
@@ -262,121 +268,81 @@ def vertex_record(g: FusionGraph) -> VertexRecord:
     )
 
 
-def serialize_graph(g: FusionGraph) -> str:
-    """One-line JSON record for the graph store.
+def serialize_graph(g: FusionGraph) -> bytes:
+    """One graph-store record: a JSON header line, then the graph's arrays as raw bytes.
 
-    ``vertices`` lists the labels in sorted order; ``vertex_weights`` holds
-    their weights, ``out_mass`` and ``in_mass`` their edge masses and
-    ``edge_weights`` the weights of the edges in sorted label-pair order, all
-    as base64 little-endian float64, so every weight round-trips bit for bit.
-    ``edges`` holds each edge's (source, target) positions in ``vertices`` as
-    base64 little-endian uint32 pairs, and ``size`` is graph_size(g). The
-    record is byte-deterministic.
+    The header holds ``query`` and ``vertices``, the labels in sorted order.
+    After its newline come the vertex weights in label order and the edge
+    weights in sorted label-pair order, as little-endian float64, then each
+    edge's (source, target) positions in ``vertices`` as little-endian
+    uint32 pairs. The edge count is what the arrays' length leaves for 16
+    bytes per edge. Every weight round-trips bit for bit, and the record is
+    byte-deterministic.
     """
-    head = vertex_record(g)
-    slot = {label: i for i, label in enumerate(head.labels)}
+    labels = sorted(g.vertices)
+    slot = {label: i for i, label in enumerate(labels)}
     pairs = sorted(g.edges)
-    record = {
-        "v": GRAPH_RECORD_VERSION,
-        "query": g.query,
-        "vertices": head.labels,
-        "vertex_weights": _pack("d", head.weights),
-        "edges": _pack("I", [slot[label] for pair in pairs for label in pair]),
-        "edge_weights": _pack("d", map(g.edges.__getitem__, pairs)),
-        "out_mass": _pack("d", head.out_mass),
-        "in_mass": _pack("d", head.in_mass),
-        "size": head.size,
-    }
-    return json.dumps(record, separators=(",", ":"), sort_keys=True)
-
-
-def _parse(record: str | bytes) -> dict:
-    try:
-        data = json.loads(record)
-    except json.JSONDecodeError as exc:
-        raise MalformedGraphRecord(f"invalid JSON in graph record: {exc}") from exc
-    if not isinstance(data, dict):
-        raise MalformedGraphRecord("graph record is not an object")
-    if data.get("v") != GRAPH_RECORD_VERSION:
-        raise MalformedGraphRecord(f"unknown graph record version {data.get('v')!r}")
-    return data
+    header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
+    return b"".join((
+        header.encode("ascii"),
+        b"\n",
+        _raw("d", map(g.vertices.__getitem__, labels)),
+        _raw("d", map(g.edges.__getitem__, pairs)),
+        _raw("I", [slot[label] for pair in pairs for label in pair]),
+    ))
 
 
 def _bad(query, problem: str) -> MalformedGraphRecord:
     return MalformedGraphRecord(f"graph record for {query!r} has {problem}")
 
 
-def _vertex_fields(data: dict) -> VertexRecord:
+def deserialize_graph(record: bytes) -> FusionGraph:
+    """Parse a graph-store record; rejects bad shapes.
+
+    The header must be a JSON object whose query and every label are strings,
+    with at least one label; the arrays must hold one weight per label and
+    whole edges. Labels and edges must be distinct, every endpoint must name
+    another label, and every weight must be finite and not negative.
+    """
+    header, newline, body = record.partition(b"\n")
     try:
-        query, labels, size = data["query"], data["vertices"], data["size"]
-        weights, out_mass, in_mass = (
-            _unpack("d", data[name], name) for name in ("vertex_weights", "out_mass", "in_mass")
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedGraphRecord(f"malformed graph record field: {exc}") from exc
+        data = json.loads(header)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise MalformedGraphRecord(f"graph record header is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MalformedGraphRecord("graph record header is not an object")
+    query, labels = data.get("query"), data.get("vertices")
     if type(query) is not str:
         raise _bad(query, "a non-string query")
-    if not isinstance(labels, list) or not all(type(label) is str for label in labels):
+    if type(labels) is not list or not all(type(label) is str for label in labels):
         raise _bad(query, "a non-string label")
-    counts = (("vertex weights", weights), ("out masses", out_mass), ("in masses", in_mass))
-    for name, values in counts:
-        if len(values) != len(labels):
-            raise _bad(query, f"{len(values)} {name} for {len(labels)} labels")
     if not labels:
         raise EmptyGraph(f"graph record for {query!r} has an empty vertex map")
-    if type(size) is not float or not 0.0 < size < math.inf:
-        raise _bad(query, f"size {size!r}, not a positive finite number")
-    return VertexRecord(query, labels, weights, out_mass, in_mass, size)
-
-
-def read_vertex_record(record: str | bytes) -> VertexRecord:
-    """The vertex fields of a graph-store record, checked as deserialize_graph checks them.
-
-    Edges are neither decoded nor checked, so this is cheap; deserialize_graph
-    stays the full validator.
-    """
-    return _vertex_fields(_parse(record))
-
-
-def deserialize_graph(record: str | bytes) -> FusionGraph:
-    """Parse a graph-store record; rejects unknown versions and bad shapes.
-
-    The query and every label must be strings, labels and edges must be
-    distinct, weights, masses and endpoint pairs must match them in number,
-    and every endpoint must name a label. Weights must not be negative, and
-    the stored masses and size must be those of the decoded graph, bit for bit.
-    """
-    data = _parse(record)
-    head = _vertex_fields(data)
-    query, labels = head.query, head.labels
-    try:
-        ends = _unpack("I", data["edges"], "edges")
-        edge_weights = _unpack("d", data["edge_weights"], "edge_weights")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedGraphRecord(f"malformed graph record field: {exc}") from exc
-    if len(ends) != 2 * len(edge_weights):
-        raise _bad(query, f"{len(ends)} edge endpoints for {len(edge_weights)} edge weights")
-    if ends and max(ends) >= len(labels):
-        raise _bad(query, f"an edge endpoint at slot {max(ends)}, beyond its {len(labels)} labels")
-    vertices = dict(zip(labels, head.weights))
-    if len(vertices) != len(labels):
+    n_vertices = len(labels)
+    edge_bytes = len(body) - 8 * n_vertices
+    if not newline or edge_bytes < 0 or edge_bytes % 16:
+        raise _bad(query, f"{len(body)} bytes of arrays, not 8 per vertex for {n_vertices} and 16 per edge")
+    split = 8 * n_vertices + edge_bytes // 2
+    weights = _unraw("d", body[: 8 * n_vertices])
+    edge_weights = _unraw("d", body[8 * n_vertices : split])
+    ends = _unraw("I", body[split:])
+    if ends and max(ends) >= n_vertices:
+        raise _bad(query, f"an edge endpoint at slot {max(ends)}, beyond its {n_vertices} labels")
+    vertices = dict(zip(labels, weights))
+    if len(vertices) != n_vertices:
         raise _bad(query, "a duplicate label")
+    if any(map(operator.eq, ends[::2], ends[1::2])):
+        raise _bad(query, "a self-edge")
     named = map(labels.__getitem__, ends)
     # zipping one iterator with itself pairs consecutive endpoints: (src, tgt)
     edges = dict(zip(zip(named, named), edge_weights))
     if len(edges) != len(edge_weights):
         raise _bad(query, "a duplicate edge")
-    try:
-        graph = FusionGraph(query, vertices, edges)
-    except ValueError as exc:
-        raise MalformedGraphRecord(str(exc)) from exc
-    if min(head.weights) < 0.0 or min(edge_weights, default=0.0) < 0.0:
-        raise _bad(query, "a negative weight")
-    masses, stored = edge_masses(graph), list(zip(head.out_mass, head.in_mass))
-    try:
-        consistent = graph_size(graph) == head.size and [masses[v] for v in labels] == stored
-    except OverflowError:  # weights too large for fsum to sum
-        consistent = False
-    if not consistent:
-        raise _bad(query, "a size or edge masses that disagree with its weights")
-    return graph
+    try:  # a NaN or an infinity makes the sum one, and no weight sums too large for it
+        finite = math.isfinite(math.fsum(itertools.chain(weights, edge_weights)))
+    except OverflowError:
+        finite = False
+    if not finite or min(weights) < 0.0 or min(edge_weights, default=0.0) < 0.0:
+        raise _bad(query, "a negative weight or one that is not finite")
+    # every endpoint names another label, so the constructor's checks hold
+    return _unchecked(query, vertices, edges)

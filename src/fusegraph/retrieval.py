@@ -10,22 +10,28 @@ items that can still enter them: vertex postings give every item that
 shares a vertex with the query a lower bound on its distance, and items are
 scored in ascending bound order until a bound exceeds the L-th best distance.
 
-The index directory holds a manifest, the serialized graphs with what that
-bound reads (per-vertex edge masses and the graph size), and the raw and the
-normalized order of every collection rank: the raw positions are what the
-online normalization of an incoming query needs. A loaded index decodes a
-graph or builds a rank only when search first reads it.
+The index directory (format 5) holds a manifest, the graph records, the
+vertex postings that bound reads, the raw and the normalized order of every
+collection rank (the raw positions are what the online normalization of an
+incoming query needs), and a table of contents that locates each record and
+holds its digest. load_index reads the manifest and the table of contents
+only; a search reads, checks and decodes a posting list, graph or rank when
+it first needs it, so its cost follows the records it reads, not the size of
+the index. verify_index checks every record.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 import json
-import logging
+import math
 import os
+import struct
+import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -38,7 +44,6 @@ from .graph import (
     build_fusion_graph,
     deserialize_graph,
     graph_size,
-    read_vertex_record,
     serialize_graph,
     vertex_record,
 )
@@ -54,11 +59,16 @@ from .model import (
 from .normalize import NormalizationParams, gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
-logger = logging.getLogger(__name__)
-
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 MANIFEST_NAME = "manifest.json"
-INDEX_FILES = {"graphs": "graphs.jsonl", "ranks": "collection_ranks.jsonl"}
+INDEX_FILES = {
+    "graphs": "graphs.bin",
+    "postings": "postings.bin",
+    "ranks": "collection_ranks.jsonl",
+    "toc": "toc.json",
+}
+# one posting: item slot (its position among the sorted indexed items), vertex weight, out and in mass
+POSTING = struct.Struct("<Iddd")
 
 COMPARATORS: dict[str, Callable[[FusionGraph, FusionGraph], float]] = {
     "MCS": dist_mcs,
@@ -69,37 +79,31 @@ FLOORS: dict[str, Callable[[float, float, float], float]] = {
     "WGU": dist_wgu_floor,
 }
 
+Posting = tuple[ItemId, float, float, float]
+
 
 @dataclass
 class VertexPostings:
     """What the search bound reads of every indexed graph, edges left out.
 
     ``by_label`` maps a vertex label to (item, vertex weight, out mass, in
-    mass) for every graph holding it; ``sizes`` maps an item to its graph's
-    size.
+    mass) for every graph holding it, in item order; ``sizes`` maps an item
+    to its graph's size.
     """
 
-    by_label: dict[ItemId, list[tuple[ItemId, float, float, float]]] = field(default_factory=dict)
-    sizes: dict[ItemId, float] = field(default_factory=dict)
+    by_label: Mapping[ItemId, list[Posting]]
+    sizes: Mapping[ItemId, float]
 
     @classmethod
     def of(cls, graphs: Mapping[ItemId, FusionGraph]) -> VertexPostings:
-        postings = cls()
+        by_label: dict[ItemId, list[Posting]] = {}
+        sizes: dict[ItemId, float] = {}
         for item, graph in graphs.items():
-            postings.add(item, vertex_record(graph))
-        return postings
-
-    def add(self, item: ItemId, record: VertexRecord) -> None:
-        by_label = self.by_label
-        vertices = zip(record.labels, record.weights, record.out_mass, record.in_mass)
-        for label, weight, out_mass, in_mass in vertices:
-            posting = (item, weight, out_mass, in_mass)
-            bucket = by_label.get(label)
-            if bucket is None:
-                by_label[label] = [posting]
-            else:
-                bucket.append(posting)
-        self.sizes[item] = record.size
+            head = vertex_record(graph)
+            for label, *posting in zip(head.labels, head.weights, head.out_mass, head.in_mass):
+                by_label.setdefault(label, []).append((item, *posting))
+            sizes[item] = head.size
+        return cls(by_label, sizes)
 
 
 @dataclass
@@ -132,51 +136,160 @@ class FusionGraphIndex:
         return VertexPostings.of(self.graphs)
 
 
-class StoredGraphs(Mapping[ItemId, FusionGraph]):
-    """Graph-store records by item, each decoded on first access and then kept."""
+def _digest(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
-    def __init__(self, records: dict[ItemId, bytes]):
-        self._records = records
-        self._decoded: dict[ItemId, FusionGraph] = {}
 
-    def __getitem__(self, item: ItemId) -> FusionGraph:
-        graph = self._decoded.get(item)
-        if graph is None:
-            # a module-global lookup, so a wrapper bound to the name is called
-            graph = self._decoded.setdefault(item, deserialize_graph(self._records[item]))
-        return graph
+class DataFile:
+    """One index data file, open for reads at any offset, by any thread.
 
-    def __contains__(self, item: object) -> bool:
-        return item in self._records
+    Opening it checks its size against the manifest's. ``read`` hands out a
+    record only when it matches the digest the table of contents holds for
+    it. The file stays open while this object lives.
+    """
 
-    def __iter__(self) -> Iterator[ItemId]:
-        return iter(self._records)
+    def __init__(self, path: Path, size: int):
+        self.name = path.name
+        fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, fd)
+        self._fd = fd
+        actual = os.fstat(fd).st_size
+        if actual != size:
+            raise MalformedGraphRecord(f"index file {self.name!r} holds {actual} bytes, manifest says {size}")
+
+    def read(self, offset: int, length: int, digest: str, what: str) -> bytes:
+        data = os.pread(self._fd, length, offset)
+        if len(data) != length or _digest(data) != digest:
+            raise MalformedGraphRecord(f"{what} in {self.name!r} does not match its digest")
+        return data
+
+
+class StoredRecords(Mapping):
+    """Records of one index data file by key, each read, checked and decoded on first access, then kept.
+
+    ``toc`` maps a key to its record's table-of-contents entry; ``_decode``
+    reads and checks the record of one entry.
+    """
+
+    def __init__(self, file: DataFile, toc: dict):
+        self._file = file
+        self._toc = toc
+        self._decoded: dict = {}
+
+    def _decode(self, key, entry: list):
+        raise NotImplementedError
+
+    def __getitem__(self, key):
+        value = self._decoded.get(key)
+        if value is None:
+            value = self._decoded.setdefault(key, self._decode(key, self._toc[key]))
+        return value
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._toc
+
+    def __iter__(self) -> Iterator:
+        return iter(self._toc)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._toc)
+
+
+class StoredGraphs(StoredRecords):
+    """Graphs by item; an entry is the (offset, length, digest, size) of the item's record."""
+
+    def _decode(self, item: ItemId, entry: list) -> FusionGraph:
+        offset, length, digest, size = entry
+        # a module-global lookup, so a wrapper bound to the name is called
+        graph = deserialize_graph(self._file.read(offset, length, digest, f"graph record of {item!r}"))
+        if graph.query != item:
+            raise MalformedGraphRecord(f"graph record of {item!r} holds the graph of {graph.query!r}")
+        try:
+            consistent = graph_size(graph) == size
+        except OverflowError:  # weights too large for fsum to sum
+            consistent = False
+        if not consistent:
+            raise MalformedGraphRecord(f"graph record of {item!r} has weights that disagree with its size {size!r}")
+        return graph
+
+
+class StoredPostings(StoredRecords):
+    """Posting lists by vertex label; an entry is the (offset, count, digest) of the label's list.
+
+    ``items`` are the indexed items in slot order.
+    """
+
+    def __init__(self, file: DataFile, toc: dict, items: list[ItemId]):
+        super().__init__(file, toc)
+        self._items = items
+
+    def _decode(self, label: ItemId, entry: list) -> list[Posting]:
+        offset, count, digest = entry
+        what = f"posting list of {label!r}"
+        data = self._file.read(offset, count * POSTING.size, digest, what)
+        items, postings, last = self._items, [], -1
+        for slot, weight, out_mass, in_mass in POSTING.iter_unpack(data):
+            if not last < slot < len(items):
+                raise MalformedGraphRecord(f"{what} has item slot {slot} out of order or range")
+            postings.append((items[slot], weight, out_mass, in_mass))
+            last = slot
+        return postings
+
+
+class RankRecords(StoredRecords):
+    """Rank records by (ranker, query); an entry is the (offset, length, digest) of the record.
+
+    A record holds the rank's raw item order and its normalized order, and
+    decodes to both; this is the one check of either.
+    """
+
+    def __init__(self, file: DataFile, toc: dict, depth: int):
+        super().__init__(file, toc)
+        self.depth = depth
+
+    def _decode(self, key: tuple[str, ItemId], entry: list) -> tuple[list[ItemId], list[ItemId]]:
+        ranker, query = key
+        what = f"rank record of {query!r} under {ranker!r}"
+        try:
+            record = json.loads(self._file.read(*entry, what))
+            items, slots = record["items"], record["normalized"]
+            if (record["ranker"], record["query"]) != key:
+                raise ValueError(f"it holds the rank of {record['query']!r} under {record['ranker']!r}")
+            if type(items) is not list or not all(type(item) is str for item in items):
+                raise ValueError("items must be a list of strings")
+            if "" in items or len(set(items)) != len(items):
+                raise ValueError("item ids must be non-empty and distinct")
+            if len(items) > self.depth:
+                raise ValueError(f"{len(items)} items exceed L={self.depth}")
+            if type(slots) is not list or sorted(slots) != list(range(len(items))):
+                raise ValueError("normalized is not a permutation of the slots of items")
+            return items, [items[slot] for slot in slots]
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise MalformedGraphRecord(f"bad {what}: {exc}") from exc
 
 
 class StoredRanks(CollectionRankIndex):
-    """Stored rank orders, ranker -> query -> items, each built into a ScoredRank on first get.
+    """The raw or the normalized ranks of stored rank records, each built into a ScoredRank on first get.
 
-    load_index has checked every order, so gridded_rank builds it, with the
-    grid as scores. That is what a normalized rank holds; the scores of a raw
-    rank are never read, because normalization reads positions only.
+    ``toc`` maps ranker -> query -> entry. gridded_rank builds a rank, with
+    the grid as scores. That is what a normalized rank holds; the scores of a
+    raw rank are never read, because normalization reads positions only.
     """
 
-    def __init__(self, orders: dict[str, dict[ItemId, list[ItemId]]], depth: int):
-        self._ranks = orders  # the layout CollectionRankIndex's readers expect
-        self._depth = depth
+    def __init__(self, records: RankRecords, toc: dict[str, dict[ItemId, list]], normalized: bool):
+        self._ranks = toc  # the layout CollectionRankIndex's readers expect
+        self._records = records
+        self._order = 1 if normalized else 0
         self._built: dict[tuple[str, ItemId], ScoredRank] = {}
 
     def get(self, ranker: str, query: ItemId) -> ScoredRank | None:
         rank = self._built.get((ranker, query))
         if rank is None:
-            items = self._ranks.get(ranker, {}).get(query)
-            if items is None:
+            orders = self._records.get((ranker, query))
+            if orders is None:
                 return None
             rank = self._built.setdefault(
-                (ranker, query), gridded_rank(query, ranker, items, self._depth)
+                (ranker, query), gridded_rank(query, ranker, orders[self._order], self._records.depth)
             )
         return rank
 
@@ -193,7 +306,7 @@ def index_collection(
 
     In strict mode every item must have a rank under every chosen ranker;
     in lenient mode missing ranks are skipped and an item with no ranks at
-    all is left out of the graph index (logged).
+    all is left out of the graph index, and counted in ``stats``.
     """
     rankers = tuple(rankers)
     normalized = normalize_collection(index, rankers, params)
@@ -205,7 +318,8 @@ def index_collection(
             missing = next(r for r in rankers if normalized.get(r, item) is None)
             raise MissingRank(missing, item)
         if not available:
-            logger.warning("item %s has no ranks under any chosen ranker; skipped", item)
+            if stats is not None:
+                stats.items_without_ranks += 1
             continue
         rs = assemble_rank_set(item, normalized, available)
         graphs[item] = build_fusion_graph(rs, normalized, strict=strict, stats=stats, table=table)
@@ -305,37 +419,75 @@ def fuse_query(
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> None:
-    """Persist the graph index plus the rank orders it was built from.
+    """Persist the graph index plus the rank orders it was built from, in index format 5.
+
+    ``graphs.bin`` holds one serialize_graph record per item in item order.
+    ``postings.bin`` holds, per vertex label in sorted order, one POSTING per
+    graph holding the label, in item order. ``collection_ranks.jsonl`` holds
+    one JSON line per rank with its raw and its normalized order.
+    ``toc.json`` maps each item to its graph record's (offset, length,
+    digest) and its graph's size, each label to its posting list's (offset,
+    count, digest) and each ranker and query to its rank record's (offset,
+    length, digest); a digest is a 16-byte BLAKE2b, in hex. The manifest
+    records every file's size and the table of contents' sha256.
 
     File contents are fully sorted, so rebuilding from identical inputs is
-    byte-identical. Every file is first written in full under a temporary
-    name in ``directory``; only then are they renamed into place, the
-    manifest (which records each data file's size and sha256) last, so a
-    failed save leaves an older index there intact.
+    byte-identical. Graph records stream to disk as they are serialized.
+    Every file is first written in full under a temporary name in
+    ``directory``; only then are they renamed into place, the manifest last,
+    so a failed save leaves an older index there intact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    contents = {
-        "graphs": (serialize_graph(fg_index.graphs[item]) + "\n" for item in sorted(fg_index.graphs)),
-        "ranks": _rank_lines(fg_index, raw_index),
-    }
+    items = sorted(fg_index.graphs)
+    sizes: list[float] = []
+    by_label: dict[ItemId, bytearray] = {}
+
+    def graph_records() -> Iterator[tuple[ItemId, bytes]]:
+        for slot, item in enumerate(items):
+            graph = fg_index.graphs[item]
+            head = vertex_record(graph)
+            sizes.append(head.size)
+            _add_postings(by_label, slot, head)
+            yield item, serialize_graph(graph)
+
     staged: list[tuple[Path, Path]] = []
     try:
+        graphs = _stage(directory / INDEX_FILES["graphs"], graph_records(), staged)
+        postings = _stage(
+            directory / INDEX_FILES["postings"], ((label, by_label.pop(label)) for label in sorted(by_label)), staged
+        )
+        ranks = _stage(directory / INDEX_FILES["ranks"], _rank_lines(fg_index, raw_index), staged)
+        toc_ranks: dict[str, dict[ItemId, list]] = {}
+        for (ranker, query), entry in ranks.items():
+            toc_ranks.setdefault(ranker, {})[query] = entry
+        toc = {
+            "graphs": {item: [*entry, size] for (item, entry), size in zip(graphs.items(), sizes)},
+            "postings": {
+                label: [offset, length // POSTING.size, digest]
+                for label, (offset, length, digest) in postings.items()
+            },
+            "ranks": toc_ranks,
+        }
+        toc_bytes = json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
         written = {
-            role: _stage(directory / INDEX_FILES[role], lines, staged)
-            for role, lines in contents.items()
+            "graphs": graphs,
+            "postings": postings,
+            "ranks": ranks,
+            "toc": _stage(directory / INDEX_FILES["toc"], [(None, toc_bytes)], staged),
         }
         manifest = {
             "v": MANIFEST_VERSION,
             "rankers": list(fg_index.ranker_names),
             "L": fg_index.params.depth,
             "comparator": fg_index.comparator,
-            "graph_count": len(fg_index.graphs),
+            "graph_count": len(items),
             "files": INDEX_FILES,
-            "bytes": {role: size for role, (size, _) in written.items()},
-            "sha256": {role: digest for role, (_, digest) in written.items()},
+            "bytes": {role: sum(entry[1] for entry in entries.values()) for role, entries in written.items()},
+            "sha256": {"toc": hashlib.sha256(toc_bytes).hexdigest()},
         }
-        _stage(directory / MANIFEST_NAME, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"], staged)
+        manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        _stage(directory / MANIFEST_NAME, [(None, manifest_bytes)], staged)
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:
@@ -343,24 +495,36 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex, raw_index: Col
             tmp.unlink(missing_ok=True)
 
 
-def _stage(path: Path, lines: Iterable[str], staged: list[tuple[Path, Path]]) -> tuple[int, str]:
-    """Write ``lines`` durably to a temporary sibling of ``path``; return its size and sha256."""
-    import hashlib  # here, not at module level: loading it costs every command start-up time
+def _add_postings(by_label: dict[ItemId, bytearray], slot: int, head: VertexRecord) -> None:
+    """Append the postings of the graph at item ``slot`` to the packed lists of its labels."""
+    pack = POSTING.pack
+    for label, weight, out_mass, in_mass in zip(head.labels, head.weights, head.out_mass, head.in_mass):
+        bucket = by_label.get(label)
+        if bucket is None:
+            bucket = by_label[label] = bytearray()
+        bucket += pack(slot, weight, out_mass, in_mass)
 
+
+def _stage(path: Path, records: Iterable[tuple[object, bytes]], staged: list[tuple[Path, Path]]) -> dict:
+    """Write the (key, record) ``records`` back to back, durably, to a temporary sibling of ``path``.
+
+    Returns each key's [offset, length, digest].
+    """
     tmp = path.with_name(path.name + ".tmp")
     staged.append((tmp, path))
-    digest = hashlib.sha256()
+    entries: dict = {}
+    offset = 0
     with open(tmp, "wb") as fh:
-        for line in lines:
-            data = line.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
+        for key, record in records:
+            fh.write(record)
+            entries[key] = [offset, len(record), _digest(record)]
+            offset += len(record)
         fh.flush()
         os.fsync(fh.fileno())
-    return tmp.stat().st_size, digest.hexdigest()
+    return entries
 
 
-def _rank_lines(fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> Iterable[str]:
+def _rank_lines(fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> Iterator[tuple[tuple, bytes]]:
     """One record per rank: its raw item order and its normalized order as slots into it."""
     for ranker in fg_index.ranker_names:
         for query in sorted(raw_index.queries(ranker)):
@@ -373,11 +537,12 @@ def _rank_lines(fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> I
                 "items": list(items),
                 "normalized": [slot[item] for item in order],
             }
-            yield json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+            line = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+            yield (ranker, query), line.encode("utf-8")
 
 
-def _role_map(v: object, kind: type) -> bool:
-    return isinstance(v, dict) and all(type(v.get(role)) is kind for role in INDEX_FILES)
+def _role_map(kind: type, roles: Iterable[str] = INDEX_FILES) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, dict) and all(type(v.get(role)) is kind for role in roles)
 
 
 MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
@@ -385,49 +550,16 @@ MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
     "graph_count": lambda v: type(v) is int,
     "comparator": lambda v: isinstance(v, str) and v in COMPARATORS,
     "rankers": lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
-    "files": lambda v: _role_map(v, str),
-    "bytes": lambda v: _role_map(v, int),
-    "sha256": lambda v: _role_map(v, str),
+    "files": _role_map(str),
+    "bytes": _role_map(int),
+    "sha256": _role_map(str, ("toc",)),
 }
 
 
-def _lines(directory: Path, manifest: dict, role: str) -> Iterator[tuple[int, bytes]]:
-    """(line number, line) for every non-blank line of a data file.
-
-    The file is hashed as it is read, and once its last line has been
-    handed out its sha256 must be the manifest's, so a fault that a record
-    check catches is reported by that check.
-    """
-    import hashlib  # see _stage
-
-    name = manifest["files"][role]
-    digest = hashlib.sha256()
-    with open(directory / name, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            digest.update(line)
-            if line.strip():
-                yield line_no, line
-    if digest.hexdigest() != manifest["sha256"][role]:
-        raise MalformedGraphRecord(f"index file {name!r} does not match its sha256 in the manifest")
-
-
-def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankIndex]:
-    """Load a persisted index directory: (graph index, raw collection index).
-
-    Every manifest field in MANIFEST_FIELDS must be present and well typed,
-    every data file must have its recorded size and sha256, every graph
-    record's vertex fields must pass read_vertex_record, and every rank
-    record must hold a non-empty query id and at most L distinct non-empty
-    item ids under one of the manifest's rankers, at most once per (ranker,
-    query), with a normalized order that is a permutation of its slots;
-    otherwise (and for an index of an older format) MalformedGraphRecord is
-    raised. This is the one check of a rank record. Edges are decoded, by
-    deserialize_graph, and ranks built only when first read.
-    """
-    directory = Path(directory)
+def _read_manifest(directory: Path) -> dict:
     try:
         manifest = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise MalformedGraphRecord(f"cannot read index manifest: {exc}") from exc
     version = manifest.get("v") if isinstance(manifest, dict) else None
     if type(version) is int and version < MANIFEST_VERSION:
@@ -442,55 +574,132 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
             raise MalformedGraphRecord(
                 f"index manifest field {name!r} is missing or ill-typed: {manifest.get(name)!r}"
             )
-    params = NormalizationParams(manifest["L"])
-    rankers = tuple(manifest["rankers"])
-    comparator = manifest["comparator"]
-    for role in INDEX_FILES:
-        name, expected = manifest["files"][role], manifest["bytes"][role]
-        size = (directory / name).stat().st_size
-        if size != expected:
-            raise MalformedGraphRecord(
-                f"index file {name!r} holds {size} bytes, manifest says {expected}"
-            )
+    return manifest
 
-    records: dict[ItemId, bytes] = {}
-    postings = VertexPostings()
-    for _, line in _lines(directory, manifest, "graphs"):
-        head = read_vertex_record(line)
-        records[head.query] = line
-        postings.add(head.query, head)
-    if len(records) != manifest["graph_count"]:
-        raise MalformedGraphRecord(
-            f"graph store holds {len(records)} graphs, manifest says {manifest['graph_count']}"
-        )
 
-    raw: dict[str, dict[ItemId, list[ItemId]]] = {r: {} for r in rankers}
-    normalized: dict[str, dict[ItemId, list[ItemId]]] = {r: {} for r in rankers}
-    for line_no, line in _lines(directory, manifest, "ranks"):
-        try:
-            record = json.loads(line)
-            ranker, query, items = record["ranker"], record["query"], record["items"]
-            slots = record["normalized"]
-            if ranker not in raw:
-                raise ValueError(f"ranker {ranker!r} is not in the manifest")
-            if type(query) is not str or type(items) is not list or not all(
-                type(item) is str for item in items
-            ):
-                raise ValueError("query must be a string and items a list of strings")
-            if query in raw[ranker]:
-                raise ValueError(f"repeats the rank of {query!r} under {ranker!r}")
-            if not query or "" in items or len(set(items)) != len(items):
-                raise ValueError("query and item ids must be non-empty and items distinct")
-            if len(items) > params.depth:
-                raise ValueError(f"{len(items)} items exceed L={params.depth}")
-            if type(slots) is not list or sorted(slots) != list(range(len(items))):
-                raise ValueError("normalized is not a permutation of the slots of items")
-            raw[ranker][query] = items
-            normalized[ranker][query] = [items[slot] for slot in slots]
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise MalformedGraphRecord(f"bad rank record at line {line_no}: {exc}") from exc
-    fg_index = FusionGraphIndex(
-        StoredGraphs(records), params, rankers, comparator, StoredRanks(normalized, params.depth)
+def _is_entry(entry: object, fields: int) -> bool:
+    """Whether ``entry`` is a table-of-contents list: offset, length or count, digest, and more."""
+    return (
+        type(entry) is list
+        and len(entry) == fields
+        and type(entry[0]) is int
+        and type(entry[1]) is int
+        and entry[0] >= 0
+        and entry[1] >= 0
+        and type(entry[2]) is str
     )
-    fg_index.postings = postings  # what the cached property would derive by decoding every graph
-    return fg_index, StoredRanks(raw, params.depth)
+
+
+def _read_toc(directory: Path, manifest: dict) -> tuple[dict, dict, dict]:
+    """The table of contents' (graphs, postings, ranks) maps, every entry checked."""
+    name, size = manifest["files"]["toc"], manifest["bytes"]["toc"]
+    data = (directory / name).read_bytes()
+    if len(data) != size:
+        raise MalformedGraphRecord(f"index file {name!r} holds {len(data)} bytes, manifest says {size}")
+    if hashlib.sha256(data).hexdigest() != manifest["sha256"]["toc"]:
+        raise MalformedGraphRecord(f"index file {name!r} does not match its sha256 in the manifest")
+    try:
+        toc = json.loads(data)
+        graphs, postings, ranks = toc["graphs"], toc["postings"], toc["ranks"]
+        if not all(type(part) is dict for part in (graphs, postings, ranks)):
+            raise ValueError("graphs, postings and ranks must be objects")
+        for item, entry in graphs.items():
+            if not _is_entry(entry, 4):
+                raise ValueError(f"bad graph entry for {item!r}: {entry!r}")
+            if type(entry[3]) is not float or not 0.0 < entry[3] < math.inf:
+                raise ValueError(f"graph size of {item!r} is {entry[3]!r}, not a positive finite number")
+        if not all(_is_entry(entry, 3) for entry in postings.values()):
+            raise ValueError("bad posting list entry")
+        for ranker, per_query in ranks.items():
+            if ranker not in manifest["rankers"]:
+                raise ValueError(f"ranker {ranker!r} is not in the manifest")
+            if type(per_query) is not dict or "" in per_query:
+                raise ValueError(f"ranks of {ranker!r} must be an object with non-empty query ids")
+            if not all(_is_entry(entry, 3) for entry in per_query.values()):
+                raise ValueError(f"bad rank entry under {ranker!r}")
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedGraphRecord(f"bad table of contents {name!r}: {exc}") from exc
+    if len(graphs) != manifest["graph_count"]:
+        raise MalformedGraphRecord(
+            f"graph store holds {len(graphs)} graphs, manifest says {manifest['graph_count']}"
+        )
+    return graphs, postings, ranks
+
+
+def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankIndex]:
+    """Open a persisted index directory: (graph index, raw collection index).
+
+    Reads the manifest and the table of contents only. Every manifest field
+    in MANIFEST_FIELDS must be present and well typed, every data file must
+    have its recorded size, the table of contents must match its sha256 and
+    every entry in it must be well typed, with graph sizes positive and
+    finite and rankers from the manifest; otherwise (and for an index of an
+    older format) MalformedGraphRecord is raised. A graph, posting list or
+    rank record is read when search first needs it, and is checked then:
+    against its digest, and by deserialize_graph or the rank record check.
+    """
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
+    files = {
+        role: DataFile(directory / manifest["files"][role], manifest["bytes"][role])
+        for role in ("graphs", "postings", "ranks")
+    }
+    graphs, postings, ranks = _read_toc(directory, manifest)
+    params = NormalizationParams(manifest["L"])
+    records = RankRecords(
+        files["ranks"], {(r, q): entry for r, per_query in ranks.items() for q, entry in per_query.items()}, params.depth
+    )
+    fg_index = FusionGraphIndex(
+        StoredGraphs(files["graphs"], graphs),
+        params,
+        tuple(manifest["rankers"]),
+        manifest["comparator"],
+        StoredRanks(records, ranks, normalized=True),
+    )
+    # what the cached property would derive by decoding every graph
+    fg_index.postings = VertexPostings(
+        StoredPostings(files["postings"], postings, list(graphs)),
+        {item: entry[3] for item, entry in graphs.items()},
+    )
+    return fg_index, StoredRanks(records, ranks, normalized=False)
+
+
+def verify_index(directory: str | Path) -> tuple[int, int, int]:
+    """Check every record of the index at ``directory``: (graphs, posting lists, ranks) checked.
+
+    On top of load_index's checks, every graph, posting list and rank record
+    is read and checked as a search would check it; the posting lists must
+    be those VertexPostings.of derives from the decoded graphs;
+    and the records of each data file must cover it exactly, back to back,
+    so that every byte of the index is under a digest. Raises
+    MalformedGraphRecord on the first fault.
+    """
+    directory = Path(directory)
+    fg_index, raw_index = load_index(directory)
+    stored = fg_index.postings
+    derived = VertexPostings.of(fg_index.graphs)  # reads and checks every graph
+    if list(stored.by_label) != sorted(derived.by_label) or any(
+        stored.by_label[label] != postings for label, postings in derived.by_label.items()
+    ):
+        raise MalformedGraphRecord("the posting lists are not those of the graphs")
+    ranks = [(r, q) for r in fg_index.ranker_names for q in raw_index.queries(r)]
+    for ranker, query in ranks:
+        raw_index.get(ranker, query)
+    manifest = _read_manifest(directory)
+    graphs, postings, rank_toc = _read_toc(directory, manifest)
+    spans = {
+        "graphs": [entry[:2] for entry in graphs.values()],
+        "postings": [[offset, count * POSTING.size] for offset, count, _ in postings.values()],
+        "ranks": [entry[:2] for per_query in rank_toc.values() for entry in per_query.values()],
+    }
+    for role, extents in spans.items():
+        end = 0
+        for offset, length in sorted(extents):
+            if offset != end:
+                break
+            end += length
+        if end != manifest["bytes"][role]:
+            raise MalformedGraphRecord(
+                f"the records of {manifest['files'][role]!r} do not cover it back to back from byte {end}"
+            )
+    return len(graphs), len(postings), len(ranks)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -50,6 +51,75 @@ def write_config(directory, name, run_paths, depth=2, **extra):
     path = directory / name
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def index_files(index_dir) -> dict[str, bytes]:
+    """Every file of an index directory, by name."""
+    return {path.name: path.read_bytes() for path in sorted(index_dir.iterdir())}
+
+
+def seal_toc(index_dir, toc) -> None:
+    """Write ``toc`` as the index's table of contents; record its size and sha256 in the manifest."""
+    data = json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    (index_dir / "toc.json").write_bytes(data)
+    path = index_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["bytes"]["toc"] = len(data)
+    manifest["sha256"]["toc"] = hashlib.sha256(data).hexdigest()
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def edit_toc(index_dir, edit) -> None:
+    """Apply ``edit`` to the index's table of contents and reseal it."""
+    toc = json.loads((index_dir / "toc.json").read_bytes())
+    edit(toc)
+    seal_toc(index_dir, toc)
+
+
+INDEX_DATA_FILES = {"graphs": "graphs.bin", "postings": "postings.bin", "ranks": "collection_ranks.jsonl"}
+
+
+def rewrite_record(index_dir, role, key, edit) -> None:
+    """Replace one record of data file ``role`` by ``edit(record)`` and reseal the index around it.
+
+    ``key`` is an item (graphs), a label (postings) or a (ranker, query) pair
+    (ranks). Offsets, lengths, digests, file sizes and the table of contents'
+    sha256 are all updated as an index written with the edited record would
+    hold them, so only a record check can catch the edit.
+    """
+    toc = json.loads((index_dir / "toc.json").read_bytes())
+    if role == "ranks":
+        entries = {(r, q): e for r, per_query in toc["ranks"].items() for q, e in per_query.items()}
+    else:
+        entries = toc[role]
+    unit = 28 if role == "postings" else 1  # a postings entry counts 28-byte postings
+    path = index_dir / INDEX_DATA_FILES[role]
+    data = path.read_bytes()
+    out = bytearray()
+    for name, entry in sorted(entries.items(), key=lambda kv: kv[1][0]):
+        offset, length = entry[0], entry[1] * unit
+        record = data[offset : offset + length]
+        if name == key:
+            record = edit(record)
+        entry[:3] = [len(out), len(record) // unit, hashlib.blake2b(record, digest_size=16).hexdigest()]
+        out += record
+    path.write_bytes(bytes(out))
+    manifest_path = index_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["bytes"][role] = len(out)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    seal_toc(index_dir, toc)
+
+
+def edit_rank_record(index_dir, ranker, query, edit) -> None:
+    """Apply ``edit`` to the JSON object of one rank record, resealing the index (rewrite_record)."""
+
+    def apply(line):
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record).encode("utf-8") + b"\n"
+
+    rewrite_record(index_dir, "ranks", (ranker, query), apply)
 
 
 def mkrank(query, ranker, items, scores=None, depth=None):

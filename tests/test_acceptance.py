@@ -44,6 +44,7 @@ from helpers import (
     TOY_LAYOUT,
     TOY_QUERY,
     brute_force_mcs,
+    index_files,
     mkrank,
     mkrankset,
     random_rank_index,
@@ -337,14 +338,7 @@ def test_determinism_cli(tmp_path):
                 ["search", "--index", str(index_dir), "--queries", str(query_config),
                  "--out", str(out_run)]
             ) == 0
-            snapshots.append(
-                (
-                    (index_dir / "manifest.json").read_bytes(),
-                    (index_dir / "graphs.jsonl").read_bytes(),
-                    (index_dir / "collection_ranks.jsonl").read_bytes(),
-                    out_run.read_bytes(),
-                )
-            )
+            snapshots.append((index_files(index_dir), out_run.read_bytes()))
         assert snapshots[0] == snapshots[1]
 
 

@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fusegraph
 from fusegraph import normalize, retrieval
@@ -17,6 +22,8 @@ from fusegraph.model import ScoredRank
 from helpers import (
     TOY_LAYOUT,
     TOY_QUERY,
+    edit_rank_record,
+    index_files,
     random_rank_index,
     synthetic_collection,
     write_config,
@@ -76,14 +83,7 @@ def test_extract_search_byte_identical_across_workers(toy_files):
             )
             == 0
         )
-        outputs.append(
-            (
-                (index_dir / "manifest.json").read_bytes(),
-                (index_dir / "graphs.jsonl").read_bytes(),
-                (index_dir / "collection_ranks.jsonl").read_bytes(),
-                out_run.read_bytes(),
-            )
-        )
+        outputs.append((index_files(index_dir), out_run.read_bytes()))
     assert outputs[0] == outputs[1]
 
 
@@ -229,7 +229,7 @@ def test_threads_env_var_is_ignored(toy_files, monkeypatch):
     reference = base / "index_ref"
     monkeypatch.setenv("FUSEGRAPH_THREADS", "not-a-number")
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(reference)]) == 0
-    assert (index_dir / "graphs.jsonl").read_bytes() == (reference / "graphs.jsonl").read_bytes()
+    assert index_files(index_dir) == index_files(reference)
 
 
 def test_cli_reports_machine_readable_errors(tmp_path, capsys):
@@ -299,6 +299,25 @@ INVALID_VALUE_COMMANDS = {
     "baseline_kemeny_cap_zero": [
         "baseline", "kemeny", "--config", "{config}", "--out", "{out}", "--kemeny-cap", "0"
     ],
+    # both values are checked whatever the method reads
+    "baseline_borda_rrf_k_nan_kemeny_cap_huge": [
+        "baseline", "borda", "--config", "{config}", "--out", "{out}",
+        "--rrf-k", "nan", "--kemeny-cap", "1000000",
+    ],
+    "baseline_condorcet_rrf_k_zero": [
+        "baseline", "condorcet", "--config", "{config}", "--out", "{out}", "--rrf-k", "0"
+    ],
+    "baseline_rrf_kemeny_cap_huge": [
+        "baseline", "rrf", "--config", "{config}", "--out", "{out}", "--kemeny-cap", "1000000"
+    ],
+    "eval_ns_k_zero": ["eval", "--run", "{run}", "--qrels", "{qrels}", "--metric", "ns", "--k", "0"],
+    "eval_ns_k_negative": [
+        "eval", "--run", "{run}", "--qrels", "{qrels}", "--metric", "ns", "--k", "-5"
+    ],
+    "eval_ns_k_not_four": [
+        "eval", "--run", "{run}", "--qrels", "{qrels}", "--metric", "ns", "--k", "10"
+    ],
+    "eval_ndcg_k_negative": ["eval", "--run", "{run}", "--qrels", "{qrels}", "--k", "-5"],
     "ttest_alpha_nan": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "nan"],
     "ttest_alpha_zero": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "0"],
     "ttest_alpha_above_one": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "1.5"],
@@ -327,6 +346,37 @@ def test_invalid_value_prints_one_json_line(toy_files, args):
     assert len(lines) == 1, result.stderr
     assert json.loads(lines[0])["error"] == "ValueError"
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize(
+    "args, report",
+    [
+        (["--metric", "ns"], "mean ns 1.000000 over 1 queries\n"),
+        (["--metric", "ns", "--k", "4"], "mean ns 1.000000 over 1 queries\n"),
+        ([], "mean ndcg@10 1.000000 over 1 queries\n"),
+        (["--k", "1"], "mean ndcg@1 1.000000 over 1 queries\n"),
+    ],
+)
+def test_eval_k_default_and_the_ns_cutoff(tmp_path, args, report):
+    run, qrels = tmp_path / "x.run", tmp_path / "y.qrels"
+    run.write_text("q1 Q0 a 1 3.0 t\n", encoding="utf-8")
+    qrels.write_text("q1 0 a 1\n", encoding="utf-8")
+    result = run_cli_process(
+        "-m", "fusegraph.cli", "eval", "--run", str(run), "--qrels", str(qrels), *args
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == report
+
+
+def test_baseline_default_values_pass_their_checks(toy_files):
+    for method in ("borda", "condorcet", "rrf", "kemeny"):
+        out = toy_files["dir"] / f"{method}.run"
+        result = run_cli_process(
+            "-m", "fusegraph.cli", "baseline", method, "--config", str(toy_files["config"]),
+            "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.exists()
 
 
 def test_ttest_on_different_query_sets_prints_one_json_line(tmp_path):
@@ -365,9 +415,9 @@ def replace_first(name, old, new):
 
     def apply(index_dir):
         path = index_dir / name
-        text = path.read_text(encoding="utf-8")
-        assert old in text and len(old) == len(new)
-        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        data = path.read_bytes()
+        assert old in data and len(old) == len(new)
+        path.write_bytes(data.replace(old, new, 1))
 
     return apply
 
@@ -398,23 +448,29 @@ def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    """Indexes of formats 1 to 3 are all rejected by name."""
-    for version in (1, 2, 3):
+    """Indexes of formats 1 to 4 are all rejected by name."""
+    for version in (1, 2, 3, 4):
         error = search_error_after_edit(toy_files, edit_manifest(lambda m: m.update({"v": version})))
         assert error["error"] == "MalformedGraphRecord"
-        assert "predates index format 4" in error["message"]
+        assert "predates index format 5" in error["message"]
         assert "re-extracted" in error["message"]
 
 
+# every record a search reads is checked against its digest before any
+# record check, so the digest catches each of these
 SAME_SIZE_CORRUPTIONS = {
-    "graph_query_not_a_string": ("graphs.jsonl", '"query":"B"', '"query":555', "non-string query"),
-    "rank_ranker_not_in_manifest": (
-        "collection_ranks.jsonl", '"ranker":"r1"', '"ranker":"r9"', "'r9' is not in the manifest"
+    "graph_query_not_a_string": (
+        "graphs.bin", b'"query":"B"', b'"query":555', "graph record of 'B' in 'graphs.bin'"
     ),
-    # no record check decodes edges at load: the file's sha256 catches this one
+    "rank_ranker_not_in_manifest": (
+        "collection_ranks.jsonl", b'"ranker":"r1"', b'"ranker":"r9"',
+        "rank record of 'A' under 'r1' in 'collection_ranks.jsonl'",
+    ),
+    # the first edge weight of A's graph, 1.0, becomes 1.0000000000000002
     "graph_edge_weight_changed": (
-        "graphs.jsonl", '"edge_weights":"AAAA', '"edge_weights":"AAAB',
-        "'graphs.jsonl' does not match its sha256",
+        "graphs.bin", b"\x00" * 6 + b"\xf0\x3f" + b"\x00" * 6 + b"\xf0\x3f",
+        b"\x01" + b"\x00" * 5 + b"\xf0\x3f" + b"\x00" * 6 + b"\xf0\x3f",
+        "graph record of 'A' in 'graphs.bin'",
     ),
 }
 
@@ -424,34 +480,142 @@ def test_search_on_same_size_corruption_prints_one_json_line(toy_files, case):
     name, old, new, message = case
     error = search_error_after_edit(toy_files, replace_first(name, old, new))
     assert error["error"] == "MalformedGraphRecord"
-    assert message in error["message"]
+    assert error["message"] == f"{message} does not match its digest"
 
 
-def test_search_rejects_bad_rank_it_never_reads(tmp_path):
-    """A rank record that repeats an item fails load_index, even when search would not read it."""
+def z_index(tmp_path):
+    """The toy index plus an item Z whose ranks hold Z and X only, and the toy query.
+
+    The search of q reads the graphs and ranks of A, B and C, never Z's.
+    Returns the index directory, the query config and the search's run.
+    """
     layout = {ranker: {**per_query, "Z": ["Z", "X"]} for ranker, per_query in TOY_LAYOUT.items()}
     config = write_config(tmp_path, "config.json", write_runs(tmp_path, layout, "coll"))
     queries = write_config(tmp_path, "queries.json", write_runs(tmp_path, TOY_QUERY, "query"))
     index_dir = tmp_path / "index"
     assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
-    # Z's rank under r1 (line 4) repeats Z; the search of q reads only the ranks of A, B and C
-    replace_first("collection_ranks.jsonl", '"items":["Z","X"]', '"items":["Z","Z"]')(index_dir)
-    digest = hashlib.sha256((index_dir / "collection_ranks.jsonl").read_bytes()).hexdigest()
-    edit_manifest(lambda m: m["sha256"].update({"ranks": digest}))(index_dir)
+    expected = tmp_path / "expected.run"
+    assert main(["search", "--index", str(index_dir), "--queries", str(queries), "--out", str(expected)]) == 0
+    return index_dir, queries, expected.read_bytes()
+
+
+def assert_search_unchanged_and_verify_fails(tmp_path, index_dir, queries, expected, message):
     out = tmp_path / "fg.run"
     result = run_cli_process(
         "-m", "fusegraph.cli", "search",
         "--index", str(index_dir), "--queries", str(queries), "--out", str(out),
     )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert out.read_bytes() == expected
+    result = run_cli_process("-m", "fusegraph.cli", "verify", "--index", str(index_dir))
     assert result.returncode == 1
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
-    assert json.loads(lines[0]) == {
-        "error": "MalformedGraphRecord",
-        "message": "bad rank record at line 4: query and item ids must be non-empty and items distinct",
-    }
-    assert not out.exists()
+    assert json.loads(lines[0]) == {"error": "MalformedGraphRecord", "message": message}
+
+
+def test_verify_rejects_bad_rank_search_never_reads(tmp_path):
+    """A sealed rank record that repeats an item cannot change a search that never reads it."""
+    index_dir, queries, expected = z_index(tmp_path)
+    edit_rank_record(index_dir, "r1", "Z", lambda record: record.update({"items": ["Z", "Z"]}))
+    assert_search_unchanged_and_verify_fails(
+        tmp_path, index_dir, queries, expected,
+        "bad rank record of 'Z' under 'r1': item ids must be non-empty and distinct",
+    )
+
+
+def test_search_ignores_flipped_byte_in_graph_it_never_reads(tmp_path):
+    index_dir, queries, expected = z_index(tmp_path)
+    toc = json.loads((index_dir / "toc.json").read_bytes())
+    offset, length = toc["graphs"]["Z"][:2]
+    path = index_dir / "graphs.bin"
+    data = bytearray(path.read_bytes())
+    data[offset + length - 1] ^= 0x40
+    path.write_bytes(bytes(data))
+    assert_search_unchanged_and_verify_fails(
+        tmp_path, index_dir, queries, expected,
+        "graph record of 'Z' in 'graphs.bin' does not match its digest",
+    )
+
+
+def _run_main(args):
+    """(exit code, stdout, stderr) of one in-process CLI call; an exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def sound_z_index(tmp_path_factory):
+    """The files of z_index's index, its query config, and the clean search and verify outputs.
+
+    The verify output is given without the index path it ends with.
+    """
+    base = tmp_path_factory.mktemp("z")
+    index_dir, queries, run = z_index(base)
+    code, verified, _ = _run_main(["verify", "--index", str(index_dir)])
+    assert code == 0
+    return index_files(index_dir), queries, run, verified.rsplit(" in ", 1)[0]
+
+
+INDEX_FILE_NAMES = ["collection_ranks.jsonl", "graphs.bin", "manifest.json", "postings.bin", "toc.json"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(INDEX_FILE_NAMES),
+    kind=st.sampled_from(["flip", "truncate", "append line"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    mask=st.integers(1, 255),
+)
+def test_every_index_fault_gives_the_same_run_or_one_json_line(sound_z_index, name, kind, where, mask):
+    """Under search and verify, a faulty index file gives the clean result or one JSON error line.
+
+    A fault is a single-byte flip, a truncation, or a copy of the file's last
+    line appended. Search may only succeed with the byte-identical run;
+    verify fails on any fault in a data file or the table of contents.
+    """
+    files, queries, expected_run, verified = sound_z_index
+    with tempfile.TemporaryDirectory() as directory:
+        index_dir = Path(directory) / "index"
+        index_dir.mkdir()
+        for file_name, data in files.items():
+            (index_dir / file_name).write_bytes(data)
+        data = files[name]
+        at = int(where * len(data))
+        if kind == "flip":
+            data = data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
+        elif kind == "truncate":
+            data = data[:at]
+        else:
+            data += data.rstrip(b"\n").rsplit(b"\n", 1)[-1] + b"\n"
+        (index_dir / name).write_bytes(data)
+        out = Path(directory) / "fg.run"
+        results = {
+            "search": _run_main(["search", "--index", str(index_dir), "--queries", str(queries), "--out", str(out)]),
+            "verify": _run_main(["verify", "--index", str(index_dir)]),
+        }
+        for command, (code, stdout, stderr) in results.items():
+            if code == 0 and command == "search":
+                assert stderr == "" and out.read_bytes() == expected_run
+            elif code == 0:
+                assert name == "manifest.json" and stdout.rsplit(" in ", 1)[0] == verified
+            else:
+                assert code == 1 and stdout == ""
+                lines = stderr.splitlines()
+                assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+                assert command == "verify" or not out.exists()
+
+
+def test_verify_command_checks_a_sound_index(toy_files):
+    index_dir = toy_files["dir"] / "index"
+    assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
+    result = run_cli_process("-m", "fusegraph.cli", "verify", "--index", str(index_dir))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"verified 3 graphs, 5 posting lists and 6 ranks in {index_dir}\n"
 
 
 def test_correlate_with_one_ranker_prints_one_json_line(toy_files):
@@ -611,10 +775,15 @@ def test_tracer_finds_every_traced_name(toy_files):
 
 
 # sha256 of the index files `extract` writes for PINNED_COLLECTION, recorded
-# with the per-occurrence graph builder that tests/helpers keeps as the spec
+# with the per-occurrence graph builder that tests/helpers keeps as the spec.
+# The format-5 files were recorded from an index whose every graph and rank
+# decodes bit for bit to those of the format-4 index pinned before it; the
+# rank file is unchanged from format 4.
 PINNED_INDEX = {
-    "graphs.jsonl": "212ebbbfed670181059b97194044dec6a889bccf92bd5e01a1a8eef5a294c70a",
+    "graphs.bin": "b8b4ede4666cd23858927e9ec4a5eed3e5a64b170b2f8884c0403c9295e78d38",
+    "postings.bin": "1aab79ca6e5f8398200e8ef7dacdcd95547e53979a4bd47bf059290bccf155fd",
     "collection_ranks.jsonl": "2ff8fdb7da5378982a06c516c95ca7b456437f3bae5fc6b56273d92354958db1",
+    "toc.json": "a0bda9f6bfcba14862a5c15c7a57075af5fda13dcbf09d13fb1169add843966c",
 }
 
 

@@ -1,6 +1,6 @@
-import base64
 import itertools
 import json
+import math
 import random
 import struct
 
@@ -155,11 +155,11 @@ def test_serialize_round_trip(worked_graph):
 
 def test_deserialize_rejects_garbage():
     with pytest.raises(MalformedGraphRecord):
-        deserialize_graph("{not json")
+        deserialize_graph(b"{not json\n")
     with pytest.raises(MalformedGraphRecord):
-        deserialize_graph('{"v": 99, "query": "q"}')
+        deserialize_graph(b'{"v": 99, "query": "q"}\n')
     with pytest.raises(MalformedGraphRecord):
-        deserialize_graph('[1, 2, 3]')
+        deserialize_graph(b"[1, 2, 3]\n")
 
 
 def test_deserialize_truncated_record(worked_graph):
@@ -169,62 +169,55 @@ def test_deserialize_truncated_record(worked_graph):
 
 
 def test_deserialize_empty_vertex_map():
-    record = (
-        '{"v": 4, "query": "q", "vertices": [], "vertex_weights": "", "edges": "", '
-        '"edge_weights": "", "out_mass": "", "in_mass": "", "size": 0.0}'
-    )
     with pytest.raises(EmptyGraph):
-        deserialize_graph(record)
+        deserialize_graph(b'{"query":"q","vertices":[]}\n')
 
 
-def _packed(fmt, *values):
-    """Base64 of little-endian ``fmt`` items, written independently of the codec."""
-    return base64.b64encode(struct.pack("<" + fmt * len(values), *values)).decode("ascii")
+def _record(header, weights, edge_weights, ends, tail=b""):
+    """A graph record written independently of the codec: JSON header line, then raw arrays."""
+    return b"".join((
+        header if isinstance(header, bytes) else json.dumps(header).encode("utf-8"),
+        b"\n",
+        struct.pack(f"<{len(weights)}d", *weights),
+        struct.pack(f"<{len(edge_weights)}d", *edge_weights),
+        struct.pack(f"<{len(ends)}I", *ends),
+        tail,
+    ))
+
+
+WORKED = {
+    "header": {"query": "q", "vertices": ["A", "B", "C"]},
+    "weights": (1.0, 0.05, 0.05),
+    "edge_weights": (1.0, 1.0),
+    "ends": (0, 1, 0, 2),
+}
 
 
 def test_record_layout(worked_graph):
-    record = json.loads(serialize_graph(worked_graph))
-    assert sorted(record) == sorted(
-        ("v", "query", "vertices", "vertex_weights", "edges", "edge_weights", "out_mass",
-         "in_mass", "size")
-    )
-    assert record["v"] == 4
-    assert record["query"] == "q"
-    assert record["vertices"] == ["A", "B", "C"]
-    assert record["vertex_weights"] == _packed("d", 1.0, 0.05, 0.05)
-    assert record["edges"] == _packed("I", 0, 1, 0, 2)
-    assert record["edge_weights"] == _packed("d", 1.0, 1.0)
-    assert record["out_mass"] == _packed("d", 2.0, 0.0, 0.0)
-    assert record["in_mass"] == _packed("d", 0.0, 1.0, 1.0)
-    assert record["size"] == 3.1
+    header = b'{"query":"q","vertices":["A","B","C"]}'
+    assert serialize_graph(worked_graph) == _record(**{**WORKED, "header": header})
 
 
 CORRUPTIONS = {
-    "invalid base64": ({"edge_weights": "AAAA!AAA"}, "base64"),
-    "partial item": ({"vertex_weights": base64.b64encode(b"1234567").decode()}, "multiple"),
-    "weight count": ({"vertex_weights": _packed("d", 1.0, 0.5)}, "vertex weights"),
-    "endpoint count": ({"edges": _packed("I", 0, 1, 0)}, "endpoints"),
-    "slot out of range": ({"edges": _packed("I", 0, 1, 0, 3)}, "slot 3"),
-    "duplicate label": ({"vertices": ["A", "A", "C"]}, "duplicate label"),
-    "duplicate edge": ({"edges": _packed("I", 0, 1, 0, 1)}, "duplicate edge"),
-    "non-string label": ({"vertices": ["A", 7, "C"]}, "non-string label"),
-    "self-edge": ({"edges": _packed("I", 0, 0, 0, 2)}, "self-edge"),
-    "mass count": ({"in_mass": _packed("d", 0.0, 1.0)}, "2 in masses for 3 labels"),
-    "size not positive": ({"size": 0.0}, "not a positive finite number"),
-    "size not a float": ({"size": 3}, "not a positive finite number"),
-    "size disagrees": ({"size": 3.0999999999999996}, "disagree with its weights"),
-    "mass disagrees": ({"out_mass": _packed("d", 1.0, 1.0, 0.0)}, "disagree with its weights"),
-    "negative weight": ({"vertex_weights": _packed("d", 1.0, -0.05, 0.05)}, "negative weight"),
+    "header not json": ({"header": b"{not json"}, "header is not JSON"),
+    "partial item": ({"tail": b"1234567"}, "63 bytes of arrays"),
+    "weight count": ({"weights": (1.0, 0.5)}, "48 bytes of arrays"),
+    "endpoint count": ({"ends": (0, 1, 0)}, "52 bytes of arrays"),
+    "slot out of range": ({"ends": (0, 1, 0, 3)}, "slot 3"),
+    "duplicate label": ({"header": {"query": "q", "vertices": ["A", "A", "C"]}}, "duplicate label"),
+    "duplicate edge": ({"ends": (0, 1, 0, 1)}, "duplicate edge"),
+    "non-string label": ({"header": {"query": "q", "vertices": ["A", 7, "C"]}}, "non-string label"),
+    "self-edge": ({"ends": (0, 0, 0, 2)}, "self-edge"),
+    "negative weight": ({"weights": (1.0, -0.05, 0.05)}, "negative weight"),
+    "weight not finite": ({"edge_weights": (math.inf, 1.0)}, "not finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_deserialize_rejects_corrupt_record(worked_graph, case):
     edit, message = CORRUPTIONS[case]
-    record = json.loads(serialize_graph(worked_graph))
-    record.update(edit)
     with pytest.raises(MalformedGraphRecord, match=message):
-        deserialize_graph(json.dumps(record))
+        deserialize_graph(_record(**{**WORKED, **edit}))
 
 
 WEIGHTS = st.floats(min_value=5e-324, max_value=1.0)

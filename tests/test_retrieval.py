@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import struct
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -23,10 +24,19 @@ from fusegraph.retrieval import (
     index_collection,
     load_index,
     save_index,
+    verify_index,
 )
 from fusegraph.similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor, mcs
 
-from helpers import mkrank, random_rank_index, reference_fuse_query
+from helpers import (
+    edit_rank_record,
+    edit_toc,
+    index_files,
+    mkrank,
+    random_rank_index,
+    reference_fuse_query,
+    rewrite_record,
+)
 
 
 def toy_collection_index():
@@ -158,6 +168,18 @@ def test_index_collection_strict_missing_rank():
     assert excinfo.value.query == "C"
     lenient = index_collection(partial, ("r1", "r2"), NormalizationParams(2), "WGU")
     assert sorted(lenient.graphs) == ["A", "B", "C"]
+
+
+def test_lenient_build_counts_item_without_ranks_silently(capfd):
+    index = toy_collection_index()
+    # "Z" is ranked by r3 only, which the build does not choose
+    ranks = {ranker: {q: index.get(ranker, q) for q in index.queries(ranker)} for ranker in index.rankers}
+    ranks["r3"] = {"Z": mkrank("Z", "r3", ["Z", "A"], scores=[10.0, 5.0], depth=2)}
+    stats = BuildStats()
+    built = index_collection(CollectionRankIndex(ranks), ("r1", "r2"), NormalizationParams(2), stats=stats)
+    assert sorted(built.graphs) == ["A", "B", "C"]
+    assert stats.items_without_ranks == 1
+    assert capfd.readouterr() == ("", "")
 
 
 def test_index_collection_reads_each_rank_once():
@@ -348,8 +370,7 @@ def test_save_load_round_trip(tmp_path, toy_fg_index):
     assert fused_orig == fused_loaded
     # the loaded index saves back to the same bytes
     save_index(tmp_path / "again", loaded_fg, loaded_raw)
-    for name in ("manifest.json", "graphs.jsonl", "collection_ranks.jsonl"):
-        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "idx" / name).read_bytes()
+    assert index_files(tmp_path / "again") == index_files(tmp_path / "idx")
 
 
 def test_save_is_byte_deterministic(tmp_path, toy_fg_index):
@@ -357,8 +378,7 @@ def test_save_is_byte_deterministic(tmp_path, toy_fg_index):
     save_index(tmp_path / "one", fg_index, index)
     rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU")
     save_index(tmp_path / "two", rebuilt, index)
-    for name in ("manifest.json", "graphs.jsonl", "collection_ranks.jsonl"):
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    assert index_files(tmp_path / "one") == index_files(tmp_path / "two")
 
 
 def _corrupt_manifest(directory, edit):
@@ -368,21 +388,6 @@ def _corrupt_manifest(directory, edit):
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
-def _edit_first_record(path, edit):
-    """Rewrite the first record of an index file and record the file's new size.
-
-    Keeping the manifest's byte count true gets past the size check to the
-    record checks, as an index written with a bad record would.
-    """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[0])
-    edit(record)
-    lines[0] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    role = {"graphs.jsonl": "graphs", "collection_ranks.jsonl": "ranks"}[path.name]
-    _corrupt_manifest(path.parent, lambda m: m["bytes"].update({role: path.stat().st_size}))
-
-
 def test_manifest_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
@@ -390,13 +395,54 @@ def test_manifest_layout(tmp_path, toy_fg_index):
     assert sorted(manifest) == sorted(
         ("v", "rankers", "L", "comparator", "graph_count", "files", "bytes", "sha256")
     )
-    assert manifest["v"] == 4
+    assert manifest["v"] == 5
     assert manifest["L"] == 2
     assert manifest["rankers"] == ["r1", "r2"]
-    assert manifest["files"] == {"graphs": "graphs.jsonl", "ranks": "collection_ranks.jsonl"}
+    assert manifest["files"] == {
+        "graphs": "graphs.bin",
+        "postings": "postings.bin",
+        "ranks": "collection_ranks.jsonl",
+        "toc": "toc.json",
+    }
+    assert sorted(path.name for path in (tmp_path / "idx").iterdir()) == sorted(
+        ["manifest.json", *manifest["files"].values()]
+    )
     for role, name in manifest["files"].items():
-        digest = hashlib.sha256((tmp_path / "idx" / name).read_bytes()).hexdigest()
-        assert manifest["sha256"][role] == digest
+        assert manifest["bytes"][role] == (tmp_path / "idx" / name).stat().st_size
+    toc = (tmp_path / "idx" / "toc.json").read_bytes()
+    assert manifest["sha256"] == {"toc": hashlib.sha256(toc).hexdigest()}
+
+
+def test_toc_and_postings_layout(tmp_path, toy_fg_index):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
+    assert sorted(toc) == ["graphs", "postings", "ranks"]
+    assert list(toc["graphs"]) == ["A", "B", "C"]
+    graphs = (tmp_path / "idx" / "graphs.bin").read_bytes()
+    postings = (tmp_path / "idx" / "postings.bin").read_bytes()
+    ranks = (tmp_path / "idx" / "collection_ranks.jsonl").read_bytes()
+    for item, (offset, length, digest, size) in toc["graphs"].items():
+        record = graphs[offset : offset + length]
+        assert hashlib.blake2b(record, digest_size=16).hexdigest() == digest
+        assert record.startswith(b'{"query":"%s",' % item.encode())
+        assert size == graph_size(fg_index.graphs[item])
+    labels = sorted({label for graph in fg_index.graphs.values() for label in graph.vertices})
+    assert list(toc["postings"]) == labels
+    slots = {item: slot for slot, item in enumerate(toc["graphs"])}
+    for label, (offset, count, digest) in toc["postings"].items():
+        data = postings[offset : offset + 28 * count]
+        assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
+        expected = [
+            (slots[item], *posting)
+            for item, *posting in fg_index.postings.by_label[label]
+        ]
+        assert list(struct.iter_unpack("<Iddd", data)) == expected
+    for ranker, per_query in toc["ranks"].items():
+        for query, (offset, length, digest) in per_query.items():
+            record = json.loads(ranks[offset : offset + length])
+            assert (record["ranker"], record["query"]) == (ranker, query)
+    assert verify_index(tmp_path / "idx") == (3, len(labels), 6)
 
 
 def test_rank_record_layout(tmp_path, toy_fg_index):
@@ -450,54 +496,125 @@ def test_load_rejects_depth_below_one(tmp_path, toy_fg_index):
         load_index(tmp_path / "idx")
 
 
-ID_TYPES = "line 1: query must be a string and items a list of strings"
-DISTINCT_IDS = "bad rank record at line 1: query and item ids must be non-empty and items distinct"
+ITEM_TYPES = "bad rank record of 'A' under 'r1': items must be a list of strings"
+DISTINCT_IDS = "bad rank record of 'A' under 'r1': item ids must be non-empty and distinct"
+
+
+def _rank_edit(edit):
+    return lambda directory: edit_rank_record(directory, "r1", "A", edit)
+
+
+def _graph_header_edit(edit):
+    """An index edit that applies ``edit`` to the JSON header of A's graph record."""
+
+    def apply(record):
+        header, _, body = record.partition(b"\n")
+        data = json.loads(header)
+        edit(data)
+        return json.dumps(data).encode("utf-8") + b"\n" + body
+
+    return lambda directory: rewrite_record(directory, "graphs", "A", apply)
+
+
+def _set_graph_size(size):
+    return lambda directory: edit_toc(directory, lambda toc: toc["graphs"]["A"].__setitem__(3, size))
+
+
+# each edit keeps every digest, size and the table of contents' sha256 true,
+# so the record checks are what catch it
 BAD_RECORDS = {
-    "graph query not a string": ("graphs.jsonl", lambda r: r.update({"query": 555}), "non-string query"),
+    "graph query not a string": (_graph_header_edit(lambda h: h.update({"query": 555})), "non-string query"),
     "rank ranker not in manifest": (
-        "collection_ranks.jsonl", lambda r: r.update({"ranker": "r9"}), "line 1: ranker 'r9' is not in"
+        lambda directory: edit_toc(directory, lambda t: t["ranks"].update({"r9": t["ranks"].pop("r1")})),
+        "ranker 'r9' is not in the manifest",
     ),
-    "rank query not a string": ("collection_ranks.jsonl", lambda r: r.update({"query": 7}), ID_TYPES),
-    "rank items not a list": ("collection_ranks.jsonl", lambda r: r.update({"items": "AB"}), ID_TYPES),
-    "rank item not a string": (
-        "collection_ranks.jsonl", lambda r: r["items"].__setitem__(1, 7), ID_TYPES
+    "rank query not a string": (
+        _rank_edit(lambda r: r.update({"query": 7})), "it holds the rank of 7 under 'r1'"
     ),
+    "rank items not a list": (_rank_edit(lambda r: r.update({"items": "AB"})), ITEM_TYPES),
+    "rank item not a string": (_rank_edit(lambda r: r["items"].__setitem__(1, 7)), ITEM_TYPES),
     "rank repeated": (
-        "collection_ranks.jsonl", lambda r: r.update({"query": "B"}), "line 2: repeats the rank of 'B'"
+        _rank_edit(lambda r: r.update({"query": "B"})), "it holds the rank of 'B' under 'r1'"
     ),
     "rank longer than L": (
-        "collection_ranks.jsonl",
-        lambda r: r.update({"items": ["A", "B", "C"], "normalized": [0, 1, 2]}),
-        "line 1: 3 items exceed L=2",
+        _rank_edit(lambda r: r.update({"items": ["A", "B", "C"], "normalized": [0, 1, 2]})),
+        "3 items exceed L=2",
     ),
-    "rank repeats an item": (
-        "collection_ranks.jsonl", lambda r: r["items"].__setitem__(1, "A"), DISTINCT_IDS
+    "rank repeats an item": (_rank_edit(lambda r: r["items"].__setitem__(1, "A")), DISTINCT_IDS),
+    "rank query empty": (
+        lambda directory: edit_toc(directory, lambda t: t["ranks"]["r1"].update({"": t["ranks"]["r1"].pop("A")})),
+        "non-empty query ids",
     ),
-    "rank query empty": ("collection_ranks.jsonl", lambda r: r.update({"query": ""}), DISTINCT_IDS),
-    "rank item empty": ("collection_ranks.jsonl", lambda r: r["items"].__setitem__(1, ""), DISTINCT_IDS),
-    "graph size not a number": (
-        "graphs.jsonl", lambda r: r.update({"size": "3.1"}), "not a positive finite number"
+    "rank item empty": (_rank_edit(lambda r: r["items"].__setitem__(1, "")), DISTINCT_IDS),
+    "graph size not a number": (_set_graph_size("3.1"), "not a positive finite number"),
+    # X is a vertex of B's and C's graphs: its two postings, swapped
+    "posting slots out of order": (
+        lambda directory: rewrite_record(directory, "postings", "X", lambda data: data[28:] + data[:28]),
+        "posting list of 'X' has item slot 1 out of order",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
 def test_load_rejects_bad_record(tmp_path, toy_fg_index, case):
-    name, edit, message = BAD_RECORDS[case]
+    """load_index, or reading the record once loaded, rejects the edit; verify_index reads them all."""
+    edit, message = BAD_RECORDS[case]
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
-    _edit_first_record(tmp_path / "idx" / name, edit)
+    edit(tmp_path / "idx")
     with pytest.raises(MalformedGraphRecord, match=message):
-        load_index(tmp_path / "idx")
+        verify_index(tmp_path / "idx")
+
+
+# where the checks of a graph's edge masses and size went when format 5 moved
+# them out of its record: sizes to the table of contents, masses to postings
+VERTEX_DATA_FAULTS = {
+    "size not a float": (_set_graph_size(3), "not a positive finite number"),
+    "size not positive": (_set_graph_size(0.0), "not a positive finite number"),
+    "size disagrees": (_set_graph_size(3.0999999999999996), "disagree with its size"),
+    "mass count": (
+        lambda directory: rewrite_record(directory, "postings", "B", lambda data: data[:-28]),
+        "posting lists are not those of the graphs",
+    ),
+    "mass disagrees": (
+        lambda directory: rewrite_record(
+            directory, "postings", "A",
+            lambda data: data[:12] + struct.pack("<d", 1.0) + data[20:],
+        ),
+        "posting lists are not those of the graphs",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERTEX_DATA_FAULTS))
+def test_stored_vertex_data_is_checked(tmp_path, toy_fg_index, case):
+    edit, message = VERTEX_DATA_FAULTS[case]
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    edit(tmp_path / "idx")
+    with pytest.raises(MalformedGraphRecord, match=message):
+        verify_index(tmp_path / "idx")
+
+
+def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index, index)
+    # a byte no table-of-contents entry covers, at the end of the rank file
+    path = tmp_path / "idx" / "collection_ranks.jsonl"
+    path.write_bytes(path.read_bytes() + b"\n")
+    _corrupt_manifest(tmp_path / "idx", lambda m: m["bytes"].update({"ranks": path.stat().st_size}))
+    load_index(tmp_path / "idx")
+    with pytest.raises(MalformedGraphRecord, match="do not cover it back to back"):
+        verify_index(tmp_path / "idx")
 
 
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
-    """Indexes of formats 1 to 3 are all rejected by name."""
+    """Indexes of formats 1 to 4 are all rejected by name."""
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
-        with pytest.raises(MalformedGraphRecord, match="predates index format 4.*re-extracted"):
+        with pytest.raises(MalformedGraphRecord, match="predates index format 5.*re-extracted"):
             load_index(tmp_path / "idx")
 
 
@@ -507,10 +624,10 @@ def test_load_rejects_data_file_of_another_index(tmp_path, toy_fg_index):
     # same rankers, L and graph count: only the recorded size tells them apart
     other = random_rank_index(random.Random(4), n_items=3, n_rankers=2, depth=2)
     save_index(tmp_path / "other", index_collection(other, ("r1", "r2"), NormalizationParams(2)), other)
-    swapped = (tmp_path / "other" / "graphs.jsonl").read_bytes()
-    assert len(swapped) != (tmp_path / "idx" / "graphs.jsonl").stat().st_size
-    (tmp_path / "idx" / "graphs.jsonl").write_bytes(swapped)
-    with pytest.raises(MalformedGraphRecord, match="'graphs.jsonl' holds .* bytes"):
+    swapped = (tmp_path / "other" / "graphs.bin").read_bytes()
+    assert len(swapped) != (tmp_path / "idx" / "graphs.bin").stat().st_size
+    (tmp_path / "idx" / "graphs.bin").write_bytes(swapped)
+    with pytest.raises(MalformedGraphRecord, match="'graphs.bin' holds .* bytes"):
         load_index(tmp_path / "idx")
 
 
@@ -543,38 +660,49 @@ BAD_PERMUTATIONS = ([0, 0], [0, 2], [1], [0, 1, 2], "01", [1.0, 0], None)
 
 def test_load_rejects_bad_normalized_permutation(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
-    ranks = tmp_path / "idx" / "collection_ranks.jsonl"
-    original = ranks.read_bytes()
     for slots in BAD_PERMUTATIONS:
-        ranks.write_bytes(original)
-        _edit_first_record(ranks, lambda r: r.update({"normalized": slots}))
-        with pytest.raises(MalformedGraphRecord, match="bad rank record at line 1"):
-            load_index(tmp_path / "idx")
+        save_index(tmp_path / "idx", fg_index, index)
+        edit_rank_record(tmp_path / "idx", "r1", "A", lambda r: r.update({"normalized": slots}))
+        loaded, loaded_raw = load_index(tmp_path / "idx")
+        for lookup in (loaded.normalized, loaded_raw):
+            with pytest.raises(MalformedGraphRecord, match="bad rank record of 'A' under 'r1'"):
+                lookup.get("r1", "A")
 
 
-def _replace_in_first_line(path, old, new):
-    """A same-size edit no record check catches: ``old`` becomes ``new`` in line 1."""
-    lines = path.read_bytes().split(b"\n")
-    assert old in lines[0] and len(old) == len(new)
-    lines[0] = lines[0].replace(old, new, 1)
-    path.write_bytes(b"\n".join(lines))
+def _replace_in_record(name, key, old, new):
+    """A same-size edit: the first ``old`` in record ``key`` of data file ``name`` becomes ``new``."""
+
+    def apply(directory):
+        toc = json.loads((directory / "toc.json").read_bytes())
+        offset, length = (toc["graphs"][key] if name == "graphs.bin" else toc["ranks"][key[0]][key[1]])[:2]
+        path = directory / name
+        data = path.read_bytes()
+        record = data[offset : offset + length]
+        assert old in record and len(old) == len(new)
+        path.write_bytes(data[:offset] + record.replace(old, new, 1) + data[offset + length :])
+
+    return apply
 
 
 SILENT_EDITS = {
-    "an edge weight": ("graphs.jsonl", b'"edge_weights":"AAAA', b'"edge_weights":"AAAB'),
-    "the normalized order": ("collection_ranks.jsonl", b'"normalized":[0,1]', b'"normalized":[1,0]'),
+    # A's two edge weights, 1.0 and 1.0, keep their exact sum, so the graph's
+    # size is unchanged: of the checks a search makes, only the digest sees it
+    "an edge weight": (
+        "graphs.bin", "A", struct.pack("<2d", 1.0, 1.0), struct.pack("<2d", 1.0 + 2**-52, 1.0 - 2**-52)
+    ),
+    "the normalized order": ("collection_ranks.jsonl", ("r1", "A"), b'"normalized":[0,1]', b'"normalized":[1,0]'),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SILENT_EDITS))
 def test_load_rejects_edit_only_the_digest_catches(tmp_path, toy_fg_index, case):
-    name, old, new = SILENT_EDITS[case]
+    name, key, old, new = SILENT_EDITS[case]
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index, index)
-    _replace_in_first_line(tmp_path / "idx" / name, old, new)
-    with pytest.raises(MalformedGraphRecord, match=f"'{name}' does not match its sha256"):
-        load_index(tmp_path / "idx")
+    _replace_in_record(name, key, old, new)(tmp_path / "idx")
+    loaded, loaded_raw = load_index(tmp_path / "idx")
+    with pytest.raises(MalformedGraphRecord, match=f"in '{name}' does not match its digest"):
+        loaded.graphs["A"] if name == "graphs.bin" else loaded_raw.get("r1", "A")
 
 
 def test_load_accepts_lenient_graph_with_ranker_subset(tmp_path):
