@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from collections import defaultdict
 from typing import Callable, Sequence
 
@@ -112,6 +111,12 @@ def _minmax(rank: ScoredRank, floor: float = 0.0) -> dict[ItemId, float]:
 COMB_VARIANTS = ("SUM", "MIN", "MAX", "MED", "ANZ", "MNZ")
 
 
+def _median(values: list[float]) -> float:
+    import statistics  # here, as it loads decimal and fractions: only Comb MED needs it
+
+    return statistics.median(values)
+
+
 def comb(rs: RankSet, variant: str, depth: int | None = None) -> FusedRank:
     """Comb* score combiners over per-rank min-max normalized scores.
 
@@ -131,7 +136,7 @@ def comb(rs: RankSet, variant: str, depth: int | None = None) -> FusedRank:
         "SUM": sum,
         "MIN": min,
         "MAX": max,
-        "MED": statistics.median,
+        "MED": _median,
         "ANZ": lambda vals: sum(vals) / len(vals),
         "MNZ": lambda vals: sum(vals) * len(vals),
     }

@@ -81,10 +81,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     fg_index, raw_index = load_index(args.index)
     config = load_config(args.queries)
-    query_runs = {
-        spec.name: parse_run_file(spec.run, spec.name, spec.polarity, fg_index.params.depth)
-        for spec in config.rankers
-    }
+    query_runs = load_runs(config, fg_index.params.depth)
     rank_sets = rank_sets_from_runs(query_runs, tuple(config.ranker_names), strict=True)
     exclude_self = args.exclude_self or config.exclude_self
     fused = {

@@ -16,16 +16,12 @@ import itertools
 import json
 import math
 import operator
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyGraph, MalformedGraphRecord, MissingRank
 from .model import ItemId, RankLookup, RankSet
-
-if array("d").itemsize != 8 or array("I").itemsize != 4:
-    raise ImportError("graph records need 8-byte 'd' and 4-byte 'I' arrays on this platform")
 
 
 @dataclass
@@ -222,23 +218,6 @@ def edge_masses(g: FusionGraph) -> dict[ItemId, tuple[float, float]]:
     return {label: (math.fsum(outgoing[label]), math.fsum(incoming[label])) for label in g.vertices}
 
 
-def _raw(typecode: str, values) -> bytes:
-    """``values`` as the raw bytes of a little-endian array of ``typecode`` items."""
-    packed = array(typecode, values)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    return packed.tobytes()
-
-
-def _unraw(typecode: str, data: bytes) -> array:
-    """Inverse of _raw; the caller has checked that ``data`` holds whole items."""
-    unpacked = array(typecode)
-    unpacked.frombytes(data)
-    if sys.byteorder == "big":
-        unpacked.byteswap()
-    return unpacked
-
-
 class VertexRecord(NamedTuple):
     """What a search bound reads of a graph, edges left out.
 
@@ -283,13 +262,13 @@ def serialize_graph(g: FusionGraph) -> bytes:
     slot = {label: i for i, label in enumerate(labels)}
     pairs = sorted(g.edges)
     header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
-    return b"".join((
-        header.encode("ascii"),
-        b"\n",
-        _raw("d", map(g.vertices.__getitem__, labels)),
-        _raw("d", map(g.edges.__getitem__, pairs)),
-        _raw("I", [slot[label] for pair in pairs for label in pair]),
-    ))
+    arrays = struct.pack(
+        f"<{len(labels) + len(pairs)}d{2 * len(pairs)}I",
+        *map(g.vertices.__getitem__, labels),
+        *map(g.edges.__getitem__, pairs),
+        *[slot[label] for pair in pairs for label in pair],
+    )
+    return (header + "\n").encode("ascii") + arrays
 
 
 def _bad(query, problem: str) -> MalformedGraphRecord:
@@ -322,10 +301,9 @@ def deserialize_graph(record: bytes) -> FusionGraph:
     edge_bytes = len(body) - 8 * n_vertices
     if not newline or edge_bytes < 0 or edge_bytes % 16:
         raise _bad(query, f"{len(body)} bytes of arrays, not 8 per vertex for {n_vertices} and 16 per edge")
-    split = 8 * n_vertices + edge_bytes // 2
-    weights = _unraw("d", body[: 8 * n_vertices])
-    edge_weights = _unraw("d", body[8 * n_vertices : split])
-    ends = _unraw("I", body[split:])
+    split = n_vertices + edge_bytes // 16
+    values = struct.unpack(f"<{split}d{edge_bytes // 8}I", body)
+    weights, edge_weights, ends = values[:n_vertices], values[n_vertices:split], values[split:]
     if ends and max(ends) >= n_vertices:
         raise _bad(query, f"an edge endpoint at slot {max(ends)}, beyond its {n_vertices} labels")
     vertices = dict(zip(labels, weights))

@@ -49,16 +49,21 @@ def _number(kind: Callable[[str], float], text: str, path: Path, line_no: int, w
         raise ParseError(str(path), line_no, f"bad {what} {text!r}") from None
 
 
-def _valued_rows(path: str | Path, count: int, empty: str) -> list[tuple[list[str], float]]:
-    """(leading fields, value) for each line whose last of ``count`` fields is a float."""
+def _keyed_values(path: str | Path, count: int, empty: str) -> dict[tuple[str, ...], float]:
+    """Leading fields -> value for each line whose last of ``count`` fields is a float.
+
+    Raises ParseError at a line whose leading fields repeat an earlier line's.
+    """
     path = Path(path)
-    rows = [
-        (fields[:-1], _number(float, fields[-1], path, line_no, "value"))
-        for line_no, fields in _fields(path, count)
-    ]
-    if not rows:
+    values: dict[tuple[str, ...], float] = {}
+    for line_no, fields in _fields(path, count):
+        value, key = _number(float, fields[-1], path, line_no, "value"), tuple(fields[:-1])
+        if key in values:
+            raise ParseError(str(path), line_no, f"duplicate entry for {' '.join(key)!r}")
+        values[key] = value
+    if not values:
         raise ParseError(str(path), 0, empty)
-    return rows
+    return values
 
 
 def parse_run_file(
@@ -137,7 +142,10 @@ def parse_qrels(path: str | Path) -> Qrels:
         rel = _number(int, rel_str, path, line_no, "relevance")
         if rel < 0:
             raise ParseError(str(path), line_no, f"negative relevance {rel}")
-        grades.setdefault(qid, {})[docid] = rel
+        judged = grades.setdefault(qid, {})
+        if docid in judged:
+            raise ParseError(str(path), line_no, f"duplicate judgment of {docid!r} for {qid!r}")
+        judged[docid] = rel
     if not grades:
         raise ParseError(str(path), 0, "qrels file is empty")
     return Qrels.from_grades(grades)
@@ -164,8 +172,8 @@ def write_per_query_metrics(path: str | Path, report: EvalReport) -> None:
 
 def parse_per_query_metrics(path: str | Path) -> dict[ItemId, float]:
     """Parse ``qid value`` lines as written by the eval command."""
-    rows = _valued_rows(path, 2, "per-query metric file is empty")
-    return {qid: value for (qid,), value in rows}
+    rows = _keyed_values(path, 2, "per-query metric file is empty")
+    return {qid: value for (qid,), value in rows.items()}
 
 
 def parse_effectiveness_table(
@@ -173,15 +181,15 @@ def parse_effectiveness_table(
 ) -> dict[tuple[str, str], dict[str, float]]:
     """Parse ``dataset config method value`` lines into the winners table."""
     table: dict[tuple[str, str], dict[str, float]] = {}
-    for (dataset, config, method), value in _valued_rows(path, 4, "effectiveness table is empty"):
+    for (dataset, config, method), value in _keyed_values(path, 4, "effectiveness table is empty").items():
         table.setdefault((dataset, config), {})[method] = value
     return table
 
 
 def parse_ranker_effectiveness(path: str | Path) -> dict[str, float]:
     """Parse ``ranker value`` lines (per-ranker effectiveness for selection)."""
-    rows = _valued_rows(path, 2, "effectiveness file is empty")
-    return {ranker: value for (ranker,), value in rows}
+    rows = _keyed_values(path, 2, "effectiveness file is empty")
+    return {ranker: value for (ranker,), value in rows.items()}
 
 
 def write_correlation_matrix(
@@ -205,6 +213,9 @@ def parse_correlation_matrix(path: str | Path) -> dict[str, dict[str, float]]:
     if len(header) < 2:
         raise ParseError(str(path), 1, "matrix header needs at least one ranker column")
     names = header[1:]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(str(path), 1, f"duplicate matrix column {name!r}")
     matrix: dict[str, dict[str, float]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
@@ -213,6 +224,8 @@ def parse_correlation_matrix(path: str | Path) -> dict[str, dict[str, float]]:
                 str(path), line_no, f"expected {len(names) + 1} fields, got {len(fields)}"
             )
         row = fields[0]
+        if row in matrix:
+            raise ParseError(str(path), line_no, f"duplicate matrix row {row!r}")
         try:
             matrix[row] = {col: float(v) for col, v in zip(names, fields[1:])}
         except ValueError:
@@ -317,10 +330,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
 
 
-def load_runs(config: PipelineConfig) -> dict[str, dict[ItemId, ScoredRank]]:
-    """Parse every ranker's run file at the configured depth."""
+def load_runs(config: PipelineConfig, depth: int | None = None) -> dict[str, dict[ItemId, ScoredRank]]:
+    """Parse every ranker's run file at ``depth``, by default the configured depth."""
     return {
-        spec.name: parse_run_file(spec.run, spec.name, spec.polarity, config.depth)
+        spec.name: parse_run_file(spec.run, spec.name, spec.polarity, config.depth if depth is None else depth)
         for spec in config.rankers
     }
 

@@ -32,7 +32,7 @@ import struct
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .errors import MalformedGraphRecord, MissingRank, RankerMismatch
@@ -140,158 +140,116 @@ def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-class DataFile:
-    """One index data file, open for reads at any offset, by any thread.
-
-    Opening it checks its size against the manifest's. ``read`` hands out a
-    record only when it matches the digest the table of contents holds for
-    it. The file stays open while this object lives.
-    """
-
-    def __init__(self, path: Path, size: int):
-        self.name = path.name
-        fd = os.open(path, os.O_RDONLY)
-        weakref.finalize(self, os.close, fd)
-        self._fd = fd
-        actual = os.fstat(fd).st_size
-        if actual != size:
-            raise MalformedGraphRecord(f"index file {self.name!r} holds {actual} bytes, manifest says {size}")
-
-    def read(self, offset: int, length: int, digest: str, what: str) -> bytes:
-        data = os.pread(self._fd, length, offset)
-        if len(data) != length or _digest(data) != digest:
-            raise MalformedGraphRecord(f"{what} in {self.name!r} does not match its digest")
-        return data
-
-
 class StoredRecords(Mapping):
     """Records of one index data file by key, each read, checked and decoded on first access, then kept.
 
-    ``toc`` maps a key to its record's table-of-contents entry; ``_decode``
-    reads and checks the record of one entry.
+    Opening the file checks its size against the manifest's. ``toc`` maps a
+    key to its record's table-of-contents entry, (offset, length, digest)
+    and maybe more. A record is handed to ``decode(key, entry, data, what)``
+    only when it matches its digest; ``what`` names it, by ``describe(key)``,
+    in errors. The file stays open while this object lives, for reads at
+    any offset, by any thread.
     """
 
-    def __init__(self, file: DataFile, toc: dict):
-        self._file = file
-        self._toc = toc
+    def __init__(self, path: Path, size: int, toc: dict, describe: Callable[[object], str], decode: Callable):
+        self.name, self.size, self.toc = path.name, size, toc
+        fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, fd)
+        actual = os.fstat(fd).st_size
+        if actual != size:
+            raise MalformedGraphRecord(f"index file {self.name!r} holds {actual} bytes, manifest says {size}")
+        self._fd, self._describe, self._decode = fd, describe, decode
         self._decoded: dict = {}
-
-    def _decode(self, key, entry: list):
-        raise NotImplementedError
 
     def __getitem__(self, key):
         value = self._decoded.get(key)
         if value is None:
-            value = self._decoded.setdefault(key, self._decode(key, self._toc[key]))
+            entry = self.toc[key]
+            offset, length, digest = entry[:3]
+            what = self._describe(key)
+            data = os.pread(self._fd, length, offset)
+            if len(data) != length or _digest(data) != digest:
+                raise MalformedGraphRecord(f"{what} in {self.name!r} does not match its digest")
+            value = self._decoded.setdefault(key, self._decode(key, entry, data, what))
         return value
 
     def __contains__(self, key: object) -> bool:
-        return key in self._toc
+        return key in self.toc
 
     def __iter__(self) -> Iterator:
-        return iter(self._toc)
+        return iter(self.toc)
 
     def __len__(self) -> int:
-        return len(self._toc)
+        return len(self.toc)
 
 
-class StoredGraphs(StoredRecords):
-    """Graphs by item; an entry is the (offset, length, digest, size) of the item's record."""
-
-    def _decode(self, item: ItemId, entry: list) -> FusionGraph:
-        offset, length, digest, size = entry
-        # a module-global lookup, so a wrapper bound to the name is called
-        graph = deserialize_graph(self._file.read(offset, length, digest, f"graph record of {item!r}"))
-        if graph.query != item:
-            raise MalformedGraphRecord(f"graph record of {item!r} holds the graph of {graph.query!r}")
-        try:
-            consistent = graph_size(graph) == size
-        except OverflowError:  # weights too large for fsum to sum
-            consistent = False
-        if not consistent:
-            raise MalformedGraphRecord(f"graph record of {item!r} has weights that disagree with its size {size!r}")
-        return graph
+def _graph_record(item: ItemId, entry: list, data: bytes, what: str) -> FusionGraph:
+    """The graph of a record whose entry is (offset, length, digest, the graph's size)."""
+    # a module-global lookup, so a wrapper bound to the name is called
+    graph = deserialize_graph(data)
+    if graph.query != item:
+        raise MalformedGraphRecord(f"{what} holds the graph of {graph.query!r}")
+    try:
+        consistent = graph_size(graph) == entry[3]
+    except OverflowError:  # weights too large for fsum to sum
+        consistent = False
+    if not consistent:
+        raise MalformedGraphRecord(f"{what} has weights that disagree with its size {entry[3]!r}")
+    return graph
 
 
-class StoredPostings(StoredRecords):
-    """Posting lists by vertex label; an entry is the (offset, count, digest) of the label's list.
+def _posting_list(items: list[ItemId], label: ItemId, entry: list, data: bytes, what: str) -> list[Posting]:
+    """The postings of a list of POSTINGs; ``items`` are the indexed items in slot order."""
+    postings, last = [], -1
+    for slot, weight, out_mass, in_mass in POSTING.iter_unpack(data):
+        if not last < slot < len(items):
+            raise MalformedGraphRecord(f"{what} has item slot {slot} out of order or range")
+        postings.append((items[slot], weight, out_mass, in_mass))
+        last = slot
+    return postings
 
-    ``items`` are the indexed items in slot order.
+
+def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) -> tuple[ScoredRank, ScoredRank]:
+    """The raw and the normalized rank of a record holding a rank's raw order and its normalized order.
+
+    gridded_rank builds both, with the grid as scores. That is what a
+    normalized rank holds; the scores of a raw rank are never read, because
+    normalization reads positions only.
     """
-
-    def __init__(self, file: DataFile, toc: dict, items: list[ItemId]):
-        super().__init__(file, toc)
-        self._items = items
-
-    def _decode(self, label: ItemId, entry: list) -> list[Posting]:
-        offset, count, digest = entry
-        what = f"posting list of {label!r}"
-        data = self._file.read(offset, count * POSTING.size, digest, what)
-        items, postings, last = self._items, [], -1
-        for slot, weight, out_mass, in_mass in POSTING.iter_unpack(data):
-            if not last < slot < len(items):
-                raise MalformedGraphRecord(f"{what} has item slot {slot} out of order or range")
-            postings.append((items[slot], weight, out_mass, in_mass))
-            last = slot
-        return postings
-
-
-class RankRecords(StoredRecords):
-    """Rank records by (ranker, query); an entry is the (offset, length, digest) of the record.
-
-    A record holds the rank's raw item order and its normalized order, and
-    decodes to both; this is the one check of either.
-    """
-
-    def __init__(self, file: DataFile, toc: dict, depth: int):
-        super().__init__(file, toc)
-        self.depth = depth
-
-    def _decode(self, key: tuple[str, ItemId], entry: list) -> tuple[list[ItemId], list[ItemId]]:
-        ranker, query = key
-        what = f"rank record of {query!r} under {ranker!r}"
-        try:
-            record = json.loads(self._file.read(*entry, what))
-            items, slots = record["items"], record["normalized"]
-            if (record["ranker"], record["query"]) != key:
-                raise ValueError(f"it holds the rank of {record['query']!r} under {record['ranker']!r}")
-            if type(items) is not list or not all(type(item) is str for item in items):
-                raise ValueError("items must be a list of strings")
-            if "" in items or len(set(items)) != len(items):
-                raise ValueError("item ids must be non-empty and distinct")
-            if len(items) > self.depth:
-                raise ValueError(f"{len(items)} items exceed L={self.depth}")
-            if type(slots) is not list or sorted(slots) != list(range(len(items))):
-                raise ValueError("normalized is not a permutation of the slots of items")
-            return items, [items[slot] for slot in slots]
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise MalformedGraphRecord(f"bad {what}: {exc}") from exc
+    ranker, query = key
+    try:
+        record = json.loads(data)
+        items, slots = record["items"], record["normalized"]
+        if (record["ranker"], record["query"]) != key:
+            raise ValueError(f"it holds the rank of {record['query']!r} under {record['ranker']!r}")
+        if type(items) is not list or not all(type(item) is str for item in items):
+            raise ValueError("items must be a list of strings")
+        if "" in items or len(set(items)) != len(items):
+            raise ValueError("item ids must be non-empty and distinct")
+        if len(items) > depth:
+            raise ValueError(f"{len(items)} items exceed L={depth}")
+        if type(slots) is not list or sorted(slots) != list(range(len(items))):
+            raise ValueError("normalized is not a permutation of the slots of items")
+        normalized = [items[slot] for slot in slots]
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedGraphRecord(f"bad {what}: {exc}") from exc
+    return gridded_rank(query, ranker, items, depth), gridded_rank(query, ranker, normalized, depth)
 
 
 class StoredRanks(CollectionRankIndex):
-    """The raw or the normalized ranks of stored rank records, each built into a ScoredRank on first get.
+    """The raw or the normalized ranks of the stored rank records, which map (ranker, query) to both.
 
-    ``toc`` maps ranker -> query -> entry. gridded_rank builds a rank, with
-    the grid as scores. That is what a normalized rank holds; the scores of a
-    raw rank are never read, because normalization reads positions only.
+    ``toc`` maps ranker -> query -> entry.
     """
 
-    def __init__(self, records: RankRecords, toc: dict[str, dict[ItemId, list]], normalized: bool):
+    def __init__(self, records: StoredRecords, toc: dict[str, dict[ItemId, list]], normalized: bool):
         self._ranks = toc  # the layout CollectionRankIndex's readers expect
-        self._records = records
+        self.records = records
         self._order = 1 if normalized else 0
-        self._built: dict[tuple[str, ItemId], ScoredRank] = {}
 
     def get(self, ranker: str, query: ItemId) -> ScoredRank | None:
-        rank = self._built.get((ranker, query))
-        if rank is None:
-            orders = self._records.get((ranker, query))
-            if orders is None:
-                return None
-            rank = self._built.setdefault(
-                (ranker, query), gridded_rank(query, ranker, orders[self._order], self._records.depth)
-            )
-        return rank
+        ranks = self.records.get((ranker, query))
+        return None if ranks is None else ranks[self._order]
 
 
 def index_collection(
@@ -640,27 +598,34 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
-    files = {
-        role: DataFile(directory / manifest["files"][role], manifest["bytes"][role])
-        for role in ("graphs", "postings", "ranks")
-    }
     graphs, postings, ranks = _read_toc(directory, manifest)
     params = NormalizationParams(manifest["L"])
-    records = RankRecords(
-        files["ranks"], {(r, q): entry for r, per_query in ranks.items() for q, entry in per_query.items()}, params.depth
+
+    def store(role: str, toc: dict, describe: Callable[[object], str], decode: Callable) -> StoredRecords:
+        return StoredRecords(directory / manifest["files"][role], manifest["bytes"][role], toc, describe, decode)
+
+    stored_graphs = store("graphs", graphs, "graph record of {!r}".format, _graph_record)
+    posting_lists = store(
+        "postings",
+        {label: [offset, count * POSTING.size, digest] for label, (offset, count, digest) in postings.items()},
+        "posting list of {!r}".format,
+        partial(_posting_list, list(graphs)),
+    )
+    records = store(
+        "ranks",
+        {(r, q): entry for r, per_query in ranks.items() for q, entry in per_query.items()},
+        lambda key: f"rank record of {key[1]!r} under {key[0]!r}",
+        partial(_rank_record, params.depth),
     )
     fg_index = FusionGraphIndex(
-        StoredGraphs(files["graphs"], graphs),
+        stored_graphs,
         params,
         tuple(manifest["rankers"]),
         manifest["comparator"],
         StoredRanks(records, ranks, normalized=True),
     )
     # what the cached property would derive by decoding every graph
-    fg_index.postings = VertexPostings(
-        StoredPostings(files["postings"], postings, list(graphs)),
-        {item: entry[3] for item, entry in graphs.items()},
-    )
+    fg_index.postings = VertexPostings(posting_lists, {item: entry[3] for item, entry in graphs.items()})
     return fg_index, StoredRanks(records, ranks, normalized=False)
 
 
@@ -674,32 +639,19 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
     so that every byte of the index is under a digest. Raises
     MalformedGraphRecord on the first fault.
     """
-    directory = Path(directory)
     fg_index, raw_index = load_index(directory)
-    stored = fg_index.postings
-    derived = VertexPostings.of(fg_index.graphs)  # reads and checks every graph
-    if list(stored.by_label) != sorted(derived.by_label) or any(
-        stored.by_label[label] != postings for label, postings in derived.by_label.items()
-    ):
+    stored = fg_index.postings.by_label
+    derived = VertexPostings.of(fg_index.graphs).by_label  # reads and checks every graph
+    if list(stored) != sorted(derived) or any(stored[label] != postings for label, postings in derived.items()):
         raise MalformedGraphRecord("the posting lists are not those of the graphs")
-    ranks = [(r, q) for r in fg_index.ranker_names for q in raw_index.queries(r)]
-    for ranker, query in ranks:
-        raw_index.get(ranker, query)
-    manifest = _read_manifest(directory)
-    graphs, postings, rank_toc = _read_toc(directory, manifest)
-    spans = {
-        "graphs": [entry[:2] for entry in graphs.values()],
-        "postings": [[offset, count * POSTING.size] for offset, count, _ in postings.values()],
-        "ranks": [entry[:2] for per_query in rank_toc.values() for entry in per_query.values()],
-    }
-    for role, extents in spans.items():
+    records = raw_index.records
+    list(records.values())  # reads and checks every rank
+    for store in (fg_index.graphs, stored, records):
         end = 0
-        for offset, length in sorted(extents):
+        for offset, length in sorted(entry[:2] for entry in store.toc.values()):
             if offset != end:
                 break
             end += length
-        if end != manifest["bytes"][role]:
-            raise MalformedGraphRecord(
-                f"the records of {manifest['files'][role]!r} do not cover it back to back from byte {end}"
-            )
-    return len(graphs), len(postings), len(ranks)
+        if end != store.size:
+            raise MalformedGraphRecord(f"the records of {store.name!r} do not cover it back to back from byte {end}")
+    return len(fg_index.graphs), len(stored), len(records)

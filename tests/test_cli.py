@@ -395,6 +395,31 @@ def test_ttest_on_different_query_sets_prints_one_json_line(tmp_path):
     }
 
 
+def test_repeated_qrels_line_prints_one_json_line(tmp_path):
+    """Either order of two judgments of one pair is refused, not scored by the last."""
+    run, qrels = tmp_path / "x.run", tmp_path / "y.qrels"
+    run.write_text("q1 Q0 d1 1 3.0 t\n", encoding="utf-8")
+    for lines in (("q1 0 d1 1", "q1 0 d1 0"), ("q1 0 d1 0", "q1 0 d1 1")):
+        qrels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = run_cli_process("-m", "fusegraph.cli", "eval", "--run", str(run), "--qrels", str(qrels))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        errors = result.stderr.splitlines()
+        assert len(errors) == 1, result.stderr
+        assert json.loads(errors[0]) == {
+            "error": "ParseError",
+            "message": f"{qrels}:2: duplicate judgment of 'd1' for 'q1'",
+        }
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    """Only Comb MED needs statistics, which loads decimal and fractions with it."""
+    probe = "import sys, fusegraph.cli; print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"
+    result = run_cli_process("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def edit_manifest(edit):
     """An index edit that applies ``edit`` to the manifest's JSON object."""
 

@@ -228,6 +228,37 @@ def test_line_parser_errors_pinned(tmp_path, parse, records, count, bad_numbers,
     assert _comparable(spaced) == _comparable(dense)
 
 
+REPEATED_KEYS = [
+    pytest.param(parse_qrels, "q1 0 d1 1\n\nq1 0 d1 0\n", 3, "duplicate judgment of 'd1' for 'q1'", id="qrels"),
+    pytest.param(parse_per_query_metrics, "q1 0.5\n\nq1 0.25\n", 3, "duplicate entry for 'q1'", id="per_query"),
+    pytest.param(parse_ranker_effectiveness, "r1 0.5\n\nr1 0.5\n", 3, "duplicate entry for 'r1'", id="ranker_eff"),
+    pytest.param(
+        parse_effectiveness_table,
+        "d c m1 0.5\nd c m2 0.5\nd c m1 0.25\n",
+        3,
+        "duplicate entry for 'd c m1'",
+        id="effectiveness_table",
+    ),
+    pytest.param(
+        parse_correlation_matrix,
+        "ranker\ta\tb\na\t1.0\t0.5\na\t0.5\t1.0\n",
+        3,
+        "duplicate matrix row 'a'",
+        id="matrix_row",
+    ),
+    pytest.param(
+        parse_correlation_matrix, "ranker\ta\ta\na\t1.0\t1.0\n", 1, "duplicate matrix column 'a'", id="matrix_column"
+    ),
+]
+
+
+@pytest.mark.parametrize("parse, text, line_no, message", REPEATED_KEYS)
+def test_keyed_parsers_reject_repeated_key(tmp_path, parse, text, line_no, message):
+    """A repeated key is an error at its line, not a silent win of the last line."""
+    path = write(tmp_path, "keyed.txt", text)
+    assert _parse_error(parse, path) == (line_no, f"{path}:{line_no}: {message}")
+
+
 def test_parse_ranker_effectiveness(tmp_path):
     path = write(tmp_path, "eff.txt", "r1 0.5\nr2 0.25\n")
     assert parse_ranker_effectiveness(path) == {"r1": 0.5, "r2": 0.25}
