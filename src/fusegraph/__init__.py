@@ -18,7 +18,6 @@ from .model import (
     ScoredEntry,
     ScoredRank,
     assemble_rank_set,
-    position_of,
 )
 from .normalize import NormalizationParams, normalize_rank_set
 from .similarity import dist_mcs, dist_wgu, graph_size, mcs
@@ -46,7 +45,6 @@ __all__ = [
     "mcs",
     "normalize_graph_weights",
     "normalize_rank_set",
-    "position_of",
     "__version__",
 ]
 

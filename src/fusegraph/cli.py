@@ -37,7 +37,7 @@ from .evaluation import (
     winning_numbers,
 )
 from .io import (
-    build_collection_index,
+    format_correlation_matrix,
     load_config,
     load_runs,
     parse_class_labels,
@@ -52,6 +52,7 @@ from .io import (
     write_per_query_metrics,
     write_run_file,
 )
+from .model import CollectionRankIndex
 from .normalize import NormalizationParams
 
 DEFAULT_TAG = "FG"
@@ -62,16 +63,14 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     from .retrieval import index_collection, save_index
 
     config = load_config(args.config)
-    index = build_collection_index(config)
-    params = NormalizationParams(config.depth)
     fg_index = index_collection(
-        index,
+        CollectionRankIndex(load_runs(config)),
         config.ranker_names,
-        params,
+        NormalizationParams(config.depth),
         comparator=config.comparator,
         strict=config.strict,
     )
-    save_index(args.out, fg_index, index)
+    save_index(args.out, fg_index)
     print(f"indexed {len(fg_index.graphs)} items into {args.out}")
     return 0
 
@@ -79,15 +78,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     from .retrieval import fuse_query, load_index
 
-    fg_index, raw_index = load_index(args.index)
+    fg_index = load_index(args.index)
     config = load_config(args.queries)
     query_runs = load_runs(config, fg_index.params.depth)
     rank_sets = rank_sets_from_runs(query_runs, tuple(config.ranker_names), strict=True)
-    exclude_self = args.exclude_self or config.exclude_self
-    fused = {
-        qid: fuse_query(rank_sets[qid], fg_index, raw_index, exclude_self=exclude_self)
-        for qid in sorted(rank_sets)
-    }
+    fused = {qid: fuse_query(rank_sets[qid], fg_index, exclude_self=args.exclude_self) for qid in sorted(rank_sets)}
     write_run_file(args.out, fused, args.tag)
     print(f"searched {len(fused)} queries into {args.out}")
     return 0
@@ -151,9 +146,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     if args.out:
         write_correlation_matrix(args.out, names, matrix)
     else:
-        print("ranker\t" + "\t".join(names))
-        for row in names:
-            print(row + "\t" + "\t".join(f"{matrix[row][col]:.6f}" for col in names))
+        print(format_correlation_matrix(names, matrix), end="")
     return 0
 
 

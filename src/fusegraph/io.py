@@ -12,6 +12,7 @@ first everywhere downstream.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Callable, Iterator, Mapping
 
 from .errors import ConfigError, DuplicateDoc, MissingRank, ParseError, RankGap
 from .evaluation import EvalReport, Qrels
-from .model import CollectionRankIndex, FusedRank, ItemId, RankSet, ScoredEntry, ScoredRank
+from .model import FusedRank, ItemId, RankSet, ScoredEntry, ScoredRank
 
 POLARITY_SIMILARITY = "similarity"
 POLARITY_DISTANCE = "distance"
@@ -192,32 +193,35 @@ def parse_ranker_effectiveness(path: str | Path) -> dict[str, float]:
     return {ranker: value for (ranker,), value in rows.items()}
 
 
+def format_correlation_matrix(names: list[str], matrix: Mapping[str, Mapping[str, float]]) -> str:
+    """The TSV matrix the correlate command prints or writes: a header line, then one line per ranker."""
+    rows = [[name, *(f"{matrix[name][col]:.6f}" for col in names)] for name in names]
+    return "".join("\t".join(fields) + "\n" for fields in [["ranker", *names], *rows])
+
+
 def write_correlation_matrix(
     path: str | Path, names: list[str], matrix: Mapping[str, Mapping[str, float]]
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ranker\t" + "\t".join(names) + "\n")
-        for row in names:
-            values = "\t".join(f"{matrix[row][col]:.6f}" for col in names)
-            fh.write(f"{row}\t{values}\n")
+        fh.write(format_correlation_matrix(names, matrix))
 
 
 def parse_correlation_matrix(path: str | Path) -> dict[str, dict[str, float]]:
-    """Parse the TSV matrix written by the correlate command."""
+    """Parse the TSV matrix written by the correlate command; blank lines are skipped."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(line_no, line.rstrip("\n")) for line_no, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ParseError(str(path), 0, "correlation matrix is empty")
-    header = lines[0].split("\t")
+    header_no, header = lines[0][0], lines[0][1].split("\t")
     if len(header) < 2:
-        raise ParseError(str(path), 1, "matrix header needs at least one ranker column")
+        raise ParseError(str(path), header_no, "matrix header needs at least one ranker column")
     names = header[1:]
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise ParseError(str(path), 1, f"duplicate matrix column {name!r}")
+            raise ParseError(str(path), header_no, f"duplicate matrix column {name!r}")
     matrix: dict[str, dict[str, float]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != len(names) + 1:
             raise ParseError(
@@ -259,16 +263,16 @@ class PipelineConfig:
           "rankers": [{"name": ..., "run": ..., "polarity": "similarity"}, ...],
           "depth": 10,
           "comparator": "WGU",
-          "strict": false,
-          "exclude_self": false
+          "strict": false
         }
+
+    A field outside this schema is a ConfigError.
     """
 
     rankers: tuple[RankerSpec, ...]
     depth: int = 10
     comparator: str = "WGU"
     strict: bool = False
-    exclude_self: bool = False
 
     def __post_init__(self):
         if not self.rankers:
@@ -294,8 +298,15 @@ def _typed(data: dict, key: str, default: object, kind: type, what: str):
     return value
 
 
+def _known_fields(data: dict, spec: type, where: str = "") -> None:
+    """ConfigError naming the first key of ``data`` that is not a field of the dataclass ``spec``."""
+    unknown = sorted(data.keys() - {field.name for field in dataclasses.fields(spec)})
+    if unknown:
+        raise ConfigError(f"config field {unknown[0]!r}{where} is unknown")
+
+
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a pipeline config, checking every value's JSON type; nothing is coerced."""
+    """Read a pipeline config, checking every field's name and JSON type; nothing is coerced."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -303,6 +314,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    _known_fields(data, PipelineConfig)
     raw_rankers = data.get("rankers")
     if not isinstance(raw_rankers, list):
         raise ConfigError("config needs a 'rankers' list")
@@ -311,6 +323,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     for entry in raw_rankers:
         if not isinstance(entry, dict) or "name" not in entry or "run" not in entry:
             raise ConfigError("each ranker needs 'name' and 'run' fields")
+        _known_fields(entry, RankerSpec, " of a ranker")
         run_path = _typed(entry, "run", None, str, "a string")
         if not Path(run_path).is_absolute():
             run_path = str(base / run_path)
@@ -326,7 +339,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         depth=_typed(data, "depth", 10, int, "an integer"),
         comparator=data.get("comparator", "WGU"),
         strict=_typed(data, "strict", False, bool, "true or false"),
-        exclude_self=_typed(data, "exclude_self", False, bool, "true or false"),
     )
 
 
@@ -336,10 +348,6 @@ def load_runs(config: PipelineConfig, depth: int | None = None) -> dict[str, dic
         spec.name: parse_run_file(spec.run, spec.name, spec.polarity, config.depth if depth is None else depth)
         for spec in config.rankers
     }
-
-
-def build_collection_index(config: PipelineConfig) -> CollectionRankIndex:
-    return CollectionRankIndex(load_runs(config))
 
 
 def rank_sets_from_runs(

@@ -104,14 +104,6 @@ class FusedRank:
         return len(self.entries)
 
 
-def position_of(rank: ScoredRank, item: ItemId) -> Optional[int]:
-    """1-indexed position of ``item`` in ``rank``, or None if absent.
-
-    Absence is a value, not an error: callers substitute their own sentinel.
-    """
-    return rank.positions.get(item)
-
-
 @dataclass(frozen=True)
 class RankSet:
     """The m ranks produced for one query, one per ranker."""
@@ -154,17 +146,15 @@ class RankLookup:
             raise MissingRank(ranker, query)
         return rank
 
-    def overlay(self, rank_set: RankSet) -> "OverlayRankLookup":
-        """View of this lookup with ``rank_set``'s ranks taking precedence.
-
-        Used for online queries whose ranks are not part of the collection;
-        the underlying index is never mutated.
-        """
-        return OverlayRankLookup(self, rank_set)
-
 
 @dataclass(frozen=True)
 class OverlayRankLookup(RankLookup):
+    """View of ``base`` with ``extra``'s ranks taking precedence.
+
+    Used for online queries whose ranks are not part of the collection;
+    the underlying index is never mutated.
+    """
+
     base: RankLookup
     extra: RankSet
     _by_ranker: dict = field(init=False, repr=False)

@@ -26,7 +26,6 @@ from .model import (
     RankSet,
     ScoredEntry,
     ScoredRank,
-    position_of,
 )
 
 
@@ -50,15 +49,6 @@ class NormalizationParams:
         return self.depth + 1
 
 
-def _position_or_sentinel(
-    rank: ScoredRank | None, item: ItemId, params: NormalizationParams
-) -> int:
-    if rank is None:
-        return params.missing_position_sentinel
-    pos = position_of(rank, item)
-    return params.missing_position_sentinel if pos is None else pos
-
-
 def delta(
     i: ItemId,
     j: ItemId,
@@ -76,9 +66,10 @@ def delta(
     Raises MissingRank if no rank is stored for i; a missing rank for j only
     triggers the sentinel.
     """
-    rank_i = index.require(ranker, i)
-    p_ij = _position_or_sentinel(rank_i, j, params)
-    p_ji = _position_or_sentinel(index.get(ranker, j), i, params)
+    sentinel = params.missing_position_sentinel
+    p_ij = index.require(ranker, i).positions.get(j, sentinel)
+    rank_j = index.get(ranker, j)
+    p_ji = sentinel if rank_j is None else rank_j.positions.get(i, sentinel)
     return p_ij + p_ji + max(p_ij, p_ji)
 
 

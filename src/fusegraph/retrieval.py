@@ -51,6 +51,7 @@ from .model import (
     CollectionRankIndex,
     FusedRank,
     ItemId,
+    OverlayRankLookup,
     RankLookup,
     RankSet,
     ScoredRank,
@@ -111,7 +112,8 @@ class FusionGraphIndex:
     """Normalized fusion graphs for the whole response set.
 
     ``normalized`` holds the collection's normalized ranks, which query
-    graphs are built from.
+    graphs are built from; ``raw`` holds its ranks as given, whose positions
+    the normalization of a query reads.
     """
 
     graphs: Mapping[ItemId, FusionGraph]
@@ -119,16 +121,13 @@ class FusionGraphIndex:
     ranker_names: tuple[str, ...]
     comparator: str
     normalized: RankLookup
+    raw: CollectionRankIndex
 
     def __post_init__(self):
         if self.comparator not in COMPARATORS:
             raise ValueError(
                 f"comparator must be one of {sorted(COMPARATORS)}, got {self.comparator!r}"
             )
-
-    @property
-    def distance(self) -> Callable[[FusionGraph, FusionGraph], float]:
-        return COMPARATORS[self.comparator]
 
     @cached_property
     def postings(self) -> VertexPostings:
@@ -146,8 +145,8 @@ class StoredRecords(Mapping):
     Opening the file checks its size against the manifest's. ``toc`` maps a
     key to its record's table-of-contents entry, (offset, length, digest)
     and maybe more. A record is handed to ``decode(key, entry, data, what)``
-    only when it matches its digest; ``what`` names it, by ``describe(key)``,
-    in errors. The file stays open while this object lives, for reads at
+    only when it lies inside the file and matches its digest; ``what``
+    names it, by ``describe(key)``, in errors. The file stays open while this object lives, for reads at
     any offset, by any thread.
     """
 
@@ -167,6 +166,8 @@ class StoredRecords(Mapping):
             entry = self.toc[key]
             offset, length, digest = entry[:3]
             what = self._describe(key)
+            if offset + length > self.size:
+                raise MalformedGraphRecord(f"{what} ends past the {self.size} bytes of {self.name!r}")
             data = os.pread(self._fd, length, offset)
             if len(data) != length or _digest(data) != digest:
                 raise MalformedGraphRecord(f"{what} in {self.name!r} does not match its digest")
@@ -264,7 +265,8 @@ def index_collection(
 
     In strict mode every item must have a rank under every chosen ranker;
     in lenient mode missing ranks are skipped and an item with no ranks at
-    all is left out of the graph index, and counted in ``stats``.
+    all is left out of the graph index, and counted in ``stats``. The
+    result keeps ``index`` as its raw ranks.
     """
     rankers = tuple(rankers)
     normalized = normalize_collection(index, rankers, params)
@@ -281,7 +283,7 @@ def index_collection(
             continue
         rs = assemble_rank_set(item, normalized, available)
         graphs[item] = build_fusion_graph(rs, normalized, strict=strict, stats=stats, table=table)
-    return FusionGraphIndex(graphs, params, rankers, comparator, normalized)
+    return FusionGraphIndex(graphs, params, rankers, comparator, normalized, index)
 
 
 def common_bounds(postings: VertexPostings, query_graph: FusionGraph) -> dict[ItemId, float]:
@@ -310,17 +312,13 @@ def common_bounds(postings: VertexPostings, query_graph: FusionGraph) -> dict[It
     return {item: (v + min(o, i)) * inflate for item, (v, o, i) in sums.items()}
 
 
-def build_query_graph(
-    query_ranks: RankSet,
-    fg_index: FusionGraphIndex,
-    index: RankLookup,
-) -> FusionGraph:
+def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> FusionGraph:
     """Normalize a query's ranks and build its fusion graph on the fly.
 
-    ``index`` is the raw collection index; the query's own (raw) ranks are
-    overlaid on it, so out-of-collection queries work as long as their m
-    ranks over the collection are supplied. The neighbor ranks the graph
-    reads are the index's normalized collection ranks.
+    The query's own (raw) ranks are overlaid on the index's raw collection
+    ranks, so out-of-collection queries work as long as their m ranks over
+    the collection are supplied. The neighbor ranks the graph reads are the
+    index's normalized collection ranks.
     """
     params = fg_index.params
     if set(query_ranks.ranker_names) != set(fg_index.ranker_names):
@@ -334,16 +332,11 @@ def build_query_graph(
                 f"query rank under {rank.ranker!r} has depth {rank.depth}, "
                 f"index uses L={params.depth}"
             )
-    normalized_query = normalize_rank_set(query_ranks, index.overlay(query_ranks), params)
-    return build_fusion_graph(normalized_query, fg_index.normalized.overlay(normalized_query))
+    normalized_query = normalize_rank_set(query_ranks, OverlayRankLookup(fg_index.raw, query_ranks), params)
+    return build_fusion_graph(normalized_query, OverlayRankLookup(fg_index.normalized, normalized_query))
 
 
-def fuse_query(
-    query_ranks: RankSet,
-    fg_index: FusionGraphIndex,
-    index: RankLookup,
-    exclude_self: bool = False,
-) -> FusedRank:
+def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: bool = False) -> FusedRank:
     """Rank the indexed collection by graph distance to the query's graph.
 
     Distances ascend with ties broken by item id, cut to L. An item sharing
@@ -355,8 +348,8 @@ def fuse_query(
     that could tie is still scored. The result is the same as scoring every
     item.
     """
-    query_graph = build_query_graph(query_ranks, fg_index, index)
-    depth, distance, graphs = fg_index.params.depth, fg_index.distance, fg_index.graphs
+    query_graph = build_query_graph(query_ranks, fg_index)
+    depth, distance, graphs = fg_index.params.depth, COMPARATORS[fg_index.comparator], fg_index.graphs
     postings = fg_index.postings
     excluded = {query_ranks.query} if exclude_self else set()
     bounds = common_bounds(postings, query_graph)
@@ -376,8 +369,8 @@ def fuse_query(
     return FusedRank(query_ranks.query, tuple((item, d) for d, item in top))
 
 
-def save_index(directory: str | Path, fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> None:
-    """Persist the graph index plus the rank orders it was built from, in index format 5.
+def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
+    """Persist the graph index with its raw and normalized rank orders, in index format 5.
 
     ``graphs.bin`` holds one serialize_graph record per item in item order.
     ``postings.bin`` holds, per vertex label in sorted order, one POSTING per
@@ -415,7 +408,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex, raw_index: Col
         postings = _stage(
             directory / INDEX_FILES["postings"], ((label, by_label.pop(label)) for label in sorted(by_label)), staged
         )
-        ranks = _stage(directory / INDEX_FILES["ranks"], _rank_lines(fg_index, raw_index), staged)
+        ranks = _stage(directory / INDEX_FILES["ranks"], _rank_lines(fg_index), staged)
         toc_ranks: dict[str, dict[ItemId, list]] = {}
         for (ranker, query), entry in ranks.items():
             toc_ranks.setdefault(ranker, {})[query] = entry
@@ -482,11 +475,11 @@ def _stage(path: Path, records: Iterable[tuple[object, bytes]], staged: list[tup
     return entries
 
 
-def _rank_lines(fg_index: FusionGraphIndex, raw_index: CollectionRankIndex) -> Iterator[tuple[tuple, bytes]]:
+def _rank_lines(fg_index: FusionGraphIndex) -> Iterator[tuple[tuple, bytes]]:
     """One record per rank: its raw item order and its normalized order as slots into it."""
     for ranker in fg_index.ranker_names:
-        for query in sorted(raw_index.queries(ranker)):
-            items = raw_index.require(ranker, query).items()
+        for query in sorted(fg_index.raw.queries(ranker)):
+            items = fg_index.raw.require(ranker, query).items()
             slot = {item: i for i, item in enumerate(items)}
             order = fg_index.normalized.require(ranker, query).items()
             record = {
@@ -584,8 +577,8 @@ def _read_toc(directory: Path, manifest: dict) -> tuple[dict, dict, dict]:
     return graphs, postings, ranks
 
 
-def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankIndex]:
-    """Open a persisted index directory: (graph index, raw collection index).
+def load_index(directory: str | Path) -> FusionGraphIndex:
+    """Open a persisted index directory.
 
     Reads the manifest and the table of contents only. Every manifest field
     in MANIFEST_FIELDS must be present and well typed, every data file must
@@ -623,10 +616,11 @@ def load_index(directory: str | Path) -> tuple[FusionGraphIndex, CollectionRankI
         tuple(manifest["rankers"]),
         manifest["comparator"],
         StoredRanks(records, ranks, normalized=True),
+        StoredRanks(records, ranks, normalized=False),
     )
     # what the cached property would derive by decoding every graph
     fg_index.postings = VertexPostings(posting_lists, {item: entry[3] for item, entry in graphs.items()})
-    return fg_index, StoredRanks(records, ranks, normalized=False)
+    return fg_index
 
 
 def verify_index(directory: str | Path) -> tuple[int, int, int]:
@@ -639,12 +633,12 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
     so that every byte of the index is under a digest. Raises
     MalformedGraphRecord on the first fault.
     """
-    fg_index, raw_index = load_index(directory)
+    fg_index = load_index(directory)
     stored = fg_index.postings.by_label
     derived = VertexPostings.of(fg_index.graphs).by_label  # reads and checks every graph
     if list(stored) != sorted(derived) or any(stored[label] != postings for label, postings in derived.items()):
         raise MalformedGraphRecord("the posting lists are not those of the graphs")
-    records = raw_index.records
+    records = fg_index.raw.records
     list(records.values())  # reads and checks every rank
     for store in (fg_index.graphs, stored, records):
         end = 0

@@ -335,9 +335,9 @@ def reference_dist_wgu(a: FusionGraph, b: FusionGraph) -> float:
 REFERENCE_DISTANCES = {"MCS": reference_dist_mcs, "WGU": reference_dist_wgu}
 
 
-def reference_fuse_query(query_ranks, fg_index, index, exclude_self=False):
+def reference_fuse_query(query_ranks, fg_index, exclude_self=False):
     """Score every indexed item with the reference distance; the full scan."""
-    query_graph = build_query_graph(query_ranks, fg_index, index)
+    query_graph = build_query_graph(query_ranks, fg_index)
     distance = REFERENCE_DISTANCES[fg_index.comparator]
     scored = []
     for item in sorted(fg_index.graphs):

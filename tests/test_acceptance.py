@@ -28,8 +28,8 @@ from fusegraph.evaluation import (
     spearman_corr,
 )
 from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, normalize_graph_weights
-from fusegraph.io import build_collection_index, load_config, parse_class_labels, parse_run_file
-from fusegraph.model import assemble_rank_set
+from fusegraph.io import load_config, load_runs, parse_class_labels, parse_run_file
+from fusegraph.model import CollectionRankIndex, assemble_rank_set
 from fusegraph.normalize import (
     NormalizationParams,
     delta,
@@ -127,8 +127,6 @@ def test_worked_example_fixture(tmp_path):
         paths = write_runs(tmp_path, layout, "fixture")
         params = NormalizationParams(2)
         runs = {r: parse_run_file(paths[r], r, depth=2) for r in paths}
-        from fusegraph.model import CollectionRankIndex
-
         index = CollectionRankIndex(runs)
         normalized = normalize_collection(index, ("r1", "r2"), params)
         rs = assemble_rank_set("q", normalized, ("r1", "r2"))
@@ -197,7 +195,7 @@ def test_self_retrieval():
         fg_index = index_collection(index, index.rankers, params, "WGU")
         for query in index.collection_items():
             rs = assemble_rank_set(query, index, index.rankers)
-            fused = fuse_query(rs, fg_index, index)
+            fused = fuse_query(rs, fg_index)
             assert fused.entries[0] == (query, 0.0), f"query {query} not first"
 
 
@@ -218,7 +216,7 @@ def test_fusion_benefit():
             singles = {r: {} for r in rankers}
             for q in items:
                 rs = assemble_rank_set(q, index, rankers)
-                fg[q] = fuse_query(rs, fg_index, index)
+                fg[q] = fuse_query(rs, fg_index)
                 borda_runs[q] = baselines.borda(rs)
                 rrf_runs[q] = baselines.rrf(rs)
                 comb_runs[q] = baselines.comb(rs, "SUM")
@@ -361,14 +359,14 @@ def test_ukbench_dataset_hook():
     with criterion("UKBench N-S within 0.05 of 3.90 (VOC + ACC + CNN-Caffe)"):
         config = load_config(config_path)
         qrels = parse_class_labels(labels_path)
-        index = build_collection_index(config)
+        index = CollectionRankIndex(load_runs(config))
         params = NormalizationParams(config.depth)
         fg_index = index_collection(index, config.ranker_names, params, config.comparator)
         total = 0.0
         items = index.collection_items()
         for query in items:
             rs = assemble_rank_set(query, index, config.ranker_names)
-            fused = fuse_query(rs, fg_index, index)
+            fused = fuse_query(rs, fg_index)
             total += ns_score(fused, qrels)
         ns = total / len(items)
         assert abs(ns - 3.90) <= 0.05

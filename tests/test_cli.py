@@ -20,9 +20,11 @@ from fusegraph.io import parse_run_file
 from fusegraph.model import ScoredRank
 
 from helpers import (
+    INDEX_DATA_FILES,
     TOY_LAYOUT,
     TOY_QUERY,
     edit_rank_record,
+    edit_toc,
     index_files,
     random_rank_index,
     synthetic_collection,
@@ -173,6 +175,14 @@ def test_correlate_command(toy_files, capsys):
     r1_row = lines[1].split("\t")
     assert r1_row[0] == "r1"
     assert float(r1_row[1]) == 1.0  # self-correlation diagonal
+
+
+def test_correlate_prints_what_it_writes(toy_files, capsys):
+    out = toy_files["dir"] / "corr.tsv"
+    assert main(["correlate", "--config", str(toy_files["config"]), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["correlate", "--config", str(toy_files["config"])]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_select_command(tmp_path, capsys):
@@ -508,6 +518,34 @@ def test_search_on_same_size_corruption_prints_one_json_line(toy_files, case):
     assert error["message"] == f"{message} does not match its digest"
 
 
+@pytest.mark.parametrize("command", ["search", "verify"])
+@pytest.mark.parametrize("role", sorted(INDEX_DATA_FILES))
+def test_record_past_the_end_of_its_file_prints_one_json_line(toy_files, role, command):
+    """A table-of-contents entry reaching past its file is rejected before any byte of it is read."""
+    index_dir = toy_files["dir"] / "index"
+    assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
+
+    def lengthen(toc):  # every record of the role gets a length (postings: a count) of 2**44
+        entries = list(toc[role].values())
+        if role == "ranks":
+            entries = [entry for per_query in entries for entry in per_query.values()]
+        for entry in entries:
+            entry[1] = 2**44
+
+    edit_toc(index_dir, lengthen)
+    args = ["--index", str(index_dir)]
+    if command == "search":
+        args += ["--queries", str(toy_files["queries"]), "--out", str(toy_files["dir"] / "fg.run")]
+    result = run_cli_process("-m", "fusegraph.cli", command, *args)
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    error = json.loads(lines[0])
+    name = INDEX_DATA_FILES[role]
+    assert error["error"] == "MalformedGraphRecord"
+    assert error["message"].endswith(f" ends past the {(index_dir / name).stat().st_size} bytes of {name!r}")
+
+
 def z_index(tmp_path):
     """The toy index plus an item Z whose ranks hold Z and X only, and the toy query.
 
@@ -671,6 +709,22 @@ def test_config_string_for_bool_prints_one_json_line(toy_files):
         "error": "ConfigError",
         "message": "config field 'strict' must be true or false, got 'false'",
     }
+    assert not out.exists()
+
+
+def test_config_setting_exclude_self_prints_one_json_line(toy_files):
+    """exclude_self is not a config field; search --exclude-self is the one switch."""
+    config = json.loads(toy_files["queries"].read_text(encoding="utf-8"))
+    config["exclude_self"] = True
+    toy_files["queries"].write_text(json.dumps(config), encoding="utf-8")
+    index_dir, out = toy_files["dir"] / "index", toy_files["dir"] / "fg.run"
+    assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
+    result = run_cli_process("-m", "fusegraph.cli", "search", "--index", str(index_dir),
+                             "--queries", str(toy_files["queries"]), "--out", str(out), "--exclude-self")
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {"error": "ConfigError", "message": "config field 'exclude_self' is unknown"}
     assert not out.exists()
 
 

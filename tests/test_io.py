@@ -280,6 +280,13 @@ def test_effectiveness_table_parsing(tmp_path):
     assert table[("d1", "c1")] == {"m1": 0.9, "m2": 0.5}
 
 
+def test_correlation_matrix_errors_count_blank_lines(tmp_path):
+    path = write(tmp_path, "m.tsv", "ranker\ta\n\na\t1.0\nb\tx\n")
+    assert _parse_error(parse_correlation_matrix, path) == (4, f"{path}:4: bad matrix value")
+    path = write(tmp_path, "lead.tsv", "\n\nranker\ta\ta\n")
+    assert _parse_error(parse_correlation_matrix, path) == (3, f"{path}:3: duplicate matrix column 'a'")
+
+
 def test_correlation_matrix_round_trip(tmp_path):
     names = ["r1", "r2"]
     matrix = {"r1": {"r1": 1.0, "r2": 0.25}, "r2": {"r1": 0.25, "r2": 1.0}}
@@ -326,7 +333,11 @@ def ranker_entry(**fields):
 
 BAD_CONFIG_VALUES = {
     "strict as a string": ({"strict": "false"}, "'strict' must be true or false, got 'false'"),
-    "exclude_self as a number": ({"exclude_self": 1}, "'exclude_self' must be true or false, got 1"),
+    # exclude_self is not a field: search --exclude-self is the one switch
+    "exclude_self as a number": ({"exclude_self": 1}, "'exclude_self' is unknown"),
+    "exclude_self as a bool": ({"exclude_self": False}, "'exclude_self' is unknown"),
+    "misspelt root field": ({"comparater": "MCS"}, "'comparater' is unknown"),
+    "misspelt ranker field": ({"rankers": [ranker_entry(polarty="distance")]}, "'polarty' of a ranker is unknown"),
     "fractional depth": ({"depth": 10.7}, "'depth' must be an integer, got 10.7"),
     "depth as a bool": ({"depth": True}, "'depth' must be an integer, got True"),
     "depth as a string": ({"depth": "10"}, "'depth' must be an integer, got '10'"),
@@ -345,6 +356,6 @@ def test_load_config_checks_value_types(tmp_path, case):
 
 
 def test_load_config_reads_json_booleans_and_integers(tmp_path):
-    config = {"rankers": [ranker_entry()], "depth": 7, "strict": True, "exclude_self": False}
+    config = {"rankers": [ranker_entry()], "depth": 7, "strict": True}
     loaded = load_config(write(tmp_path, "config.json", json.dumps(config)))
-    assert (loaded.depth, loaded.strict, loaded.exclude_self) == (7, True, False)
+    assert (loaded.depth, loaded.strict) == (7, True)

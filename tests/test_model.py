@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from fusegraph.errors import InvalidRankSet, MissingRank
 from fusegraph.model import (
     CollectionRankIndex,
+    OverlayRankLookup,
     RankSet,
     ScoredEntry,
     ScoredRank,
     assemble_rank_set,
-    position_of,
 )
 
 from helpers import mkrank
@@ -17,19 +17,19 @@ from helpers import mkrank
 
 def test_position_of_basic():
     rank = mkrank("q", "r1", ["A", "B", "C"])
-    assert position_of(rank, "B") == 2
-    assert position_of(rank, "A") == 1
-    assert position_of(rank, "Z") is None
+    assert rank.positions.get("B") == 2
+    assert rank.positions.get("A") == 1
+    assert rank.positions.get("Z") is None
 
 
 @given(st.permutations([f"d{i}" for i in range(8)]))
 def test_position_of_consistency(items):
     rank = mkrank("q", "r1", list(items))
     for item in items:
-        pos = position_of(rank, item)
+        pos = rank.positions.get(item)
         assert pos is not None
         assert rank.entries[pos - 1].item == item
-    assert position_of(rank, "absent") is None
+    assert rank.positions.get("absent") is None
 
 
 def test_scored_rank_rejects_duplicates():
@@ -108,7 +108,7 @@ def test_collection_items_and_size():
 def test_overlay_prefers_extra_ranks():
     index = _toy_index()
     extra = RankSet("p", (mkrank("p", "r1", ["Z"]),))
-    view = index.overlay(extra)
+    view = OverlayRankLookup(index, extra)
     assert view.get("r1", "p").items() == ("Z",)
     assert view.get("r1", "q").items() == ("A", "B")
     assert view.get("r2", "p") is None

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from fusegraph.graph import BuildStats, FusionGraph, graph_size
-from fusegraph.model import CollectionRankIndex, RankSet, ScoredRank, assemble_rank_set
+from fusegraph.model import CollectionRankIndex, OverlayRankLookup, RankSet, ScoredRank, assemble_rank_set
 from fusegraph.normalize import NormalizationParams, normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
     FusedRank,
@@ -87,13 +87,13 @@ def test_toy_ordering_hand_computed(toy_fg_index):
     rs = query_rank_set()
     # hand-computed full ordering is [A, B, C]: q's graph equals A's graph
     # exactly, while B and C each share one 0.05-weight vertex with it
-    query_graph = build_query_graph(rs, fg_index, index)
+    query_graph = build_query_graph(rs, fg_index)
     expected = 1.0 - 0.05 / 6.15
     assert dist_wgu(query_graph, fg_index.graphs["A"]) == 0.0
     assert dist_wgu(query_graph, fg_index.graphs["B"]) == pytest.approx(expected, abs=1e-12)
     assert dist_wgu(query_graph, fg_index.graphs["C"]) == pytest.approx(expected, abs=1e-12)
     # the fused rank keeps the top-L of that ordering (L = 2), B before C by id
-    fused = fuse_query(rs, fg_index, index)
+    fused = fuse_query(rs, fg_index)
     assert fused.items() == ("A", "B")
     assert fused.entries[0][1] == 0.0
     assert fused.entries[1][1] == pytest.approx(expected, abs=1e-12)
@@ -102,21 +102,21 @@ def test_toy_ordering_hand_computed(toy_fg_index):
 def test_indexed_query_self_retrieval(toy_fg_index):
     index, fg_index = toy_fg_index
     rs = assemble_rank_set("A", index, ("r1", "r2"))
-    fused = fuse_query(rs, fg_index, index)
+    fused = fuse_query(rs, fg_index)
     assert fused.entries[0] == ("A", 0.0)
 
 
 def test_exclude_self(toy_fg_index):
     index, fg_index = toy_fg_index
     rs = assemble_rank_set("A", index, ("r1", "r2"))
-    fused = fuse_query(rs, fg_index, index, exclude_self=True)
+    fused = fuse_query(rs, fg_index, exclude_self=True)
     assert "A" not in fused.items()
     assert len(fused) == 2
 
 
 def test_fused_rank_distances_non_decreasing(toy_fg_index):
     index, fg_index = toy_fg_index
-    fused = fuse_query(query_rank_set(), fg_index, index)
+    fused = fuse_query(query_rank_set(), fg_index)
     values = [d for _, d in fused.entries]
     assert values == sorted(values)
 
@@ -126,11 +126,11 @@ def test_comparator_order_consistency(toy_fg_index):
 
     index, fg_index = toy_fg_index
     rs = query_rank_set()
-    query_graph = build_query_graph(rs, fg_index, index)
+    query_graph = build_query_graph(rs, fg_index)
     expected = sorted(
         dist_wgu(query_graph, fg_index.graphs[s]) for s in fg_index.graphs
     )[: fg_index.params.depth]
-    fused = fuse_query(rs, fg_index, index)
+    fused = fuse_query(rs, fg_index)
     assert [d for _, d in fused.entries] == expected
 
 
@@ -138,7 +138,7 @@ def test_ranker_mismatch_names(toy_fg_index):
     index, fg_index = toy_fg_index
     bad = RankSet("q", (mkrank("q", "r1", ["A"], depth=2),))
     with pytest.raises(RankerMismatch):
-        fuse_query(bad, fg_index, index)
+        fuse_query(bad, fg_index)
 
 
 def test_ranker_mismatch_depth(toy_fg_index):
@@ -151,7 +151,7 @@ def test_ranker_mismatch_depth(toy_fg_index):
         ),
     )
     with pytest.raises(RankerMismatch):
-        fuse_query(bad, fg_index, index)
+        fuse_query(bad, fg_index)
 
 
 def test_index_collection_strict_missing_rank():
@@ -197,7 +197,7 @@ def test_scope_equivalence_random():
     fg_index = index_collection(index, index.rankers, params, "WGU")
     for query in index.collection_items()[:6]:
         rs = assemble_rank_set(query, index, index.rankers)
-        assert fuse_query(rs, fg_index, index) == reference_fuse_query(rs, fg_index, index)
+        assert fuse_query(rs, fg_index) == reference_fuse_query(rs, fg_index)
 
 
 def indexed_collection(rng, n_items, n_rankers, depth, cluster_size, comparator, twins):
@@ -211,7 +211,7 @@ def indexed_collection(rng, n_items, n_rankers, depth, cluster_size, comparator,
     graphs = dict(built.graphs)
     for item in rng.sample(sorted(graphs), min(twins, len(graphs))):
         graphs[item + "~"] = FusionGraph(item + "~", graphs[item].vertices, graphs[item].edges)
-    return index, FusionGraphIndex(graphs, built.params, built.ranker_names, comparator, built.normalized)
+    return index, FusionGraphIndex(graphs, built.params, built.ranker_names, comparator, built.normalized, index)
 
 
 def query_ranks(rng, index, depth, out_of_collection):
@@ -265,8 +265,8 @@ def test_pruned_scan_equals_reference_scan(
     )
     rs = query_ranks(rng, index, depth, out_of_collection)
     assert_same_fused(
-        fuse_query(rs, fg_index, index, exclude_self=exclude_self),
-        reference_fuse_query(rs, fg_index, index, exclude_self=exclude_self),
+        fuse_query(rs, fg_index, exclude_self=exclude_self),
+        reference_fuse_query(rs, fg_index, exclude_self=exclude_self),
     )
 
 
@@ -281,13 +281,13 @@ def test_loaded_index_search_equals_reference_scan(
         rng, n_items, n_rankers, depth, cluster_size, comparator, twins
     )
     with tempfile.TemporaryDirectory() as directory:
-        save_index(directory, fg_index, index)
-        loaded, loaded_raw = load_index(directory)
+        save_index(directory, fg_index)
+        loaded = load_index(directory)
     for _ in range(3):
         rs = query_ranks(rng, index, depth, out_of_collection)
-        expected = reference_fuse_query(rs, fg_index, index, exclude_self=exclude_self)
-        assert_same_fused(fuse_query(rs, loaded, loaded_raw, exclude_self=exclude_self), expected)
-        assert_same_fused(fuse_query(rs, fg_index, index, exclude_self=exclude_self), expected)
+        expected = reference_fuse_query(rs, fg_index, exclude_self=exclude_self)
+        assert_same_fused(fuse_query(rs, loaded, exclude_self=exclude_self), expected)
+        assert_same_fused(fuse_query(rs, fg_index, exclude_self=exclude_self), expected)
 
 
 def assert_checked(rank):
@@ -320,13 +320,13 @@ def test_unchecked_ranks_pass_the_public_constructor(
             for query in normalized.queries(ranker):
                 assert_checked(normalized.get(ranker, query))
         rs = query_ranks(rng, index, depth, out_of_collection)
-        for rank in normalize_rank_set(rs, index.overlay(rs), params):
+        for rank in normalize_rank_set(rs, OverlayRankLookup(index, rs), params):
             assert_checked(rank)
     with tempfile.TemporaryDirectory() as directory:
-        save_index(directory, index_collection(index, index.rankers, NormalizationParams(depth)), index)
-        loaded, loaded_raw = load_index(directory)
+        save_index(directory, index_collection(index, index.rankers, NormalizationParams(depth)))
+        loaded = load_index(directory)
     for ranker, item in _lookup_pairs(index):
-        for lookup in (loaded.normalized, loaded_raw):
+        for lookup in (loaded.normalized, loaded.raw):
             rank = lookup.get(ranker, item)
             if rank is not None:
                 assert_checked(rank)
@@ -336,7 +336,7 @@ def test_scope_contains_equal_graph(toy_fg_index):
     from fusegraph.retrieval import build_query_graph
 
     index, fg_index = toy_fg_index
-    graph = build_query_graph(query_rank_set(), fg_index, index)
+    graph = build_query_graph(query_rank_set(), fg_index)
     assert "A" in common_bounds(fg_index.postings, graph)
 
 
@@ -344,40 +344,40 @@ def test_out_of_collection_query_supported(toy_fg_index):
     index, fg_index = toy_fg_index
     # "q" is not an indexed item; only its ranks over the collection exist
     assert "q" not in fg_index.graphs
-    fused = fuse_query(query_rank_set(), fg_index, index)
+    fused = fuse_query(query_rank_set(), fg_index)
     assert len(fused) == 2  # truncated to L
 
 
 def test_worker_schedule_independence(toy_fg_index):
     index, fg_index = toy_fg_index
     rs = query_rank_set()
-    assert fuse_query(rs, fg_index, index) == fuse_query(rs, fg_index, index)
+    assert fuse_query(rs, fg_index) == fuse_query(rs, fg_index)
     rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU")
     assert rebuilt.graphs == fg_index.graphs
 
 
 def test_save_load_round_trip(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
-    loaded_fg, loaded_raw = load_index(tmp_path / "idx")
+    save_index(tmp_path / "idx", fg_index)
+    loaded_fg = load_index(tmp_path / "idx")
     assert loaded_fg.graphs == fg_index.graphs
     assert loaded_fg.params == fg_index.params
     assert loaded_fg.ranker_names == fg_index.ranker_names
     assert loaded_fg.comparator == fg_index.comparator
-    assert loaded_raw.collection_items() == index.collection_items()
-    fused_orig = fuse_query(query_rank_set(), fg_index, index)
-    fused_loaded = fuse_query(query_rank_set(), loaded_fg, loaded_raw)
+    assert loaded_fg.raw.collection_items() == index.collection_items()
+    fused_orig = fuse_query(query_rank_set(), fg_index)
+    fused_loaded = fuse_query(query_rank_set(), loaded_fg)
     assert fused_orig == fused_loaded
     # the loaded index saves back to the same bytes
-    save_index(tmp_path / "again", loaded_fg, loaded_raw)
+    save_index(tmp_path / "again", loaded_fg)
     assert index_files(tmp_path / "again") == index_files(tmp_path / "idx")
 
 
 def test_save_is_byte_deterministic(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "one", fg_index, index)
+    save_index(tmp_path / "one", fg_index)
     rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU")
-    save_index(tmp_path / "two", rebuilt, index)
+    save_index(tmp_path / "two", rebuilt)
     assert index_files(tmp_path / "one") == index_files(tmp_path / "two")
 
 
@@ -390,7 +390,7 @@ def _corrupt_manifest(directory, edit):
 
 def test_manifest_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8"))
     assert sorted(manifest) == sorted(
         ("v", "rankers", "L", "comparator", "graph_count", "files", "bytes", "sha256")
@@ -415,7 +415,7 @@ def test_manifest_layout(tmp_path, toy_fg_index):
 
 def test_toc_and_postings_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
     assert sorted(toc) == ["graphs", "postings", "ranks"]
     assert list(toc["graphs"]) == ["A", "B", "C"]
@@ -447,7 +447,7 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
 
 def test_rank_record_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     lines = (tmp_path / "idx" / "collection_ranks.jsonl").read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines]
     assert [sorted(record) for record in records] == [["items", "normalized", "query", "ranker"]] * 6
@@ -473,7 +473,7 @@ ILL_TYPED = {
 @pytest.mark.parametrize("field", MANIFEST_FIELDS)
 def test_load_rejects_manifest_missing_field(tmp_path, toy_fg_index, field):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     _corrupt_manifest(tmp_path / "idx", lambda m: m.pop(field))
     with pytest.raises(MalformedGraphRecord, match=field):
         load_index(tmp_path / "idx")
@@ -482,7 +482,7 @@ def test_load_rejects_manifest_missing_field(tmp_path, toy_fg_index, field):
 @pytest.mark.parametrize("field", MANIFEST_FIELDS)
 def test_load_rejects_ill_typed_manifest_field(tmp_path, toy_fg_index, field):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     _corrupt_manifest(tmp_path / "idx", lambda m: m.update({field: ILL_TYPED[field]}))
     with pytest.raises(MalformedGraphRecord, match=field):
         load_index(tmp_path / "idx")
@@ -490,7 +490,7 @@ def test_load_rejects_ill_typed_manifest_field(tmp_path, toy_fg_index, field):
 
 def test_load_rejects_depth_below_one(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"L": 0}))
     with pytest.raises(MalformedGraphRecord, match="'L' is missing or ill-typed: 0"):
         load_index(tmp_path / "idx")
@@ -560,7 +560,7 @@ def test_load_rejects_bad_record(tmp_path, toy_fg_index, case):
     """load_index, or reading the record once loaded, rejects the edit; verify_index reads them all."""
     edit, message = BAD_RECORDS[case]
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     edit(tmp_path / "idx")
     with pytest.raises(MalformedGraphRecord, match=message):
         verify_index(tmp_path / "idx")
@@ -590,7 +590,7 @@ VERTEX_DATA_FAULTS = {
 def test_stored_vertex_data_is_checked(tmp_path, toy_fg_index, case):
     edit, message = VERTEX_DATA_FAULTS[case]
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     edit(tmp_path / "idx")
     with pytest.raises(MalformedGraphRecord, match=message):
         verify_index(tmp_path / "idx")
@@ -598,7 +598,7 @@ def test_stored_vertex_data_is_checked(tmp_path, toy_fg_index, case):
 
 def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     # a byte no table-of-contents entry covers, at the end of the rank file
     path = tmp_path / "idx" / "collection_ranks.jsonl"
     path.write_bytes(path.read_bytes() + b"\n")
@@ -611,7 +611,7 @@ def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
     """Indexes of formats 1 to 4 are all rejected by name."""
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     for version in (1, 2, 3, 4):
         _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
         with pytest.raises(MalformedGraphRecord, match="predates index format 5.*re-extracted"):
@@ -620,10 +620,10 @@ def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
 
 def test_load_rejects_data_file_of_another_index(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     # same rankers, L and graph count: only the recorded size tells them apart
     other = random_rank_index(random.Random(4), n_items=3, n_rankers=2, depth=2)
-    save_index(tmp_path / "other", index_collection(other, ("r1", "r2"), NormalizationParams(2)), other)
+    save_index(tmp_path / "other", index_collection(other, ("r1", "r2"), NormalizationParams(2)))
     swapped = (tmp_path / "other" / "graphs.bin").read_bytes()
     assert len(swapped) != (tmp_path / "idx" / "graphs.bin").stat().st_size
     (tmp_path / "idx" / "graphs.bin").write_bytes(swapped)
@@ -634,7 +634,7 @@ def test_load_rejects_data_file_of_another_index(tmp_path, toy_fg_index):
 def test_failed_save_leaves_older_index_intact(tmp_path, toy_fg_index, monkeypatch):
     index, fg_index = toy_fg_index
     directory = tmp_path / "idx"
-    save_index(directory, fg_index, index)
+    save_index(directory, fg_index)
     before = {path.name: path.read_bytes() for path in directory.iterdir()}
     serialize = retrieval.serialize_graph
     calls = []
@@ -648,9 +648,9 @@ def test_failed_save_leaves_older_index_intact(tmp_path, toy_fg_index, monkeypat
     monkeypatch.setattr(retrieval, "serialize_graph", fail_on_second_graph)
     rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "MCS")
     with pytest.raises(OSError, match="disk full"):
-        save_index(directory, rebuilt, index)
+        save_index(directory, rebuilt)
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
-    loaded, _ = load_index(directory)
+    loaded = load_index(directory)
     assert loaded.graphs == fg_index.graphs
     assert loaded.comparator == "WGU"
 
@@ -661,10 +661,10 @@ BAD_PERMUTATIONS = ([0, 0], [0, 2], [1], [0, 1, 2], "01", [1.0, 0], None)
 def test_load_rejects_bad_normalized_permutation(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     for slots in BAD_PERMUTATIONS:
-        save_index(tmp_path / "idx", fg_index, index)
+        save_index(tmp_path / "idx", fg_index)
         edit_rank_record(tmp_path / "idx", "r1", "A", lambda r: r.update({"normalized": slots}))
-        loaded, loaded_raw = load_index(tmp_path / "idx")
-        for lookup in (loaded.normalized, loaded_raw):
+        loaded = load_index(tmp_path / "idx")
+        for lookup in (loaded.normalized, loaded.raw):
             with pytest.raises(MalformedGraphRecord, match="bad rank record of 'A' under 'r1'"):
                 lookup.get("r1", "A")
 
@@ -698,11 +698,11 @@ SILENT_EDITS = {
 def test_load_rejects_edit_only_the_digest_catches(tmp_path, toy_fg_index, case):
     name, key, old, new = SILENT_EDITS[case]
     index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index, index)
+    save_index(tmp_path / "idx", fg_index)
     _replace_in_record(name, key, old, new)(tmp_path / "idx")
-    loaded, loaded_raw = load_index(tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx")
     with pytest.raises(MalformedGraphRecord, match=f"in '{name}' does not match its digest"):
-        loaded.graphs["A"] if name == "graphs.bin" else loaded_raw.get("r1", "A")
+        loaded.graphs["A"] if name == "graphs.bin" else loaded.raw.get("r1", "A")
 
 
 def test_load_accepts_lenient_graph_with_ranker_subset(tmp_path):
@@ -714,8 +714,8 @@ def test_load_accepts_lenient_graph_with_ranker_subset(tmp_path):
         }
     )
     lenient = index_collection(partial, ("r1", "r2"), NormalizationParams(2), "WGU")
-    save_index(tmp_path / "idx", lenient, partial)
-    loaded, _ = load_index(tmp_path / "idx")
+    save_index(tmp_path / "idx", lenient)
+    loaded = load_index(tmp_path / "idx")
     assert loaded.graphs == lenient.graphs
 
 
@@ -739,8 +739,8 @@ def test_loaded_normalized_lookup_equals_normalize_collection(tmp_path):
          for r in index.rankers}
     )
     params = NormalizationParams(4)
-    save_index(tmp_path / "idx", index_collection(index, index.rankers, params), index)
-    loaded, loaded_raw = load_index(tmp_path / "idx")
+    save_index(tmp_path / "idx", index_collection(index, index.rankers, params))
+    loaded = load_index(tmp_path / "idx")
     eager = normalize_collection(index, index.rankers, params)
     pairs = _lookup_pairs(index)
     assert any(eager.get(r, q) is None for r, q in pairs)
@@ -748,7 +748,7 @@ def test_loaded_normalized_lookup_equals_normalize_collection(tmp_path):
         assert loaded.normalized.get(ranker, item) == eager.get(ranker, item)
         assert loaded.normalized.get(ranker, item) is loaded.normalized.get(ranker, item)
         raw = index.get(ranker, item)
-        got = loaded_raw.get(ranker, item)
+        got = loaded.raw.get(ranker, item)
         assert (got is None) == (raw is None)
         if raw is not None:
             # raw positions are kept; normalization reads nothing else of a raw rank
@@ -759,8 +759,8 @@ def test_loaded_index_shared_by_threads(tmp_path):
     index = random_rank_index(random.Random(9), n_items=30, n_rankers=3, depth=5)
     params = NormalizationParams(5)
     built = index_collection(index, index.rankers, params)
-    save_index(tmp_path / "idx", built, index)
-    loaded, _ = load_index(tmp_path / "idx")
+    save_index(tmp_path / "idx", built)
+    loaded = load_index(tmp_path / "idx")
     eager = normalize_collection(index, index.rankers, params)
     pairs = _lookup_pairs(index)
 
@@ -831,9 +831,9 @@ def test_item_whose_bound_equals_the_lth_distance_is_scored(monkeypatch):
         "w": FusionGraph("w", {"a": 1.0, "b": 1.0, "c": 1.0}, {}),
     }
     empty = CollectionRankIndex({})
-    fg_index = FusionGraphIndex(graphs, NormalizationParams(1), ("r1",), "MCS", empty)
+    fg_index = FusionGraphIndex(graphs, NormalizationParams(1), ("r1",), "MCS", empty, empty)
     bounds = common_bounds(fg_index.postings, query)
     floors = {item: dist_mcs_floor(bounds[item], 5.0, graph_size(graphs[item])) for item in graphs}
     assert floors["x"] < floors["w"] == dist_mcs(query, graphs["w"]) == dist_mcs(query, graphs["x"])
     monkeypatch.setattr(retrieval, "build_query_graph", lambda *args: query)
-    assert fuse_query(RankSet("q", ()), fg_index, empty).entries == (("w", floors["w"]),)
+    assert fuse_query(RankSet("q", ()), fg_index).entries == (("w", floors["w"]),)
