@@ -19,7 +19,7 @@ from .model import (
     ScoredRank,
     assemble_rank_set,
 )
-from .normalize import NormalizationParams, normalize_rank_set
+from .normalize import normalize_rank_set
 from .similarity import dist_mcs, dist_wgu, graph_size, mcs
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "FusionGraph",
     "FusionGraphIndex",
     "ItemId",
-    "NormalizationParams",
     "RankSet",
     "ScoredEntry",
     "ScoredRank",

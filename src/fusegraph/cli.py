@@ -53,7 +53,6 @@ from .io import (
     write_run_file,
 )
 from .model import CollectionRankIndex
-from .normalize import NormalizationParams
 
 DEFAULT_TAG = "FG"
 
@@ -66,7 +65,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     fg_index = index_collection(
         CollectionRankIndex(load_runs(config)),
         config.ranker_names,
-        NormalizationParams(config.depth),
+        config.depth,
         comparator=config.comparator,
         strict=config.strict,
     )
@@ -80,7 +79,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     fg_index = load_index(args.index)
     config = load_config(args.queries)
-    query_runs = load_runs(config, fg_index.params.depth)
+    query_runs = load_runs(config, fg_index.depth)
     rank_sets = rank_sets_from_runs(query_runs, tuple(config.ranker_names), strict=True)
     fused = {qid: fuse_query(rank_sets[qid], fg_index, exclude_self=args.exclude_self) for qid in sorted(rank_sets)}
     write_run_file(args.out, fused, args.tag)

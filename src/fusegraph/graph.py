@@ -286,7 +286,7 @@ def deserialize_graph(record: bytes) -> FusionGraph:
     header, newline, body = record.partition(b"\n")
     try:
         data = json.loads(header)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
         raise MalformedGraphRecord(f"graph record header is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedGraphRecord("graph record header is not an object")

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
-from .errors import ConfigError, DuplicateDoc, MissingRank, ParseError, RankGap
+from .errors import ConfigError, DuplicateDoc, ParseError, RankGap
 from .evaluation import EvalReport, Qrels
-from .model import FusedRank, ItemId, RankSet, ScoredEntry, ScoredRank
+from .model import CollectionRankIndex, FusedRank, ItemId, RankSet, ScoredEntry, ScoredRank, assemble_rank_set
 
 POLARITY_SIMILARITY = "similarity"
 POLARITY_DISTANCE = "distance"
@@ -310,7 +310,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -355,25 +355,12 @@ def rank_sets_from_runs(
     ranker_names: tuple[str, ...],
     strict: bool = True,
 ) -> dict[ItemId, RankSet]:
-    """Group per-ranker runs into one RankSet per query.
+    """Group per-ranker runs into one RankSet per query, by assemble_rank_set, in query order.
 
     In strict mode every ranker must cover every query; in lenient mode a
     query's rank set holds whichever ranks exist (queries with none are
     dropped).
     """
-    queries: set[ItemId] = set()
-    for name in ranker_names:
-        queries.update(runs.get(name, {}))
-    out: dict[ItemId, RankSet] = {}
-    for qid in sorted(queries):
-        ranks = []
-        for name in ranker_names:
-            rank = runs.get(name, {}).get(qid)
-            if rank is None:
-                if strict:
-                    raise MissingRank(name, qid)
-                continue
-            ranks.append(rank)
-        if ranks:
-            out[qid] = RankSet(qid, tuple(ranks))
-    return out
+    index = CollectionRankIndex({name: runs.get(name, {}) for name in ranker_names})
+    rank_sets = (assemble_rank_set(qid, index, ranker_names, strict) for qid in index.collection_items())
+    return {rs.query: rs for rs in rank_sets if rs}

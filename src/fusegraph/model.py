@@ -215,10 +215,14 @@ class CollectionRankIndex(RankLookup):
 
 
 def assemble_rank_set(
-    query: ItemId, index: RankLookup, rankers: Iterable[str]
+    query: ItemId, index: RankLookup, rankers: Iterable[str], strict: bool = True
 ) -> RankSet:
     """Collect the stored ranks of ``query`` into a RankSet, in ranker order.
 
-    Raises MissingRank if any requested ranker lacks a rank for the query.
+    In strict mode, raises MissingRank for the first requested ranker that
+    lacks a rank for the query; in lenient mode that ranker is skipped, so
+    the set may be empty.
     """
-    return RankSet(query, tuple(index.require(ranker, query) for ranker in rankers))
+    lookup = index.require if strict else index.get
+    ranks = (lookup(ranker, query) for ranker in rankers)
+    return RankSet(query, tuple(rank for rank in ranks if rank is not None))

@@ -3,9 +3,9 @@
 Repositioning sorts a rank's entries by a distance that rewards items ranking
 each other back (mutual plus reciprocal neighborhood). Rescaling then replaces
 raw scores with a uniform grid from 1.0 (top) down to 0.1 (position L), which
-is what the fusion-graph builder consumes. The grid depends on L alone, so a
-normalized rank is an item order, and gridded_rank is the one place that
-builds it.
+is what the fusion-graph builder consumes. L, the method's one parameter, is
+passed as the int ``depth``. The grid depends on L alone, so a normalized rank
+is an item order, and gridded_rank is the one place that builds it.
 
 Positions are always read from the original, pre-repositioning index; the
 output rank never feeds back into the distance computation, so repeated
@@ -15,8 +15,7 @@ normalization with the same index is idempotent in item order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 from .errors import EmptyRank, InvalidRankSet
 from .model import (
@@ -29,44 +28,19 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class NormalizationParams:
-    """The method's one parameter, the cut-off depth L.
-
-    An item absent from a rank (or whose own rank is missing) has no position;
-    the sentinel L + 1 stands in for it, penalizing absence minimally and
-    uniformly.
-    """
-
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-
-    @property
-    def missing_position_sentinel(self) -> int:
-        return self.depth + 1
-
-
-def delta(
-    i: ItemId,
-    j: ItemId,
-    index: RankLookup,
-    ranker: str,
-    params: NormalizationParams,
-) -> int:
-    """Neighborhood-aware distance between items i and j under one ranker.
+def delta(i: ItemId, j: ItemId, index: RankLookup, ranker: str, depth: int) -> int:
+    """Neighborhood-aware distance between items i and j under one ranker, at cut-off depth L.
 
     Sums the position of j in i's rank and the position of i in j's rank
     (mutual neighborhood), plus the maximum of the two (reciprocal
-    neighborhood). Undefined positions use the sentinel. Symmetric whenever
-    both positions exist.
+    neighborhood). An undefined position (an item absent from a rank, or
+    whose own rank is missing) counts as the sentinel L + 1, which penalizes
+    absence minimally and uniformly. Symmetric whenever both positions exist.
 
     Raises MissingRank if no rank is stored for i; a missing rank for j only
     triggers the sentinel.
     """
-    sentinel = params.missing_position_sentinel
+    sentinel = depth + 1
     p_ij = index.require(ranker, i).positions.get(j, sentinel)
     rank_j = index.get(ranker, j)
     p_ji = sentinel if rank_j is None else rank_j.positions.get(i, sentinel)
@@ -87,57 +61,54 @@ def grid_score(pos: int, depth: int) -> float:
 
 
 @functools.cache
-def _grid(depth: int) -> tuple[float, ...]:
-    """grid_score of positions 1 to L: the scores every normalized rank of depth L shares."""
-    return tuple(grid_score(pos, depth) for pos in range(1, depth + 1))
+def _grid(depth: int, length: int) -> tuple[float, ...]:
+    """grid_score of positions 1 to ``length`` at depth L, so a short rank at a huge L costs little."""
+    return tuple(grid_score(pos, depth) for pos in range(1, length + 1))
 
 
-def gridded_rank(query: ItemId, ranker: str, items: Iterable[ItemId], depth: int) -> ScoredRank:
+def gridded_rank(query: ItemId, ranker: str, items: Sequence[ItemId], depth: int) -> ScoredRank:
     """The normalized rank of ``items`` in that order: position p scores grid_score(p, L).
 
     The grid depends on L, not on the actual length, so a truncated rank
-    never reaches 0.1. The ids always come from a checked rank or a checked
-    index record, at most L of them, so the constructor's checks are skipped.
+    never reaches 0.1; only its own positions' scores are built. The ids
+    always come from a checked rank or a checked index record, at most L of
+    them, so the constructor's checks are skipped.
     """
     rank = object.__new__(ScoredRank)
     rank.__dict__.update(
         query=query,
         ranker=ranker,
-        entries=tuple(map(ScoredEntry, items, _grid(depth))),
+        entries=tuple(map(ScoredEntry, items, _grid(depth, len(items)))),
         depth=depth,
     )
     return rank
 
 
-def normalize_rank(
-    rank: ScoredRank, index: RankLookup, params: NormalizationParams
-) -> ScoredRank:
-    """Reposition then rescale one rank.
+def normalize_rank(rank: ScoredRank, index: RankLookup, depth: int) -> ScoredRank:
+    """Reposition then rescale one rank at cut-off depth L, which must be at least 1.
 
     The rank is cut to its top-L items, which are stable-sorted by ascending
     delta (ties keep their original order) and given the grid's scores.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if not rank.entries:
         raise EmptyRank(f"cannot rescale empty rank for query {rank.query!r}")
-    kept = rank.items()[: params.depth]
-    deltas = {item: delta(rank.query, item, index, rank.ranker, params) for item in kept}
+    kept = rank.items()[:depth]
+    deltas = {item: delta(rank.query, item, index, rank.ranker, depth) for item in kept}
     reordered = sorted(kept, key=deltas.__getitem__)
-    return gridded_rank(rank.query, rank.ranker, reordered, params.depth)
+    return gridded_rank(rank.query, rank.ranker, reordered, depth)
 
 
-def normalize_rank_set(
-    rs: RankSet, index: RankLookup, params: NormalizationParams
-) -> RankSet:
+def normalize_rank_set(rs: RankSet, index: RankLookup, depth: int) -> RankSet:
     """Normalize every rank in the set; the result feeds the graph builder."""
     if len(rs) == 0:
         raise InvalidRankSet(f"rank set for {rs.query!r} has no ranks")
-    return RankSet(rs.query, tuple(normalize_rank(rank, index, params) for rank in rs))
+    return RankSet(rs.query, tuple(normalize_rank(rank, index, depth) for rank in rs))
 
 
 def normalize_collection(
-    index: CollectionRankIndex,
-    rankers: tuple[str, ...] | list[str],
-    params: NormalizationParams,
+    index: CollectionRankIndex, rankers: tuple[str, ...] | list[str], depth: int
 ) -> CollectionRankIndex:
     """Normalize every stored rank of the chosen rankers against ``index``.
 
@@ -150,7 +121,7 @@ def normalize_collection(
         for query in index.queries(ranker):
             rank = index.get(ranker, query)
             assert rank is not None
-            bucket[query] = normalize_rank(rank, index, params)
+            bucket[query] = normalize_rank(rank, index, depth)
         normalized[ranker] = bucket
     return CollectionRankIndex(normalized)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
-from .errors import MalformedGraphRecord, MissingRank, RankerMismatch
+from .errors import MalformedGraphRecord, RankerMismatch
 from .graph import (
     BuildStats,
     FusionGraph,
@@ -57,7 +57,7 @@ from .model import (
     ScoredRank,
     assemble_rank_set,
 )
-from .normalize import NormalizationParams, gridded_rank, normalize_collection, normalize_rank_set
+from .normalize import gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
 MANIFEST_VERSION = 5
@@ -109,7 +109,7 @@ class VertexPostings:
 
 @dataclass
 class FusionGraphIndex:
-    """Normalized fusion graphs for the whole response set.
+    """Normalized fusion graphs for the whole response set, built at cut-off depth L (``depth``).
 
     ``normalized`` holds the collection's normalized ranks, which query
     graphs are built from; ``raw`` holds its ranks as given, whose positions
@@ -117,7 +117,7 @@ class FusionGraphIndex:
     """
 
     graphs: Mapping[ItemId, FusionGraph]
-    params: NormalizationParams
+    depth: int
     ranker_names: tuple[str, ...]
     comparator: str
     normalized: RankLookup
@@ -232,7 +232,7 @@ def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) ->
         if type(slots) is not list or sorted(slots) != list(range(len(items))):
             raise ValueError("normalized is not a permutation of the slots of items")
         normalized = [items[slot] for slot in slots]
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedGraphRecord(f"bad {what}: {exc}") from exc
     return gridded_rank(query, ranker, items, depth), gridded_rank(query, ranker, normalized, depth)
 
@@ -256,34 +256,31 @@ class StoredRanks(CollectionRankIndex):
 def index_collection(
     index: CollectionRankIndex,
     rankers: Iterable[str],
-    params: NormalizationParams,
+    depth: int,
     comparator: str = "WGU",
     strict: bool = False,
     stats: BuildStats | None = None,
 ) -> FusionGraphIndex:
-    """Build one normalized fusion graph per collection item.
+    """Build one normalized fusion graph per collection item, at cut-off depth L.
 
-    In strict mode every item must have a rank under every chosen ranker;
-    in lenient mode missing ranks are skipped and an item with no ranks at
-    all is left out of the graph index, and counted in ``stats``. The
-    result keeps ``index`` as its raw ranks.
+    Each item's rank set is grouped by assemble_rank_set: in strict mode
+    every item must have a rank under every chosen ranker; in lenient mode
+    missing ranks are skipped and an item with no ranks at all is left out
+    of the graph index, and counted in ``stats``. The result keeps ``index``
+    as its raw ranks.
     """
     rankers = tuple(rankers)
-    normalized = normalize_collection(index, rankers, params)
+    normalized = normalize_collection(index, rankers, depth)
     graphs: dict[ItemId, FusionGraph] = {}
     table: NeighbourTable = {}  # each item's ranks, read once for all graphs
     for item in index.collection_items():
-        available = [r for r in rankers if normalized.get(r, item) is not None]
-        if strict and len(available) < len(rankers):
-            missing = next(r for r in rankers if normalized.get(r, item) is None)
-            raise MissingRank(missing, item)
-        if not available:
+        rs = assemble_rank_set(item, normalized, rankers, strict)
+        if not rs:
             if stats is not None:
                 stats.items_without_ranks += 1
             continue
-        rs = assemble_rank_set(item, normalized, available)
         graphs[item] = build_fusion_graph(rs, normalized, strict=strict, stats=stats, table=table)
-    return FusionGraphIndex(graphs, params, rankers, comparator, normalized, index)
+    return FusionGraphIndex(graphs, depth, rankers, comparator, normalized, index)
 
 
 def common_bounds(postings: VertexPostings, query_graph: FusionGraph) -> dict[ItemId, float]:
@@ -320,19 +317,19 @@ def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> Fusio
     the collection are supplied. The neighbor ranks the graph reads are the
     index's normalized collection ranks.
     """
-    params = fg_index.params
+    depth = fg_index.depth
     if set(query_ranks.ranker_names) != set(fg_index.ranker_names):
         raise RankerMismatch(
             f"query rankers {sorted(query_ranks.ranker_names)} != "
             f"index rankers {sorted(fg_index.ranker_names)}"
         )
     for rank in query_ranks:
-        if rank.depth != params.depth:
+        if rank.depth != depth:
             raise RankerMismatch(
                 f"query rank under {rank.ranker!r} has depth {rank.depth}, "
-                f"index uses L={params.depth}"
+                f"index uses L={depth}"
             )
-    normalized_query = normalize_rank_set(query_ranks, OverlayRankLookup(fg_index.raw, query_ranks), params)
+    normalized_query = normalize_rank_set(query_ranks, OverlayRankLookup(fg_index.raw, query_ranks), depth)
     return build_fusion_graph(normalized_query, OverlayRankLookup(fg_index.normalized, normalized_query))
 
 
@@ -349,7 +346,7 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
     item.
     """
     query_graph = build_query_graph(query_ranks, fg_index)
-    depth, distance, graphs = fg_index.params.depth, COMPARATORS[fg_index.comparator], fg_index.graphs
+    depth, distance, graphs = fg_index.depth, COMPARATORS[fg_index.comparator], fg_index.graphs
     postings = fg_index.postings
     excluded = {query_ranks.query} if exclude_self else set()
     bounds = common_bounds(postings, query_graph)
@@ -430,7 +427,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
         manifest = {
             "v": MANIFEST_VERSION,
             "rankers": list(fg_index.ranker_names),
-            "L": fg_index.params.depth,
+            "L": fg_index.depth,
             "comparator": fg_index.comparator,
             "graph_count": len(items),
             "files": INDEX_FILES,
@@ -510,7 +507,7 @@ MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
 def _read_manifest(directory: Path) -> dict:
     try:
         manifest = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (OSError, RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
         raise MalformedGraphRecord(f"cannot read index manifest: {exc}") from exc
     version = manifest.get("v") if isinstance(manifest, dict) else None
     if type(version) is int and version < MANIFEST_VERSION:
@@ -568,7 +565,7 @@ def _read_toc(directory: Path, manifest: dict) -> tuple[dict, dict, dict]:
                 raise ValueError(f"ranks of {ranker!r} must be an object with non-empty query ids")
             if not all(_is_entry(entry, 3) for entry in per_query.values()):
                 raise ValueError(f"bad rank entry under {ranker!r}")
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedGraphRecord(f"bad table of contents {name!r}: {exc}") from exc
     if len(graphs) != manifest["graph_count"]:
         raise MalformedGraphRecord(
@@ -592,7 +589,6 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     directory = Path(directory)
     manifest = _read_manifest(directory)
     graphs, postings, ranks = _read_toc(directory, manifest)
-    params = NormalizationParams(manifest["L"])
 
     def store(role: str, toc: dict, describe: Callable[[object], str], decode: Callable) -> StoredRecords:
         return StoredRecords(directory / manifest["files"][role], manifest["bytes"][role], toc, describe, decode)
@@ -608,11 +604,11 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
         "ranks",
         {(r, q): entry for r, per_query in ranks.items() for q, entry in per_query.items()},
         lambda key: f"rank record of {key[1]!r} under {key[0]!r}",
-        partial(_rank_record, params.depth),
+        partial(_rank_record, manifest["L"]),
     )
     fg_index = FusionGraphIndex(
         stored_graphs,
-        params,
+        manifest["L"],
         tuple(manifest["rankers"]),
         manifest["comparator"],
         StoredRanks(records, ranks, normalized=True),

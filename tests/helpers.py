@@ -59,8 +59,8 @@ def index_files(index_dir) -> dict[str, bytes]:
 
 
 def seal_toc(index_dir, toc) -> None:
-    """Write ``toc`` as the index's table of contents; record its size and sha256 in the manifest."""
-    data = json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    """Write ``toc`` (or, given bytes, those) as the index's table of contents; record its size and sha256."""
+    data = toc if isinstance(toc, bytes) else json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
     (index_dir / "toc.json").write_bytes(data)
     path = index_dir / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -344,7 +344,7 @@ def reference_fuse_query(query_ranks, fg_index, exclude_self=False):
         if not (exclude_self and item == query_ranks.query):
             scored.append((item, distance(query_graph, fg_index.graphs[item])))
     scored.sort(key=lambda pair: (pair[1], pair[0]))
-    return FusedRank(query_ranks.query, tuple(scored[: fg_index.params.depth]))
+    return FusedRank(query_ranks.query, tuple(scored[: fg_index.depth]))
 
 
 BRUTE_FORCE_VERTEX_CAP = 8

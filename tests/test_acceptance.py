@@ -31,7 +31,6 @@ from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, normali
 from fusegraph.io import load_config, load_runs, parse_class_labels, parse_run_file
 from fusegraph.model import CollectionRankIndex, assemble_rank_set
 from fusegraph.normalize import (
-    NormalizationParams,
     delta,
     normalize_collection,
     normalize_rank,
@@ -125,10 +124,10 @@ def test_worked_example_fixture(tmp_path):
         # textual fixture: the toy collection plus q's own rank rows
         layout = {r: dict(TOY_LAYOUT[r], **TOY_QUERY[r]) for r in TOY_LAYOUT}
         paths = write_runs(tmp_path, layout, "fixture")
-        params = NormalizationParams(2)
+        depth = 2
         runs = {r: parse_run_file(paths[r], r, depth=2) for r in paths}
         index = CollectionRankIndex(runs)
-        normalized = normalize_collection(index, ("r1", "r2"), params)
+        normalized = normalize_collection(index, ("r1", "r2"), depth)
         rs = assemble_rank_set("q", normalized, ("r1", "r2"))
         graph = build_fusion_graph(rs, normalized)
         assert graph.vertices == {"A": 1.0, "B": 0.05, "C": 0.05}
@@ -150,10 +149,9 @@ def test_normalization_contract():
             index = random_rank_index(
                 rng, n_items=depth + rng.randint(2, 8), n_rankers=n_rankers, depth=depth
             )
-            params = NormalizationParams(depth)
             query = rng.choice(index.collection_items())
             rs = assemble_rank_set(query, index, index.rankers)
-            normalized = normalize_rank_set(rs, index, params)
+            normalized = normalize_rank_set(rs, index, depth)
             for raw, norm in zip(rs, normalized):
                 scores = [e.score for e in norm.entries]
                 assert scores[0] == 1.0
@@ -162,7 +160,7 @@ def test_normalization_contract():
                 # independent stable sort over delta: explicit index tiebreak
                 kept = raw.entries[:depth]
                 deltas = [
-                    delta(raw.query, e.item, index, raw.ranker, params) for e in kept
+                    delta(raw.query, e.item, index, raw.ranker, depth) for e in kept
                 ]
                 reference = [
                     e.item
@@ -170,7 +168,7 @@ def test_normalization_contract():
                         (d, i, e) for i, (d, e) in enumerate(zip(deltas, kept))
                     )
                 ]
-                assert list(normalize_rank(raw, index, params).items()) == reference
+                assert list(normalize_rank(raw, index, depth).items()) == reference
             # delta symmetry whenever both positions exist
             ranker = rng.choice(index.rankers)
             items = index.collection_items()
@@ -183,16 +181,16 @@ def test_normalization_contract():
                     and j in rank_i.positions
                     and i in rank_j.positions
                 ):
-                    assert delta(i, j, index, ranker, params) == delta(
-                        j, i, index, ranker, params
+                    assert delta(i, j, index, ranker, depth) == delta(
+                        j, i, index, ranker, depth
                     )
 
 
 def test_self_retrieval():
     with criterion("self-retrieval (n=60 synthetic, every query at rank 1, dist 0)"):
         index, _ = synthetic_collection(seed=1)
-        params = NormalizationParams(10)
-        fg_index = index_collection(index, index.rankers, params, "WGU")
+        depth = 10
+        fg_index = index_collection(index, index.rankers, depth, "WGU")
         for query in index.collection_items():
             rs = assemble_rank_set(query, index, index.rankers)
             fused = fuse_query(rs, fg_index)
@@ -204,9 +202,9 @@ def test_fusion_benefit():
         for seed in (1, 2, 3, 4, 5):
             index, labels = synthetic_collection(seed)
             qrels = Qrels.from_class_labels(labels)
-            params = NormalizationParams(10)
+            depth = 10
             rankers = index.rankers
-            fg_index = index_collection(index, rankers, params, "WGU")
+            fg_index = index_collection(index, rankers, depth, "WGU")
             items = index.collection_items()
 
             def mean_ndcg(runs):
@@ -302,8 +300,7 @@ def test_complexity_guard():
             index = random_rank_index(
                 rng, n_items=depth + rng.randint(1, 10), n_rankers=m, depth=depth
             )
-            params = NormalizationParams(depth)
-            normalized = normalize_collection(index, index.rankers, params)
+            normalized = normalize_collection(index, index.rankers, depth)
             query = rng.choice(index.collection_items())
             rs = assemble_rank_set(query, normalized, normalized.rankers)
             stats = BuildStats()
@@ -360,8 +357,8 @@ def test_ukbench_dataset_hook():
         config = load_config(config_path)
         qrels = parse_class_labels(labels_path)
         index = CollectionRankIndex(load_runs(config))
-        params = NormalizationParams(config.depth)
-        fg_index = index_collection(index, config.ranker_names, params, config.comparator)
+        depth = config.depth
+        fg_index = index_collection(index, config.ranker_names, depth, config.comparator)
         total = 0.0
         items = index.collection_items()
         for query in items:

@@ -27,6 +27,8 @@ from helpers import (
     edit_toc,
     index_files,
     random_rank_index,
+    rewrite_record,
+    seal_toc,
     synthetic_collection,
     write_config,
     write_runs,
@@ -603,6 +605,77 @@ def test_search_ignores_flipped_byte_in_graph_it_never_reads(tmp_path):
     )
 
 
+# nested deeper than the interpreter's recursion limit: json.loads raises RecursionError
+DEEP_JSON = b"[" * 200000 + b"]" * 200000
+
+DEEP_JSON_CASES = {
+    "extract_config": ("ConfigError", lambda files, index_dir: files["config"].write_bytes(DEEP_JSON), "extract"),
+    "search_queries": ("ConfigError", lambda files, index_dir: files["queries"].write_bytes(DEEP_JSON), "search"),
+    "baseline_config": ("ConfigError", lambda files, index_dir: files["config"].write_bytes(DEEP_JSON), "baseline"),
+    "manifest": (
+        "MalformedGraphRecord", lambda files, index_dir: (index_dir / "manifest.json").write_bytes(DEEP_JSON), "search"
+    ),
+    "toc": ("MalformedGraphRecord", lambda files, index_dir: seal_toc(index_dir, DEEP_JSON), "verify"),
+    "rank_record": (
+        "MalformedGraphRecord",
+        lambda files, index_dir: rewrite_record(index_dir, "ranks", ("r1", "A"), lambda record: DEEP_JSON + b"\n"),
+        "verify",
+    ),
+    "graph_header": (
+        "MalformedGraphRecord",
+        lambda files, index_dir: rewrite_record(
+            index_dir, "graphs", "A", lambda record: DEEP_JSON + b"\n" + record.partition(b"\n")[2]
+        ),
+        "verify",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_JSON_CASES.values(), ids=DEEP_JSON_CASES)
+def test_deeply_nested_json_prints_one_json_line(toy_files, case):
+    """A config, manifest, table of contents, rank record or graph header nested too deep is one error line."""
+    error, edit, command = case
+    index_dir, out = toy_files["dir"] / "index", toy_files["dir"] / "out"
+    assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
+    edit(toy_files, index_dir)
+    args = {
+        "extract": ["extract", "--config", str(toy_files["config"]), "--out", str(out)],
+        "search": ["search", "--index", str(index_dir), "--queries", str(toy_files["queries"]), "--out", str(out)],
+        "baseline": ["baseline", "borda", "--config", str(toy_files["config"]), "--out", str(out)],
+        "verify": ["verify", "--index", str(index_dir)],
+    }[command]
+    result = run_cli_process("-m", "fusegraph.cli", *args)
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["error"] == error
+
+
+def test_huge_depth_costs_memory_by_the_ranks_not_by_l(tmp_path):
+    """extract at L = 10**9, and search on an index whose manifest says so, run in a 2 GiB address space."""
+    limited = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from fusegraph.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    layout = {ranker: {"A": ["A", "B"], "B": ["B", "A"]} for ranker in ("r1", "r2")}
+    runs = write_runs(tmp_path, layout, "coll")
+    config = write_config(tmp_path, "config.json", runs, depth=10**9)
+    result = run_cli_process("-c", limited, "extract", "--config", str(config), "--out", str(tmp_path / "big"))
+    assert (result.returncode, result.stderr) == (0, "")
+    index_dir = tmp_path / "index"
+    small = write_config(tmp_path, "small.json", runs)
+    assert main(["extract", "--config", str(small), "--out", str(index_dir)]) == 0
+    edit_manifest(lambda manifest: manifest.update({"L": 10**9}))(index_dir)
+    out = tmp_path / "fg.run"
+    result = run_cli_process(
+        "-c", limited, "search", "--index", str(index_dir), "--queries", str(small), "--out", str(out)
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert [line.split()[:3] for line in out.read_text().splitlines()] == [
+        ["A", "Q0", "A"], ["A", "Q0", "B"], ["B", "Q0", "B"], ["B", "Q0", "A"]
+    ]
+
+
 def _run_main(args):
     """(exit code, stdout, stderr) of one in-process CLI call; an exception propagates."""
     out, err = io.StringIO(), io.StringIO()
@@ -752,9 +825,9 @@ def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
     normalized = []
     normalize_rank = normalize.normalize_rank
 
-    def counting(rank, index, params):
+    def counting(rank, index, depth):
         normalized.append((rank.ranker, rank.query))
-        return normalize_rank(rank, index, params)
+        return normalize_rank(rank, index, depth)
 
     monkeypatch.setattr(normalize, "normalize_rank", counting)
     out = tmp_path / "fg.run"

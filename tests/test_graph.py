@@ -18,7 +18,7 @@ from fusegraph.graph import (
     serialize_graph,
 )
 from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
-from fusegraph.normalize import NormalizationParams, normalize_collection
+from fusegraph.normalize import normalize_collection
 
 from helpers import mkrank, random_rank_index, reference_build_fusion_graph, worked_example_index
 
@@ -61,8 +61,8 @@ def test_build_deterministic(worked_graph):
 def test_ranker_permutation_changes_nothing():
     rng = random.Random(11)
     index = random_rank_index(rng, n_items=14, n_rankers=4, depth=5)
-    params = NormalizationParams(5)
-    normalized = normalize_collection(index, index.rankers, params)
+    depth = 5
+    normalized = normalize_collection(index, index.rankers, depth)
     rs = assemble_rank_set("d003", normalized, normalized.rankers)
     reference = build_fusion_graph(rs, normalized)
     for perm in itertools.permutations(rs.ranks):
@@ -75,13 +75,13 @@ def test_ranker_permutation_changes_nothing():
 def test_vertex_bounds():
     rng = random.Random(5)
     index = random_rank_index(rng, n_items=20, n_rankers=3, depth=6)
-    params = NormalizationParams(6)
-    normalized = normalize_collection(index, index.rankers, params)
+    depth = 6
+    normalized = normalize_collection(index, index.rankers, depth)
     for item in normalized.collection_items()[:8]:
         rs = assemble_rank_set(item, normalized, normalized.rankers)
         graph = build_fusion_graph(rs, normalized)
         assert set(graph.vertices) == {item for rank in rs for item in rank.items()}
-        assert len(graph.vertices) <= len(rs) * params.depth
+        assert len(graph.vertices) <= len(rs) * depth
         assert graph.vertices
         assert max(graph.vertices.values()) == 1.0
         for (src, tgt) in graph.edges:
@@ -260,7 +260,7 @@ def test_build_stats_counts_visits():
 
 def test_build_emits_edges_in_sorted_order():
     index = random_rank_index(random.Random(13), n_items=20, n_rankers=3, depth=6)
-    normalized = normalize_collection(index, index.rankers, NormalizationParams(6))
+    normalized = normalize_collection(index, index.rankers, 6)
     for item in normalized.collection_items():
         rs = assemble_rank_set(item, normalized, normalized.rankers)
         graph = build_fusion_graph(rs, normalized)

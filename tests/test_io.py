@@ -5,6 +5,7 @@ import pytest
 from fusegraph.errors import (
     ConfigError,
     DuplicateDoc,
+    MissingRank,
     ParseError,
     RankGap,
     UnknownQuery,
@@ -20,10 +21,14 @@ from fusegraph.io import (
     parse_qrels,
     parse_ranker_effectiveness,
     parse_run_file,
+    rank_sets_from_runs,
     write_correlation_matrix,
     write_run_file,
 )
+from fusegraph.model import RankSet
 from fusegraph.retrieval import FusedRank
+
+from helpers import mkrank
 
 
 def write(tmp_path, name, text):
@@ -114,6 +119,31 @@ def test_write_fused_rank_distances_become_descending_scores(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].split() == ["q", "Q0", "a", "1", "1.0", "FG"]
     assert lines[1].split() == ["q", "Q0", "b", "2", "0.75", "FG"]
+
+
+def test_rank_sets_from_runs_groups_strictly_or_leniently():
+    # r2 lacks q1 and q3; only r1 ranks q3; nothing ranks q4 under the chosen rankers
+    runs = {
+        "r1": {q: mkrank(q, "r1", ["A"]) for q in ("q3", "q2", "q1")},
+        "r2": {q: mkrank(q, "r2", ["B"]) for q in ("q2",)},
+        "r3": {"q4": mkrank("q4", "r3", ["C"])},
+    }
+    lenient = rank_sets_from_runs(runs, ("r2", "r1"), strict=False)
+    assert list(lenient) == ["q1", "q2", "q3"]
+    assert [lenient[q].ranker_names for q in lenient] == [("r1",), ("r2", "r1"), ("r1",)]
+    assert all(rs.query == q for q, rs in lenient.items())
+    assert rank_sets_from_runs(runs, ("r2",), strict=False) == {"q2": RankSet("q2", (runs["r2"]["q2"],))}
+    assert rank_sets_from_runs(runs, ("r4",), strict=False) == {}
+    with pytest.raises(MissingRank) as excinfo:
+        rank_sets_from_runs(runs, ("r1", "r2"))  # strict is the default
+    assert (excinfo.value.ranker, excinfo.value.query) == ("r2", "q1")
+    with pytest.raises(MissingRank) as excinfo:
+        rank_sets_from_runs(runs, ("r4", "r1"), strict=True)
+    assert (excinfo.value.ranker, excinfo.value.query) == ("r4", "q1")
+    both = {"r1": runs["r1"], "r2": {q: mkrank(q, "r2", ["B"]) for q in ("q1", "q2", "q3")}}
+    strict = rank_sets_from_runs(both, ("r2", "r1"), strict=True)
+    assert list(strict) == ["q1", "q2", "q3"]
+    assert all(rs.ranker_names == ("r2", "r1") for rs in strict.values())
 
 
 def test_parse_qrels(tmp_path):

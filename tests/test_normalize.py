@@ -5,7 +5,6 @@ import pytest
 from fusegraph.errors import EmptyRank, InvalidRankSet, MissingRank
 from fusegraph.model import CollectionRankIndex, RankSet, ScoredRank
 from fusegraph.normalize import (
-    NormalizationParams,
     delta,
     gridded_rank,
     normalize_rank,
@@ -24,15 +23,10 @@ def index_from(layout, depth):
     return CollectionRankIndex(ranks)
 
 
-def test_params_default_sentinel():
-    params = NormalizationParams(10)
-    assert params.missing_position_sentinel == 11
-    with pytest.raises(TypeError):
-        NormalizationParams(10, 10)  # the sentinel is L + 1, not a setting
-    with pytest.raises(AttributeError):
-        params.missing_position_sentinel = 12
-    with pytest.raises(ValueError):
-        NormalizationParams(0)
+def test_normalize_rank_rejects_depth_below_one():
+    index = index_from({"r": {"q": ["A"], "A": ["A"]}}, depth=1)
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        normalize_rank(index.get("r", "q"), index, 0)
 
 
 def test_delta_hand_values():
@@ -40,38 +34,38 @@ def test_delta_hand_values():
     index = index_from(
         {"r": {"i": ["x", "j", "y"], "j": ["x", "y", "i"]}}, depth=10
     )
-    params = NormalizationParams(10)
-    assert delta("i", "j", index, "r", params) == 8
-    assert delta("j", "i", index, "r", params) == 8  # symmetric
+    depth = 10
+    assert delta("i", "j", index, "r", depth) == 8
+    assert delta("j", "i", index, "r", depth) == 8  # symmetric
 
 
 def test_delta_symmetric_top():
     index = index_from({"r": {"i": ["j", "x"], "j": ["i", "y"]}}, depth=10)
-    assert delta("i", "j", index, "r", NormalizationParams(10)) == 3
+    assert delta("i", "j", index, "r", 10) == 3
 
 
 def test_delta_sentinel_for_absent():
     # j absent from i's rank (L=10, sentinel 11), i at position 2 of j's rank
     index = index_from({"r": {"i": ["x", "y"], "j": ["x", "i"]}}, depth=10)
-    params = NormalizationParams(10)
-    assert delta("i", "j", index, "r", params) == 11 + 2 + 11
+    depth = 10
+    assert delta("i", "j", index, "r", depth) == 11 + 2 + 11
 
 
 def test_delta_missing_rank_for_query():
     index = index_from({"r": {"j": ["i"]}}, depth=10)
     with pytest.raises(MissingRank):
-        delta("i", "j", index, "r", NormalizationParams(10))
+        delta("i", "j", index, "r", 10)
 
 
 def test_delta_range():
     rng = random.Random(7)
     index = random_rank_index(rng, n_items=12, n_rankers=2, depth=4)
-    params = NormalizationParams(4)
+    depth = 4
     items = index.collection_items()
     for _ in range(200):
         i, j = rng.choice(items), rng.choice(items)
-        value = delta(i, j, index, "r1", params)
-        assert 3 <= value <= 3 * params.missing_position_sentinel
+        value = delta(i, j, index, "r1", depth)
+        assert 3 <= value <= 3 * (depth + 1)
 
 
 def test_reposition_stability_under_ties():
@@ -79,8 +73,8 @@ def test_reposition_stability_under_ties():
     index = index_from(
         {"r": {"q": ["A", "B", "C"], "A": ["A"], "B": ["B"], "C": ["C"]}}, depth=5
     )
-    params = NormalizationParams(5)
-    out = normalize_rank(index.get("r", "q"), index, params)
+    depth = 5
+    out = normalize_rank(index.get("r", "q"), index, depth)
     assert out.items() == ("A", "B", "C")
 
 
@@ -97,8 +91,8 @@ def test_reposition_reorders_by_delta():
         },
         depth=10,
     )
-    params = NormalizationParams(10)
-    out = normalize_rank(index.get("r", "q"), index, params)
+    depth = 10
+    out = normalize_rank(index.get("r", "q"), index, depth)
     assert out.items() == ("B", "A", "C")
 
 
@@ -106,9 +100,9 @@ def test_reposition_fixed_point():
     index = index_from(
         {"r": {"q": ["A", "B"], "A": ["q", "A"], "B": ["x", "B"]}}, depth=2
     )
-    params = NormalizationParams(2)
-    once = normalize_rank(index.get("r", "q"), index, params)
-    twice = normalize_rank(once, index, params)
+    depth = 2
+    once = normalize_rank(index.get("r", "q"), index, depth)
+    twice = normalize_rank(once, index, depth)
     assert once.items() == twice.items()
 
 
@@ -117,8 +111,8 @@ def test_reposition_truncates_prefix_first():
         {"r": {"q": ["A", "B", "C", "D"], "A": ["A"], "B": ["B"], "C": ["C"], "D": ["q"]}},
         depth=4,
     )
-    params = NormalizationParams(2)
-    out = normalize_rank(index.get("r", "q"), index, params)
+    depth = 2
+    out = normalize_rank(index.get("r", "q"), index, depth)
     # D would sort first by delta, but only the top-2 prefix is considered
     assert set(out.items()) == {"A", "B"}
 
@@ -146,22 +140,22 @@ def test_rescale_short_rank_never_reaches_floor():
 def test_rescale_empty_rank():
     empty = ScoredRank("q", "r", (), 3)
     with pytest.raises(EmptyRank, match="cannot rescale empty rank for query 'q'"):
-        normalize_rank(empty, CollectionRankIndex({}), NormalizationParams(3))
+        normalize_rank(empty, CollectionRankIndex({}), 3)
 
 
 def test_normalize_rank_set_rejects_empty_set():
     with pytest.raises(InvalidRankSet):
-        normalize_rank_set(RankSet("q", ()), random_rank_index(random.Random(0)), NormalizationParams(5))
+        normalize_rank_set(RankSet("q", ()), random_rank_index(random.Random(0)), 5)
 
 
 def test_normalize_rank_set_deterministic_and_idempotent_order():
     rng = random.Random(3)
     index = random_rank_index(rng, n_items=15, n_rankers=2, depth=5)
-    params = NormalizationParams(5)
+    depth = 5
     rs = RankSet("d000", (index.get("r1", "d000"), index.get("r2", "d000")))
-    once = normalize_rank_set(rs, index, params)
-    again = normalize_rank_set(rs, index, params)
+    once = normalize_rank_set(rs, index, depth)
+    again = normalize_rank_set(rs, index, depth)
     assert once == again
-    renormalized = normalize_rank_set(once, index, params)
+    renormalized = normalize_rank_set(once, index, depth)
     for a, b in zip(once, renormalized):
         assert a.items() == b.items()

@@ -14,7 +14,7 @@ from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from fusegraph.graph import BuildStats, FusionGraph, graph_size
 from fusegraph.model import CollectionRankIndex, OverlayRankLookup, RankSet, ScoredRank, assemble_rank_set
-from fusegraph.normalize import NormalizationParams, normalize_collection, normalize_rank_set
+from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
     FusedRank,
     FusionGraphIndex,
@@ -68,7 +68,7 @@ def query_rank_set():
 @pytest.fixture
 def toy_fg_index():
     index = toy_collection_index()
-    return index, index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU")
+    return index, index_collection(index, ("r1", "r2"), 2, "WGU")
 
 
 def test_index_collection_builds_one_graph_per_item(toy_fg_index):
@@ -129,7 +129,7 @@ def test_comparator_order_consistency(toy_fg_index):
     query_graph = build_query_graph(rs, fg_index)
     expected = sorted(
         dist_wgu(query_graph, fg_index.graphs[s]) for s in fg_index.graphs
-    )[: fg_index.params.depth]
+    )[: fg_index.depth]
     fused = fuse_query(rs, fg_index)
     assert [d for _, d in fused.entries] == expected
 
@@ -163,10 +163,10 @@ def test_index_collection_strict_missing_rank():
         }
     )
     with pytest.raises(MissingRank) as excinfo:
-        index_collection(partial, ("r1", "r2"), NormalizationParams(2), "WGU", strict=True)
+        index_collection(partial, ("r1", "r2"), 2, "WGU", strict=True)
     assert excinfo.value.ranker == "r2"
     assert excinfo.value.query == "C"
-    lenient = index_collection(partial, ("r1", "r2"), NormalizationParams(2), "WGU")
+    lenient = index_collection(partial, ("r1", "r2"), 2, "WGU")
     assert sorted(lenient.graphs) == ["A", "B", "C"]
 
 
@@ -176,7 +176,7 @@ def test_lenient_build_counts_item_without_ranks_silently(capfd):
     ranks = {ranker: {q: index.get(ranker, q) for q in index.queries(ranker)} for ranker in index.rankers}
     ranks["r3"] = {"Z": mkrank("Z", "r3", ["Z", "A"], scores=[10.0, 5.0], depth=2)}
     stats = BuildStats()
-    built = index_collection(CollectionRankIndex(ranks), ("r1", "r2"), NormalizationParams(2), stats=stats)
+    built = index_collection(CollectionRankIndex(ranks), ("r1", "r2"), 2, stats=stats)
     assert sorted(built.graphs) == ["A", "B", "C"]
     assert stats.items_without_ranks == 1
     assert capfd.readouterr() == ("", "")
@@ -186,15 +186,15 @@ def test_index_collection_reads_each_rank_once():
     n, m, L = 30, 3, 6
     index = random_rank_index(random.Random(12), n_items=n, n_rankers=m, depth=L)
     stats = BuildStats()
-    index_collection(index, index.rankers, NormalizationParams(L), stats=stats)
+    index_collection(index, index.rankers, L, stats=stats)
     assert 0 < stats.entry_visits <= 2 * n * m * L
 
 
 def test_scope_equivalence_random():
     rng = random.Random(21)
     index = random_rank_index(rng, n_items=18, n_rankers=3, depth=5)
-    params = NormalizationParams(5)
-    fg_index = index_collection(index, index.rankers, params, "WGU")
+    depth = 5
+    fg_index = index_collection(index, index.rankers, depth, "WGU")
     for query in index.collection_items()[:6]:
         rs = assemble_rank_set(query, index, index.rankers)
         assert fuse_query(rs, fg_index) == reference_fuse_query(rs, fg_index)
@@ -207,11 +207,11 @@ def indexed_collection(rng, n_items, n_rankers, depth, cluster_size, comparator,
     graph, so the two always tie on distance and only their ids order them.
     """
     index = random_rank_index(rng, n_items, n_rankers, depth, cluster_size)
-    built = index_collection(index, index.rankers, NormalizationParams(depth), comparator)
+    built = index_collection(index, index.rankers, depth, comparator)
     graphs = dict(built.graphs)
     for item in rng.sample(sorted(graphs), min(twins, len(graphs))):
         graphs[item + "~"] = FusionGraph(item + "~", graphs[item].vertices, graphs[item].edges)
-    return index, FusionGraphIndex(graphs, built.params, built.ranker_names, comparator, built.normalized, index)
+    return index, FusionGraphIndex(graphs, built.depth, built.ranker_names, comparator, built.normalized, index)
 
 
 def query_ranks(rng, index, depth, out_of_collection):
@@ -314,16 +314,15 @@ def test_unchecked_ranks_pass_the_public_constructor(
     rng = random.Random(seed)
     index = random_rank_index(rng, n_items, n_rankers, depth)
     for cut_depth in {depth, max(1, depth - cut)}:
-        params = NormalizationParams(cut_depth)
-        normalized = normalize_collection(index, index.rankers, params)
+        normalized = normalize_collection(index, index.rankers, cut_depth)
         for ranker in normalized.rankers:
             for query in normalized.queries(ranker):
                 assert_checked(normalized.get(ranker, query))
         rs = query_ranks(rng, index, depth, out_of_collection)
-        for rank in normalize_rank_set(rs, OverlayRankLookup(index, rs), params):
+        for rank in normalize_rank_set(rs, OverlayRankLookup(index, rs), cut_depth):
             assert_checked(rank)
     with tempfile.TemporaryDirectory() as directory:
-        save_index(directory, index_collection(index, index.rankers, NormalizationParams(depth)))
+        save_index(directory, index_collection(index, index.rankers, depth))
         loaded = load_index(directory)
     for ranker, item in _lookup_pairs(index):
         for lookup in (loaded.normalized, loaded.raw):
@@ -352,7 +351,7 @@ def test_worker_schedule_independence(toy_fg_index):
     index, fg_index = toy_fg_index
     rs = query_rank_set()
     assert fuse_query(rs, fg_index) == fuse_query(rs, fg_index)
-    rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU")
+    rebuilt = index_collection(index, ("r1", "r2"), 2, "WGU")
     assert rebuilt.graphs == fg_index.graphs
 
 
@@ -361,7 +360,7 @@ def test_save_load_round_trip(tmp_path, toy_fg_index):
     save_index(tmp_path / "idx", fg_index)
     loaded_fg = load_index(tmp_path / "idx")
     assert loaded_fg.graphs == fg_index.graphs
-    assert loaded_fg.params == fg_index.params
+    assert loaded_fg.depth == fg_index.depth
     assert loaded_fg.ranker_names == fg_index.ranker_names
     assert loaded_fg.comparator == fg_index.comparator
     assert loaded_fg.raw.collection_items() == index.collection_items()
@@ -376,7 +375,7 @@ def test_save_load_round_trip(tmp_path, toy_fg_index):
 def test_save_is_byte_deterministic(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "one", fg_index)
-    rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "WGU")
+    rebuilt = index_collection(index, ("r1", "r2"), 2, "WGU")
     save_index(tmp_path / "two", rebuilt)
     assert index_files(tmp_path / "one") == index_files(tmp_path / "two")
 
@@ -623,7 +622,7 @@ def test_load_rejects_data_file_of_another_index(tmp_path, toy_fg_index):
     save_index(tmp_path / "idx", fg_index)
     # same rankers, L and graph count: only the recorded size tells them apart
     other = random_rank_index(random.Random(4), n_items=3, n_rankers=2, depth=2)
-    save_index(tmp_path / "other", index_collection(other, ("r1", "r2"), NormalizationParams(2)))
+    save_index(tmp_path / "other", index_collection(other, ("r1", "r2"), 2))
     swapped = (tmp_path / "other" / "graphs.bin").read_bytes()
     assert len(swapped) != (tmp_path / "idx" / "graphs.bin").stat().st_size
     (tmp_path / "idx" / "graphs.bin").write_bytes(swapped)
@@ -646,7 +645,7 @@ def test_failed_save_leaves_older_index_intact(tmp_path, toy_fg_index, monkeypat
         return serialize(graph)
 
     monkeypatch.setattr(retrieval, "serialize_graph", fail_on_second_graph)
-    rebuilt = index_collection(index, ("r1", "r2"), NormalizationParams(2), "MCS")
+    rebuilt = index_collection(index, ("r1", "r2"), 2, "MCS")
     with pytest.raises(OSError, match="disk full"):
         save_index(directory, rebuilt)
     assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
@@ -713,7 +712,7 @@ def test_load_accepts_lenient_graph_with_ranker_subset(tmp_path):
             "r2": {q: index.get("r2", q) for q in ("A", "B")},
         }
     )
-    lenient = index_collection(partial, ("r1", "r2"), NormalizationParams(2), "WGU")
+    lenient = index_collection(partial, ("r1", "r2"), 2, "WGU")
     save_index(tmp_path / "idx", lenient)
     loaded = load_index(tmp_path / "idx")
     assert loaded.graphs == lenient.graphs
@@ -738,10 +737,10 @@ def test_loaded_normalized_lookup_equals_normalize_collection(tmp_path):
         {r: {q: index.get(r, q) for q in index.queries(r) if (r, q) != ("r3", "d004")}
          for r in index.rankers}
     )
-    params = NormalizationParams(4)
-    save_index(tmp_path / "idx", index_collection(index, index.rankers, params))
+    depth = 4
+    save_index(tmp_path / "idx", index_collection(index, index.rankers, depth))
     loaded = load_index(tmp_path / "idx")
-    eager = normalize_collection(index, index.rankers, params)
+    eager = normalize_collection(index, index.rankers, depth)
     pairs = _lookup_pairs(index)
     assert any(eager.get(r, q) is None for r, q in pairs)
     for ranker, item in pairs:
@@ -757,11 +756,11 @@ def test_loaded_normalized_lookup_equals_normalize_collection(tmp_path):
 
 def test_loaded_index_shared_by_threads(tmp_path):
     index = random_rank_index(random.Random(9), n_items=30, n_rankers=3, depth=5)
-    params = NormalizationParams(5)
-    built = index_collection(index, index.rankers, params)
+    depth = 5
+    built = index_collection(index, index.rankers, depth)
     save_index(tmp_path / "idx", built)
     loaded = load_index(tmp_path / "idx")
-    eager = normalize_collection(index, index.rankers, params)
+    eager = normalize_collection(index, index.rankers, depth)
     pairs = _lookup_pairs(index)
 
     def read_all():
@@ -831,7 +830,7 @@ def test_item_whose_bound_equals_the_lth_distance_is_scored(monkeypatch):
         "w": FusionGraph("w", {"a": 1.0, "b": 1.0, "c": 1.0}, {}),
     }
     empty = CollectionRankIndex({})
-    fg_index = FusionGraphIndex(graphs, NormalizationParams(1), ("r1",), "MCS", empty, empty)
+    fg_index = FusionGraphIndex(graphs, 1, ("r1",), "MCS", empty, empty)
     bounds = common_bounds(fg_index.postings, query)
     floors = {item: dist_mcs_floor(bounds[item], 5.0, graph_size(graphs[item])) for item in graphs}
     assert floors["x"] < floors["w"] == dist_mcs(query, graphs["w"]) == dist_mcs(query, graphs["x"])
