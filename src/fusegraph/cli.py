@@ -37,6 +37,7 @@ from .evaluation import (
     winning_numbers,
 )
 from .io import (
+    check_run_tag,
     format_correlation_matrix,
     load_config,
     load_runs,
@@ -77,6 +78,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     from .retrieval import fuse_query, load_index
 
+    check_run_tag(args.tag)  # before any input is read
     fg_index = load_index(args.index)
     config = load_config(args.queries)
     query_runs = load_runs(config, fg_index.depth)
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True, help="index directory from extract")
     p.add_argument("--queries", required=True, help="config JSON listing query run files")
     p.add_argument("--out", required=True, help="output TREC run file")
-    p.add_argument("--tag", default=DEFAULT_TAG)
+    p.add_argument("--tag", default=DEFAULT_TAG, help="run tag: non-empty, no whitespace")
     p.add_argument("--exclude-self", action="store_true")
     p.set_defaults(fn=_cmd_search)
 

@@ -322,7 +322,7 @@ def paired_t_test(
     strict direction. The p-value comes from scipy's Student-t distribution,
     whose CDF (regularized incomplete beta) is accurate to near machine
     precision, comfortably beyond six decimal places. ``alpha`` must lie
-    strictly between 0 and 1.
+    strictly between 0 and 1, and every value must be finite.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -333,6 +333,8 @@ def paired_t_test(
     n = len(per_query_a)
     if n < 2:
         raise LengthMismatch(f"need at least 2 paired values, got {n}")
+    if not all(map(math.isfinite, [*per_query_a, *per_query_b])):
+        raise ValueError("per-query values must be finite")
     diffs = [a - b for a, b in zip(per_query_a, per_query_b)]
     mean = math.fsum(diffs) / n
     variance = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)

@@ -225,7 +225,6 @@ class VertexRecord(NamedTuple):
     and the graph's size (graph_size).
     """
 
-    query: ItemId
     labels: list[ItemId]
     weights: Sequence[float]
     out_mass: Sequence[float]
@@ -238,7 +237,6 @@ def vertex_record(g: FusionGraph) -> VertexRecord:
     labels = sorted(g.vertices)
     masses = edge_masses(g)
     return VertexRecord(
-        g.query,
         labels,
         [g.vertices[label] for label in labels],
         [masses[label][0] for label in labels],

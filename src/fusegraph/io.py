@@ -51,7 +51,7 @@ def _number(kind: Callable[[str], float], text: str, path: Path, line_no: int, w
 
 
 def _keyed_values(path: str | Path, count: int, empty: str) -> dict[tuple[str, ...], float]:
-    """Leading fields -> value for each line whose last of ``count`` fields is a float.
+    """Leading fields -> value for each line whose last of ``count`` fields is a finite float.
 
     Raises ParseError at a line whose leading fields repeat an earlier line's.
     """
@@ -59,6 +59,8 @@ def _keyed_values(path: str | Path, count: int, empty: str) -> dict[tuple[str, .
     values: dict[tuple[str, ...], float] = {}
     for line_no, fields in _fields(path, count):
         value, key = _number(float, fields[-1], path, line_no, "value"), tuple(fields[:-1])
+        if not math.isfinite(value):
+            raise ParseError(str(path), line_no, f"value must be finite, got {fields[-1]}")
         if key in values:
             raise ParseError(str(path), line_no, f"duplicate entry for {' '.join(key)!r}")
         values[key] = value
@@ -135,6 +137,12 @@ def write_run_file(
                 fh.write(f"{qid} Q0 {docid} {pos} {score!r} {tag}\n")
 
 
+def check_run_tag(tag: str) -> None:
+    """ValueError unless ``tag`` is one run-file field: non-empty, with no whitespace."""
+    if tag.split() != [tag]:
+        raise ValueError(f"run tag must be non-empty and hold no whitespace, got {tag!r}")
+
+
 def parse_qrels(path: str | Path) -> Qrels:
     """Parse whitespace-separated ``qid 0 docid rel`` judgment lines."""
     path = Path(path)
@@ -207,7 +215,7 @@ def write_correlation_matrix(
 
 
 def parse_correlation_matrix(path: str | Path) -> dict[str, dict[str, float]]:
-    """Parse the TSV matrix written by the correlate command; blank lines are skipped."""
+    """Parse the TSV matrix written by the correlate command, every value in [0, 1]; blank lines are skipped."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = [(line_no, line.rstrip("\n")) for line_no, line in enumerate(fh, start=1) if line.strip()]
@@ -234,6 +242,9 @@ def parse_correlation_matrix(path: str | Path) -> dict[str, dict[str, float]]:
             matrix[row] = {col: float(v) for col, v in zip(names, fields[1:])}
         except ValueError:
             raise ParseError(str(path), line_no, "bad matrix value") from None
+        for col, value in matrix[row].items():
+            if not 0.0 <= value <= 1.0:  # false for NaN too
+                raise ParseError(str(path), line_no, f"matrix value {value!r} for {col!r} is not in [0, 1]")
     return matrix
 
 

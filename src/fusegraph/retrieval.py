@@ -40,7 +40,6 @@ from .graph import (
     BuildStats,
     FusionGraph,
     NeighbourTable,
-    VertexRecord,
     build_fusion_graph,
     deserialize_graph,
     graph_size,
@@ -80,31 +79,32 @@ FLOORS: dict[str, Callable[[float, float, float], float]] = {
     "WGU": dist_wgu_floor,
 }
 
-Posting = tuple[ItemId, float, float, float]
-
 
 @dataclass
 class VertexPostings:
     """What the search bound reads of every indexed graph, edges left out.
 
-    ``by_label`` maps a vertex label to (item, vertex weight, out mass, in
-    mass) for every graph holding it, in item order; ``sizes`` maps an item
-    to its graph's size.
+    ``items`` are the indexed items in ascending order; an item's slot is its
+    position there. ``by_label`` maps a vertex label to one POSTING per graph
+    holding it, packed in slot order: the bytes postings.bin holds. ``sizes``
+    maps an item to its graph's size.
     """
 
-    by_label: Mapping[ItemId, list[Posting]]
+    items: list[ItemId]
+    by_label: Mapping[ItemId, bytes]
     sizes: Mapping[ItemId, float]
 
     @classmethod
     def of(cls, graphs: Mapping[ItemId, FusionGraph]) -> VertexPostings:
-        by_label: dict[ItemId, list[Posting]] = {}
+        items = sorted(graphs)
+        by_label: dict[ItemId, bytearray] = {}
         sizes: dict[ItemId, float] = {}
-        for item, graph in graphs.items():
-            head = vertex_record(graph)
+        for slot, item in enumerate(items):
+            head = vertex_record(graphs[item])
             for label, *posting in zip(head.labels, head.weights, head.out_mass, head.in_mass):
-                by_label.setdefault(label, []).append((item, *posting))
+                by_label.setdefault(label, bytearray()).extend(POSTING.pack(slot, *posting))
             sizes[item] = head.size
-        return cls(by_label, sizes)
+        return cls(items, by_label, sizes)
 
 
 @dataclass
@@ -199,15 +199,14 @@ def _graph_record(item: ItemId, entry: list, data: bytes, what: str) -> FusionGr
     return graph
 
 
-def _posting_list(items: list[ItemId], label: ItemId, entry: list, data: bytes, what: str) -> list[Posting]:
-    """The postings of a list of POSTINGs; ``items`` are the indexed items in slot order."""
-    postings, last = [], -1
-    for slot, weight, out_mass, in_mass in POSTING.iter_unpack(data):
-        if not last < slot < len(items):
+def _posting_list(count: int, label: ItemId, entry: list, data: bytes, what: str) -> bytes:
+    """A list of POSTINGs as stored, once its item slots rise and stay below ``count``, the indexed items'."""
+    last = -1
+    for slot, *_ in POSTING.iter_unpack(data):
+        if not last < slot < count:
             raise MalformedGraphRecord(f"{what} has item slot {slot} out of order or range")
-        postings.append((items[slot], weight, out_mass, in_mass))
         last = slot
-    return postings
+    return data
 
 
 def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) -> tuple[ScoredRank, ScoredRank]:
@@ -296,17 +295,17 @@ def common_bounds(postings: VertexPostings, query_graph: FusionGraph) -> dict[It
     """
     head = vertex_record(query_graph)
     by_label = postings.by_label
-    sums: dict[ItemId, list[float]] = {}
+    sums: dict[int, list[float]] = {}  # by item slot
     for label, weight, out_q, in_q in zip(head.labels, head.weights, head.out_mass, head.in_mass):
-        for item, w, out_mass, in_mass in by_label.get(label, ()):
-            acc = sums.get(item)
+        for slot, w, out_mass, in_mass in POSTING.iter_unpack(by_label.get(label, b"")):
+            acc = sums.get(slot)
             if acc is None:
-                acc = sums[item] = [0.0, 0.0, 0.0]
+                acc = sums[slot] = [0.0, 0.0, 0.0]
             acc[0] += w if w < weight else weight
             acc[1] += out_mass if out_mass < out_q else out_q
             acc[2] += in_mass if in_mass < in_q else in_q
     inflate = 1.0 + (len(head.labels) + 8) * 2.0**-52
-    return {item: (v + min(o, i)) * inflate for item, (v, o, i) in sums.items()}
+    return {postings.items[slot]: (v + min(o, i)) * inflate for slot, (v, o, i) in sums.items()}
 
 
 def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> FusionGraph:
@@ -350,7 +349,7 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
     postings = fg_index.postings
     excluded = {query_ranks.query} if exclude_self else set()
     bounds = common_bounds(postings, query_graph)
-    unscored = (i for i in sorted(graphs) if i not in bounds and i not in excluded)
+    unscored = (i for i in postings.items if i not in bounds and i not in excluded)
     top = [(1.0, item) for item in itertools.islice(unscored, depth)]
     size, floor = graph_size(query_graph), FLOORS[fg_index.comparator]
     candidates = sorted(
@@ -370,8 +369,8 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     """Persist the graph index with its raw and normalized rank orders, in index format 5.
 
     ``graphs.bin`` holds one serialize_graph record per item in item order.
-    ``postings.bin`` holds, per vertex label in sorted order, one POSTING per
-    graph holding the label, in item order. ``collection_ranks.jsonl`` holds
+    ``postings.bin`` holds the posting lists of ``fg_index.postings`` as they
+    are, in sorted label order. ``collection_ranks.jsonl`` holds
     one JSON line per rank with its raw and its normalized order.
     ``toc.json`` maps each item to its graph record's (offset, length,
     digest) and its graph's size, each label to its posting list's (offset,
@@ -387,30 +386,21 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    items = sorted(fg_index.graphs)
-    sizes: list[float] = []
-    by_label: dict[ItemId, bytearray] = {}
-
-    def graph_records() -> Iterator[tuple[ItemId, bytes]]:
-        for slot, item in enumerate(items):
-            graph = fg_index.graphs[item]
-            head = vertex_record(graph)
-            sizes.append(head.size)
-            _add_postings(by_label, slot, head)
-            yield item, serialize_graph(graph)
-
+    vertex_postings = fg_index.postings
+    by_label = vertex_postings.by_label
     staged: list[tuple[Path, Path]] = []
     try:
-        graphs = _stage(directory / INDEX_FILES["graphs"], graph_records(), staged)
+        records = ((item, serialize_graph(fg_index.graphs[item])) for item in vertex_postings.items)
+        graphs = _stage(directory / INDEX_FILES["graphs"], records, staged)
         postings = _stage(
-            directory / INDEX_FILES["postings"], ((label, by_label.pop(label)) for label in sorted(by_label)), staged
+            directory / INDEX_FILES["postings"], ((label, by_label[label]) for label in sorted(by_label)), staged
         )
         ranks = _stage(directory / INDEX_FILES["ranks"], _rank_lines(fg_index), staged)
         toc_ranks: dict[str, dict[ItemId, list]] = {}
         for (ranker, query), entry in ranks.items():
             toc_ranks.setdefault(ranker, {})[query] = entry
         toc = {
-            "graphs": {item: [*entry, size] for (item, entry), size in zip(graphs.items(), sizes)},
+            "graphs": {item: [*entry, vertex_postings.sizes[item]] for item, entry in graphs.items()},
             "postings": {
                 label: [offset, length // POSTING.size, digest]
                 for label, (offset, length, digest) in postings.items()
@@ -429,7 +419,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
             "rankers": list(fg_index.ranker_names),
             "L": fg_index.depth,
             "comparator": fg_index.comparator,
-            "graph_count": len(items),
+            "graph_count": len(graphs),
             "files": INDEX_FILES,
             "bytes": {role: sum(entry[1] for entry in entries.values()) for role, entries in written.items()},
             "sha256": {"toc": hashlib.sha256(toc_bytes).hexdigest()},
@@ -441,16 +431,6 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
-
-
-def _add_postings(by_label: dict[ItemId, bytearray], slot: int, head: VertexRecord) -> None:
-    """Append the postings of the graph at item ``slot`` to the packed lists of its labels."""
-    pack = POSTING.pack
-    for label, weight, out_mass, in_mass in zip(head.labels, head.weights, head.out_mass, head.in_mass):
-        bucket = by_label.get(label)
-        if bucket is None:
-            bucket = by_label[label] = bytearray()
-        bucket += pack(slot, weight, out_mass, in_mass)
 
 
 def _stage(path: Path, records: Iterable[tuple[object, bytes]], staged: list[tuple[Path, Path]]) -> dict:
@@ -551,6 +531,8 @@ def _read_toc(directory: Path, manifest: dict) -> tuple[dict, dict, dict]:
         graphs, postings, ranks = toc["graphs"], toc["postings"], toc["ranks"]
         if not all(type(part) is dict for part in (graphs, postings, ranks)):
             raise ValueError("graphs, postings and ranks must be objects")
+        if list(graphs) != sorted(graphs):  # slot order must be item order
+            raise ValueError("graph items are not in ascending order")
         for item, entry in graphs.items():
             if not _is_entry(entry, 4):
                 raise ValueError(f"bad graph entry for {item!r}: {entry!r}")
@@ -580,11 +562,12 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     Reads the manifest and the table of contents only. Every manifest field
     in MANIFEST_FIELDS must be present and well typed, every data file must
     have its recorded size, the table of contents must match its sha256 and
-    every entry in it must be well typed, with graph sizes positive and
-    finite and rankers from the manifest; otherwise (and for an index of an
-    older format) MalformedGraphRecord is raised. A graph, posting list or
-    rank record is read when search first needs it, and is checked then:
-    against its digest, and by deserialize_graph or the rank record check.
+    every entry in it must be well typed, with graph items ascending, graph
+    sizes positive and finite and rankers from the manifest; otherwise (and
+    for an index of an older format) MalformedGraphRecord is raised. A graph,
+    posting list or rank record is read when search first needs it, and is
+    checked then: against its digest, and by deserialize_graph, the posting
+    list's slot check or the rank record check.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
@@ -598,7 +581,7 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
         "postings",
         {label: [offset, count * POSTING.size, digest] for label, (offset, count, digest) in postings.items()},
         "posting list of {!r}".format,
-        partial(_posting_list, list(graphs)),
+        partial(_posting_list, len(graphs)),
     )
     records = store(
         "ranks",
@@ -615,7 +598,7 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
         StoredRanks(records, ranks, normalized=False),
     )
     # what the cached property would derive by decoding every graph
-    fg_index.postings = VertexPostings(posting_lists, {item: entry[3] for item, entry in graphs.items()})
+    fg_index.postings = VertexPostings(list(graphs), posting_lists, {item: entry[3] for item, entry in graphs.items()})
     return fg_index
 
 

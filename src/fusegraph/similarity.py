@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BothEmpty
-from .graph import FusionGraph, graph_size
+from .graph import FusionGraph, _unchecked, graph_size
 
 UNION_SLACK = 2.0**-48
 
@@ -36,15 +36,16 @@ def mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> Fusion
 
     Shared vertices and edges keep the minimum of their two weights. Every
     edge's endpoints lie in its own graph's vertex set, so a shared edge
-    always has shared endpoints and needs no further check. An empty
-    intersection yields an empty graph, not an error.
+    always has shared endpoints, and no graph has a self-edge, so the result
+    skips the constructor's checks. An empty intersection yields an empty
+    graph, not an error.
     """
     if stats is not None:
         stats.comparisons += min(len(a.vertices), len(b.vertices)) + min(len(a.edges), len(b.edges))
     av, bv, ae, be = a.vertices, b.vertices, a.edges, b.edges
     vertices = {item: min(av[item], bv[item]) for item in av.keys() & bv.keys()}
     edges = {pair: min(ae[pair], be[pair]) for pair in ae.keys() & be.keys()}
-    return FusionGraph(a.query, vertices, edges)
+    return _unchecked(a.query, vertices, edges)
 
 
 def _weights(g: FusionGraph):

@@ -76,6 +76,13 @@ def edit_toc(index_dir, edit) -> None:
     seal_toc(index_dir, toc)
 
 
+def reverse_graph_items(index_dir) -> None:
+    """Reverse the order of the graph items in the index's table of contents, and reseal it."""
+    toc = json.loads((index_dir / "toc.json").read_bytes())
+    toc["graphs"] = dict(reversed(toc["graphs"].items()))
+    seal_toc(index_dir, json.dumps(toc, separators=(",", ":")).encode("utf-8"))
+
+
 INDEX_DATA_FILES = {"graphs": "graphs.bin", "postings": "postings.bin", "ranks": "collection_ranks.jsonl"}
 
 

@@ -27,6 +27,7 @@ from helpers import (
     edit_toc,
     index_files,
     random_rank_index,
+    reverse_graph_items,
     rewrite_record,
     seal_toc,
     synthetic_collection,
@@ -333,6 +334,10 @@ INVALID_VALUE_COMMANDS = {
     "ttest_alpha_nan": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "nan"],
     "ttest_alpha_zero": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "0"],
     "ttest_alpha_above_one": ["ttest", "--a", "{a}", "--b", "{b}", "--alpha", "1.5"],
+    # a run line is six whitespace-separated fields, the tag the last; the index need not exist
+    "search_tag_empty": ["search", "--index", "{out}.index", "--queries", "{config}", "--out", "{out}", "--tag", ""],
+    "search_tag_space": ["search", "--index", "{out}.index", "--queries", "{config}", "--out", "{out}", "--tag", "a b"],
+    "search_tag_tab": ["search", "--index", "{out}.index", "--queries", "{config}", "--out", "{out}", "--tag", "a\tb"],
 }
 
 
@@ -358,6 +363,47 @@ def test_invalid_value_prints_one_json_line(toy_files, args):
     assert len(lines) == 1, result.stderr
     assert json.loads(lines[0])["error"] == "ValueError"
     assert not paths["out"].exists()
+
+
+REPORT_FILES = {
+    "eff": "LAS 0.85\nCCOM 0.72\nLBP 0.65\n",
+    "corr": "ranker\tLAS\tCCOM\tLBP\nLAS\t1.0\t0.38\t0.3\nCCOM\t0.38\t1.0\t0.25\nLBP\t0.3\t0.25\t1.0\n",
+    "table": "d1 c1 m1 0.9\nd1 c1 m2 0.1\n",
+    "a": "q1\t0.8\nq2\t0.7\nq3\t0.9\n",
+    "b": "q1\t0.3\nq2\t0.5\nq3\t0.2\n",
+}
+# command, the one file that differs from REPORT_FILES, its text, the error message
+BAD_REPORT_VALUES = {
+    "ttest_nan": (["ttest", "--a", "{a}", "--b", "{b}"], "a", "q1\t0.8\nq2\tnan\nq3\t0.9\n",
+                  "{a}:2: value must be finite, got nan"),
+    "select_top_two_nan": (["select", "--effectiveness", "{eff}", "--strategy", "top-two"], "eff",
+                           "LAS 0.85\nCCOM nan\n", "{eff}:2: value must be finite, got nan"),
+    "select_best_pair_nan": (
+        ["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"], "corr",
+        "ranker\tLAS\tLBP\nLAS\t1.0\tnan\nLBP\tnan\t1.0\n", "{corr}:2: matrix value nan for 'LBP' is not in [0, 1]",
+    ),
+    "select_best_pair_minus_one": (
+        ["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"], "corr",
+        "ranker\tLAS\tLBP\nLAS\t1.0\t-1\nLBP\t-1\t1.0\n", "{corr}:2: matrix value -1.0 for 'LBP' is not in [0, 1]",
+    ),
+    "winners_inf": (["winners", "--table", "{table}"], "table", "d1 c1 m1 inf\nd1 c1 m2 0.1\n",
+                    "{table}:1: value must be finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_REPORT_VALUES.values(), ids=BAD_REPORT_VALUES)
+def test_bad_report_value_prints_one_json_line(tmp_path, case):
+    """A value that is not finite, or a correlation outside [0, 1], is refused at its line."""
+    args, name, text, message = case
+    paths = {key: tmp_path / key for key in REPORT_FILES}
+    for key, path in paths.items():
+        path.write_text(text if key == name else REPORT_FILES[key], encoding="utf-8")
+    result = run_cli_process("-m", "fusegraph.cli", *(arg.format(**paths) for arg in args))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {"error": "ParseError", "message": message.format(**paths)}
 
 
 @pytest.mark.parametrize(
@@ -482,6 +528,26 @@ def search_error_after_edit(toy_files, edit):
 def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
     error = search_error_after_edit(toy_files, edit_manifest(lambda m: m.pop("L")))
     assert error["error"] == "MalformedGraphRecord"
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_graph_items_out_of_order_print_one_json_line(toy_files, command):
+    """Posting slots name items by their place in the table of contents, so it must list them in order."""
+    index_dir = toy_files["dir"] / "index"
+    assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
+    reverse_graph_items(index_dir)
+    args = ["--index", str(index_dir)]
+    if command == "search":
+        args += ["--queries", str(toy_files["queries"]), "--out", str(toy_files["dir"] / "fg.run")]
+    result = run_cli_process("-m", "fusegraph.cli", command, *args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert [json.loads(line) for line in result.stderr.splitlines()] == [
+        {
+            "error": "MalformedGraphRecord",
+            "message": "bad table of contents 'toc.json': graph items are not in ascending order",
+        }
+    ]
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):

@@ -250,6 +250,14 @@ def test_ttest_length_mismatch():
         paired_t_test([1.0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ttest_rejects_values_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="per-query values must be finite"):
+        paired_t_test([0.5, bad, 0.7], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match="per-query values must be finite"):
+        paired_t_test([0.5, 0.6, 0.7], [0.1, 0.2, bad])
+
+
 def test_ttest_against_scipy():
     from scipy import stats
 

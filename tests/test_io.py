@@ -204,7 +204,11 @@ LINE_PARSERS = [
         parse_per_query_metrics,
         ("q1 0.5", "q2 0.25"),
         2,
-        [("q1 x", "bad value 'x'")],
+        [
+            ("q1 x", "bad value 'x'"),
+            ("q2 nan", "value must be finite, got nan"),
+            ("q2 -inf", "value must be finite, got -inf"),
+        ],
         "per-query metric file is empty",
         id="per_query_metrics",
     ),
@@ -212,7 +216,7 @@ LINE_PARSERS = [
         parse_ranker_effectiveness,
         ("r1 0.5", "r2 0.25"),
         2,
-        [("r1 x", "bad value 'x'")],
+        [("r1 x", "bad value 'x'"), ("r2 NaN", "value must be finite, got NaN")],
         "effectiveness file is empty",
         id="ranker_effectiveness",
     ),
@@ -220,7 +224,7 @@ LINE_PARSERS = [
         parse_effectiveness_table,
         ("d c m1 0.5", "d c m2 0.25"),
         4,
-        [("d c m1 x", "bad value 'x'")],
+        [("d c m1 x", "bad value 'x'"), ("d c m2 inf", "value must be finite, got inf")],
         "effectiveness table is empty",
         id="effectiveness_table",
     ),
@@ -315,6 +319,13 @@ def test_correlation_matrix_errors_count_blank_lines(tmp_path):
     assert _parse_error(parse_correlation_matrix, path) == (4, f"{path}:4: bad matrix value")
     path = write(tmp_path, "lead.tsv", "\n\nranker\ta\ta\n")
     assert _parse_error(parse_correlation_matrix, path) == (3, f"{path}:3: duplicate matrix column 'a'")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-0.5", "1.5"])
+def test_correlation_matrix_values_lie_in_the_unit_interval(tmp_path, value):
+    path = write(tmp_path, "m.tsv", f"ranker\ta\tb\na\t1.0\t{value}\n")
+    message = f"matrix value {float(value)!r} for 'b' is not in [0, 1]"
+    assert _parse_error(parse_correlation_matrix, path) == (2, f"{path}:2: {message}")
 
 
 def test_correlation_matrix_round_trip(tmp_path):

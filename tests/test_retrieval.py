@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
-from fusegraph.graph import BuildStats, FusionGraph, graph_size
+from fusegraph.graph import BuildStats, FusionGraph, edge_masses, graph_size
 from fusegraph.model import CollectionRankIndex, OverlayRankLookup, RankSet, ScoredRank, assemble_rank_set
 from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
@@ -32,6 +32,7 @@ from helpers import (
     edit_rank_record,
     edit_toc,
     index_files,
+    reverse_graph_items,
     mkrank,
     random_rank_index,
     reference_fuse_query,
@@ -198,6 +199,10 @@ def test_scope_equivalence_random():
     for query in index.collection_items()[:6]:
         rs = assemble_rank_set(query, index, index.rankers)
         assert fuse_query(rs, fg_index) == reference_fuse_query(rs, fg_index)
+        # the search reads items in id order, whatever the order of the graphs it is given
+        descending = dict(sorted(fg_index.graphs.items(), reverse=True))
+        reordered = FusionGraphIndex(descending, depth, index.rankers, "WGU", fg_index.normalized, index)
+        assert fuse_query(rs, reordered) == reference_fuse_query(rs, fg_index)
 
 
 def indexed_collection(rng, n_items, n_rankers, depth, cluster_size, comparator, twins):
@@ -432,9 +437,11 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
     for label, (offset, count, digest) in toc["postings"].items():
         data = postings[offset : offset + 28 * count]
         assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
+        # one posting per graph holding the label, in slot order: slot, weight, out and in mass
         expected = [
-            (slots[item], *posting)
-            for item, *posting in fg_index.postings.by_label[label]
+            (slots[item], graph.vertices[label], *edge_masses(graph)[label])
+            for item, graph in sorted(fg_index.graphs.items())
+            if label in graph.vertices
         ]
         assert list(struct.iter_unpack("<Iddd", data)) == expected
     for ranker, per_query in toc["ranks"].items():
@@ -551,6 +558,8 @@ BAD_RECORDS = {
         lambda directory: rewrite_record(directory, "postings", "X", lambda data: data[28:] + data[:28]),
         "posting list of 'X' has item slot 1 out of order",
     ),
+    # a posting's slot is its item's position in the table of contents
+    "graph items out of order": (reverse_graph_items, "graph items are not in ascending order"),
 }
 
 
@@ -786,16 +795,43 @@ BOUND_WEIGHTS = st.floats(min_value=1e-300, max_value=1.0)
 
 
 @st.composite
+def small_graph(draw, query):
+    """A graph over one small label pool, so that two of them usually share vertices."""
+    vertices = draw(st.dictionaries(st.sampled_from("abcdefgh"), BOUND_WEIGHTS, min_size=1))
+    pairs = [(a, b) for a in vertices for b in vertices if a != b]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), BOUND_WEIGHTS)) if pairs else {}
+    return FusionGraph(query, vertices, edges)
+
+
+@st.composite
 def graph_pairs(draw):
-    """Two graphs over one small label pool, so they usually share vertices."""
+    return draw(small_graph("q")), draw(small_graph("d"))
 
-    def graph(query):
-        vertices = draw(st.dictionaries(st.sampled_from("abcdefgh"), BOUND_WEIGHTS, min_size=1))
-        pairs = [(a, b) for a in vertices for b in vertices if a != b]
-        edges = draw(st.dictionaries(st.sampled_from(pairs), BOUND_WEIGHTS)) if pairs else {}
-        return FusionGraph(query, vertices, edges)
 
-    return graph("q"), graph("d")
+@st.composite
+def graph_dicts(draw):
+    """Small graphs by item, the items inserted in random order."""
+    items = draw(st.lists(st.text("dexyz", min_size=1, max_size=3), unique=True, max_size=8))
+    return {item: draw(small_graph(item)) for item in items}
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs=graph_dicts())
+def test_vertex_postings_follow_the_graphs(graphs):
+    postings = VertexPostings.of(graphs)
+    assert postings.items == sorted(graphs)
+    assert postings.sizes == {item: graph_size(graph) for item, graph in graphs.items()}
+    expected: dict = {}
+    for slot, item in enumerate(sorted(graphs)):
+        graph = graphs[item]
+        masses = edge_masses(graph)
+        for label, weight in graph.vertices.items():
+            expected.setdefault(label, []).append((slot, weight, *masses[label]))
+    unpacked = {label: list(struct.iter_unpack("<Iddd", data)) for label, data in postings.by_label.items()}
+    for rows in unpacked.values():
+        slots = [row[0] for row in rows]
+        assert slots == sorted(set(slots))
+    assert unpacked == expected
 
 
 TINY = 2.0**-53  # 1.0 + TINY + TINY sums to 1.0 in plain floats, to 1 + 2^-52 in fsum
