@@ -225,6 +225,8 @@ def _pair_correlation(corr: Mapping[str, Mapping[str, float]], x: str, y: str) -
         value = corr.get(y, {}).get(x)
     if value is None:
         raise ValueError(f"correlation matrix missing pair ({x!r}, {y!r})")
+    if not 0.0 <= value <= 1.0:  # false for NaN too
+        raise ValueError(f"matrix value {value!r} for ({x!r}, {y!r}) is not in [0, 1]")
     return value
 
 
@@ -237,13 +239,17 @@ def select_rankers(
     effectiveness, or the pair maximizing the selection measure.
 
     Ordering within the result and all tie-breaks are deterministic
-    (effectiveness descending, then ranker name).
+    (effectiveness descending, then ranker name). Effectiveness must be
+    finite and a correlation in [0, 1], else ValueError.
     """
     strategy = strategy.lower()
     if strategy not in SELECTION_STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r}; expected one of {SELECTION_STRATEGIES}"
         )
+    for ranker, value in effectiveness.items():
+        if not math.isfinite(value):
+            raise ValueError(f"effectiveness of {ranker!r} must be finite, got {value!r}")
     by_effectiveness = sorted(effectiveness, key=lambda r: (-effectiveness[r], r))
     if strategy == "all":
         return tuple(by_effectiveness)

@@ -1,9 +1,11 @@
 """The composite ranker: offline fusion-graph index, online graph retrieval.
 
-Offline, every collection item is turned into a normalized fusion graph.
-Online, a query's ranks are normalized the same way, its graph is built on
-the fly, and collection items are ranked by ascending graph distance (MCS or
-WGU). Ties are broken by ascending item id so runs are reproducible.
+Offline, every collection item is turned into a normalized fusion graph,
+built when first read; save_index builds, writes and drops them one at a time,
+so writing an index holds the ranks, not the graphs. Online, a query's ranks
+are normalized the same way, its graph is built on the fly, and collection
+items are ranked by ascending graph distance (MCS or WGU). Ties are broken by
+ascending item id so runs are reproducible.
 
 Only the top L of that ranking are kept, so search scores exactly only the
 items that can still enter them: vertex postings give every item that
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
-from .errors import MalformedGraphRecord, RankerMismatch
+from .errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from .graph import (
     BuildStats,
     FusionGraph,
@@ -87,7 +89,7 @@ class VertexPostings:
     ``items`` are the indexed items in ascending order; an item's slot is its
     position there. ``by_label`` maps a vertex label to one POSTING per graph
     holding it, packed in slot order: the bytes postings.bin holds. ``sizes``
-    maps an item to its graph's size.
+    maps an item to its graph's size. ``walk`` is the one builder.
     """
 
     items: list[ItemId]
@@ -96,15 +98,26 @@ class VertexPostings:
 
     @classmethod
     def of(cls, graphs: Mapping[ItemId, FusionGraph]) -> VertexPostings:
-        items = sorted(graphs)
-        by_label: dict[ItemId, bytearray] = {}
-        sizes: dict[ItemId, float] = {}
-        for slot, item in enumerate(items):
-            head = vertex_record(graphs[item])
+        postings = cls([], {}, {})
+        for _ in postings.walk(graphs):
+            pass
+        return postings
+
+    def walk(self, graphs: Mapping[ItemId, FusionGraph]) -> Iterator[tuple[ItemId, FusionGraph]]:
+        """Add the graphs in ascending item order, after any added before, yielding each (item, graph) once added.
+
+        A graph that Records makes is not kept, so a walk holds one at a time.
+        """
+        read = graphs.read if isinstance(graphs, Records) else graphs.__getitem__
+        for item in sorted(graphs):
+            graph = read(item)
+            head = vertex_record(graph)
+            slot = len(self.items)
             for label, *posting in zip(head.labels, head.weights, head.out_mass, head.in_mass):
-                by_label.setdefault(label, bytearray()).extend(POSTING.pack(slot, *posting))
-            sizes[item] = head.size
-        return cls(items, by_label, sizes)
+                self.by_label.setdefault(label, bytearray()).extend(POSTING.pack(slot, *posting))
+            self.items.append(item)
+            self.sizes[item] = head.size
+            yield item, graph
 
 
 @dataclass
@@ -131,16 +144,40 @@ class FusionGraphIndex:
 
     @cached_property
     def postings(self) -> VertexPostings:
-        """The graphs' vertex postings; load_index sets them without decoding a graph."""
-        return VertexPostings.of(self.graphs)
+        """The graphs' vertex postings, unless load_index or save_index has set them."""
+        return VertexPostings.of(dict(self.graphs))  # read into a dict, so kept: a search reads graphs again
 
 
 def _digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
-class StoredRecords(Mapping):
-    """Records of one index data file by key, each read, checked and decoded on first access, then kept.
+class Records(Mapping):
+    """The values of ``keys``, each made by ``make(key)`` on first access and kept; ``read`` does not keep one."""
+
+    def __init__(self, keys: Mapping, make: Callable):
+        self._keys, self._make, self._kept = keys, make, {}
+
+    def read(self, key):
+        value = self._kept.get(key)
+        return self._make(key) if value is None else value
+
+    def __getitem__(self, key):  # threads racing to make one value keep the first made
+        value = self._kept.get(key)
+        return self._kept.setdefault(key, self._make(key)) if value is None else value
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._keys
+
+    def __iter__(self) -> Iterator:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+class StoredRecords(Records):
+    """Records of one index data file by key, each read, checked and decoded on first access.
 
     Opening the file checks its size against the manifest's. ``toc`` maps a
     key to its record's table-of-contents entry, (offset, length, digest)
@@ -151,37 +188,26 @@ class StoredRecords(Mapping):
     """
 
     def __init__(self, path: Path, size: int, toc: dict, describe: Callable[[object], str], decode: Callable):
-        self.name, self.size, self.toc = path.name, size, toc
+        name = self.name = path.name
         fd = os.open(path, os.O_RDONLY)
         weakref.finalize(self, os.close, fd)
         actual = os.fstat(fd).st_size
         if actual != size:
-            raise MalformedGraphRecord(f"index file {self.name!r} holds {actual} bytes, manifest says {size}")
-        self._fd, self._describe, self._decode = fd, describe, decode
-        self._decoded: dict = {}
+            raise MalformedGraphRecord(f"index file {name!r} holds {actual} bytes, manifest says {size}")
 
-    def __getitem__(self, key):
-        value = self._decoded.get(key)
-        if value is None:
-            entry = self.toc[key]
+        def record(key):  # holds no reference to self, so the file closes once this store is dropped
+            entry = toc[key]
             offset, length, digest = entry[:3]
-            what = self._describe(key)
-            if offset + length > self.size:
-                raise MalformedGraphRecord(f"{what} ends past the {self.size} bytes of {self.name!r}")
-            data = os.pread(self._fd, length, offset)
+            what = describe(key)
+            if offset + length > size:
+                raise MalformedGraphRecord(f"{what} ends past the {size} bytes of {name!r}")
+            data = os.pread(fd, length, offset)
             if len(data) != length or _digest(data) != digest:
-                raise MalformedGraphRecord(f"{what} in {self.name!r} does not match its digest")
-            value = self._decoded.setdefault(key, self._decode(key, entry, data, what))
-        return value
+                raise MalformedGraphRecord(f"{what} in {name!r} does not match its digest")
+            return decode(key, entry, data, what)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self.toc
-
-    def __iter__(self) -> Iterator:
-        return iter(self.toc)
-
-    def __len__(self) -> int:
-        return len(self.toc)
+        super().__init__(toc, record)
+        self.size, self.toc = size, toc
 
 
 def _graph_record(item: ItemId, entry: list, data: bytes, what: str) -> FusionGraph:
@@ -209,14 +235,8 @@ def _posting_list(count: int, label: ItemId, entry: list, data: bytes, what: str
     return data
 
 
-def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) -> tuple[ScoredRank, ScoredRank]:
-    """The raw and the normalized rank of a record holding a rank's raw order and its normalized order.
-
-    gridded_rank builds both, with the grid as scores. That is what a
-    normalized rank holds; the scores of a raw rank are never read, because
-    normalization reads positions only.
-    """
-    ranker, query = key
+def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) -> tuple[list, list, dict]:
+    """A rank record checked in full: its raw and its normalized order as item ids, and {} for their ranks."""
     try:
         record = json.loads(data)
         items, slots = record["items"], record["normalized"]
@@ -233,23 +253,32 @@ def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) ->
         normalized = [items[slot] for slot in slots]
     except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedGraphRecord(f"bad {what}: {exc}") from exc
-    return gridded_rank(query, ranker, items, depth), gridded_rank(query, ranker, normalized, depth)
+    return items, normalized, {}
 
 
 class StoredRanks(CollectionRankIndex):
-    """The raw or the normalized ranks of the stored rank records, which map (ranker, query) to both.
+    """The raw or the normalized ranks of the stored rank records, which map (ranker, query) to both orders.
 
-    ``toc`` maps ranker -> query -> entry.
+    ``toc`` maps ranker -> query -> entry. A rank is built by gridded_rank,
+    with the grid as scores, when its order is first read, and kept in the
+    record. That is what a normalized rank holds; the scores of a raw rank
+    are never read, because normalization reads positions only.
     """
 
-    def __init__(self, records: StoredRecords, toc: dict[str, dict[ItemId, list]], normalized: bool):
+    def __init__(self, records: StoredRecords, toc: dict[str, dict[ItemId, list]], depth: int, normalized: bool):
         self._ranks = toc  # the layout CollectionRankIndex's readers expect
-        self.records = records
+        self.records, self.depth = records, depth
         self._order = 1 if normalized else 0
 
     def get(self, ranker: str, query: ItemId) -> ScoredRank | None:
-        ranks = self.records.get((ranker, query))
-        return None if ranks is None else ranks[self._order]
+        record = self.records.get((ranker, query))
+        if record is None:
+            return None
+        built = record[2]
+        rank = built.get(self._order)
+        if rank is None:  # threads racing to build it keep the first built
+            rank = built.setdefault(self._order, gridded_rank(query, ranker, record[self._order], self.depth))
+        return rank
 
 
 def index_collection(
@@ -260,26 +289,40 @@ def index_collection(
     strict: bool = False,
     stats: BuildStats | None = None,
 ) -> FusionGraphIndex:
-    """Build one normalized fusion graph per collection item, at cut-off depth L.
+    """Index one normalized fusion graph per collection item, at cut-off depth L.
 
     Each item's rank set is grouped by assemble_rank_set: in strict mode
     every item must have a rank under every chosen ranker; in lenient mode
     missing ranks are skipped and an item with no ranks at all is left out
-    of the graph index, and counted in ``stats``. The result keeps ``index``
-    as its raw ranks.
+    of the graph index, and counted in ``stats``. Strict mode raises here
+    the MissingRank that building the graphs would. A graph is built from
+    one shared neighbour table when first read, and kept; save_index drops
+    each it builds once written. The result keeps ``index`` as its raw ranks.
     """
     rankers = tuple(rankers)
     normalized = normalize_collection(index, rankers, depth)
-    graphs: dict[ItemId, FusionGraph] = {}
-    table: NeighbourTable = {}  # each item's ranks, read once for all graphs
+    complete = set.intersection(*(set(normalized.queries(r)) for r in rankers)) if strict and rankers else set()
+    items: dict[ItemId, None] = {}  # those with a graph, in order
     for item in index.collection_items():
         rs = assemble_rank_set(item, normalized, rankers, strict)
         if not rs:
             if stats is not None:
                 stats.items_without_ranks += 1
             continue
-        graphs[item] = build_fusion_graph(rs, normalized, strict=strict, stats=stats, table=table)
-    return FusionGraphIndex(graphs, depth, rankers, comparator, normalized, index)
+        for vertex in itertools.chain.from_iterable(map(ScoredRank.items, rs)) if strict else ():
+            if vertex not in complete:
+                raise MissingRank(next(r for r in rankers if normalized.get(r, vertex) is None), vertex)
+        items[item] = None
+    table: NeighbourTable = {}  # each item's ranks, read once for all graphs
+
+    def build(item: ItemId) -> FusionGraph:  # regrouped: a rank set per item costs memory
+        if item not in items:
+            raise KeyError(item)
+        rs = assemble_rank_set(item, normalized, rankers, strict)
+        # a module-global lookup, so a wrapper bound to the name is called
+        return build_fusion_graph(rs, normalized, strict=strict, stats=stats, table=table)
+
+    return FusionGraphIndex(Records(items, build), depth, rankers, comparator, normalized, index)
 
 
 def common_bounds(postings: VertexPostings, query_graph: FusionGraph) -> dict[ItemId, float]:
@@ -368,29 +411,32 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
 def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     """Persist the graph index with its raw and normalized rank orders, in index format 5.
 
-    ``graphs.bin`` holds one serialize_graph record per item in item order.
-    ``postings.bin`` holds the posting lists of ``fg_index.postings`` as they
-    are, in sorted label order. ``collection_ranks.jsonl`` holds
-    one JSON line per rank with its raw and its normalized order.
-    ``toc.json`` maps each item to its graph record's (offset, length,
-    digest) and its graph's size, each label to its posting list's (offset,
-    count, digest) and each ranker and query to its rank record's (offset,
-    length, digest); a digest is a 16-byte BLAKE2b, in hex. The manifest
-    records every file's size and the table of contents' sha256.
+    ``graphs.bin`` holds one serialize_graph record per item in item order,
+    ``postings.bin`` the graphs' posting lists in sorted label order and
+    ``collection_ranks.jsonl`` one JSON line per rank with its raw and its
+    normalized order. ``toc.json`` maps each item to its graph record's
+    (offset, length, digest) and its graph's size, each label to its posting
+    list's (offset, count, digest) and each ranker and query to its rank
+    record's (offset, length, digest); a digest is a 16-byte BLAKE2b, in hex.
+    The manifest records every file's size and the table of contents' sha256.
 
-    File contents are fully sorted, so rebuilding from identical inputs is
-    byte-identical. Graph records stream to disk as they are serialized.
-    Every file is first written in full under a temporary name in
-    ``directory``; only then are they renamed into place, the manifest last,
-    so a failed save leaves an older index there intact.
+    One VertexPostings walk, in item order, takes each graph's postings, size
+    and record and streams the record to disk. A graph that
+    ``fg_index.graphs`` builds or decodes for the walk is dropped once
+    written, so saving an index from index_collection holds one graph at a
+    time; the postings become ``fg_index.postings`` if it has none. File
+    contents are fully sorted, so rebuilding from identical inputs is
+    byte-identical. Every file is first written in full under a temporary
+    name in ``directory``; only then are they renamed into place, the
+    manifest last, so a failed save leaves an older index there intact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    vertex_postings = fg_index.postings
+    vertex_postings = VertexPostings([], {}, {})
     by_label = vertex_postings.by_label
     staged: list[tuple[Path, Path]] = []
     try:
-        records = ((item, serialize_graph(fg_index.graphs[item])) for item in vertex_postings.items)
+        records = ((item, serialize_graph(graph)) for item, graph in vertex_postings.walk(fg_index.graphs))
         graphs = _stage(directory / INDEX_FILES["graphs"], records, staged)
         postings = _stage(
             directory / INDEX_FILES["postings"], ((label, by_label[label]) for label in sorted(by_label)), staged
@@ -428,6 +474,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
         _stage(directory / MANIFEST_NAME, [(None, manifest_bytes)], staged)
         for tmp, path in staged:
             os.replace(tmp, path)
+        fg_index.__dict__.setdefault("postings", vertex_postings)  # what the cached property would derive
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
@@ -594,8 +641,8 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
         manifest["L"],
         tuple(manifest["rankers"]),
         manifest["comparator"],
-        StoredRanks(records, ranks, normalized=True),
-        StoredRanks(records, ranks, normalized=False),
+        StoredRanks(records, ranks, manifest["L"], normalized=True),
+        StoredRanks(records, ranks, manifest["L"], normalized=False),
     )
     # what the cached property would derive by decoding every graph
     fg_index.postings = VertexPostings(list(graphs), posting_lists, {item: entry[3] for item, entry in graphs.items()})
@@ -614,7 +661,7 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
     """
     fg_index = load_index(directory)
     stored = fg_index.postings.by_label
-    derived = VertexPostings.of(fg_index.graphs).by_label  # reads and checks every graph
+    derived = VertexPostings.of(fg_index.graphs).by_label  # reads and checks every graph, keeping none
     if list(stored) != sorted(derived) or any(stored[label] != postings for label, postings in derived.items()):
         raise MalformedGraphRecord("the posting lists are not those of the graphs")
     records = fg_index.raw.records

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import random
+import weakref
+from unittest import mock
 
 import numpy as np
 
 from fusegraph.baselines import _check, _finalize
 from fusegraph.errors import FusionError, MissingRank
+from fusegraph import graph, similarity
 from fusegraph.graph import FusionGraph, normalize_graph_weights
 from fusegraph.model import CollectionRankIndex, ItemId, RankSet, ScoredEntry, ScoredRank
 from fusegraph.retrieval import FusedRank, build_query_graph
@@ -51,6 +55,33 @@ def write_config(directory, name, run_paths, depth=2, **extra):
     path = directory / name
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+@contextlib.contextmanager
+def live_graphs():
+    """Count the FusionGraphs alive at once inside the block: yields a dict whose "peak" is the most.
+
+    A graph counts from its making, by the public constructor or by the
+    unchecked one that the builder, deserialize_graph and mcs use, until
+    weakref.finalize sees it collected.
+    """
+    counts = {"live": 0, "peak": 0}
+
+    def gone():
+        counts["live"] -= 1
+
+    def made(g):
+        counts["live"] += 1
+        counts["peak"] = max(counts["peak"], counts["live"])
+        weakref.finalize(g, gone)
+        return g
+
+    post_init, unchecked = FusionGraph.__post_init__, graph._unchecked
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(FusionGraph, "__post_init__", lambda g: post_init(made(g))))
+        for module in (graph, similarity):
+            stack.enter_context(mock.patch.object(module, "_unchecked", lambda *args: made(unchecked(*args))))
+        yield counts
 
 
 def index_files(index_dir) -> dict[str, bytes]:

@@ -26,6 +26,7 @@ from helpers import (
     edit_rank_record,
     edit_toc,
     index_files,
+    live_graphs,
     random_rank_index,
     reverse_graph_items,
     rewrite_record,
@@ -1023,3 +1024,45 @@ def test_extract_index_bytes_are_pinned(tmp_path):
         name: hashlib.sha256((index_dir / name).read_bytes()).hexdigest() for name in PINNED_INDEX
     }
     assert digests == PINNED_INDEX
+
+
+def synthetic_files(tmp_path, n_items=36):
+    """The run files and config of a synthetic collection; returns (config path, collection items)."""
+    collection, _ = synthetic_collection(5, n_items=n_items, n_classes=6, depth=10)
+    layout = {
+        ranker: {q: list(collection.get(ranker, q).items()) for q in collection.queries(ranker)}
+        for ranker in collection.rankers
+    }
+    config = write_config(tmp_path, "config.json", write_runs(tmp_path, layout, "coll"), depth=10)
+    return config, collection.collection_items()
+
+
+def test_extract_holds_at_most_two_graphs(tmp_path):
+    config, _ = synthetic_files(tmp_path)
+    with live_graphs() as live:
+        assert main(["extract", "--config", str(config), "--out", str(tmp_path / "index")]) == 0
+    assert 1 <= live["peak"] <= 2
+
+
+def test_verify_holds_at_most_two_graphs(tmp_path, capsys):
+    config, items = synthetic_files(tmp_path)
+    index_dir = tmp_path / "index"
+    assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
+    with live_graphs() as live:
+        assert main(["verify", "--index", str(index_dir)]) == 0
+    assert 1 <= live["peak"] <= 2
+    assert f"verified {len(items)} graphs" in capsys.readouterr().out
+
+
+def test_extract_builds_each_graph_once(tmp_path, monkeypatch):
+    config, items = synthetic_files(tmp_path)
+    built = []
+    build = retrieval.build_fusion_graph
+
+    def counted(rs, *args, **kwargs):
+        built.append(rs.query)
+        return build(rs, *args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "build_fusion_graph", counted)
+    assert main(["extract", "--config", str(config), "--out", str(tmp_path / "index")]) == 0
+    assert built == list(items)  # once each, in item order

@@ -189,6 +189,23 @@ def test_select_rankers_not_enough():
         select_rankers({"a": 0.5, "b": 0.4}, None, "top-three")
 
 
+def test_select_rankers_rejects_correlation_of_minus_one():
+    corr = {"a": {"b": -1.0}}
+    with pytest.raises(ValueError, match=r"matrix value -1.0 for \('a', 'b'\) is not in \[0, 1\]"):
+        select_rankers({"a": 0.5, "b": 0.6}, corr, "best-pair")
+
+
+def test_select_rankers_rejects_nan_correlation():
+    corr = {"a": {"b": math.nan, "c": 0.2}, "b": {"c": 0.3}}
+    with pytest.raises(ValueError, match=r"matrix value nan for \('a', 'b'\) is not in \[0, 1\]"):
+        select_rankers({"a": 0.5, "b": 0.6, "c": 0.7}, corr, "best-pair")
+
+
+def test_select_rankers_rejects_effectiveness_that_is_not_finite():
+    with pytest.raises(ValueError, match="effectiveness of 'b' must be finite, got nan"):
+        select_rankers({"a": 0.5, "b": math.nan, "c": 0.9}, None, "top-two")
+
+
 def test_winning_numbers_cases():
     cells = [("d1", "c1"), ("d1", "c2"), ("d2", "c1")]
     table = {cell: {"m1": 0.9, "m2": 0.5, "m3": 0.1} for cell in cells}

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusegraph.errors import EmptyRank, InvalidRankSet, MissingRank
-from fusegraph.model import CollectionRankIndex, RankSet, ScoredRank
+from fusegraph.model import CollectionRankIndex, RankSet, ScoredEntry, ScoredRank
 from fusegraph.normalize import (
     delta,
+    grid_score,
     gridded_rank,
+    normalize_collection,
     normalize_rank,
     normalize_rank_set,
 )
@@ -159,3 +163,41 @@ def test_normalize_rank_set_deterministic_and_idempotent_order():
     renormalized = normalize_rank_set(once, index, depth)
     for a, b in zip(once, renormalized):
         assert a.items() == b.items()
+
+
+@st.composite
+def partial_collections(draw):
+    """Ranks of a few items under two rankers, each ranker ranking some of them, with ids outside too."""
+    items = "abcdef"
+    rank_depth = draw(st.integers(1, 5))
+    layout = {}
+    for ranker in ("r1", "r2"):
+        queries = draw(st.lists(st.sampled_from(items), unique=True, min_size=1))
+        layout[ranker] = {
+            q: [q] + draw(st.lists(st.sampled_from(items + "xy"), unique=True, max_size=rank_depth - 1).filter(
+                lambda listed, q=q: q not in listed))
+            for q in queries
+        }
+    return index_from(layout, rank_depth), draw(st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=partial_collections())
+@example(drawn=(index_from({"r1": {"a": ["a", "b", "c"], "b": ["b", "a"], "c": ["c"]}, "r2": {"a": ["a"]}}, 3), 2))
+def test_position_table_orders_as_delta(drawn):
+    index, depth = drawn
+    normalized = normalize_collection(index, index.rankers, depth)
+    for ranker in index.rankers:
+        for query in index.queries(ranker):
+            kept = index.get(ranker, query).items()[:depth]
+            # sorted is stable, so tied deltas keep the rank's order
+            order = sorted(kept, key=lambda item: delta(query, item, index, ranker, depth))
+            assert normalized.get(ranker, query).items() == tuple(order)
+
+
+def test_gridded_entries_are_scored_entries():
+    rank = gridded_rank("q", "r", ["a", "b", "c"], 4)
+    expected = tuple(ScoredEntry(item, grid_score(pos, 4)) for pos, item in enumerate("abc", start=1))
+    assert rank.entries == expected
+    assert all(type(entry) is ScoredEntry for entry in rank.entries)
+    assert [entry.item for entry in rank] == ["a", "b", "c"] and rank.entries[1].score == grid_score(2, 4)

@@ -4,6 +4,7 @@ import random
 import struct
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
-from fusegraph.graph import BuildStats, FusionGraph, edge_masses, graph_size
+from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, edge_masses, graph_size
 from fusegraph.model import CollectionRankIndex, OverlayRankLookup, RankSet, ScoredRank, assemble_rank_set
 from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
@@ -37,6 +38,7 @@ from helpers import (
     random_rank_index,
     reference_fuse_query,
     rewrite_record,
+    synthetic_collection,
 )
 
 
@@ -79,6 +81,14 @@ def test_index_collection_builds_one_graph_per_item(toy_fg_index):
         assert max(graph.vertices.values()) == 1.0
         assert max(graph.edges.values(), default=1.0) == 1.0
         assert len(graph.vertices) <= 2 * 2
+
+
+def test_built_graphs_map_only_indexed_items(toy_fg_index):
+    _, fg_index = toy_fg_index
+    # X is a vertex of B's graph, but has no ranks of its own
+    assert fg_index.graphs.get("X") is None and "X" not in fg_index.graphs
+    with pytest.raises(KeyError):
+        fg_index.graphs["X"]
 
 
 def test_toy_ordering_hand_computed(toy_fg_index):
@@ -187,7 +197,8 @@ def test_index_collection_reads_each_rank_once():
     n, m, L = 30, 3, 6
     index = random_rank_index(random.Random(12), n_items=n, n_rankers=m, depth=L)
     stats = BuildStats()
-    index_collection(index, index.rankers, L, stats=stats)
+    fg_index = index_collection(index, index.rankers, L, stats=stats)
+    assert list(fg_index.graphs.values())  # a graph is built when it is first read
     assert 0 < stats.entry_visits <= 2 * n * m * L
 
 
@@ -791,6 +802,27 @@ def test_loaded_index_shared_by_threads(tmp_path):
     assert results[0] == expected
 
 
+def test_built_index_shared_by_threads():
+    index = random_rank_index(random.Random(9), n_items=30, n_rankers=3, depth=5)
+    built = index_collection(index, index.rankers, 5)
+
+    def read_all():  # every graph is built on first read, from one neighbour table all threads share
+        return [built.graphs[item] for item in sorted(built.graphs)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(read_all) for _ in range(8)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(a is b for a, b in zip(got, results[0]))  # one kept graph per item
+    alone = index_collection(index, index.rankers, 5)
+    assert results[0] == [alone.graphs[item] for item in sorted(alone.graphs)]
+
+
 BOUND_WEIGHTS = st.floats(min_value=1e-300, max_value=1.0)
 
 
@@ -872,3 +904,100 @@ def test_item_whose_bound_equals_the_lth_distance_is_scored(monkeypatch):
     assert floors["x"] < floors["w"] == dist_mcs(query, graphs["w"]) == dist_mcs(query, graphs["x"])
     monkeypatch.setattr(retrieval, "build_query_graph", lambda *args: query)
     assert fuse_query(RankSet("q", ()), fg_index).entries == (("w", floors["w"]),)
+
+
+def count_collection_builds(monkeypatch) -> Counter:
+    """Count, by item, the collection graphs built through retrieval; a query graph has no shared table."""
+    built: Counter = Counter()
+    build = retrieval.build_fusion_graph
+
+    def counted(rs, *args, **kwargs):
+        if kwargs.get("table") is not None:
+            built[rs.query] += 1
+        return build(rs, *args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "build_fusion_graph", counted)
+    return built
+
+
+def test_library_path_builds_each_graph_once(tmp_path, monkeypatch):
+    collection, _ = synthetic_collection(3, n_items=60, n_classes=12)
+    items, rankers = collection.collection_items(), collection.rankers
+    queries = [assemble_rank_set(item, collection, rankers) for item in items[::20]]
+    built = count_collection_builds(monkeypatch)
+
+    # searched, then saved: the searches build every graph once and keep it, and the writer reads those
+    fg_index = index_collection(collection, rankers, 10)
+    assert not built
+    for _ in range(2):
+        searched = [fuse_query(rs, fg_index) for rs in queries]
+    save_index(tmp_path / "searched_first", fg_index)
+    assert built == Counter(items)
+
+    # saved, then searched: the writer builds every graph once and keeps none, but leaves the index its
+    # postings, so the searches build only the graphs they score, each once however often they read it
+    built.clear()
+    fg_index = index_collection(collection, rankers, 10)
+    save_index(tmp_path / "saved_first", fg_index)
+    assert built == Counter(items)
+    built.clear()
+    for _ in range(2):
+        assert [fuse_query(rs, fg_index) for rs in queries] == searched
+    assert 0 < len(built) < len(items) and set(built.values()) == {1}
+    assert index_files(tmp_path / "searched_first") == index_files(tmp_path / "saved_first")
+
+
+def drop_ranks(collection, seed: int) -> CollectionRankIndex:
+    """``collection`` less a few ranks, so a lenient build skips rankers and items."""
+    ranks = {r: {q: collection.get(r, q) for q in collection.queries(r)} for r in collection.rankers}
+    rng = random.Random(seed)
+    for ranker in ranks:
+        for item in rng.sample(sorted(ranks[ranker]), 3):
+            del ranks[ranker][item]
+    return CollectionRankIndex(ranks)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_streamed_index_equals_that_of_dict_graphs(tmp_path, seed, strict):
+    collection, _ = synthetic_collection(seed, n_items=36, n_classes=6)
+    if not strict:
+        collection = drop_ranks(collection, seed)
+    rankers = ("r1", "r2", "r3")
+    save_index(tmp_path / "streamed", index_collection(collection, rankers, 10, strict=strict))
+    normalized = normalize_collection(collection, rankers, 10)
+    graphs = {}
+    for item in reversed(collection.collection_items()):  # the writer sorts a dict's items itself
+        rs = assemble_rank_set(item, normalized, rankers, strict)
+        if rs:
+            graphs[item] = build_fusion_graph(rs, normalized, strict=strict)
+    save_index(tmp_path / "dict", FusionGraphIndex(graphs, 10, rankers, "WGU", normalized, collection))
+    assert index_files(tmp_path / "streamed") == index_files(tmp_path / "dict")
+
+
+def raised(call) -> tuple | None:
+    try:
+        call()
+    except MissingRank as exc:
+        return exc.ranker, exc.query
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), drops=st.integers(0, 8))
+def test_strict_index_collection_raises_what_building_every_graph_raises(seed, drops):
+    rng = random.Random(seed)
+    full = random_rank_index(rng, n_items=8, n_rankers=3, depth=3)
+    ranks = {r: {q: full.get(r, q) for q in full.queries(r)} for r in full.rankers}
+    for _ in range(drops):
+        ranker = rng.choice(sorted(ranks))
+        if ranks[ranker]:
+            del ranks[ranker][rng.choice(sorted(ranks[ranker]))]
+    index, rankers = CollectionRankIndex(ranks), full.rankers
+
+    def build_every_graph():
+        normalized = normalize_collection(index, rankers, 3)
+        for item in index.collection_items():
+            build_fusion_graph(assemble_rank_set(item, normalized, rankers, True), normalized, strict=True)
+
+    assert raised(lambda: index_collection(index, rankers, 3, strict=True)) == raised(build_every_graph)
