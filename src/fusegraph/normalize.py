@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import EmptyRank, InvalidRankSet
 from .model import (
@@ -82,26 +82,18 @@ def gridded_rank(query: ItemId, ranker: str, items: Sequence[ItemId], depth: int
     return rank
 
 
-def normalize_rank(rank: ScoredRank, index: RankLookup, depth: int, positions: Mapping | None = None) -> ScoredRank:
+def normalize_rank(rank: ScoredRank, index: RankLookup, depth: int) -> ScoredRank:
     """Reposition then rescale one rank at cut-off depth L, which must be at least 1.
 
     The rank is cut to its top-L items, which are stable-sorted by ascending
     delta (ties keep their original order) and given the grid's scores.
-    ``positions``, item -> its rank's positions under the rank's ranker in
-    ``index``, gives each delta from two dict gets; without it, delta does.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if not rank.entries:
         raise EmptyRank(f"cannot rescale empty rank for query {rank.query!r}")
     kept = rank.items()[:depth]
-    query = rank.query
-    if positions is None:
-        deltas = {item: delta(query, item, index, rank.ranker, depth) for item in kept}
-    else:  # delta's sum, from the same positions
-        own, unranked, sentinel = positions[query], {}, depth + 1
-        pairs = ((own.get(item, sentinel), positions.get(item, unranked).get(query, sentinel)) for item in kept)
-        deltas = {item: p + q + max(p, q) for item, (p, q) in zip(kept, pairs)}
+    deltas = {item: delta(rank.query, item, index, rank.ranker, depth) for item in kept}
     reordered = sorted(kept, key=deltas.__getitem__)
     return gridded_rank(rank.query, rank.ranker, reordered, depth)
 
@@ -119,14 +111,14 @@ def normalize_collection(
     """Normalize every stored rank of the chosen rankers against ``index``.
 
     Every rank is repositioned against the same original index, so the result
-    does not depend on processing order. Each ranker's position table, item
-    -> its rank's positions, is built once and gives every delta.
+    does not depend on processing order.
     """
     normalized: dict[str, dict[ItemId, ScoredRank]] = {}
     for ranker in rankers:
-        ranks = {query: index.require(ranker, query) for query in index.queries(ranker)}
-        # rank.positions, but not kept on the ranks once normalization is done
-        positions = {query: dict(zip(rank.items(), itertools.count(1))) for query, rank in ranks.items()}
-        normalized[ranker] = {query: normalize_rank(rank, index, depth, positions) for query, rank in ranks.items()}
+        bucket: dict[ItemId, ScoredRank] = {}
+        for query in index.queries(ranker):
+            rank = index.get(ranker, query)
+            assert rank is not None
+            bucket[query] = normalize_rank(rank, index, depth)
+        normalized[ranker] = bucket
     return CollectionRankIndex(normalized)
-

@@ -1,11 +1,9 @@
 """The composite ranker: offline fusion-graph index, online graph retrieval.
 
-Offline, every collection item is turned into a normalized fusion graph,
-built when first read; save_index builds, writes and drops them one at a time,
-so writing an index holds the ranks, not the graphs. Online, a query's ranks
-are normalized the same way, its graph is built on the fly, and collection
-items are ranked by ascending graph distance (MCS or WGU). Ties are broken by
-ascending item id so runs are reproducible.
+Offline, every collection item is turned into a normalized fusion graph, one
+at a time. Online, a query's ranks are normalized the same way, its graph is
+built on the fly, and collection items are ranked by ascending graph distance
+(MCS or WGU). Ties are broken by ascending item id so runs are reproducible.
 
 Only the top L of that ranking are kept, so search scores exactly only the
 items that can still enter them: vertex postings give every item that
@@ -89,7 +87,7 @@ class VertexPostings:
     ``items`` are the indexed items in ascending order; an item's slot is its
     position there. ``by_label`` maps a vertex label to one POSTING per graph
     holding it, packed in slot order: the bytes postings.bin holds. ``sizes``
-    maps an item to its graph's size. ``walk`` is the one builder.
+    maps an item to its graph's size.
     """
 
     items: list[ItemId]
@@ -97,24 +95,19 @@ class VertexPostings:
     sizes: Mapping[ItemId, float]
 
     @classmethod
-    def of(cls, graphs: Mapping[ItemId, FusionGraph]) -> VertexPostings:
+    def of(cls, graphs: Mapping[ItemId, FusionGraph], read: Callable | None = None) -> VertexPostings:
         postings = cls([], {}, {})
-        for _ in postings.walk(graphs):
+        for _ in postings.walk(graphs, read or graphs.__getitem__):
             pass
         return postings
 
-    def walk(self, graphs: Mapping[ItemId, FusionGraph]) -> Iterator[tuple[ItemId, FusionGraph]]:
-        """Add the graphs in ascending item order, after any added before, yielding each (item, graph) once added.
-
-        A graph that Records makes is not kept, so a walk holds one at a time.
-        """
-        read = graphs.read if isinstance(graphs, Records) else graphs.__getitem__
-        for item in sorted(graphs):
+    def walk(self, items: Iterable[ItemId], read: Callable[[ItemId], FusionGraph]) -> Iterator[tuple[ItemId, FusionGraph]]:
+        """Add the graph ``read(item)`` of each item, in ascending item order, yielding (item, graph) once added."""
+        for item in sorted(items):
             graph = read(item)
             head = vertex_record(graph)
-            slot = len(self.items)
             for label, *posting in zip(head.labels, head.weights, head.out_mass, head.in_mass):
-                self.by_label.setdefault(label, bytearray()).extend(POSTING.pack(slot, *posting))
+                self.by_label.setdefault(label, bytearray()).extend(POSTING.pack(len(self.items), *posting))
             self.items.append(item)
             self.sizes[item] = head.size
             yield item, graph
@@ -144,8 +137,9 @@ class FusionGraphIndex:
 
     @cached_property
     def postings(self) -> VertexPostings:
-        """The graphs' vertex postings, unless load_index or save_index has set them."""
-        return VertexPostings.of(dict(self.graphs))  # read into a dict, so kept: a search reads graphs again
+        """The graphs' vertex postings, unless set; ``graphs`` becomes a dict of every graph, kept for searches."""
+        self.graphs = dict(self.graphs)
+        return VertexPostings.of(self.graphs)
 
 
 def _digest(data: bytes) -> str:
@@ -153,18 +147,14 @@ def _digest(data: bytes) -> str:
 
 
 class Records(Mapping):
-    """The values of ``keys``, each made by ``make(key)`` on first access and kept; ``read`` does not keep one."""
+    """The values of ``keys``, each made by ``make(key)`` on first access and kept; ``make`` keeps none."""
 
     def __init__(self, keys: Mapping, make: Callable):
-        self._keys, self._make, self._kept = keys, make, {}
-
-    def read(self, key):
-        value = self._kept.get(key)
-        return self._make(key) if value is None else value
+        self._keys, self.make, self._kept = keys, make, {}
 
     def __getitem__(self, key):  # threads racing to make one value keep the first made
         value = self._kept.get(key)
-        return self._kept.setdefault(key, self._make(key)) if value is None else value
+        return self._kept.setdefault(key, self.make(key)) if value is None else value
 
     def __contains__(self, key: object) -> bool:
         return key in self._keys
@@ -188,26 +178,25 @@ class StoredRecords(Records):
     """
 
     def __init__(self, path: Path, size: int, toc: dict, describe: Callable[[object], str], decode: Callable):
-        name = self.name = path.name
+        self.name, self.size, self.toc = path.name, size, toc
         fd = os.open(path, os.O_RDONLY)
         weakref.finalize(self, os.close, fd)
         actual = os.fstat(fd).st_size
         if actual != size:
-            raise MalformedGraphRecord(f"index file {name!r} holds {actual} bytes, manifest says {size}")
+            raise MalformedGraphRecord(f"index file {self.name!r} holds {actual} bytes, manifest says {size}")
 
         def record(key):  # holds no reference to self, so the file closes once this store is dropped
             entry = toc[key]
             offset, length, digest = entry[:3]
             what = describe(key)
             if offset + length > size:
-                raise MalformedGraphRecord(f"{what} ends past the {size} bytes of {name!r}")
+                raise MalformedGraphRecord(f"{what} ends past the {size} bytes of {path.name!r}")
             data = os.pread(fd, length, offset)
             if len(data) != length or _digest(data) != digest:
-                raise MalformedGraphRecord(f"{what} in {name!r} does not match its digest")
+                raise MalformedGraphRecord(f"{what} in {path.name!r} does not match its digest")
             return decode(key, entry, data, what)
 
         super().__init__(toc, record)
-        self.size, self.toc = size, toc
 
 
 def _graph_record(item: ItemId, entry: list, data: bytes, what: str) -> FusionGraph:
@@ -235,8 +224,8 @@ def _posting_list(count: int, label: ItemId, entry: list, data: bytes, what: str
     return data
 
 
-def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) -> tuple[list, list, dict]:
-    """A rank record checked in full: its raw and its normalized order as item ids, and {} for their ranks."""
+def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) -> tuple[list, list]:
+    """A rank record checked in full: its raw and its normalized order, as item ids."""
     try:
         record = json.loads(data)
         items, slots = record["items"], record["normalized"]
@@ -253,32 +242,24 @@ def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) ->
         normalized = [items[slot] for slot in slots]
     except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedGraphRecord(f"bad {what}: {exc}") from exc
-    return items, normalized, {}
+    return items, normalized
 
 
 class StoredRanks(CollectionRankIndex):
     """The raw or the normalized ranks of the stored rank records, which map (ranker, query) to both orders.
 
-    ``toc`` maps ranker -> query -> entry. A rank is built by gridded_rank,
-    with the grid as scores, when its order is first read, and kept in the
-    record. That is what a normalized rank holds; the scores of a raw rank
-    are never read, because normalization reads positions only.
+    ``toc`` maps ranker -> query -> entry. A rank is built when first read, by
+    gridded_rank: what a normalized rank holds. The scores of a raw rank are
+    never read, because normalization reads positions only.
     """
 
     def __init__(self, records: StoredRecords, toc: dict[str, dict[ItemId, list]], depth: int, normalized: bool):
         self._ranks = toc  # the layout CollectionRankIndex's readers expect
-        self.records, self.depth = records, depth
-        self._order = 1 if normalized else 0
+        self.records, order = records, 1 if normalized else 0
+        self._built = Records(records, lambda key: gridded_rank(key[1], key[0], records[key][order], depth))
 
     def get(self, ranker: str, query: ItemId) -> ScoredRank | None:
-        record = self.records.get((ranker, query))
-        if record is None:
-            return None
-        built = record[2]
-        rank = built.get(self._order)
-        if rank is None:  # threads racing to build it keep the first built
-            rank = built.setdefault(self._order, gridded_rank(query, ranker, record[self._order], self.depth))
-        return rank
+        return self._built.get((ranker, query))
 
 
 def index_collection(
@@ -292,12 +273,11 @@ def index_collection(
     """Index one normalized fusion graph per collection item, at cut-off depth L.
 
     Each item's rank set is grouped by assemble_rank_set: in strict mode
-    every item must have a rank under every chosen ranker; in lenient mode
-    missing ranks are skipped and an item with no ranks at all is left out
-    of the graph index, and counted in ``stats``. Strict mode raises here
-    the MissingRank that building the graphs would. A graph is built from
-    one shared neighbour table when first read, and kept; save_index drops
-    each it builds once written. The result keeps ``index`` as its raw ranks.
+    every item must have a rank under every chosen ranker, and MissingRank is
+    raised here as building the graphs would; in lenient mode missing ranks
+    are skipped and an item with no ranks at all is left out of the graph
+    index, and counted in ``stats``. A graph is built when first read, and
+    kept. The result keeps ``index`` as its raw ranks.
     """
     rankers = tuple(rankers)
     normalized = normalize_collection(index, rankers, depth)
@@ -315,11 +295,10 @@ def index_collection(
         items[item] = None
     table: NeighbourTable = {}  # each item's ranks, read once for all graphs
 
-    def build(item: ItemId) -> FusionGraph:  # regrouped: a rank set per item costs memory
+    def build(item: ItemId) -> FusionGraph:  # regrouped, since a rank set per item costs memory
         if item not in items:
             raise KeyError(item)
-        rs = assemble_rank_set(item, normalized, rankers, strict)
-        # a module-global lookup, so a wrapper bound to the name is called
+        rs = assemble_rank_set(item, normalized, rankers, strict)  # build_fusion_graph: a module-global lookup
         return build_fusion_graph(rs, normalized, strict=strict, stats=stats, table=table)
 
     return FusionGraphIndex(Records(items, build), depth, rankers, comparator, normalized, index)
@@ -420,13 +399,11 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     record's (offset, length, digest); a digest is a 16-byte BLAKE2b, in hex.
     The manifest records every file's size and the table of contents' sha256.
 
-    One VertexPostings walk, in item order, takes each graph's postings, size
-    and record and streams the record to disk. A graph that
-    ``fg_index.graphs`` builds or decodes for the walk is dropped once
-    written, so saving an index from index_collection holds one graph at a
-    time; the postings become ``fg_index.postings`` if it has none. File
-    contents are fully sorted, so rebuilding from identical inputs is
-    byte-identical. Every file is first written in full under a temporary
+    One VertexPostings walk takes each graph's postings, size and record; a
+    graph built or decoded for it is dropped once written, and ``fg_index``
+    then reads its graphs from graphs.bin, as a loaded index does, so none is
+    built twice. Files are fully sorted, so rebuilding from identical inputs
+    is byte-identical. Every file is first written in full under a temporary
     name in ``directory``; only then are they renamed into place, the
     manifest last, so a failed save leaves an older index there intact.
     """
@@ -434,9 +411,10 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     vertex_postings = VertexPostings([], {}, {})
     by_label = vertex_postings.by_label
+    read = getattr(fg_index.graphs, "make", fg_index.graphs.__getitem__)  # Records' make keeps no graph
     staged: list[tuple[Path, Path]] = []
     try:
-        records = ((item, serialize_graph(graph)) for item, graph in vertex_postings.walk(fg_index.graphs))
+        records = ((item, serialize_graph(graph)) for item, graph in vertex_postings.walk(fg_index.graphs, read))
         graphs = _stage(directory / INDEX_FILES["graphs"], records, staged)
         postings = _stage(
             directory / INDEX_FILES["postings"], ((label, by_label[label]) for label in sorted(by_label)), staged
@@ -474,7 +452,9 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
         _stage(directory / MANIFEST_NAME, [(None, manifest_bytes)], staged)
         for tmp, path in staged:
             os.replace(tmp, path)
-        fg_index.__dict__.setdefault("postings", vertex_postings)  # what the cached property would derive
+        path, size = directory / INDEX_FILES["graphs"], manifest["bytes"]["graphs"]  # read as load_index would
+        fg_index.graphs = StoredRecords(path, size, toc["graphs"], "graph record of {!r}".format, _graph_record)
+        fg_index.postings = vertex_postings
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
@@ -661,7 +641,7 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
     """
     fg_index = load_index(directory)
     stored = fg_index.postings.by_label
-    derived = VertexPostings.of(fg_index.graphs).by_label  # reads and checks every graph, keeping none
+    derived = VertexPostings.of(fg_index.graphs, fg_index.graphs.make).by_label  # checks every graph, keeps none
     if list(stored) != sorted(derived) or any(stored[label] != postings for label, postings in derived.items()):
         raise MalformedGraphRecord("the posting lists are not those of the graphs")
     records = fg_index.raw.records

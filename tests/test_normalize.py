@@ -184,7 +184,7 @@ def partial_collections(draw):
 @settings(max_examples=200, deadline=None)
 @given(drawn=partial_collections())
 @example(drawn=(index_from({"r1": {"a": ["a", "b", "c"], "b": ["b", "a"], "c": ["c"]}, "r2": {"a": ["a"]}}, 3), 2))
-def test_position_table_orders_as_delta(drawn):
+def test_normalize_collection_orders_by_delta(drawn):
     index, depth = drawn
     normalized = normalize_collection(index, index.rankers, depth)
     for ranker in index.rankers:

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import random
 import struct
 import sys
 import tempfile
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -926,24 +928,39 @@ def test_library_path_builds_each_graph_once(tmp_path, monkeypatch):
     queries = [assemble_rank_set(item, collection, rankers) for item in items[::20]]
     built = count_collection_builds(monkeypatch)
 
-    # searched, then saved: the searches build every graph once and keep it, and the writer reads those
+    # searched, then saved: the first search builds every graph once and keeps it, and the writer reads those
     fg_index = index_collection(collection, rankers, 10)
     assert not built
+    builder = weakref.ref(fg_index.graphs)  # what builds the graphs, and the neighbour table it fills
     for _ in range(2):
         searched = [fuse_query(rs, fg_index) for rs in queries]
+    gc.collect()
+    assert builder() is None
     save_index(tmp_path / "searched_first", fg_index)
+    assert [fuse_query(rs, fg_index) for rs in queries] == searched
     assert built == Counter(items)
 
-    # saved, then searched: the writer builds every graph once and keeps none, but leaves the index its
-    # postings, so the searches build only the graphs they score, each once however often they read it
+    # saved, then searched: the writer builds every graph once and keeps none, and leaves the index its postings;
+    # the searches decode only the graphs written that they score, each once however often they read it
     built.clear()
     fg_index = index_collection(collection, rankers, 10)
+    builder = weakref.ref(fg_index.graphs)
     save_index(tmp_path / "saved_first", fg_index)
-    assert built == Counter(items)
-    built.clear()
+    gc.collect()
+    assert builder() is None
+    decoded: Counter = Counter()
+    decode = retrieval.deserialize_graph
+
+    def counted(data):
+        graph = decode(data)
+        decoded[graph.query] += 1
+        return graph
+
+    monkeypatch.setattr(retrieval, "deserialize_graph", counted)
     for _ in range(2):
         assert [fuse_query(rs, fg_index) for rs in queries] == searched
-    assert 0 < len(built) < len(items) and set(built.values()) == {1}
+    assert built == Counter(items)
+    assert 0 < len(decoded) < len(items) and set(decoded.values()) == {1}
     assert index_files(tmp_path / "searched_first") == index_files(tmp_path / "saved_first")
 
 
