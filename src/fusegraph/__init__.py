@@ -8,53 +8,34 @@ evaluation suite (NDCG@k, N-S score, rank correlations, ranker selection,
 winning numbers, paired t-test) for comparison.
 """
 
-from .errors import FusionError
-from .graph import FusionGraph, build_fusion_graph, normalize_graph_weights
-from .model import (
-    CollectionRankIndex,
-    FusedRank,
-    ItemId,
-    RankSet,
-    ScoredEntry,
-    ScoredRank,
-    assemble_rank_set,
-)
-from .normalize import normalize_rank_set
-from .similarity import dist_mcs, dist_wgu, graph_size, mcs
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CollectionRankIndex",
-    "FusedRank",
-    "FusionError",
-    "FusionGraph",
-    "FusionGraphIndex",
-    "ItemId",
-    "RankSet",
-    "ScoredEntry",
-    "ScoredRank",
-    "assemble_rank_set",
-    "build_fusion_graph",
-    "dist_mcs",
-    "dist_wgu",
-    "fuse_query",
-    "graph_size",
-    "index_collection",
-    "mcs",
-    "normalize_graph_weights",
-    "normalize_rank_set",
-    "__version__",
-]
+# Public name -> the module that defines it, listed per module. A name's module is
+# imported on its first access, so `import fusegraph` loads none of them.
+_HOMES = {
+    name: module
+    for module, names in {
+        "errors": ("FusionError",),
+        "graph": ("FusionGraph", "build_fusion_graph", "normalize_graph_weights"),
+        "model": ("CollectionRankIndex", "FusedRank", "ItemId", "RankSet", "ScoredEntry", "ScoredRank",
+                  "assemble_rank_set"),
+        "normalize": ("normalize_rank_set",),
+        "retrieval": ("FusionGraphIndex", "fuse_query", "index_collection"),
+        "similarity": ("dist_mcs", "dist_wgu", "graph_size", "mcs"),
+    }.items()
+    for name in names
+}
 
-_RETRIEVAL_NAMES = ("FusionGraphIndex", "fuse_query", "index_collection")
+__all__ = [*sorted(_HOMES), "__version__"]
 
 
 def __getattr__(name: str):
-    # The retrieval engine is imported on first use, so that importing
-    # fusegraph.io, .baselines or .evaluation does not load it.
-    if name in _RETRIEVAL_NAMES:
-        from . import retrieval
-
-        return getattr(retrieval, name)
+    if name in _HOMES:
+        return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,6 +17,10 @@ ValueError, exits non-zero after printing one JSON line to stderr with the
 machine-readable error category (the exception class name); an argument
 error prints one such line with the category UsageError and exits 2. Every
 command runs on one thread, and the program reads no environment variable.
+
+Each command imports only the modules it runs, in its ``_cmd_*`` function: with
+no bytecode cache a process compiles every module it imports, which costs more
+than the work of most commands.
 """
 
 from __future__ import annotations
@@ -25,41 +29,14 @@ import argparse
 import json
 import sys
 
-from . import baselines
 from .errors import FusionError, NotEnoughRankers, QuerySetMismatch
-from .evaluation import (
-    CORRELATIONS,
-    SELECTION_STRATEGIES,
-    evaluate_runs,
-    paired_t_test,
-    ranker_correlation,
-    select_rankers,
-    winning_numbers,
-)
-from .io import (
-    check_run_tag,
-    format_correlation_matrix,
-    load_config,
-    load_runs,
-    parse_class_labels,
-    parse_correlation_matrix,
-    parse_effectiveness_table,
-    parse_per_query_metrics,
-    parse_qrels,
-    parse_ranker_effectiveness,
-    parse_run_file,
-    rank_sets_from_runs,
-    write_correlation_matrix,
-    write_per_query_metrics,
-    write_run_file,
-)
-from .model import CollectionRankIndex
 
 DEFAULT_TAG = "FG"
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    # imported here, as in _cmd_search: the other commands need no retrieval code
+    from .io import load_config, load_runs
+    from .model import CollectionRankIndex
     from .retrieval import index_collection, save_index
 
     config = load_config(args.config)
@@ -76,6 +53,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .io import check_run_tag, load_config, load_runs, rank_sets_from_runs, write_run_file
     from .retrieval import fuse_query, load_index
 
     check_run_tag(args.tag)  # before any input is read
@@ -98,6 +76,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
+    from . import baselines
+    from .io import load_config, load_runs, rank_sets_from_runs, write_run_file
+
     # both values are checked whatever the method, before any input is read
     baselines.check_rrf_k(args.rrf_k)
     baselines.check_kemeny_cap(args.kemeny_cap)
@@ -118,15 +99,12 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_qrels(args: argparse.Namespace):
-    if args.qrels:
-        return parse_qrels(args.qrels)
-    return parse_class_labels(args.class_labels)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate_runs
+    from .io import parse_class_labels, parse_qrels, parse_run_file, write_per_query_metrics
+
     runs = parse_run_file(args.run, ranker="run")
-    qrels = _load_qrels(args)
+    qrels = parse_qrels(args.qrels) if args.qrels else parse_class_labels(args.class_labels)
     report = evaluate_runs(runs, qrels, metric=args.metric, k=args.k)
     if args.per_query:
         write_per_query_metrics(args.per_query, report)
@@ -135,6 +113,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
+    from .evaluation import ranker_correlation
+    from .io import format_correlation_matrix, load_config, load_runs, write_correlation_matrix
+
     config = load_config(args.config)
     runs = load_runs(config)
     names = list(config.ranker_names)
@@ -152,6 +133,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from .evaluation import select_rankers
+    from .io import parse_correlation_matrix, parse_ranker_effectiveness
+
     effectiveness = parse_ranker_effectiveness(args.effectiveness)
     correlations = parse_correlation_matrix(args.correlations) if args.correlations else None
     chosen = select_rankers(effectiveness, correlations, args.strategy)
@@ -160,6 +144,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_winners(args: argparse.Namespace) -> int:
+    from .evaluation import winning_numbers
+    from .io import parse_effectiveness_table
+
     table = parse_effectiveness_table(args.table)
     wins = winning_numbers(table)
     for method in sorted(wins, key=lambda m: (-wins[m], m)):
@@ -168,6 +155,9 @@ def _cmd_winners(args: argparse.Namespace) -> int:
 
 
 def _cmd_ttest(args: argparse.Namespace) -> int:
+    from .evaluation import paired_t_test
+    from .io import parse_per_query_metrics
+
     values_a = parse_per_query_metrics(args.a)
     values_b = parse_per_query_metrics(args.b)
     if set(values_a) != set(values_b):
@@ -192,7 +182,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``. A subcommand whose choices or defaults come from a
+    library module gets its arguments only when ``argv`` names it, so that no
+    other command loads the module."""
+    # the top level takes no option value: its first non-option word is the subcommand
+    command = next((word for word in argv if not word.startswith("-")), None)
     parser = _Parser(
         prog="fusegraph",
         description="Graph-based rank fusion, classical aggregation baselines, "
@@ -218,11 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("baseline", help="aggregate runs with a classical method")
-    p.add_argument("method", choices=sorted(baselines.METHODS))
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rrf-k", type=float, default=baselines.RRF_DEFAULT_K)
-    p.add_argument("--kemeny-cap", type=int, default=baselines.KEMENY_DEFAULT_CAP)
+    if command == "baseline":
+        from . import baselines
+
+        p.add_argument("method", choices=sorted(baselines.METHODS))
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--rrf-k", type=float, default=baselines.RRF_DEFAULT_K)
+        p.add_argument("--kemeny-cap", type=int, default=baselines.KEMENY_DEFAULT_CAP)
     p.set_defaults(fn=_cmd_baseline)
 
     p = sub.add_parser("eval", help="score a run against judgments")
@@ -236,15 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("correlate", help="pairwise ranker correlations")
-    p.add_argument("--config", required=True)
-    p.add_argument("--measure", choices=sorted(CORRELATIONS), default="jaccard")
-    p.add_argument("--out", help="write TSV matrix here instead of stdout")
+    if command == "correlate":
+        from .evaluation import CORRELATIONS
+
+        p.add_argument("--config", required=True)
+        p.add_argument("--measure", choices=sorted(CORRELATIONS), default="jaccard")
+        p.add_argument("--out", help="write TSV matrix here instead of stdout")
     p.set_defaults(fn=_cmd_correlate)
 
     p = sub.add_parser("select", help="choose rankers to fuse")
-    p.add_argument("--effectiveness", required=True, help="lines: ranker value")
-    p.add_argument("--correlations", help="TSV matrix from correlate")
-    p.add_argument("--strategy", choices=SELECTION_STRATEGIES, required=True)
+    if command == "select":
+        from .evaluation import SELECTION_STRATEGIES
+
+        p.add_argument("--effectiveness", required=True, help="lines: ranker value")
+        p.add_argument("--correlations", help="TSV matrix from correlate")
+        p.add_argument("--strategy", choices=SELECTION_STRATEGIES, required=True)
     p.set_defaults(fn=_cmd_select)
 
     p = sub.add_parser("winners", help="winning numbers over an effectiveness table")
@@ -261,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except (FusionError, ValueError) as exc:

@@ -17,11 +17,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .errors import ConfigError, DuplicateDoc, ParseError, RankGap
-from .evaluation import EvalReport, Qrels
 from .model import CollectionRankIndex, FusedRank, ItemId, RankSet, ScoredEntry, ScoredRank, assemble_rank_set
+
+if TYPE_CHECKING:  # the judgment parsers import Qrels: the commands without judgments load no evaluation
+    from .evaluation import EvalReport, Qrels
 
 POLARITY_SIMILARITY = "similarity"
 POLARITY_DISTANCE = "distance"
@@ -145,6 +147,7 @@ def check_run_tag(tag: str) -> None:
 
 def parse_qrels(path: str | Path) -> Qrels:
     """Parse whitespace-separated ``qid 0 docid rel`` judgment lines."""
+    from .evaluation import Qrels
     path = Path(path)
     grades: dict[ItemId, dict[ItemId, int]] = {}
     for line_no, (qid, _iter, docid, rel_str) in _fields(path, 4):
@@ -162,6 +165,7 @@ def parse_qrels(path: str | Path) -> Qrels:
 
 def parse_class_labels(path: str | Path) -> Qrels:
     """Parse ``docid classlabel`` lines; relevance is same-class membership."""
+    from .evaluation import Qrels
     path = Path(path)
     labels: dict[ItemId, str] = {}
     for line_no, (docid, label) in _fields(path, 2):

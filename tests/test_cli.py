@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fusegraph
-from fusegraph import normalize, retrieval
+from fusegraph import baselines, normalize, retrieval
 from fusegraph.cli import main
 from fusegraph.io import parse_run_file
 from fusegraph.model import ScoredRank
@@ -274,11 +276,102 @@ def run_cli_process(*args):
     )
 
 
-def test_cli_import_leaves_scipy_and_numpy_unloaded():
-    probe = "import sys, fusegraph.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+# The stdlib and third-party modules that only one command's work may load.
+WATCHED_MODULES = ("scipy", "numpy", "statistics", "decimal", "fractions")
+
+
+def modules_after(*args):
+    """The fusegraph modules, and those of WATCHED_MODULES, loaded once the CLI has run ``args``."""
+    probe = (
+        "import json, sys; from fusegraph.cli import main; code = main(sys.argv[1:]); "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        f"if m.split('.')[0] == 'fusegraph' or m in {WATCHED_MODULES!r}))); sys.exit(code)"
+    )
+    result = run_cli_process("-c", probe, *map(str, args))
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """Tiny inputs for every command: a synthetic collection, its index and its fused run."""
+    base = tmp_path_factory.mktemp("commands")
+    config, items = synthetic_files(base, n_items=12)
+    files = {"config": config, "index": base / "index", "run": base / "fg.run"}
+    assert main(["extract", "--config", str(config), "--out", str(files["index"])]) == 0
+    assert main(["search", "--index", str(files["index"]), "--queries", str(config),
+                 "--out", str(files["run"])]) == 0
+    texts = {**REPORT_FILES, "labels": "".join(f"{item} {item.split('_')[0]}\n" for item in items)}
+    for name, text in texts.items():
+        files[name] = base / name
+        files[name].write_text(text, encoding="utf-8")
+    return files
+
+
+# command -> its arguments and the fusegraph modules it loads besides fusegraph, .cli and .errors
+INDEX_MODULES = {"retrieval", "graph", "normalize", "similarity", "model"}
+COMMAND_MODULES = {
+    "extract": (["--config", "{config}", "--out", "{out}"], {"io", *INDEX_MODULES}),
+    "search": (["--index", "{index}", "--queries", "{config}", "--out", "{out}"], {"io", *INDEX_MODULES}),
+    "verify": (["--index", "{index}"], INDEX_MODULES),
+    "baseline": (["borda", "--config", "{config}", "--out", "{out}"], {"io", "model", "baselines"}),
+    "eval": (["--run", "{run}", "--class-labels", "{labels}"], {"io", "model", "evaluation"}),
+    "correlate": (["--config", "{config}"], {"io", "model", "evaluation"}),
+    "select": (["--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"],
+               {"io", "model", "evaluation"}),
+    "winners": (["--table", "{table}"], {"io", "model", "evaluation"}),
+    # equal per-query values: the verdict needs no t distribution
+    "ttest": (["--a", "{a}", "--b", "{a}"], {"io", "model", "evaluation"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(command_files, tmp_path, command):
+    args, modules = COMMAND_MODULES[command]
+    paths = {**command_files, "out": tmp_path / "out"}
+    loaded = modules_after(command, *(arg.format(**paths) for arg in args))
+    assert loaded == {"fusegraph", *(f"fusegraph.{m}" for m in {"cli", "errors", *modules})}
+
+
+def test_cli_import_leaves_scipy_and_numpy_unloaded(command_files):
+    """Only a ttest whose per-query differences vary loads scipy, and numpy with it.
+
+    The module table above shows that no other command loads either.
+    """
+    watched = {"scipy", "numpy"}
+    assert not watched & modules_after("ttest", "--a", command_files["a"], "--b", command_files["a"])
+    assert watched <= modules_after("ttest", "--a", command_files["a"], "--b", command_files["b"])
+
+
+PUBLIC_HOMES = {
+    "errors": ["FusionError"],
+    "graph": ["FusionGraph", "build_fusion_graph", "normalize_graph_weights"],
+    "model": ["CollectionRankIndex", "FusedRank", "ItemId", "RankSet", "ScoredEntry", "ScoredRank",
+              "assemble_rank_set"],
+    "normalize": ["normalize_rank_set"],
+    "retrieval": ["FusionGraphIndex", "fuse_query", "index_collection"],
+    "similarity": ["dist_mcs", "dist_wgu", "graph_size", "mcs"],
+}
+
+
+def test_package_names_resolve_on_first_access_to_their_home_modules():
+    names = sorted(name for names in PUBLIC_HOMES.values() for name in names)
+    assert fusegraph.__all__ == [*names, "__version__"]
+    for module, names in PUBLIC_HOMES.items():
+        home = importlib.import_module(f"fusegraph.{module}")
+        for name in names:
+            assert getattr(fusegraph, name) is getattr(home, name)
+    star = {}
+    exec("from fusegraph import *", star)
+    assert set(star) - {"__builtins__"} == set(fusegraph.__all__)
+    assert set(fusegraph.__all__) <= set(dir(fusegraph))
+    with pytest.raises(AttributeError) as missing:
+        fusegraph.no_such_name
+    assert str(missing.value) == "module 'fusegraph' has no attribute 'no_such_name'"
+    probe = "import sys, fusegraph; print(sorted(m for m in sys.modules if m.startswith('fusegraph')))"
     result = run_cli_process("-c", probe)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "['fusegraph']"
 
 
 def test_io_baselines_evaluation_leave_retrieval_unloaded():
@@ -471,12 +564,27 @@ def test_repeated_qrels_line_prints_one_json_line(tmp_path):
         }
 
 
-def test_cli_import_leaves_statistics_unloaded():
-    """Only Comb MED needs statistics, which loads decimal and fractions with it."""
-    probe = "import sys, fusegraph.cli; print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"
-    result = run_cli_process("-c", probe)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+def test_cli_import_leaves_statistics_unloaded(command_files, tmp_path):
+    """Only Comb MED needs statistics, which loads decimal and fractions with it.
+
+    The module table above shows that no other command loads them, though scipy,
+    for a ttest whose differences vary, may load decimal.
+    """
+    watched = {"statistics", "decimal", "fractions"}
+    args = ("--config", command_files["config"], "--out", tmp_path / "out.run")
+    assert not watched & modules_after("baseline", "borda", *args)
+    assert watched <= modules_after("baseline", "combmed", *args)
+
+
+def test_bad_baseline_method_lists_every_method(toy_files):
+    result = run_cli_process("-m", "fusegraph.cli", "baseline", "nosuch", "--config", str(toy_files["config"]),
+                             "--out", str(toy_files["dir"] / "out.run"))
+    assert result.returncode == 2
+    error = json.loads(result.stderr)
+    assert error["error"] == "UsageError"
+    listed = re.fullmatch(r"fusegraph baseline: argument method: invalid choice: .*\(choose from (.*)\)",
+                          error["message"]).group(1)
+    assert [choice.strip("'") for choice in listed.split(", ")] == sorted(baselines.METHODS)
 
 
 def edit_manifest(edit):
