@@ -112,9 +112,9 @@ COMB_VARIANTS = ("SUM", "MIN", "MAX", "MED", "ANZ", "MNZ")
 
 
 def _median(values: list[float]) -> float:
-    import statistics  # here, as it loads decimal and fractions: only Comb MED needs it
-
-    return statistics.median(values)
+    """The middle value, or the mean of the two middle ones, as statistics.median computes it."""
+    data, i = sorted(values), len(values) // 2
+    return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
 
 
 def comb(rs: RankSet, variant: str, depth: int | None = None) -> FusedRank:

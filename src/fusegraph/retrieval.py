@@ -405,7 +405,8 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     built twice. Files are fully sorted, so rebuilding from identical inputs
     is byte-identical. Every file is first written in full under a temporary
     name in ``directory``; only then are they renamed into place, the
-    manifest last, so a failed save leaves an older index there intact.
+    manifest last, then the directory is synced so that the renames last; a
+    save that fails before its renames leaves an older index there intact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -452,6 +453,11 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
         _stage(directory / MANIFEST_NAME, [(None, manifest_bytes)], staged)
         for tmp, path in staged:
             os.replace(tmp, path)
+        descriptor = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)
         path, size = directory / INDEX_FILES["graphs"], manifest["bytes"]["graphs"]  # read as load_index would
         fg_index.graphs = StoredRecords(path, size, toc["graphs"], "graph record of {!r}".format, _graph_record)
         fg_index.postings = vertex_postings

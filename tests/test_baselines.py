@@ -1,5 +1,7 @@
 import itertools
 import random
+import statistics
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -69,6 +71,29 @@ def test_comb_single_rank_collapse():
     reference = baselines.comb(rs, "SUM")
     for variant in ("MAX", "MIN", "MED", "ANZ", "MNZ"):
         assert baselines.comb(rs, variant).entries == reference.entries
+
+
+@st.composite
+def scored_rank_sets(draw):
+    """1 to 7 ranks over up to 8 items, with scores that often tie."""
+    universe = [f"d{i}" for i in range(draw(st.integers(1, 8)))]
+    ranks = []
+    for r in range(draw(st.integers(1, 7))):
+        items = draw(st.permutations(universe))[: draw(st.integers(1, len(universe)))]
+        score = st.floats(0, 100) | st.sampled_from([0.0, 0.5, 1.0])
+        scores = sorted(draw(st.lists(score, min_size=len(items), max_size=len(items))), reverse=True)
+        ranks.append(mkrank("q", f"r{r}", items, scores, depth=len(universe)))
+    return RankSet("q", tuple(ranks))
+
+
+@given(rs=scored_rank_sets())
+def test_comb_med_is_the_statistics_median(rs):
+    values = defaultdict(list)
+    for rank in rs:
+        for item, value in baselines._minmax(rank).items():
+            values[item].append(value)
+    expected = {item: statistics.median(item_values).hex() for item, item_values in values.items()}
+    assert {item: score.hex() for item, score in baselines.comb(rs, "MED").entries} == expected
 
 
 def test_comb_absent_rank_contributes_nothing():

@@ -276,20 +276,18 @@ def run_cli_process(*args):
     )
 
 
-# The stdlib and third-party modules that only one command's work may load.
+# Modules that no command loads: scipy and numpy, and statistics with the decimal and fractions it loads.
 WATCHED_MODULES = ("scipy", "numpy", "statistics", "decimal", "fractions")
+LOADED_MODULES = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 
 def modules_after(*args):
-    """The fusegraph modules, and those of WATCHED_MODULES, loaded once the CLI has run ``args``."""
-    probe = (
-        "import json, sys; from fusegraph.cli import main; code = main(sys.argv[1:]); "
-        "print(json.dumps(sorted(m for m in sys.modules "
-        f"if m.split('.')[0] == 'fusegraph' or m in {WATCHED_MODULES!r}))); sys.exit(code)"
-    )
-    result = run_cli_process("-c", probe, *map(str, args))
+    """Every module loaded once the CLI has run ``args`` that a bare interpreter does not load."""
+    probe = f"from fusegraph.cli import main; code = main(sys.argv[1:]); {LOADED_MODULES}; sys.exit(code)"
+    result = run_cli_process("-c", f"import sys; {probe}", *map(str, args))
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    bare = run_cli_process("-c", LOADED_MODULES)
+    return set(json.loads(result.stdout.splitlines()[-1])) - set(json.loads(bare.stdout))
 
 
 @pytest.fixture(scope="module")
@@ -308,39 +306,40 @@ def command_files(tmp_path_factory):
     return files
 
 
-# command -> its arguments and the fusegraph modules it loads besides fusegraph, .cli and .errors
+# command line -> the fusegraph modules it loads besides fusegraph, .cli and .errors
 INDEX_MODULES = {"retrieval", "graph", "normalize", "similarity", "model"}
 COMMAND_MODULES = {
-    "extract": (["--config", "{config}", "--out", "{out}"], {"io", *INDEX_MODULES}),
-    "search": (["--index", "{index}", "--queries", "{config}", "--out", "{out}"], {"io", *INDEX_MODULES}),
-    "verify": (["--index", "{index}"], INDEX_MODULES),
-    "baseline": (["borda", "--config", "{config}", "--out", "{out}"], {"io", "model", "baselines"}),
-    "eval": (["--run", "{run}", "--class-labels", "{labels}"], {"io", "model", "evaluation"}),
-    "correlate": (["--config", "{config}"], {"io", "model", "evaluation"}),
-    "select": (["--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"],
+    "extract": (["extract", "--config", "{config}", "--out", "{out}"], {"io", *INDEX_MODULES}),
+    "search": (["search", "--index", "{index}", "--queries", "{config}", "--out", "{out}"],
+               {"io", *INDEX_MODULES}),
+    "verify": (["verify", "--index", "{index}"], INDEX_MODULES),
+    "baseline": (["baseline", "borda", "--config", "{config}", "--out", "{out}"], {"io", "model", "baselines"}),
+    "baseline_combmed": (["baseline", "combmed", "--config", "{config}", "--out", "{out}"],
+                         {"io", "model", "baselines"}),
+    "eval": (["eval", "--run", "{run}", "--class-labels", "{labels}"], {"io", "model", "evaluation"}),
+    "correlate": (["correlate", "--config", "{config}"], {"io", "model", "evaluation"}),
+    "select": (["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"],
                {"io", "model", "evaluation"}),
-    "winners": (["--table", "{table}"], {"io", "model", "evaluation"}),
+    "winners": (["winners", "--table", "{table}"], {"io", "model", "evaluation"}),
     # equal per-query values: the verdict needs no t distribution
-    "ttest": (["--a", "{a}", "--b", "{a}"], {"io", "model", "evaluation"}),
+    "ttest": (["ttest", "--a", "{a}", "--b", "{a}"], {"io", "model", "evaluation"}),
+    # differences that vary: the p-value decides the verdict
+    "ttest_varying_differences": (["ttest", "--a", "{a}", "--b", "{b}"], {"io", "model", "evaluation"}),
 }
 
 
 @pytest.mark.parametrize("command", COMMAND_MODULES)
 def test_each_command_loads_only_the_modules_it_runs(command_files, tmp_path, command):
+    """A command loads only its own fusegraph modules, and beyond those only the standard library."""
     args, modules = COMMAND_MODULES[command]
     paths = {**command_files, "out": tmp_path / "out"}
-    loaded = modules_after(command, *(arg.format(**paths) for arg in args))
-    assert loaded == {"fusegraph", *(f"fusegraph.{m}" for m in {"cli", "errors", *modules})}
-
-
-def test_cli_import_leaves_scipy_and_numpy_unloaded(command_files):
-    """Only a ttest whose per-query differences vary loads scipy, and numpy with it.
-
-    The module table above shows that no other command loads either.
-    """
-    watched = {"scipy", "numpy"}
-    assert not watched & modules_after("ttest", "--a", command_files["a"], "--b", command_files["a"])
-    assert watched <= modules_after("ttest", "--a", command_files["a"], "--b", command_files["b"])
+    loaded = modules_after(*(arg.format(**paths) for arg in args))
+    packages = {name.split(".")[0] for name in loaded}
+    assert {name for name in loaded if name.split(".")[0] == "fusegraph"} == {
+        "fusegraph", *(f"fusegraph.{m}" for m in {"cli", "errors", *modules})
+    }
+    assert not packages & set(WATCHED_MODULES)
+    assert packages - {"fusegraph"} <= sys.stdlib_module_names
 
 
 PUBLIC_HOMES = {
@@ -562,18 +561,6 @@ def test_repeated_qrels_line_prints_one_json_line(tmp_path):
             "error": "ParseError",
             "message": f"{qrels}:2: duplicate judgment of 'd1' for 'q1'",
         }
-
-
-def test_cli_import_leaves_statistics_unloaded(command_files, tmp_path):
-    """Only Comb MED needs statistics, which loads decimal and fractions with it.
-
-    The module table above shows that no other command loads them, though scipy,
-    for a ttest whose differences vary, may load decimal.
-    """
-    watched = {"statistics", "decimal", "fractions"}
-    args = ("--config", command_files["config"], "--out", tmp_path / "out.run")
-    assert not watched & modules_after("baseline", "borda", *args)
-    assert watched <= modules_after("baseline", "combmed", *args)
 
 
 def test_bad_baseline_method_lists_every_method(toy_files):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from fusegraph.errors import (
 )
 from fusegraph.evaluation import (
     Qrels,
+    _t_tail,
     evaluate_runs,
     jaccard_corr,
     kendall_corr,
@@ -57,6 +59,15 @@ def test_ndcg_no_relevant_items():
 
 def test_ndcg_unknown_query():
     qrels = qrels_for(["a"], query="other")
+    with pytest.raises(UnknownQuery):
+        ndcg_at_k(mkrank("q", "r", ["a"]), qrels)
+
+
+@pytest.mark.parametrize("qrels", [Qrels.from_grades({}), Qrels.from_class_labels({})], ids=["grades", "labels"])
+def test_qrels_without_judgments_know_no_query(qrels):
+    assert not qrels.has_query("q")
+    with pytest.raises(UnknownQuery):
+        qrels.relevance("q", "a")
     with pytest.raises(UnknownQuery):
         ndcg_at_k(mkrank("q", "r", ["a"]), qrels)
 
@@ -284,6 +295,28 @@ def test_ttest_against_scipy():
     t, p = stats.ttest_rel(a, b)
     assert ours.t_statistic == pytest.approx(float(t), abs=1e-10)
     assert ours.p_value == pytest.approx(float(p), abs=1e-10)
+
+
+def test_t_tail_against_closed_forms():
+    # nu = 1: p = (2/pi) atan(1/t); nu = 2: p = 1 - t/sqrt(2 + t^2), here without its cancellation
+    for k in range(-64, 49):
+        t = 10 ** (k / 8)
+        root = math.sqrt(2 + t * t)
+        assert _t_tail(t, 1) == pytest.approx(2 / math.pi * math.atan(1 / t), rel=1e-13, abs=0)
+        assert _t_tail(t, 2) == pytest.approx(2 / (root * (root + t)), rel=1e-13, abs=0)
+        assert _t_tail(-t, 2) == _t_tail(t, 2)
+    assert _t_tail(0.0, 5) == 1.0
+
+
+def test_t_tail_against_scipy_grid():
+    from scipy import stats
+
+    for df in [*range(1, 31), *(round(10 ** (k / 8)) for k in range(12, 33))]:
+        for k in range(61):
+            t = 0.05 * 1000 ** (k / 60)
+            # below the smallest normal float, where scipy's tail can read zero, only the gap counts
+            expected = 2.0 * float(stats.t.sf(t, df))
+            assert _t_tail(t, df) == pytest.approx(expected, rel=1e-9, abs=sys.float_info.min)
 
 
 def test_evaluate_runs_report():

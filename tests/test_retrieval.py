@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import json
+import os
 import random
+import stat
 import struct
 import sys
 import tempfile
@@ -674,6 +676,22 @@ def test_failed_save_leaves_older_index_intact(tmp_path, toy_fg_index, monkeypat
     loaded = load_index(directory)
     assert loaded.graphs == fg_index.graphs
     assert loaded.comparator == "WGU"
+
+
+def test_save_syncs_the_directory_after_its_renames(tmp_path, toy_fg_index, monkeypatch):
+    _, fg_index = toy_fg_index
+    directory = tmp_path / "idx"
+    fsync = os.fsync
+    synced = []  # per call: a directory descriptor?, the directory's names then
+
+    def record(fd):
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), sorted(path.name for path in directory.iterdir())))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", record)
+    save_index(directory, fg_index)
+    assert synced[-1] == (True, sorted([*retrieval.INDEX_FILES.values(), retrieval.MANIFEST_NAME]))
+    assert [is_dir for is_dir, _ in synced] == [False] * 5 + [True]
 
 
 BAD_PERMUTATIONS = ([0, 0], [0, 2], [1], [0, 1, 2], "01", [1.0, 0], None)
