@@ -325,9 +325,10 @@ def paired_t_test(
     case the verdict follows the sign of the mean difference. When every
     difference is identical (zero variance) the t statistic is undefined, so
     the verdict falls back to exact comparison: Tie at zero, otherwise the
-    strict direction. The p-value is ``_t_tail``'s two-sided Student-t tail,
-    within a relative 1e-9 of scipy's up to 10⁴ degrees of freedom. ``alpha``
-    must lie strictly between 0 and 1, and every value must be finite.
+    strict direction, with t infinite and that difference as the mean. The
+    p-value is ``_t_tail``'s two-sided Student-t tail, within a relative
+    1e-9 of scipy's up to 10⁴ degrees of freedom. ``alpha`` must lie
+    strictly between 0 and 1, and every value must be finite.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -341,7 +342,7 @@ def paired_t_test(
     if not all(map(math.isfinite, [*per_query_a, *per_query_b])):
         raise ValueError("per-query values must be finite")
     diffs = [a - b for a, b in zip(per_query_a, per_query_b)]
-    mean = math.fsum(diffs) / n
+    mean = diffs[0] if diffs.count(diffs[0]) == n else math.fsum(diffs) / n  # fsum(n equal terms) / n may round
     variance = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
     if variance == 0.0:
         if mean == 0.0:

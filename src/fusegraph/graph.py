@@ -6,19 +6,20 @@ to items B that A's own ranks endorse, weighted by B's scores in those ranks
 damped by A's position in the query's ranks. Weights are finally divided by
 their separate vertex/edge maxima so graphs are comparable.
 
-All weight sums use math.fsum, so results are independent of accumulation
-order: permuting the rankers of a rank set changes no final weight.
+Every weight sum is correctly rounded, as math.fsum's, so results do not depend
+on accumulation order: permuting the rankers of a rank set changes no weight.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyGraph, MalformedGraphRecord, MissingRank
 from .model import ItemId, RankLookup, RankSet
@@ -158,18 +159,27 @@ def build_fusion_graph(
         if strict and row.missing is not None:
             raise MissingRank(row.missing, item)
 
-    edges: dict[tuple[ItemId, ItemId], float] = {}
+    keys, weights = [], []  # the edges' keys and weights, in sorted key order
     for item_a in sorted(vertices):
         at = positions[item_a]
         for item_b, key, scores in tabled[item_a].rows:
             if item_b not in vertices:
                 continue
-            if len(at) == 1 and type(scores) is not tuple:
-                edges[key] = scores / at[0]  # what fsum gives for one part
+            keys.append(key)
+            if type(scores) is not tuple:
+                if len(at) == 1:
+                    weights.append(scores / at[0])  # as fsum gives one part; one addition rounds two as it does
+                    continue
+                weight = scores / at[0] + scores / at[1] if len(at) == 2 else math.inf
             else:
+                weight = scores[0] / at[0] + scores[1] / at[0] if len(at) == 1 and len(scores) == 2 else math.inf
+            if not math.isfinite(weight):  # three parts or more, or two whose sum overflows, on which fsum raises
                 parts = scores if type(scores) is tuple else (scores,)
-                edges[key] = math.fsum([x / pos for pos in at for x in parts])
-    return _scaled(rs.query, vertices, edges)
+                weight = math.fsum([x / pos for pos in at for x in parts])
+            weights.append(weight)
+    graph = _scaled(rs.query, vertices, keys, weights)
+    graph.__dict__["_sorted_edges"] = True  # so serialize_graph takes them in the order they are in
+    return graph
 
 
 def normalize_graph_weights(g: FusionGraph) -> FusionGraph:
@@ -178,21 +188,21 @@ def normalize_graph_weights(g: FusionGraph) -> FusionGraph:
     Idempotent; a graph without edges skips edge normalization. Raises
     EmptyGraph when there is no vertex to normalize.
     """
-    return _scaled(g.query, g.vertices, g.edges)
+    return _scaled(g.query, g.vertices, g.edges.keys(), g.edges.values())
 
 
-def _scaled(query: ItemId, vertices: dict, edges: dict) -> FusionGraph:
-    """The graph of ``query`` with weights divided by their vertex/edge maxima."""
+def _scaled(query: ItemId, vertices: dict, keys: Iterable, weights: Collection[float]) -> FusionGraph:
+    """The graph of ``query`` with weights divided by their vertex/edge maxima; edge ``keys`` pair with ``weights``."""
     if not vertices:
         raise EmptyGraph(f"fusion graph for {query!r} has no vertices")
     max_vertex = max(vertices.values())
-    max_edge = max(edges.values(), default=1.0)
+    max_edge = max(weights, default=1.0)
     # the keys come from a checked graph or from build_fusion_graph, which
     # joins two distinct vertices only
     return _unchecked(
         query,
         {item: weight / max_vertex for item, weight in vertices.items()},
-        {pair: weight / max_edge for pair, weight in edges.items()},
+        dict(zip(keys, map(operator.truediv, weights, itertools.repeat(max_edge)))),
     )
 
 
@@ -233,7 +243,9 @@ class VertexRecord(NamedTuple):
 
 
 def vertex_record(g: FusionGraph) -> VertexRecord:
-    """The vertex record of ``g``, labels sorted."""
+    """The vertex record of ``g``, labels sorted: the one serialize_graph took of ``g``, if it did."""
+    if "_vertex_record" in g.__dict__:
+        return g.__dict__.pop("_vertex_record")
     labels = sorted(g.vertices)
     masses = edge_masses(g)
     return VertexRecord(
@@ -254,18 +266,24 @@ def serialize_graph(g: FusionGraph) -> bytes:
     edge's (source, target) positions in ``vertices`` as little-endian
     uint32 pairs. The edge count is what the arrays' length leaves for 16
     bytes per edge. Every weight round-trips bit for bit, and the record is
-    byte-deterministic.
+    byte-deterministic. The same walk over the edges takes the graph's
+    vertex record, and leaves it on ``g`` for the next vertex_record(g).
     """
     labels = sorted(g.vertices)
     slot = {label: i for i, label in enumerate(labels)}
-    pairs = sorted(g.edges)
+    edges = g.edges if "_sorted_edges" in g.__dict__ else dict(sorted(g.edges.items()))
+    sources, targets = [slot[src] for src, _ in edges], [slot[tgt] for _, tgt in edges]
+    weights, edge_weights = list(map(g.vertices.__getitem__, labels)), list(edges.values())
+    outgoing, incoming = [[] for _ in labels], [[] for _ in labels]
+    for src, tgt, weight in zip(sources, targets, edge_weights):
+        outgoing[src].append(weight)
+        incoming[tgt].append(weight)
+    with contextlib.suppress(OverflowError, ValueError):  # weights fsum cannot sum: vertex_record(g) raises
+        masses = list(map(math.fsum, outgoing)), list(map(math.fsum, incoming))
+        g.__dict__["_vertex_record"] = VertexRecord(labels, weights, *masses, math.fsum([*weights, *edge_weights]))
     header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
-    arrays = struct.pack(
-        f"<{len(labels) + len(pairs)}d{2 * len(pairs)}I",
-        *map(g.vertices.__getitem__, labels),
-        *map(g.edges.__getitem__, pairs),
-        *[slot[label] for pair in pairs for label in pair],
-    )
+    ends = itertools.chain.from_iterable(zip(sources, targets))
+    arrays = struct.pack(f"<{len(weights) + len(edge_weights)}d{2 * len(edges)}I", *weights, *edge_weights, *ends)
     return (header + "\n").encode("ascii") + arrays
 
 

@@ -16,11 +16,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .errors import ConfigError, DuplicateDoc, ParseError, RankGap
-from .model import CollectionRankIndex, FusedRank, ItemId, RankSet, ScoredEntry, ScoredRank, assemble_rank_set
+from .model import CollectionRankIndex, FusedRank, ItemId, RankSet, ScoredRank, assemble_rank_set, unchecked_rank
 
 if TYPE_CHECKING:  # the judgment parsers import Qrels: the commands without judgments load no evaluation
     from .evaluation import EvalReport, Qrels
@@ -80,7 +81,9 @@ def parse_run_file(
     """Parse one ranker's TREC run file into per-query ScoredRanks.
 
     Entries are ordered by the rank column and cut to ``depth`` when given.
-    Scores must be finite and non-negative (the model's score codomain).
+    Scores must be finite and non-negative (the model's score codomain). The
+    line checks make every ScoredRank check but that of ``depth``, so the
+    ranks are built without running them again.
     """
     path = Path(path)
     if polarity not in POLARITIES:
@@ -103,14 +106,14 @@ def parse_run_file(
 
     runs: dict[ItemId, ScoredRank] = {}
     for qid, entries in rows.items():
-        entries.sort(key=lambda row: row[0])
+        entries.sort(key=itemgetter(0))
         positions = [row[0] for row in entries]
         if positions != list(range(1, len(entries) + 1)):
             raise RankGap(qid, f"positions {positions[:8]}...")
-        scored = tuple(ScoredEntry(docid, score) for _, docid, score in entries)
-        if depth is not None:
-            scored = scored[:depth]
-        runs[qid] = ScoredRank(qid, ranker, scored, depth if depth is not None else len(scored))
+        if depth is not None and depth < 1:  # the one ScoredRank check the lines above do not make
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        kept = map(itemgetter(1, 2), entries[:depth])
+        runs[qid] = unchecked_rank(qid, ranker, kept, len(entries) if depth is None else depth)
     return runs
 
 

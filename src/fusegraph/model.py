@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -72,6 +73,14 @@ class ScoredRank:
 
     def items(self) -> tuple[ItemId, ...]:
         return tuple(entry.item for entry in self.entries)
+
+
+def unchecked_rank(query: ItemId, ranker: str, entries: Iterable[tuple[ItemId, float]], depth: int) -> ScoredRank:
+    """A ScoredRank of (item, float score) ``entries`` built without its checks, which the caller vouches for."""
+    rank = object.__new__(ScoredRank)
+    entries = tuple(map(tuple.__new__, itertools.repeat(ScoredEntry), entries))
+    rank.__dict__.update(query=query, ranker=ranker, entries=entries, depth=depth)
+    return rank
 
 
 @dataclass(frozen=True)

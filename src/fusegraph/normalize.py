@@ -15,18 +15,10 @@ normalization with the same index is idempotent in item order.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Sequence
 
 from .errors import EmptyRank, InvalidRankSet
-from .model import (
-    CollectionRankIndex,
-    ItemId,
-    RankLookup,
-    RankSet,
-    ScoredEntry,
-    ScoredRank,
-)
+from .model import CollectionRankIndex, ItemId, RankLookup, RankSet, ScoredRank, unchecked_rank
 
 
 def delta(i: ItemId, j: ItemId, index: RankLookup, ranker: str, depth: int) -> int:
@@ -73,13 +65,9 @@ def gridded_rank(query: ItemId, ranker: str, items: Sequence[ItemId], depth: int
     The grid depends on L, not on the actual length, so a truncated rank
     never reaches 0.1; only its own positions' scores are built. The ids
     always come from a checked rank or a checked index record, at most L of
-    them, so the constructor's checks are skipped, and so is ScoredEntry's
-    Python-level __new__.
+    them, so the constructor's checks are skipped.
     """
-    rank = object.__new__(ScoredRank)
-    entries = map(tuple.__new__, itertools.repeat(ScoredEntry), zip(items, _grid(depth, len(items))))
-    rank.__dict__.update(query=query, ranker=ranker, entries=tuple(entries), depth=depth)
-    return rank
+    return unchecked_rank(query, ranker, zip(items, _grid(depth, len(items))), depth)
 
 
 def normalize_rank(rank: ScoredRank, index: RankLookup, depth: int) -> ScoredRank:

@@ -97,20 +97,17 @@ class VertexPostings:
     @classmethod
     def of(cls, graphs: Mapping[ItemId, FusionGraph], read: Callable | None = None) -> VertexPostings:
         postings = cls([], {}, {})
-        for _ in postings.walk(graphs, read or graphs.__getitem__):
-            pass
+        for item in sorted(graphs):
+            postings.add(item, (read or graphs.__getitem__)(item))
         return postings
 
-    def walk(self, items: Iterable[ItemId], read: Callable[[ItemId], FusionGraph]) -> Iterator[tuple[ItemId, FusionGraph]]:
-        """Add the graph ``read(item)`` of each item, in ascending item order, yielding (item, graph) once added."""
-        for item in sorted(items):
-            graph = read(item)
-            head = vertex_record(graph)
-            for label, *posting in zip(head.labels, head.weights, head.out_mass, head.in_mass):
-                self.by_label.setdefault(label, bytearray()).extend(POSTING.pack(len(self.items), *posting))
-            self.items.append(item)
-            self.sizes[item] = head.size
-            yield item, graph
+    def add(self, item: ItemId, graph: FusionGraph) -> None:
+        """Add ``graph``, the graph of ``item``, which must follow every item added before it."""
+        head = vertex_record(graph)
+        for label, *posting in zip(head.labels, head.weights, head.out_mass, head.in_mass):
+            self.by_label.setdefault(label, bytearray()).extend(POSTING.pack(len(self.items), *posting))
+        self.items.append(item)
+        self.sizes[item] = head.size
 
 
 @dataclass
@@ -399,14 +396,15 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     record's (offset, length, digest); a digest is a 16-byte BLAKE2b, in hex.
     The manifest records every file's size and the table of contents' sha256.
 
-    One VertexPostings walk takes each graph's postings, size and record; a
-    graph built or decoded for it is dropped once written, and ``fg_index``
-    then reads its graphs from graphs.bin, as a loaded index does, so none is
-    built twice. Files are fully sorted, so rebuilding from identical inputs
-    is byte-identical. Every file is first written in full under a temporary
-    name in ``directory``; only then are they renamed into place, the
-    manifest last, then the directory is synced so that the renames last; a
-    save that fails before its renames leaves an older index there intact.
+    Each graph is read once, serialized, then added to the VertexPostings,
+    with the vertex record serialize_graph took; it is dropped once written,
+    and ``fg_index`` then reads its graphs from graphs.bin, as a loaded index
+    does, so none is built twice. Files are fully sorted, so rebuilding from
+    identical inputs is byte-identical. Every file is first written in full
+    under a temporary name in ``directory``; only then are they renamed into
+    place, the manifest last, then the directory is synced so that the
+    renames last; a save that fails before its renames leaves an older index
+    there intact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -414,9 +412,16 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     by_label = vertex_postings.by_label
     read = getattr(fg_index.graphs, "make", fg_index.graphs.__getitem__)  # Records' make keeps no graph
     staged: list[tuple[Path, Path]] = []
+
+    def records() -> Iterator[tuple[ItemId, bytes]]:
+        for item in sorted(fg_index.graphs):
+            graph = read(item)
+            record = serialize_graph(graph)  # first: add takes the vertex record it leaves on the graph
+            vertex_postings.add(item, graph)
+            yield item, record
+
     try:
-        records = ((item, serialize_graph(graph)) for item, graph in vertex_postings.walk(fg_index.graphs, read))
-        graphs = _stage(directory / INDEX_FILES["graphs"], records, staged)
+        graphs = _stage(directory / INDEX_FILES["graphs"], records(), staged)
         postings = _stage(
             directory / INDEX_FILES["postings"], ((label, by_label[label]) for label in sorted(by_label)), staged
         )

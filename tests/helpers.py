@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import struct
 import weakref
 from unittest import mock
 
@@ -298,6 +299,21 @@ def reference_build_fusion_graph(rs: RankSet, index, strict: bool = False) -> Fu
                     )
     edges = {pair: math.fsum(parts) for pair, parts in edge_parts.items()}
     return normalize_graph_weights(FusionGraph(rs.query, vertices, edges))
+
+
+def reference_serialize_graph(g: FusionGraph) -> bytes:
+    """serialize_graph as two plain sorts and one pack, kept as its specification."""
+    labels = sorted(g.vertices)
+    slot = {label: i for i, label in enumerate(labels)}
+    pairs = sorted(g.edges)
+    header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
+    arrays = struct.pack(
+        f"<{len(labels) + len(pairs)}d{2 * len(pairs)}I",
+        *map(g.vertices.__getitem__, labels),
+        *map(g.edges.__getitem__, pairs),
+        *[slot[label] for pair in pairs for label in pair],
+    )
+    return (header + "\n").encode("ascii") + arrays
 
 
 def reference_condorcet(rs: RankSet, depth: int | None = None) -> FusedRank:

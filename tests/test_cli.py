@@ -999,9 +999,9 @@ def test_one_query_search_normalizes_only_ranks_it_reads(tmp_path, monkeypatch):
     assert sorted(normalized) == [("r1", "zq"), ("r2", "zq"), ("r3", "zq")]
 
 
-def test_rank_checks_run_once_per_rank_read_from_a_run_file(tmp_path, monkeypatch):
-    """ScoredRank's checks run on the ranks parsed from run files, and on no rank built from them."""
-    layout, config, queries = one_query_files(tmp_path)
+def test_rank_checks_run_on_no_rank_read_from_a_run_file(tmp_path, monkeypatch):
+    """ScoredRank's checks run on no rank parsed from a run file, whose line checks cover them, nor built from one."""
+    _, config, queries = one_query_files(tmp_path)
     index_dir = tmp_path / "index"
     checked = []
     post_init = ScoredRank.__post_init__
@@ -1012,11 +1012,9 @@ def test_rank_checks_run_once_per_rank_read_from_a_run_file(tmp_path, monkeypatc
 
     monkeypatch.setattr(ScoredRank, "__post_init__", counting)
     assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
-    assert sorted(checked) == sorted((r, q) for r in layout for q in layout[r])  # n * m
-    checked.clear()
     out = tmp_path / "fg.run"
     assert main(["search", "--index", str(index_dir), "--queries", str(queries), "--out", str(out)]) == 0
-    assert sorted(checked) == [("r1", "zq"), ("r2", "zq"), ("r3", "zq")]
+    assert checked == []
 
 
 def test_eval_k_not_an_int_prints_one_json_line(tmp_path):
@@ -1119,6 +1117,45 @@ def test_extract_index_bytes_are_pinned(tmp_path):
         name: hashlib.sha256((index_dir / name).read_bytes()).hexdigest() for name in PINNED_INDEX
     }
     assert digests == PINNED_INDEX
+
+
+# sha256 of the index files `extract` writes for a strict MCS collection at
+# L=20, recorded before the graph builder summed two-part edges with `+`.
+PINNED_STRICT_INDEX = {
+    "graphs.bin": "6ccfd65eb80028ceb981902982d95f5ff17f62e9d4256bf1f7cdcabb5684fd05",
+    "postings.bin": "93bf7a7b3cc4433cdc25fcdc0dac8d41416861f2b02d6820a4c6a404931a6038",
+    "collection_ranks.jsonl": "d48b5810e32932a80740f0103dcf7c3f8a09aaed9f1d7fc6744004b594b27d1b",
+    "toc.json": "8ecb0a66fde7fc565ab5ab2d9deee4841a272ab575da2a1b8c3bb0eba0ef5d79",
+}
+
+
+def test_extract_strict_mcs_index_bytes_are_pinned(tmp_path):
+    collection, _ = synthetic_collection(23, n_items=48, n_classes=6, depth=20)
+    # edges of one, two and three or more parts all occur: an item occurs in
+    # two of some query's ranks and in all three of another's
+    ranks = [
+        [collection.get(ranker, query).items() for ranker in collection.rankers]
+        for query in collection.collection_items()
+    ]
+    occurrences = {sum(item in rank for rank in rs) for rs in ranks for item in set().union(*rs)}
+    assert {1, 2, 3} <= occurrences
+    runs = {}
+    for ranker in collection.rankers:
+        runs[ranker] = tmp_path / f"{ranker}.run"
+        runs[ranker].write_text("".join(
+            f"{q} Q0 {item} {pos} {score!r} coll\n"
+            for q in collection.queries(ranker)
+            for pos, (item, score) in enumerate(collection.get(ranker, q), start=1)
+        ), encoding="utf-8")
+    config = write_config(tmp_path, "config.json", runs, depth=20, comparator="MCS", strict=True)
+    index_dir = tmp_path / "index"
+    result = run_cli_process("-m", "fusegraph.cli", "extract", "--config", str(config),
+                             "--out", str(index_dir))
+    assert result.returncode == 0, result.stderr
+    digests = {
+        name: hashlib.sha256((index_dir / name).read_bytes()).hexdigest() for name in PINNED_STRICT_INDEX
+    }
+    assert digests == PINNED_STRICT_INDEX
 
 
 def synthetic_files(tmp_path, n_items=36):

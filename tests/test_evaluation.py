@@ -257,6 +257,14 @@ def test_ttest_constant_shift_degenerate_variance():
     assert paired_t_test(b, a).verdict == "BBetter"
 
 
+@pytest.mark.parametrize("a, b, verdict, t", [(0.1, 0.0, "ABetter", math.inf), (0.0, 0.1, "BBetter", -math.inf)])
+def test_ttest_equal_nonzero_differences_take_the_zero_variance_fallback(a, b, verdict, t):
+    """fsum([0.1] * 3) / 3 is 0.10000000000000002, whose residues would give t = 1.02e16."""
+    result = paired_t_test([a] * 3, [b] * 3)
+    assert result == (verdict, t, 0.0, a - b, 3)
+    assert result.mean_difference.hex() == (a - b).hex()
+
+
 def test_ttest_small_perturbation_not_significant():
     a = [0.50, 0.60, 0.70, 0.80, 0.90]
     b = [0.51, 0.59, 0.71, 0.79, 0.91]

@@ -14,13 +14,22 @@ from fusegraph.graph import (
     FusionGraph,
     build_fusion_graph,
     deserialize_graph,
+    edge_masses,
+    graph_size,
     normalize_graph_weights,
     serialize_graph,
+    vertex_record,
 )
 from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
 from fusegraph.normalize import normalize_collection
 
-from helpers import mkrank, random_rank_index, reference_build_fusion_graph, worked_example_index
+from helpers import (
+    mkrank,
+    random_rank_index,
+    reference_build_fusion_graph,
+    reference_serialize_graph,
+    worked_example_index,
+)
 
 
 def assert_weight_normalized(graph):
@@ -247,6 +256,50 @@ def test_serialize_round_trip_is_bit_exact(graph):
         k: v.hex() for k, v in graph.edges.items()
     }
     assert serialize_graph(restored) == line
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """A stored graph whose edges are inserted in a drawn order, sorted or not."""
+    graph = draw(stored_graphs())
+    edges = dict(draw(st.permutations(list(graph.edges.items()))))
+    return FusionGraph(graph.query, graph.vertices, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=shuffled_graphs())
+@example(graph=FusionGraph("q", {"a": 0.5}, {}))
+@example(graph=FusionGraph("q", {"a": 0.5, "b": 1.0}, {}))
+@example(graph=FusionGraph("q", {"a": 0.5, "b": 1.0, "c": 0.25}, {("c", "a"): 1.0, ("a", "c"): 0.5, ("a", "b"): 0.1}))
+def test_serialize_takes_the_vertex_record_of_the_specification(graph):
+    """One walk packs the record and takes the vertex record: both bit for bit the specification's."""
+    assert serialize_graph(graph) == reference_serialize_graph(graph)
+    assert "_vertex_record" in graph.__dict__  # left by serialize_graph for vertex_record
+    record = vertex_record(graph)
+    assert "_vertex_record" not in graph.__dict__  # taken once
+    masses = edge_masses(graph)
+    assert record.labels == sorted(graph.vertices)
+    assert [w.hex() for w in record.weights] == [graph.vertices[label].hex() for label in record.labels]
+    assert [m.hex() for m in record.out_mass] == [masses[label][0].hex() for label in record.labels]
+    assert [m.hex() for m in record.in_mass] == [masses[label][1].hex() for label in record.labels]
+    assert record.size.hex() == graph_size(graph).hex()
+    assert record == vertex_record(graph)  # the specification's own record
+
+
+def test_serialize_graph_of_weights_fsum_cannot_sum_leaves_no_record():
+    graph = FusionGraph("q", {"a": 1.7e308, "b": 1.7e308}, {})
+    assert serialize_graph(graph) == reference_serialize_graph(graph)
+    assert "_vertex_record" not in graph.__dict__
+    with pytest.raises(OverflowError):
+        vertex_record(graph)
+
+
+def test_two_part_edge_whose_sum_overflows_raises_as_fsum_does():
+    index = CollectionRankIndex({r: {"A": mkrank("A", r, ["A", "B"], [1.0, 1e308])} for r in ("r1", "r2")})
+    rs = RankSet("q", (mkrank("q", "r1", ["A", "B"], [1.0, 0.5]), mkrank("q", "r2", ["B"], [1.0])))
+    for build in (build_fusion_graph, reference_build_fusion_graph):
+        with pytest.raises(OverflowError):
+            build(rs, index)
 
 
 def test_build_stats_counts_visits():

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fusegraph.errors import (
     ConfigError,
@@ -25,7 +28,7 @@ from fusegraph.io import (
     write_correlation_matrix,
     write_run_file,
 )
-from fusegraph.model import RankSet
+from fusegraph.model import RankSet, ScoredEntry, ScoredRank
 from fusegraph.retrieval import FusedRank
 
 from helpers import mkrank
@@ -93,6 +96,104 @@ def test_parse_run_depth_truncation(tmp_path):
     runs = parse_run_file(path, "r", depth=3)
     assert len(runs["q1"]) == 3
     assert runs["q1"].depth == 3
+
+
+RUN_IDS = st.text(alphabet="abqz019_é日", min_size=1, max_size=3)
+RUN_SCORES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300).map(repr),
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["0", "-0.0", "1e-320", "3.", ".5", "1E+2", "1_000"]),
+)
+
+
+@st.composite
+def run_files(draw):
+    """A valid run file's lines, in a drawn order: (qid, docid, rank, score text), positions 1..k per query."""
+    queries = draw(st.lists(RUN_IDS, min_size=1, max_size=4, unique=True))
+    rows = [
+        (qid, docid, pos, draw(RUN_SCORES))
+        for qid in queries
+        for pos, docid in enumerate(draw(st.lists(RUN_IDS, min_size=1, max_size=6, unique=True)), start=1)
+    ]
+    return draw(st.permutations(rows))
+
+
+def run_lines(rows, seps=(" ",)) -> str:
+    return "".join(
+        seps[n % len(seps)].join([qid, "Q0", docid, str(pos), score, "tag"]) + "\n"
+        for n, (qid, docid, pos, score) in enumerate(rows)
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=run_files(),
+    polarity=st.sampled_from(["similarity", "distance"]),
+    depth=st.one_of(st.none(), st.integers(1, 7)),
+    seps=st.lists(st.sampled_from([" ", "\t", "  ", " \t "]), min_size=1, max_size=3),
+)
+def test_parsed_ranks_are_those_the_checked_constructor_builds(tmp_path, rows, polarity, depth, seps):
+    path = write(tmp_path, "a.run", run_lines(rows, seps))
+    runs = parse_run_file(path, "r", polarity, depth)
+    expected = {}
+    for qid, docid, pos, score in sorted(rows, key=lambda row: (row[0], row[2])):
+        value = float(score)
+        expected.setdefault(qid, []).append((docid, 1.0 / (1.0 + value) if polarity == "distance" else value))
+    assert runs == {
+        qid: ScoredRank(qid, "r", tuple(entries[:depth]), len(entries) if depth is None else depth)
+        for qid, entries in expected.items()
+    }
+    for rank in runs.values():
+        assert all(type(entry) is ScoredEntry and type(entry.score) is float for entry in rank)
+        assert [entry.score.hex() for entry in rank] == [score.hex() for _, score in expected[rank.query][:depth]]
+
+
+RUN_FAULTS = ["fields", "bad rank", "rank < 1", "bad score", "nan", "inf", "negative", "duplicate", "gap", "depth"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=run_files(), fault=st.sampled_from(RUN_FAULTS), at=st.integers(0, 10**6), data=st.data())
+def test_run_file_rejections_keep_their_class_line_and_message(tmp_path, rows, fault, at, data):
+    """One fault per file: the parser names it as the checked constructor's callers always saw it."""
+    rows = list(rows)
+    at %= len(rows)
+    qid, docid, pos, score = rows[at]
+    line = f"{tmp_path / 'a.run'}:{at + 1}: "
+    depth = None
+    if fault == "fields":
+        rows[at] = (qid, docid, pos, score + " extra")
+        error, message = ParseError, line + "expected 6 fields, got 7"
+    elif fault in ("bad rank", "rank < 1"):
+        bad = data.draw(st.sampled_from(["x", "1.0", "2a"] if fault == "bad rank" else ["0", "-3"]))
+        rows[at] = (qid, docid, bad, score)
+        error, message = ParseError, line + (f"bad rank {bad!r}" if fault == "bad rank" else f"rank must be >= 1, got {bad}")
+    elif fault in ("bad score", "nan", "inf", "negative"):
+        bad = data.draw(st.sampled_from({
+            "bad score": ["x", "1,5", "0x1p3"], "nan": ["nan", "NaN", "-nan"], "inf": ["inf", "-Infinity", "1e400"],
+            "negative": ["-1", "-0.5", "-1e-300"],
+        }[fault]))
+        rows[at] = (qid, docid, pos, bad)
+        message = f"bad score {bad!r}" if fault == "bad score" else f"score must be finite and >= 0, got {bad}"
+        error, message = ParseError, line + message
+    elif fault == "duplicate":
+        earlier = [row[1] for row in rows[:at] if row[0] == qid]
+        if not earlier:
+            return
+        rows[at] = (qid, earlier[0], pos, score)
+        error, message = DuplicateDoc, f"duplicate document {earlier[0]!r} for query {qid!r}"
+    elif fault == "gap":
+        rows[at] = (qid, docid, pos + 100, score)
+        positions = sorted(row[2] for row in rows if row[0] == qid)
+        error, message = RankGap, f"rank positions for query {qid!r} are not contiguous from 1 (positions {positions[:8]}...)"
+    else:
+        depth = data.draw(st.integers(-2, 0))
+        error, message = ValueError, f"depth must be >= 1, got {depth}"
+    path = write(tmp_path, "a.run", run_lines(rows))
+    with pytest.raises(error) as excinfo:
+        parse_run_file(path, "r", data.draw(st.sampled_from(["similarity", "distance"])), depth)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+    if error is ParseError:
+        assert excinfo.value.line_no == at + 1
 
 
 def test_run_round_trip_semantics(tmp_path):
