@@ -44,6 +44,7 @@ class FusionGraph:
 
     A sparse map from keys to weights, where a key is a vertex label or an
     edge (source, target) pair whose endpoints are both vertices.
+    serialize_graph leaves on it a one-shot cache that vertex_record takes.
     """
 
     query: ItemId
@@ -177,9 +178,7 @@ def build_fusion_graph(
                 parts = scores if type(scores) is tuple else (scores,)
                 weight = math.fsum([x / pos for pos in at for x in parts])
             weights.append(weight)
-    graph = _scaled(rs.query, vertices, keys, weights)
-    graph.__dict__["_sorted_edges"] = True  # so serialize_graph takes them in the order they are in
-    return graph
+    return _scaled(rs.query, vertices, keys, weights)
 
 
 def normalize_graph_weights(g: FusionGraph) -> FusionGraph:
@@ -244,8 +243,8 @@ class VertexRecord(NamedTuple):
 
 def vertex_record(g: FusionGraph) -> VertexRecord:
     """The vertex record of ``g``, labels sorted: the one serialize_graph took of ``g``, if it did."""
-    if "_vertex_record" in g.__dict__:
-        return g.__dict__.pop("_vertex_record")
+    if (record := g.__dict__.pop("_vertex_record", None)) is not None:
+        return record
     labels = sorted(g.vertices)
     masses = edge_masses(g)
     return VertexRecord(
@@ -271,9 +270,9 @@ def serialize_graph(g: FusionGraph) -> bytes:
     """
     labels = sorted(g.vertices)
     slot = {label: i for i, label in enumerate(labels)}
-    edges = g.edges if "_sorted_edges" in g.__dict__ else dict(sorted(g.edges.items()))
+    edges = sorted(g.edges)  # one linear pass on the builder's and the decoder's sorted edges
     sources, targets = [slot[src] for src, _ in edges], [slot[tgt] for _, tgt in edges]
-    weights, edge_weights = list(map(g.vertices.__getitem__, labels)), list(edges.values())
+    weights, edge_weights = list(map(g.vertices.__getitem__, labels)), list(map(g.edges.__getitem__, edges))
     outgoing, incoming = [[] for _ in labels], [[] for _ in labels]
     for src, tgt, weight in zip(sources, targets, edge_weights):
         outgoing[src].append(weight)
