@@ -10,7 +10,6 @@ convention used with fixed four-item classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -389,8 +388,7 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     return fraction
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Per-query and aggregate effectiveness for one run under one metric."""
 
     metric: str
@@ -410,19 +408,16 @@ def evaluate_runs(
     for it ``k`` must be None or 4. A ``k`` below 1 is a ValueError.
     """
     metric = metric.lower()
+    if metric not in ("ndcg", "ns"):
+        raise ValueError(f"unknown metric {metric!r}; expected 'ndcg' or 'ns'")
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if metric == "ns" and k not in (None, 4):
         raise ValueError(f"the N-S score counts the first 4 results; k must be 4 or unset, got {k}")
     k = 10 if k is None else k
-    per_query: dict[ItemId, float] = {}
-    for qid in sorted(runs):
-        if metric == "ndcg":
-            per_query[qid] = ndcg_at_k(runs[qid], qrels, k)
-        elif metric == "ns":
-            per_query[qid] = ns_score(runs[qid], qrels)
-        else:
-            raise ValueError(f"unknown metric {metric!r}; expected 'ndcg' or 'ns'")
+    per_query = {
+        qid: ndcg_at_k(runs[qid], qrels, k) if metric == "ndcg" else ns_score(runs[qid], qrels) for qid in sorted(runs)
+    }
     if not per_query:
         raise ValueError("no queries to evaluate")
     label = f"ndcg@{k}" if metric == "ndcg" else "ns"

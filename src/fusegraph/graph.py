@@ -18,14 +18,12 @@ import json
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .errors import EmptyGraph, MalformedGraphRecord, MissingRank
+from .errors import EmptyGraph, MalformedGraphRecord
 from .model import ItemId, RankLookup, RankSet
 
 
-@dataclass
 class BuildStats:
     """Counts of an index build.
 
@@ -34,11 +32,10 @@ class BuildStats:
     a lenient build left out because no chosen ranker ranks them.
     """
 
-    entry_visits: int = 0
-    items_without_ranks: int = 0
+    def __init__(self, entry_visits: int = 0, items_without_ranks: int = 0):
+        self.entry_visits, self.items_without_ranks = entry_visits, items_without_ranks
 
 
-@dataclass(frozen=True)
 class FusionGraph:
     """Weighted directed graph with uniquely labeled vertices.
 
@@ -47,31 +44,25 @@ class FusionGraph:
     serialize_graph leaves on it a one-shot cache that vertex_record takes.
     """
 
-    query: ItemId
-    vertices: dict[ItemId, float]
-    edges: dict[tuple[ItemId, ItemId], float]
-
-    def __post_init__(self):
-        for (src, tgt) in self.edges:
+    def __init__(self, query: ItemId, vertices: dict[ItemId, float], edges: dict[tuple[ItemId, ItemId], float]):
+        for (src, tgt) in edges:
             if src == tgt:
                 raise ValueError(f"self-edge {src!r} -> {tgt!r} not allowed")
-            if src not in self.vertices or tgt not in self.vertices:
+            if src not in vertices or tgt not in vertices:
                 raise ValueError(f"edge {src!r} -> {tgt!r} has endpoint outside vertex set")
+        self.query, self.vertices, self.edges = query, vertices, edges
+
+    def __eq__(self, other):
+        if type(other) is not FusionGraph:
+            return NotImplemented
+        return (self.query, self.vertices, self.edges) == (other.query, other.vertices, other.edges)
 
 
-class Neighbours(NamedTuple):
-    """One item's row of a neighbour table, read from its ranks under one ranker tuple.
-
-    ``rows`` holds (B, (item, B), scores) for every B != item in those ranks,
-    sorted by B, where scores are B's scores in them: a bare float when B is
-    in one of them, else a tuple. ``missing`` is the first ranker of the tuple
-    without a rank of the item, or None.
-    """
-
-    missing: str | None
-    rows: list[tuple[ItemId, tuple[ItemId, ItemId], float | tuple[float, ...]]]
-
-
+# One item's row of a neighbour table, read from its ranks under one ranker
+# tuple: (B, (item, B), scores) for every B != item in those ranks, sorted by
+# B, where scores are B's scores in them: a bare float when B is in one of
+# them, else a tuple.
+Neighbours = list[tuple[ItemId, tuple[ItemId, ItemId], float | tuple[float, ...]]]
 # ranker tuple -> item -> the item's Neighbours under those rankers
 NeighbourTable = dict[tuple[str, ...], dict[ItemId, Neighbours]]
 
@@ -85,15 +76,13 @@ def _neighbours(
 ) -> Neighbours:
     """The neighbour-table row of ``item``: its ranks under ``rankers``, each read once.
 
-    With ``within``, neighbours outside it are left out.
+    With ``within``, neighbours outside it are left out; a ranker without a
+    rank of ``item`` adds none.
     """
-    missing = None
     scores: dict[ItemId, float | tuple[float, ...]] = {}
     for ranker in rankers:
         rank = index.get(ranker, item)
         if rank is None:
-            if missing is None:
-                missing = ranker
             continue
         stats.entry_visits += len(rank)
         for neighbour, score in rank:
@@ -104,14 +93,12 @@ def _neighbours(
                 scores[neighbour] = score
             else:
                 scores[neighbour] = (*seen, score) if type(seen) is tuple else (seen, score)
-    rows = [(neighbour, (item, neighbour), x) for neighbour, x in sorted(scores.items())]
-    return Neighbours(missing, rows)
+    return [(neighbour, (item, neighbour), x) for neighbour, x in sorted(scores.items())]
 
 
 def build_fusion_graph(
     rs: RankSet,
     index: RankLookup,
-    strict: bool = False,
     stats: BuildStats | None = None,
     table: NeighbourTable | None = None,
 ) -> FusionGraph:
@@ -119,13 +106,13 @@ def build_fusion_graph(
 
     ``rs`` must already be normalized (repositioned, rescaled) and ``index``
     must hold the normalized ranks of the items appearing in ``rs``. A vertex
-    item with no indexed ranks contributes no outgoing edges in lenient mode
-    (the default); strict mode raises MissingRank for the first vertex, in
-    rank order, that lacks a rank. A vertex's ranks are read into ``table``
-    only when it holds no row for the vertex yet: the graphs of a collection
-    share one table, so each collection rank is read once per ranker tuple,
-    and the graphs share the table's edge-key tuples. Without ``table`` the
-    graph reads into a table of its own.
+    item with no indexed ranks contributes no outgoing edges (strict mode's
+    MissingRank is raised by index_collection, before any graph is built). A
+    vertex's ranks are read into ``table`` only when it holds no row for the
+    vertex yet: the graphs of a collection share one table, so each
+    collection rank is read once per ranker tuple, and the graphs share the
+    table's edge-key tuples. Without ``table`` the graph reads into a table
+    of its own.
 
     Vertex weights sum the item's rescaled scores across the query's ranks.
     The edge A -> B accumulates, for every rank of the query containing A and
@@ -153,17 +140,13 @@ def build_fusion_graph(
     # a table of this graph's own needs no neighbour outside its vertices
     within = vertices if table is None else None
     tabled = ({} if table is None else table).setdefault(rankers, {})
-    for item in vertices:  # first occurrences, in rank order
-        row = tabled.get(item)
-        if row is None:
-            row = tabled[item] = _neighbours(index, rankers, item, stats, within)
-        if strict and row.missing is not None:
-            raise MissingRank(row.missing, item)
-
     keys, weights = [], []  # the edges' keys and weights, in sorted key order
     for item_a in sorted(vertices):
         at = positions[item_a]
-        for item_b, key, scores in tabled[item_a].rows:
+        rows = tabled.get(item_a)
+        if rows is None:
+            rows = tabled[item_a] = _neighbours(index, rankers, item_a, stats, within)
+        for item_b, key, scores in rows:
             if item_b not in vertices:
                 continue
             keys.append(key)

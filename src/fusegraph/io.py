@@ -12,10 +12,8 @@ first everywhere downstream.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
@@ -255,23 +253,17 @@ def parse_correlation_matrix(path: str | Path) -> dict[str, dict[str, float]]:
     return matrix
 
 
-@dataclass(frozen=True)
 class RankerSpec:
-    name: str
-    run: str
-    polarity: str = POLARITY_SIMILARITY
+    __slots__ = ("name", "run", "polarity")  # the config keys of a ranker
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, run: str, polarity: str = POLARITY_SIMILARITY):
+        if not name:
             raise ConfigError("ranker name must be non-empty")
-        if self.polarity not in POLARITIES:
-            raise ConfigError(
-                f"ranker {self.name!r}: polarity must be one of {POLARITIES}, "
-                f"got {self.polarity!r}"
-            )
+        if polarity not in POLARITIES:
+            raise ConfigError(f"ranker {name!r}: polarity must be one of {POLARITIES}, got {polarity!r}")
+        self.name, self.run, self.polarity = name, run, polarity
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
     """Everything the pipeline commands need; loaded from a JSON file.
 
@@ -287,21 +279,19 @@ class PipelineConfig:
     A field outside this schema is a ConfigError.
     """
 
-    rankers: tuple[RankerSpec, ...]
-    depth: int = 10
-    comparator: str = "WGU"
-    strict: bool = False
+    __slots__ = ("rankers", "depth", "comparator", "strict")  # the config keys
 
-    def __post_init__(self):
-        if not self.rankers:
+    def __init__(self, rankers: tuple[RankerSpec, ...], depth: int = 10, comparator: str = "WGU", strict: bool = False):
+        if not rankers:
             raise ConfigError("config must declare at least one ranker")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.comparator not in ("MCS", "WGU"):
-            raise ConfigError(f"comparator must be MCS or WGU, got {self.comparator!r}")
-        names = [spec.name for spec in self.rankers]
+        if depth < 1:
+            raise ConfigError(f"depth must be >= 1, got {depth}")
+        if comparator not in ("MCS", "WGU"):
+            raise ConfigError(f"comparator must be MCS or WGU, got {comparator!r}")
+        names = [spec.name for spec in rankers]
         if len(set(names)) != len(names):
             raise ConfigError("ranker names must be unique")
+        self.rankers, self.depth, self.comparator, self.strict = rankers, depth, comparator, strict
 
     @property
     def ranker_names(self) -> tuple[str, ...]:
@@ -317,8 +307,8 @@ def _typed(data: dict, key: str, default: object, kind: type, what: str):
 
 
 def _known_fields(data: dict, spec: type, where: str = "") -> None:
-    """ConfigError naming the first key of ``data`` that is not a field of the dataclass ``spec``."""
-    unknown = sorted(data.keys() - {field.name for field in dataclasses.fields(spec)})
+    """ConfigError naming the first key of ``data`` that is not one of the ``__slots__`` of ``spec``."""
+    unknown = sorted(data.keys() - set(spec.__slots__))
     if unknown:
         raise ConfigError(f"config field {unknown[0]!r}{where} is unknown")
 

@@ -2,15 +2,14 @@
 rank index.
 
 Items are identified by opaque non-empty strings. Positions are 1-indexed
-everywhere. All types are immutable after construction and safe to share
-across threads.
+everywhere. Nothing in the package changes these objects after construction,
+so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -24,7 +23,6 @@ class ScoredEntry(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
 class ScoredRank:
     """An ordered list of (item, score) pairs for one query under one ranker.
 
@@ -32,33 +30,31 @@ class ScoredRank:
     than its depth (real run files truncate), never longer.
     """
 
-    query: ItemId
-    ranker: str
-    entries: tuple[ScoredEntry, ...]
-    depth: int
-
-    def __post_init__(self):
-        if not self.query:
+    def __init__(self, query: ItemId, ranker: str, entries: Iterable[tuple[ItemId, float]], depth: int):
+        if not query:
             raise ValueError("query id must be non-empty")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        entries = tuple(ScoredEntry(item, float(score)) for item, score in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) > self.depth:
-            raise ValueError(
-                f"rank for {self.query!r} has {len(entries)} entries, depth is {self.depth}"
-            )
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        entries = tuple(ScoredEntry(item, float(score)) for item, score in entries)
+        if len(entries) > depth:
+            raise ValueError(f"rank for {query!r} has {len(entries)} entries, depth is {depth}")
         seen = set()
         for entry in entries:
             if not entry.item:
                 raise ValueError("item id must be non-empty")
             if entry.item in seen:
-                raise ValueError(f"duplicate item {entry.item!r} in rank for {self.query!r}")
+                raise ValueError(f"duplicate item {entry.item!r} in rank for {query!r}")
             seen.add(entry.item)
             if not math.isfinite(entry.score) or entry.score < 0:
-                raise ValueError(
-                    f"score for {entry.item!r} must be finite and >= 0, got {entry.score}"
-                )
+                raise ValueError(f"score for {entry.item!r} must be finite and >= 0, got {entry.score}")
+        self.query, self.ranker, self.entries, self.depth = query, ranker, entries, depth
+
+    def __eq__(self, other):
+        if type(other) is not ScoredRank:
+            return NotImplemented
+        return (self.query, self.ranker, self.entries, self.depth) == (
+            other.query, other.ranker, other.entries, other.depth
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -83,7 +79,6 @@ def unchecked_rank(query: ItemId, ranker: str, entries: Iterable[tuple[ItemId, f
     return rank
 
 
-@dataclass(frozen=True)
 class FusedRank:
     """The final fused rank for one query.
 
@@ -92,19 +87,19 @@ class FusedRank:
     descending scores and set ``higher_is_better``.
     """
 
-    query: ItemId
-    entries: tuple[tuple[ItemId, float], ...]
-    higher_is_better: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple((item, float(v)) for item, v in self.entries)
-        )
+    def __init__(self, query: ItemId, entries: Iterable[tuple[ItemId, float]], higher_is_better: bool = False):
+        self.query, self.higher_is_better = query, higher_is_better
+        self.entries = tuple((item, float(v)) for item, v in entries)
         seen = set()
         for item, _ in self.entries:
             if item in seen:
                 raise ValueError(f"duplicate item {item!r} in fused rank")
             seen.add(item)
+
+    def __eq__(self, other):
+        if type(other) is not FusedRank:
+            return NotImplemented
+        return (self.query, self.entries, self.higher_is_better) == (other.query, other.entries, other.higher_is_better)
 
     def items(self) -> tuple[ItemId, ...]:
         return tuple(item for item, _ in self.entries)
@@ -113,24 +108,23 @@ class FusedRank:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
 class RankSet:
     """The m ranks produced for one query, one per ranker."""
 
-    query: ItemId
-    ranks: tuple[ScoredRank, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(self.ranks))
+    def __init__(self, query: ItemId, ranks: Iterable[ScoredRank]):
+        self.query, self.ranks = query, tuple(ranks)
         names = set()
         for rank in self.ranks:
-            if rank.query != self.query:
-                raise InvalidRankSet(
-                    f"rank for query {rank.query!r} placed in rank set for {self.query!r}"
-                )
+            if rank.query != query:
+                raise InvalidRankSet(f"rank for query {rank.query!r} placed in rank set for {query!r}")
             if rank.ranker in names:
                 raise InvalidRankSet(f"duplicate ranker {rank.ranker!r} in rank set")
             names.add(rank.ranker)
+
+    def __eq__(self, other):
+        if type(other) is not RankSet:
+            return NotImplemented
+        return (self.query, self.ranks) == (other.query, other.ranks)
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -156,7 +150,6 @@ class RankLookup:
         return rank
 
 
-@dataclass(frozen=True)
 class OverlayRankLookup(RankLookup):
     """View of ``base`` with ``extra``'s ranks taking precedence.
 
@@ -164,14 +157,9 @@ class OverlayRankLookup(RankLookup):
     the underlying index is never mutated.
     """
 
-    base: RankLookup
-    extra: RankSet
-    _by_ranker: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_by_ranker", {rank.ranker: rank for rank in self.extra.ranks}
-        )
+    def __init__(self, base: RankLookup, extra: RankSet):
+        self.base, self.extra = base, extra
+        self._by_ranker = {rank.ranker: rank for rank in extra.ranks}
 
     def get(self, ranker: str, query: ItemId) -> Optional[ScoredRank]:
         rank = self._by_ranker.get(ranker)

@@ -31,7 +31,6 @@ import os
 import struct
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -80,7 +79,6 @@ FLOORS: dict[str, Callable[[float, float, float], float]] = {
 }
 
 
-@dataclass
 class VertexPostings:
     """What the search bound reads of every indexed graph, edges left out.
 
@@ -90,9 +88,8 @@ class VertexPostings:
     maps an item to its graph's size.
     """
 
-    items: list[ItemId]
-    by_label: Mapping[ItemId, bytes]
-    sizes: Mapping[ItemId, float]
+    def __init__(self, items: list[ItemId], by_label: Mapping[ItemId, bytes], sizes: Mapping[ItemId, float]):
+        self.items, self.by_label, self.sizes = items, by_label, sizes
 
     @classmethod
     def of(cls, graphs: Mapping[ItemId, FusionGraph], read: Callable | None = None) -> VertexPostings:
@@ -110,7 +107,6 @@ class VertexPostings:
         self.sizes[item] = head.size
 
 
-@dataclass
 class FusionGraphIndex:
     """Normalized fusion graphs for the whole response set, built at cut-off depth L (``depth``).
 
@@ -119,18 +115,19 @@ class FusionGraphIndex:
     the normalization of a query reads.
     """
 
-    graphs: Mapping[ItemId, FusionGraph]
-    depth: int
-    ranker_names: tuple[str, ...]
-    comparator: str
-    normalized: RankLookup
-    raw: CollectionRankIndex
-
-    def __post_init__(self):
-        if self.comparator not in COMPARATORS:
-            raise ValueError(
-                f"comparator must be one of {sorted(COMPARATORS)}, got {self.comparator!r}"
-            )
+    def __init__(
+        self,
+        graphs: Mapping[ItemId, FusionGraph],
+        depth: int,
+        ranker_names: tuple[str, ...],
+        comparator: str,
+        normalized: RankLookup,
+        raw: CollectionRankIndex,
+    ):
+        if comparator not in COMPARATORS:
+            raise ValueError(f"comparator must be one of {sorted(COMPARATORS)}, got {comparator!r}")
+        self.graphs, self.depth, self.ranker_names, self.comparator = graphs, depth, ranker_names, comparator
+        self.normalized, self.raw = normalized, raw
 
     @cached_property
     def postings(self) -> VertexPostings:
@@ -270,11 +267,12 @@ def index_collection(
     """Index one normalized fusion graph per collection item, at cut-off depth L.
 
     Each item's rank set is grouped by assemble_rank_set: in strict mode
-    every item must have a rank under every chosen ranker, and MissingRank is
-    raised here as building the graphs would; in lenient mode missing ranks
-    are skipped and an item with no ranks at all is left out of the graph
-    index, and counted in ``stats``. A graph is built when first read, and
-    kept. The result keeps ``index`` as its raw ranks.
+    every item, and every vertex of its graph, must have a rank under every
+    chosen ranker, and MissingRank is raised here, before any graph is built;
+    in lenient mode missing ranks are skipped and an item with no ranks at
+    all is left out of the graph index, and counted in ``stats``. A graph is
+    built when first read, and kept. The result keeps ``index`` as its raw
+    ranks.
     """
     rankers = tuple(rankers)
     normalized = normalize_collection(index, rankers, depth)
@@ -296,7 +294,7 @@ def index_collection(
         if item not in items:
             raise KeyError(item)
         rs = assemble_rank_set(item, normalized, rankers, strict)  # build_fusion_graph: a module-global lookup
-        return build_fusion_graph(rs, normalized, strict=strict, stats=stats, table=table)
+        return build_fusion_graph(rs, normalized, stats=stats, table=table)
 
     return FusionGraphIndex(Records(items, build), depth, rankers, comparator, normalized, index)
 

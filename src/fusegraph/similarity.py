@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import BothEmpty
 from .graph import FusionGraph, _unchecked, graph_size
@@ -24,11 +23,11 @@ from .graph import FusionGraph, _unchecked, graph_size
 UNION_SLACK = 2.0**-48
 
 
-@dataclass
 class McsStats:
     """Counts membership probes made by the fast intersection (cost contract)."""
 
-    comparisons: int = 0
+    def __init__(self, comparisons: int = 0):
+        self.comparisons = comparisons
 
 
 def mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> FusionGraph:

@@ -77,9 +77,9 @@ def live_graphs():
         weakref.finalize(g, gone)
         return g
 
-    post_init, unchecked = FusionGraph.__post_init__, graph._unchecked
+    init, unchecked = FusionGraph.__init__, graph._unchecked
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(FusionGraph, "__post_init__", lambda g: post_init(made(g))))
+        stack.enter_context(mock.patch.object(FusionGraph, "__init__", lambda g, *a, **kw: init(made(g), *a, **kw)))
         for module in (graph, similarity):
             stack.enter_context(mock.patch.object(module, "_unchecked", lambda *args: made(unchecked(*args))))
         yield counts

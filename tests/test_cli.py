@@ -277,7 +277,7 @@ def run_cli_process(*args):
 
 
 # Modules that no command loads: scipy and numpy, and statistics with the decimal and fractions it loads.
-WATCHED_MODULES = ("scipy", "numpy", "statistics", "decimal", "fractions")
+WATCHED_MODULES = ("scipy", "numpy", "statistics", "decimal", "fractions", "dataclasses", "inspect")
 LOADED_MODULES = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 
@@ -1004,13 +1004,13 @@ def test_rank_checks_run_on_no_rank_read_from_a_run_file(tmp_path, monkeypatch):
     _, config, queries = one_query_files(tmp_path)
     index_dir = tmp_path / "index"
     checked = []
-    post_init = ScoredRank.__post_init__
+    init = ScoredRank.__init__
 
-    def counting(rank):
-        checked.append((rank.ranker, rank.query))
-        post_init(rank)
+    def counting(rank, query, ranker, *args, **kwargs):
+        checked.append((ranker, query))
+        init(rank, query, ranker, *args, **kwargs)
 
-    monkeypatch.setattr(ScoredRank, "__post_init__", counting)
+    monkeypatch.setattr(ScoredRank, "__init__", counting)
     assert main(["extract", "--config", str(config), "--out", str(index_dir)]) == 0
     out = tmp_path / "fg.run"
     assert main(["search", "--index", str(index_dir), "--queries", str(queries), "--out", str(out)]) == 0

@@ -327,6 +327,13 @@ def test_t_tail_against_scipy_grid():
             assert _t_tail(t, df) == pytest.approx(expected, rel=1e-9, abs=sys.float_info.min)
 
 
+def test_evaluate_runs_checks_the_metric_before_reading_any_run():
+    qrels = Qrels.from_class_labels({"q1": "c", "q2": "c"})
+    for runs in ({}, {"q1": mkrank("q1", "r", ["q2"])}):
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            evaluate_runs(runs, qrels, metric="bogus")
+
+
 def test_evaluate_runs_report():
     qrels = Qrels.from_class_labels({"q1": "c", "q2": "c", "x": "d"})
     runs = {

@@ -22,6 +22,7 @@ from fusegraph.graph import (
 )
 from fusegraph.model import CollectionRankIndex, RankSet, assemble_rank_set
 from fusegraph.normalize import normalize_collection
+from fusegraph.retrieval import index_collection
 
 from helpers import (
     mkrank,
@@ -109,17 +110,11 @@ def test_lenient_vertex_without_ranks_has_no_out_edges(worked_graph):
 def test_strict_mode_raises_for_rankless_vertex():
     index = worked_example_index()
     rs = RankSet("q", (index.get("r1", "q"), index.get("r2", "q")))
-    # q's vertices are A, B, C, all ranked; make one unreachable instead
-    from fusegraph.model import CollectionRankIndex
-
-    partial = CollectionRankIndex(
-        {
-            "r1": {"q": index.get("r1", "q"), "A": index.get("r1", "A")},
-            "r2": {"q": index.get("r2", "q"), "A": index.get("r2", "A")},
-        }
-    )
-    with pytest.raises(MissingRank):
-        build_fusion_graph(rs, partial, strict=True)
+    # q's vertices are A, B, C, all ranked; make B and C unreachable instead
+    partial = CollectionRankIndex({ranker: {q: index.get(ranker, q) for q in ("q", "A")} for ranker in index.rankers})
+    with pytest.raises(MissingRank) as excinfo:  # strict mode raises in index_collection, before any graph is built
+        index_collection(partial, index.rankers, 2, strict=True)
+    assert (excinfo.value.ranker, excinfo.value.query) == ("r1", "B")
     lenient = build_fusion_graph(rs, partial)
     assert lenient.vertices == {"A": 1.0, "B": 0.05, "C": 0.05}
 
@@ -286,6 +281,14 @@ def test_serialize_takes_the_vertex_record_of_the_specification(graph):
     assert record == vertex_record(graph)  # the specification's own record
 
 
+def test_graph_equality_ignores_the_vertex_record_cache(worked_graph):
+    decoded = deserialize_graph(serialize_graph(worked_graph))
+    assert "_vertex_record" in worked_graph.__dict__  # left by serialize_graph
+    assert worked_graph == decoded and decoded == worked_graph
+    assert worked_graph != FusionGraph("q", worked_graph.vertices, {})
+    assert worked_graph != FusionGraph("p", worked_graph.vertices, worked_graph.edges)
+
+
 def test_serialize_graph_of_weights_fsum_cannot_sum_leaves_no_record():
     graph = FusionGraph("q", {"a": 1.7e308, "b": 1.7e308}, {})
     assert serialize_graph(graph) == reference_serialize_graph(graph)
@@ -350,14 +353,6 @@ def partial_collections(draw):
     return index, draw(st.permutations(items))
 
 
-def raised_missing(build, *args, **kwargs):
-    try:
-        build(*args, **kwargs)
-    except MissingRank as exc:
-        return exc.ranker, exc.query
-    return None
-
-
 @settings(max_examples=150, deadline=None)
 @given(collection=partial_collections(), data=st.data())
 def test_build_matches_reference_bit_for_bit(collection, data):
@@ -376,6 +371,3 @@ def test_build_matches_reference_bit_for_bit(collection, data):
             assert hexes(graph.vertices) == hexes(expected.vertices)
             assert hexes(graph.edges) == hexes(expected.edges)
             FusionGraph(graph.query, graph.vertices, graph.edges)  # passes the public checks
-        assert raised_missing(build_fusion_graph, rs, index, strict=True, table=table) == (
-            raised_missing(reference_build_fusion_graph, rs, index, strict=True)
-        )

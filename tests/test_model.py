@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from fusegraph.errors import InvalidRankSet, MissingRank
 from fusegraph.model import (
     CollectionRankIndex,
+    FusedRank,
     OverlayRankLookup,
     RankSet,
     ScoredEntry,
@@ -114,3 +115,18 @@ def test_overlay_prefers_extra_ranks():
     assert view.get("r2", "p") is None
     with pytest.raises(MissingRank):
         view.require("r2", "p")
+
+
+def test_equality_compares_the_declared_fields_and_no_cache():
+    rank, same = mkrank("q", "r1", ["A", "B"]), mkrank("q", "r1", ["A", "B"])
+    assert rank.positions["B"] == 2  # caches the positions on rank alone
+    assert rank == same and same == rank
+    assert rank != mkrank("q", "r1", ["B", "A"]) and rank != rank.entries
+    fused = FusedRank("q", [("A", 0.1), ("B", 0.2)])
+    assert fused == FusedRank("q", [("A", 0.1), ("B", 0.2)])
+    differing = (FusedRank("p", fused.entries), FusedRank("q", fused.entries[:1]), FusedRank("q", fused.entries, True))
+    assert all(fused != other for other in differing)
+    rank_set = RankSet("q", (rank,))
+    assert rank_set == RankSet("q", (same,))
+    assert rank_set != RankSet("q", (mkrank("q", "r2", ["A", "B"]),)) and rank_set != RankSet("q", ())
+    assert RankSet("q", ()) != RankSet("p", ())

@@ -40,6 +40,7 @@ from helpers import (
     reverse_graph_items,
     mkrank,
     random_rank_index,
+    reference_build_fusion_graph,
     reference_fuse_query,
     rewrite_record,
     synthetic_collection,
@@ -1005,7 +1006,7 @@ def test_streamed_index_equals_that_of_dict_graphs(tmp_path, seed, strict):
     for item in reversed(collection.collection_items()):  # the writer sorts a dict's items itself
         rs = assemble_rank_set(item, normalized, rankers, strict)
         if rs:
-            graphs[item] = build_fusion_graph(rs, normalized, strict=strict)
+            graphs[item] = build_fusion_graph(rs, normalized)
     save_index(tmp_path / "dict", FusionGraphIndex(graphs, 10, rankers, "WGU", normalized, collection))
     assert index_files(tmp_path / "streamed") == index_files(tmp_path / "dict")
 
@@ -1033,6 +1034,6 @@ def test_strict_index_collection_raises_what_building_every_graph_raises(seed, d
     def build_every_graph():
         normalized = normalize_collection(index, rankers, 3)
         for item in index.collection_items():
-            build_fusion_graph(assemble_rank_set(item, normalized, rankers, True), normalized, strict=True)
+            reference_build_fusion_graph(assemble_rank_set(item, normalized, rankers, True), normalized, strict=True)
 
     assert raised(lambda: index_collection(index, rankers, 3, strict=True)) == raised(build_every_graph)
