@@ -19,8 +19,7 @@ _HOMES = {
     for module, names in {
         "errors": ("FusionError",),
         "graph": ("FusionGraph", "build_fusion_graph", "normalize_graph_weights"),
-        "model": ("CollectionRankIndex", "FusedRank", "ItemId", "RankSet", "ScoredEntry", "ScoredRank",
-                  "assemble_rank_set"),
+        "model": ("CollectionRankIndex", "ItemId", "RankSet", "ScoredEntry", "ScoredRank", "assemble_rank_set"),
         "normalize": ("normalize_rank_set",),
         "retrieval": ("FusionGraphIndex", "fuse_query", "index_collection"),
         "similarity": ("dist_mcs", "dist_wgu", "graph_size", "mcs"),

@@ -4,12 +4,16 @@ Order-based: BordaCount, RRF, MRA, Condorcet, exact Kemeny (brute force,
 tiny instances only). Score-based: the six Comb* combiners and RLSim, which
 min-max normalize each rank's scores before combining.
 
+Each method returns the query's fused rank as a ScoredRank under the
+method's METHODS name, scores descending and cut to the depth (by default
+the deepest input rank's).
+
 Where the classical descriptions leave absent items open, this module fixes
-them as follows: Borda gives an absent item 0 points from that rank; Comb*
-lets an absent rank contribute nothing (it also lowers the occurrence count);
-Condorcet treats absence as ranked worst; RLSim multiplies in the floor
-epsilon. Ties are always broken by ascending item id, so every method is
-deterministic and invariant to ranker order.
+them as follows: Borda gives an absent item, or one below the cut, 0 points
+from that rank; Comb* lets an absent rank contribute nothing (it also lowers
+the occurrence count); Condorcet treats absence as ranked worst; RLSim
+multiplies in the floor epsilon. Ties are always broken by ascending item
+id, so every method is deterministic and invariant to ranker order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from collections import defaultdict
 from typing import Callable, Sequence
 
 from .errors import EmptyRankSet, MissingScores, TooManyItems
-from .model import FusedRank, ItemId, RankSet, ScoredRank
+from .model import ItemId, RankSet, ScoredRank, unchecked_rank
 
 RRF_DEFAULT_K = 60.0
 RLSIM_EPSILON = 0.01
@@ -35,31 +39,37 @@ def _check(rs: RankSet) -> int:
 
 
 def _depth(rs: RankSet, depth: int | None) -> int:
-    return depth if depth is not None else max(rank.depth for rank in rs)
+    """The cut: ``depth``, which must be at least 1, or else the deepest rank's depth."""
+    if depth is None:
+        return max(rank.depth for rank in rs)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    return depth
 
 
-def _finalize(rs: RankSet, scores: dict[ItemId, float], depth: int | None) -> FusedRank:
+def _finalize(rs: RankSet, scores: dict[ItemId, float], depth: int | None, method: str) -> ScoredRank:
+    """The fused rank of ``method``: items by descending score, ties by id, cut to the depth.
+
+    Every method's scores are finite floats >= 0, so the rank skips ScoredRank's checks."""
     ordered = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-    return FusedRank(rs.query, tuple(ordered[: _depth(rs, depth)]), higher_is_better=True)
+    length = _depth(rs, depth)
+    return unchecked_rank(rs.query, method, ordered[:length], length)
 
 
-def _order_to_rank(rs: RankSet, order: Sequence[ItemId], depth: int | None) -> FusedRank:
-    """Wrap a bare item order as a FusedRank with monotone 1/position scores."""
-    entries = tuple(
-        (item, 1.0 / pos) for pos, item in enumerate(order[: _depth(rs, depth)], start=1)
-    )
-    return FusedRank(rs.query, entries, higher_is_better=True)
+def _order_to_rank(rs: RankSet, order: Sequence[ItemId], depth: int | None, method: str) -> ScoredRank:
+    """The fused rank of ``method`` for a bare item order, scored 1/position so that it keeps the order."""
+    return _finalize(rs, {item: 1.0 / pos for pos, item in enumerate(order, start=1)}, depth, method)
 
 
-def borda(rs: RankSet, depth: int | None = None) -> FusedRank:
-    """BordaCount: an item earns L - position + 1 points per rank listing it."""
+def borda(rs: RankSet, depth: int | None = None) -> ScoredRank:
+    """BordaCount: an item earns L - position + 1 points per rank listing it within the top L."""
     _check(rs)
     length = _depth(rs, depth)
     scores: dict[ItemId, float] = defaultdict(float)
     for rank in rs:
-        for pos, entry in enumerate(rank, start=1):
+        for pos, entry in enumerate(rank.entries[:length], start=1):
             scores[entry.item] += length - pos + 1
-    return _finalize(rs, scores, depth)
+    return _finalize(rs, scores, depth, "borda")
 
 
 def check_rrf_k(k: float) -> None:
@@ -74,7 +84,7 @@ def check_kemeny_cap(cap: int) -> None:
         raise ValueError(f"kemeny cap must be in 1..{KEMENY_MAX_CAP}, got {cap}")
 
 
-def rrf(rs: RankSet, k: float = RRF_DEFAULT_K, depth: int | None = None) -> FusedRank:
+def rrf(rs: RankSet, k: float = RRF_DEFAULT_K, depth: int | None = None) -> ScoredRank:
     """Reciprocal rank fusion: sum of 1 / (k + position) over the ranks."""
     _check(rs)
     check_rrf_k(k)
@@ -82,7 +92,7 @@ def rrf(rs: RankSet, k: float = RRF_DEFAULT_K, depth: int | None = None) -> Fuse
     for rank in rs:
         for pos, entry in enumerate(rank, start=1):
             scores[entry.item] += 1.0 / (k + pos)
-    return _finalize(rs, scores, depth)
+    return _finalize(rs, scores, depth, "rrf")
 
 
 def _minmax(rank: ScoredRank, floor: float = 0.0) -> dict[ItemId, float]:
@@ -117,7 +127,7 @@ def _median(values: list[float]) -> float:
     return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
 
 
-def comb(rs: RankSet, variant: str, depth: int | None = None) -> FusedRank:
+def comb(rs: RankSet, variant: str, depth: int | None = None) -> ScoredRank:
     """Comb* score combiners over per-rank min-max normalized scores.
 
     SUM/MIN/MAX/MED reduce the item's normalized scores from the ranks that
@@ -142,10 +152,10 @@ def comb(rs: RankSet, variant: str, depth: int | None = None) -> FusedRank:
     }
     reduce = reducers[variant]
     scores = {item: float(reduce(values)) for item, values in per_item.items()}
-    return _finalize(rs, scores, depth)
+    return _finalize(rs, scores, depth, f"comb{variant.lower()}")
 
 
-def rlsim(rs: RankSet, epsilon: float = RLSIM_EPSILON, depth: int | None = None) -> FusedRank:
+def rlsim(rs: RankSet, epsilon: float = RLSIM_EPSILON, depth: int | None = None) -> ScoredRank:
     """Product of per-rank scores, min-max normalized onto [epsilon, 1].
 
     The floor keeps a single zero from annihilating an item; a rank that does
@@ -164,10 +174,10 @@ def rlsim(rs: RankSet, epsilon: float = RLSIM_EPSILON, depth: int | None = None)
         for mapping in normalized:
             product *= mapping.get(item, epsilon)
         scores[item] = product
-    return _finalize(rs, scores, depth)
+    return _finalize(rs, scores, depth, "rlsim")
 
 
-def mra(rs: RankSet, depth: int | None = None) -> FusedRank:
+def mra(rs: RankSet, depth: int | None = None) -> ScoredRank:
     """Median rank aggregation: majority sweep over increasing depths.
 
     At each depth d, items seen in positions <= d by more than half of the
@@ -208,10 +218,10 @@ def mra(rs: RankSet, depth: int | None = None) -> FusedRank:
         (item for item in total_occurrence if item not in placed_set),
         key=lambda item: (-total_occurrence[item], item),
     )
-    return _order_to_rank(rs, placed + leftovers, depth)
+    return _order_to_rank(rs, placed + leftovers, depth, "mra")
 
 
-def condorcet(rs: RankSet, depth: int | None = None) -> FusedRank:
+def condorcet(rs: RankSet, depth: int | None = None) -> ScoredRank:
     """Order items by pairwise wins; a pair is won by strict majority.
 
     A rank votes on a pair when it lists at least one of the two items, for
@@ -249,7 +259,7 @@ def condorcet(rs: RankSet, depth: int | None = None) -> FusedRank:
     wins = {
         item: float(((bias + worse[item] - better[item]) & top).bit_count()) for item in items
     }
-    return _finalize(rs, wins, depth)
+    return _finalize(rs, wins, depth, "condorcet")
 
 
 def kendall_discordance(order: Sequence[ItemId], rs: RankSet) -> int:
@@ -275,7 +285,7 @@ def kendall_discordance(order: Sequence[ItemId], rs: RankSet) -> int:
 
 def kemeny_exact(
     rs: RankSet, cap: int = KEMENY_DEFAULT_CAP, depth: int | None = None
-) -> FusedRank:
+) -> ScoredRank:
     """Exact Kemeny consensus by exhaustive permutation search.
 
     Minimizes total discordance to the input ranks; among optimal
@@ -295,10 +305,10 @@ def kemeny_exact(
         if best_cost is None or cost < best_cost:
             best_order, best_cost = permutation, cost
     assert best_order is not None
-    return _order_to_rank(rs, best_order, depth)
+    return _order_to_rank(rs, best_order, depth, "kemeny")
 
 
-METHODS: dict[str, Callable[..., FusedRank]] = {
+METHODS: dict[str, Callable[..., ScoredRank]] = {
     "borda": borda,
     "rrf": rrf,
     "combsum": lambda rs, **kw: comb(rs, "SUM", **kw),
@@ -314,7 +324,7 @@ METHODS: dict[str, Callable[..., FusedRank]] = {
 }
 
 
-def aggregate(method: str, rs: RankSet, **params) -> FusedRank:
+def aggregate(method: str, rs: RankSet, **params) -> ScoredRank:
     """Dispatch to an aggregation method by (case-insensitive) name."""
     key = method.lower()
     if key not in METHODS:

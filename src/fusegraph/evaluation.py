@@ -18,74 +18,50 @@ from .errors import (
     QuerySetMismatch,
     UnknownQuery,
 )
-from .model import FusedRank, ItemId, ScoredRank
+from .model import ItemId, ScoredRank
+
 
 def _rank_items(rank) -> Sequence[ItemId]:
-    if isinstance(rank, (FusedRank, ScoredRank)):
-        return rank.items()
-    return list(rank)
+    return rank.items() if isinstance(rank, ScoredRank) else list(rank)
 
 
 class Qrels:
-    """Relevance judgments: either explicit grades or derived from class labels.
+    """Relevance judgments: query -> item -> non-negative integer grade; an unlisted item has grade 0."""
 
-    With class labels, an item is relevant (grade 1) to a query iff they share
-    a label; the query's own label counts, so a query can be relevant to
-    itself. Grades are non-negative integers.
-    """
-
-    def __init__(
-        self,
-        grades: Mapping[ItemId, Mapping[ItemId, int]] | None = None,
-        class_labels: Mapping[ItemId, str] | None = None,
-    ):
-        if (grades is None) == (class_labels is None):
-            raise ValueError("provide exactly one of grades or class_labels")
-        self._grades = {q: dict(docs) for q, docs in grades.items()} if grades is not None else None
-        self._labels = dict(class_labels) if class_labels is not None else None
-        if self._grades is not None:
-            for q, docs in self._grades.items():
-                for doc, grade in docs.items():
-                    if grade < 0:
-                        raise ValueError(f"negative relevance grade for ({q!r}, {doc!r})")
-        if self._labels is not None:
-            self._label_sizes: dict[str, int] = {}
-            for label in self._labels.values():
-                self._label_sizes[label] = self._label_sizes.get(label, 0) + 1
-
-    @classmethod
-    def from_grades(cls, grades: Mapping[ItemId, Mapping[ItemId, int]]) -> "Qrels":
-        return cls(grades=grades)
+    def __init__(self, grades: Mapping[ItemId, Mapping[ItemId, int]]):
+        self._grades = {q: dict(docs) for q, docs in grades.items()}
+        for q, docs in self._grades.items():
+            for doc, grade in docs.items():
+                if grade < 0:
+                    raise ValueError(f"negative relevance grade for ({q!r}, {doc!r})")
 
     @classmethod
     def from_class_labels(cls, labels: Mapping[ItemId, str]) -> "Qrels":
-        return cls(class_labels=labels)
+        """Grade 1 for every item that shares a query's label, the query's own included.
+
+        The queries of a class share its one map, so memory is linear in the items."""
+        classes: dict[str, dict[ItemId, int]] = {}
+        for item, label in labels.items():
+            classes.setdefault(label, {})[item] = 1
+        qrels = cls({})
+        qrels._grades = {item: classes[label] for item, label in labels.items()}
+        return qrels
 
     def has_query(self, query: ItemId) -> bool:
-        if self._grades is not None:
-            return query in self._grades
-        assert self._labels is not None
-        return query in self._labels
+        return query in self._grades
 
-    def _require(self, query: ItemId) -> None:
-        if not self.has_query(query):
+    def _judged(self, query: ItemId) -> Mapping[ItemId, int]:
+        judged = self._grades.get(query)
+        if judged is None:
             raise UnknownQuery(query)
+        return judged
 
     def relevance(self, query: ItemId, item: ItemId) -> int:
-        self._require(query)
-        if self._grades is not None:
-            return self._grades[query].get(item, 0)
-        assert self._labels is not None
-        label = self._labels.get(item)
-        return 1 if label is not None and label == self._labels[query] else 0
+        return self._judged(query).get(item, 0)
 
     def ideal_gains(self, query: ItemId) -> list[int]:
         """All positive grades for the query, sorted descending."""
-        self._require(query)
-        if self._grades is not None:
-            return sorted((g for g in self._grades[query].values() if g > 0), reverse=True)
-        assert self._labels is not None
-        return [1] * self._label_sizes[self._labels[query]]
+        return sorted((g for g in self._judged(query).values() if g > 0), reverse=True)
 
 
 def _dcg(gains: Iterable[int]) -> float:
@@ -97,11 +73,9 @@ def ndcg_at_k(rank, qrels: Qrels, k: int = 10) -> float:
     has no relevant items at all."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if isinstance(rank, (FusedRank, ScoredRank)):
-        query = rank.query
-        items = rank.items()
-    else:
-        raise TypeError("ndcg_at_k needs a FusedRank or ScoredRank (query id required)")
+    if not isinstance(rank, ScoredRank):
+        raise TypeError("ndcg_at_k needs a ScoredRank (query id required)")
+    query, items = rank.query, rank.items()
     gains = [qrels.relevance(query, item) for item in items[:k]]
     ideal = qrels.ideal_gains(query)[:k]
     idcg = _dcg(ideal)
@@ -116,8 +90,8 @@ def ns_score(rank, qrels: Qrels) -> float:
     Ranks shorter than four count what exists. The dataset-level N-S score is
     the mean of this over all queries.
     """
-    if not isinstance(rank, (FusedRank, ScoredRank)):
-        raise TypeError("ns_score needs a FusedRank or ScoredRank (query id required)")
+    if not isinstance(rank, ScoredRank):
+        raise TypeError("ns_score needs a ScoredRank (query id required)")
     return float(
         sum(1 for item in rank.items()[:4] if qrels.relevance(rank.query, item) > 0)
     )
@@ -397,7 +371,7 @@ class EvalReport(NamedTuple):
 
 
 def evaluate_runs(
-    runs: Mapping[ItemId, "FusedRank | ScoredRank"],
+    runs: Mapping[ItemId, ScoredRank],
     qrels: Qrels,
     metric: str = "ndcg",
     k: int | None = None,

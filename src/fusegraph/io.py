@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 from .errors import ConfigError, DuplicateDoc, ParseError, RankGap
-from .model import CollectionRankIndex, FusedRank, ItemId, RankSet, ScoredRank, assemble_rank_set, unchecked_rank
+from .model import CollectionRankIndex, ItemId, RankSet, ScoredRank, assemble_rank_set, unchecked_rank
 
 if TYPE_CHECKING:  # the judgment parsers import Qrels: the commands without judgments load no evaluation
     from .evaluation import EvalReport, Qrels
@@ -115,28 +115,15 @@ def parse_run_file(
     return runs
 
 
-def write_run_file(
-    path: str | Path,
-    runs: Mapping[ItemId, FusedRank | ScoredRank],
-    tag: str,
-) -> None:
+def write_run_file(path: str | Path, runs: Mapping[ItemId, ScoredRank], tag: str) -> None:
     """Write runs as TREC lines, sorted by query then rank position.
 
-    Scores are written in full-precision decimal; fused distance lists are
-    emitted as 1 - distance so the score column descends, as TREC consumers
-    expect.
+    Scores are written in full-precision decimal, so parse_run_file reads
+    each back bit for bit.
     """
     with open(path, "w", encoding="utf-8") as fh:
         for qid in sorted(runs):
-            rank = runs[qid]
-            if isinstance(rank, FusedRank):
-                pairs = [
-                    (item, value if rank.higher_is_better else 1.0 - value)
-                    for item, value in rank.entries
-                ]
-            else:
-                pairs = [(entry.item, entry.score) for entry in rank.entries]
-            for pos, (docid, score) in enumerate(pairs, start=1):
+            for pos, (docid, score) in enumerate(runs[qid].entries, start=1):
                 fh.write(f"{qid} Q0 {docid} {pos} {score!r} {tag}\n")
 
 
@@ -161,7 +148,7 @@ def parse_qrels(path: str | Path) -> Qrels:
         judged[docid] = rel
     if not grades:
         raise ParseError(str(path), 0, "qrels file is empty")
-    return Qrels.from_grades(grades)
+    return Qrels(grades)
 
 
 def parse_class_labels(path: str | Path) -> Qrels:

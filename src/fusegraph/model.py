@@ -1,9 +1,14 @@
-"""Core domain types: scored and fused ranks, rank sets, and the collection
-rank index.
+"""Core domain types: scored ranks, rank sets, and the collection rank index.
 
+A ScoredRank is every rank in the package: a ranker's input rank, a
+normalized rank, and the fused rank that fuse_query or a baseline returns.
 Items are identified by opaque non-empty strings. Positions are 1-indexed
-everywhere. Nothing in the package changes these objects after construction,
-so they are safe to share across threads.
+everywhere. After construction nothing in the package changes these objects'
+fields; two caches write into objects, each a value derived from fields that
+do not change: ``ScoredRank.positions``, kept on first read, and the vertex
+record that ``graph.serialize_graph`` leaves on a ``FusionGraph`` for the next
+``graph.vertex_record`` to take. So the objects are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -77,35 +82,6 @@ def unchecked_rank(query: ItemId, ranker: str, entries: Iterable[tuple[ItemId, f
     entries = tuple(map(tuple.__new__, itertools.repeat(ScoredEntry), entries))
     rank.__dict__.update(query=query, ranker=ranker, entries=entries, depth=depth)
     return rank
-
-
-class FusedRank:
-    """The final fused rank for one query.
-
-    Entries are (item, value) in rank order. For graph retrieval the values
-    are distances and ascend; baseline aggregators reuse the type with
-    descending scores and set ``higher_is_better``.
-    """
-
-    def __init__(self, query: ItemId, entries: Iterable[tuple[ItemId, float]], higher_is_better: bool = False):
-        self.query, self.higher_is_better = query, higher_is_better
-        self.entries = tuple((item, float(v)) for item, v in entries)
-        seen = set()
-        for item, _ in self.entries:
-            if item in seen:
-                raise ValueError(f"duplicate item {item!r} in fused rank")
-            seen.add(item)
-
-    def __eq__(self, other):
-        if type(other) is not FusedRank:
-            return NotImplemented
-        return (self.query, self.entries, self.higher_is_better) == (other.query, other.entries, other.higher_is_better)
-
-    def items(self) -> tuple[ItemId, ...]:
-        return tuple(item for item, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 class RankSet:

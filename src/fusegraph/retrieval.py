@@ -47,13 +47,13 @@ from .graph import (
 )
 from .model import (
     CollectionRankIndex,
-    FusedRank,
     ItemId,
     OverlayRankLookup,
     RankLookup,
     RankSet,
     ScoredRank,
     assemble_rank_set,
+    unchecked_rank,
 )
 from .normalize import gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
@@ -349,10 +349,12 @@ def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> Fusio
     return build_fusion_graph(normalized_query, OverlayRankLookup(fg_index.normalized, normalized_query))
 
 
-def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: bool = False) -> FusedRank:
+def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: bool = False) -> ScoredRank:
     """Rank the indexed collection by graph distance to the query's graph.
 
-    Distances ascend with ties broken by item id, cut to L. An item sharing
+    Distances ascend with ties broken by item id, cut to L. The result is the
+    query's rank under ranker ``"fusegraph"`` at depth L, each item scored
+    with the similarity 1 - distance, so its scores descend. An item sharing
     no vertex label with the query's graph has distance 1, so only the first
     L of those by id can enter the result. Every other item's distance has a
     lower bound from common_bounds, and items are scored exactly in ascending
@@ -379,7 +381,7 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
             break
         bisect.insort(top, (distance(query_graph, graphs[item]), item))
         del top[depth:]
-    return FusedRank(query_ranks.query, tuple((item, d) for d, item in top))
+    return unchecked_rank(query_ranks.query, "fusegraph", ((item, 1.0 - d) for d, item in top), depth)
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
@@ -514,7 +516,7 @@ MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
     "graph_count": lambda v: type(v) is int,
     "comparator": lambda v: isinstance(v, str) and v in COMPARATORS,
     "rankers": lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
-    "files": _role_map(str),
+    "files": lambda v: v == INDEX_FILES,  # written for readers of the manifest; only these names are opened
     "bytes": _role_map(int),
     "sha256": _role_map(str, ("toc",)),
 }
@@ -556,7 +558,7 @@ def _is_entry(entry: object, fields: int) -> bool:
 
 def _read_toc(directory: Path, manifest: dict) -> tuple[dict, dict, dict]:
     """The table of contents' (graphs, postings, ranks) maps, every entry checked."""
-    name, size = manifest["files"]["toc"], manifest["bytes"]["toc"]
+    name, size = INDEX_FILES["toc"], manifest["bytes"]["toc"]
     data = (directory / name).read_bytes()
     if len(data) != size:
         raise MalformedGraphRecord(f"index file {name!r} holds {len(data)} bytes, manifest says {size}")
@@ -596,7 +598,8 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     """Open a persisted index directory.
 
     Reads the manifest and the table of contents only. Every manifest field
-    in MANIFEST_FIELDS must be present and well typed, every data file must
+    in MANIFEST_FIELDS must be present and well typed, ``files`` must name
+    INDEX_FILES, the only files opened, every data file must
     have its recorded size, the table of contents must match its sha256 and
     every entry in it must be well typed, with graph items ascending, graph
     sizes positive and finite and rankers from the manifest; otherwise (and
@@ -610,7 +613,7 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     graphs, postings, ranks = _read_toc(directory, manifest)
 
     def store(role: str, toc: dict, describe: Callable[[object], str], decode: Callable) -> StoredRecords:
-        return StoredRecords(directory / manifest["files"][role], manifest["bytes"][role], toc, describe, decode)
+        return StoredRecords(directory / INDEX_FILES[role], manifest["bytes"][role], toc, describe, decode)
 
     stored_graphs = store("graphs", graphs, "graph record of {!r}".format, _graph_record)
     posting_lists = store(

@@ -19,7 +19,7 @@ from fusegraph.errors import FusionError, MissingRank
 from fusegraph import graph, similarity
 from fusegraph.graph import FusionGraph, normalize_graph_weights
 from fusegraph.model import CollectionRankIndex, ItemId, RankSet, ScoredEntry, ScoredRank
-from fusegraph.retrieval import FusedRank, build_query_graph
+from fusegraph.retrieval import build_query_graph
 from fusegraph.similarity import McsStats, graph_size
 
 TOY_LAYOUT = {
@@ -316,7 +316,7 @@ def reference_serialize_graph(g: FusionGraph) -> bytes:
     return (header + "\n").encode("ascii") + arrays
 
 
-def reference_condorcet(rs: RankSet, depth: int | None = None) -> FusedRank:
+def reference_condorcet(rs: RankSet, depth: int | None = None) -> ScoredRank:
     """Pair-by-pair formulation of baselines.condorcet, kept as its specification.
 
     Only ranks containing at least one of the pair vote, and an absent item
@@ -340,7 +340,7 @@ def reference_condorcet(rs: RankSet, depth: int | None = None) -> FusedRank:
             wins[x] += 1
         elif y_better > x_better:
             wins[y] += 1
-    return _finalize(rs, wins, depth)
+    return _finalize(rs, wins, depth, "condorcet")
 
 
 def reference_mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> FusionGraph:
@@ -390,7 +390,7 @@ REFERENCE_DISTANCES = {"MCS": reference_dist_mcs, "WGU": reference_dist_wgu}
 
 
 def reference_fuse_query(query_ranks, fg_index, exclude_self=False):
-    """Score every indexed item with the reference distance; the full scan."""
+    """Score every indexed item with the reference distance; the full scan, as fuse_query's ScoredRank."""
     query_graph = build_query_graph(query_ranks, fg_index)
     distance = REFERENCE_DISTANCES[fg_index.comparator]
     scored = []
@@ -398,7 +398,8 @@ def reference_fuse_query(query_ranks, fg_index, exclude_self=False):
         if not (exclude_self and item == query_ranks.query):
             scored.append((item, distance(query_graph, fg_index.graphs[item])))
     scored.sort(key=lambda pair: (pair[1], pair[0]))
-    return FusedRank(query_ranks.query, tuple(scored[: fg_index.depth]))
+    entries = ((item, 1.0 - d) for item, d in scored[: fg_index.depth])
+    return ScoredRank(query_ranks.query, "fusegraph", entries, fg_index.depth)
 
 
 BRUTE_FORCE_VERTEX_CAP = 8

@@ -187,14 +187,14 @@ def test_normalization_contract():
 
 
 def test_self_retrieval():
-    with criterion("self-retrieval (n=60 synthetic, every query at rank 1, dist 0)"):
+    with criterion("self-retrieval (n=60 synthetic, every query at rank 1, dist 0, so score 1)"):
         index, _ = synthetic_collection(seed=1)
         depth = 10
         fg_index = index_collection(index, index.rankers, depth, "WGU")
         for query in index.collection_items():
             rs = assemble_rank_set(query, index, index.rankers)
             fused = fuse_query(rs, fg_index)
-            assert fused.entries[0] == (query, 0.0), f"query {query} not first"
+            assert fused.entries[0] == (query, 1.0), f"query {query} not first"
 
 
 def test_fusion_benefit():
@@ -266,7 +266,7 @@ def test_baseline_sanity():
 
 def test_metric_fixtures():
     with criterion("metric fixtures (NDCG, Kendall, Spearman, Jaccard, selection)"):
-        qrels = Qrels.from_grades({"q": {"a": 1, "c": 1}})
+        qrels = Qrels({"q": {"a": 1, "c": 1}})
         rank = mkrank("q", "r", ["a", "x", "c"])
         assert ndcg_at_k(rank, qrels, k=3) == pytest.approx(0.91972, abs=1e-5)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fusegraph import baselines
 from fusegraph.errors import EmptyRankSet, MissingScores, TooManyItems
-from fusegraph.model import RankSet
+from fusegraph.model import RankSet, ScoredRank
 
 from helpers import mkrank, mkrankset, reference_condorcet
 
@@ -31,6 +31,16 @@ def test_borda_hand_example():
 def test_borda_single_rank_identity():
     rs = mkrankset("q", ["C", "A", "B"])
     assert baselines.borda(rs).items() == ("C", "A", "B")
+
+
+def test_borda_awards_no_points_below_the_cut():
+    # an item below the cut scores as an absent one: no points from that rank, never negative ones
+    lists = (["a", "b", "c", "d"], ["d", "c", "b", "a"])
+    rs = mkrankset("q", *lists)
+    assert baselines.borda(rs, depth=1).entries == (("a", 1.0),)
+    for depth in range(1, 5):
+        cut = mkrankset("q", *(items[:depth] for items in lists))
+        assert baselines.borda(rs, depth=depth).entries == baselines.borda(cut, depth=depth).entries
 
 
 def test_borda_excludes_unlisted_items():
@@ -84,6 +94,20 @@ def scored_rank_sets(draw):
         scores = sorted(draw(st.lists(score, min_size=len(items), max_size=len(items))), reverse=True)
         ranks.append(mkrank("q", f"r{r}", items, scores, depth=len(universe)))
     return RankSet("q", tuple(ranks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rs=scored_rank_sets(),
+    depth=st.none() | st.integers(1, 9),
+    method=st.sampled_from([method for method in ALL_METHODS if method != "kemeny"]),
+)
+@example(rs=mkrankset("q", ["a", "b", "c", "d"], ["d", "c", "b", "a"]), depth=1, method="borda")
+def test_fused_ranks_pass_the_public_constructor(rs, depth, method):
+    """Each method builds its rank without ScoredRank's checks, also at a cut below the ranks' length."""
+    fused = baselines.aggregate(method, rs, depth=depth)
+    assert fused == ScoredRank(fused.query, fused.ranker, fused.entries, fused.depth)
+    assert all(type(score) is float for _, score in fused)
 
 
 @given(rs=scored_rank_sets())
@@ -290,9 +314,19 @@ def test_ranker_order_invariance(method):
 def test_output_contract(method):
     rs = mkrankset("q", ["A", "B", "C"], ["C", "D", "A"])
     fused = baselines.aggregate(method, rs)
-    items = fused.items()
-    assert len(items) == len(set(items))
-    assert len(items) <= 3  # L from the input ranks
+    assert type(fused) is ScoredRank
+    assert (fused.query, fused.ranker, fused.depth) == ("q", method, 3)  # L from the input ranks
+    assert fused == ScoredRank(fused.query, fused.ranker, fused.entries, fused.depth)
+    scores = [score for _, score in fused]
+    assert scores == sorted(scores, reverse=True)
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_depth_below_one_rejected(method):
+    rs = mkrankset("q", ["A", "B", "C"], ["C", "D", "A"])
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            baselines.aggregate(method, rs, depth=depth)
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)

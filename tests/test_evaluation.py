@@ -32,7 +32,7 @@ def qrels_for(relevant, query="q", universe=()):
     grades = {query: {doc: 1 for doc in relevant}}
     for doc in universe:
         grades[query].setdefault(doc, 0)
-    return Qrels.from_grades(grades)
+    return Qrels(grades)
 
 
 def test_ndcg_perfect_rank():
@@ -52,7 +52,7 @@ def test_ndcg_hand_case():
 
 
 def test_ndcg_no_relevant_items():
-    qrels = Qrels.from_grades({"q": {"x": 0}})
+    qrels = Qrels({"q": {"x": 0}})
     rank = mkrank("q", "r", ["x", "y"])
     assert ndcg_at_k(rank, qrels, k=10) == 0.0
 
@@ -63,7 +63,7 @@ def test_ndcg_unknown_query():
         ndcg_at_k(mkrank("q", "r", ["a"]), qrels)
 
 
-@pytest.mark.parametrize("qrels", [Qrels.from_grades({}), Qrels.from_class_labels({})], ids=["grades", "labels"])
+@pytest.mark.parametrize("qrels", [Qrels({}), Qrels.from_class_labels({})], ids=["grades", "labels"])
 def test_qrels_without_judgments_know_no_query(qrels):
     assert not qrels.has_query("q")
     with pytest.raises(UnknownQuery):
@@ -82,7 +82,7 @@ def test_ndcg_permutation_invariances():
 
 
 def test_ndcg_graded_relevance():
-    qrels = Qrels.from_grades({"q": {"a": 3, "b": 1}})
+    qrels = Qrels({"q": {"a": 3, "b": 1}})
     rank = mkrank("q", "r", ["b", "a"])
     dcg = 1.0 + 3.0 / math.log2(3)
     idcg = 3.0 + 1.0 / math.log2(3)

@@ -27,10 +27,11 @@ from fusegraph.io import (
     write_correlation_matrix,
     write_run_file,
 )
-from fusegraph.model import RankSet, ScoredEntry, ScoredRank
-from fusegraph.retrieval import FusedRank
+from fusegraph import baselines
+from fusegraph.model import RankSet, ScoredEntry, ScoredRank, assemble_rank_set
+from fusegraph.retrieval import fuse_query, index_collection, load_index, save_index
 
-from helpers import mkrank
+from helpers import mkrank, synthetic_collection
 
 
 def write(tmp_path, name, text):
@@ -165,7 +166,8 @@ def test_run_file_rejections_keep_their_class_line_and_message(tmp_path, rows, f
     elif fault in ("bad rank", "rank < 1"):
         bad = data.draw(st.sampled_from(["x", "1.0", "2a"] if fault == "bad rank" else ["0", "-3"]))
         rows[at] = (qid, docid, bad, score)
-        error, message = ParseError, line + (f"bad rank {bad!r}" if fault == "bad rank" else f"rank must be >= 1, got {bad}")
+        error = ParseError
+        message = line + (f"bad rank {bad!r}" if fault == "bad rank" else f"rank must be >= 1, got {bad}")
     elif fault in ("bad score", "nan", "inf", "negative"):
         bad = data.draw(st.sampled_from({
             "bad score": ["x", "1,5", "0x1p3"], "nan": ["nan", "NaN", "-nan"], "inf": ["inf", "-Infinity", "1e400"],
@@ -183,7 +185,8 @@ def test_run_file_rejections_keep_their_class_line_and_message(tmp_path, rows, f
     elif fault == "gap":
         rows[at] = (qid, docid, pos + 100, score)
         positions = sorted(row[2] for row in rows if row[0] == qid)
-        error, message = RankGap, f"rank positions for query {qid!r} are not contiguous from 1 (positions {positions[:8]}...)"
+        error = RankGap
+        message = f"rank positions for query {qid!r} are not contiguous from 1 (positions {positions[:8]}...)"
     else:
         depth = data.draw(st.integers(-2, 0))
         error, message = ValueError, f"depth must be >= 1, got {depth}"
@@ -212,8 +215,37 @@ def test_run_round_trip_semantics(tmp_path):
             assert a.score == b.score
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fused_ranks_round_trip_bit_for_bit(tmp_path, seed):
+    """A fused rank of fusegraph or of any baseline but kemeny is read back with the very scores it holds."""
+    collection, _ = synthetic_collection(seed, n_items=24, n_classes=6)
+    rankers = collection.rankers
+    rank_sets = {q: assemble_rank_set(q, collection, rankers) for q in collection.collection_items()}
+    fg_index = index_collection(collection, rankers, 10)
+    searched = {q: fuse_query(rs, fg_index) for q, rs in rank_sets.items()}
+    save_index(tmp_path / "index", fg_index)
+    loaded = load_index(tmp_path / "index")
+    fused = {
+        "fusegraph": searched,
+        "fusegraph-loaded": {q: fuse_query(rs, loaded) for q, rs in rank_sets.items()},
+        **{
+            method: {q: baselines.aggregate(method, rs, depth=10) for q, rs in rank_sets.items()}
+            for method in baselines.METHODS
+            if method != "kemeny"
+        },
+    }
+    for name, runs in fused.items():
+        write_run_file(tmp_path / f"{name}.run", runs, name)
+        reread = parse_run_file(tmp_path / f"{name}.run", name)
+        assert reread.keys() == runs.keys()
+        for qid, rank in runs.items():
+            assert [(item, score.hex()) for item, score in reread[qid].entries] == [
+                (item, score.hex()) for item, score in rank.entries
+            ], (name, qid)
+
+
 def test_write_fused_rank_distances_become_descending_scores(tmp_path):
-    fused = FusedRank("q", (("a", 0.0), ("b", 0.25)))
+    fused = ScoredRank("q", "fusegraph", (("a", 1.0 - 0.0), ("b", 1.0 - 0.25)), 2)
     out = tmp_path / "fg.run"
     write_run_file(out, {"q": fused}, "FG")
     lines = out.read_text().splitlines()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from fusegraph.errors import InvalidRankSet, MissingRank
 from fusegraph.model import (
     CollectionRankIndex,
-    FusedRank,
     OverlayRankLookup,
     RankSet,
     ScoredEntry,
@@ -122,9 +121,14 @@ def test_equality_compares_the_declared_fields_and_no_cache():
     assert rank.positions["B"] == 2  # caches the positions on rank alone
     assert rank == same and same == rank
     assert rank != mkrank("q", "r1", ["B", "A"]) and rank != rank.entries
-    fused = FusedRank("q", [("A", 0.1), ("B", 0.2)])
-    assert fused == FusedRank("q", [("A", 0.1), ("B", 0.2)])
-    differing = (FusedRank("p", fused.entries), FusedRank("q", fused.entries[:1]), FusedRank("q", fused.entries, True))
+    fused = ScoredRank("q", "fusegraph", [("A", 0.9), ("B", 0.8)], 2)
+    assert fused == ScoredRank("q", "fusegraph", [("A", 0.9), ("B", 0.8)], 2)
+    differing = (
+        ScoredRank("p", "fusegraph", fused.entries, 2),
+        ScoredRank("q", "borda", fused.entries, 2),
+        ScoredRank("q", "fusegraph", fused.entries[:1], 2),
+        ScoredRank("q", "fusegraph", fused.entries, 3),
+    )
     assert all(fused != other for other in differing)
     rank_set = RankSet("q", (rank,))
     assert rank_set == RankSet("q", (same,))

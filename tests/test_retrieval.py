@@ -21,7 +21,6 @@ from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, edge_ma
 from fusegraph.model import CollectionRankIndex, OverlayRankLookup, RankSet, ScoredRank, assemble_rank_set
 from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
-    FusedRank,
     FusionGraphIndex,
     VertexPostings,
     common_bounds,
@@ -108,18 +107,21 @@ def test_toy_ordering_hand_computed(toy_fg_index):
     assert dist_wgu(query_graph, fg_index.graphs["A"]) == 0.0
     assert dist_wgu(query_graph, fg_index.graphs["B"]) == pytest.approx(expected, abs=1e-12)
     assert dist_wgu(query_graph, fg_index.graphs["C"]) == pytest.approx(expected, abs=1e-12)
-    # the fused rank keeps the top-L of that ordering (L = 2), B before C by id
+    # the fused rank keeps the top-L of that ordering (L = 2), B before C by id,
+    # each scored with the exact similarity 1 - distance
     fused = fuse_query(rs, fg_index)
+    assert (fused.query, fused.ranker, fused.depth) == ("q", "fusegraph", 2)
     assert fused.items() == ("A", "B")
-    assert fused.entries[0][1] == 0.0
-    assert fused.entries[1][1] == pytest.approx(expected, abs=1e-12)
+    assert fused.entries[0].score == 1.0
+    assert fused.entries[1].score == 1.0 - dist_wgu(query_graph, fg_index.graphs["B"])
+    assert fused.entries[1].score == pytest.approx(1.0 - expected, abs=1e-12)
 
 
 def test_indexed_query_self_retrieval(toy_fg_index):
     index, fg_index = toy_fg_index
     rs = assemble_rank_set("A", index, ("r1", "r2"))
     fused = fuse_query(rs, fg_index)
-    assert fused.entries[0] == ("A", 0.0)
+    assert fused.entries[0] == ("A", 1.0)
 
 
 def test_exclude_self(toy_fg_index):
@@ -130,11 +132,11 @@ def test_exclude_self(toy_fg_index):
     assert len(fused) == 2
 
 
-def test_fused_rank_distances_non_decreasing(toy_fg_index):
+def test_fused_rank_scores_non_increasing(toy_fg_index):
     index, fg_index = toy_fg_index
     fused = fuse_query(query_rank_set(), fg_index)
-    values = [d for _, d in fused.entries]
-    assert values == sorted(values)
+    values = [score for _, score in fused.entries]
+    assert values == sorted(values, reverse=True)
 
 
 def test_comparator_order_consistency(toy_fg_index):
@@ -147,7 +149,7 @@ def test_comparator_order_consistency(toy_fg_index):
         dist_wgu(query_graph, fg_index.graphs[s]) for s in fg_index.graphs
     )[: fg_index.depth]
     fused = fuse_query(rs, fg_index)
-    assert [d for _, d in fused.entries] == expected
+    assert [score for _, score in fused.entries] == [1.0 - d for d in expected]
 
 
 def test_ranker_mismatch_names(toy_fg_index):
@@ -252,7 +254,7 @@ def query_ranks(rng, index, depth, out_of_collection):
 
 def assert_same_fused(fused, expected):
     assert fused == expected
-    assert [d.hex() for _, d in fused.entries] == [d.hex() for _, d in expected.entries]
+    assert [score.hex() for _, score in fused.entries] == [score.hex() for _, score in expected.entries]
 
 
 SEARCH_CASES = dict(
@@ -510,6 +512,20 @@ def test_load_rejects_ill_typed_manifest_field(tmp_path, toy_fg_index, field):
         load_index(tmp_path / "idx")
 
 
+@pytest.mark.parametrize("role, name", [("toc", "toc.json"), ("graphs", "graphs.bin")])
+@pytest.mark.parametrize("outside", ["absolute", "parent"])
+def test_load_and_verify_reject_a_manifest_naming_a_file_outside_the_index(tmp_path, toy_fg_index, role, name, outside):
+    # the file is moved out of the index and the manifest names it there, by its absolute path or through ../
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index)
+    (tmp_path / "idx" / name).rename(tmp_path / name)
+    named = str(tmp_path / name) if outside == "absolute" else f"../{name}"
+    _corrupt_manifest(tmp_path / "idx", lambda m: m["files"].update({role: named}))
+    for read in (load_index, verify_index):
+        with pytest.raises(MalformedGraphRecord, match="'files' is missing or ill-typed"):
+            read(tmp_path / "idx")
+
+
 def test_load_rejects_depth_below_one(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
@@ -760,8 +776,8 @@ def test_load_accepts_lenient_graph_with_ranker_subset(tmp_path):
 
 
 def test_fused_rank_rejects_duplicates():
-    with pytest.raises(ValueError):
-        FusedRank("q", (("A", 0.1), ("A", 0.2)))
+    with pytest.raises(ValueError, match="duplicate item 'A'"):
+        ScoredRank("q", "fusegraph", (("A", 0.9), ("A", 0.8)), 2)
 
 
 def _lookup_pairs(index):
@@ -924,7 +940,7 @@ def test_item_whose_bound_equals_the_lth_distance_is_scored(monkeypatch):
     floors = {item: dist_mcs_floor(bounds[item], 5.0, graph_size(graphs[item])) for item in graphs}
     assert floors["x"] < floors["w"] == dist_mcs(query, graphs["w"]) == dist_mcs(query, graphs["x"])
     monkeypatch.setattr(retrieval, "build_query_graph", lambda *args: query)
-    assert fuse_query(RankSet("q", ()), fg_index).entries == (("w", floors["w"]),)
+    assert fuse_query(RankSet("q", ()), fg_index).entries == (("w", 1.0 - floors["w"]),)
 
 
 def count_collection_builds(monkeypatch) -> Counter:
