@@ -394,7 +394,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     (offset, length, digest) and its graph's size, each label to its posting
     list's (offset, count, digest) and each ranker and query to its rank
     record's (offset, length, digest); a digest is a 16-byte BLAKE2b, in hex.
-    The manifest records every file's size and the table of contents' sha256.
+    The manifest records every file's size, the toc's sha256 and _params_digest.
 
     Each graph is read once, serialized, then added to the VertexPostings,
     with the vertex record serialize_graph took; it is dropped once written,
@@ -454,6 +454,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
             "bytes": {role: sum(entry[1] for entry in entries.values()) for role, entries in written.items()},
             "sha256": {"toc": hashlib.sha256(toc_bytes).hexdigest()},
         }
+        manifest["sha256"]["params"] = _params_digest(manifest)
         manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
         _stage(directory / MANIFEST_NAME, [(None, manifest_bytes)], staged)
         for tmp, path in staged:
@@ -522,6 +523,12 @@ MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
 }
 
 
+def _params_digest(manifest: dict) -> str:
+    """The hex sha256 of the manifest's L, comparator and rankers, which no data file is checked against."""
+    params = json.dumps([manifest["L"], manifest["comparator"], manifest["rankers"]], separators=(",", ":"))
+    return hashlib.sha256(params.encode("utf-8")).hexdigest()
+
+
 def _read_manifest(directory: Path) -> dict:
     try:
         manifest = json.loads((directory / MANIFEST_NAME).read_text(encoding="utf-8"))
@@ -540,6 +547,8 @@ def _read_manifest(directory: Path) -> dict:
             raise MalformedGraphRecord(
                 f"index manifest field {name!r} is missing or ill-typed: {manifest.get(name)!r}"
             )
+    if manifest["sha256"].get("params") not in (None, _params_digest(manifest)):  # None: written without it
+        raise MalformedGraphRecord("index manifest fields 'L', 'comparator' and 'rankers' do not match their sha256")
     return manifest
 
 
@@ -598,7 +607,8 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     """Open a persisted index directory.
 
     Reads the manifest and the table of contents only. Every manifest field
-    in MANIFEST_FIELDS must be present and well typed, ``files`` must name
+    in MANIFEST_FIELDS must be present and well typed (and L, comparator
+    and rankers match their sha256 if it is there), ``files`` must name
     INDEX_FILES, the only files opened, every data file must
     have its recorded size, the table of contents must match its sha256 and
     every entry in it must be well typed, with graph items ascending, graph

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fusegraph
@@ -813,7 +813,7 @@ def test_deeply_nested_json_prints_one_json_line(toy_files, case):
 
 
 def test_huge_depth_costs_memory_by_the_ranks_not_by_l(tmp_path):
-    """extract at L = 10**9, and search on an index whose manifest says so, run in a 2 GiB address space."""
+    """extract at L = 10**9, and search on that index, run in a 2 GiB address space."""
     limited = (
         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
         "from fusegraph.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -821,15 +821,12 @@ def test_huge_depth_costs_memory_by_the_ranks_not_by_l(tmp_path):
     layout = {ranker: {"A": ["A", "B"], "B": ["B", "A"]} for ranker in ("r1", "r2")}
     runs = write_runs(tmp_path, layout, "coll")
     config = write_config(tmp_path, "config.json", runs, depth=10**9)
-    result = run_cli_process("-c", limited, "extract", "--config", str(config), "--out", str(tmp_path / "big"))
+    index_dir = tmp_path / "big"
+    result = run_cli_process("-c", limited, "extract", "--config", str(config), "--out", str(index_dir))
     assert (result.returncode, result.stderr) == (0, "")
-    index_dir = tmp_path / "index"
-    small = write_config(tmp_path, "small.json", runs)
-    assert main(["extract", "--config", str(small), "--out", str(index_dir)]) == 0
-    edit_manifest(lambda manifest: manifest.update({"L": 10**9}))(index_dir)
     out = tmp_path / "fg.run"
     result = run_cli_process(
-        "-c", limited, "search", "--index", str(index_dir), "--queries", str(small), "--out", str(out)
+        "-c", limited, "search", "--index", str(index_dir), "--queries", str(config), "--out", str(out)
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert [line.split()[:3] for line in out.read_text().splitlines()] == [
@@ -868,6 +865,7 @@ INDEX_FILE_NAMES = ["collection_ranks.jsonl", "graphs.bin", "manifest.json", "po
     where=st.floats(0.0, 1.0, exclude_max=True),
     mask=st.integers(1, 255),
 )
+@example(name="manifest.json", kind="flip", where=0.021484375, mask=1)  # "L": 2 becomes "L": 3
 def test_every_index_fault_gives_the_same_run_or_one_json_line(sound_z_index, name, kind, where, mask):
     """Under search and verify, a faulty index file gives the clean result or one JSON error line.
 

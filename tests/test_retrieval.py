@@ -432,7 +432,8 @@ def test_manifest_layout(tmp_path, toy_fg_index):
     for role, name in manifest["files"].items():
         assert manifest["bytes"][role] == (tmp_path / "idx" / name).stat().st_size
     toc = (tmp_path / "idx" / "toc.json").read_bytes()
-    assert manifest["sha256"] == {"toc": hashlib.sha256(toc).hexdigest()}
+    params = f'[2,"{manifest["comparator"]}",["r1","r2"]]'.encode("utf-8")
+    assert manifest["sha256"] == {"toc": hashlib.sha256(toc).hexdigest(), "params": hashlib.sha256(params).hexdigest()}
 
 
 def test_toc_and_postings_layout(tmp_path, toy_fg_index):
@@ -532,6 +533,25 @@ def test_load_rejects_depth_below_one(tmp_path, toy_fg_index):
     _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"L": 0}))
     with pytest.raises(MalformedGraphRecord, match="'L' is missing or ill-typed: 0"):
         load_index(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("edit", [{"L": 3}, {"comparator": "MCS"}, {"rankers": ["r2", "r1"]}], ids=str)
+def test_load_and_verify_reject_manifest_params_that_miss_their_sha256(tmp_path, toy_fg_index, edit):
+    # each edit leaves a manifest that is well typed and agrees with every data file
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index)
+    _corrupt_manifest(tmp_path / "idx", lambda m: m.update(edit))
+    for read in (load_index, verify_index):
+        with pytest.raises(MalformedGraphRecord, match="'L', 'comparator' and 'rankers' do not match their sha256"):
+            read(tmp_path / "idx")
+
+
+def test_load_reads_a_manifest_without_the_params_sha256(tmp_path, toy_fg_index):
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index)
+    _corrupt_manifest(tmp_path / "idx", lambda m: m["sha256"].pop("params"))
+    assert load_index(tmp_path / "idx").depth == 2
+    verify_index(tmp_path / "idx")
 
 
 ITEM_TYPES = "bad rank record of 'A' under 'r1': items must be a list of strings"
