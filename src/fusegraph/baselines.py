@@ -106,7 +106,8 @@ def _minmax(rank: ScoredRank, floor: float = 0.0) -> dict[ItemId, float]:
     lo, hi = min(values), max(values)
     if hi == lo:
         return {entry.item: 1.0 for entry in rank}
-    span = hi - lo
+    scale = 0.5 if math.isinf(hi - lo) else 1.0  # halved, no span overflows to make a NaN; 1.0 changes no bit
+    span = hi * scale - lo * scale
     out = {}
     for entry in rank:
         if entry.score == hi:
@@ -114,7 +115,7 @@ def _minmax(rank: ScoredRank, floor: float = 0.0) -> dict[ItemId, float]:
         elif entry.score == lo:
             out[entry.item] = floor
         else:
-            out[entry.item] = floor + (1.0 - floor) * (entry.score - lo) / span
+            out[entry.item] = floor + (1.0 - floor) * (entry.score * scale - lo * scale) / span
     return out
 
 
@@ -181,15 +182,13 @@ def mra(rs: RankSet, depth: int | None = None) -> ScoredRank:
     """Median rank aggregation: majority sweep over increasing depths.
 
     At each depth d, items seen in positions <= d by more than half of the
-    ranks are appended (most occurrences first, then earliest qualifying
-    depth, then item id). Items that never reach a majority are appended by
-    total occurrence count, then item id.
+    ranks are appended (most occurrences first, then item id). Items that
+    never reach a majority follow by total occurrence count, then item id.
     """
     m = _check(rs)
     length = _depth(rs, depth)
     threshold = m / 2.0
     counts: dict[ItemId, int] = defaultdict(int)
-    first_reach: dict[ItemId, int] = {}
     placed: list[ItemId] = []
     placed_set: set[ItemId] = set()
     max_len = max(len(rank) for rank in rs)
@@ -197,12 +196,8 @@ def mra(rs: RankSet, depth: int | None = None) -> ScoredRank:
         for rank in rs:
             if len(rank) >= d:
                 counts[rank.entries[d - 1].item] += 1
-        qualifying = [
-            item for item, c in counts.items() if c > threshold and item not in placed_set
-        ]
-        for item in qualifying:
-            first_reach.setdefault(item, d)
-        qualifying.sort(key=lambda item: (-counts[item], first_reach[item], item))
+        qualifying = [item for item, c in counts.items() if c > threshold and item not in placed_set]
+        qualifying.sort(key=lambda item: (-counts[item], item))
         for item in qualifying:
             placed.append(item)
             placed_set.add(item)

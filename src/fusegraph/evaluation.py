@@ -226,14 +226,11 @@ def select_rankers(
     by_effectiveness = sorted(effectiveness, key=lambda r: (-effectiveness[r], r))
     if strategy == "all":
         return tuple(by_effectiveness)
-    if strategy == "top-two":
-        if len(by_effectiveness) < 2:
-            raise NotEnoughRankers("top-two selection needs at least 2 rankers")
-        return tuple(by_effectiveness[:2])
-    if strategy == "top-three":
-        if len(by_effectiveness) < 3:
-            raise NotEnoughRankers("top-three selection needs at least 3 rankers")
-        return tuple(by_effectiveness[:3])
+    if strategy in ("top-two", "top-three"):
+        k = 2 if strategy == "top-two" else 3
+        if len(by_effectiveness) < k:
+            raise NotEnoughRankers(f"{strategy} selection needs at least {k} rankers")
+        return tuple(by_effectiveness[:k])
     if len(by_effectiveness) < 2:
         raise NotEnoughRankers("best-pair selection needs at least 2 rankers")
     if correlations is None:

@@ -12,7 +12,6 @@ on accumulation order: permuting the rankers of a rank set changes no weight.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -41,7 +40,6 @@ class FusionGraph:
 
     A sparse map from keys to weights, where a key is a vertex label or an
     edge (source, target) pair whose endpoints are both vertices.
-    serialize_graph leaves on it a one-shot cache that vertex_record takes.
     """
 
     def __init__(self, query: ItemId, vertices: dict[ItemId, float], edges: dict[tuple[ItemId, ItemId], float]):
@@ -224,49 +222,46 @@ class VertexRecord(NamedTuple):
     size: float
 
 
-def vertex_record(g: FusionGraph) -> VertexRecord:
-    """The vertex record of ``g``, labels sorted: the one serialize_graph took of ``g``, if it did."""
-    if (record := g.__dict__.pop("_vertex_record", None)) is not None:
-        return record
+def _walk(g: FusionGraph, edges: Collection[tuple[ItemId, ItemId]], edge_weights: Collection[float]) -> tuple:
+    """(vertex_record(g), source slots, target slots) of ``edges``, g's edge keys in any order, with their weights."""
     labels = sorted(g.vertices)
-    masses = edge_masses(g)
-    return VertexRecord(
-        labels,
-        [g.vertices[label] for label in labels],
-        [masses[label][0] for label in labels],
-        [masses[label][1] for label in labels],
-        graph_size(g),
-    )
+    slot = {label: i for i, label in enumerate(labels)}
+    sources, targets = [slot[src] for src, _ in edges], [slot[tgt] for _, tgt in edges]
+    weights = list(map(g.vertices.__getitem__, labels))
+    outgoing, incoming = [[] for _ in labels], [[] for _ in labels]
+    for src, tgt, weight in zip(sources, targets, edge_weights):
+        outgoing[src].append(weight)
+        incoming[tgt].append(weight)
+    masses = list(map(math.fsum, outgoing)), list(map(math.fsum, incoming))  # fsum: the same in any edge order
+    return VertexRecord(labels, weights, *masses, math.fsum([*weights, *edge_weights])), sources, targets
 
 
-def serialize_graph(g: FusionGraph) -> bytes:
-    """One graph-store record: a JSON header line, then the graph's arrays as raw bytes.
+def vertex_record(g: FusionGraph) -> VertexRecord:
+    """The vertex record of ``g``, labels sorted."""
+    return _walk(g, g.edges, g.edges.values())[0]
 
+
+def serialize_graph(g: FusionGraph) -> tuple[bytes, VertexRecord]:
+    """The graph-store record of ``g``, and vertex_record(g), taken by the same walk over the edges.
+
+    A record is a JSON header line, then the graph's arrays as raw bytes.
     The header holds ``query`` and ``vertices``, the labels in sorted order.
     After its newline come the vertex weights in label order and the edge
     weights in sorted label-pair order, as little-endian float64, then each
     edge's (source, target) positions in ``vertices`` as little-endian
     uint32 pairs. The edge count is what the arrays' length leaves for 16
     bytes per edge. Every weight round-trips bit for bit, and the record is
-    byte-deterministic. The same walk over the edges takes the graph's
-    vertex record, and leaves it on ``g`` for the next vertex_record(g).
+    byte-deterministic. Weights that fsum cannot sum raise its error, as
+    they do in vertex_record(g).
     """
-    labels = sorted(g.vertices)
-    slot = {label: i for i, label in enumerate(labels)}
     edges = sorted(g.edges)  # one linear pass on the builder's and the decoder's sorted edges
-    sources, targets = [slot[src] for src, _ in edges], [slot[tgt] for _, tgt in edges]
-    weights, edge_weights = list(map(g.vertices.__getitem__, labels)), list(map(g.edges.__getitem__, edges))
-    outgoing, incoming = [[] for _ in labels], [[] for _ in labels]
-    for src, tgt, weight in zip(sources, targets, edge_weights):
-        outgoing[src].append(weight)
-        incoming[tgt].append(weight)
-    with contextlib.suppress(OverflowError, ValueError):  # weights fsum cannot sum: vertex_record(g) raises
-        masses = list(map(math.fsum, outgoing)), list(map(math.fsum, incoming))
-        g.__dict__["_vertex_record"] = VertexRecord(labels, weights, *masses, math.fsum([*weights, *edge_weights]))
-    header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
+    edge_weights = list(map(g.edges.__getitem__, edges))
+    head, sources, targets = _walk(g, edges, edge_weights)
+    header = json.dumps({"query": g.query, "vertices": head.labels}, separators=(",", ":"), sort_keys=True)
     ends = itertools.chain.from_iterable(zip(sources, targets))
-    arrays = struct.pack(f"<{len(weights) + len(edge_weights)}d{2 * len(edges)}I", *weights, *edge_weights, *ends)
-    return (header + "\n").encode("ascii") + arrays
+    values = [*head.weights, *edge_weights]
+    arrays = struct.pack(f"<{len(values)}d{2 * len(sources)}I", *values, *ends)
+    return (header + "\n").encode("ascii") + arrays, head
 
 
 def _bad(query, problem: str) -> MalformedGraphRecord:

@@ -79,9 +79,9 @@ def parse_run_file(
     """Parse one ranker's TREC run file into per-query ScoredRanks.
 
     Entries are ordered by the rank column and cut to ``depth`` when given.
-    Scores must be finite and non-negative (the model's score codomain). The
-    line checks make every ScoredRank check but that of ``depth``, so the
-    ranks are built without running them again.
+    Scores must be finite, and a ``distance`` d, read as 1 / (1 + d), not
+    negative. The line checks make every ScoredRank check but that of
+    ``depth``, so the ranks are built without running them again.
     """
     path = Path(path)
     if polarity not in POLARITIES:
@@ -93,9 +93,11 @@ def parse_run_file(
         if rank_pos < 1:
             raise ParseError(str(path), line_no, f"rank must be >= 1, got {rank_pos}")
         score = _number(float, score_str, path, line_no, "score")
-        if not math.isfinite(score) or score < 0:
-            raise ParseError(str(path), line_no, f"score must be finite and >= 0, got {score_str}")
+        if not math.isfinite(score):
+            raise ParseError(str(path), line_no, f"score must be finite, got {score_str}")
         if polarity == POLARITY_DISTANCE:
+            if score < 0:
+                raise ParseError(str(path), line_no, f"distance score must be >= 0, got {score_str}")
             score = 1.0 / (1.0 + score)
         if docid in seen.setdefault(qid, set()):
             raise DuplicateDoc(qid, docid)

@@ -4,11 +4,9 @@ A ScoredRank is every rank in the package: a ranker's input rank, a
 normalized rank, and the fused rank that fuse_query or a baseline returns.
 Items are identified by opaque non-empty strings. Positions are 1-indexed
 everywhere. After construction nothing in the package changes these objects'
-fields; two caches write into objects, each a value derived from fields that
-do not change: ``ScoredRank.positions``, kept on first read, and the vertex
-record that ``graph.serialize_graph`` leaves on a ``FusionGraph`` for the next
-``graph.vertex_record`` to take. So the objects are safe to share across
-threads.
+fields; one cache writes into an object, a value derived from fields that do
+not change: ``ScoredRank.positions``, kept on first read. So the objects are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ class ScoredRank:
             if entry.item in seen:
                 raise ValueError(f"duplicate item {entry.item!r} in rank for {query!r}")
             seen.add(entry.item)
-            if not math.isfinite(entry.score) or entry.score < 0:
-                raise ValueError(f"score for {entry.item!r} must be finite and >= 0, got {entry.score}")
+            if not math.isfinite(entry.score):
+                raise ValueError(f"score for {entry.item!r} must be finite, got {entry.score}")
         self.query, self.ranker, self.entries, self.depth = query, ranker, entries, depth
 
     def __eq__(self, other):

@@ -39,6 +39,7 @@ from .graph import (
     BuildStats,
     FusionGraph,
     NeighbourTable,
+    VertexRecord,
     build_fusion_graph,
     deserialize_graph,
     graph_size,
@@ -95,12 +96,11 @@ class VertexPostings:
     def of(cls, graphs: Mapping[ItemId, FusionGraph], read: Callable | None = None) -> VertexPostings:
         postings = cls([], {}, {})
         for item in sorted(graphs):
-            postings.add(item, (read or graphs.__getitem__)(item))
+            postings.add(item, vertex_record((read or graphs.__getitem__)(item)))
         return postings
 
-    def add(self, item: ItemId, graph: FusionGraph) -> None:
-        """Add ``graph``, the graph of ``item``, which must follow every item added before it."""
-        head = vertex_record(graph)
+    def add(self, item: ItemId, head: VertexRecord) -> None:
+        """Add ``head``, the vertex record of ``item``'s graph; ``item`` must follow every item added before it."""
         for label, *posting in zip(head.labels, head.weights, head.out_mass, head.in_mass):
             self.by_label.setdefault(label, bytearray()).extend(POSTING.pack(len(self.items), *posting))
         self.items.append(item)
@@ -299,8 +299,8 @@ def index_collection(
     return FusionGraphIndex(Records(items, build), depth, rankers, comparator, normalized, index)
 
 
-def common_bounds(postings: VertexPostings, query_graph: FusionGraph) -> dict[ItemId, float]:
-    """Per item sharing a vertex with ``query_graph``, a bound on the size of their mcs.
+def common_bounds(postings: VertexPostings, head: VertexRecord) -> dict[ItemId, float]:
+    """Per item sharing a vertex with a query graph, a bound on the size of their mcs; ``head`` is its vertex record.
 
     Every shared edge joins two shared vertices, so its weight counts toward
     both the out mass of its source and the in mass of its target, and
@@ -308,9 +308,8 @@ def common_bounds(postings: VertexPostings, query_graph: FusionGraph) -> dict[It
     shared vertices S. Those sums are plain float additions of at most |V_q|
     terms; the relative slack (|V_q| + 8) * 2^-52 covers their rounding, that
     of the stored masses and that of graph_size(mcs), for graphs of any size,
-    so the bound is never below graph_size(mcs(query_graph, item's graph)).
+    so the bound is never below graph_size(mcs(query graph, item's graph)).
     """
-    head = vertex_record(query_graph)
     by_label = postings.by_label
     sums: dict[int, list[float]] = {}  # by item slot
     for label, weight, out_q, in_q in zip(head.labels, head.weights, head.out_mass, head.in_mass):
@@ -365,14 +364,14 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
     """
     query_graph = build_query_graph(query_ranks, fg_index)
     depth, distance, graphs = fg_index.depth, COMPARATORS[fg_index.comparator], fg_index.graphs
-    postings = fg_index.postings
+    postings, floor = fg_index.postings, FLOORS[fg_index.comparator]
     excluded = {query_ranks.query} if exclude_self else set()
-    bounds = common_bounds(postings, query_graph)
+    head = vertex_record(query_graph)
+    bounds = common_bounds(postings, head)
     unscored = (i for i in postings.items if i not in bounds and i not in excluded)
     top = [(1.0, item) for item in itertools.islice(unscored, depth)]
-    size, floor = graph_size(query_graph), FLOORS[fg_index.comparator]
     candidates = sorted(
-        (floor(common, size, postings.sizes[item]), item)
+        (floor(common, head.size, postings.sizes[item]), item)
         for item, common in bounds.items()
         if item not in excluded
     )
@@ -396,10 +395,10 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     record's (offset, length, digest); a digest is a 16-byte BLAKE2b, in hex.
     The manifest records every file's size, the toc's sha256 and _params_digest.
 
-    Each graph is read once, serialized, then added to the VertexPostings,
-    with the vertex record serialize_graph took; it is dropped once written,
-    and ``fg_index`` then reads its graphs from graphs.bin, as a loaded index
-    does, so none is built twice. Files are fully sorted, so rebuilding from
+    Each graph is read once and serialized, the vertex record that
+    serialize_graph returns is added to the VertexPostings, and the graph is
+    dropped once written; ``fg_index`` then reads its graphs from graphs.bin,
+    as a loaded index does, so none is built twice. Files are fully sorted, so rebuilding from
     identical inputs is byte-identical. Every file is first written in full
     under a temporary name in ``directory``; only then are they renamed into
     place, the manifest last, then the directory is synced so that the
@@ -415,9 +414,8 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
 
     def records() -> Iterator[tuple[ItemId, bytes]]:
         for item in sorted(fg_index.graphs):
-            graph = read(item)
-            record = serialize_graph(graph)  # first: add takes the vertex record it leaves on the graph
-            vertex_postings.add(item, graph)
+            record, head = serialize_graph(read(item))
+            vertex_postings.add(item, head)
             yield item, record
 
     try:

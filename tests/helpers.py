@@ -10,11 +10,12 @@ import math
 import random
 import struct
 import weakref
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
 
-from fusegraph.baselines import _check, _finalize
+from fusegraph.baselines import _check, _depth, _finalize, _order_to_rank
 from fusegraph.errors import FusionError, MissingRank
 from fusegraph import graph, similarity
 from fusegraph.graph import FusionGraph, normalize_graph_weights
@@ -341,6 +342,42 @@ def reference_condorcet(rs: RankSet, depth: int | None = None) -> ScoredRank:
         elif y_better > x_better:
             wins[y] += 1
     return _finalize(rs, wins, depth, "condorcet")
+
+
+def reference_mra(rs: RankSet, depth: int | None = None) -> ScoredRank:
+    """baselines.mra that also sorts each depth's majority by the depth it was first reached, kept as its specification."""
+    m = _check(rs)
+    length = _depth(rs, depth)
+    threshold = m / 2.0
+    counts: dict[ItemId, int] = defaultdict(int)
+    first_reach: dict[ItemId, int] = {}
+    placed: list[ItemId] = []
+    placed_set: set[ItemId] = set()
+    max_len = max(len(rank) for rank in rs)
+    for d in range(1, max_len + 1):
+        for rank in rs:
+            if len(rank) >= d:
+                counts[rank.entries[d - 1].item] += 1
+        qualifying = [item for item, c in counts.items() if c > threshold and item not in placed_set]
+        for item in qualifying:
+            first_reach.setdefault(item, d)
+        qualifying.sort(key=lambda item: (-counts[item], first_reach[item], item))
+        for item in qualifying:
+            placed.append(item)
+            placed_set.add(item)
+            if len(placed) == length:
+                break
+        if len(placed) == length:
+            break
+    total_occurrence: dict[ItemId, int] = defaultdict(int)
+    for rank in rs:
+        for entry in rank:
+            total_occurrence[entry.item] += 1
+    leftovers = sorted(
+        (item for item in total_occurrence if item not in placed_set),
+        key=lambda item: (-total_occurrence[item], item),
+    )
+    return _order_to_rank(rs, placed + leftovers, depth, "mra")
 
 
 def reference_mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> FusionGraph:

@@ -11,7 +11,7 @@ from fusegraph import baselines
 from fusegraph.errors import EmptyRankSet, MissingScores, TooManyItems
 from fusegraph.model import RankSet, ScoredRank
 
-from helpers import mkrank, mkrankset, reference_condorcet
+from helpers import mkrank, mkrankset, reference_condorcet, reference_mra
 
 
 def scores_of(fused):
@@ -90,7 +90,7 @@ def scored_rank_sets(draw):
     ranks = []
     for r in range(draw(st.integers(1, 7))):
         items = draw(st.permutations(universe))[: draw(st.integers(1, len(universe)))]
-        score = st.floats(0, 100) | st.sampled_from([0.0, 0.5, 1.0])
+        score = st.floats(-100, 100) | st.sampled_from([0.0, 0.5, 1.0, -1.5e308, 1.5e308])
         scores = sorted(draw(st.lists(score, min_size=len(items), max_size=len(items))), reverse=True)
         ranks.append(mkrank("q", f"r{r}", items, scores, depth=len(universe)))
     return RankSet("q", tuple(ranks))
@@ -103,6 +103,9 @@ def scored_rank_sets(draw):
     method=st.sampled_from([method for method in ALL_METHODS if method != "kemeny"]),
 )
 @example(rs=mkrankset("q", ["a", "b", "c", "d"], ["d", "c", "b", "a"]), depth=1, method="borda")
+@example(  # scores of both signs whose span overflows a float
+    rs=RankSet("q", (mkrank("q", "r", ["a", "b", "c"], [1.5e308, 1e308, -1.5e308]),)), depth=None, method="combsum"
+)
 def test_fused_ranks_pass_the_public_constructor(rs, depth, method):
     """Each method builds its rank without ScoredRank's checks, also at a cut below the ranks' length."""
     fused = baselines.aggregate(method, rs, depth=depth)
@@ -200,6 +203,15 @@ def test_condorcet_lanes_match_pair_loop(rs, depth):
     expected = reference_condorcet(rs, depth)
     assert fused.entries == expected.entries
     assert fused == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(rs=condorcet_rank_sets(), depth=st.sampled_from([None, 1, 2, 3, 5, 9]))
+@example(rs=mkrankset("q", ["A", "B", "C"], ["B", "A", "C"], ["C", "B", "A"]), depth=None)
+@example(rs=mkrankset("q", ["A", "B"], ["B"], ["C", "A", "B"], ["B", "A"], depth=3), depth=2)
+def test_mra_matches_the_first_reach_specification(rs, depth):
+    """An item placed at depth d first reached a majority at d, so the earliest-depth key orders nothing."""
+    assert baselines.mra(rs, depth) == reference_mra(rs, depth)
 
 
 def test_rlsim_full_score_top():

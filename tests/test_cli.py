@@ -170,6 +170,17 @@ def test_eval_command_class_labels_ns(tmp_path, capsys):
     assert "mean ns 3.000000" in capsys.readouterr().out
 
 
+def test_eval_reads_the_order_of_negative_similarity_scores(tmp_path, capsys):
+    run_path = tmp_path / "neg.run"
+    run_path.write_text(  # log-probabilities: the order of test_eval_command_class_labels_ns
+        "q1 Q0 a 1 -0.5 t\nq1 Q0 b 2 -1.5 t\nq1 Q0 c 3 -2.5 t\nq1 Q0 d 4 -3.5 t\n", encoding="utf-8"
+    )
+    labels = tmp_path / "labels.txt"
+    labels.write_text("q1 c1\na c1\nb c1\nc c2\nd c1\n", encoding="utf-8")
+    assert main(["eval", "--run", str(run_path), "--class-labels", str(labels), "--metric", "ns"]) == 0
+    assert "mean ns 3.000000" in capsys.readouterr().out
+
+
 def test_correlate_command(toy_files, capsys):
     assert (
         main(["correlate", "--config", str(toy_files["config"]), "--measure", "jaccard"])

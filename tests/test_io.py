@@ -76,11 +76,14 @@ def test_parse_run_malformed_line(tmp_path):
 
 def test_parse_run_bad_score(tmp_path):
     path = write(tmp_path, "a.run", "q1 Q0 a 1 -2.0 t\n")
-    with pytest.raises(ParseError):
-        parse_run_file(path, "r")
-    path = write(tmp_path, "b.run", "q1 Q0 a 1 nope t\n")
-    with pytest.raises(ParseError):
-        parse_run_file(path, "r")
+    assert parse_run_file(path, "r")["q1"].entries[0].score == -2.0  # a similarity may be negative
+    with pytest.raises(ParseError, match="distance score must be >= 0"):
+        parse_run_file(path, "r", polarity="distance")
+    for name, bad in (("b.run", "nope"), ("c.run", "nan"), ("d.run", "-inf")):
+        path = write(tmp_path, name, f"q1 Q0 a 1 {bad} t\n")
+        for polarity in ("similarity", "distance"):
+            with pytest.raises(ParseError):
+                parse_run_file(path, "r", polarity=polarity)
 
 
 def test_parse_run_distance_polarity(tmp_path):
@@ -159,7 +162,7 @@ def test_run_file_rejections_keep_their_class_line_and_message(tmp_path, rows, f
     at %= len(rows)
     qid, docid, pos, score = rows[at]
     line = f"{tmp_path / 'a.run'}:{at + 1}: "
-    depth = None
+    depth = polarity = None
     if fault == "fields":
         rows[at] = (qid, docid, pos, score + " extra")
         error, message = ParseError, line + "expected 6 fields, got 7"
@@ -174,7 +177,10 @@ def test_run_file_rejections_keep_their_class_line_and_message(tmp_path, rows, f
             "negative": ["-1", "-0.5", "-1e-300"],
         }[fault]))
         rows[at] = (qid, docid, pos, bad)
-        message = f"bad score {bad!r}" if fault == "bad score" else f"score must be finite and >= 0, got {bad}"
+        if fault == "negative":  # only a distance must be >= 0
+            polarity, message = "distance", f"distance score must be >= 0, got {bad}"
+        else:
+            message = f"bad score {bad!r}" if fault == "bad score" else f"score must be finite, got {bad}"
         error, message = ParseError, line + message
     elif fault == "duplicate":
         earlier = [row[1] for row in rows[:at] if row[0] == qid]
@@ -191,11 +197,15 @@ def test_run_file_rejections_keep_their_class_line_and_message(tmp_path, rows, f
         depth = data.draw(st.integers(-2, 0))
         error, message = ValueError, f"depth must be >= 1, got {depth}"
     path = write(tmp_path, "a.run", run_lines(rows))
+    if polarity is None:
+        polarity = data.draw(st.sampled_from(["similarity", "distance"]))
     with pytest.raises(error) as excinfo:
-        parse_run_file(path, "r", data.draw(st.sampled_from(["similarity", "distance"])), depth)
+        parse_run_file(path, "r", polarity, depth)
     assert type(excinfo.value) is error and str(excinfo.value) == message
     if error is ParseError:
         assert excinfo.value.line_no == at + 1
+    if fault == "negative":  # the same line is a valid similarity
+        assert parse_run_file(path, "r")[qid].entries[pos - 1].score == float(bad)
 
 
 def test_run_round_trip_semantics(tmp_path):
@@ -309,17 +319,28 @@ def test_parse_class_labels(tmp_path):
 LINE_PARSERS = [
     pytest.param(
         lambda path: parse_run_file(path, "r"),
-        ("q1 Q0 a 1 2.0 t", "q1 Q0 b 2 1.0 t"),
+        ("q1 Q0 a 1 2.0 t", "q1 Q0 b 2 -1.0 t"),  # a similarity may be negative
         6,
         [
             ("q1 Q0 a x 2.0 t", "bad rank 'x'"),
             ("q1 Q0 a 0 2.0 t", "rank must be >= 1, got 0"),
             ("q1 Q0 a 1 x t", "bad score 'x'"),
-            ("q1 Q0 a 1 -2.0 t", "score must be finite and >= 0, got -2.0"),
-            ("q1 Q0 a 1 inf t", "score must be finite and >= 0, got inf"),
+            ("q1 Q0 a 1 nan t", "score must be finite, got nan"),
+            ("q1 Q0 a 1 inf t", "score must be finite, got inf"),
         ],
         None,
         id="run",
+    ),
+    pytest.param(
+        lambda path: parse_run_file(path, "r", polarity="distance"),
+        ("q1 Q0 a 1 2.0 t", "q1 Q0 b 2 3.0 t"),
+        6,
+        [
+            ("q1 Q0 a 1 -2.0 t", "distance score must be >= 0, got -2.0"),
+            ("q1 Q0 a 1 -inf t", "score must be finite, got -inf"),
+        ],
+        None,
+        id="run_distance",
     ),
     pytest.param(
         parse_qrels,

@@ -37,11 +37,11 @@ def test_scored_rank_rejects_duplicates():
         mkrank("q", "r1", ["A", "A"])
 
 
-def test_scored_rank_rejects_negative_and_nonfinite_scores():
-    with pytest.raises(ValueError):
-        ScoredRank("q", "r1", (ScoredEntry("A", -1.0),), 1)
-    with pytest.raises(ValueError):
-        ScoredRank("q", "r1", (ScoredEntry("A", float("nan")),), 1)
+def test_scored_rank_accepts_negative_and_rejects_nonfinite_scores():
+    assert ScoredRank("q", "r1", (ScoredEntry("A", -1.0),), 1).entries[0].score == -1.0
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="must be finite"):
+            ScoredRank("q", "r1", (ScoredEntry("A", bad),), 1)
 
 
 def test_scored_rank_rejects_overlong():

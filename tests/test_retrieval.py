@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
-from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, edge_masses, graph_size
+from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, edge_masses, graph_size, vertex_record
 from fusegraph.model import CollectionRankIndex, OverlayRankLookup, RankSet, ScoredRank, assemble_rank_set
 from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
@@ -359,7 +359,7 @@ def test_scope_contains_equal_graph(toy_fg_index):
 
     index, fg_index = toy_fg_index
     graph = build_query_graph(query_rank_set(), fg_index)
-    assert "A" in common_bounds(fg_index.postings, graph)
+    assert "A" in common_bounds(fg_index.postings, vertex_record(graph))
 
 
 def test_out_of_collection_query_supported(toy_fg_index):
@@ -934,7 +934,7 @@ TINY = 2.0**-53  # 1.0 + TINY + TINY sums to 1.0 in plain floats, to 1 + 2^-52 i
                FusionGraph("d", {"a": 1.0, "b": 1.0}, {("a", "b"): TINY, ("b", "a"): TINY})))
 def test_common_bound_and_distance_floors_hold(pair):
     query, item = pair
-    bounds = common_bounds(VertexPostings.of({"d": item}), query)
+    bounds = common_bounds(VertexPostings.of({"d": item}), vertex_record(query))
     common = graph_size(mcs(query, item))
     assert set(bounds) == ({"d"} if query.vertices.keys() & item.vertices.keys() else set())
     sizes = graph_size(query), graph_size(item)
@@ -956,7 +956,7 @@ def test_item_whose_bound_equals_the_lth_distance_is_scored(monkeypatch):
     }
     empty = CollectionRankIndex({})
     fg_index = FusionGraphIndex(graphs, 1, ("r1",), "MCS", empty, empty)
-    bounds = common_bounds(fg_index.postings, query)
+    bounds = common_bounds(fg_index.postings, vertex_record(query))
     floors = {item: dist_mcs_floor(bounds[item], 5.0, graph_size(graphs[item])) for item in graphs}
     assert floors["x"] < floors["w"] == dist_mcs(query, graphs["w"]) == dist_mcs(query, graphs["x"])
     monkeypatch.setattr(retrieval, "build_query_graph", lambda *args: query)
