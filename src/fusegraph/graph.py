@@ -198,21 +198,11 @@ def graph_size(g: FusionGraph) -> float:
     return math.fsum(itertools.chain(g.vertices.values(), g.edges.values()))
 
 
-def edge_masses(g: FusionGraph) -> dict[ItemId, tuple[float, float]]:
-    """Per vertex, the fsum of its outgoing and of its incoming edge weights."""
-    outgoing: dict[ItemId, list[float]] = {label: [] for label in g.vertices}
-    incoming: dict[ItemId, list[float]] = {label: [] for label in g.vertices}
-    for (src, tgt), weight in g.edges.items():
-        outgoing[src].append(weight)
-        incoming[tgt].append(weight)
-    return {label: (math.fsum(outgoing[label]), math.fsum(incoming[label])) for label in g.vertices}
-
-
 class VertexRecord(NamedTuple):
     """What a search bound reads of a graph, edges left out.
 
-    ``labels`` sorted, with their weights, their edge masses (edge_masses)
-    and the graph's size (graph_size).
+    ``labels`` sorted, with their weights, the fsum of each one's outgoing
+    and of its incoming edge weights, and the graph's size (graph_size).
     """
 
     labels: list[ItemId]
@@ -222,45 +212,54 @@ class VertexRecord(NamedTuple):
     size: float
 
 
-def _walk(g: FusionGraph, edges: Collection[tuple[ItemId, ItemId]], edge_weights: Collection[float]) -> tuple:
-    """(vertex_record(g), source slots, target slots) of ``edges``, g's edge keys in any order, with their weights."""
+def _walk(g: FusionGraph, edges: Iterable[tuple[tuple, float]], edge_weights: Collection[float]) -> tuple:
+    """(vertex_record(g), each label's out-degree) of ``edges``, g's (key, weight) pairs in any order."""
     labels = sorted(g.vertices)
-    slot = {label: i for i, label in enumerate(labels)}
-    sources, targets = [slot[src] for src, _ in edges], [slot[tgt] for _, tgt in edges]
-    weights = list(map(g.vertices.__getitem__, labels))
-    outgoing, incoming = [[] for _ in labels], [[] for _ in labels]
-    for src, tgt, weight in zip(sources, targets, edge_weights):
+    outgoing, incoming = {label: [] for label in labels}, {label: [] for label in labels}
+    for (src, tgt), weight in edges:
         outgoing[src].append(weight)
         incoming[tgt].append(weight)
-    masses = list(map(math.fsum, outgoing)), list(map(math.fsum, incoming))  # fsum: the same in any edge order
-    return VertexRecord(labels, weights, *masses, math.fsum([*weights, *edge_weights])), sources, targets
+    weights = list(map(g.vertices.__getitem__, labels))
+    masses = list(map(math.fsum, outgoing.values())), list(map(math.fsum, incoming.values()))  # any edge order
+    head = VertexRecord(labels, weights, *masses, math.fsum([*weights, *edge_weights]))
+    return head, list(map(len, outgoing.values()))
 
 
 def vertex_record(g: FusionGraph) -> VertexRecord:
     """The vertex record of ``g``, labels sorted."""
-    return _walk(g, g.edges, g.edges.values())[0]
+    return _walk(g, g.edges.items(), g.edges.values())[0]
+
+
+def _slot_code(n_labels: int) -> str:
+    """The struct code of a label slot or an out-degree in the record of a graph of ``n_labels`` labels."""
+    return "B" if n_labels <= 256 else "H" if n_labels <= 65536 else "I"
 
 
 def serialize_graph(g: FusionGraph) -> tuple[bytes, VertexRecord]:
     """The graph-store record of ``g``, and vertex_record(g), taken by the same walk over the edges.
 
-    A record is a JSON header line, then the graph's arrays as raw bytes.
-    The header holds ``query`` and ``vertices``, the labels in sorted order.
-    After its newline come the vertex weights in label order and the edge
-    weights in sorted label-pair order, as little-endian float64, then each
-    edge's (source, target) positions in ``vertices`` as little-endian
-    uint32 pairs. The edge count is what the arrays' length leaves for 16
-    bytes per edge. Every weight round-trips bit for bit, and the record is
-    byte-deterministic. Weights that fsum cannot sum raise its error, as
-    they do in vertex_record(g).
+    A record is a JSON header line, then the graph's arrays as raw bytes,
+    little-endian, in compressed sparse rows. The header holds ``query`` and
+    ``vertices``, the labels in sorted order. After its newline come the
+    vertex weights in label order (float64), each label's out-degree, the
+    edge weights in sorted (source, target) order (float64) and each edge's
+    target slot, its position in ``vertices``; an edge's source is implied
+    by the out-degrees. A slot or a degree takes 1 byte up to 256 labels, 2
+    up to 65536 and 4 beyond, so the edge count is what the arrays' length
+    leaves after the vertices, at 8 bytes plus a slot per edge. Every weight
+    round-trips bit for bit, and the record is byte-deterministic. Weights
+    that fsum cannot sum raise its error, as they do in vertex_record(g).
     """
     edges = sorted(g.edges)  # one linear pass on the builder's and the decoder's sorted edges
     edge_weights = list(map(g.edges.__getitem__, edges))
-    head, sources, targets = _walk(g, edges, edge_weights)
+    head, degrees = _walk(g, zip(edges, edge_weights), edge_weights)
+    slot = {label: i for i, label in enumerate(head.labels)}
     header = json.dumps({"query": g.query, "vertices": head.labels}, separators=(",", ":"), sort_keys=True)
-    ends = itertools.chain.from_iterable(zip(sources, targets))
-    values = [*head.weights, *edge_weights]
-    arrays = struct.pack(f"<{len(values)}d{2 * len(sources)}I", *values, *ends)
+    n, code = len(degrees), _slot_code(len(degrees))
+    arrays = struct.pack(
+        f"<{n}d{n}{code}{len(edges)}d{len(edges)}{code}",
+        *head.weights, *degrees, *edge_weights, *[slot[tgt] for _, tgt in edges],
+    )
     return (header + "\n").encode("ascii") + arrays, head
 
 
@@ -272,9 +271,11 @@ def deserialize_graph(record: bytes) -> FusionGraph:
     """Parse a graph-store record; rejects bad shapes.
 
     The header must be a JSON object whose query and every label are strings,
-    with at least one label; the arrays must hold one weight per label and
-    whole edges. Labels and edges must be distinct, every endpoint must name
-    another label, and every weight must be finite and not negative.
+    with at least one label; the arrays must hold one weight and one
+    out-degree per label and whole edges, and the degrees must sum to the
+    edge count. Labels and edges must be distinct, every target must name
+    another label than its source, and every weight must be finite and not
+    negative.
     """
     header, newline, body = record.partition(b"\n")
     try:
@@ -290,24 +291,27 @@ def deserialize_graph(record: bytes) -> FusionGraph:
         raise _bad(query, "a non-string label")
     if not labels:
         raise EmptyGraph(f"graph record for {query!r} has an empty vertex map")
-    n_vertices = len(labels)
-    edge_bytes = len(body) - 8 * n_vertices
-    if not newline or edge_bytes < 0 or edge_bytes % 16:
-        raise _bad(query, f"{len(body)} bytes of arrays, not 8 per vertex for {n_vertices} and 16 per edge")
-    split = n_vertices + edge_bytes // 16
-    values = struct.unpack(f"<{split}d{edge_bytes // 8}I", body)
-    weights, edge_weights, ends = values[:n_vertices], values[n_vertices:split], values[split:]
-    if ends and max(ends) >= n_vertices:
-        raise _bad(query, f"an edge endpoint at slot {max(ends)}, beyond its {n_vertices} labels")
+    n, code = len(labels), _slot_code(len(labels))
+    unit = 8 + struct.calcsize(code)  # a weight and a slot or a degree, per vertex and per edge
+    n_edges = len(body) // unit - n
+    if not newline or n_edges < 0 or len(body) % unit:
+        raise _bad(query, f"{len(body)} bytes of arrays, not {unit} per vertex for {n} and {unit} per edge")
+    values = struct.unpack(f"<{n}d{n}{code}{n_edges}d{n_edges}{code}", body)
+    weights, degrees = values[:n], values[n : 2 * n]
+    edge_weights, targets = values[2 * n : 2 * n + n_edges], values[2 * n + n_edges :]
+    if sum(degrees) != n_edges:
+        raise _bad(query, f"out-degrees that sum to {sum(degrees)}, not its {n_edges} edges")
+    if targets and max(targets) >= n:
+        raise _bad(query, f"an edge target at slot {max(targets)}, beyond its {n} labels")
     vertices = dict(zip(labels, weights))
-    if len(vertices) != n_vertices:
+    if len(vertices) != n:
         raise _bad(query, "a duplicate label")
-    if any(map(operator.eq, ends[::2], ends[1::2])):
+    sources = list(itertools.chain.from_iterable(map(itertools.repeat, labels, degrees)))
+    named = list(map(labels.__getitem__, targets))
+    if any(map(operator.eq, sources, named)):
         raise _bad(query, "a self-edge")
-    named = map(labels.__getitem__, ends)
-    # zipping one iterator with itself pairs consecutive endpoints: (src, tgt)
-    edges = dict(zip(zip(named, named), edge_weights))
-    if len(edges) != len(edge_weights):
+    edges = dict(zip(zip(sources, named), edge_weights))
+    if len(edges) != n_edges:
         raise _bad(query, "a duplicate edge")
     try:  # a NaN or an infinity makes the sum one, and no weight sums too large for it
         finite = math.isfinite(math.fsum(itertools.chain(weights, edge_weights)))
@@ -315,5 +319,5 @@ def deserialize_graph(record: bytes) -> FusionGraph:
         finite = False
     if not finite or min(weights) < 0.0 or min(edge_weights, default=0.0) < 0.0:
         raise _bad(query, "a negative weight or one that is not finite")
-    # every endpoint names another label, so the constructor's checks hold
+    # every target names another label, so the constructor's checks hold
     return _unchecked(query, vertices, edges)

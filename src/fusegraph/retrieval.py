@@ -10,14 +10,16 @@ items that can still enter them: vertex postings give every item that
 shares a vertex with the query a lower bound on its distance, and items are
 scored in ascending bound order until a bound exceeds the L-th best distance.
 
-The index directory (format 5) holds a manifest, the graph records, the
-vertex postings that bound reads, the raw and the normalized order of every
-collection rank (the raw positions are what the online normalization of an
-incoming query needs), and a table of contents that locates each record and
-holds its digest. load_index reads the manifest and the table of contents
-only; a search reads, checks and decodes a posting list, graph or rank when
-it first needs it, so its cost follows the records it reads, not the size of
-the index. verify_index checks every record.
+The index directory (format 6) holds a manifest, the graph records (each
+graph's edges as compressed sparse rows, with slots as narrow as its label
+count allows), the vertex postings that bound reads, the raw and the
+normalized order of every collection rank (the raw positions are what the
+online normalization of an incoming query needs), and a table of contents
+that locates each record and holds its digest. load_index reads the
+manifest and the table of contents only; a search reads, checks and
+decodes a posting list, graph or rank when it first needs it, so its cost
+follows the records it reads, not the size of the index. verify_index
+checks every record.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .model import (
 from .normalize import gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
-MANIFEST_VERSION = 5
+MANIFEST_VERSION = 6
 MANIFEST_NAME = "manifest.json"
 INDEX_FILES = {
     "graphs": "graphs.bin",
@@ -199,11 +201,7 @@ def _graph_record(item: ItemId, entry: list, data: bytes, what: str) -> FusionGr
     graph = deserialize_graph(data)
     if graph.query != item:
         raise MalformedGraphRecord(f"{what} holds the graph of {graph.query!r}")
-    try:
-        consistent = graph_size(graph) == entry[3]
-    except OverflowError:  # weights too large for fsum to sum
-        consistent = False
-    if not consistent:
+    if graph_size(graph) != entry[3]:  # deserialize_graph has rejected weights that fsum cannot sum
         raise MalformedGraphRecord(f"{what} has weights that disagree with its size {entry[3]!r}")
     return graph
 
@@ -384,7 +382,7 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
-    """Persist the graph index with its raw and normalized rank orders, in index format 5.
+    """Persist the graph index with its raw and normalized rank orders, in index format 6.
 
     ``graphs.bin`` holds one serialize_graph record per item in item order,
     ``postings.bin`` the graphs' posting lists in sorted label order and

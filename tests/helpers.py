@@ -303,18 +303,30 @@ def reference_build_fusion_graph(rs: RankSet, index, strict: bool = False) -> Fu
 
 
 def reference_serialize_graph(g: FusionGraph) -> bytes:
-    """serialize_graph as two plain sorts and one pack, kept as its specification."""
+    """serialize_graph as two plain sorts and one pack per array, kept as its specification."""
     labels = sorted(g.vertices)
     slot = {label: i for i, label in enumerate(labels)}
     pairs = sorted(g.edges)
+    degrees = [sum(src == label for src, _ in pairs) for label in labels]
+    code = "B" if len(labels) <= 256 else "H" if len(labels) <= 65536 else "I"
     header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
-    arrays = struct.pack(
-        f"<{len(labels) + len(pairs)}d{2 * len(pairs)}I",
-        *map(g.vertices.__getitem__, labels),
-        *map(g.edges.__getitem__, pairs),
-        *[slot[label] for pair in pairs for label in pair],
-    )
+    arrays = b"".join((
+        struct.pack(f"<{len(labels)}d", *map(g.vertices.__getitem__, labels)),
+        struct.pack(f"<{len(labels)}{code}", *degrees),
+        struct.pack(f"<{len(pairs)}d", *map(g.edges.__getitem__, pairs)),
+        struct.pack(f"<{len(pairs)}{code}", *[slot[tgt] for _, tgt in pairs]),
+    ))
     return (header + "\n").encode("ascii") + arrays
+
+
+def edge_masses(g: FusionGraph) -> dict[ItemId, tuple[float, float]]:
+    """Per vertex, the fsum of its outgoing and of its incoming edge weights, kept as the specification."""
+    outgoing: dict[ItemId, list[float]] = {label: [] for label in g.vertices}
+    incoming: dict[ItemId, list[float]] = {label: [] for label in g.vertices}
+    for (src, tgt), weight in g.edges.items():
+        outgoing[src].append(weight)
+        incoming[tgt].append(weight)
+    return {label: (math.fsum(outgoing[label]), math.fsum(incoming[label])) for label in g.vertices}
 
 
 def reference_condorcet(rs: RankSet, depth: int | None = None) -> ScoredRank:

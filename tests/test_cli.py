@@ -657,11 +657,11 @@ def test_graph_items_out_of_order_print_one_json_line(toy_files, command):
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    """Indexes of formats 1 to 4 are all rejected by name."""
-    for version in (1, 2, 3, 4):
+    """Indexes of formats 1 to 5 are all rejected by name."""
+    for version in (1, 2, 3, 4, 5):
         error = search_error_after_edit(toy_files, edit_manifest(lambda m: m.update({"v": version})))
         assert error["error"] == "MalformedGraphRecord"
-        assert "predates index format 5" in error["message"]
+        assert "predates index format 6" in error["message"]
         assert "re-extracted" in error["message"]
 
 
@@ -1096,14 +1096,14 @@ def test_tracer_finds_every_traced_name(toy_files):
 
 # sha256 of the index files `extract` writes for PINNED_COLLECTION, recorded
 # with the per-occurrence graph builder that tests/helpers keeps as the spec.
-# The format-5 files were recorded from an index whose every graph and rank
-# decodes bit for bit to those of the format-4 index pinned before it; the
-# rank file is unchanged from format 4.
+# The format-6 files were recorded from an index whose every graph decodes
+# bit for bit to that of the format-5 index pinned before it, with the same
+# sizes; the posting and rank files are unchanged from format 5.
 PINNED_INDEX = {
-    "graphs.bin": "b8b4ede4666cd23858927e9ec4a5eed3e5a64b170b2f8884c0403c9295e78d38",
+    "graphs.bin": "dcfe3bfbcc9d657a30cd224047076ec42e1bab0777c6cb5621257a8fa70db9d0",
     "postings.bin": "1aab79ca6e5f8398200e8ef7dacdcd95547e53979a4bd47bf059290bccf155fd",
     "collection_ranks.jsonl": "2ff8fdb7da5378982a06c516c95ca7b456437f3bae5fc6b56273d92354958db1",
-    "toc.json": "a0bda9f6bfcba14862a5c15c7a57075af5fda13dcbf09d13fb1169add843966c",
+    "toc.json": "8d8c2e598fd65ec76fddce128ccb2953ad1002df0e1b4e9248c36e3e53ebeb31",
 }
 
 
@@ -1128,12 +1128,13 @@ def test_extract_index_bytes_are_pinned(tmp_path):
 
 
 # sha256 of the index files `extract` writes for a strict MCS collection at
-# L=20, recorded before the graph builder summed two-part edges with `+`.
+# L=20, recorded before the graph builder summed two-part edges with `+`,
+# and re-recorded for format 6 as PINNED_INDEX was.
 PINNED_STRICT_INDEX = {
-    "graphs.bin": "6ccfd65eb80028ceb981902982d95f5ff17f62e9d4256bf1f7cdcabb5684fd05",
+    "graphs.bin": "640a22cca1e671b42de4838041f8c6b62c3e46a5f0f7d7019dcd171a85554140",
     "postings.bin": "93bf7a7b3cc4433cdc25fcdc0dac8d41416861f2b02d6820a4c6a404931a6038",
     "collection_ranks.jsonl": "d48b5810e32932a80740f0103dcf7c3f8a09aaed9f1d7fc6744004b594b27d1b",
-    "toc.json": "8ecb0a66fde7fc565ab5ab2d9deee4841a272ab575da2a1b8c3bb0eba0ef5d79",
+    "toc.json": "73aa0e6df74587b1ef71ba6e44c0bdb2ecd36abc70b71059d17f844543101a99",
 }
 
 

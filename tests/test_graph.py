@@ -14,7 +14,6 @@ from fusegraph.graph import (
     FusionGraph,
     build_fusion_graph,
     deserialize_graph,
-    edge_masses,
     graph_size,
     normalize_graph_weights,
     serialize_graph,
@@ -25,6 +24,7 @@ from fusegraph.normalize import normalize_collection
 from fusegraph.retrieval import index_collection
 
 from helpers import (
+    edge_masses,
     mkrank,
     random_rank_index,
     reference_build_fusion_graph,
@@ -177,14 +177,15 @@ def test_deserialize_empty_vertex_map():
         deserialize_graph(b'{"query":"q","vertices":[]}\n')
 
 
-def _record(header, weights, edge_weights, ends, tail=b""):
-    """A graph record written independently of the codec: JSON header line, then raw arrays."""
+def _record(header, weights, degrees, edge_weights, targets, tail=b"", slot="B"):
+    """A graph record written independently of the codec: JSON header line, then the compressed sparse rows."""
     return b"".join((
         header if isinstance(header, bytes) else json.dumps(header).encode("utf-8"),
         b"\n",
         struct.pack(f"<{len(weights)}d", *weights),
+        struct.pack(f"<{len(degrees)}{slot}", *degrees),
         struct.pack(f"<{len(edge_weights)}d", *edge_weights),
-        struct.pack(f"<{len(ends)}I", *ends),
+        struct.pack(f"<{len(targets)}{slot}", *targets),
         tail,
     ))
 
@@ -192,8 +193,9 @@ def _record(header, weights, edge_weights, ends, tail=b""):
 WORKED = {
     "header": {"query": "q", "vertices": ["A", "B", "C"]},
     "weights": (1.0, 0.05, 0.05),
+    "degrees": (2, 0, 0),  # A -> B, A -> C
     "edge_weights": (1.0, 1.0),
-    "ends": (0, 1, 0, 2),
+    "targets": (1, 2),
 }
 
 
@@ -202,18 +204,28 @@ def test_record_layout(worked_graph):
     assert serialize_graph(worked_graph)[0] == _record(**{**WORKED, "header": header})
 
 
+# the worked record's arrays take 9 bytes, a float64 and a one-byte slot or
+# degree, per vertex and per edge: 45 bytes
 CORRUPTIONS = {
     "header not json": ({"header": b"{not json"}, "header is not JSON"),
-    "partial item": ({"tail": b"1234567"}, "63 bytes of arrays"),
-    "weight count": ({"weights": (1.0, 0.5)}, "48 bytes of arrays"),
-    "endpoint count": ({"ends": (0, 1, 0)}, "52 bytes of arrays"),
-    "slot out of range": ({"ends": (0, 1, 0, 3)}, "slot 3"),
+    "partial item": ({"tail": b"1234567"}, "52 bytes of arrays"),
+    "weight count": ({"weights": (1.0, 0.5)}, "37 bytes of arrays"),
+    "endpoint count": ({"targets": (1,)}, "44 bytes of arrays"),
+    "degree count": ({"degrees": (2, 0)}, "44 bytes of arrays"),
+    "slot out of range": ({"targets": (1, 3)}, "slot 3"),
+    "target out of range": ({"targets": (255, 2)}, "slot 255, beyond its 3 labels"),
+    "degrees short of the edges": ({"degrees": (1, 0, 0)}, "out-degrees that sum to 1, not its 2 edges"),
+    "degrees beyond the edges": ({"degrees": (2, 1, 0)}, "out-degrees that sum to 3, not its 2 edges"),
+    # a whole edge's bytes after the last array read as a third edge
+    "bytes after the last array": ({"tail": bytes(9)}, "out-degrees that sum to 2, not its 3 edges"),
     "duplicate label": ({"header": {"query": "q", "vertices": ["A", "A", "C"]}}, "duplicate label"),
-    "duplicate edge": ({"ends": (0, 1, 0, 1)}, "duplicate edge"),
+    "duplicate edge": ({"targets": (1, 1)}, "duplicate edge"),
     "non-string label": ({"header": {"query": "q", "vertices": ["A", 7, "C"]}}, "non-string label"),
-    "self-edge": ({"ends": (0, 0, 0, 2)}, "self-edge"),
+    "self-edge": ({"targets": (0, 2)}, "self-edge"),
+    "self-edge of a later source": ({"degrees": (1, 1, 0), "targets": (1, 1)}, "self-edge"),
     "negative weight": ({"weights": (1.0, -0.05, 0.05)}, "negative weight"),
     "weight not finite": ({"edge_weights": (math.inf, 1.0)}, "not finite"),
+    "two-byte slots under 257 labels": ({"slot": "H"}, "50 bytes of arrays"),
 }
 
 
@@ -224,15 +236,41 @@ def test_deserialize_rejects_corrupt_record(worked_graph, case):
         deserialize_graph(_record(**{**WORKED, **edit}))
 
 
+@pytest.mark.parametrize("n_labels, slot", [(256, "B"), (257, "H"), (65536, "H"), (65537, "I")])
+def test_slot_width_follows_the_label_count(n_labels, slot):
+    """A slot or a degree takes 1 byte up to 256 labels, 2 up to 65536 and 4 beyond."""
+    labels = [f"v{i:05d}" for i in range(n_labels)]
+    vertices = dict.fromkeys(labels, 1.0)
+    # the last slot, at the top of its width, as a source and as a target; no edges at the large sizes
+    edges = {(labels[0], labels[-1]): 0.5, (labels[-1], labels[0]): 1.0} if n_labels < 1000 else {}
+    graph = FusionGraph("q", vertices, edges)
+    line, _ = serialize_graph(graph)
+    body = line.partition(b"\n")[2]
+    assert len(body) == (8 + struct.calcsize(slot)) * (n_labels + len(edges))
+    restored = deserialize_graph(line)
+    assert restored == graph
+    assert serialize_graph(restored)[0] == line
+    if edges:
+        assert line == reference_serialize_graph(graph)
+
+
 WEIGHTS = st.floats(min_value=5e-324, max_value=1.0)
 LABELS = st.text(min_size=1, max_size=6)  # any code points, spaces included
 
 
 @st.composite
 def stored_graphs(draw):
-    vertices = draw(st.dictionaries(LABELS, WEIGHTS, min_size=1, max_size=8))
-    pairs = [(a, b) for a in vertices for b in vertices if a != b]
-    edges = draw(st.dictionaries(st.sampled_from(pairs), WEIGHTS, max_size=16)) if pairs else {}
+    """A checked graph; now and then one of more than 256 vertices, whose record takes two-byte slots."""
+    if draw(st.integers(0, 7)):
+        vertices = draw(st.dictionaries(LABELS, WEIGHTS, min_size=1, max_size=8))
+    else:
+        weights = draw(st.lists(WEIGHTS, min_size=257, max_size=300))
+        vertices = {f"v{i}": weight for i, weight in enumerate(weights)}
+    labels, n = list(vertices), len(vertices)
+    # a source and an offset from it: every ordered pair of distinct vertices
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
+    edge_keys = pairs.map(lambda p: (labels[p[0]], labels[(p[0] + p[1]) % n]))
+    edges = draw(st.dictionaries(edge_keys, WEIGHTS, max_size=16)) if n > 1 else {}
     return FusionGraph(draw(LABELS), vertices, edges)
 
 

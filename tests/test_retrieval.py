@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
-from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, edge_masses, graph_size, vertex_record
+from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, graph_size, vertex_record
 from fusegraph.model import CollectionRankIndex, OverlayRankLookup, RankSet, ScoredRank, assemble_rank_set
 from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
@@ -33,6 +33,7 @@ from fusegraph.retrieval import (
 from fusegraph.similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor, mcs
 
 from helpers import (
+    edge_masses,
     edit_rank_record,
     edit_toc,
     index_files,
@@ -417,7 +418,7 @@ def test_manifest_layout(tmp_path, toy_fg_index):
     assert sorted(manifest) == sorted(
         ("v", "rankers", "L", "comparator", "graph_count", "files", "bytes", "sha256")
     )
-    assert manifest["v"] == 5
+    assert manifest["v"] == 6
     assert manifest["L"] == 2
     assert manifest["rankers"] == ["r1", "r2"]
     assert manifest["files"] == {
@@ -574,6 +575,12 @@ def _graph_header_edit(edit):
     return lambda directory: rewrite_record(directory, "graphs", "A", apply)
 
 
+def _with_vertex_weights(record, *weights):
+    """A graph record whose first vertex weights are ``weights``: they lead the arrays after the header line."""
+    header, _, body = record.partition(b"\n")
+    return header + b"\n" + struct.pack(f"<{len(weights)}d", *weights) + body[8 * len(weights) :]
+
+
 def _set_graph_size(size):
     return lambda directory: edit_toc(directory, lambda toc: toc["graphs"]["A"].__setitem__(3, size))
 
@@ -605,6 +612,13 @@ BAD_RECORDS = {
     ),
     "rank item empty": (_rank_edit(lambda r: r["items"].__setitem__(1, "")), DISTINCT_IDS),
     "graph size not a number": (_set_graph_size("3.1"), "not a positive finite number"),
+    # A's vertex weights, each finite, too large for fsum to sum
+    "graph weights fsum cannot sum": (
+        lambda directory: rewrite_record(
+            directory, "graphs", "A", lambda data: _with_vertex_weights(data, 1.7e308, 1.7e308)
+        ),
+        "graph record for 'A' has a negative weight or one that is not finite",
+    ),
     # X is a vertex of B's and C's graphs: its two postings, swapped
     "posting slots out of order": (
         lambda directory: rewrite_record(directory, "postings", "X", lambda data: data[28:] + data[:28]),
@@ -669,12 +683,12 @@ def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
 
 
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
-    """Indexes of formats 1 to 4 are all rejected by name."""
+    """Indexes of formats 1 to 5 are all rejected by name."""
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
-        with pytest.raises(MalformedGraphRecord, match="predates index format 5.*re-extracted"):
+        with pytest.raises(MalformedGraphRecord, match="predates index format 6.*re-extracted"):
             load_index(tmp_path / "idx")
 
 
