@@ -86,6 +86,8 @@ def parse_run_file(
     path = Path(path)
     if polarity not in POLARITIES:
         raise ConfigError(f"unknown polarity {polarity!r}, expected one of {POLARITIES}")
+    if depth is not None and depth < 1:  # the one ScoredRank check the line checks do not make
+        raise ValueError(f"depth must be >= 1, got {depth}")
     rows: dict[ItemId, list[tuple[int, ItemId, float]]] = {}
     seen: dict[ItemId, set[ItemId]] = {}
     for line_no, (qid, _q0, docid, rank_str, score_str, _tag) in _fields(path, 6):
@@ -110,8 +112,6 @@ def parse_run_file(
         positions = [row[0] for row in entries]
         if positions != list(range(1, len(entries) + 1)):
             raise RankGap(qid, f"positions {positions[:8]}...")
-        if depth is not None and depth < 1:  # the one ScoredRank check the lines above do not make
-            raise ValueError(f"depth must be >= 1, got {depth}")
         kept = map(itemgetter(1, 2), entries[:depth])
         runs[qid] = unchecked_rank(qid, ranker, kept, len(entries) if depth is None else depth)
     return runs

@@ -10,16 +10,16 @@ items that can still enter them: vertex postings give every item that
 shares a vertex with the query a lower bound on its distance, and items are
 scored in ascending bound order until a bound exceeds the L-th best distance.
 
-The index directory (format 6) holds a manifest, the graph records (each
-graph's edges as compressed sparse rows, with slots as narrow as its label
-count allows), the vertex postings that bound reads, the raw and the
-normalized order of every collection rank (the raw positions are what the
-online normalization of an incoming query needs), and a table of contents
-that locates each record and holds its digest. load_index reads the
-manifest and the table of contents only; a search reads, checks and
-decodes a posting list, graph or rank when it first needs it, so its cost
-follows the records it reads, not the size of the index. verify_index
-checks every record.
+The index directory (format 7) holds the graph records (each graph's edges as
+compressed sparse rows, with slots as narrow as its label count allows), the
+vertex postings that bound reads, the raw and the normalized order of every
+collection rank (the raw positions are what the online normalization of an
+incoming query needs), a table of contents that holds L, the comparator, the
+rankers and each record's place and digest, and a manifest that holds its
+sha256. load_index reads the manifest and the table of contents only; a
+search reads, checks and decodes a posting list, graph or rank when it first
+needs it, so its cost follows the records it reads, not the size of the
+index. verify_index checks every record.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .model import (
 from .normalize import gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
-MANIFEST_VERSION = 6
+MANIFEST_VERSION = 7
 MANIFEST_NAME = "manifest.json"
 INDEX_FILES = {
     "graphs": "graphs.bin",
@@ -163,23 +163,25 @@ class Records(Mapping):
 
 
 class StoredRecords(Records):
-    """Records of one index data file by key, each read, checked and decoded on first access.
+    """Records of the ``role`` data file of index ``directory``, by key, each read, checked and decoded when first read.
 
-    Opening the file checks its size against the manifest's. ``toc`` maps a
-    key to its record's table-of-contents entry, (offset, length, digest)
-    and maybe more. A record is handed to ``decode(key, entry, data, what)``
+    ``toc`` maps a key to its record's table-of-contents entry, (offset,
+    length, digest) and maybe more; opening the file checks that its size is
+    the sum of the lengths. A record is handed to ``decode(key, entry, data, what)``
     only when it lies inside the file and matches its digest; ``what``
     names it, by ``describe(key)``, in errors. The file stays open while this object lives, for reads at
     any offset, by any thread.
     """
 
-    def __init__(self, path: Path, size: int, toc: dict, describe: Callable[[object], str], decode: Callable):
-        self.name, self.size, self.toc = path.name, size, toc
+    def __init__(self, directory: Path, role: str, toc: dict, describe: Callable[[object], str], decode: Callable):
+        path = directory / INDEX_FILES[role]
+        self.name, self.toc = path.name, toc
+        self.size = size = sum(entry[1] for entry in toc.values())
         fd = os.open(path, os.O_RDONLY)
         weakref.finalize(self, os.close, fd)
         actual = os.fstat(fd).st_size
         if actual != size:
-            raise MalformedGraphRecord(f"index file {self.name!r} holds {actual} bytes, manifest says {size}")
+            raise MalformedGraphRecord(f"index file {self.name!r} holds {actual} bytes, its records {size}")
 
         def record(key):  # holds no reference to self, so the file closes once this store is dropped
             entry = toc[key]
@@ -382,16 +384,18 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
-    """Persist the graph index with its raw and normalized rank orders, in index format 6.
+    """Persist the graph index with its raw and normalized rank orders, in index format 7.
 
     ``graphs.bin`` holds one serialize_graph record per item in item order,
     ``postings.bin`` the graphs' posting lists in sorted label order and
     ``collection_ranks.jsonl`` one JSON line per rank with its raw and its
-    normalized order. ``toc.json`` maps each item to its graph record's
-    (offset, length, digest) and its graph's size, each label to its posting
-    list's (offset, count, digest) and each ranker and query to its rank
-    record's (offset, length, digest); a digest is a 16-byte BLAKE2b, in hex.
-    The manifest records every file's size, the toc's sha256 and _params_digest.
+    normalized order, each file as long as its records' lengths sum to.
+    ``toc.json`` holds L, the comparator and the rankers, and maps each item
+    to its graph record's (offset, length, digest) and its graph's size,
+    each label to its posting list's (offset, count, digest) and each ranker
+    and query to its rank record's (offset, length, digest); a digest is a
+    16-byte BLAKE2b, in hex. The manifest holds the format, the file names
+    and the toc's sha256.
 
     Each graph is read once and serialized, the vertex record that
     serialize_graph returns is added to the VertexPostings, and the graph is
@@ -426,6 +430,9 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
         for (ranker, query), entry in ranks.items():
             toc_ranks.setdefault(ranker, {})[query] = entry
         toc = {
+            "L": fg_index.depth,
+            "comparator": fg_index.comparator,
+            "rankers": list(fg_index.ranker_names),
             "graphs": {item: [*entry, vertex_postings.sizes[item]] for item, entry in graphs.items()},
             "postings": {
                 label: [offset, length // POSTING.size, digest]
@@ -434,23 +441,9 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
             "ranks": toc_ranks,
         }
         toc_bytes = json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
-        written = {
-            "graphs": graphs,
-            "postings": postings,
-            "ranks": ranks,
-            "toc": _stage(directory / INDEX_FILES["toc"], [(None, toc_bytes)], staged),
-        }
-        manifest = {
-            "v": MANIFEST_VERSION,
-            "rankers": list(fg_index.ranker_names),
-            "L": fg_index.depth,
-            "comparator": fg_index.comparator,
-            "graph_count": len(graphs),
-            "files": INDEX_FILES,
-            "bytes": {role: sum(entry[1] for entry in entries.values()) for role, entries in written.items()},
-            "sha256": {"toc": hashlib.sha256(toc_bytes).hexdigest()},
-        }
-        manifest["sha256"]["params"] = _params_digest(manifest)
+        _stage(directory / INDEX_FILES["toc"], [(None, toc_bytes)], staged)
+        sha256 = {"toc": hashlib.sha256(toc_bytes).hexdigest()}
+        manifest = {"v": MANIFEST_VERSION, "files": INDEX_FILES, "sha256": sha256}
         manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
         _stage(directory / MANIFEST_NAME, [(None, manifest_bytes)], staged)
         for tmp, path in staged:
@@ -460,8 +453,9 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
             os.fsync(descriptor)
         finally:
             os.close(descriptor)
-        path, size = directory / INDEX_FILES["graphs"], manifest["bytes"]["graphs"]  # read as load_index would
-        fg_index.graphs = StoredRecords(path, size, toc["graphs"], "graph record of {!r}".format, _graph_record)
+        fg_index.graphs = StoredRecords(  # read as load_index would
+            directory, "graphs", toc["graphs"], "graph record of {!r}".format, _graph_record
+        )
         fg_index.postings = vertex_postings
     finally:
         for tmp, _ in staged:
@@ -504,25 +498,15 @@ def _rank_lines(fg_index: FusionGraphIndex) -> Iterator[tuple[tuple, bytes]]:
             yield (ranker, query), line.encode("utf-8")
 
 
-def _role_map(kind: type, roles: Iterable[str] = INDEX_FILES) -> Callable[[object], bool]:
-    return lambda v: isinstance(v, dict) and all(type(v.get(role)) is kind for role in roles)
-
-
 MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
+    "files": lambda v: v == INDEX_FILES,  # written for readers of the manifest; only these names are opened
+    "sha256": lambda v: type(v) is dict and list(v) == ["toc"] and type(v["toc"]) is str,
+}
+TOC_FIELDS: dict[str, Callable[[object], bool]] = {
     "L": lambda v: type(v) is int and v >= 1,
-    "graph_count": lambda v: type(v) is int,
     "comparator": lambda v: isinstance(v, str) and v in COMPARATORS,
     "rankers": lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
-    "files": lambda v: v == INDEX_FILES,  # written for readers of the manifest; only these names are opened
-    "bytes": _role_map(int),
-    "sha256": _role_map(str, ("toc",)),
 }
-
-
-def _params_digest(manifest: dict) -> str:
-    """The hex sha256 of the manifest's L, comparator and rankers, which no data file is checked against."""
-    params = json.dumps([manifest["L"], manifest["comparator"], manifest["rankers"]], separators=(",", ":"))
-    return hashlib.sha256(params.encode("utf-8")).hexdigest()
 
 
 def _read_manifest(directory: Path) -> dict:
@@ -543,8 +527,9 @@ def _read_manifest(directory: Path) -> dict:
             raise MalformedGraphRecord(
                 f"index manifest field {name!r} is missing or ill-typed: {manifest.get(name)!r}"
             )
-    if manifest["sha256"].get("params") not in (None, _params_digest(manifest)):  # None: written without it
-        raise MalformedGraphRecord("index manifest fields 'L', 'comparator' and 'rankers' do not match their sha256")
+    unknown = sorted(manifest.keys() - {"v", *MANIFEST_FIELDS})
+    if unknown:
+        raise MalformedGraphRecord(f"index manifest field {unknown[0]!r} is unknown")
     return manifest
 
 
@@ -561,19 +546,20 @@ def _is_entry(entry: object, fields: int) -> bool:
     )
 
 
-def _read_toc(directory: Path, manifest: dict) -> tuple[dict, dict, dict]:
-    """The table of contents' (graphs, postings, ranks) maps, every entry checked."""
-    name, size = INDEX_FILES["toc"], manifest["bytes"]["toc"]
+def _read_toc(directory: Path, sha256: str) -> dict:
+    """The table of contents, if it matches ``sha256``: its fields in TOC_FIELDS checked, and every entry."""
+    name = INDEX_FILES["toc"]
     data = (directory / name).read_bytes()
-    if len(data) != size:
-        raise MalformedGraphRecord(f"index file {name!r} holds {len(data)} bytes, manifest says {size}")
-    if hashlib.sha256(data).hexdigest() != manifest["sha256"]["toc"]:
+    if hashlib.sha256(data).hexdigest() != sha256:
         raise MalformedGraphRecord(f"index file {name!r} does not match its sha256 in the manifest")
     try:
         toc = json.loads(data)
+        if type(toc) is not dict or not all(type(toc.get(part)) is dict for part in ("graphs", "postings", "ranks")):
+            raise ValueError("it must be an object whose graphs, postings and ranks are objects")
+        for field, valid in TOC_FIELDS.items():
+            if not valid(toc.get(field)):
+                raise ValueError(f"field {field!r} is missing or ill-typed: {toc.get(field)!r}")
         graphs, postings, ranks = toc["graphs"], toc["postings"], toc["ranks"]
-        if not all(type(part) is dict for part in (graphs, postings, ranks)):
-            raise ValueError("graphs, postings and ranks must be objects")
         if list(graphs) != sorted(graphs):  # slot order must be item order
             raise ValueError("graph items are not in ascending order")
         for item, entry in graphs.items():
@@ -584,63 +570,57 @@ def _read_toc(directory: Path, manifest: dict) -> tuple[dict, dict, dict]:
         if not all(_is_entry(entry, 3) for entry in postings.values()):
             raise ValueError("bad posting list entry")
         for ranker, per_query in ranks.items():
-            if ranker not in manifest["rankers"]:
-                raise ValueError(f"ranker {ranker!r} is not in the manifest")
+            if ranker not in toc["rankers"]:
+                raise ValueError(f"ranker {ranker!r} is not one of its rankers")
             if type(per_query) is not dict or "" in per_query:
                 raise ValueError(f"ranks of {ranker!r} must be an object with non-empty query ids")
             if not all(_is_entry(entry, 3) for entry in per_query.values()):
                 raise ValueError(f"bad rank entry under {ranker!r}")
     except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedGraphRecord(f"bad table of contents {name!r}: {exc}") from exc
-    if len(graphs) != manifest["graph_count"]:
-        raise MalformedGraphRecord(
-            f"graph store holds {len(graphs)} graphs, manifest says {manifest['graph_count']}"
-        )
-    return graphs, postings, ranks
+    return toc
 
 
 def load_index(directory: str | Path) -> FusionGraphIndex:
     """Open a persisted index directory.
 
-    Reads the manifest and the table of contents only. Every manifest field
-    in MANIFEST_FIELDS must be present and well typed (and L, comparator
-    and rankers match their sha256 if it is there), ``files`` must name
-    INDEX_FILES, the only files opened, every data file must
-    have its recorded size, the table of contents must match its sha256 and
-    every entry in it must be well typed, with graph items ascending, graph
-    sizes positive and finite and rankers from the manifest; otherwise (and
+    Reads the manifest and the table of contents only. The manifest must
+    hold the fields in MANIFEST_FIELDS, well typed, and no other; ``files``
+    must name INDEX_FILES, the only files opened. The table of contents must
+    match the manifest's sha256, its fields in TOC_FIELDS must be well typed
+    and every entry in it must be too, with graph items ascending, graph
+    sizes positive and finite and rankers from its ``rankers``; every data
+    file must be as long as the sum of its records' lengths. Otherwise (and
     for an index of an older format) MalformedGraphRecord is raised. A graph,
     posting list or rank record is read when search first needs it, and is
     checked then: against its digest, and by deserialize_graph, the posting
     list's slot check or the rank record check.
     """
     directory = Path(directory)
-    manifest = _read_manifest(directory)
-    graphs, postings, ranks = _read_toc(directory, manifest)
-
-    def store(role: str, toc: dict, describe: Callable[[object], str], decode: Callable) -> StoredRecords:
-        return StoredRecords(directory / INDEX_FILES[role], manifest["bytes"][role], toc, describe, decode)
-
-    stored_graphs = store("graphs", graphs, "graph record of {!r}".format, _graph_record)
-    posting_lists = store(
+    toc = _read_toc(directory, _read_manifest(directory)["sha256"]["toc"])
+    graphs, postings, ranks, depth = toc["graphs"], toc["postings"], toc["ranks"], toc["L"]
+    stored_graphs = StoredRecords(directory, "graphs", graphs, "graph record of {!r}".format, _graph_record)
+    posting_lists = StoredRecords(
+        directory,
         "postings",
         {label: [offset, count * POSTING.size, digest] for label, (offset, count, digest) in postings.items()},
         "posting list of {!r}".format,
         partial(_posting_list, len(graphs)),
     )
-    records = store(
+    records = StoredRecords(
+        directory,
         "ranks",
         {(r, q): entry for r, per_query in ranks.items() for q, entry in per_query.items()},
         lambda key: f"rank record of {key[1]!r} under {key[0]!r}",
-        partial(_rank_record, manifest["L"]),
+        partial(_rank_record, depth),
     )
     fg_index = FusionGraphIndex(
         stored_graphs,
-        manifest["L"],
-        tuple(manifest["rankers"]),
-        manifest["comparator"],
-        StoredRanks(records, ranks, manifest["L"], normalized=True),
-        StoredRanks(records, ranks, manifest["L"], normalized=False),
+        depth,
+        tuple(toc["rankers"]),
+        toc["comparator"],
+        StoredRanks(records, ranks, depth, normalized=True),
+        StoredRanks(records, ranks, depth, normalized=False),
     )
     # what the cached property would derive by decoding every graph
     fg_index.postings = VertexPostings(list(graphs), posting_lists, {item: entry[3] for item, entry in graphs.items()})

@@ -92,21 +92,32 @@ def index_files(index_dir) -> dict[str, bytes]:
 
 
 def seal_toc(index_dir, toc) -> None:
-    """Write ``toc`` (or, given bytes, those) as the index's table of contents; record its size and sha256."""
+    """Write ``toc`` (or, given bytes, those) as the index's table of contents; record its sha256."""
     data = toc if isinstance(toc, bytes) else json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
     (index_dir / "toc.json").write_bytes(data)
     path = index_dir / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    manifest["bytes"]["toc"] = len(data)
     manifest["sha256"]["toc"] = hashlib.sha256(data).hexdigest()
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
-def edit_toc(index_dir, edit) -> None:
-    """Apply ``edit`` to the index's table of contents and reseal it."""
+def edit_manifest(index_dir, edit) -> None:
+    """Apply ``edit`` to the JSON object of the index's manifest."""
+    path = index_dir / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    edit(manifest)
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def edit_toc(index_dir, edit, reseal=True) -> None:
+    """Apply ``edit`` to the index's table of contents and, unless ``reseal`` is false, reseal it."""
     toc = json.loads((index_dir / "toc.json").read_bytes())
     edit(toc)
-    seal_toc(index_dir, toc)
+    data = json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    if reseal:
+        seal_toc(index_dir, data)
+    else:
+        (index_dir / "toc.json").write_bytes(data)
 
 
 def reverse_graph_items(index_dir) -> None:
@@ -116,6 +127,50 @@ def reverse_graph_items(index_dir) -> None:
     seal_toc(index_dir, json.dumps(toc, separators=(",", ":")).encode("utf-8"))
 
 
+def _swap_graph_entries(toc) -> None:
+    graphs = toc["graphs"]
+    graphs["A"], graphs["B"] = graphs["B"], graphs["A"]
+
+
+# faults in the manifest or the table of contents of the toy index (items A,
+# B and C under rankers r1 and r2) that load_index rejects with the message
+# given, all but the last before any record is read; a table of contents is
+# resealed, so its own checks are what catch the fault
+NOT_AN_OBJECT = "bad table of contents 'toc.json': it must be an object whose graphs, postings and ranks are objects"
+LOAD_FAULTS = {
+    "toc not an object": (lambda d: seal_toc(d, b"[]"), NOT_AN_OBJECT),
+    **{
+        f"{part} not an object": (lambda d, part=part: edit_toc(d, lambda toc: toc.update({part: []})), NOT_AN_OBJECT)
+        for part in ("graphs", "postings", "ranks")
+    },
+    "graph entry ill-typed": (
+        lambda d: edit_toc(d, lambda toc: toc["graphs"]["A"].__setitem__(0, "0")), "bad graph entry for 'A'"
+    ),
+    "posting list entry ill-typed": (
+        lambda d: edit_toc(d, lambda toc: toc["postings"]["X"].pop()), "bad posting list entry"
+    ),
+    "rank entry ill-typed": (
+        lambda d: edit_toc(d, lambda toc: toc["ranks"]["r2"]["B"].__setitem__(1, -1)), "bad rank entry under 'r2'"
+    ),
+    "sha256 of more than the toc": (
+        lambda d: edit_manifest(d, lambda m: m["sha256"].update({"params": "00"})),
+        "index manifest field 'sha256' is missing or ill-typed",
+    ),
+    "version 99": (lambda d: edit_manifest(d, lambda m: m.update({"v": 99})), "unknown index manifest version 99"),
+    "version '7'": (lambda d: edit_manifest(d, lambda m: m.update({"v": "7"})), "unknown index manifest version '7'"),
+    **{
+        f"format-6 field {field}": (
+            lambda d, field=field: edit_manifest(d, lambda m: m.update({field: 2})),
+            f"index manifest field {field!r} is unknown",
+        )
+        for field in ("L", "graph_count")
+    },
+    "graph filed under another item": (
+        lambda d: edit_toc(d, _swap_graph_entries), "graph record of 'A' holds the graph of 'B'"
+    ),
+}
+
+
 INDEX_DATA_FILES = {"graphs": "graphs.bin", "postings": "postings.bin", "ranks": "collection_ranks.jsonl"}
 
 
@@ -123,9 +178,9 @@ def rewrite_record(index_dir, role, key, edit) -> None:
     """Replace one record of data file ``role`` by ``edit(record)`` and reseal the index around it.
 
     ``key`` is an item (graphs), a label (postings) or a (ranker, query) pair
-    (ranks). Offsets, lengths, digests, file sizes and the table of contents'
-    sha256 are all updated as an index written with the edited record would
-    hold them, so only a record check can catch the edit.
+    (ranks). Offsets, lengths, digests and the table of contents' sha256 are
+    all updated as an index written with the edited record would hold them,
+    so only a record check can catch the edit.
     """
     toc = json.loads((index_dir / "toc.json").read_bytes())
     if role == "ranks":
@@ -144,10 +199,6 @@ def rewrite_record(index_dir, role, key, edit) -> None:
         entry[:3] = [len(out), len(record) // unit, hashlib.blake2b(record, digest_size=16).hexdigest()]
         out += record
     path.write_bytes(bytes(out))
-    manifest_path = index_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["bytes"][role] = len(out)
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     seal_toc(index_dir, toc)
 
 

@@ -23,8 +23,10 @@ from fusegraph.model import ScoredRank
 
 from helpers import (
     INDEX_DATA_FILES,
+    LOAD_FAULTS,
     TOY_LAYOUT,
     TOY_QUERY,
+    edit_manifest,
     edit_rank_record,
     edit_toc,
     index_files,
@@ -584,22 +586,10 @@ def test_bad_baseline_method_lists_every_method(toy_files):
     assert [choice.strip("'") for choice in listed.split(", ")] == sorted(baselines.METHODS)
 
 
-def edit_manifest(edit):
-    """An index edit that applies ``edit`` to the manifest's JSON object."""
-
-    def apply(index_dir):
-        path = index_dir / "manifest.json"
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        edit(manifest)
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-
-    return apply
-
-
 def replace_first(name, old, new):
     """A same-size index edit: the first ``old`` in data file ``name`` becomes ``new``.
 
-    The file keeps its byte size, so the manifest's size check passes it.
+    The file keeps its byte size, so the check of its size against its records' lengths passes it.
     """
 
     def apply(index_dir):
@@ -632,7 +622,7 @@ def search_error_after_edit(toy_files, edit):
 
 
 def test_search_with_malformed_manifest_prints_one_json_line(toy_files):
-    error = search_error_after_edit(toy_files, edit_manifest(lambda m: m.pop("L")))
+    error = search_error_after_edit(toy_files, lambda index_dir: edit_manifest(index_dir, lambda m: m.pop("sha256")))
     assert error["error"] == "MalformedGraphRecord"
 
 
@@ -657,11 +647,13 @@ def test_graph_items_out_of_order_print_one_json_line(toy_files, command):
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    """Indexes of formats 1 to 5 are all rejected by name."""
-    for version in (1, 2, 3, 4, 5):
-        error = search_error_after_edit(toy_files, edit_manifest(lambda m: m.update({"v": version})))
+    """Indexes of formats 1 to 6 are all rejected by name."""
+    for version in (1, 2, 3, 4, 5, 6):
+        error = search_error_after_edit(
+            toy_files, lambda index_dir: edit_manifest(index_dir, lambda m: m.update({"v": version}))
+        )
         assert error["error"] == "MalformedGraphRecord"
-        assert "predates index format 6" in error["message"]
+        assert "predates index format 7" in error["message"]
         assert "re-extracted" in error["message"]
 
 
@@ -699,14 +691,14 @@ def test_record_past_the_end_of_its_file_prints_one_json_line(toy_files, role, c
     index_dir = toy_files["dir"] / "index"
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
 
-    def lengthen(toc):  # every record of the role gets a length (postings: a count) of 2**44
+    def move(toc):  # every record of the role moves to offset 2**44; the lengths still sum to the file's size
         entries = list(toc[role].values())
         if role == "ranks":
             entries = [entry for per_query in entries for entry in per_query.values()]
         for entry in entries:
-            entry[1] = 2**44
+            entry[0] = 2**44
 
-    edit_toc(index_dir, lengthen)
+    edit_toc(index_dir, move)
     args = ["--index", str(index_dir)]
     if command == "search":
         args += ["--queries", str(toy_files["queries"]), "--out", str(toy_files["dir"] / "fg.run")]
@@ -718,6 +710,50 @@ def test_record_past_the_end_of_its_file_prints_one_json_line(toy_files, role, c
     name = INDEX_DATA_FILES[role]
     assert error["error"] == "MalformedGraphRecord"
     assert error["message"].endswith(f" ends past the {(index_dir / name).stat().st_size} bytes of {name!r}")
+
+
+def _retype(field):
+    return lambda manifest: manifest.update({field: [manifest[field]]})
+
+
+# every manifest field deleted or retyped, L and the comparator changed in the
+# table of contents without resealing it, and the faults load_index rejects
+INDEX_FAULTS = {
+    **{
+        f"manifest {field} {fault}": (
+            lambda d, field=field, fault=fault: edit_manifest(
+                d, _retype(field) if fault == "retyped" else lambda m: m.pop(field)
+            ),
+            "unknown index manifest version" if field == "v" else f"field {field!r} is missing or ill-typed",
+        )
+        for field in ("v", "files", "sha256")
+        for fault in ("missing", "retyped")
+    },
+    "toc params unsealed": (
+        lambda d: edit_toc(d, lambda toc: toc.update({"L": 3, "comparator": "MCS"}), reseal=False),
+        "index file 'toc.json' does not match its sha256 in the manifest",
+    ),
+    **LOAD_FAULTS,
+}
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+@pytest.mark.parametrize("case", INDEX_FAULTS)
+def test_a_faulty_manifest_or_toc_prints_one_json_line(toy_files, case, command):
+    edit, message = INDEX_FAULTS[case]
+    index_dir = toy_files["dir"] / "index"
+    assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
+    edit(index_dir)
+    args = ["--index", str(index_dir)]
+    if command == "search":
+        args += ["--queries", str(toy_files["queries"]), "--out", str(toy_files["dir"] / "fg.run")]
+    code, stdout, stderr = _run_main([command, *args])
+    assert (code, stdout) == (1, "")
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    error = json.loads(lines[0])
+    assert error["error"] == "MalformedGraphRecord"
+    assert message in error["message"]
 
 
 def z_index(tmp_path):
@@ -876,7 +912,7 @@ INDEX_FILE_NAMES = ["collection_ranks.jsonl", "graphs.bin", "manifest.json", "po
     where=st.floats(0.0, 1.0, exclude_max=True),
     mask=st.integers(1, 255),
 )
-@example(name="manifest.json", kind="flip", where=0.021484375, mask=1)  # "L": 2 becomes "L": 3
+@example(name="toc.json", kind="flip", where=0.005859375, mask=1)  # "L":2 becomes "L":3
 def test_every_index_fault_gives_the_same_run_or_one_json_line(sound_z_index, name, kind, where, mask):
     """Under search and verify, a faulty index file gives the clean result or one JSON error line.
 
@@ -1098,12 +1134,16 @@ def test_tracer_finds_every_traced_name(toy_files):
 # with the per-occurrence graph builder that tests/helpers keeps as the spec.
 # The format-6 files were recorded from an index whose every graph decodes
 # bit for bit to that of the format-5 index pinned before it, with the same
-# sizes; the posting and rank files are unchanged from format 5.
+# sizes; the posting and rank files are unchanged from format 5. Format 7
+# left the data files as they were and re-pinned the manifest and the table
+# of contents, which differs from format 6's only by its L, comparator and
+# rankers.
 PINNED_INDEX = {
     "graphs.bin": "dcfe3bfbcc9d657a30cd224047076ec42e1bab0777c6cb5621257a8fa70db9d0",
     "postings.bin": "1aab79ca6e5f8398200e8ef7dacdcd95547e53979a4bd47bf059290bccf155fd",
     "collection_ranks.jsonl": "2ff8fdb7da5378982a06c516c95ca7b456437f3bae5fc6b56273d92354958db1",
-    "toc.json": "8d8c2e598fd65ec76fddce128ccb2953ad1002df0e1b4e9248c36e3e53ebeb31",
+    "toc.json": "6adbbcc76403e762a9b483bfed9aabb18257ea121ff20db723e7a342e1c6feba",
+    "manifest.json": "8ddab8a57f8524c539e03b91d59855a5be1fbcfae122c030d25642b6942df670",
 }
 
 
@@ -1129,12 +1169,13 @@ def test_extract_index_bytes_are_pinned(tmp_path):
 
 # sha256 of the index files `extract` writes for a strict MCS collection at
 # L=20, recorded before the graph builder summed two-part edges with `+`,
-# and re-recorded for format 6 as PINNED_INDEX was.
+# and re-recorded for formats 6 and 7 as PINNED_INDEX was.
 PINNED_STRICT_INDEX = {
     "graphs.bin": "640a22cca1e671b42de4838041f8c6b62c3e46a5f0f7d7019dcd171a85554140",
     "postings.bin": "93bf7a7b3cc4433cdc25fcdc0dac8d41416861f2b02d6820a4c6a404931a6038",
     "collection_ranks.jsonl": "d48b5810e32932a80740f0103dcf7c3f8a09aaed9f1d7fc6744004b594b27d1b",
-    "toc.json": "73aa0e6df74587b1ef71ba6e44c0bdb2ecd36abc70b71059d17f844543101a99",
+    "toc.json": "e288b5c280cd9443ea5c2f56b3abb46598da504e392a491f41774204eb34d4f6",
+    "manifest.json": "4fc4e9052fec3ef68d6100214f6c179300078f108a97e072eb3a22a975489b00",
 }
 
 

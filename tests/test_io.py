@@ -101,6 +101,13 @@ def test_parse_run_depth_truncation(tmp_path):
     assert runs["q1"].depth == 3
 
 
+@pytest.mark.parametrize("text", ["", "q1 Q0 a 1 2.0 t\n"], ids=["empty", "one line"])
+def test_parse_run_rejects_depth_below_one_before_any_line(tmp_path, text):
+    path = write(tmp_path, "a.run", text)
+    with pytest.raises(ValueError, match=r"^depth must be >= 1, got 0$"):
+        parse_run_file(path, "r", depth=0)
+
+
 RUN_IDS = st.text(alphabet="abqz019_é日", min_size=1, max_size=3)
 RUN_SCORES = st.one_of(
     st.floats(min_value=0.0, max_value=1e300).map(repr),

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import stat
 import struct
 import sys
@@ -33,8 +34,10 @@ from fusegraph.retrieval import (
 from fusegraph.similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor, mcs
 
 from helpers import (
+    LOAD_FAULTS,
     edge_masses,
     edit_rank_record,
+    edit_manifest,
     edit_toc,
     index_files,
     reverse_graph_items,
@@ -404,23 +407,12 @@ def test_save_is_byte_deterministic(tmp_path, toy_fg_index):
     assert index_files(tmp_path / "one") == index_files(tmp_path / "two")
 
 
-def _corrupt_manifest(directory, edit):
-    path = directory / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    edit(manifest)
-    path.write_text(json.dumps(manifest), encoding="utf-8")
-
-
 def test_manifest_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8"))
-    assert sorted(manifest) == sorted(
-        ("v", "rankers", "L", "comparator", "graph_count", "files", "bytes", "sha256")
-    )
-    assert manifest["v"] == 6
-    assert manifest["L"] == 2
-    assert manifest["rankers"] == ["r1", "r2"]
+    assert sorted(manifest) == ["files", "sha256", "v"]
+    assert manifest["v"] == 7
     assert manifest["files"] == {
         "graphs": "graphs.bin",
         "postings": "postings.bin",
@@ -430,22 +422,24 @@ def test_manifest_layout(tmp_path, toy_fg_index):
     assert sorted(path.name for path in (tmp_path / "idx").iterdir()) == sorted(
         ["manifest.json", *manifest["files"].values()]
     )
-    for role, name in manifest["files"].items():
-        assert manifest["bytes"][role] == (tmp_path / "idx" / name).stat().st_size
     toc = (tmp_path / "idx" / "toc.json").read_bytes()
-    params = f'[2,"{manifest["comparator"]}",["r1","r2"]]'.encode("utf-8")
-    assert manifest["sha256"] == {"toc": hashlib.sha256(toc).hexdigest(), "params": hashlib.sha256(params).hexdigest()}
+    assert manifest["sha256"] == {"toc": hashlib.sha256(toc).hexdigest()}
 
 
 def test_toc_and_postings_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
     toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
-    assert sorted(toc) == ["graphs", "postings", "ranks"]
+    assert sorted(toc) == ["L", "comparator", "graphs", "postings", "rankers", "ranks"]
+    assert (toc["L"], toc["comparator"], toc["rankers"]) == (2, "WGU", ["r1", "r2"])
     assert list(toc["graphs"]) == ["A", "B", "C"]
     graphs = (tmp_path / "idx" / "graphs.bin").read_bytes()
     postings = (tmp_path / "idx" / "postings.bin").read_bytes()
     ranks = (tmp_path / "idx" / "collection_ranks.jsonl").read_bytes()
+    # a data file's size is the sum of its records' lengths
+    assert len(graphs) == sum(entry[1] for entry in toc["graphs"].values())
+    assert len(postings) == 28 * sum(entry[1] for entry in toc["postings"].values())
+    assert len(ranks) == sum(entry[1] for per_query in toc["ranks"].values() for entry in per_query.values())
     for item, (offset, length, digest, size) in toc["graphs"].items():
         record = graphs[offset : offset + length]
         assert hashlib.blake2b(record, digest_size=16).hexdigest() == digest
@@ -484,34 +478,54 @@ def test_rank_record_layout(tmp_path, toy_fg_index):
         assert [record["items"][slot] for slot in record["normalized"]] == list(normalized)
 
 
-MANIFEST_FIELDS = ("L", "rankers", "comparator", "graph_count", "files", "bytes", "sha256")
+# the fields of the manifest and those of the table of contents it seals, by file
+FIELDS = {"files": "manifest", "sha256": "manifest", "L": "toc", "comparator": "toc", "rankers": "toc"}
 ILL_TYPED = {
     "L": "2",
     "rankers": "r1",
     "comparator": "JACCARD",
-    "graph_count": None,
     "files": {"graphs": "graphs.jsonl"},
-    "bytes": {"graphs": 10, "ranks": "10"},
-    "sha256": {"graphs": "00", "ranks": None},
+    "sha256": {"toc": None},
 }
 
 
-@pytest.mark.parametrize("field", MANIFEST_FIELDS)
+def _edit_field(directory, field, edit):
+    """Apply ``edit`` to the JSON object that holds ``field``; a table of contents is resealed."""
+    (edit_manifest if FIELDS[field] == "manifest" else edit_toc)(directory, edit)
+
+
+@pytest.mark.parametrize("field", FIELDS)
 def test_load_rejects_manifest_missing_field(tmp_path, toy_fg_index, field):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    _corrupt_manifest(tmp_path / "idx", lambda m: m.pop(field))
-    with pytest.raises(MalformedGraphRecord, match=field):
+    _edit_field(tmp_path / "idx", field, lambda m: m.pop(field))
+    with pytest.raises(MalformedGraphRecord, match=f"'{field}' is missing or ill-typed"):
         load_index(tmp_path / "idx")
 
 
-@pytest.mark.parametrize("field", MANIFEST_FIELDS)
+@pytest.mark.parametrize("field", FIELDS)
 def test_load_rejects_ill_typed_manifest_field(tmp_path, toy_fg_index, field):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    _corrupt_manifest(tmp_path / "idx", lambda m: m.update({field: ILL_TYPED[field]}))
-    with pytest.raises(MalformedGraphRecord, match=field):
+    _edit_field(tmp_path / "idx", field, lambda m: m.update({field: ILL_TYPED[field]}))
+    with pytest.raises(MalformedGraphRecord, match=f"'{field}' is missing or ill-typed"):
         load_index(tmp_path / "idx")
+
+
+@pytest.mark.parametrize("case", LOAD_FAULTS)
+def test_load_rejects_a_faulty_manifest_or_toc(tmp_path, toy_fg_index, case):
+    edit, message = LOAD_FAULTS[case]
+    index, fg_index = toy_fg_index
+    save_index(tmp_path / "idx", fg_index)
+    edit(tmp_path / "idx")
+    with pytest.raises(MalformedGraphRecord, match=re.escape(message)):
+        dict(load_index(tmp_path / "idx").graphs)  # a graph filed under another item is caught when read
+
+
+def test_fusion_graph_index_rejects_an_unknown_comparator(toy_fg_index):
+    index, fg_index = toy_fg_index
+    with pytest.raises(ValueError, match=re.escape("comparator must be one of ['MCS', 'WGU'], got 'JACCARD'")):
+        FusionGraphIndex(fg_index.graphs, 2, ("r1", "r2"), "JACCARD", fg_index.normalized, index)
 
 
 @pytest.mark.parametrize("role, name", [("toc", "toc.json"), ("graphs", "graphs.bin")])
@@ -522,7 +536,7 @@ def test_load_and_verify_reject_a_manifest_naming_a_file_outside_the_index(tmp_p
     save_index(tmp_path / "idx", fg_index)
     (tmp_path / "idx" / name).rename(tmp_path / name)
     named = str(tmp_path / name) if outside == "absolute" else f"../{name}"
-    _corrupt_manifest(tmp_path / "idx", lambda m: m["files"].update({role: named}))
+    edit_manifest(tmp_path / "idx", lambda m: m["files"].update({role: named}))
     for read in (load_index, verify_index):
         with pytest.raises(MalformedGraphRecord, match="'files' is missing or ill-typed"):
             read(tmp_path / "idx")
@@ -531,28 +545,21 @@ def test_load_and_verify_reject_a_manifest_naming_a_file_outside_the_index(tmp_p
 def test_load_rejects_depth_below_one(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"L": 0}))
+    edit_toc(tmp_path / "idx", lambda toc: toc.update({"L": 0}))
     with pytest.raises(MalformedGraphRecord, match="'L' is missing or ill-typed: 0"):
         load_index(tmp_path / "idx")
 
 
 @pytest.mark.parametrize("edit", [{"L": 3}, {"comparator": "MCS"}, {"rankers": ["r2", "r1"]}], ids=str)
 def test_load_and_verify_reject_manifest_params_that_miss_their_sha256(tmp_path, toy_fg_index, edit):
-    # each edit leaves a manifest that is well typed and agrees with every data file
+    # each edit leaves a table of contents that is well typed and agrees with every data file,
+    # but is not resealed, so only the manifest's sha256 of it tells
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    _corrupt_manifest(tmp_path / "idx", lambda m: m.update(edit))
+    edit_toc(tmp_path / "idx", lambda toc: toc.update(edit), reseal=False)
     for read in (load_index, verify_index):
-        with pytest.raises(MalformedGraphRecord, match="'L', 'comparator' and 'rankers' do not match their sha256"):
+        with pytest.raises(MalformedGraphRecord, match="'toc.json' does not match its sha256 in the manifest"):
             read(tmp_path / "idx")
-
-
-def test_load_reads_a_manifest_without_the_params_sha256(tmp_path, toy_fg_index):
-    index, fg_index = toy_fg_index
-    save_index(tmp_path / "idx", fg_index)
-    _corrupt_manifest(tmp_path / "idx", lambda m: m["sha256"].pop("params"))
-    assert load_index(tmp_path / "idx").depth == 2
-    verify_index(tmp_path / "idx")
 
 
 ITEM_TYPES = "bad rank record of 'A' under 'r1': items must be a list of strings"
@@ -591,7 +598,7 @@ BAD_RECORDS = {
     "graph query not a string": (_graph_header_edit(lambda h: h.update({"query": 555})), "non-string query"),
     "rank ranker not in manifest": (
         lambda directory: edit_toc(directory, lambda t: t["ranks"].update({"r9": t["ranks"].pop("r1")})),
-        "ranker 'r9' is not in the manifest",
+        "ranker 'r9' is not one of its rankers",
     ),
     "rank query not a string": (
         _rank_edit(lambda r: r.update({"query": 7})), "it holds the rank of 7 under 'r1'"
@@ -673,22 +680,37 @@ def test_stored_vertex_data_is_checked(tmp_path, toy_fg_index, case):
 def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    # a byte no table-of-contents entry covers, at the end of the rank file
+    # a byte no table-of-contents entry covers, at the end of the rank file: the lengths no longer sum to its size
     path = tmp_path / "idx" / "collection_ranks.jsonl"
-    path.write_bytes(path.read_bytes() + b"\n")
-    _corrupt_manifest(tmp_path / "idx", lambda m: m["bytes"].update({"ranks": path.stat().st_size}))
+    data = path.read_bytes()
+    path.write_bytes(data + b"\n")
+    with pytest.raises(MalformedGraphRecord, match=f"holds {len(data) + 1} bytes, its records {len(data)}$"):
+        load_index(tmp_path / "idx")
+
+    # the first two rank records share a byte, a space that ends the first and starts the second, so the
+    # lengths sum to the file's size over a gap of one byte, a space at its end; JSON allows both spaces
+    def overlap(toc):
+        first, second, *rest = sorted(e for ranks in toc["ranks"].values() for e in ranks.values())
+        cut = second[0]
+        first[1:] = [cut + 1, hashlib.blake2b(data[:cut] + b" ", digest_size=16).hexdigest()]
+        second[1:] = [second[1] + 1, hashlib.blake2b(b" " + data[cut : cut + second[1]], digest_size=16).hexdigest()]
+        for entry in rest:
+            entry[0] += 1
+        path.write_bytes(data[:cut] + b" " + data[cut:] + b" ")
+
+    edit_toc(tmp_path / "idx", overlap)
     load_index(tmp_path / "idx")
-    with pytest.raises(MalformedGraphRecord, match="do not cover it back to back"):
+    with pytest.raises(MalformedGraphRecord, match="do not cover it back to back from byte"):
         verify_index(tmp_path / "idx")
 
 
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
-    """Indexes of formats 1 to 5 are all rejected by name."""
+    """Indexes of formats 1 to 6 are all rejected by name."""
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    for version in (1, 2, 3, 4, 5):
-        _corrupt_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
-        with pytest.raises(MalformedGraphRecord, match="predates index format 6.*re-extracted"):
+    for version in (1, 2, 3, 4, 5, 6):
+        edit_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
+        with pytest.raises(MalformedGraphRecord, match="predates index format 7.*re-extracted"):
             load_index(tmp_path / "idx")
 
 
