@@ -18,7 +18,7 @@ _HOMES = {
     name: module
     for module, names in {
         "errors": ("FusionError",),
-        "graph": ("FusionGraph", "build_fusion_graph", "normalize_graph_weights"),
+        "graph": ("FusionGraph", "build_fusion_graph"),
         "model": ("CollectionRankIndex", "ItemId", "RankSet", "ScoredEntry", "ScoredRank", "assemble_rank_set"),
         "normalize": ("normalize_rank_set",),
         "retrieval": ("FusionGraphIndex", "fuse_query", "index_collection"),

@@ -12,7 +12,7 @@ Where the classical descriptions leave absent items open, this module fixes
 them as follows: Borda gives an absent item, or one below the cut, 0 points
 from that rank; Comb* lets an absent rank contribute nothing (it also lowers
 the occurrence count); Condorcet treats absence as ranked worst; RLSim
-multiplies in the floor epsilon. Ties are always broken by ascending item
+multiplies in the floor RLSIM_EPSILON. Ties are always broken by ascending item
 id, so every method is deterministic and invariant to ranker order.
 """
 
@@ -23,7 +23,7 @@ import math
 from collections import defaultdict
 from typing import Callable, Sequence
 
-from .errors import EmptyRankSet, MissingScores, TooManyItems
+from .errors import EmptyRank, InvalidRankSet, TooManyItems
 from .model import ItemId, RankSet, ScoredRank, unchecked_rank
 
 RRF_DEFAULT_K = 60.0
@@ -34,7 +34,7 @@ KEMENY_MAX_CAP = 9  # the search is factorial: 9 items take seconds per query
 
 def _check(rs: RankSet) -> int:
     if len(rs) == 0:
-        raise EmptyRankSet(f"rank set for {rs.query!r} has no ranks")
+        raise InvalidRankSet(f"rank set for {rs.query!r} has no ranks")
     return len(rs)
 
 
@@ -101,7 +101,7 @@ def _minmax(rank: ScoredRank, floor: float = 0.0) -> dict[ItemId, float]:
     A rank whose scores are all equal maps every item to 1.0.
     """
     if not rank.entries:
-        raise MissingScores(f"rank for {rank.query!r} under {rank.ranker!r} has no scores")
+        raise EmptyRank(f"rank for {rank.query!r} under {rank.ranker!r} has no scores")
     values = [entry.score for entry in rank]
     lo, hi = min(values), max(values)
     if hi == lo:
@@ -156,16 +156,14 @@ def comb(rs: RankSet, variant: str, depth: int | None = None) -> ScoredRank:
     return _finalize(rs, scores, depth, f"comb{variant.lower()}")
 
 
-def rlsim(rs: RankSet, epsilon: float = RLSIM_EPSILON, depth: int | None = None) -> ScoredRank:
-    """Product of per-rank scores, min-max normalized onto [epsilon, 1].
+def rlsim(rs: RankSet, depth: int | None = None) -> ScoredRank:
+    """Product of per-rank scores, min-max normalized onto [RLSIM_EPSILON, 1].
 
     The floor keeps a single zero from annihilating an item; a rank that does
     not contain the item multiplies in the floor as well.
     """
     _check(rs)
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    normalized = [_minmax(rank, floor=epsilon) for rank in rs]
+    normalized = [_minmax(rank, floor=RLSIM_EPSILON) for rank in rs]
     items: set[ItemId] = set()
     for mapping in normalized:
         items.update(mapping)
@@ -173,7 +171,7 @@ def rlsim(rs: RankSet, epsilon: float = RLSIM_EPSILON, depth: int | None = None)
     for item in items:
         product = 1.0
         for mapping in normalized:
-            product *= mapping.get(item, epsilon)
+            product *= mapping.get(item, RLSIM_EPSILON)
         scores[item] = product
     return _finalize(rs, scores, depth, "rlsim")
 

@@ -44,14 +44,6 @@ class RankerMismatch(FusionError):
     """Query rank set disagrees with the index on rankers or depth."""
 
 
-class EmptyRankSet(FusionError):
-    """An aggregation method received a rank set with no ranks."""
-
-
-class MissingScores(FusionError):
-    """A score-based aggregation method found a rank without usable scores."""
-
-
 class TooManyItems(FusionError):
     """Exact Kemeny aggregation received more items than its cap allows."""
 

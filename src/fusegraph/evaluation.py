@@ -21,10 +21,6 @@ from .errors import (
 from .model import ItemId, ScoredRank
 
 
-def _rank_items(rank) -> Sequence[ItemId]:
-    return rank.items() if isinstance(rank, ScoredRank) else list(rank)
-
-
 class Qrels:
     """Relevance judgments: query -> item -> non-negative integer grade; an unlisted item has grade 0."""
 
@@ -46,9 +42,6 @@ class Qrels:
         qrels = cls({})
         qrels._grades = {item: classes[label] for item, label in labels.items()}
         return qrels
-
-    def has_query(self, query: ItemId) -> bool:
-        return query in self._grades
 
     def _judged(self, query: ItemId) -> Mapping[ItemId, int]:
         judged = self._grades.get(query)
@@ -97,20 +90,19 @@ def ns_score(rank, qrels: Qrels) -> float:
     )
 
 
-def jaccard_corr(a, b) -> float:
+def jaccard_corr(a: ScoredRank, b: ScoredRank) -> float:
     """Overlap of the two ranks' item sets: |intersection| / |union|."""
-    set_a = set(_rank_items(a))
-    set_b = set(_rank_items(b))
+    set_a = set(a.items())
+    set_b = set(b.items())
     union = set_a | set_b
     if not union:
         return 1.0
     return len(set_a & set_b) / len(union)
 
 
-def _common_positions(a, b) -> tuple[list[int], list[int]]:
+def _common_positions(a: ScoredRank, b: ScoredRank) -> tuple[list[int], list[int]]:
     """Positions (1-indexed, re-ranked) of the shared items in each rank."""
-    items_a = list(_rank_items(a))
-    items_b = list(_rank_items(b))
+    items_a, items_b = a.items(), b.items()
     common = set(items_a) & set(items_b)
     sub_a = [item for item in items_a if item in common]
     sub_b = [item for item in items_b if item in common]
@@ -118,7 +110,7 @@ def _common_positions(a, b) -> tuple[list[int], list[int]]:
     return list(range(1, len(sub_a) + 1)), [pos_b[item] for item in sub_a]
 
 
-def kendall_corr(a, b) -> float:
+def kendall_corr(a: ScoredRank, b: ScoredRank) -> float:
     """1 minus the fraction of discordant pairs, over the shared items.
 
     Ranks over different item sets are restricted to their intersection;
@@ -138,7 +130,7 @@ def kendall_corr(a, b) -> float:
     return 1.0 - discordant / (n * (n - 1) / 2)
 
 
-def spearman_corr(a, b) -> float:
+def spearman_corr(a: ScoredRank, b: ScoredRank) -> float:
     """1 minus the total position disparity over n(n+1), on the shared items.
 
     As with kendall_corr, differing item sets are restricted to their
@@ -152,7 +144,7 @@ def spearman_corr(a, b) -> float:
     return 1.0 - disparity / (n * (n + 1))
 
 
-CORRELATIONS: dict[str, Callable] = {
+CORRELATIONS: dict[str, Callable[[ScoredRank, ScoredRank], float]] = {
     "jaccard": jaccard_corr,
     "kendall": kendall_corr,
     "spearman": spearman_corr,
@@ -162,17 +154,15 @@ CORRELATIONS: dict[str, Callable] = {
 def ranker_correlation(
     runs_a: Mapping[ItemId, ScoredRank],
     runs_b: Mapping[ItemId, ScoredRank],
-    measure: str | Callable = "jaccard",
+    measure: str = "jaccard",
 ) -> float:
-    """Mean per-query correlation between two rankers' runs.
+    """Mean per-query correlation between two rankers' runs, by the CORRELATIONS ``measure``.
 
     Both runs must cover exactly the same query set.
     """
-    if isinstance(measure, str):
-        try:
-            measure = CORRELATIONS[measure.lower()]
-        except KeyError:
-            raise ValueError(f"unknown correlation measure {measure!r}") from None
+    correlation = CORRELATIONS.get(measure.lower())
+    if correlation is None:
+        raise ValueError(f"unknown correlation measure {measure!r}")
     if set(runs_a) != set(runs_b):
         raise QuerySetMismatch(
             f"query sets differ: {len(runs_a)} vs {len(runs_b)} queries, "
@@ -180,7 +170,7 @@ def ranker_correlation(
         )
     if not runs_a:
         raise QuerySetMismatch("no queries to correlate")
-    return math.fsum(measure(runs_a[q], runs_b[q]) for q in sorted(runs_a)) / len(runs_a)
+    return math.fsum(correlation(runs_a[q], runs_b[q]) for q in sorted(runs_a)) / len(runs_a)
 
 
 def selection_measure(ef_x: float, ef_y: float, cor: float) -> float:
@@ -194,7 +184,7 @@ SELECTION_STRATEGIES = ("all", "top-two", "best-pair", "top-three")
 
 def _pair_correlation(corr: Mapping[str, Mapping[str, float]], x: str, y: str) -> float:
     value = corr.get(x, {}).get(y)
-    if value is None:
+    if value is None:  # a matrix file may hold the pair in the other name's row only
         value = corr.get(y, {}).get(x)
     if value is None:
         raise ValueError(f"correlation matrix missing pair ({x!r}, {y!r})")

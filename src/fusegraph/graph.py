@@ -38,11 +38,15 @@ class BuildStats:
 class FusionGraph:
     """Weighted directed graph with uniquely labeled vertices.
 
-    A sparse map from keys to weights, where a key is a vertex label or an
-    edge (source, target) pair whose endpoints are both vertices.
+    A sparse map from keys to finite positive weights, where a key is a
+    vertex label or an edge (source, target) pair whose endpoints are both
+    vertices.
     """
 
     def __init__(self, query: ItemId, vertices: dict[ItemId, float], edges: dict[tuple[ItemId, ItemId], float]):
+        for key, weight in itertools.chain(vertices.items(), edges.items()):
+            if not 0.0 < weight < math.inf:  # false for NaN too
+                raise ValueError(f"weight of {key!r} must be finite and positive, got {weight!r}")
         for (src, tgt) in edges:
             if src == tgt:
                 raise ValueError(f"self-edge {src!r} -> {tgt!r} not allowed")
@@ -159,28 +163,13 @@ def build_fusion_graph(
                 parts = scores if type(scores) is tuple else (scores,)
                 weight = math.fsum([x / pos for pos in at for x in parts])
             weights.append(weight)
-    return _scaled(rs.query, vertices, keys, weights)
-
-
-def normalize_graph_weights(g: FusionGraph) -> FusionGraph:
-    """Divide vertex and edge weights by their separate maxima.
-
-    Idempotent; a graph without edges skips edge normalization. Raises
-    EmptyGraph when there is no vertex to normalize.
-    """
-    return _scaled(g.query, g.vertices, g.edges.keys(), g.edges.values())
-
-
-def _scaled(query: ItemId, vertices: dict, keys: Iterable, weights: Collection[float]) -> FusionGraph:
-    """The graph of ``query`` with weights divided by their vertex/edge maxima; edge ``keys`` pair with ``weights``."""
     if not vertices:
-        raise EmptyGraph(f"fusion graph for {query!r} has no vertices")
+        raise EmptyGraph(f"fusion graph for {rs.query!r} has no vertices")
     max_vertex = max(vertices.values())
     max_edge = max(weights, default=1.0)
-    # the keys come from a checked graph or from build_fusion_graph, which
-    # joins two distinct vertices only
+    # every edge joins two distinct vertices and every weight is a positive sum: the constructor's checks hold
     return _unchecked(
-        query,
+        rs.query,
         {item: weight / max_vertex for item, weight in vertices.items()},
         dict(zip(keys, map(operator.truediv, weights, itertools.repeat(max_edge)))),
     )
@@ -319,5 +308,5 @@ def deserialize_graph(record: bytes) -> FusionGraph:
         finite = False
     if not finite or min(weights) < 0.0 or min(edge_weights, default=0.0) < 0.0:
         raise _bad(query, "a negative weight or one that is not finite")
-    # every target names another label, so the constructor's checks hold
+    # every target names another label, so the constructor's edge checks hold
     return _unchecked(query, vertices, edges)

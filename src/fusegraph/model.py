@@ -4,9 +4,7 @@ A ScoredRank is every rank in the package: a ranker's input rank, a
 normalized rank, and the fused rank that fuse_query or a baseline returns.
 Items are identified by opaque non-empty strings. Positions are 1-indexed
 everywhere. After construction nothing in the package changes these objects'
-fields; one cache writes into an object, a value derived from fields that do
-not change: ``ScoredRank.positions``, kept on first read. So the objects are
-safe to share across threads.
+fields; ``ScoredRank.positions`` is derived from them on first read, and kept.
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ class FusionGraphIndex:
 
     @cached_property
     def postings(self) -> VertexPostings:
-        """The graphs' vertex postings, unless set; ``graphs`` becomes a dict of every graph, kept for searches."""
+        """The graphs' vertex postings, which load_index sets; derived otherwise, when ``graphs`` becomes a dict."""
         self.graphs = dict(self.graphs)
         return VertexPostings.of(self.graphs)
 
@@ -148,9 +148,11 @@ class Records(Mapping):
     def __init__(self, keys: Mapping, make: Callable):
         self._keys, self.make, self._kept = keys, make, {}
 
-    def __getitem__(self, key):  # threads racing to make one value keep the first made
+    def __getitem__(self, key):
         value = self._kept.get(key)
-        return self._kept.setdefault(key, self.make(key)) if value is None else value
+        if value is None:
+            value = self._kept[key] = self.make(key)
+        return value
 
     def __contains__(self, key: object) -> bool:
         return key in self._keys
@@ -169,8 +171,7 @@ class StoredRecords(Records):
     length, digest) and maybe more; opening the file checks that its size is
     the sum of the lengths. A record is handed to ``decode(key, entry, data, what)``
     only when it lies inside the file and matches its digest; ``what``
-    names it, by ``describe(key)``, in errors. The file stays open while this object lives, for reads at
-    any offset, by any thread.
+    names it, by ``describe(key)``, in errors. The file stays open while this object lives, for reads at any offset.
     """
 
     def __init__(self, directory: Path, role: str, toc: dict, describe: Callable[[object], str], decode: Callable):
@@ -397,10 +398,11 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     16-byte BLAKE2b, in hex. The manifest holds the format, the file names
     and the toc's sha256.
 
-    Each graph is read once and serialized, the vertex record that
-    serialize_graph returns is added to the VertexPostings, and the graph is
-    dropped once written; ``fg_index`` then reads its graphs from graphs.bin,
-    as a loaded index does, so none is built twice. Files are fully sorted, so rebuilding from
+    Each graph is read once, by the store's ``make`` when ``graphs`` has one,
+    which keeps none, and serialized; the vertex record that serialize_graph
+    returns is added to the posting lists, and the graph is dropped once
+    written. ``fg_index`` is left as it was: load_index opens what was
+    saved. Files are fully sorted, so rebuilding from
     identical inputs is byte-identical. Every file is first written in full
     under a temporary name in ``directory``; only then are they renamed into
     place, the manifest last, then the directory is synced so that the
@@ -453,10 +455,6 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
             os.fsync(descriptor)
         finally:
             os.close(descriptor)
-        fg_index.graphs = StoredRecords(  # read as load_index would
-            directory, "graphs", toc["graphs"], "graph record of {!r}".format, _graph_record
-        )
-        fg_index.postings = vertex_postings
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)

@@ -16,9 +16,9 @@ from unittest import mock
 import numpy as np
 
 from fusegraph.baselines import _check, _depth, _finalize, _order_to_rank
-from fusegraph.errors import FusionError, MissingRank
+from fusegraph.errors import EmptyGraph, FusionError, MissingRank
 from fusegraph import graph, similarity
-from fusegraph.graph import FusionGraph, normalize_graph_weights
+from fusegraph.graph import FusionGraph
 from fusegraph.model import CollectionRankIndex, ItemId, RankSet, ScoredEntry, ScoredRank
 from fusegraph.retrieval import build_query_graph
 from fusegraph.similarity import McsStats, graph_size
@@ -318,6 +318,23 @@ def synthetic_collection(seed, n_items=60, n_classes=12, n_rankers=3, depth=10):
             per_query[query] = ScoredRank(query, ranker, entries, depth)
         ranks[ranker] = per_query
     return CollectionRankIndex(ranks), labels
+
+
+def normalize_graph_weights(g: FusionGraph) -> FusionGraph:
+    """Divide vertex and edge weights by their separate maxima, kept as the specification of the builder's last step.
+
+    Idempotent; a graph without edges skips edge normalization. Raises
+    EmptyGraph when there is no vertex to normalize.
+    """
+    if not g.vertices:
+        raise EmptyGraph(f"fusion graph for {g.query!r} has no vertices")
+    max_vertex = max(g.vertices.values())
+    max_edge = max(g.edges.values(), default=1.0)
+    return FusionGraph(
+        g.query,
+        {item: weight / max_vertex for item, weight in g.vertices.items()},
+        {pair: weight / max_edge for pair, weight in g.edges.items()},
+    )
 
 
 def reference_build_fusion_graph(rs: RankSet, index, strict: bool = False) -> FusionGraph:

@@ -27,7 +27,7 @@ from fusegraph.evaluation import (
     selection_measure,
     spearman_corr,
 )
-from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, normalize_graph_weights
+from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph
 from fusegraph.io import load_config, load_runs, parse_class_labels, parse_run_file
 from fusegraph.model import CollectionRankIndex, assemble_rank_set
 from fusegraph.normalize import (
@@ -46,6 +46,7 @@ from helpers import (
     index_files,
     mkrank,
     mkrankset,
+    normalize_graph_weights,
     random_rank_index,
     synthetic_collection,
     write_config,

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusegraph import baselines
-from fusegraph.errors import EmptyRankSet, MissingScores, TooManyItems
+from fusegraph.errors import EmptyRank, InvalidRankSet, TooManyItems
 from fusegraph.model import RankSet, ScoredRank
 
 from helpers import mkrank, mkrankset, reference_condorcet, reference_mra
@@ -136,7 +136,7 @@ def test_comb_missing_scores():
     from fusegraph.model import ScoredRank
 
     rs = RankSet("q", (ScoredRank("q", "r1", (), 3),))
-    with pytest.raises(MissingScores):
+    with pytest.raises(EmptyRank):
         baselines.comb(rs, "SUM")
 
 
@@ -343,10 +343,12 @@ def test_depth_below_one_rejected(method):
 
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_empty_rank_set_rejected(method):
-    with pytest.raises(EmptyRankSet):
+    with pytest.raises(InvalidRankSet):
         baselines.aggregate(method, RankSet("q", ()))
 
 
 def test_aggregate_unknown_method():
     with pytest.raises(ValueError):
         baselines.aggregate("nope", mkrankset("q", ["A"]))
+    with pytest.raises(ValueError, match="unknown Comb variant 'NOPE'"):
+        baselines.comb(mkrankset("q", ["A"]), "nope")

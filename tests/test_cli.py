@@ -357,7 +357,7 @@ def test_each_command_loads_only_the_modules_it_runs(command_files, tmp_path, co
 
 PUBLIC_HOMES = {
     "errors": ["FusionError"],
-    "graph": ["FusionGraph", "build_fusion_graph", "normalize_graph_weights"],
+    "graph": ["FusionGraph", "build_fusion_graph"],
     "model": ["CollectionRankIndex", "ItemId", "RankSet", "ScoredEntry", "ScoredRank", "assemble_rank_set"],
     "normalize": ["normalize_rank_set"],
     "retrieval": ["FusionGraphIndex", "fuse_query", "index_collection"],
@@ -383,6 +383,21 @@ def test_package_names_resolve_on_first_access_to_their_home_modules():
     result = run_cli_process("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['fusegraph']"
+
+
+def test_stdlib_flow_passes_without_site_packages():
+    """The flow CI runs on a bare install, here under ``python -S``: numpy, scipy and pytest are out of reach."""
+    src = str(Path(fusegraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    bare = [sys.executable, "-S"]
+    probe = "import importlib.util, sys; sys.exit(any(map(importlib.util.find_spec, ('numpy', 'scipy', 'pytest'))))"
+    assert subprocess.run([*bare, "-c", probe], env=env, timeout=60).returncode == 0
+    flow = Path(__file__).with_name("stdlib_flow.py")
+    result = subprocess.run(
+        [*bare, str(flow), *bare, "-m", "fusegraph.cli"], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "stdlib flow passed\n"
 
 
 def test_io_baselines_evaluation_leave_retrieval_unloaded():
@@ -468,6 +483,28 @@ def test_invalid_value_prints_one_json_line(toy_files, args):
     assert len(lines) == 1, result.stderr
     assert json.loads(lines[0])["error"] == "ValueError"
     assert not paths["out"].exists()
+
+
+# command line -> the path it cannot open, under {missing}, a directory that does not exist
+OS_ERROR_COMMANDS = {
+    "eval_run_missing": (["eval", "--run", "{missing}/fg.run", "--class-labels", "{labels}"], "{missing}/fg.run"),
+    "search_out_in_missing_directory": (
+        ["search", "--index", "{index}", "--queries", "{config}", "--out", "{missing}/out.run"], "{missing}/out.run"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OS_ERROR_COMMANDS.values(), ids=OS_ERROR_COMMANDS)
+def test_os_error_prints_one_json_line(command_files, tmp_path, case):
+    args, path = case
+    paths = {**command_files, "missing": tmp_path / "missing"}
+    result = run_cli_process("-m", "fusegraph.cli", *(arg.format(**paths) for arg in args))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    message = f"[Errno 2] No such file or directory: {path.format(**paths)!r}"
+    assert json.loads(lines[0]) == {"error": "IOError", "message": message}
 
 
 REPORT_FILES = {

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -65,7 +66,6 @@ def test_ndcg_unknown_query():
 
 @pytest.mark.parametrize("qrels", [Qrels({}), Qrels.from_class_labels({})], ids=["grades", "labels"])
 def test_qrels_without_judgments_know_no_query(qrels):
-    assert not qrels.has_query("q")
     with pytest.raises(UnknownQuery):
         qrels.relevance("q", "a")
     with pytest.raises(UnknownQuery):
@@ -107,6 +107,8 @@ def test_jaccard_cases():
     assert jaccard_corr(a, b) == 0.0
     shared = mkrank("q", "r2", [f"d{i}" for i in range(5)] + [f"e{i}" for i in range(5)])
     assert jaccard_corr(a, shared) == 1 / 3
+    empty = mkrank("q", "r2", [], depth=1)
+    assert jaccard_corr(empty, empty) == 1.0  # no item on either side: the ranks agree
 
 
 def test_kendall_cases():
@@ -193,6 +195,11 @@ def test_select_rankers_all_and_degenerate():
     assert select_rankers(BRODATZ_EFFS, None, "top-three") == ("LAS", "CCOM", "LBP")
 
 
+def test_select_rankers_reads_a_pair_from_either_row():
+    correlations = {"a": {"c": 1.0}, "b": {"a": 0.0, "c": 1.0}}  # a matrix file may lack a row: (a, b) is in b's
+    assert select_rankers({"a": 0.5, "b": 0.6, "c": 0.9}, correlations, "best-pair") == ("a", "b")
+
+
 def test_select_rankers_not_enough():
     with pytest.raises(NotEnoughRankers):
         select_rankers({"a": 0.5}, None, "top-two")
@@ -242,6 +249,31 @@ def test_winning_numbers_antisymmetric_bound():
 def test_winning_numbers_rejects_incomplete():
     with pytest.raises(ValueError):
         winning_numbers({("d", "c1"): {"m1": 0.1}, ("d", "c2"): {"m2": 0.1}})
+
+
+# a call on one bad input -> the error it raises and the start of its message
+BAD_INPUTS = {
+    "negative_grade": (lambda: Qrels({"q": {"a": -1}}), ValueError, "negative relevance grade for ('q', 'a')"),
+    "ndcg_k_zero": (lambda: ndcg_at_k(mkrank("q", "r", ["a"]), qrels_for(["a"]), k=0), ValueError,
+                    "k must be >= 1, got 0"),
+    "ndcg_of_an_item_list": (lambda: ndcg_at_k(["a"], qrels_for(["a"])), TypeError, "ndcg_at_k needs a ScoredRank"),
+    "ns_of_an_item_list": (lambda: ns_score(["a"], qrels_for(["a"])), TypeError, "ns_score needs a ScoredRank"),
+    "unknown_measure": (lambda: ranker_correlation({}, {}, "pearson"), ValueError,
+                        "unknown correlation measure 'pearson'"),
+    "no_queries_to_correlate": (lambda: ranker_correlation({}, {}), QuerySetMismatch, "no queries to correlate"),
+    "matrix_missing_pair": (lambda: select_rankers({"a": 0.5, "b": 0.6}, {"a": {"a": 1.0}}, "best-pair"),
+                            ValueError, "correlation matrix missing pair ('a', 'b')"),
+    "unknown_strategy": (lambda: select_rankers({"a": 0.5}, None, "worst"), ValueError, "unknown strategy 'worst'"),
+    "best_pair_of_one": (lambda: select_rankers({"a": 0.5}, None, "best-pair"), NotEnoughRankers,
+                         "best-pair selection needs at least 2 rankers"),
+    "empty_table": (lambda: winning_numbers({}), ValueError, "effectiveness table is empty"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_raises_its_error(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_ttest_identical_lists_tie():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -15,7 +16,6 @@ from fusegraph.graph import (
     build_fusion_graph,
     deserialize_graph,
     graph_size,
-    normalize_graph_weights,
     serialize_graph,
     vertex_record,
 )
@@ -26,6 +26,7 @@ from fusegraph.retrieval import index_collection
 from helpers import (
     edge_masses,
     mkrank,
+    normalize_graph_weights,
     random_rank_index,
     reference_build_fusion_graph,
     reference_serialize_graph,
@@ -148,6 +149,16 @@ def test_graph_constructor_rejects_bad_edges():
         FusionGraph("q", {"A": 1.0}, {("A", "A"): 1.0})
     with pytest.raises(ValueError, match="endpoint"):
         FusionGraph("q", {"A": 1.0}, {("A", "B"): 1.0})
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0], ids=repr)
+@pytest.mark.parametrize("key", ["B", ("A", "B")], ids=["vertex", "edge"])
+def test_graph_constructor_rejects_weights_not_finite_and_positive(key, weight):
+    # a graph of zero weights has size 0, on which dist_mcs and dist_wgu would divide by zero
+    vertices, edges = {"A": 1.0, "B": 1.0}, {("A", "B"): 1.0}
+    (edges if type(key) is tuple else vertices)[key] = weight
+    with pytest.raises(ValueError, match=rf"weight of {re.escape(repr(key))} must be finite and positive"):
+        FusionGraph("q", vertices, edges)
 
 
 def test_serialize_round_trip(worked_graph):

@@ -479,6 +479,13 @@ def test_correlation_matrix_errors_count_blank_lines(tmp_path):
     assert _parse_error(parse_correlation_matrix, path) == (4, f"{path}:4: bad matrix value")
     path = write(tmp_path, "lead.tsv", "\n\nranker\ta\ta\n")
     assert _parse_error(parse_correlation_matrix, path) == (3, f"{path}:3: duplicate matrix column 'a'")
+    path = write(tmp_path, "short.tsv", "ranker\ta\tb\n\na\t1.0\n")
+    assert _parse_error(parse_correlation_matrix, path) == (3, f"{path}:3: expected 3 fields, got 2")
+    path = write(tmp_path, "bare.tsv", "\nranker\n")
+    message = "matrix header needs at least one ranker column"
+    assert _parse_error(parse_correlation_matrix, path) == (2, f"{path}:2: {message}")
+    path = write(tmp_path, "blank.tsv", "\n \n")
+    assert _parse_error(parse_correlation_matrix, path) == (0, f"{path}:0: correlation matrix is empty")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-0.5", "1.5"])
@@ -507,6 +514,10 @@ def test_config_validation(tmp_path):
         PipelineConfig(rankers=(RankerSpec("a", "x"), RankerSpec("a", "y")))
     with pytest.raises(ConfigError):
         RankerSpec("a", "x", polarity="weird")
+    with pytest.raises(ConfigError, match="ranker name must be non-empty"):
+        RankerSpec("", "x")
+    with pytest.raises(ConfigError, match="unknown polarity 'weird'"):  # before the file is opened
+        parse_run_file(tmp_path / "absent.run", "r", polarity="weird")
 
 
 def test_load_config_resolves_relative_paths(tmp_path):
@@ -526,6 +537,10 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(write(tmp_path, "bad.json", "{broken"))
     with pytest.raises(ConfigError):
         load_config(write(tmp_path, "no_rankers.json", "{}"))
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        load_config(write(tmp_path, "list.json", "[]"))
+    with pytest.raises(ConfigError, match="each ranker needs 'name' and 'run' fields"):
+        load_config(write(tmp_path, "no_run.json", '{"rankers": [{"name": "r1"}]}'))
 
 
 def ranker_entry(**fields):

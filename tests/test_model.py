@@ -44,6 +44,17 @@ def test_scored_rank_accepts_negative_and_rejects_nonfinite_scores():
             ScoredRank("q", "r1", (ScoredEntry("A", bad),), 1)
 
 
+@pytest.mark.parametrize(
+    "query, item, depth, message",
+    [("", "A", 1, "query id must be non-empty"), ("q", "A", 0, "depth must be >= 1, got 0"),
+     ("q", "", 1, "item id must be non-empty")],
+    ids=["empty_query", "depth_zero", "empty_item"],
+)
+def test_scored_rank_rejects_empty_ids_and_depth_below_one(query, item, depth, message):
+    with pytest.raises(ValueError, match=message):
+        ScoredRank(query, "r1", ((item, 1.0),), depth)
+
+
 def test_scored_rank_rejects_overlong():
     with pytest.raises(ValueError):
         mkrank("q", "r1", ["A", "B", "C"], depth=2)

@@ -6,11 +6,9 @@ import random
 import re
 import stat
 import struct
-import sys
 import tempfile
 import weakref
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -867,55 +865,6 @@ def test_loaded_normalized_lookup_equals_normalize_collection(tmp_path):
             assert got.items() == raw.items()
 
 
-def test_loaded_index_shared_by_threads(tmp_path):
-    index = random_rank_index(random.Random(9), n_items=30, n_rankers=3, depth=5)
-    depth = 5
-    built = index_collection(index, index.rankers, depth)
-    save_index(tmp_path / "idx", built)
-    loaded = load_index(tmp_path / "idx")
-    eager = normalize_collection(index, index.rankers, depth)
-    pairs = _lookup_pairs(index)
-
-    def read_all():
-        ranks = [loaded.normalized.get(r, q) for r, q in pairs]
-        return ranks + [loaded.graphs[item] for item in sorted(loaded.graphs)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(read_all) for _ in range(8)]
-            results = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for got in results:
-        # every thread receives the one stored copy of each rank and graph
-        assert all(a is b for a, b in zip(got, results[0]))
-    expected = [eager.get(r, q) for r, q in pairs] + [built.graphs[i] for i in sorted(built.graphs)]
-    assert results[0] == expected
-
-
-def test_built_index_shared_by_threads():
-    index = random_rank_index(random.Random(9), n_items=30, n_rankers=3, depth=5)
-    built = index_collection(index, index.rankers, 5)
-
-    def read_all():  # every graph is built on first read, from one neighbour table all threads share
-        return [built.graphs[item] for item in sorted(built.graphs)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(read_all) for _ in range(8)]
-            results = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for got in results:
-        assert all(a is b for a, b in zip(got, results[0]))  # one kept graph per item
-    alone = index_collection(index, index.rankers, 5)
-    assert results[0] == [alone.graphs[item] for item in sorted(alone.graphs)]
-
-
 BOUND_WEIGHTS = st.floats(min_value=1e-300, max_value=1.0)
 
 
@@ -1031,14 +980,12 @@ def test_library_path_builds_each_graph_once(tmp_path, monkeypatch):
     assert [fuse_query(rs, fg_index) for rs in queries] == searched
     assert built == Counter(items)
 
-    # saved, then searched: the writer builds every graph once and keeps none, and leaves the index its postings;
-    # the searches decode only the graphs written that they score, each once however often they read it
+    # saved, then searched as loaded: the writer builds every graph once; the searches decode only
+    # the graphs written that they score, each once however often they read it
     built.clear()
-    fg_index = index_collection(collection, rankers, 10)
-    builder = weakref.ref(fg_index.graphs)
-    save_index(tmp_path / "saved_first", fg_index)
-    gc.collect()
-    assert builder() is None
+    save_index(tmp_path / "saved_first", index_collection(collection, rankers, 10))
+    assert built == Counter(items)
+    loaded = load_index(tmp_path / "saved_first")
     decoded: Counter = Counter()
     decode = retrieval.deserialize_graph
 
@@ -1049,10 +996,24 @@ def test_library_path_builds_each_graph_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(retrieval, "deserialize_graph", counted)
     for _ in range(2):
-        assert [fuse_query(rs, fg_index) for rs in queries] == searched
+        assert [fuse_query(rs, loaded) for rs in queries] == searched
     assert built == Counter(items)
     assert 0 < len(decoded) < len(items) and set(decoded.values()) == {1}
     assert index_files(tmp_path / "searched_first") == index_files(tmp_path / "saved_first")
+
+
+def test_save_leaves_graphs_and_postings_as_they_were(tmp_path, toy_fg_index, monkeypatch):
+    _, fg_index = toy_fg_index
+    built = count_collection_builds(monkeypatch)
+    graphs = fg_index.graphs
+    save_index(tmp_path / "built", fg_index)
+    assert fg_index.graphs is graphs and "postings" not in vars(fg_index)  # none derived, none set
+    assert built == Counter("ABC")
+    assert list(fg_index.graphs.values()) and built == Counter("ABCABC")  # the save kept no graph it built
+    loaded = load_index(tmp_path / "built")
+    graphs, postings = loaded.graphs, loaded.postings
+    save_index(tmp_path / "loaded", loaded)
+    assert loaded.graphs is graphs and loaded.postings is postings
 
 
 def drop_ranks(collection, seed: int) -> CollectionRankIndex:
