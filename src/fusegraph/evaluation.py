@@ -184,7 +184,7 @@ SELECTION_STRATEGIES = ("all", "top-two", "best-pair", "top-three")
 
 def _pair_correlation(corr: Mapping[str, Mapping[str, float]], x: str, y: str) -> float:
     value = corr.get(x, {}).get(y)
-    if value is None:  # a matrix file may hold the pair in the other name's row only
+    if value is None:  # a caller's matrix may hold the pair in the other name's row only
         value = corr.get(y, {}).get(x)
     if value is None:
         raise ValueError(f"correlation matrix missing pair ({x!r}, {y!r})")

@@ -306,7 +306,7 @@ def deserialize_graph(record: bytes) -> FusionGraph:
         finite = math.isfinite(math.fsum(itertools.chain(weights, edge_weights)))
     except OverflowError:
         finite = False
-    if not finite or min(weights) < 0.0 or min(edge_weights, default=0.0) < 0.0:
-        raise _bad(query, "a negative weight or one that is not finite")
+    if not finite or min(weights) <= 0.0 or min(edge_weights, default=1.0) <= 0.0:  # -0.0 too
+        raise _bad(query, "a weight that is not finite and positive")
     # every target names another label, so the constructor's edge checks hold
     return _unchecked(query, vertices, edges)

@@ -209,7 +209,7 @@ def write_correlation_matrix(
 
 
 def parse_correlation_matrix(path: str | Path) -> dict[str, dict[str, float]]:
-    """Parse the TSV matrix written by the correlate command, every value in [0, 1]; blank lines are skipped."""
+    """Parse the TSV matrix the correlate command writes: a row per column, values in [0, 1]; blank lines skipped."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         lines = [(line_no, line.rstrip("\n")) for line_no, line in enumerate(fh, start=1) if line.strip()]
@@ -239,6 +239,9 @@ def parse_correlation_matrix(path: str | Path) -> dict[str, dict[str, float]]:
         for col, value in matrix[row].items():
             if not 0.0 <= value <= 1.0:  # false for NaN too
                 raise ParseError(str(path), line_no, f"matrix value {value!r} for {col!r} is not in [0, 1]")
+    for name in names:
+        if name not in matrix:
+            raise ParseError(str(path), header_no, f"matrix row {name!r} is missing")
     return matrix
 
 

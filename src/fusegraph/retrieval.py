@@ -1,9 +1,11 @@
 """The composite ranker: offline fusion-graph index, online graph retrieval.
 
 Offline, every collection item is turned into a normalized fusion graph, one
-at a time. Online, a query's ranks are normalized the same way, its graph is
-built on the fly, and collection items are ranked by ascending graph distance
-(MCS or WGU). Ties are broken by ascending item id so runs are reproducible.
+at a time. Online, a query's ranks are normalized the same way and its graph
+is built on the fly, unless the query is an indexed item whose ranks hold its
+stored raw orders: its graph is then the stored one. Collection items are
+ranked by ascending graph distance (MCS or WGU). Ties are broken by ascending
+item id so runs are reproducible.
 
 Only the top L of that ranking are kept, so search scores exactly only the
 items that can still enter them: vertex postings give every item that
@@ -271,11 +273,17 @@ def index_collection(
     every item, and every vertex of its graph, must have a rank under every
     chosen ranker, and MissingRank is raised here, before any graph is built;
     in lenient mode missing ranks are skipped and an item with no ranks at
-    all is left out of the graph index, and counted in ``stats``. A graph is
-    built when first read, and kept. The result keeps ``index`` as its raw
-    ranks.
+    all is left out of the graph index, and counted in ``stats``. Every rank
+    of the chosen rankers must be at depth L, else RankerMismatch is raised
+    first. A graph is built when first read, and kept. The result keeps
+    ``index`` as its raw ranks.
     """
     rankers = tuple(rankers)
+    for ranker in rankers:
+        for query in index.queries(ranker):
+            rank_depth = index.require(ranker, query).depth
+            if rank_depth != depth:
+                raise RankerMismatch(f"rank of {query!r} under {ranker!r} has depth {rank_depth}, index uses L={depth}")
     normalized = normalize_collection(index, rankers, depth)
     complete = set.intersection(*(set(normalized.queries(r)) for r in rankers)) if strict and rankers else set()
     items: dict[ItemId, None] = {}  # those with a graph, in order
@@ -326,11 +334,13 @@ def common_bounds(postings: VertexPostings, head: VertexRecord) -> dict[ItemId, 
 
 
 def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> FusionGraph:
-    """Normalize a query's ranks and build its fusion graph on the fly.
+    """The fusion graph of a query's ranks: the stored one of an indexed item, else built on the fly.
 
-    The query's own (raw) ranks are overlaid on the index's raw collection
-    ranks, so out-of-collection queries work as long as their m ranks over
-    the collection are supplied. The neighbor ranks the graph reads are the
+    An indexed item whose ranks list its stored raw orders gets its stored
+    graph, which a build would give bit for bit: normalization reads
+    positions only and every weight is an order-independent sum. Any other
+    query is normalized with its (raw) ranks overlaid on the index's raw
+    ranks, so out-of-collection queries work, and its graph is built from the
     index's normalized collection ranks.
     """
     depth = fg_index.depth
@@ -345,7 +355,12 @@ def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> Fusio
                 f"query rank under {rank.ranker!r} has depth {rank.depth}, "
                 f"index uses L={depth}"
             )
-    normalized_query = normalize_rank_set(query_ranks, OverlayRankLookup(fg_index.raw, query_ranks), depth)
+    query, raw = query_ranks.query, fg_index.raw
+    if query in fg_index.graphs and all(
+        (stored := raw.get(rank.ranker, query)) is not None and stored.items() == rank.items() for rank in query_ranks
+    ):
+        return fg_index.graphs[query]
+    normalized_query = normalize_rank_set(query_ranks, OverlayRankLookup(raw, query_ranks), depth)
     return build_fusion_graph(normalized_query, OverlayRankLookup(fg_index.normalized, normalized_query))
 
 

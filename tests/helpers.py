@@ -19,8 +19,8 @@ from fusegraph.baselines import _check, _depth, _finalize, _order_to_rank
 from fusegraph.errors import EmptyGraph, FusionError, MissingRank
 from fusegraph import graph, similarity
 from fusegraph.graph import FusionGraph
-from fusegraph.model import CollectionRankIndex, ItemId, RankSet, ScoredEntry, ScoredRank
-from fusegraph.retrieval import build_query_graph
+from fusegraph.model import CollectionRankIndex, ItemId, OverlayRankLookup, RankSet, ScoredEntry, ScoredRank
+from fusegraph.normalize import normalize_rank_set
 from fusegraph.similarity import McsStats, graph_size
 
 TOY_LAYOUT = {
@@ -506,9 +506,15 @@ def reference_dist_wgu(a: FusionGraph, b: FusionGraph) -> float:
 REFERENCE_DISTANCES = {"MCS": reference_dist_mcs, "WGU": reference_dist_wgu}
 
 
+def reference_query_graph(query_ranks: RankSet, fg_index) -> FusionGraph:
+    """A query's graph built by normalize_rank_set and reference_build_fusion_graph, never a stored one."""
+    normalized = normalize_rank_set(query_ranks, OverlayRankLookup(fg_index.raw, query_ranks), fg_index.depth)
+    return reference_build_fusion_graph(normalized, OverlayRankLookup(fg_index.normalized, normalized))
+
+
 def reference_fuse_query(query_ranks, fg_index, exclude_self=False):
     """Score every indexed item with the reference distance; the full scan, as fuse_query's ScoredRank."""
-    query_graph = build_query_graph(query_ranks, fg_index)
+    query_graph = reference_query_graph(query_ranks, fg_index)
     distance = REFERENCE_DISTANCES[fg_index.comparator]
     scored = []
     for item in sorted(fg_index.graphs):

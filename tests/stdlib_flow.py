@@ -11,6 +11,9 @@ temporary directory it:
 
 - runs a ttest whose p-value is computed (the differences vary);
 - extracts, verifies and searches a 4-item collection under 2 rankers;
+- searches the collection's orders scored otherwise, whose run must be
+  byte-identical (each query reads its item's stored graph), and a held-out
+  query, whose graph is built from its ranks, and checks its run;
 - checks that a copy of its index marked format 6, and one whose table of
   contents says L=5 without being resealed, each fail verify with one JSON
   error line and nothing on stdout;
@@ -37,6 +40,9 @@ RANKS = {
     "r2": {"a": "acbd", "b": "bdac", "c": "cadb", "d": "dbca"},
 }
 NS_REPORT = "mean ns 2.000000 over 4 queries"
+# the ranks of a query "e" held out of the collection, and the first four fields of its fused run
+HELD_OUT = {"r1": "bacd", "r2": "bcad"}
+HELD_OUT_RUN = [["e", "Q0", item, str(pos)] for pos, item in enumerate("bacd", start=1)]
 
 
 def check(condition: bool, message: str) -> None:
@@ -76,6 +82,22 @@ def edited_copy(index: Path, name: str, file: str, old: str, new: str) -> Path:
     return copy
 
 
+def write_queries(work: Path, name: str, ranks: dict) -> Path:
+    """A query config whose rankers' runs hold ``ranks``: ranker -> query -> (item order, score of the first).
+
+    Scores fall by 1 per position from the first one given.
+    """
+    rankers = []
+    for ranker, per_query in ranks.items():
+        lines = (f"{q} Q0 {item} {pos} {top - pos + 1} {ranker}\n" for q, (items, top) in per_query.items()
+                 for pos, item in enumerate(items, start=1))
+        (work / f"{ranker}.{name}.run").write_text("".join(lines), encoding="utf-8")
+        rankers.append({"name": ranker, "run": f"{ranker}.{name}.run"})
+    config = work / f"{name}.json"
+    config.write_text(json.dumps({"rankers": rankers, "depth": 4}) + "\n", encoding="utf-8")
+    return config
+
+
 def line_count(path: Path) -> int:
     return len(path.read_text(encoding="utf-8").splitlines())
 
@@ -101,6 +123,16 @@ def flow(command: list[str], work: Path) -> None:
 
     succeeds(command, "search", "--index", index, "--queries", config, "--out", work / "fg.run")
     check(line_count(work / "fg.run") == 16, "the fused run does not hold 16 lines")
+    # the same orders scored otherwise: each query is an indexed item that reads its stored graph
+    rescored = {ranker: {q: (items, 1.0) for q, items in per_query.items()} for ranker, per_query in RANKS.items()}
+    rescored = write_queries(work, "rescored", rescored)
+    succeeds(command, "search", "--index", index, "--queries", rescored, "--out", work / "rescored.run")
+    check((work / "rescored.run").read_bytes() == (work / "fg.run").read_bytes(), "rescored.run differs from fg.run")
+    # a held-out query, whose graph is built from its ranks
+    held_out = write_queries(work, "held", {r: {"e": (items, 5.0)} for r, items in HELD_OUT.items()})
+    succeeds(command, "search", "--index", index, "--queries", held_out, "--out", work / "held.run")
+    run_lines = [line.split() for line in (work / "held.run").read_text(encoding="utf-8").splitlines()]
+    check([fields[:4] for fields in run_lines] == HELD_OUT_RUN, f"held.run holds {run_lines}")
     succeeds(command, "baseline", "borda", "--config", config, "--out", work / "borda.run")
     check(line_count(work / "borda.run") == 16, "the borda run does not hold 16 lines")
 

@@ -528,6 +528,11 @@ BAD_REPORT_VALUES = {
         ["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"], "corr",
         "ranker\tLAS\tLBP\nLAS\t1.0\t-1\nLBP\t-1\t1.0\n", "{corr}:2: matrix value -1.0 for 'LBP' is not in [0, 1]",
     ),
+    # the row of a column is missing: reported at the header line, not at select time
+    "select_best_pair_missing_row": (
+        ["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"], "corr",
+        "\nranker\tLAS\tLBP\nLBP\t0.3\t1.0\n", "{corr}:2: matrix row 'LAS' is missing",
+    ),
     "winners_inf": (["winners", "--table", "{table}"], "table", "d1 c1 m1 inf\nd1 c1 m2 0.1\n",
                     "{table}:1: value must be finite, got inf"),
 }

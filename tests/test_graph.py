@@ -234,7 +234,11 @@ CORRUPTIONS = {
     "non-string label": ({"header": {"query": "q", "vertices": ["A", 7, "C"]}}, "non-string label"),
     "self-edge": ({"targets": (0, 2)}, "self-edge"),
     "self-edge of a later source": ({"degrees": (1, 1, 0), "targets": (1, 1)}, "self-edge"),
-    "negative weight": ({"weights": (1.0, -0.05, 0.05)}, "negative weight"),
+    "negative weight": ({"weights": (1.0, -0.05, 0.05)}, "not finite and positive"),
+    "zero vertex weight": ({"weights": (1.0, 0.0, 0.05)}, "not finite and positive"),
+    "negative zero vertex weight": ({"weights": (1.0, -0.0, 0.05)}, "not finite and positive"),
+    "zero edge weight": ({"edge_weights": (0.0, 1.0)}, "not finite and positive"),
+    "negative zero edge weight": ({"edge_weights": (1.0, -0.0)}, "not finite and positive"),
     "weight not finite": ({"edge_weights": (math.inf, 1.0)}, "not finite"),
     "two-byte slots under 257 labels": ({"slot": "H"}, "50 bytes of arrays"),
 }

@@ -484,6 +484,8 @@ def test_correlation_matrix_errors_count_blank_lines(tmp_path):
     path = write(tmp_path, "bare.tsv", "\nranker\n")
     message = "matrix header needs at least one ranker column"
     assert _parse_error(parse_correlation_matrix, path) == (2, f"{path}:2: {message}")
+    path = write(tmp_path, "rows.tsv", "\nranker\ta\tb\tc\nc\t0.5\t0.5\t1.0\n\nb\t0.5\t1.0\t0.5\n")
+    assert _parse_error(parse_correlation_matrix, path) == (2, f"{path}:2: matrix row 'a' is missing")
     path = write(tmp_path, "blank.tsv", "\n \n")
     assert _parse_error(parse_correlation_matrix, path) == (0, f"{path}:0: correlation matrix is empty")
 

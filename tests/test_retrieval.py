@@ -22,6 +22,7 @@ from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
     FusionGraphIndex,
     VertexPostings,
+    build_query_graph,
     common_bounds,
     fuse_query,
     index_collection,
@@ -43,6 +44,7 @@ from helpers import (
     random_rank_index,
     reference_build_fusion_graph,
     reference_fuse_query,
+    reference_query_graph,
     rewrite_record,
     synthetic_collection,
 )
@@ -188,6 +190,13 @@ def test_index_collection_strict_missing_rank():
     assert excinfo.value.query == "C"
     lenient = index_collection(partial, ("r1", "r2"), 2, "WGU")
     assert sorted(lenient.graphs) == ["A", "B", "C"]
+
+
+@pytest.mark.parametrize("depth", [5, 11])
+def test_index_collection_rejects_ranks_not_at_depth_l(depth):
+    collection, _ = synthetic_collection(1)  # every rank at depth 10
+    with pytest.raises(RankerMismatch, match=rf"^rank of 's00_0' under 'r1' has depth 10, index uses L={depth}$"):
+        index_collection(collection, collection.rankers, depth)
 
 
 def test_lenient_build_counts_item_without_ranks_silently(capfd):
@@ -622,7 +631,7 @@ BAD_RECORDS = {
         lambda directory: rewrite_record(
             directory, "graphs", "A", lambda data: _with_vertex_weights(data, 1.7e308, 1.7e308)
         ),
-        "graph record for 'A' has a negative weight or one that is not finite",
+        "graph record for 'A' has a weight that is not finite and positive",
     ),
     # X is a vertex of B's and C's graphs: its two postings, swapped
     "posting slots out of order": (
@@ -1070,3 +1079,100 @@ def test_strict_index_collection_raises_what_building_every_graph_raises(seed, d
             reference_build_fusion_graph(assemble_rank_set(item, normalized, rankers, True), normalized, strict=True)
 
     assert raised(lambda: index_collection(index, rankers, 3, strict=True)) == raised(build_every_graph)
+
+
+def weights_hex(graph: FusionGraph) -> tuple:
+    """A graph's query and every weight by float.hex, so equal means equal bit for bit."""
+    return graph.query, {v: w.hex() for v, w in graph.vertices.items()}, {e: w.hex() for e, w in graph.edges.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    synthetic=st.booleans(),
+    strict=st.booleans(),
+    loaded=st.booleans(),
+)
+def test_an_items_own_ranks_get_its_stored_graph(seed, synthetic, strict, loaded):
+    """An item's ranks, rescored and in any ranker order, get its stored graph: bit for bit the one built."""
+    rng = random.Random(seed)
+    depth = rng.randint(2, 6)
+    if synthetic:
+        collection, _ = synthetic_collection(seed % 1000, n_items=24, n_classes=6, depth=depth)
+    else:
+        collection = random_rank_index(rng, n_items=rng.randint(4, 16), depth=depth, cluster_size=rng.choice([None, 3]))
+    if not strict:
+        collection = drop_ranks(collection, seed)
+    fg_index = index_collection(collection, collection.rankers, depth, strict=strict)
+    with tempfile.TemporaryDirectory() as directory:
+        if loaded:
+            save_index(directory, fg_index)
+            fg_index = load_index(directory)
+        matched = 0
+        for item in fg_index.graphs:
+            ranks = [collection.get(ranker, item) for ranker in collection.rankers]
+            if None in ranks:  # a lenient item without a rank under some ranker is no query of the index
+                continue
+            rng.shuffle(ranks)
+            scores = [sorted(rng.sample(range(1, 99), len(r)), reverse=True) for r in ranks]
+            rs = RankSet(item, [mkrank(item, r.ranker, r.items(), s, depth) for r, s in zip(ranks, scores)])
+            graph = build_query_graph(rs, fg_index)
+            assert graph is fg_index.graphs[item]
+            assert weights_hex(graph) == weights_hex(reference_query_graph(rs, fg_index))
+            matched += 1
+    assert matched or not strict
+
+
+def count_normalizations(monkeypatch) -> list:
+    """The query of every normalize_rank_set call that build_query_graph makes."""
+    calls = []
+    normalize = retrieval.normalize_rank_set
+
+    def counted(rs, *args):
+        calls.append(rs.query)
+        return normalize(rs, *args)
+
+    monkeypatch.setattr(retrieval, "normalize_rank_set", counted)
+    return calls
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_other_queries_take_the_general_path(tmp_path, toy_fg_index, monkeypatch, loaded):
+    index, fg_index = toy_fg_index
+    if loaded:
+        save_index(tmp_path, fg_index)
+        fg_index = load_index(tmp_path)
+    calls = count_normalizations(monkeypatch)
+    own = assemble_rank_set("A", index, ("r1", "r2"))
+    assert build_query_graph(own, fg_index) is fg_index.graphs["A"] and calls == []
+    # normalization puts A back first, so the graph is A's own; the path is taken by order alone
+    swapped = RankSet("A", (mkrank("A", "r1", ["B", "A"], depth=2), index.get("r2", "A")))
+    unindexed = query_rank_set()
+    for rs in (swapped, unindexed):
+        graph = build_query_graph(rs, fg_index)
+        assert calls == [rs.query]
+        assert weights_hex(graph) == weights_hex(reference_query_graph(rs, fg_index))
+        assert fuse_query(rs, fg_index) == reference_fuse_query(rs, fg_index)
+        assert calls == [rs.query] * 2
+        calls.clear()
+
+
+def test_fusing_a_collection_item_on_a_loaded_index_reads_its_m_rank_records(tmp_path):
+    collection, _ = synthetic_collection(2, n_items=36, n_classes=6)
+    rankers = collection.rankers
+    save_index(tmp_path, index_collection(collection, rankers, 10))
+    loaded = load_index(tmp_path)
+    records, read = loaded.raw.records, Counter()
+    make = records.make
+
+    def counted(key):
+        read[key] += 1
+        return make(key)
+
+    records.make = counted
+    item = collection.collection_items()[7]
+    rs = assemble_rank_set(item, collection, rankers)
+    fused = fuse_query(rs, loaded, exclude_self=True)
+    assert read == Counter((ranker, item) for ranker in rankers)
+    assert fused == reference_fuse_query(rs, loaded, exclude_self=True)  # which normalizes, so reads more
+    assert len(read) > len(rankers)
