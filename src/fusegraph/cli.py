@@ -26,7 +26,6 @@ than the work of most commands.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import FusionError, NotEnoughRankers, QuerySetMismatch
@@ -35,7 +34,7 @@ DEFAULT_TAG = "FG"
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    from .io import load_config, load_runs
+    from .config import load_config, load_runs
     from .model import CollectionRankIndex
     from .retrieval import index_collection, save_index
 
@@ -53,7 +52,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .io import check_run_tag, load_config, load_runs, rank_sets_from_runs, write_run_file
+    from .config import load_config, load_runs, rank_sets_from_runs
+    from .io import check_run_tag, write_run_file
     from .retrieval import fuse_query, load_index
 
     check_run_tag(args.tag)  # before any input is read
@@ -77,7 +77,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     from . import baselines
-    from .io import load_config, load_runs, rank_sets_from_runs, write_run_file
+    from .config import load_config, load_runs, rank_sets_from_runs
+    from .io import write_run_file
 
     # both values are checked whatever the method, before any input is read
     baselines.check_rrf_k(args.rrf_k)
@@ -101,20 +102,22 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import evaluate_runs
-    from .io import parse_class_labels, parse_qrels, parse_run_file, write_per_query_metrics
+    from .io import parse_class_labels, parse_qrels, parse_run_file
 
     runs = parse_run_file(args.run, ranker="run")
     qrels = parse_qrels(args.qrels) if args.qrels else parse_class_labels(args.class_labels)
     report = evaluate_runs(runs, qrels, metric=args.metric, k=args.k)
     if args.per_query:
+        from .analysis import write_per_query_metrics  # the format ttest reads
+
         write_per_query_metrics(args.per_query, report)
     print(f"mean {report.metric} {report.mean:.6f} over {len(report.per_query)} queries")
     return 0
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    from .evaluation import ranker_correlation
-    from .io import format_correlation_matrix, load_config, load_runs, write_correlation_matrix
+    from .analysis import format_correlation_matrix, ranker_correlation, write_correlation_matrix
+    from .config import load_config, load_runs
 
     config = load_config(args.config)
     runs = load_runs(config)
@@ -133,8 +136,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    from .evaluation import select_rankers
-    from .io import parse_correlation_matrix, parse_ranker_effectiveness
+    from .analysis import parse_correlation_matrix, parse_ranker_effectiveness, select_rankers
 
     effectiveness = parse_ranker_effectiveness(args.effectiveness)
     correlations = parse_correlation_matrix(args.correlations) if args.correlations else None
@@ -144,8 +146,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_winners(args: argparse.Namespace) -> int:
-    from .evaluation import winning_numbers
-    from .io import parse_effectiveness_table
+    from .analysis import parse_effectiveness_table, winning_numbers
 
     table = parse_effectiveness_table(args.table)
     wins = winning_numbers(table)
@@ -155,8 +156,7 @@ def _cmd_winners(args: argparse.Namespace) -> int:
 
 
 def _cmd_ttest(args: argparse.Namespace) -> int:
-    from .evaluation import paired_t_test
-    from .io import parse_per_query_metrics
+    from .analysis import paired_t_test, parse_per_query_metrics
 
     values_a = parse_per_query_metrics(args.a)
     values_b = parse_per_query_metrics(args.b)
@@ -173,12 +173,18 @@ def _cmd_ttest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_error(category: str, message: str) -> None:
+    """Print the one JSON error line of a failed command to stderr."""
+    import json  # only a failing command loads json
+
+    print(json.dumps({"error": category, "message": message}), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports an argument error as one JSON line on stderr, exit code 2."""
 
     def error(self, message: str):
-        error = {"error": "UsageError", "message": f"{self.prog}: {message}"}
-        print(json.dumps(error), file=sys.stderr)
+        _print_error("UsageError", f"{self.prog}: {message}")
         sys.exit(2)
 
 
@@ -235,7 +241,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="pairwise ranker correlations")
     if command == "correlate":
-        from .evaluation import CORRELATIONS
+        from .analysis import CORRELATIONS
 
         p.add_argument("--config", required=True)
         p.add_argument("--measure", choices=sorted(CORRELATIONS), default="jaccard")
@@ -244,7 +250,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="choose rankers to fuse")
     if command == "select":
-        from .evaluation import SELECTION_STRATEGIES
+        from .analysis import SELECTION_STRATEGIES
 
         p.add_argument("--effectiveness", required=True, help="lines: ranker value")
         p.add_argument("--correlations", help="TSV matrix from correlate")
@@ -269,11 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
-    except (FusionError, ValueError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": "IOError", "message": str(exc)}), file=sys.stderr)
+    except (FusionError, ValueError, OSError) as exc:
+        _print_error(type(exc).__name__ if isinstance(exc, (FusionError, ValueError)) else "IOError", str(exc))
         return 1
 
 

@@ -16,19 +16,12 @@ from pathlib import Path
 import pytest
 
 from fusegraph import baselines
+from fusegraph.analysis import jaccard_corr, kendall_corr, select_rankers, selection_measure, spearman_corr
 from fusegraph.cli import main as cli_main
-from fusegraph.evaluation import (
-    Qrels,
-    jaccard_corr,
-    kendall_corr,
-    ndcg_at_k,
-    ns_score,
-    select_rankers,
-    selection_measure,
-    spearman_corr,
-)
+from fusegraph.config import load_config, load_runs
+from fusegraph.evaluation import Qrels, ndcg_at_k, ns_score
 from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph
-from fusegraph.io import load_config, load_runs, parse_class_labels, parse_run_file
+from fusegraph.io import parse_class_labels, parse_run_file
 from fusegraph.model import CollectionRankIndex, assemble_rank_set
 from fusegraph.normalize import (
     delta,

@@ -291,7 +291,8 @@ def run_cli_process(*args):
 
 # Modules that no command loads: scipy and numpy, and statistics with the decimal and fractions it loads.
 WATCHED_MODULES = ("scipy", "numpy", "statistics", "decimal", "fractions", "dataclasses", "inspect")
-LOADED_MODULES = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+# the modules are listed before json is imported to print them
+LOADED_MODULES = "import sys; loaded = sorted(sys.modules); import json; print(json.dumps(loaded))"
 
 
 def modules_after(*args):
@@ -322,23 +323,29 @@ def command_files(tmp_path_factory):
 # command line -> the fusegraph modules it loads besides fusegraph, .cli and .errors
 INDEX_MODULES = {"retrieval", "graph", "normalize", "similarity", "model"}
 COMMAND_MODULES = {
-    "extract": (["extract", "--config", "{config}", "--out", "{out}"], {"io", *INDEX_MODULES}),
+    "extract": (["extract", "--config", "{config}", "--out", "{out}"], {"io", "config", *INDEX_MODULES}),
     "search": (["search", "--index", "{index}", "--queries", "{config}", "--out", "{out}"],
-               {"io", *INDEX_MODULES}),
+               {"io", "config", *INDEX_MODULES}),
     "verify": (["verify", "--index", "{index}"], INDEX_MODULES),
-    "baseline": (["baseline", "borda", "--config", "{config}", "--out", "{out}"], {"io", "model", "baselines"}),
+    "baseline": (["baseline", "borda", "--config", "{config}", "--out", "{out}"],
+                 {"io", "config", "model", "baselines"}),
     "baseline_combmed": (["baseline", "combmed", "--config", "{config}", "--out", "{out}"],
-                         {"io", "model", "baselines"}),
+                         {"io", "config", "model", "baselines"}),
     "eval": (["eval", "--run", "{run}", "--class-labels", "{labels}"], {"io", "model", "evaluation"}),
-    "correlate": (["correlate", "--config", "{config}"], {"io", "model", "evaluation"}),
+    # the per-query file is the format ttest reads
+    "eval_per_query": (["eval", "--run", "{run}", "--class-labels", "{labels}", "--per-query", "{out}"],
+                       {"io", "model", "evaluation", "analysis"}),
+    "correlate": (["correlate", "--config", "{config}"], {"io", "config", "model", "analysis"}),
     "select": (["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"],
-               {"io", "model", "evaluation"}),
-    "winners": (["winners", "--table", "{table}"], {"io", "model", "evaluation"}),
+               {"io", "model", "analysis"}),
+    "winners": (["winners", "--table", "{table}"], {"io", "model", "analysis"}),
     # equal per-query values: the verdict needs no t distribution
-    "ttest": (["ttest", "--a", "{a}", "--b", "{a}"], {"io", "model", "evaluation"}),
+    "ttest": (["ttest", "--a", "{a}", "--b", "{a}"], {"io", "model", "analysis"}),
     # differences that vary: the p-value decides the verdict
-    "ttest_varying_differences": (["ttest", "--a", "{a}", "--b", "{b}"], {"io", "model", "evaluation"}),
+    "ttest_varying_differences": (["ttest", "--a", "{a}", "--b", "{b}"], {"io", "model", "analysis"}),
 }
+# commands that read no JSON file: json would only be loaded to print an error line
+JSON_FREE_COMMANDS = ("eval", "select", "winners", "ttest")
 
 
 @pytest.mark.parametrize("command", COMMAND_MODULES)
@@ -353,6 +360,8 @@ def test_each_command_loads_only_the_modules_it_runs(command_files, tmp_path, co
     }
     assert not packages & set(WATCHED_MODULES)
     assert packages - {"fusegraph"} <= sys.stdlib_module_names
+    if command.partition("_")[0] in JSON_FREE_COMMANDS:
+        assert "json" not in packages
 
 
 PUBLIC_HOMES = {
@@ -402,10 +411,25 @@ def test_stdlib_flow_passes_without_site_packages():
 
 def test_io_baselines_evaluation_leave_retrieval_unloaded():
     probe = (
-        "import sys, fusegraph.io, fusegraph.baselines, fusegraph.evaluation; "
+        "import sys, fusegraph.io, fusegraph.config, fusegraph.baselines, "
+        "fusegraph.evaluation, fusegraph.analysis; "
         "print('fusegraph.retrieval' in sys.modules)"
     )
     result = run_cli_process("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_io_reaches_the_config_names_by_their_old_home():
+    """load_config and rank_sets_from_runs moved to config; fusegraph.io still names them, loading config on first access."""
+    from fusegraph import config, io
+
+    assert io.load_config is config.load_config
+    assert io.rank_sets_from_runs is config.rank_sets_from_runs
+    with pytest.raises(AttributeError) as missing:
+        io.load_runs
+    assert str(missing.value) == "module 'fusegraph.io' has no attribute 'load_runs'"
+    result = run_cli_process("-c", "import sys, fusegraph.io; print('fusegraph.config' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
@@ -533,6 +557,12 @@ BAD_REPORT_VALUES = {
         ["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"], "corr",
         "\nranker\tLAS\tLBP\nLBP\t0.3\t1.0\n", "{corr}:2: matrix row 'LAS' is missing",
     ),
+    # a row that is not a column: the pair (CCOM, LAS) must not be read from it
+    "select_best_pair_row_not_a_column": (
+        ["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"], "corr",
+        "ranker\tLAS\tLBP\nLAS\t1.0\t0.3\nLBP\t0.3\t1.0\nCCOM\t0.1\t0.1\n",
+        "{corr}:4: matrix row 'CCOM' is not one of its columns",
+    ),
     "winners_inf": (["winners", "--table", "{table}"], "table", "d1 c1 m1 inf\nd1 c1 m2 0.1\n",
                     "{table}:1: value must be finite, got inf"),
 }
@@ -551,6 +581,27 @@ def test_bad_report_value_prints_one_json_line(tmp_path, case):
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
     assert json.loads(lines[0]) == {"error": "ParseError", "message": message.format(**paths)}
+
+
+NOT_UTF8_INPUTS = {
+    "extract_config": (["extract", "--config", "{bad}", "--out", "{out}"], b'{"rankers": []}\xff', "ConfigError",
+                       "cannot read config {bad}: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+    "eval_run": (["eval", "--run", "{bad}", "--class-labels", "{labels}"], b"q1 Q0 a\xff 1 3.0 t\n", "ParseError",
+                 "{bad}:0: not UTF-8 text (invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8_INPUTS.values(), ids=NOT_UTF8_INPUTS)
+def test_input_that_is_not_utf8_prints_one_json_line(command_files, tmp_path, case):
+    """A config, or a file of lines, that is not UTF-8 is refused naming the file, not as a UnicodeDecodeError."""
+    args, data, category, message = case
+    paths = {**command_files, "bad": tmp_path / "bad", "out": tmp_path / "out"}
+    paths["bad"].write_bytes(data)
+    result = run_cli_process("-m", "fusegraph.cli", *(arg.format(**paths) for arg in args))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert [json.loads(line) for line in result.stderr.splitlines()] == [
+        {"error": category, "message": message.format(**paths)}
+    ]
 
 
 @pytest.mark.parametrize(

@@ -4,20 +4,10 @@ import sys
 
 import pytest
 
-from fusegraph.errors import (
-    LengthMismatch,
-    NotEnoughRankers,
-    QuerySetMismatch,
-    UnknownQuery,
-)
-from fusegraph.evaluation import (
-    Qrels,
+from fusegraph.analysis import (
     _t_tail,
-    evaluate_runs,
     jaccard_corr,
     kendall_corr,
-    ndcg_at_k,
-    ns_score,
     paired_t_test,
     ranker_correlation,
     select_rankers,
@@ -25,6 +15,13 @@ from fusegraph.evaluation import (
     spearman_corr,
     winning_numbers,
 )
+from fusegraph.errors import (
+    LengthMismatch,
+    NotEnoughRankers,
+    QuerySetMismatch,
+    UnknownQuery,
+)
+from fusegraph.evaluation import Qrels, evaluate_runs, ndcg_at_k, ns_score
 
 from helpers import mkrank
 

@@ -4,6 +4,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fusegraph.analysis import (
+    parse_correlation_matrix,
+    parse_effectiveness_table,
+    parse_per_query_metrics,
+    parse_ranker_effectiveness,
+    write_correlation_matrix,
+)
+from fusegraph.config import PipelineConfig, RankerSpec, load_config, rank_sets_from_runs
 from fusegraph.errors import (
     ConfigError,
     DuplicateDoc,
@@ -12,21 +20,7 @@ from fusegraph.errors import (
     RankGap,
     UnknownQuery,
 )
-from fusegraph.io import (
-    PipelineConfig,
-    RankerSpec,
-    load_config,
-    parse_class_labels,
-    parse_correlation_matrix,
-    parse_effectiveness_table,
-    parse_per_query_metrics,
-    parse_qrels,
-    parse_ranker_effectiveness,
-    parse_run_file,
-    rank_sets_from_runs,
-    write_correlation_matrix,
-    write_run_file,
-)
+from fusegraph.io import parse_class_labels, parse_qrels, parse_run_file, write_run_file
 from fusegraph import baselines
 from fusegraph.model import RankSet, ScoredEntry, ScoredRank, assemble_rank_set
 from fusegraph.retrieval import fuse_query, index_collection, load_index, save_index
@@ -422,6 +416,20 @@ def test_line_parser_errors_pinned(tmp_path, parse, records, count, bad_numbers,
     assert _comparable(spaced) == _comparable(dense)
 
 
+@pytest.mark.parametrize(
+    "parse, records",
+    [
+        *(pytest.param(*param.values[:2], id=param.id) for param in LINE_PARSERS),
+        pytest.param(parse_correlation_matrix, ("ranker\ta", "a\t1.0"), id="correlation_matrix"),
+    ],
+)
+def test_line_parsers_refuse_text_that_is_not_utf8(tmp_path, parse, records):
+    """A byte that is not UTF-8 is a ParseError naming the file, whichever line holds it."""
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("\n".join(records).encode() + b"\xff\n")
+    assert _parse_error(parse, path) == (0, f"{path}:0: not UTF-8 text (invalid start byte)")
+
+
 REPEATED_KEYS = [
     pytest.param(parse_qrels, "q1 0 d1 1\n\nq1 0 d1 0\n", 3, "duplicate judgment of 'd1' for 'q1'", id="qrels"),
     pytest.param(parse_per_query_metrics, "q1 0.5\n\nq1 0.25\n", 3, "duplicate entry for 'q1'", id="per_query"),
@@ -459,8 +467,8 @@ def test_parse_ranker_effectiveness(tmp_path):
 
 
 def test_per_query_metrics_round_trip(tmp_path):
+    from fusegraph.analysis import write_per_query_metrics
     from fusegraph.evaluation import EvalReport
-    from fusegraph.io import write_per_query_metrics
 
     report = EvalReport("ndcg@10", {"q1": 0.5, "q2": 0.75}, 0.625)
     path = tmp_path / "metrics.tsv"
@@ -495,6 +503,11 @@ def test_correlation_matrix_values_lie_in_the_unit_interval(tmp_path, value):
     path = write(tmp_path, "m.tsv", f"ranker\ta\tb\na\t1.0\t{value}\n")
     message = f"matrix value {float(value)!r} for 'b' is not in [0, 1]"
     assert _parse_error(parse_correlation_matrix, path) == (2, f"{path}:2: {message}")
+
+
+def test_correlation_matrix_row_must_be_one_of_its_columns(tmp_path):
+    path = write(tmp_path, "m.tsv", "ranker\ta\tb\na\t1.0\t0.5\nb\t0.5\t1.0\n\nc\t0.5\t0.5\n")
+    assert _parse_error(parse_correlation_matrix, path) == (5, f"{path}:5: matrix row 'c' is not one of its columns")
 
 
 def test_correlation_matrix_round_trip(tmp_path):
@@ -543,6 +556,15 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(write(tmp_path, "list.json", "[]"))
     with pytest.raises(ConfigError, match="each ranker needs 'name' and 'run' fields"):
         load_config(write(tmp_path, "no_run.json", '{"rankers": [{"name": "r1"}]}'))
+
+
+def test_load_config_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"rankers": []}\xff')
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    codec = "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"
+    assert str(excinfo.value) == f"cannot read config {path}: {codec}"
 
 
 def ranker_entry(**fields):
