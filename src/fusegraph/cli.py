@@ -15,8 +15,9 @@ Subcommands mirror the offline/online split plus the evaluation machinery:
 Any library failure, and any invalid value the library rejects with
 ValueError, exits non-zero after printing one JSON line to stderr with the
 machine-readable error category (the exception class name); an argument
-error prints one such line with the category UsageError and exits 2. Every
-command runs on one thread, and the program reads no environment variable.
+error, an empty path among them, prints one such line with the category
+UsageError and exits 2. Every command runs on one thread, and the program
+reads no environment variable.
 
 Each command imports only the modules it runs, in its ``_cmd_*`` function: with
 no bytecode cache a process compiles every module it imports, which costs more
@@ -188,6 +189,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+def _path(value: str) -> str:
+    """The value of a path-valued option: any string but the empty one, which names no file."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return value
+
+
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for ``argv``. A subcommand whose choices or defaults come from a
     library module gets its arguments only when ``argv`` names it, so that no
@@ -202,20 +210,20 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="build the fusion-graph index (offline)")
-    p.add_argument("--config", required=True, help="pipeline config JSON")
-    p.add_argument("--out", required=True, help="index directory to create")
+    p.add_argument("--config", type=_path, required=True, help="pipeline config JSON")
+    p.add_argument("--out", type=_path, required=True, help="index directory to create")
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("search", help="rank the collection for query runs (online)")
-    p.add_argument("--index", required=True, help="index directory from extract")
-    p.add_argument("--queries", required=True, help="config JSON listing query run files")
-    p.add_argument("--out", required=True, help="output TREC run file")
+    p.add_argument("--index", type=_path, required=True, help="index directory from extract")
+    p.add_argument("--queries", type=_path, required=True, help="config JSON listing query run files")
+    p.add_argument("--out", type=_path, required=True, help="output TREC run file")
     p.add_argument("--tag", default=DEFAULT_TAG, help="run tag: non-empty, no whitespace")
     p.add_argument("--exclude-self", action="store_true")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify", help="check every record of an index")
-    p.add_argument("--index", required=True, help="index directory from extract")
+    p.add_argument("--index", type=_path, required=True, help="index directory from extract")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("baseline", help="aggregate runs with a classical method")
@@ -223,47 +231,47 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         from . import baselines
 
         p.add_argument("method", choices=sorted(baselines.METHODS))
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
+        p.add_argument("--config", type=_path, required=True)
+        p.add_argument("--out", type=_path, required=True)
         p.add_argument("--rrf-k", type=float, default=baselines.RRF_DEFAULT_K)
         p.add_argument("--kemeny-cap", type=int, default=baselines.KEMENY_DEFAULT_CAP)
     p.set_defaults(fn=_cmd_baseline)
 
     p = sub.add_parser("eval", help="score a run against judgments")
-    p.add_argument("--run", required=True)
+    p.add_argument("--run", type=_path, required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--qrels")
-    group.add_argument("--class-labels")
+    group.add_argument("--qrels", type=_path)
+    group.add_argument("--class-labels", type=_path)
     p.add_argument("--metric", choices=("ndcg", "ns"), default="ndcg")
     p.add_argument("--k", type=int, help="NDCG cutoff (default 10); N-S always reads 4")
-    p.add_argument("--per-query", help="write per-query values to this file")
+    p.add_argument("--per-query", type=_path, help="write per-query values to this file")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("correlate", help="pairwise ranker correlations")
     if command == "correlate":
         from .analysis import CORRELATIONS
 
-        p.add_argument("--config", required=True)
+        p.add_argument("--config", type=_path, required=True)
         p.add_argument("--measure", choices=sorted(CORRELATIONS), default="jaccard")
-        p.add_argument("--out", help="write TSV matrix here instead of stdout")
+        p.add_argument("--out", type=_path, help="write TSV matrix here instead of stdout")
     p.set_defaults(fn=_cmd_correlate)
 
     p = sub.add_parser("select", help="choose rankers to fuse")
     if command == "select":
         from .analysis import SELECTION_STRATEGIES
 
-        p.add_argument("--effectiveness", required=True, help="lines: ranker value")
-        p.add_argument("--correlations", help="TSV matrix from correlate")
+        p.add_argument("--effectiveness", type=_path, required=True, help="lines: ranker value")
+        p.add_argument("--correlations", type=_path, help="TSV matrix from correlate")
         p.add_argument("--strategy", choices=SELECTION_STRATEGIES, required=True)
     p.set_defaults(fn=_cmd_select)
 
     p = sub.add_parser("winners", help="winning numbers over an effectiveness table")
-    p.add_argument("--table", required=True, help="lines: dataset config method value")
+    p.add_argument("--table", type=_path, required=True, help="lines: dataset config method value")
     p.set_defaults(fn=_cmd_winners)
 
     p = sub.add_parser("ttest", help="paired t-test on two per-query metric files")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", type=_path, required=True)
+    p.add_argument("--b", type=_path, required=True)
     p.add_argument("--alpha", type=float, default=0.01)
     p.set_defaults(fn=_cmd_ttest)
 

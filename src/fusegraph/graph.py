@@ -20,7 +20,7 @@ import struct
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyGraph, MalformedGraphRecord
-from .model import ItemId, RankLookup, RankSet
+from .model import CollectionRankIndex, ItemId, RankSet, ScoredRank
 
 
 class BuildStats:
@@ -70,20 +70,18 @@ NeighbourTable = dict[tuple[str, ...], dict[ItemId, Neighbours]]
 
 
 def _neighbours(
-    index: RankLookup,
-    rankers: tuple[str, ...],
     item: ItemId,
+    ranks: Iterable[ScoredRank | None],
     stats: BuildStats,
     within: dict | None = None,
 ) -> Neighbours:
-    """The neighbour-table row of ``item``: its ranks under ``rankers``, each read once.
+    """The neighbour-table row of ``item``: its ``ranks``, one per ranker, each read once.
 
-    With ``within``, neighbours outside it are left out; a ranker without a
-    rank of ``item`` adds none.
+    With ``within``, neighbours outside it are left out; a missing rank
+    (None) adds none.
     """
     scores: dict[ItemId, float | tuple[float, ...]] = {}
-    for ranker in rankers:
-        rank = index.get(ranker, item)
+    for rank in ranks:
         if rank is None:
             continue
         stats.entry_visits += len(rank)
@@ -100,21 +98,22 @@ def _neighbours(
 
 def build_fusion_graph(
     rs: RankSet,
-    index: RankLookup,
+    index: CollectionRankIndex,
     stats: BuildStats | None = None,
     table: NeighbourTable | None = None,
 ) -> FusionGraph:
     """Build and weight-normalize the fusion graph of a normalized rank set.
 
-    ``rs`` must already be normalized (repositioned, rescaled) and ``index``
-    must hold the normalized ranks of the items appearing in ``rs``. A vertex
-    item with no indexed ranks contributes no outgoing edges (strict mode's
-    MissingRank is raised by index_collection, before any graph is built). A
-    vertex's ranks are read into ``table`` only when it holds no row for the
-    vertex yet: the graphs of a collection share one table, so each
-    collection rank is read once per ranker tuple, and the graphs share the
-    table's edge-key tuples. Without ``table`` the graph reads into a table
-    of its own.
+    ``rs`` must already be normalized (repositioned, rescaled). The query's
+    own row comes from ``rs``; every other vertex's comes from ``index``,
+    which holds the normalized ranks of the collection. A vertex item with
+    no indexed ranks contributes no outgoing edges (strict mode's MissingRank
+    is raised by index_collection, before any graph is built). A vertex's
+    ranks are read into ``table`` only when it holds no row for the vertex
+    yet: the graphs of a collection, whose rank sets are the index's own,
+    share one table, so each collection rank is read once per ranker tuple
+    and the graphs share its edge-key tuples. Without ``table`` the graph
+    reads into a table of its own.
 
     Vertex weights sum the item's rescaled scores across the query's ranks.
     The edge A -> B accumulates, for every rank of the query containing A and
@@ -147,7 +146,8 @@ def build_fusion_graph(
         at = positions[item_a]
         rows = tabled.get(item_a)
         if rows is None:
-            rows = tabled[item_a] = _neighbours(index, rankers, item_a, stats, within)
+            ranks = rs if item_a == rs.query else map(index.get, rankers, itertools.repeat(item_a))
+            rows = tabled[item_a] = _neighbours(item_a, ranks, stats, within)
         for item_b, key, scores in rows:
             if item_b not in vertices:
                 continue

@@ -109,42 +109,12 @@ class RankSet:
         return tuple(rank.ranker for rank in self.ranks)
 
 
-class RankLookup:
-    """Read-only lookup interface shared by the index and query overlays."""
-
-    def get(self, ranker: str, query: ItemId) -> Optional[ScoredRank]:
-        raise NotImplementedError
-
-    def require(self, ranker: str, query: ItemId) -> ScoredRank:
-        rank = self.get(ranker, query)
-        if rank is None:
-            raise MissingRank(ranker, query)
-        return rank
-
-
-class OverlayRankLookup(RankLookup):
-    """View of ``base`` with ``extra``'s ranks taking precedence.
-
-    Used for online queries whose ranks are not part of the collection;
-    the underlying index is never mutated.
-    """
-
-    def __init__(self, base: RankLookup, extra: RankSet):
-        self.base, self.extra = base, extra
-        self._by_ranker = {rank.ranker: rank for rank in extra.ranks}
-
-    def get(self, ranker: str, query: ItemId) -> Optional[ScoredRank]:
-        rank = self._by_ranker.get(ranker)
-        if rank is not None and query == self.extra.query:
-            return rank
-        return self.base.get(ranker, query)
-
-
-class CollectionRankIndex(RankLookup):
+class CollectionRankIndex:
     """Per ranker, the precomputed rank of every collection item as a query.
 
-    Built once and then read-only; the offline stage iterates it, the online
-    stage consults it through an overlay carrying the query's own ranks.
+    Built once and then read-only; the offline stage iterates it, and the
+    online stage reads every rank from it but the query's own, which travel
+    with the query.
     """
 
     def __init__(self, ranks_by_ranker: Mapping[str, Mapping[ItemId, ScoredRank]]):
@@ -182,9 +152,15 @@ class CollectionRankIndex(RankLookup):
         per_query = self._ranks.get(ranker)
         return None if per_query is None else per_query.get(query)
 
+    def require(self, ranker: str, query: ItemId) -> ScoredRank:
+        rank = self.get(ranker, query)
+        if rank is None:
+            raise MissingRank(ranker, query)
+        return rank
+
 
 def assemble_rank_set(
-    query: ItemId, index: RankLookup, rankers: Iterable[str], strict: bool = True
+    query: ItemId, index: CollectionRankIndex, rankers: Iterable[str], strict: bool = True
 ) -> RankSet:
     """Collect the stored ranks of ``query`` into a RankSet, in ranker order.
 

@@ -7,9 +7,10 @@ is what the fusion-graph builder consumes. L, the method's one parameter, is
 passed as the int ``depth``. The grid depends on L alone, so a normalized rank
 is an item order, and gridded_rank is the one place that builds it.
 
-Positions are always read from the original, pre-repositioning index; the
-output rank never feeds back into the distance computation, so repeated
-normalization with the same index is idempotent in item order.
+A rank is repositioned by its own positions and its items' ranks in the
+index, which need not hold a rank of its query, so a held-out query's ranks
+normalize as they are. A rank is read as given: normalizing a normalized rank
+again may reorder it.
 """
 
 from __future__ import annotations
@@ -18,25 +19,23 @@ import functools
 from typing import Sequence
 
 from .errors import EmptyRank, InvalidRankSet
-from .model import CollectionRankIndex, ItemId, RankLookup, RankSet, ScoredRank, unchecked_rank
+from .model import CollectionRankIndex, ItemId, RankSet, ScoredRank, unchecked_rank
 
 
-def delta(i: ItemId, j: ItemId, index: RankLookup, ranker: str, depth: int) -> int:
-    """Neighborhood-aware distance between items i and j under one ranker, at cut-off depth L.
+def delta(rank: ScoredRank, j: ItemId, index: CollectionRankIndex, depth: int) -> int:
+    """Neighborhood-aware distance between i, the query of ``rank``, and item j, at cut-off depth L.
 
-    Sums the position of j in i's rank and the position of i in j's rank
-    (mutual neighborhood), plus the maximum of the two (reciprocal
-    neighborhood). An undefined position (an item absent from a rank, or
-    whose own rank is missing) counts as the sentinel L + 1, which penalizes
-    absence minimally and uniformly. Symmetric whenever both positions exist.
-
-    Raises MissingRank if no rank is stored for i; a missing rank for j only
-    triggers the sentinel.
+    Sums the position of j in i's rank, ``rank`` itself, and the position of
+    i in j's rank, read from ``index`` unless j is i (mutual neighborhood),
+    plus the maximum of the two (reciprocal neighborhood). An undefined
+    position (an item absent from a rank, or whose own rank is missing)
+    counts as the sentinel L + 1, which penalizes absence minimally and
+    uniformly. Symmetric whenever both positions exist.
     """
     sentinel = depth + 1
-    p_ij = index.require(ranker, i).positions.get(j, sentinel)
-    rank_j = index.get(ranker, j)
-    p_ji = sentinel if rank_j is None else rank_j.positions.get(i, sentinel)
+    p_ij = rank.positions.get(j, sentinel)
+    rank_j = rank if j == rank.query else index.get(rank.ranker, j)
+    p_ji = sentinel if rank_j is None else rank_j.positions.get(rank.query, sentinel)
     return p_ij + p_ji + max(p_ij, p_ji)
 
 
@@ -70,7 +69,7 @@ def gridded_rank(query: ItemId, ranker: str, items: Sequence[ItemId], depth: int
     return unchecked_rank(query, ranker, zip(items, _grid(depth, len(items))), depth)
 
 
-def normalize_rank(rank: ScoredRank, index: RankLookup, depth: int) -> ScoredRank:
+def normalize_rank(rank: ScoredRank, index: CollectionRankIndex, depth: int) -> ScoredRank:
     """Reposition then rescale one rank at cut-off depth L, which must be at least 1.
 
     The rank is cut to its top-L items, which are stable-sorted by ascending
@@ -81,13 +80,13 @@ def normalize_rank(rank: ScoredRank, index: RankLookup, depth: int) -> ScoredRan
     if not rank.entries:
         raise EmptyRank(f"cannot rescale empty rank for query {rank.query!r}")
     kept = rank.items()[:depth]
-    deltas = {item: delta(rank.query, item, index, rank.ranker, depth) for item in kept}
+    deltas = {item: delta(rank, item, index, depth) for item in kept}
     reordered = sorted(kept, key=deltas.__getitem__)
     return gridded_rank(rank.query, rank.ranker, reordered, depth)
 
 
-def normalize_rank_set(rs: RankSet, index: RankLookup, depth: int) -> RankSet:
-    """Normalize every rank in the set; the result feeds the graph builder."""
+def normalize_rank_set(rs: RankSet, index: CollectionRankIndex, depth: int) -> RankSet:
+    """Normalize every rank in the set against ``index``, which need not hold them; the result feeds the graph builder."""
     if len(rs) == 0:
         raise InvalidRankSet(f"rank set for {rs.query!r} has no ranks")
     return RankSet(rs.query, tuple(normalize_rank(rank, index, depth) for rank in rs))
@@ -101,12 +100,7 @@ def normalize_collection(
     Every rank is repositioned against the same original index, so the result
     does not depend on processing order.
     """
-    normalized: dict[str, dict[ItemId, ScoredRank]] = {}
-    for ranker in rankers:
-        bucket: dict[ItemId, ScoredRank] = {}
-        for query in index.queries(ranker):
-            rank = index.get(ranker, query)
-            assert rank is not None
-            bucket[query] = normalize_rank(rank, index, depth)
-        normalized[ranker] = bucket
-    return CollectionRankIndex(normalized)
+    return CollectionRankIndex({
+        ranker: {query: normalize_rank(index.require(ranker, query), index, depth) for query in index.queries(ranker)}
+        for ranker in rankers
+    })

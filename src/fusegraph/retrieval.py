@@ -53,8 +53,6 @@ from .graph import (
 from .model import (
     CollectionRankIndex,
     ItemId,
-    OverlayRankLookup,
-    RankLookup,
     RankSet,
     ScoredRank,
     assemble_rank_set,
@@ -125,7 +123,7 @@ class FusionGraphIndex:
         depth: int,
         ranker_names: tuple[str, ...],
         comparator: str,
-        normalized: RankLookup,
+        normalized: CollectionRankIndex,
         raw: CollectionRankIndex,
     ):
         if comparator not in COMPARATORS:
@@ -339,9 +337,9 @@ def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> Fusio
     An indexed item whose ranks list its stored raw orders gets its stored
     graph, which a build would give bit for bit: normalization reads
     positions only and every weight is an order-independent sum. Any other
-    query is normalized with its (raw) ranks overlaid on the index's raw
-    ranks, so out-of-collection queries work, and its graph is built from the
-    index's normalized collection ranks.
+    query's own ranks are normalized against the index's raw ranks, and its
+    graph is built from them and the index's normalized ranks, so
+    out-of-collection queries work.
     """
     depth = fg_index.depth
     if set(query_ranks.ranker_names) != set(fg_index.ranker_names):
@@ -360,8 +358,7 @@ def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> Fusio
         (stored := raw.get(rank.ranker, query)) is not None and stored.items() == rank.items() for rank in query_ranks
     ):
         return fg_index.graphs[query]
-    normalized_query = normalize_rank_set(query_ranks, OverlayRankLookup(raw, query_ranks), depth)
-    return build_fusion_graph(normalized_query, OverlayRankLookup(fg_index.normalized, normalized_query))
+    return build_fusion_graph(normalize_rank_set(query_ranks, raw, depth), fg_index.normalized)
 
 
 def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: bool = False) -> ScoredRank:

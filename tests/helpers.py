@@ -19,7 +19,7 @@ from fusegraph.baselines import _check, _depth, _finalize, _order_to_rank
 from fusegraph.errors import EmptyGraph, FusionError, MissingRank
 from fusegraph import graph, similarity
 from fusegraph.graph import FusionGraph
-from fusegraph.model import CollectionRankIndex, ItemId, OverlayRankLookup, RankSet, ScoredEntry, ScoredRank
+from fusegraph.model import CollectionRankIndex, ItemId, RankSet, ScoredEntry, ScoredRank
 from fusegraph.normalize import normalize_rank_set
 from fusegraph.similarity import McsStats, graph_size
 
@@ -506,10 +506,25 @@ def reference_dist_wgu(a: FusionGraph, b: FusionGraph) -> float:
 REFERENCE_DISTANCES = {"MCS": reference_dist_mcs, "WGU": reference_dist_wgu}
 
 
+class OwnRanks:
+    """``index`` with the ranks of ``own`` read for its query: one lookup for every rank, the query's too.
+
+    reference_query_graph reads through it, so it normalizes and builds the
+    query's graph with the query's own ranks looked up like any other rank.
+    """
+
+    def __init__(self, index, own: RankSet):
+        self.index, self.query, self.own = index, own.query, {rank.ranker: rank for rank in own}
+
+    def get(self, ranker: str, query: ItemId) -> ScoredRank | None:
+        rank = self.own.get(ranker) if query == self.query else None
+        return self.index.get(ranker, query) if rank is None else rank
+
+
 def reference_query_graph(query_ranks: RankSet, fg_index) -> FusionGraph:
     """A query's graph built by normalize_rank_set and reference_build_fusion_graph, never a stored one."""
-    normalized = normalize_rank_set(query_ranks, OverlayRankLookup(fg_index.raw, query_ranks), fg_index.depth)
-    return reference_build_fusion_graph(normalized, OverlayRankLookup(fg_index.normalized, normalized))
+    normalized = normalize_rank_set(query_ranks, OwnRanks(fg_index.raw, query_ranks), fg_index.depth)
+    return reference_build_fusion_graph(normalized, OwnRanks(fg_index.normalized, normalized))
 
 
 def reference_fuse_query(query_ranks, fg_index, exclude_self=False):

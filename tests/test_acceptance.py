@@ -154,7 +154,7 @@ def test_normalization_contract():
                 # independent stable sort over delta: explicit index tiebreak
                 kept = raw.entries[:depth]
                 deltas = [
-                    delta(raw.query, e.item, index, raw.ranker, depth) for e in kept
+                    delta(raw, e.item, index, depth) for e in kept
                 ]
                 reference = [
                     e.item
@@ -175,8 +175,8 @@ def test_normalization_contract():
                     and j in rank_i.positions
                     and i in rank_j.positions
                 ):
-                    assert delta(i, j, index, ranker, depth) == delta(
-                        j, i, index, ranker, depth
+                    assert delta(rank_i, j, index, depth) == delta(
+                        rank_j, i, index, depth
                     )
 
 

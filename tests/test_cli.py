@@ -1169,6 +1169,53 @@ def test_eval_k_not_an_int_prints_one_json_line(tmp_path):
     }
 
 
+# every command with each of its path-valued options, all naming real inputs or new outputs
+PATH_OPTION_COMMANDS = {
+    "extract": ["extract", "--config", "{config}", "--out", "{out}"],
+    "search": ["search", "--index", "{index}", "--queries", "{config}", "--out", "{out}"],
+    "verify": ["verify", "--index", "{index}"],
+    "baseline": ["baseline", "borda", "--config", "{config}", "--out", "{out}"],
+    "eval_qrels": ["eval", "--run", "{run}", "--qrels", "{qrels}"],
+    "eval_class_labels": ["eval", "--run", "{run}", "--class-labels", "{labels}", "--per-query", "{out}"],
+    "correlate": ["correlate", "--config", "{config}", "--out", "{out}"],
+    "select": ["select", "--effectiveness", "{eff}", "--correlations", "{corr}", "--strategy", "best-pair"],
+    "winners": ["winners", "--table", "{table}"],
+    "ttest": ["ttest", "--a", "{a}", "--b", "{b}"],
+}
+# (command line, position of the value set to "")
+EMPTY_PATH_CASES = {
+    f"{name}{args[at - 1]}": (args, at)
+    for name, args in PATH_OPTION_COMMANDS.items()
+    for at in range(2, len(args))
+    if args[at].startswith("{")
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_PATH_CASES.values(), ids=EMPTY_PATH_CASES)
+def test_an_empty_path_is_a_usage_error(command_files, tmp_path, monkeypatch, capsys, case):
+    """An empty path names no file, not the working directory or an absent option: nothing is read or written."""
+    args, at = case
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "qrels").write_text("s00_0 0 s00_1 1\n", encoding="utf-8")
+    paths = {**command_files, "qrels": inputs / "qrels", "out": inputs / "out"}
+    argv = [arg.format(**paths) for arg in args]
+    argv[at] = ""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [{
+        "error": "UsageError",
+        "message": f"fusegraph {args[0]}: argument {args[at - 1]}: expected a path, got an empty string",
+    }]
+    assert list(cwd.iterdir()) == [] and not paths["out"].exists()
+
+
 def test_one_query_search_decodes_few_graphs(tmp_path, monkeypatch):
     depth = 5
     collection = random_rank_index(

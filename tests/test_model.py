@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from fusegraph.errors import InvalidRankSet, MissingRank
 from fusegraph.model import (
     CollectionRankIndex,
-    OverlayRankLookup,
     RankSet,
     ScoredEntry,
     ScoredRank,
@@ -114,17 +113,6 @@ def test_collection_items_and_size():
         }
     )
     assert index.collection_items() == ("a", "b", "c")
-
-
-def test_overlay_prefers_extra_ranks():
-    index = _toy_index()
-    extra = RankSet("p", (mkrank("p", "r1", ["Z"]),))
-    view = OverlayRankLookup(index, extra)
-    assert view.get("r1", "p").items() == ("Z",)
-    assert view.get("r1", "q").items() == ("A", "B")
-    assert view.get("r2", "p") is None
-    with pytest.raises(MissingRank):
-        view.require("r2", "p")
 
 
 def test_equality_compares_the_declared_fields_and_no_cache():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fusegraph.errors import EmptyRank, InvalidRankSet, MissingRank
+from fusegraph.errors import EmptyRank, InvalidRankSet
 from fusegraph.model import CollectionRankIndex, RankSet, ScoredEntry, ScoredRank
 from fusegraph.normalize import (
     delta,
@@ -39,26 +39,32 @@ def test_delta_hand_values():
         {"r": {"i": ["x", "j", "y"], "j": ["x", "y", "i"]}}, depth=10
     )
     depth = 10
-    assert delta("i", "j", index, "r", depth) == 8
-    assert delta("j", "i", index, "r", depth) == 8  # symmetric
+    assert delta(index.get("r", "i"), "j", index, depth) == 8
+    assert delta(index.get("r", "j"), "i", index, depth) == 8  # symmetric
 
 
 def test_delta_symmetric_top():
     index = index_from({"r": {"i": ["j", "x"], "j": ["i", "y"]}}, depth=10)
-    assert delta("i", "j", index, "r", 10) == 3
+    assert delta(index.get("r", "i"), "j", index, 10) == 3
 
 
 def test_delta_sentinel_for_absent():
     # j absent from i's rank (L=10, sentinel 11), i at position 2 of j's rank
     index = index_from({"r": {"i": ["x", "y"], "j": ["x", "i"]}}, depth=10)
     depth = 10
-    assert delta("i", "j", index, "r", depth) == 11 + 2 + 11
+    assert delta(index.get("r", "i"), "j", index, depth) == 11 + 2 + 11
 
 
-def test_delta_missing_rank_for_query():
-    index = index_from({"r": {"j": ["i"]}}, depth=10)
-    with pytest.raises(MissingRank):
-        delta("i", "j", index, "r", 10)
+def test_delta_reads_the_rank_it_is_given():
+    # i has no stored rank (a held-out query): j at position 1 of i's given rank, i at position 2 of j's
+    index = index_from({"r": {"j": ["x", "i"], "q": ["q", "x"]}}, depth=10)
+    held_out = mkrank("i", "r", ["j", "x"], depth=10)
+    assert delta(held_out, "j", index, 10) == 1 + 2 + 2
+    # j == i: both positions are i's in the given rank, never the index's stored rank of i
+    stored = index.get("r", "q")
+    given = mkrank("q", "r", ["x", "q"], depth=10)
+    assert delta(stored, "q", index, 10) == 1 + 1 + 1
+    assert delta(given, "q", index, 10) == 2 + 2 + 2
 
 
 def test_delta_range():
@@ -68,7 +74,7 @@ def test_delta_range():
     items = index.collection_items()
     for _ in range(200):
         i, j = rng.choice(items), rng.choice(items)
-        value = delta(i, j, index, "r1", depth)
+        value = delta(index.get("r1", i), j, index, depth)
         assert 3 <= value <= 3 * (depth + 1)
 
 
@@ -100,14 +106,33 @@ def test_reposition_reorders_by_delta():
     assert out.items() == ("B", "A", "C")
 
 
-def test_reposition_fixed_point():
-    index = index_from(
-        {"r": {"q": ["A", "B"], "A": ["q", "A"], "B": ["x", "B"]}}, depth=2
-    )
-    depth = 2
-    once = normalize_rank(index.get("r", "q"), index, depth)
-    twice = normalize_rank(once, index, depth)
-    assert once.items() == twice.items()
+PINNED = {
+    "r": {
+        "d0": ["d5", "d3", "d1", "d2"],
+        "d1": ["d4", "d3", "d5", "d2"],
+        "d2": ["d2", "d1", "d4", "d0"],
+        "d3": ["d3", "d2", "d0", "d5"],
+        "d4": ["d4", "d2", "d0", "d3"],
+        "d5": ["d5", "d3", "d1", "d2"],
+    }
+}
+
+
+def stored_under_its_query(index: CollectionRankIndex, rank: ScoredRank) -> CollectionRankIndex:
+    """``index`` with ``rank`` stored under its ranker and query, in place of any rank stored there."""
+    stored = {ranker: {query: index.get(ranker, query) for query in index.queries(ranker)} for ranker in index.rankers}
+    stored.setdefault(rank.ranker, {})[rank.query] = rank
+    return CollectionRankIndex(stored)
+
+
+def test_renormalizing_reads_the_normalized_rank():
+    """A normalized rank given back is repositioned by its own positions, so it need not stay in order."""
+    index = index_from(PINNED, depth=4)
+    once = normalize_rank(index.get("r", "d0"), index, 4)
+    assert once.items() == ("d3", "d5", "d2", "d1")
+    twice = normalize_rank(once, index, 4)
+    assert twice.items() == ("d3", "d2", "d5", "d1")
+    assert twice == normalize_rank(once, stored_under_its_query(index, once), 4)
 
 
 def test_reposition_truncates_prefix_first():
@@ -152,17 +177,12 @@ def test_normalize_rank_set_rejects_empty_set():
         normalize_rank_set(RankSet("q", ()), random_rank_index(random.Random(0)), 5)
 
 
-def test_normalize_rank_set_deterministic_and_idempotent_order():
+def test_normalize_rank_set_deterministic():
     rng = random.Random(3)
     index = random_rank_index(rng, n_items=15, n_rankers=2, depth=5)
     depth = 5
     rs = RankSet("d000", (index.get("r1", "d000"), index.get("r2", "d000")))
-    once = normalize_rank_set(rs, index, depth)
-    again = normalize_rank_set(rs, index, depth)
-    assert once == again
-    renormalized = normalize_rank_set(once, index, depth)
-    for a, b in zip(once, renormalized):
-        assert a.items() == b.items()
+    assert normalize_rank_set(rs, index, depth) == normalize_rank_set(rs, index, depth)
 
 
 @st.composite
@@ -191,8 +211,20 @@ def test_normalize_collection_orders_by_delta(drawn):
         for query in index.queries(ranker):
             kept = index.get(ranker, query).items()[:depth]
             # sorted is stable, so tied deltas keep the rank's order
-            order = sorted(kept, key=lambda item: delta(query, item, index, ranker, depth))
+            order = sorted(kept, key=lambda item: delta(index.get(ranker, query), item, index, depth))
             assert normalized.get(ranker, query).items() == tuple(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=partial_collections(), data=st.data())
+def test_normalizing_a_rank_reads_it_as_if_stored_under_its_query(drawn, data):
+    """Normalizing against an index equals normalizing against it with the rank stored under its query."""
+    index, depth = drawn
+    # a query the ranker ranks, one it does not, or one no ranker does ("q")
+    query = data.draw(st.sampled_from("abcdefq"), label="query")
+    items = data.draw(st.lists(st.sampled_from("abcdefqxy"), unique=True, min_size=1, max_size=5), label="items")
+    rank = mkrank(query, data.draw(st.sampled_from(index.rankers), label="ranker"), items)
+    assert normalize_rank(rank, index, depth) == normalize_rank(rank, stored_under_its_query(index, rank), depth)
 
 
 def test_gridded_entries_are_scored_entries():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, graph_size, vertex_record
-from fusegraph.model import CollectionRankIndex, OverlayRankLookup, RankSet, ScoredRank, assemble_rank_set
+from fusegraph.model import CollectionRankIndex, RankSet, ScoredRank, assemble_rank_set
 from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
     FusionGraphIndex,
@@ -353,7 +353,7 @@ def test_unchecked_ranks_pass_the_public_constructor(
             for query in normalized.queries(ranker):
                 assert_checked(normalized.get(ranker, query))
         rs = query_ranks(rng, index, depth, out_of_collection)
-        for rank in normalize_rank_set(rs, OverlayRankLookup(index, rs), cut_depth):
+        for rank in normalize_rank_set(rs, index, cut_depth):
             assert_checked(rank)
     with tempfile.TemporaryDirectory() as directory:
         save_index(directory, index_collection(index, index.rankers, depth))
@@ -1155,6 +1155,32 @@ def test_other_queries_take_the_general_path(tmp_path, toy_fg_index, monkeypatch
         assert fuse_query(rs, fg_index) == reference_fuse_query(rs, fg_index)
         assert calls == [rs.query] * 2
         calls.clear()
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_any_querys_graph_from_the_public_normalize_and_build(tmp_path, loaded):
+    """normalize_rank_set over fg.raw, then build_fusion_graph over fg.normalized, give build_query_graph's graph.
+
+    For held-out queries, and for collection items with two items of one rank
+    swapped, bit for bit.
+    """
+    collection, _ = synthetic_collection(4, n_items=36, n_classes=6)
+    rankers, depth = collection.rankers, 10
+    fg_index = index_collection(collection, rankers, depth)
+    if loaded:
+        save_index(tmp_path, fg_index)
+        fg_index = load_index(tmp_path)
+    queries = []
+    for item in collection.collection_items()[::6]:
+        own = assemble_rank_set(item, collection, rankers)
+        held_out = RankSet("zq", (mkrank("zq", r.ranker, r.items(), depth=depth) for r in own))
+        first = list(own.ranks[0].items())
+        first[1], first[2] = first[2], first[1]
+        swapped = RankSet(item, (mkrank(item, rankers[0], first, depth=depth), *own.ranks[1:]))
+        queries += [held_out, swapped]
+    for rs in queries:
+        graph = build_fusion_graph(normalize_rank_set(rs, fg_index.raw, depth), fg_index.normalized)
+        assert weights_hex(graph) == weights_hex(build_query_graph(rs, fg_index))
 
 
 def test_fusing_a_collection_item_on_a_loaded_index_reads_its_m_rank_records(tmp_path):
