@@ -19,9 +19,9 @@ collection rank (the raw positions are what the online normalization of an
 incoming query needs), a table of contents that holds L, the comparator, the
 rankers and each record's place and digest, and a manifest that holds its
 sha256. load_index reads the manifest and the table of contents only; a
-search reads, checks and decodes a posting list, graph or rank when it first
-needs it, so its cost follows the records it reads, not the size of the
-index. verify_index checks every record.
+search reads, checks, decodes and keeps a posting list, graph or rank record
+when it first needs it, so its cost follows the records it reads; every read
+of a rank builds it anew from its record. verify_index checks every record.
 """
 
 from __future__ import annotations
@@ -243,18 +243,18 @@ def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) ->
 class StoredRanks(CollectionRankIndex):
     """The raw or the normalized ranks of the stored rank records, which map (ranker, query) to both orders.
 
-    ``toc`` maps ranker -> query -> entry. A rank is built when first read, by
-    gridded_rank: what a normalized rank holds. The scores of a raw rank are
-    never read, because normalization reads positions only.
+    ``toc`` maps ranker -> query -> entry. Every read builds a rank from its
+    kept record by gridded_rank (what a normalized rank holds) and keeps none.
+    The scores of a raw rank are never read: normalization reads positions only.
     """
 
     def __init__(self, records: StoredRecords, toc: dict[str, dict[ItemId, list]], depth: int, normalized: bool):
         self._ranks = toc  # the layout CollectionRankIndex's readers expect
-        self.records, order = records, 1 if normalized else 0
-        self._built = Records(records, lambda key: gridded_rank(key[1], key[0], records[key][order], depth))
+        self.records, self.order, self.depth = records, 1 if normalized else 0, depth
 
     def get(self, ranker: str, query: ItemId) -> ScoredRank | None:
-        return self._built.get((ranker, query))
+        record = self.records.get((ranker, query))
+        return None if record is None else gridded_rank(query, ranker, record[self.order], self.depth)
 
 
 def index_collection(
@@ -515,7 +515,7 @@ MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
 TOC_FIELDS: dict[str, Callable[[object], bool]] = {
     "L": lambda v: type(v) is int and v >= 1,
     "comparator": lambda v: isinstance(v, str) and v in COMPARATORS,
-    "rankers": lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
+    "rankers": lambda v: isinstance(v, list) and all(isinstance(r, str) and r for r in v) and len(set(v)) == len(v),
 }
 
 
@@ -652,8 +652,8 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
     derived = VertexPostings.of(fg_index.graphs, fg_index.graphs.make).by_label  # checks every graph, keeps none
     if list(stored) != sorted(derived) or any(stored[label] != postings for label, postings in derived.items()):
         raise MalformedGraphRecord("the posting lists are not those of the graphs")
-    records = fg_index.raw.records
-    list(records.values())  # reads and checks every rank
+    for key in (records := fg_index.raw.records):
+        records.make(key)  # reads and checks every rank, keeps none
     for store in (fg_index.graphs, stored, records):
         end = 0
         for offset, length in sorted(entry[:2] for entry in store.toc.values()):

@@ -165,6 +165,13 @@ LOAD_FAULTS = {
         )
         for field in ("L", "graph_count")
     },
+    **{
+        f"rankers {fault}": (
+            lambda d, extra=extra: edit_toc(d, lambda toc: toc["rankers"].append(extra)),
+            f"field 'rankers' is missing or ill-typed: ['r1', 'r2', {extra!r}]",
+        )
+        for fault, extra in (("repeated", "r1"), ("with an empty name", ""))
+    },
     "graph filed under another item": (
         lambda d: edit_toc(d, _swap_graph_entries), "graph record of 'A' holds the graph of 'B'"
     ),

@@ -280,10 +280,10 @@ def test_cli_error_category_for_bad_run(tmp_path, capsys):
     assert payload["error"] == "DuplicateDoc"
 
 
-def run_cli_process(*args):
-    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+def run_cli_process(*args, **env):
+    """Run the CLI in a fresh interpreter that imports this checkout's package, with ``env`` added to its own."""
     src = str(Path(fusegraph.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), **env}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
@@ -1357,6 +1357,22 @@ def synthetic_files(tmp_path, n_items=36):
     }
     config = write_config(tmp_path, "config.json", write_runs(tmp_path, layout, "coll"), depth=10)
     return config, collection.collection_items()
+
+
+def test_index_and_runs_do_not_depend_on_the_hash_seed(tmp_path):
+    config, _ = synthetic_files(tmp_path)
+    outputs = []
+    for seed in ("0", "12345"):
+        out = tmp_path / f"seed-{seed}"
+        for args in (
+            ["extract", "--config", config, "--out", out / "index"],
+            ["search", "--index", out / "index", "--queries", config, "--out", out / "fg.run", "--exclude-self"],
+            ["baseline", "condorcet", "--config", config, "--out", out / "condorcet.run"],
+        ):
+            result = run_cli_process("-m", "fusegraph.cli", *map(str, args), PYTHONHASHSEED=seed)
+            assert result.returncode == 0, result.stderr
+        outputs.append((index_files(out / "index"), *((out / run).read_bytes() for run in ("fg.run", "condorcet.run"))))
+    assert outputs[0] == outputs[1]
 
 
 def test_extract_holds_at_most_two_graphs(tmp_path):

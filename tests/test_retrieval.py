@@ -865,13 +865,19 @@ def test_loaded_normalized_lookup_equals_normalize_collection(tmp_path):
     assert any(eager.get(r, q) is None for r, q in pairs)
     for ranker, item in pairs:
         assert loaded.normalized.get(ranker, item) == eager.get(ranker, item)
-        assert loaded.normalized.get(ranker, item) is loaded.normalized.get(ranker, item)
         raw = index.get(ranker, item)
         got = loaded.raw.get(ranker, item)
         assert (got is None) == (raw is None)
         if raw is not None:
             # raw positions are kept; normalization reads nothing else of a raw rank
             assert got.items() == raw.items()
+    # a rank is built from its kept record on every read, and the index keeps none of them
+    for ranks in (loaded.normalized, loaded.raw):
+        rank = ranks.get("r1", "d000")
+        assert rank == ranks.get("r1", "d000")
+        built = weakref.ref(rank)
+        del rank
+        assert built() is None
 
 
 BOUND_WEIGHTS = st.floats(min_value=1e-300, max_value=1.0)
