@@ -22,11 +22,18 @@ reads no environment variable.
 Each command imports only the modules it runs, in its ``_cmd_*`` function: with
 no bytecode cache a process compiles every module it imports, which costs more
 than the work of most commands.
+
+main runs the command with the cyclic garbage collector off, then restores the
+state it found: a search keeps every index record it decodes, which each
+collection would scan again, while the cycles a command leaves are a few
+hundred objects whatever the size of its input. Reference counting frees the
+rest.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import FusionError, NotEnoughRankers, QuerySetMismatch
@@ -197,9 +204,9 @@ def _path(value: str) -> str:
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``. A subcommand whose choices or defaults come from a
-    library module gets its arguments only when ``argv`` names it, so that no
-    other command loads the module."""
+    """The parser for ``argv``. Every subcommand is registered with its help, but
+    only the one ``argv`` names gets its arguments: no other command's are
+    built, and no module that their choices or defaults come from is loaded."""
     # the top level takes no option value: its first non-option word is the subcommand
     command = next((word for word in argv if not word.startswith("-")), None)
     parser = _Parser(
@@ -209,25 +216,27 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="build the fusion-graph index (offline)")
-    p.add_argument("--config", type=_path, required=True, help="pipeline config JSON")
-    p.add_argument("--out", type=_path, required=True, help="index directory to create")
-    p.set_defaults(fn=_cmd_extract)
+    def add(name: str, fn, help_text: str) -> argparse.ArgumentParser | None:
+        """Register a subcommand; the parser to add its arguments to if ``argv`` names it, else None."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        return p if name == command else None
 
-    p = sub.add_parser("search", help="rank the collection for query runs (online)")
-    p.add_argument("--index", type=_path, required=True, help="index directory from extract")
-    p.add_argument("--queries", type=_path, required=True, help="config JSON listing query run files")
-    p.add_argument("--out", type=_path, required=True, help="output TREC run file")
-    p.add_argument("--tag", default=DEFAULT_TAG, help="run tag: non-empty, no whitespace")
-    p.add_argument("--exclude-self", action="store_true")
-    p.set_defaults(fn=_cmd_search)
+    if p := add("extract", _cmd_extract, "build the fusion-graph index (offline)"):
+        p.add_argument("--config", type=_path, required=True, help="pipeline config JSON")
+        p.add_argument("--out", type=_path, required=True, help="index directory to create")
 
-    p = sub.add_parser("verify", help="check every record of an index")
-    p.add_argument("--index", type=_path, required=True, help="index directory from extract")
-    p.set_defaults(fn=_cmd_verify)
+    if p := add("search", _cmd_search, "rank the collection for query runs (online)"):
+        p.add_argument("--index", type=_path, required=True, help="index directory from extract")
+        p.add_argument("--queries", type=_path, required=True, help="config JSON listing query run files")
+        p.add_argument("--out", type=_path, required=True, help="output TREC run file")
+        p.add_argument("--tag", default=DEFAULT_TAG, help="run tag: non-empty, no whitespace")
+        p.add_argument("--exclude-self", action="store_true")
 
-    p = sub.add_parser("baseline", help="aggregate runs with a classical method")
-    if command == "baseline":
+    if p := add("verify", _cmd_verify, "check every record of an index"):
+        p.add_argument("--index", type=_path, required=True, help="index directory from extract")
+
+    if p := add("baseline", _cmd_baseline, "aggregate runs with a classical method"):
         from . import baselines
 
         p.add_argument("method", choices=sorted(baselines.METHODS))
@@ -235,45 +244,37 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         p.add_argument("--out", type=_path, required=True)
         p.add_argument("--rrf-k", type=float, default=baselines.RRF_DEFAULT_K)
         p.add_argument("--kemeny-cap", type=int, default=baselines.KEMENY_DEFAULT_CAP)
-    p.set_defaults(fn=_cmd_baseline)
 
-    p = sub.add_parser("eval", help="score a run against judgments")
-    p.add_argument("--run", type=_path, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--qrels", type=_path)
-    group.add_argument("--class-labels", type=_path)
-    p.add_argument("--metric", choices=("ndcg", "ns"), default="ndcg")
-    p.add_argument("--k", type=int, help="NDCG cutoff (default 10); N-S always reads 4")
-    p.add_argument("--per-query", type=_path, help="write per-query values to this file")
-    p.set_defaults(fn=_cmd_eval)
+    if p := add("eval", _cmd_eval, "score a run against judgments"):
+        p.add_argument("--run", type=_path, required=True)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--qrels", type=_path)
+        group.add_argument("--class-labels", type=_path)
+        p.add_argument("--metric", choices=("ndcg", "ns"), default="ndcg")
+        p.add_argument("--k", type=int, help="NDCG cutoff (default 10); N-S always reads 4")
+        p.add_argument("--per-query", type=_path, help="write per-query values to this file")
 
-    p = sub.add_parser("correlate", help="pairwise ranker correlations")
-    if command == "correlate":
+    if p := add("correlate", _cmd_correlate, "pairwise ranker correlations"):
         from .analysis import CORRELATIONS
 
         p.add_argument("--config", type=_path, required=True)
         p.add_argument("--measure", choices=sorted(CORRELATIONS), default="jaccard")
         p.add_argument("--out", type=_path, help="write TSV matrix here instead of stdout")
-    p.set_defaults(fn=_cmd_correlate)
 
-    p = sub.add_parser("select", help="choose rankers to fuse")
-    if command == "select":
+    if p := add("select", _cmd_select, "choose rankers to fuse"):
         from .analysis import SELECTION_STRATEGIES
 
         p.add_argument("--effectiveness", type=_path, required=True, help="lines: ranker value")
         p.add_argument("--correlations", type=_path, help="TSV matrix from correlate")
         p.add_argument("--strategy", choices=SELECTION_STRATEGIES, required=True)
-    p.set_defaults(fn=_cmd_select)
 
-    p = sub.add_parser("winners", help="winning numbers over an effectiveness table")
-    p.add_argument("--table", type=_path, required=True, help="lines: dataset config method value")
-    p.set_defaults(fn=_cmd_winners)
+    if p := add("winners", _cmd_winners, "winning numbers over an effectiveness table"):
+        p.add_argument("--table", type=_path, required=True, help="lines: dataset config method value")
 
-    p = sub.add_parser("ttest", help="paired t-test on two per-query metric files")
-    p.add_argument("--a", type=_path, required=True)
-    p.add_argument("--b", type=_path, required=True)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.set_defaults(fn=_cmd_ttest)
+    if p := add("ttest", _cmd_ttest, "paired t-test on two per-query metric files"):
+        p.add_argument("--a", type=_path, required=True)
+        p.add_argument("--b", type=_path, required=True)
+        p.add_argument("--alpha", type=float, default=0.01)
 
     return parser
 
@@ -281,11 +282,16 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         return args.fn(args)
     except (FusionError, ValueError, OSError) as exc:
         _print_error(type(exc).__name__ if isinstance(exc, (FusionError, ValueError)) else "IOError", str(exc))
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -290,16 +290,16 @@ def deserialize_graph(record: bytes) -> FusionGraph:
     edge_weights, targets = values[2 * n : 2 * n + n_edges], values[2 * n + n_edges :]
     if sum(degrees) != n_edges:
         raise _bad(query, f"out-degrees that sum to {sum(degrees)}, not its {n_edges} edges")
-    if targets and max(targets) >= n:
-        raise _bad(query, f"an edge target at slot {max(targets)}, beyond its {n} labels")
+    sources = itertools.chain.from_iterable(map(itertools.repeat, labels, degrees))
+    try:  # a target beyond the labels raises as the lazy zips reach it
+        edges = dict(zip(zip(sources, map(labels.__getitem__, targets)), edge_weights))
+    except IndexError:
+        raise _bad(query, f"an edge target at slot {max(targets)}, beyond its {n} labels") from None
     vertices = dict(zip(labels, weights))
     if len(vertices) != n:
         raise _bad(query, "a duplicate label")
-    sources = list(itertools.chain.from_iterable(map(itertools.repeat, labels, degrees)))
-    named = list(map(labels.__getitem__, targets))
-    if any(map(operator.eq, sources, named)):
+    if any(map(edges.__contains__, zip(labels, labels))):  # n probes, not a compare per edge
         raise _bad(query, "a self-edge")
-    edges = dict(zip(zip(sources, named), edge_weights))
     if len(edges) != n_edges:
         raise _bad(query, "a duplicate edge")
     try:  # a NaN or an infinity makes the sum one, and no weight sums too large for it

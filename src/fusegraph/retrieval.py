@@ -72,7 +72,7 @@ INDEX_FILES = {
 # one posting: item slot (its position among the sorted indexed items), vertex weight, out and in mass
 POSTING = struct.Struct("<Iddd")
 
-COMPARATORS: dict[str, Callable[[FusionGraph, FusionGraph], float]] = {
+COMPARATORS: dict[str, Callable[[FusionGraph, FusionGraph, float, float], float]] = {
     "MCS": dist_mcs,
     "WGU": dist_wgu,
 }
@@ -373,7 +373,8 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
     bound order, ties by id, until a bound is strictly greater than the L-th
     best distance so far: no later item can enter the result, while an item
     that could tie is still scored. The result is the same as scoring every
-    item.
+    item. An exact score is given both graphs' sizes, the query's from its
+    vertex record and the item's from the postings, which equal graph_size's.
     """
     query_graph = build_query_graph(query_ranks, fg_index)
     depth, distance, graphs = fg_index.depth, COMPARATORS[fg_index.comparator], fg_index.graphs
@@ -391,7 +392,7 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
     for bound, item in candidates:
         if len(top) == depth and bound > top[-1][0]:
             break
-        bisect.insort(top, (distance(query_graph, graphs[item]), item))
+        bisect.insort(top, (distance(query_graph, graphs[item], head.size, postings.sizes[item]), item))
         del top[depth:]
     return unchecked_rank(query_ranks.query, "fusegraph", ((item, 1.0 - d) for d, item in top), depth)
 

@@ -9,7 +9,8 @@ simply the label intersection with min weights per shared vertex/edge, which
 needs no search: one hash probe per key of the smaller map.
 
 Graph sizes are computed with math.fsum (exactly rounded), so equal weight
-multisets always give equal sizes regardless of iteration order.
+multisets always give equal sizes regardless of iteration order. A size given
+to dist_mcs or dist_wgu must be graph_size's, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,13 +38,16 @@ def mcs(a: FusionGraph, b: FusionGraph, stats: McsStats | None = None) -> Fusion
     edge's endpoints lie in its own graph's vertex set, so a shared edge
     always has shared endpoints, and no graph has a self-edge, so the result
     skips the constructor's checks. An empty intersection yields an empty
-    graph, not an error.
+    graph, not an error. The shared keys are found with one ``.get`` per key
+    of the smaller vertex map and of the smaller edge map, the probes
+    ``stats`` counts.
     """
+    (av, bv), (ae, be) = sorted((a.vertices, b.vertices), key=len), sorted((a.edges, b.edges), key=len)
     if stats is not None:
-        stats.comparisons += min(len(a.vertices), len(b.vertices)) + min(len(a.edges), len(b.edges))
-    av, bv, ae, be = a.vertices, b.vertices, a.edges, b.edges
-    vertices = {item: min(av[item], bv[item]) for item in av.keys() & bv.keys()}
-    edges = {pair: min(ae[pair], be[pair]) for pair in ae.keys() & be.keys()}
+        stats.comparisons += len(av) + len(ae)
+    # x if x < w else w is min(w, x) without the call
+    vertices = {key: x if x < w else w for key, w in av.items() if (x := bv.get(key)) is not None}
+    edges = {key: x if x < w else w for key, w in ae.items() if (x := be.get(key)) is not None}
     return _unchecked(a.query, vertices, edges)
 
 
@@ -56,19 +60,27 @@ def _require_nonempty(a: FusionGraph, b: FusionGraph) -> None:
         raise BothEmpty("cannot compare two empty graphs (0/0)")
 
 
-def dist_mcs(a: FusionGraph, b: FusionGraph) -> float:
-    """1 - |mcs| / max(|a|, |b|); 0 for identical graphs, 1 for disjoint."""
+def dist_mcs(a: FusionGraph, b: FusionGraph, size_a: float | None = None, size_b: float | None = None) -> float:
+    """1 - |mcs| / max(|a|, |b|); 0 for identical graphs, 1 for disjoint.
+
+    ``size_a`` and ``size_b``, graph_size(a) and graph_size(b), are summed
+    here unless the caller holds them.
+    """
     _require_nonempty(a, b)
     common = graph_size(mcs(a, b))
-    return 1.0 - common / max(graph_size(a), graph_size(b))
+    if size_a is None or size_b is None:
+        size_a, size_b = graph_size(a), graph_size(b)
+    return 1.0 - common / max(size_a, size_b)
 
 
-def dist_wgu(a: FusionGraph, b: FusionGraph) -> float:
+def dist_wgu(a: FusionGraph, b: FusionGraph, size_a: float | None = None, size_b: float | None = None) -> float:
     """1 - |mcs| / |union|, the union size letting the smaller graph matter.
 
     |union| sums the max weight per key, and max = a + b - min exactly, so
     fsum over |a| + |b| - |mcs| gives the correctly rounded union size. Never
-    below dist_mcs for the same pair.
+    below dist_mcs for the same pair. ``size_a`` and ``size_b`` are taken as
+    dist_mcs takes them, and not read: the sum of the two rounded sizes less
+    |mcs| would round again, so the union sums every weight of both graphs.
     """
     _require_nonempty(a, b)
     common = mcs(a, b)

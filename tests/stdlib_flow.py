@@ -22,7 +22,8 @@ temporary directory it:
   labels and as the equal grades, so both judgment parsers run;
 - scores a run of negative similarity scores by its order.
 
-It exits non-zero with a message at the first check that fails.
+A command that must succeed must also print nothing to stderr. It exits
+non-zero with a message at the first check that fails.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ def run(command: list[str], *args: object) -> subprocess.CompletedProcess:
 
 
 def succeeds(command: list[str], *args: object) -> str:
-    """The stdout of the CLI run on ``args``, which must exit 0."""
+    """The stdout of the CLI run on ``args``, which must exit 0 and print nothing to stderr."""
     result = run(command, *args)
     check(result.returncode == 0, f"{args[0]} exited {result.returncode}: {result.stderr}")
+    check(result.stderr == "", f"{args[0]} printed to stderr: {result.stderr}")
     return result.stdout
 
 

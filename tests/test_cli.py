@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fusegraph
-from fusegraph import baselines, normalize, retrieval
+from fusegraph import baselines, cli, normalize, retrieval
 from fusegraph.cli import main
 from fusegraph.io import parse_run_file
 from fusegraph.model import ScoredRank
@@ -1404,3 +1405,63 @@ def test_extract_builds_each_graph_once(tmp_path, monkeypatch):
     monkeypatch.setattr(retrieval, "build_fusion_graph", counted)
     assert main(["extract", "--config", str(config), "--out", str(tmp_path / "index")]) == 0
     assert built == list(items)  # once each, in item order
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("outcome", ["exit 0", "library error", "usage error"])
+def test_main_leaves_the_collector_as_it_found_it(toy_files, monkeypatch, capsys, enabled, outcome):
+    """main runs a command with the cyclic collector off and restores the state it found, however it ends."""
+    seen, command = [], cli._cmd_extract
+
+    def extract(args):
+        seen.append(gc.isenabled())
+        return command(args)
+
+    monkeypatch.setattr(cli, "_cmd_extract", extract)
+    config = toy_files["config"] if outcome == "exit 0" else toy_files["dir"] / "missing.json"
+    argv = ["extract", "--config", str(config), "--out", str(toy_files["dir"] / "index")]
+    if outcome == "usage error":
+        del argv[3:]  # no --out
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "usage error":
+            with pytest.raises(SystemExit) as caught:
+                main(argv)
+            assert caught.value.code == 2
+        else:
+            assert main(argv) == (0 if outcome == "exit 0" else 1)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if outcome == "usage error" else [False])
+    assert (len(capsys.readouterr().err.splitlines()) == 1) is (outcome != "exit 0")
+
+
+# extract, then search every item, with the collector off: the unreachable objects each command leaves
+GARBAGE_PROBE = """
+import gc, sys
+from fusegraph.cli import main
+config, index, run = sys.argv[1:]
+gc.collect()
+gc.disable()
+counts = []
+for argv in (["extract", "--config", config, "--out", index],
+             ["search", "--index", index, "--queries", config, "--out", run, "--exclude-self"]):
+    assert main(argv) == 0
+    counts.append(gc.collect())
+print(*counts)
+"""
+
+
+def test_the_garbage_a_command_leaves_does_not_grow_with_its_input(tmp_path):
+    """The CLI runs without the cyclic collector, so no reference cycle may be made per item or per query."""
+    counts = []
+    for n_items in (24, 96):
+        base = tmp_path / f"n{n_items}"
+        base.mkdir()
+        config, _ = synthetic_files(base, n_items=n_items)
+        result = run_cli_process("-c", GARBAGE_PROBE, str(config), str(base / "index"), str(base / "fg.run"))
+        assert result.returncode == 0, result.stderr
+        counts.append(result.stdout.splitlines()[-1])
+    assert counts[0] == counts[1]

@@ -251,6 +251,40 @@ def test_deserialize_rejects_corrupt_record(worked_graph, case):
         deserialize_graph(_record(**{**WORKED, **edit}))
 
 
+# a three-label record with faults among the decoder's checks, which run in the order degrees,
+# target range, duplicate label, self-edge, duplicate edge, weights: the full message of each, as
+# recorded from the decoder that compared every edge's endpoints and took max(targets) first
+A_C = {"query": "q", "vertices": ["A", "A", "C"]}
+PRECEDENCE = {
+    "degrees": ({"degrees": (1, 0, 0)}, "out-degrees that sum to 1, not its 2 edges"),
+    "target": ({"targets": (1, 3)}, "an edge target at slot 3, beyond its 3 labels"),
+    "duplicate label": ({"header": A_C}, "a duplicate label"),
+    "self-edge": ({"targets": (0, 2)}, "a self-edge"),
+    "duplicate edge": ({"targets": (1, 1)}, "a duplicate edge"),
+    "weight": ({"weights": (1.0, -0.5, 0.25)}, "a weight that is not finite and positive"),
+    "self-edge and duplicate edge": ({"targets": (0, 0)}, "a self-edge"),
+    "self-edge of a later source and duplicate edge": ({"degrees": (0, 2, 0), "targets": (1, 1)}, "a self-edge"),
+    "duplicate label and bad target": ({"header": A_C, "targets": (1, 9)},
+                                       "an edge target at slot 9, beyond its 3 labels"),
+    "bad target and self-edge": ({"targets": (0, 200)}, "an edge target at slot 200, beyond its 3 labels"),
+    "two bad targets, the larger first": ({"targets": (9, 5)}, "an edge target at slot 9, beyond its 3 labels"),
+    "two bad targets, the larger last": ({"targets": (5, 9)}, "an edge target at slot 9, beyond its 3 labels"),
+    "degrees and bad target": ({"degrees": (3, 0, 0), "targets": (1, 9)}, "out-degrees that sum to 3, not its 2 edges"),
+    "duplicate label and self-edge": ({"header": A_C, "targets": (0, 2)}, "a duplicate label"),
+    "duplicate label and duplicate edge": ({"header": A_C, "targets": (1, 1)}, "a duplicate label"),
+    "self-edge and weight": ({"edge_weights": (1.0, math.nan), "targets": (2, 0)}, "a self-edge"),
+    "duplicate edge and weight": ({"edge_weights": (0.0, 0.5), "targets": (2, 2)}, "a duplicate edge"),
+}
+
+
+@pytest.mark.parametrize("case", PRECEDENCE)
+def test_decoder_reports_the_first_fault_in_check_order(case):
+    edit, problem = PRECEDENCE[case]
+    with pytest.raises(MalformedGraphRecord) as caught:
+        deserialize_graph(_record(**{**WORKED, "weights": (1.0, 0.5, 0.25), "edge_weights": (1.0, 0.5), **edit}))
+    assert str(caught.value) == f"graph record for 'q' has {problem}"
+
+
 @pytest.mark.parametrize("n_labels, slot", [(256, "B"), (257, "H"), (65536, "H"), (65537, "I")])
 def test_slot_width_follows_the_label_count(n_labels, slot):
     """A slot or a degree takes 1 byte up to 256 labels, 2 up to 65536 and 4 beyond."""

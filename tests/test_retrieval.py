@@ -9,6 +9,7 @@ import struct
 import tempfile
 import weakref
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -322,6 +323,32 @@ def test_loaded_index_search_equals_reference_scan(
         expected = reference_fuse_query(rs, fg_index, exclude_self=exclude_self)
         assert_same_fused(fuse_query(rs, loaded, exclude_self=exclude_self), expected)
         assert_same_fused(fuse_query(rs, fg_index, exclude_self=exclude_self), expected)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("comparator", ["MCS", "WGU"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exclude_self=st.booleans(), out_of_collection=st.booleans())
+def test_each_exact_score_is_given_the_sizes_of_its_graphs(comparator, loaded, seed, exclude_self, out_of_collection):
+    """fuse_query passes the distance the query's and the item's graph_size, bit for bit, and ranks as the reference."""
+    rng = random.Random(seed)
+    depth = rng.randint(2, 6)
+    index, fg_index = indexed_collection(rng, rng.randint(2, 24), rng.randint(1, 3), depth, rng.choice([None, 2, 4]),
+                                         comparator, rng.randint(0, 4))
+    rs = query_ranks(rng, index, depth, out_of_collection)
+    distance, calls = retrieval.COMPARATORS[comparator], []
+
+    def checked(a, b, size_a, size_b):
+        calls.append((size_a.hex(), size_b.hex()))
+        assert (size_a.hex(), size_b.hex()) == (graph_size(a).hex(), graph_size(b).hex())
+        return distance(a, b, size_a, size_b)
+
+    with tempfile.TemporaryDirectory() as directory, mock.patch.dict(retrieval.COMPARATORS, {comparator: checked}):
+        if loaded:
+            save_index(directory, fg_index)
+        fused = fuse_query(rs, load_index(directory) if loaded else fg_index, exclude_self=exclude_self)
+    assert_same_fused(fused, reference_fuse_query(rs, fg_index, exclude_self=exclude_self))
+    assert calls or all(score == 0.0 for _, score in fused.entries)  # an item sharing no label scores 0
 
 
 def assert_checked(rank):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusegraph.errors import BothEmpty
@@ -195,13 +195,38 @@ def weighted_graphs(draw, name):
     return graph(name, vertices, {pair: draw(WEIGHTS) for pair in chosen})
 
 
+@st.composite
+def graph_pairs(draw):
+    """Two weighted graphs; half of the time the second has as many vertices and as many edges as the first."""
+    a = draw(weighted_graphs("a"))
+    if draw(st.booleans()):
+        return a, draw(weighted_graphs("b"))
+    labels = draw(st.lists(st.sampled_from([f"v{i}" for i in range(8)]), min_size=len(a.vertices),
+                           max_size=len(a.vertices), unique=True))
+    pairs = [(s, t) for s in labels for t in labels if s != t]
+    edges = st.lists(st.sampled_from(pairs), min_size=len(a.edges), max_size=len(a.edges), unique=True)
+    chosen = draw(edges) if pairs else []
+    return a, graph("b", {v: draw(WEIGHTS) for v in labels}, {pair: draw(WEIGHTS) for pair in chosen})
+
+
+# a pair whose union, summed from the three rounded sizes |a| + |b| - |mcs|, is one unit in the last place off
+UNION_OF_SIZES_ROUNDS_AGAIN = (
+    graph("a", {"v4": 6.284485019821408e-13, "v1": 0.7369075113003171, "v0": 1.0, "v2": 0.6866292037100178}),
+    graph("b", {"v3": 0.43812894915290224, "v5": 0.11918673240587485, "v1": 1.0, "v4": 1.0}),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(weighted_graphs("a"), weighted_graphs("b"))
-def test_fast_kernel_bit_equal_to_reference(a, b):
-    stats, reference_stats = McsStats(), McsStats()
-    common, expected = mcs(a, b, stats), reference_mcs(a, b, reference_stats)
-    assert common.vertices == expected.vertices
-    assert common.edges == expected.edges
-    assert stats.comparisons == reference_stats.comparisons
-    assert dist_wgu(a, b).hex() == reference_dist_wgu(a, b).hex()
-    assert dist_mcs(a, b).hex() == reference_dist_mcs(a, b).hex()
+@given(graph_pairs())
+@example(UNION_OF_SIZES_ROUNDS_AGAIN)
+def test_fast_kernel_bit_equal_to_reference(pair):
+    """mcs and both distances, in either argument order, with their sizes computed or given."""
+    for a, b in (pair, pair[::-1]):
+        stats, reference_stats = McsStats(), McsStats()
+        common, expected = mcs(a, b, stats), reference_mcs(a, b, reference_stats)
+        assert common.vertices == expected.vertices
+        assert common.edges == expected.edges
+        assert stats.comparisons == reference_stats.comparisons
+        for distance, reference in ((dist_wgu, reference_dist_wgu), (dist_mcs, reference_dist_mcs)):
+            assert distance(a, b).hex() == reference(a, b).hex()
+            assert distance(a, b, graph_size(a), graph_size(b)).hex() == reference(a, b).hex()
