@@ -12,16 +12,17 @@ items that can still enter them: vertex postings give every item that
 shares a vertex with the query a lower bound on its distance, and items are
 scored in ascending bound order until a bound exceeds the L-th best distance.
 
-The index directory (format 7) holds the graph records (each graph's edges as
+The index directory (format 8) holds the graph records (each graph's edges as
 compressed sparse rows, with slots as narrow as its label count allows), the
-vertex postings that bound reads, the raw and the normalized order of every
-collection rank (the raw positions are what the online normalization of an
-incoming query needs), a table of contents that holds L, the comparator, the
-rankers and each record's place and digest, and a manifest that holds its
-sha256. load_index reads the manifest and the table of contents only; a
-search reads, checks, decodes and keeps a posting list, graph or rank record
-when it first needs it, so its cost follows the records it reads; every read
-of a rank builds it anew from its record. verify_index checks every record.
+vertex postings that bound reads, one rank record per indexed item with the
+raw and the normalized order of each of its ranks (the raw positions are what
+the online normalization of an incoming query needs), a table of contents
+that holds L, the comparator, the rankers and each record's place and digest,
+keyed by item or label, and a manifest that holds its sha256. load_index
+reads the manifest and the table of contents only; a search reads, checks,
+decodes and keeps a posting list, graph or rank record when it first needs
+it, so its cost follows the records it reads; every read of a rank builds it
+anew from its item's record. verify_index checks every record.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .model import (
 from .normalize import gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
-MANIFEST_VERSION = 7
+MANIFEST_VERSION = 8
 MANIFEST_NAME = "manifest.json"
 INDEX_FILES = {
     "graphs": "graphs.bin",
@@ -114,7 +115,7 @@ class FusionGraphIndex:
 
     ``normalized`` holds the collection's normalized ranks, which query
     graphs are built from; ``raw`` holds its ranks as given, whose positions
-    the normalization of a query reads.
+    the normalization of a query reads. Either is read by ``get`` only.
     """
 
     def __init__(
@@ -219,42 +220,49 @@ def _posting_list(count: int, label: ItemId, entry: list, data: bytes, what: str
     return data
 
 
-def _rank_record(depth: int, key: tuple, entry: list, data: bytes, what: str) -> tuple[list, list]:
-    """A rank record checked in full: its raw and its normalized order, as item ids."""
+def _rank_record(depth: int, rankers: list, item: ItemId, entry: list, data: bytes, what: str) -> dict:
+    """An item's rank record checked in full: per ranker in it, its raw and its normalized order, as item ids."""
+    orders, ranker = {}, None
     try:
         record = json.loads(data)
-        items, slots = record["items"], record["normalized"]
-        if (record["ranker"], record["query"]) != key:
-            raise ValueError(f"it holds the rank of {record['query']!r} under {record['ranker']!r}")
-        if type(items) is not list or not all(type(item) is str for item in items):
-            raise ValueError("items must be a list of strings")
-        if "" in items or len(set(items)) != len(items):
-            raise ValueError("item ids must be non-empty and distinct")
-        if len(items) > depth:
-            raise ValueError(f"{len(items)} items exceed L={depth}")
-        if type(slots) is not list or sorted(slots) != list(range(len(items))):
-            raise ValueError("normalized is not a permutation of the slots of items")
-        normalized = [items[slot] for slot in slots]
+        if record["query"] != item:
+            raise ValueError(f"it holds the ranks of {record['query']!r}")
+        if type(record["ranks"]) is not dict:  # {} for a graph item that no chosen ranker ranks
+            raise ValueError("ranks must be an object")
+        for ranker, rank in record["ranks"].items():
+            if ranker not in rankers:
+                raise ValueError("that ranker is not one of the index's rankers")
+            items, slots = rank["items"], rank["normalized"]
+            if type(items) is not list or not all(type(item) is str for item in items):
+                raise ValueError("items must be a list of strings")
+            if "" in items or len(set(items)) != len(items):
+                raise ValueError("item ids must be non-empty and distinct")
+            if len(items) > depth:
+                raise ValueError(f"{len(items)} items exceed L={depth}")
+            if type(slots) is not list or sorted(slots) != list(range(len(items))):
+                raise ValueError("normalized is not a permutation of the slots of items")
+            orders[ranker] = items, [items[slot] for slot in slots]
     except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise MalformedGraphRecord(f"bad {what}: {exc}") from exc
-    return items, normalized
+        under = "" if ranker is None else f" under {ranker!r}"
+        raise MalformedGraphRecord(f"bad {what}{under}: {exc}") from exc
+    return orders
 
 
-class StoredRanks(CollectionRankIndex):
-    """The raw or the normalized ranks of the stored rank records, which map (ranker, query) to both orders.
+class StoredRanks:
+    """The raw or the normalized ranks of an index's rank records, which map an item to both orders of each rank.
 
-    ``toc`` maps ranker -> query -> entry. Every read builds a rank from its
-    kept record by gridded_rank (what a normalized rank holds) and keeps none.
-    The scores of a raw rank are never read: normalization reads positions only.
+    Only ``get`` is answered: search, save and verify read nothing else. Every
+    read builds a rank from its item's kept record by gridded_rank (what a
+    normalized rank holds) and keeps none. The scores of a raw rank are never
+    read: normalization reads positions only.
     """
 
-    def __init__(self, records: StoredRecords, toc: dict[str, dict[ItemId, list]], depth: int, normalized: bool):
-        self._ranks = toc  # the layout CollectionRankIndex's readers expect
+    def __init__(self, records: StoredRecords, depth: int, normalized: bool):
         self.records, self.order, self.depth = records, 1 if normalized else 0, depth
 
     def get(self, ranker: str, query: ItemId) -> ScoredRank | None:
-        record = self.records.get((ranker, query))
-        return None if record is None else gridded_rank(query, ranker, record[self.order], self.depth)
+        orders = self.records.get(query, {}).get(ranker)
+        return None if orders is None else gridded_rank(query, ranker, orders[self.order], self.depth)
 
 
 def index_collection(
@@ -398,29 +406,29 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
-    """Persist the graph index with its raw and normalized rank orders, in index format 7.
+    """Persist the graph index with its raw and normalized rank orders, in index format 8.
 
     ``graphs.bin`` holds one serialize_graph record per item in item order,
     ``postings.bin`` the graphs' posting lists in sorted label order and
-    ``collection_ranks.jsonl`` one JSON line per rank with its raw and its
-    normalized order, each file as long as its records' lengths sum to.
-    ``toc.json`` holds L, the comparator and the rankers, and maps each item
-    to its graph record's (offset, length, digest) and its graph's size,
-    each label to its posting list's (offset, count, digest) and each ranker
-    and query to its rank record's (offset, length, digest); a digest is a
-    16-byte BLAKE2b, in hex. The manifest holds the format, the file names
-    and the toc's sha256.
+    ``collection_ranks.jsonl`` one JSON line per item in item order, {"query":
+    item, "ranks": {ranker: {"items": raw order, "normalized": slots into
+    items}}} with sorted keys, over the chosen rankers whose ``raw.get`` answers
+    for the item; each file is as long as its records' lengths sum to.
+    ``toc.json`` holds L, the comparator and the rankers, and maps each item to
+    its graph record's (offset, length, digest) and its graph's size and to its
+    rank record's (offset, length, digest), and each label to its posting list's
+    (offset, count, digest); a digest is a 16-byte BLAKE2b, in hex. The manifest
+    holds the format, the file names and the toc's sha256.
 
     Each graph is read once, by the store's ``make`` when ``graphs`` has one,
     which keeps none, and serialized; the vertex record that serialize_graph
     returns is added to the posting lists, and the graph is dropped once
-    written. ``fg_index`` is left as it was: load_index opens what was
-    saved. Files are fully sorted, so rebuilding from
-    identical inputs is byte-identical. Every file is first written in full
-    under a temporary name in ``directory``; only then are they renamed into
-    place, the manifest last, then the directory is synced so that the
-    renames last; a save that fails before its renames leaves an older index
-    there intact.
+    written. ``fg_index`` is left as it was: load_index opens what was saved.
+    Files are fully sorted, so rebuilding from identical inputs is
+    byte-identical. Every file is first written in full under a temporary
+    name in ``directory``; only then are they renamed into place, the
+    manifest last, then the directory is synced so that the renames last; a
+    save that fails before its renames leaves an older index there intact.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -440,10 +448,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
         postings = _stage(
             directory / INDEX_FILES["postings"], ((label, by_label[label]) for label in sorted(by_label)), staged
         )
-        ranks = _stage(directory / INDEX_FILES["ranks"], _rank_lines(fg_index), staged)
-        toc_ranks: dict[str, dict[ItemId, list]] = {}
-        for (ranker, query), entry in ranks.items():
-            toc_ranks.setdefault(ranker, {})[query] = entry
+        ranks = _stage(directory / INDEX_FILES["ranks"], _rank_lines(fg_index, graphs), staged)
         toc = {
             "L": fg_index.depth,
             "comparator": fg_index.comparator,
@@ -453,7 +458,7 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
                 label: [offset, length // POSTING.size, digest]
                 for label, (offset, length, digest) in postings.items()
             },
-            "ranks": toc_ranks,
+            "ranks": ranks,
         }
         toc_bytes = json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
         _stage(directory / INDEX_FILES["toc"], [(None, toc_bytes)], staged)
@@ -492,21 +497,20 @@ def _stage(path: Path, records: Iterable[tuple[object, bytes]], staged: list[tup
     return entries
 
 
-def _rank_lines(fg_index: FusionGraphIndex) -> Iterator[tuple[tuple, bytes]]:
-    """One record per rank: its raw item order and its normalized order as slots into it."""
-    for ranker in fg_index.ranker_names:
-        for query in sorted(fg_index.raw.queries(ranker)):
-            items = fg_index.raw.require(ranker, query).items()
-            slot = {item: i for i, item in enumerate(items)}
-            order = fg_index.normalized.require(ranker, query).items()
-            record = {
-                "ranker": ranker,
-                "query": query,
-                "items": list(items),
-                "normalized": [slot[item] for item in order],
-            }
-            line = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
-            yield (ranker, query), line.encode("utf-8")
+def _rank_lines(fg_index: FusionGraphIndex, items: Iterable[ItemId]) -> Iterator[tuple[ItemId, bytes]]:
+    """One record per item: per chosen ranker that ranks it, its raw item order and its normalized order as slots."""
+    for item in items:
+        ranks = {}
+        for ranker in fg_index.ranker_names:
+            raw = fg_index.raw.get(ranker, item)
+            if raw is not None:
+                slot = {entry.item: i for i, entry in enumerate(raw)}
+                order = fg_index.normalized.get(ranker, item)
+                if order is None:
+                    raise MissingRank(ranker, item)
+                ranks[ranker] = {"items": list(slot), "normalized": [slot[entry.item] for entry in order]}
+        line = json.dumps({"query": item, "ranks": ranks}, separators=(",", ":"), sort_keys=True) + "\n"
+        yield item, line.encode("utf-8")
 
 
 MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
@@ -571,6 +575,8 @@ def _read_toc(directory: Path, sha256: str) -> dict:
             if not valid(toc.get(field)):
                 raise ValueError(f"field {field!r} is missing or ill-typed: {toc.get(field)!r}")
         graphs, postings, ranks = toc["graphs"], toc["postings"], toc["ranks"]
+        if " ".join(graphs).split() != list(graphs):  # a run line holds an item as one field
+            raise ValueError("a graph item is empty or holds whitespace")
         if list(graphs) != sorted(graphs):  # slot order must be item order
             raise ValueError("graph items are not in ascending order")
         for item, entry in graphs.items():
@@ -578,15 +584,10 @@ def _read_toc(directory: Path, sha256: str) -> dict:
                 raise ValueError(f"bad graph entry for {item!r}: {entry!r}")
             if type(entry[3]) is not float or not 0.0 < entry[3] < math.inf:
                 raise ValueError(f"graph size of {item!r} is {entry[3]!r}, not a positive finite number")
-        if not all(_is_entry(entry, 3) for entry in postings.values()):
-            raise ValueError("bad posting list entry")
-        for ranker, per_query in ranks.items():
-            if ranker not in toc["rankers"]:
-                raise ValueError(f"ranker {ranker!r} is not one of its rankers")
-            if type(per_query) is not dict or "" in per_query:
-                raise ValueError(f"ranks of {ranker!r} must be an object with non-empty query ids")
-            if not all(_is_entry(entry, 3) for entry in per_query.values()):
-                raise ValueError(f"bad rank entry under {ranker!r}")
+        if list(ranks) != list(graphs):
+            raise ValueError("rank items are not the graph items")
+        if not all(_is_entry(entry, 3) for part in (postings, ranks) for entry in part.values()):
+            raise ValueError("bad posting list or rank entry")
     except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedGraphRecord(f"bad table of contents {name!r}: {exc}") from exc
     return toc
@@ -599,13 +600,14 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     hold the fields in MANIFEST_FIELDS, well typed, and no other; ``files``
     must name INDEX_FILES, the only files opened. The table of contents must
     match the manifest's sha256, its fields in TOC_FIELDS must be well typed
-    and every entry in it must be too, with graph items ascending, graph
-    sizes positive and finite and rankers from its ``rankers``; every data
-    file must be as long as the sum of its records' lengths. Otherwise (and
-    for an index of an older format) MalformedGraphRecord is raised. A graph,
-    posting list or rank record is read when search first needs it, and is
-    checked then: against its digest, and by deserialize_graph, the posting
-    list's slot check or the rank record check.
+    and every entry in it must be too, with graph items non-empty, free of
+    whitespace and ascending, the rank records keyed by the same items in the
+    same order and graph sizes positive and finite; every data file must be
+    as long as the sum of its records' lengths. Otherwise (and for an index
+    of an older format) MalformedGraphRecord is raised. A graph, posting list
+    or rank record is read when search first needs it, and is checked then:
+    against its digest, and by deserialize_graph, the posting list's slot
+    check or the rank record check. ``raw`` and ``normalized`` answer ``get``.
     """
     directory = Path(directory)
     toc = _read_toc(directory, _read_manifest(directory)["sha256"]["toc"])
@@ -619,19 +621,15 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
         partial(_posting_list, len(graphs)),
     )
     records = StoredRecords(
-        directory,
-        "ranks",
-        {(r, q): entry for r, per_query in ranks.items() for q, entry in per_query.items()},
-        lambda key: f"rank record of {key[1]!r} under {key[0]!r}",
-        partial(_rank_record, depth),
+        directory, "ranks", ranks, "rank record of {!r}".format, partial(_rank_record, depth, toc["rankers"])
     )
     fg_index = FusionGraphIndex(
         stored_graphs,
         depth,
         tuple(toc["rankers"]),
         toc["comparator"],
-        StoredRanks(records, ranks, depth, normalized=True),
-        StoredRanks(records, ranks, depth, normalized=False),
+        StoredRanks(records, depth, normalized=True),
+        StoredRanks(records, depth, normalized=False),
     )
     # what the cached property would derive by decoding every graph
     fg_index.postings = VertexPostings(list(graphs), posting_lists, {item: entry[3] for item, entry in graphs.items()})
@@ -639,7 +637,7 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
 
 
 def verify_index(directory: str | Path) -> tuple[int, int, int]:
-    """Check every record of the index at ``directory``: (graphs, posting lists, ranks) checked.
+    """Check every record of the index at ``directory``: (graphs, posting lists, ranks in the rank records) checked.
 
     On top of load_index's checks, every graph, posting list and rank record
     is read and checked as a search would check it; the posting lists must
@@ -653,8 +651,8 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
     derived = VertexPostings.of(fg_index.graphs, fg_index.graphs.make).by_label  # checks every graph, keeps none
     if list(stored) != sorted(derived) or any(stored[label] != postings for label, postings in derived.items()):
         raise MalformedGraphRecord("the posting lists are not those of the graphs")
-    for key in (records := fg_index.raw.records):
-        records.make(key)  # reads and checks every rank, keeps none
+    records = fg_index.raw.records
+    ranks = sum(len(records.make(item)) for item in records)  # reads and checks every rank record, keeps none
     for store in (fg_index.graphs, stored, records):
         end = 0
         for offset, length in sorted(entry[:2] for entry in store.toc.values()):
@@ -663,4 +661,4 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
             end += length
         if end != store.size:
             raise MalformedGraphRecord(f"the records of {store.name!r} do not cover it back to back from byte {end}")
-    return len(fg_index.graphs), len(stored), len(records)
+    return len(fg_index.graphs), len(stored), ranks

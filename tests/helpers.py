@@ -127,6 +127,19 @@ def reverse_graph_items(index_dir) -> None:
     seal_toc(index_dir, json.dumps(toc, separators=(",", ":")).encode("utf-8"))
 
 
+def _reseal_ranks(index_dir, edit) -> None:
+    """Make ``edit(ranks)`` the ranks of the index's table of contents, in the order it gives them, and reseal it."""
+    toc = json.loads((index_dir / "toc.json").read_bytes())
+    toc["ranks"] = edit(toc["ranks"])
+    seal_toc(index_dir, json.dumps(toc, separators=(",", ":")).encode("utf-8"))
+
+
+def _rename_item(toc, name) -> None:
+    """Item A of the table of contents is called ``name`` in its graphs and its ranks."""
+    for part in ("graphs", "ranks"):
+        toc[part][name] = toc[part].pop("A")
+
+
 def _swap_graph_entries(toc) -> None:
     graphs = toc["graphs"]
     graphs["A"], graphs["B"] = graphs["B"], graphs["A"]
@@ -147,11 +160,29 @@ LOAD_FAULTS = {
         lambda d: edit_toc(d, lambda toc: toc["graphs"]["A"].__setitem__(0, "0")), "bad graph entry for 'A'"
     ),
     "posting list entry ill-typed": (
-        lambda d: edit_toc(d, lambda toc: toc["postings"]["X"].pop()), "bad posting list entry"
+        lambda d: edit_toc(d, lambda toc: toc["postings"]["X"].pop()), "bad posting list or rank entry"
     ),
     "rank entry ill-typed": (
-        lambda d: edit_toc(d, lambda toc: toc["ranks"]["r2"]["B"].__setitem__(1, -1)), "bad rank entry under 'r2'"
+        lambda d: edit_toc(d, lambda toc: toc["ranks"]["B"].__setitem__(1, -1)), "bad posting list or rank entry"
     ),
+    **{
+        f"rank items {fault}": (
+            lambda d, edit=edit: _reseal_ranks(d, edit),
+            "rank items are not the graph items",
+        )
+        for fault, edit in (
+            ("are not the graph items", lambda ranks: {item: ranks[item] for item in ("A", "B")}),
+            ("in another order", lambda ranks: dict(reversed(ranks.items()))),
+        )
+    },
+    # a run line holds an item as one field, which neither item can be
+    **{
+        f"graph item {item!r}": (
+            lambda d, item=item: edit_toc(d, lambda toc: _rename_item(toc, item)),
+            "a graph item is empty or holds whitespace",
+        )
+        for item in ("", "a b")
+    },
     "sha256 of more than the toc": (
         lambda d: edit_manifest(d, lambda m: m["sha256"].update({"params": "00"})),
         "index manifest field 'sha256' is missing or ill-typed",
@@ -184,21 +215,17 @@ INDEX_DATA_FILES = {"graphs": "graphs.bin", "postings": "postings.bin", "ranks":
 def rewrite_record(index_dir, role, key, edit) -> None:
     """Replace one record of data file ``role`` by ``edit(record)`` and reseal the index around it.
 
-    ``key`` is an item (graphs), a label (postings) or a (ranker, query) pair
-    (ranks). Offsets, lengths, digests and the table of contents' sha256 are
-    all updated as an index written with the edited record would hold them,
-    so only a record check can catch the edit.
+    ``key`` is the record's key in the table of contents: an item (graphs,
+    ranks) or a label (postings). Offsets, lengths, digests and the table of
+    contents' sha256 are all updated as an index written with the edited
+    record would hold them, so only a record check can catch the edit.
     """
     toc = json.loads((index_dir / "toc.json").read_bytes())
-    if role == "ranks":
-        entries = {(r, q): e for r, per_query in toc["ranks"].items() for q, e in per_query.items()}
-    else:
-        entries = toc[role]
     unit = 28 if role == "postings" else 1  # a postings entry counts 28-byte postings
     path = index_dir / INDEX_DATA_FILES[role]
     data = path.read_bytes()
     out = bytearray()
-    for name, entry in sorted(entries.items(), key=lambda kv: kv[1][0]):
+    for name, entry in sorted(toc[role].items(), key=lambda kv: kv[1][0]):
         offset, length = entry[0], entry[1] * unit
         record = data[offset : offset + length]
         if name == key:
@@ -210,14 +237,17 @@ def rewrite_record(index_dir, role, key, edit) -> None:
 
 
 def edit_rank_record(index_dir, ranker, query, edit) -> None:
-    """Apply ``edit`` to the JSON object of one rank record, resealing the index (rewrite_record)."""
+    """Apply ``edit`` to the JSON object of ``ranker``'s rank in ``query``'s rank record, resealing the index.
+
+    With ``ranker`` None, ``edit`` gets the whole record. The index is resealed by rewrite_record.
+    """
 
     def apply(line):
         record = json.loads(line)
-        edit(record)
+        edit(record if ranker is None else record["ranks"][ranker])
         return json.dumps(record).encode("utf-8") + b"\n"
 
-    rewrite_record(index_dir, "ranks", (ranker, query), apply)
+    rewrite_record(index_dir, "ranks", query, apply)
 
 
 def mkrank(query, ranker, items, scores=None, depth=None):

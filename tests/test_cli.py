@@ -741,13 +741,13 @@ def test_graph_items_out_of_order_print_one_json_line(toy_files, command):
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    """Indexes of formats 1 to 6 are all rejected by name."""
-    for version in (1, 2, 3, 4, 5, 6):
+    """Indexes of formats 1 to 7 are all rejected by name."""
+    for version in (1, 2, 3, 4, 5, 6, 7):
         error = search_error_after_edit(
             toy_files, lambda index_dir: edit_manifest(index_dir, lambda m: m.update({"v": version}))
         )
         assert error["error"] == "MalformedGraphRecord"
-        assert "predates index format 7" in error["message"]
+        assert "predates index format 8" in error["message"]
         assert "re-extracted" in error["message"]
 
 
@@ -758,8 +758,7 @@ SAME_SIZE_CORRUPTIONS = {
         "graphs.bin", b'"query":"B"', b'"query":555', "graph record of 'B' in 'graphs.bin'"
     ),
     "rank_ranker_not_in_manifest": (
-        "collection_ranks.jsonl", b'"ranker":"r1"', b'"ranker":"r9"',
-        "rank record of 'A' under 'r1' in 'collection_ranks.jsonl'",
+        "collection_ranks.jsonl", b'"r1":{', b'"r9":{', "rank record of 'A' in 'collection_ranks.jsonl'"
     ),
     # the first edge weight of A's graph, 1.0, becomes 1.0000000000000002
     "graph_edge_weight_changed": (
@@ -786,10 +785,7 @@ def test_record_past_the_end_of_its_file_prints_one_json_line(toy_files, role, c
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
 
     def move(toc):  # every record of the role moves to offset 2**44; the lengths still sum to the file's size
-        entries = list(toc[role].values())
-        if role == "ranks":
-            entries = [entry for per_query in entries for entry in per_query.values()]
-        for entry in entries:
+        for entry in toc[role].values():
             entry[0] = 2**44
 
     edit_toc(index_dir, move)
@@ -920,7 +916,7 @@ DEEP_JSON_CASES = {
     "toc": ("MalformedGraphRecord", lambda files, index_dir: seal_toc(index_dir, DEEP_JSON), "verify"),
     "rank_record": (
         "MalformedGraphRecord",
-        lambda files, index_dir: rewrite_record(index_dir, "ranks", ("r1", "A"), lambda record: DEEP_JSON + b"\n"),
+        lambda files, index_dir: rewrite_record(index_dir, "ranks", "A", lambda record: DEEP_JSON + b"\n"),
         "verify",
     ),
     "graph_header": (
@@ -1278,13 +1274,16 @@ def test_tracer_finds_every_traced_name(toy_files):
 # sizes; the posting and rank files are unchanged from format 5. Format 7
 # left the data files as they were and re-pinned the manifest and the table
 # of contents, which differs from format 6's only by its L, comparator and
-# rankers.
+# rankers. Format 8 re-pinned the rank file, the table of contents and the
+# manifest from an index whose graph and posting files, and the toc entries
+# of both, are format 7's byte for byte, and whose per-item rank records
+# hold format 7's raw and normalized orders, every one of them.
 PINNED_INDEX = {
     "graphs.bin": "dcfe3bfbcc9d657a30cd224047076ec42e1bab0777c6cb5621257a8fa70db9d0",
     "postings.bin": "1aab79ca6e5f8398200e8ef7dacdcd95547e53979a4bd47bf059290bccf155fd",
-    "collection_ranks.jsonl": "2ff8fdb7da5378982a06c516c95ca7b456437f3bae5fc6b56273d92354958db1",
-    "toc.json": "6adbbcc76403e762a9b483bfed9aabb18257ea121ff20db723e7a342e1c6feba",
-    "manifest.json": "8ddab8a57f8524c539e03b91d59855a5be1fbcfae122c030d25642b6942df670",
+    "collection_ranks.jsonl": "014bbe91dd8527c72da49ba35ea7bf767442ee0d70b6dd96140a8fcd0da85fcb",
+    "toc.json": "02bbe3a862f5270908ea893145e631408beb6caae61ec66fe05192f96323df33",
+    "manifest.json": "4a4decdbccb0a6f34261a6c800deb8e295cb8b3facc4f8cbc6348b7618e2d98b",
 }
 
 
@@ -1310,13 +1309,13 @@ def test_extract_index_bytes_are_pinned(tmp_path):
 
 # sha256 of the index files `extract` writes for a strict MCS collection at
 # L=20, recorded before the graph builder summed two-part edges with `+`,
-# and re-recorded for formats 6 and 7 as PINNED_INDEX was.
+# and re-recorded for formats 6, 7 and 8 as PINNED_INDEX was.
 PINNED_STRICT_INDEX = {
     "graphs.bin": "640a22cca1e671b42de4838041f8c6b62c3e46a5f0f7d7019dcd171a85554140",
     "postings.bin": "93bf7a7b3cc4433cdc25fcdc0dac8d41416861f2b02d6820a4c6a404931a6038",
-    "collection_ranks.jsonl": "d48b5810e32932a80740f0103dcf7c3f8a09aaed9f1d7fc6744004b594b27d1b",
-    "toc.json": "e288b5c280cd9443ea5c2f56b3abb46598da504e392a491f41774204eb34d4f6",
-    "manifest.json": "4fc4e9052fec3ef68d6100214f6c179300078f108a97e072eb3a22a975489b00",
+    "collection_ranks.jsonl": "5c3c657275d6dfea33d87e061932a5207f6eb13b1240378798a6e7f9f4e33d34",
+    "toc.json": "ddc90e2ef932c4208c4c137cac40e157d257513f54c25afcb4bd4f045afa6c46",
+    "manifest.json": "9b5b07cda3730915ecae6623f0ee01e955771e2d8e9a5e73b1ea038e2ca54a8d",
 }
 
 

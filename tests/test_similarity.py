@@ -176,9 +176,11 @@ def test_mcs_comparison_budget():
         assert stats.comparisons <= budget
 
 
-# weights from 1e-300 up to 1, spread over every decade in between
+# weights from 1e-300 up to 1, spread over every decade in between, and
+# uniform ones of one decade, whose sums round in their last place
 WEIGHTS = st.one_of(
     st.floats(min_value=1e-300, max_value=1.0),
+    st.floats(min_value=0.1, max_value=1.0),
     st.integers(min_value=-300, max_value=0).map(lambda e: 10.0**e),
     st.integers(min_value=-300, max_value=0).flatmap(
         lambda e: st.floats(min_value=1.0, max_value=9.99).map(lambda m: m * 10.0**e)
