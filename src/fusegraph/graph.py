@@ -17,7 +17,7 @@ import json
 import math
 import operator
 import struct
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyGraph, MalformedGraphRecord
 from .model import CollectionRankIndex, ItemId, RankSet, ScoredRank
@@ -190,33 +190,27 @@ def graph_size(g: FusionGraph) -> float:
 class VertexRecord(NamedTuple):
     """What a search bound reads of a graph, edges left out.
 
-    ``labels`` sorted, with their weights, the fsum of each one's outgoing
-    and of its incoming edge weights, and the graph's size (graph_size).
+    ``labels`` sorted, with each one's mass, the fsum of its weight and its
+    outgoing edge weights, and the graph's size (graph_size).
     """
 
     labels: list[ItemId]
-    weights: Sequence[float]
-    out_mass: Sequence[float]
-    in_mass: Sequence[float]
+    mass: Sequence[float]
     size: float
 
 
-def _walk(g: FusionGraph, edges: Iterable[tuple[tuple, float]], edge_weights: Collection[float]) -> tuple:
+def _walk(g: FusionGraph, edges: Iterable[tuple[tuple, float]]) -> tuple:
     """(vertex_record(g), each label's out-degree) of ``edges``, g's (key, weight) pairs in any order."""
-    labels = sorted(g.vertices)
-    outgoing, incoming = {label: [] for label in labels}, {label: [] for label in labels}
-    for (src, tgt), weight in edges:
-        outgoing[src].append(weight)
-        incoming[tgt].append(weight)
-    weights = list(map(g.vertices.__getitem__, labels))
-    masses = list(map(math.fsum, outgoing.values())), list(map(math.fsum, incoming.values()))  # any edge order
-    head = VertexRecord(labels, weights, *masses, math.fsum([*weights, *edge_weights]))
-    return head, list(map(len, outgoing.values()))
+    parts = {label: [g.vertices[label]] for label in sorted(g.vertices)}  # the weight, then the outgoing edges'
+    for (src, _), weight in edges:
+        parts[src].append(weight)
+    head = VertexRecord(list(parts), list(map(math.fsum, parts.values())), graph_size(g))  # any edge order
+    return head, [len(part) - 1 for part in parts.values()]
 
 
 def vertex_record(g: FusionGraph) -> VertexRecord:
     """The vertex record of ``g``, labels sorted."""
-    return _walk(g, g.edges.items(), g.edges.values())[0]
+    return _walk(g, g.edges.items())[0]
 
 
 def _slot_code(n_labels: int) -> str:
@@ -241,13 +235,13 @@ def serialize_graph(g: FusionGraph) -> tuple[bytes, VertexRecord]:
     """
     edges = sorted(g.edges)  # one linear pass on the builder's and the decoder's sorted edges
     edge_weights = list(map(g.edges.__getitem__, edges))
-    head, degrees = _walk(g, zip(edges, edge_weights), edge_weights)
+    head, degrees = _walk(g, zip(edges, edge_weights))
     slot = {label: i for i, label in enumerate(head.labels)}
     header = json.dumps({"query": g.query, "vertices": head.labels}, separators=(",", ":"), sort_keys=True)
     n, code = len(degrees), _slot_code(len(degrees))
     arrays = struct.pack(
         f"<{n}d{n}{code}{len(edges)}d{len(edges)}{code}",
-        *head.weights, *degrees, *edge_weights, *[slot[tgt] for _, tgt in edges],
+        *map(g.vertices.__getitem__, head.labels), *degrees, *edge_weights, *[slot[tgt] for _, tgt in edges],
     )
     return (header + "\n").encode("ascii") + arrays, head
 

@@ -12,17 +12,18 @@ items that can still enter them: vertex postings give every item that
 shares a vertex with the query a lower bound on its distance, and items are
 scored in ascending bound order until a bound exceeds the L-th best distance.
 
-The index directory (format 8) holds the graph records (each graph's edges as
+The index directory (format 9) holds the graph records (each graph's edges as
 compressed sparse rows, with slots as narrow as its label count allows), the
-vertex postings that bound reads, one rank record per indexed item with the
-raw and the normalized order of each of its ranks (the raw positions are what
-the online normalization of an incoming query needs), a table of contents
-that holds L, the comparator, the rankers and each record's place and digest,
-keyed by item or label, and a manifest that holds its sha256. load_index
-reads the manifest and the table of contents only; a search reads, checks,
-decodes and keeps a posting list, graph or rank record when it first needs
-it, so its cost follows the records it reads; every read of a rank builds it
-anew from its item's record. verify_index checks every record.
+vertex postings that bound reads (per label, each graph's mass there), one
+rank record per indexed item with the raw and the normalized order of each of
+its ranks (the raw positions are what the online normalization of an incoming
+query needs), a table of contents that holds L, the comparator, the rankers
+and each record's place and digest, keyed by item or label, and a manifest
+that holds its sha256. load_index reads the manifest and the table of
+contents only; a search reads, checks, decodes and keeps a posting list, graph
+or rank record when it first needs it, so its cost follows the records it
+reads; every read of a rank builds it anew from its item's record.
+verify_index checks every record.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .model import (
 from .normalize import gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
-MANIFEST_VERSION = 8
+MANIFEST_VERSION = 9
 MANIFEST_NAME = "manifest.json"
 INDEX_FILES = {
     "graphs": "graphs.bin",
@@ -70,8 +71,8 @@ INDEX_FILES = {
     "ranks": "collection_ranks.jsonl",
     "toc": "toc.json",
 }
-# one posting: item slot (its position among the sorted indexed items), vertex weight, out and in mass
-POSTING = struct.Struct("<Iddd")
+# one posting: item slot (its position among the sorted indexed items), the vertex's mass
+POSTING = struct.Struct("<Id")
 
 COMPARATORS: dict[str, Callable[[FusionGraph, FusionGraph, float, float], float]] = {
     "MCS": dist_mcs,
@@ -87,9 +88,10 @@ class VertexPostings:
     """What the search bound reads of every indexed graph, edges left out.
 
     ``items`` are the indexed items in ascending order; an item's slot is its
-    position there. ``by_label`` maps a vertex label to one POSTING per graph
-    holding it, packed in slot order: the bytes postings.bin holds. ``sizes``
-    maps an item to its graph's size.
+    position there. ``by_label`` maps a vertex label to one POSTING, (slot,
+    mass), per graph holding it, packed in slot order: the bytes postings.bin
+    holds. A mass is the vertex record's: the fsum of the label's weight and
+    its outgoing edge weights. ``sizes`` maps an item to its graph's size.
     """
 
     def __init__(self, items: list[ItemId], by_label: Mapping[ItemId, bytes], sizes: Mapping[ItemId, float]):
@@ -104,8 +106,8 @@ class VertexPostings:
 
     def add(self, item: ItemId, head: VertexRecord) -> None:
         """Add ``head``, the vertex record of ``item``'s graph; ``item`` must follow every item added before it."""
-        for label, *posting in zip(head.labels, head.weights, head.out_mass, head.in_mass):
-            self.by_label.setdefault(label, bytearray()).extend(POSTING.pack(len(self.items), *posting))
+        for label, mass in zip(head.labels, head.mass):
+            self.by_label.setdefault(label, bytearray()).extend(POSTING.pack(len(self.items), mass))
         self.items.append(item)
         self.sizes[item] = head.size
 
@@ -317,26 +319,23 @@ def index_collection(
 def common_bounds(postings: VertexPostings, head: VertexRecord) -> dict[ItemId, float]:
     """Per item sharing a vertex with a query graph, a bound on the size of their mcs; ``head`` is its vertex record.
 
-    Every shared edge joins two shared vertices, so its weight counts toward
-    both the out mass of its source and the in mass of its target, and
-    |mcs| <= sum_S min(w) + min(sum_S min(out), sum_S min(in)) over the
-    shared vertices S. Those sums are plain float additions of at most |V_q|
-    terms; the relative slack (|V_q| + 8) * 2^-52 covers their rounding, that
-    of the stored masses and that of graph_size(mcs), for graphs of any size,
-    so the bound is never below graph_size(mcs(query graph, item's graph)).
+    Every shared edge leaves a shared vertex, so charge it to its source: a
+    shared vertex u brings to the mcs its min weight and its shared outgoing
+    edges' min weights, at most either graph's mass m(u), its weight plus its
+    outgoing edge weights. So |mcs| <= sum_S min(m_q(u), m_d(u)) over the
+    shared vertices S. The masses are correctly rounded fsums and each sum
+    adds at most |V_q| of their minima in plain floats; the relative slack
+    (|V_q| + 8) * 2^-52 covers that rounding and that of graph_size(mcs), for
+    graphs of any size, so the bound is never below
+    graph_size(mcs(query graph, item's graph)).
     """
-    by_label = postings.by_label
-    sums: dict[int, list[float]] = {}  # by item slot
-    for label, weight, out_q, in_q in zip(head.labels, head.weights, head.out_mass, head.in_mass):
-        for slot, w, out_mass, in_mass in POSTING.iter_unpack(by_label.get(label, b"")):
-            acc = sums.get(slot)
-            if acc is None:
-                acc = sums[slot] = [0.0, 0.0, 0.0]
-            acc[0] += w if w < weight else weight
-            acc[1] += out_mass if out_mass < out_q else out_q
-            acc[2] += in_mass if in_mass < in_q else in_q
+    by_label, sums = postings.by_label, {}  # by item slot
+    get = sums.get
+    for label, m_q in zip(head.labels, head.mass):
+        for slot, m in POSTING.iter_unpack(by_label.get(label, b"")):
+            sums[slot] = get(slot, 0.0) + (m if m < m_q else m_q)
     inflate = 1.0 + (len(head.labels) + 8) * 2.0**-52
-    return {postings.items[slot]: (v + min(o, i)) * inflate for slot, (v, o, i) in sums.items()}
+    return {postings.items[slot]: total * inflate for slot, total in sums.items()}
 
 
 def build_query_graph(query_ranks: RankSet, fg_index: FusionGraphIndex) -> FusionGraph:
@@ -406,7 +405,7 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
-    """Persist the graph index with its raw and normalized rank orders, in index format 8.
+    """Persist the graph index with its raw and normalized rank orders, in index format 9.
 
     ``graphs.bin`` holds one serialize_graph record per item in item order,
     ``postings.bin`` the graphs' posting lists in sorted label order and

@@ -21,6 +21,7 @@ from fusegraph import graph, similarity
 from fusegraph.graph import FusionGraph
 from fusegraph.model import CollectionRankIndex, ItemId, RankSet, ScoredEntry, ScoredRank
 from fusegraph.normalize import normalize_rank_set
+from fusegraph.retrieval import POSTING
 from fusegraph.similarity import McsStats, graph_size
 
 TOY_LAYOUT = {
@@ -221,7 +222,7 @@ def rewrite_record(index_dir, role, key, edit) -> None:
     record would hold them, so only a record check can catch the edit.
     """
     toc = json.loads((index_dir / "toc.json").read_bytes())
-    unit = 28 if role == "postings" else 1  # a postings entry counts 28-byte postings
+    unit = POSTING.size if role == "postings" else 1  # a postings entry counts postings
     path = index_dir / INDEX_DATA_FILES[role]
     data = path.read_bytes()
     out = bytearray()
@@ -424,14 +425,12 @@ def reference_serialize_graph(g: FusionGraph) -> bytes:
     return (header + "\n").encode("ascii") + arrays
 
 
-def edge_masses(g: FusionGraph) -> dict[ItemId, tuple[float, float]]:
-    """Per vertex, the fsum of its outgoing and of its incoming edge weights, kept as the specification."""
-    outgoing: dict[ItemId, list[float]] = {label: [] for label in g.vertices}
-    incoming: dict[ItemId, list[float]] = {label: [] for label in g.vertices}
-    for (src, tgt), weight in g.edges.items():
-        outgoing[src].append(weight)
-        incoming[tgt].append(weight)
-    return {label: (math.fsum(outgoing[label]), math.fsum(incoming[label])) for label in g.vertices}
+def vertex_masses(g: FusionGraph) -> dict[ItemId, float]:
+    """Per vertex, the fsum of its weight and its outgoing edge weights, kept as the specification."""
+    return {
+        label: math.fsum([weight, *(w for (src, _), w in g.edges.items() if src == label)])
+        for label, weight in g.vertices.items()
+    }
 
 
 def reference_condorcet(rs: RankSet, depth: int | None = None) -> ScoredRank:

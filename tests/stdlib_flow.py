@@ -119,8 +119,8 @@ def flow(command: list[str], work: Path) -> None:
     index = work / "index"
     succeeds(command, "extract", "--config", config, "--out", index)
     succeeds(command, "verify", "--index", index)
-    fails_verify(command, edited_copy(index, "index7", "manifest.json", '"v": 8\n', '"v": 7\n'),
-                 "predates index format 8")
+    fails_verify(command, edited_copy(index, "index8", "manifest.json", '"v": 9\n', '"v": 8\n'),
+                 "predates index format 9")
     fails_verify(command, edited_copy(index, "index-l5", "toc.json", '"L":4,', '"L":5,'), "sha256")
 
     succeeds(command, "search", "--index", index, "--queries", config, "--out", work / "fg.run")

@@ -741,13 +741,13 @@ def test_graph_items_out_of_order_print_one_json_line(toy_files, command):
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    """Indexes of formats 1 to 7 are all rejected by name."""
-    for version in (1, 2, 3, 4, 5, 6, 7):
+    """Indexes of formats 1 to 8 are all rejected by name."""
+    for version in range(1, 9):
         error = search_error_after_edit(
             toy_files, lambda index_dir: edit_manifest(index_dir, lambda m: m.update({"v": version}))
         )
         assert error["error"] == "MalformedGraphRecord"
-        assert "predates index format 8" in error["message"]
+        assert "predates index format 9" in error["message"]
         assert "re-extracted" in error["message"]
 
 
@@ -1277,13 +1277,17 @@ def test_tracer_finds_every_traced_name(toy_files):
 # rankers. Format 8 re-pinned the rank file, the table of contents and the
 # manifest from an index whose graph and posting files, and the toc entries
 # of both, are format 7's byte for byte, and whose per-item rank records
-# hold format 7's raw and normalized orders, every one of them.
+# hold format 7's raw and normalized orders, every one of them. Format 9
+# re-pinned the posting file, the table of contents and the manifest: its
+# graph and rank files are format 8's byte for byte, and its table of
+# contents differs from format 8's only in the posting lists' offsets and
+# digests.
 PINNED_INDEX = {
     "graphs.bin": "dcfe3bfbcc9d657a30cd224047076ec42e1bab0777c6cb5621257a8fa70db9d0",
-    "postings.bin": "1aab79ca6e5f8398200e8ef7dacdcd95547e53979a4bd47bf059290bccf155fd",
+    "postings.bin": "0c6f95b214ef64420ede6996a0cb7dfb7a995bd323e80e68ede0e089a5f5b2fd",
     "collection_ranks.jsonl": "014bbe91dd8527c72da49ba35ea7bf767442ee0d70b6dd96140a8fcd0da85fcb",
-    "toc.json": "02bbe3a862f5270908ea893145e631408beb6caae61ec66fe05192f96323df33",
-    "manifest.json": "4a4decdbccb0a6f34261a6c800deb8e295cb8b3facc4f8cbc6348b7618e2d98b",
+    "toc.json": "38457293c8e3625f366a33e0ad4b7c0e107f31261d15ef458fb1086c103242d1",
+    "manifest.json": "ed458618a0a11c6d39066d13636185729e946e49708391773719d53ca25f83f4",
 }
 
 
@@ -1309,13 +1313,13 @@ def test_extract_index_bytes_are_pinned(tmp_path):
 
 # sha256 of the index files `extract` writes for a strict MCS collection at
 # L=20, recorded before the graph builder summed two-part edges with `+`,
-# and re-recorded for formats 6, 7 and 8 as PINNED_INDEX was.
+# and re-recorded for formats 6, 7, 8 and 9 as PINNED_INDEX was.
 PINNED_STRICT_INDEX = {
     "graphs.bin": "640a22cca1e671b42de4838041f8c6b62c3e46a5f0f7d7019dcd171a85554140",
-    "postings.bin": "93bf7a7b3cc4433cdc25fcdc0dac8d41416861f2b02d6820a4c6a404931a6038",
+    "postings.bin": "8ae6969b9b7cce8256a71a6e7ebe6257a6656316a71bc6509b11b4b2807d05a0",
     "collection_ranks.jsonl": "5c3c657275d6dfea33d87e061932a5207f6eb13b1240378798a6e7f9f4e33d34",
-    "toc.json": "ddc90e2ef932c4208c4c137cac40e157d257513f54c25afcb4bd4f045afa6c46",
-    "manifest.json": "9b5b07cda3730915ecae6623f0ee01e955771e2d8e9a5e73b1ea038e2ca54a8d",
+    "toc.json": "a04f18dc942997e507fe8bb62263ab2b56551c2f51e76a1e0d9c5d95df065a30",
+    "manifest.json": "1a6819bd9afad0aaacb0bcb440c6adad2ddfeab092276864d5264baff6f7d239",
 }
 
 

@@ -24,12 +24,12 @@ from fusegraph.normalize import normalize_collection
 from fusegraph.retrieval import index_collection
 
 from helpers import (
-    edge_masses,
     mkrank,
     normalize_graph_weights,
     random_rank_index,
     reference_build_fusion_graph,
     reference_serialize_graph,
+    vertex_masses,
     worked_example_index,
 )
 
@@ -357,12 +357,10 @@ def test_serialize_takes_the_vertex_record_of_the_specification(graph):
     """One walk packs the record and takes the vertex record: both bit for bit the specification's."""
     line, returned = serialize_graph(graph)
     assert line == reference_serialize_graph(graph)
-    masses = edge_masses(graph)
+    masses = vertex_masses(graph)
     for record in (returned, vertex_record(graph)):
         assert record.labels == sorted(graph.vertices)
-        assert [w.hex() for w in record.weights] == [graph.vertices[label].hex() for label in record.labels]
-        assert [m.hex() for m in record.out_mass] == [masses[label][0].hex() for label in record.labels]
-        assert [m.hex() for m in record.in_mass] == [masses[label][1].hex() for label in record.labels]
+        assert [m.hex() for m in record.mass] == [masses[label].hex() for label in record.labels]
         assert record.size.hex() == graph_size(graph).hex()
 
 

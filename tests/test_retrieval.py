@@ -21,6 +21,7 @@ from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, graph_s
 from fusegraph.model import CollectionRankIndex, RankSet, ScoredRank, assemble_rank_set
 from fusegraph.normalize import normalize_collection, normalize_rank_set
 from fusegraph.retrieval import (
+    POSTING,
     FusionGraphIndex,
     VertexPostings,
     build_query_graph,
@@ -35,7 +36,6 @@ from fusegraph.similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_fl
 
 from helpers import (
     LOAD_FAULTS,
-    edge_masses,
     edit_rank_record,
     edit_manifest,
     edit_toc,
@@ -48,6 +48,7 @@ from helpers import (
     reference_query_graph,
     rewrite_record,
     synthetic_collection,
+    vertex_masses,
 )
 
 
@@ -351,6 +352,30 @@ def test_each_exact_score_is_given_the_sizes_of_its_graphs(comparator, loaded, s
     assert calls or all(score == 0.0 for _, score in fused.entries)  # an item sharing no label scores 0
 
 
+@pytest.mark.parametrize("comparator", ["MCS", "WGU"])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_exact_scorings_per_query_stay_near_l(seed, comparator):
+    """A cost contract: searching a collection for its own items at L=10 scores at most 1.5 L items per query.
+
+    The mass bound scores about 12; a valid but looser bound that charges
+    every shared vertex the query's whole mass scores about 28, and fails.
+    """
+    depth = 10
+    collection, _ = synthetic_collection(seed)
+    fg_index = index_collection(collection, collection.rankers, depth, comparator)
+    distance, calls = retrieval.COMPARATORS[comparator], []
+
+    def counted(*args):
+        calls.append(None)
+        return distance(*args)
+
+    items = collection.collection_items()
+    with mock.patch.dict(retrieval.COMPARATORS, {comparator: counted}):
+        for item in items:
+            fuse_query(assemble_rank_set(item, collection, collection.rankers), fg_index, exclude_self=True)
+    assert len(calls) / len(items) <= 1.5 * depth
+
+
 def assert_checked(rank):
     """``rank`` equals what the public constructor, with all its checks, builds of its fields."""
     assert rank == ScoredRank(rank.query, rank.ranker, rank.entries, rank.depth)
@@ -445,7 +470,7 @@ def test_manifest_layout(tmp_path, toy_fg_index):
     save_index(tmp_path / "idx", fg_index)
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8"))
     assert sorted(manifest) == ["files", "sha256", "v"]
-    assert manifest["v"] == 8
+    assert manifest["v"] == 9
     assert manifest["files"] == {
         "graphs": "graphs.bin",
         "postings": "postings.bin",
@@ -471,7 +496,7 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
     ranks = (tmp_path / "idx" / "collection_ranks.jsonl").read_bytes()
     # a data file's size is the sum of its records' lengths
     assert len(graphs) == sum(entry[1] for entry in toc["graphs"].values())
-    assert len(postings) == 28 * sum(entry[1] for entry in toc["postings"].values())
+    assert len(postings) == POSTING.size * sum(entry[1] for entry in toc["postings"].values())
     assert len(ranks) == sum(entry[1] for entry in toc["ranks"].values())
     for item, (offset, length, digest, size) in toc["graphs"].items():
         record = graphs[offset : offset + length]
@@ -482,15 +507,15 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
     assert list(toc["postings"]) == labels
     slots = {item: slot for slot, item in enumerate(toc["graphs"])}
     for label, (offset, count, digest) in toc["postings"].items():
-        data = postings[offset : offset + 28 * count]
+        data = postings[offset : offset + POSTING.size * count]
         assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
-        # one posting per graph holding the label, in slot order: slot, weight, out and in mass
+        # one posting per graph holding the label, in slot order: slot, mass
         expected = [
-            (slots[item], graph.vertices[label], *edge_masses(graph)[label])
+            (slots[item], vertex_masses(graph)[label])
             for item, graph in sorted(fg_index.graphs.items())
             if label in graph.vertices
         ]
-        assert list(struct.iter_unpack("<Iddd", data)) == expected
+        assert list(POSTING.iter_unpack(data)) == expected
     # one rank record per graph item, in the same order, back to back
     assert list(toc["ranks"]) == list(toc["graphs"])
     end = 0
@@ -683,7 +708,7 @@ BAD_RECORDS = {
     ),
     # X is a vertex of B's and C's graphs: its two postings, swapped
     "posting slots out of order": (
-        lambda directory: rewrite_record(directory, "postings", "X", lambda data: data[28:] + data[:28]),
+        lambda directory: rewrite_record(directory, "postings", "X", lambda data: data[POSTING.size :] + data[: POSTING.size]),
         "posting list of 'X' has item slot 1 out of order",
     ),
     # a posting's slot is its item's position in the table of contents
@@ -709,13 +734,13 @@ VERTEX_DATA_FAULTS = {
     "size not positive": (_set_graph_size(0.0), "not a positive finite number"),
     "size disagrees": (_set_graph_size(3.0999999999999996), "disagree with its size"),
     "mass count": (
-        lambda directory: rewrite_record(directory, "postings", "B", lambda data: data[:-28]),
+        lambda directory: rewrite_record(directory, "postings", "B", lambda data: data[: -POSTING.size]),
         "posting lists are not those of the graphs",
     ),
     "mass disagrees": (
         lambda directory: rewrite_record(
             directory, "postings", "A",
-            lambda data: data[:12] + struct.pack("<d", 1.0) + data[20:],
+            lambda data: POSTING.pack(POSTING.unpack_from(data)[0], 1.0) + data[POSTING.size :],
         ),
         "posting lists are not those of the graphs",
     ),
@@ -760,12 +785,12 @@ def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
 
 
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
-    """Indexes of formats 1 to 7 are all rejected by name."""
+    """Indexes of formats 1 to 8 are all rejected by name."""
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    for version in (1, 2, 3, 4, 5, 6, 7):
+    for version in range(1, 9):
         edit_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
-        with pytest.raises(MalformedGraphRecord, match="predates index format 8.*re-extracted"):
+        with pytest.raises(MalformedGraphRecord, match="predates index format 9.*re-extracted"):
             load_index(tmp_path / "idx")
 
 
@@ -983,10 +1008,9 @@ def test_vertex_postings_follow_the_graphs(graphs):
     expected: dict = {}
     for slot, item in enumerate(sorted(graphs)):
         graph = graphs[item]
-        masses = edge_masses(graph)
-        for label, weight in graph.vertices.items():
-            expected.setdefault(label, []).append((slot, weight, *masses[label]))
-    unpacked = {label: list(struct.iter_unpack("<Iddd", data)) for label, data in postings.by_label.items()}
+        for label, mass in vertex_masses(graph).items():
+            expected.setdefault(label, []).append((slot, mass))
+    unpacked = {label: list(POSTING.iter_unpack(data)) for label, data in postings.by_label.items()}
     for rows in unpacked.values():
         slots = [row[0] for row in rows]
         assert slots == sorted(set(slots))
@@ -1002,6 +1026,12 @@ TINY = 2.0**-53  # 1.0 + TINY + TINY sums to 1.0 in plain floats, to 1 + 2^-52 i
                FusionGraph("d", {"a": 1.0, "b": TINY, "c": TINY}, {})))
 @example(pair=(FusionGraph("q", {"a": 1.0, "b": 1.0}, {("a", "b"): TINY, ("b", "a"): TINY}),
                FusionGraph("d", {"a": 1.0, "b": 1.0}, {("a", "b"): TINY, ("b", "a"): TINY})))
+# every edge shared in both directions, each of the item's weights the smaller: the bound is its size, tight
+@example(pair=(FusionGraph("q", {"a": 1.0, "b": 0.75}, {("a", "b"): 1.0, ("b", "a"): 0.5}),
+               FusionGraph("d", {"a": 0.1, "b": 0.7}, {("a", "b"): 0.2, ("b", "a"): 0.1})))
+# the item's mass at a exceeds the query's only through a -> c, which the query lacks
+@example(pair=(FusionGraph("q", {"a": 1.0, "b": 1.0}, {}),
+               FusionGraph("d", {"a": 0.5, "b": 1.0, "c": 1.0}, {("a", "c"): 1.0})))
 def test_common_bound_and_distance_floors_hold(pair):
     query, item = pair
     bounds = common_bounds(VertexPostings.of({"d": item}), vertex_record(query))
@@ -1015,10 +1045,11 @@ def test_common_bound_and_distance_floors_hold(pair):
 
 
 def test_item_whose_bound_equals_the_lth_distance_is_scored(monkeypatch):
-    # "w" is a subgraph of the query, so its MCS bound is exact; "x" ties with
-    # it on distance but has a looser bound (two edges' masses without a
-    # shared edge), so it is scored first. The L-th distance then equals w's
-    # bound, and w must still be scored: it wins the tie by id.
+    # "w" is a subgraph of the query, so its MCS bound is exact: 3. "x" ties
+    # with it on distance but has a looser bound, 4: its edge a -> c is not
+    # the query's, yet it makes x's mass at a, 2, that of the query, whose
+    # a -> b is charged there. So x is scored first. The L-th distance then
+    # equals w's bound, and w must still be scored: it wins the tie by id.
     query = FusionGraph("q", {"a": 1.0, "b": 1.0, "c": 1.0}, {("a", "b"): 1.0, ("b", "c"): 1.0})
     graphs = {
         "x": FusionGraph("x", {"a": 1.0, "b": 1.0, "c": 1.0}, {("a", "c"): 1.0}),
