@@ -17,6 +17,8 @@ import json
 import math
 import operator
 import struct
+from collections import Counter
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyGraph, MalformedGraphRecord
@@ -40,7 +42,7 @@ class FusionGraph:
 
     A sparse map from keys to finite positive weights, where a key is a
     vertex label or an edge (source, target) pair whose endpoints are both
-    vertices.
+    vertices. A builder graph makes its ``edges`` from its record's arrays when first read.
     """
 
     def __init__(self, query: ItemId, vertices: dict[ItemId, float], edges: dict[tuple[ItemId, ItemId], float]):
@@ -59,12 +61,22 @@ class FusionGraph:
             return NotImplemented
         return (self.query, self.vertices, self.edges) == (other.query, other.vertices, other.edges)
 
+    @cached_property
+    def edges(self) -> dict[tuple[ItemId, ItemId], float]:  # runs for builder graphs only; others set edges
+        return _edge_dict(*self._arrays)
+
+
+def _edge_dict(labels: list[ItemId], _weights, degrees, edge_weights, targets) -> dict[tuple[ItemId, ItemId], float]:
+    """The edges of a graph's record arrays, in their order; a target slot past the labels raises IndexError."""
+    sources = itertools.chain.from_iterable(map(itertools.repeat, labels, degrees))
+    return dict(zip(zip(sources, map(labels.__getitem__, targets)), edge_weights))
+
 
 # One item's row of a neighbour table, read from its ranks under one ranker
-# tuple: (B, (item, B), scores) for every B != item in those ranks, sorted by
-# B, where scores are B's scores in them: a bare float when B is in one of
-# them, else a tuple.
-Neighbours = list[tuple[ItemId, tuple[ItemId, ItemId], float | tuple[float, ...]]]
+# tuple: (B, scores) for every B != item in those ranks, sorted by B, where
+# scores are B's scores in them: a bare float when B is in one of them, else
+# a tuple.
+Neighbours = list[tuple[ItemId, float | tuple[float, ...]]]
 # ranker tuple -> item -> the item's Neighbours under those rankers
 NeighbourTable = dict[tuple[str, ...], dict[ItemId, Neighbours]]
 
@@ -93,7 +105,7 @@ def _neighbours(
                 scores[neighbour] = score
             else:
                 scores[neighbour] = (*seen, score) if type(seen) is tuple else (seen, score)
-    return [(neighbour, (item, neighbour), x) for neighbour, x in sorted(scores.items())]
+    return sorted(scores.items())
 
 
 def build_fusion_graph(
@@ -111,15 +123,14 @@ def build_fusion_graph(
     is raised by index_collection, before any graph is built). A vertex's
     ranks are read into ``table`` only when it holds no row for the vertex
     yet: the graphs of a collection, whose rank sets are the index's own,
-    share one table, so each collection rank is read once per ranker tuple
-    and the graphs share its edge-key tuples. Without ``table`` the graph
-    reads into a table of its own.
+    share one table, so each collection rank is read once per ranker tuple.
+    Without ``table`` the graph reads into a table of its own.
 
     Vertex weights sum the item's rescaled scores across the query's ranks.
     The edge A -> B accumulates, for every rank of the query containing A and
     every rank of A containing B (with B also a vertex and B != A), B's
     rescaled score in A's rank divided by A's position in the query's rank.
-    Edges come out in sorted key order.
+    Edges come out as the graph's record arrays, in sorted key order.
     """
     if stats is None:
         stats = BuildStats()
@@ -138,20 +149,23 @@ def build_fusion_graph(
     vertices = {item: math.fsum(parts) for item, parts in vertex_parts.items()}
 
     rankers = rs.ranker_names
+    labels = sorted(vertices)
+    slots = {label: i for i, label in enumerate(labels)}
     # a table of this graph's own needs no neighbour outside its vertices
-    within = vertices if table is None else None
+    within = slots if table is None else None
     tabled = ({} if table is None else table).setdefault(rankers, {})
-    keys, weights = [], []  # the edges' keys and weights, in sorted key order
-    for item_a in sorted(vertices):
+    degrees, weights, targets = [], [], []  # the edges', in sorted key order
+    for item_a in labels:
         at = positions[item_a]
         rows = tabled.get(item_a)
         if rows is None:
             ranks = rs if item_a == rs.query else map(index.get, rankers, itertools.repeat(item_a))
             rows = tabled[item_a] = _neighbours(item_a, ranks, stats, within)
-        for item_b, key, scores in rows:
-            if item_b not in vertices:
+        start = len(weights)
+        for item_b, scores in rows:
+            if (slot := slots.get(item_b)) is None:
                 continue
-            keys.append(key)
+            targets.append(slot)
             if type(scores) is not tuple:
                 if len(at) == 1:
                     weights.append(scores / at[0])  # as fsum gives one part; one addition rounds two as it does
@@ -163,22 +177,22 @@ def build_fusion_graph(
                 parts = scores if type(scores) is tuple else (scores,)
                 weight = math.fsum([x / pos for pos in at for x in parts])
             weights.append(weight)
+        degrees.append(len(weights) - start)
     if not vertices:
         raise EmptyGraph(f"fusion graph for {rs.query!r} has no vertices")
     max_vertex = max(vertices.values())
     max_edge = max(weights, default=1.0)
+    vertices = {item: weight / max_vertex for item, weight in vertices.items()}
+    weights = list(map(operator.truediv, weights, itertools.repeat(max_edge)))
     # every edge joins two distinct vertices and every weight is a positive sum: the constructor's checks hold
-    return _unchecked(
-        rs.query,
-        {item: weight / max_vertex for item, weight in vertices.items()},
-        dict(zip(keys, map(operator.truediv, weights, itertools.repeat(max_edge)))),
-    )
+    return _unchecked(rs.query, vertices, (labels, [*map(vertices.get, labels)], degrees, weights, targets))
 
 
-def _unchecked(query: ItemId, vertices: dict, edges: dict) -> FusionGraph:
-    """A FusionGraph whose caller vouches for the constructor's checks, built without them."""
+def _unchecked(query: ItemId, vertices: dict, edges: dict | tuple) -> FusionGraph:
+    """A FusionGraph whose caller vouches for the constructor's checks, built without them; a builder gives arrays."""
     graph = object.__new__(FusionGraph)
-    graph.__dict__.update(query=query, vertices=vertices, edges=edges)
+    graph.__dict__.update(query=query, vertices=vertices)
+    graph.__dict__["edges" if type(edges) is dict else "_arrays"] = edges
     return graph
 
 
@@ -199,18 +213,29 @@ class VertexRecord(NamedTuple):
     size: float
 
 
-def _walk(g: FusionGraph, edges: Iterable[tuple[tuple, float]]) -> tuple:
-    """(vertex_record(g), each label's out-degree) of ``edges``, g's (key, weight) pairs in any order."""
-    parts = {label: [g.vertices[label]] for label in sorted(g.vertices)}  # the weight, then the outgoing edges'
-    for (src, _), weight in edges:
-        parts[src].append(weight)
-    head = VertexRecord(list(parts), list(map(math.fsum, parts.values())), graph_size(g))  # any edge order
-    return head, [len(part) - 1 for part in parts.values()]
+def _record_arrays(g: FusionGraph) -> tuple:
+    """The arrays of g's record (see serialize_graph), labels first, made from its dicts."""
+    labels, edges = sorted(g.vertices), sorted(g.edges)
+    slot, degrees = {label: i for i, label in enumerate(labels)}, Counter(src for src, _ in edges)
+    weights, edge_weights = [*map(g.vertices.get, labels)], [*map(g.edges.get, edges)]
+    return labels, weights, [*map(degrees.__getitem__, labels)], edge_weights, [slot[tgt] for _, tgt in edges]
+
+
+def _vertex_record(labels: list[ItemId], weights, degrees, edge_weights, _targets=()) -> VertexRecord:
+    """The vertex record of a graph's record arrays; each label's edges are a slice, and fsum takes any order."""
+    ends = itertools.accumulate(degrees)
+    mass = [math.fsum((w, *edge_weights[end - d : end])) for w, d, end in zip(weights, degrees, ends)]
+    return VertexRecord(labels, mass, math.fsum(itertools.chain(weights, edge_weights)))
 
 
 def vertex_record(g: FusionGraph) -> VertexRecord:
-    """The vertex record of ``g``, labels sorted."""
-    return _walk(g, g.edges.items())[0]
+    """The vertex record of ``g``, labels sorted; an edge dict is summed in its own order, which needs no sort."""
+    if "_arrays" in g.__dict__:
+        return _vertex_record(*g._arrays)
+    parts = {label: [g.vertices[label]] for label in sorted(g.vertices)}  # the weight, then the outgoing edges'
+    for (src, _), weight in g.edges.items():
+        parts[src].append(weight)
+    return VertexRecord(list(parts), list(map(math.fsum, parts.values())), graph_size(g))
 
 
 def _slot_code(n_labels: int) -> str:
@@ -219,7 +244,7 @@ def _slot_code(n_labels: int) -> str:
 
 
 def serialize_graph(g: FusionGraph) -> tuple[bytes, VertexRecord]:
-    """The graph-store record of ``g``, and vertex_record(g), taken by the same walk over the edges.
+    """The graph-store record of ``g``, and vertex_record(g), both taken from the same arrays.
 
     A record is a JSON header line, then the graph's arrays as raw bytes,
     little-endian, in compressed sparse rows. The header holds ``query`` and
@@ -231,18 +256,14 @@ def serialize_graph(g: FusionGraph) -> tuple[bytes, VertexRecord]:
     up to 65536 and 4 beyond, so the edge count is what the arrays' length
     leaves after the vertices, at 8 bytes plus a slot per edge. Every weight
     round-trips bit for bit, and the record is byte-deterministic. Weights
-    that fsum cannot sum raise its error, as they do in vertex_record(g).
+    that fsum cannot sum raise its error, as they do in vertex_record(g). A
+    builder graph's own arrays are packed, so its edge dict is never made.
     """
-    edges = sorted(g.edges)  # one linear pass on the builder's and the decoder's sorted edges
-    edge_weights = list(map(g.edges.__getitem__, edges))
-    head, degrees = _walk(g, zip(edges, edge_weights))
-    slot = {label: i for i, label in enumerate(head.labels)}
-    header = json.dumps({"query": g.query, "vertices": head.labels}, separators=(",", ":"), sort_keys=True)
-    n, code = len(degrees), _slot_code(len(degrees))
-    arrays = struct.pack(
-        f"<{n}d{n}{code}{len(edges)}d{len(edges)}{code}",
-        *map(g.vertices.__getitem__, head.labels), *degrees, *edge_weights, *[slot[tgt] for _, tgt in edges],
-    )
+    labels, weights, degrees, edge_weights, targets = arrays = g.__dict__.get("_arrays") or _record_arrays(g)
+    head = _vertex_record(*arrays)
+    header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
+    n, m, code = len(labels), len(edge_weights), _slot_code(len(labels))
+    arrays = struct.pack(f"<{n}d{n}{code}{m}d{m}{code}", *weights, *degrees, *edge_weights, *targets)
     return (header + "\n").encode("ascii") + arrays, head
 
 
@@ -250,15 +271,15 @@ def _bad(query, problem: str) -> MalformedGraphRecord:
     return MalformedGraphRecord(f"graph record for {query!r} has {problem}")
 
 
-def deserialize_graph(record: bytes) -> FusionGraph:
+def deserialize_graph(record: bytes, size: float | None = None) -> FusionGraph:
     """Parse a graph-store record; rejects bad shapes.
 
     The header must be a JSON object whose query and every label are strings,
     with at least one label; the arrays must hold one weight and one
     out-degree per label and whole edges, and the degrees must sum to the
     edge count. Labels and edges must be distinct, every target must name
-    another label than its source, and every weight must be finite and not
-    negative.
+    another label than its source, and every weight must be finite and
+    positive. With ``size``, the weights must sum to it, as graph_size does.
     """
     header, newline, body = record.partition(b"\n")
     try:
@@ -284,9 +305,8 @@ def deserialize_graph(record: bytes) -> FusionGraph:
     edge_weights, targets = values[2 * n : 2 * n + n_edges], values[2 * n + n_edges :]
     if sum(degrees) != n_edges:
         raise _bad(query, f"out-degrees that sum to {sum(degrees)}, not its {n_edges} edges")
-    sources = itertools.chain.from_iterable(map(itertools.repeat, labels, degrees))
     try:  # a target beyond the labels raises as the lazy zips reach it
-        edges = dict(zip(zip(sources, map(labels.__getitem__, targets)), edge_weights))
+        edges = _edge_dict(labels, weights, degrees, edge_weights, targets)
     except IndexError:
         raise _bad(query, f"an edge target at slot {max(targets)}, beyond its {n} labels") from None
     vertices = dict(zip(labels, weights))
@@ -297,10 +317,12 @@ def deserialize_graph(record: bytes) -> FusionGraph:
     if len(edges) != n_edges:
         raise _bad(query, "a duplicate edge")
     try:  # a NaN or an infinity makes the sum one, and no weight sums too large for it
-        finite = math.isfinite(math.fsum(itertools.chain(weights, edge_weights)))
-    except OverflowError:
-        finite = False
-    if not finite or min(weights) <= 0.0 or min(edge_weights, default=1.0) <= 0.0:  # -0.0 too
+        total = math.fsum(itertools.chain(weights, edge_weights))
+    except (OverflowError, ValueError):  # ValueError: an infinity of each sign
+        total = math.inf
+    if not math.isfinite(total) or min(weights) <= 0.0 or min(edge_weights, default=1.0) <= 0.0:  # -0.0 too
         raise _bad(query, "a weight that is not finite and positive")
+    if size is not None and total != size:
+        raise _bad(query, f"weights that disagree with its size {size!r}")
     # every target names another label, so the constructor's edge checks hold
     return _unchecked(query, vertices, edges)

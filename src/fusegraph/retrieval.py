@@ -48,7 +48,6 @@ from .graph import (
     VertexRecord,
     build_fusion_graph,
     deserialize_graph,
-    graph_size,
     serialize_graph,
     vertex_record,
 )
@@ -204,11 +203,9 @@ class StoredRecords(Records):
 def _graph_record(item: ItemId, entry: list, data: bytes, what: str) -> FusionGraph:
     """The graph of a record whose entry is (offset, length, digest, the graph's size)."""
     # a module-global lookup, so a wrapper bound to the name is called
-    graph = deserialize_graph(data)
+    graph = deserialize_graph(data, size=entry[3])
     if graph.query != item:
         raise MalformedGraphRecord(f"{what} holds the graph of {graph.query!r}")
-    if graph_size(graph) != entry[3]:  # deserialize_graph has rejected weights that fsum cannot sum
-        raise MalformedGraphRecord(f"{what} has weights that disagree with its size {entry[3]!r}")
     return graph
 
 

@@ -1233,8 +1233,8 @@ def test_one_query_search_decodes_few_graphs(tmp_path, monkeypatch):
     decoded = []
     deserialize = retrieval.deserialize_graph
 
-    def counting(record):
-        graph = deserialize(record)
+    def counting(record, size):
+        graph = deserialize(record, size=size)
         decoded.append(graph.query)
         return graph
 
@@ -1249,9 +1249,10 @@ def test_one_query_search_decodes_few_graphs(tmp_path, monkeypatch):
 
 
 def test_tracer_finds_every_traced_name(toy_files):
-    """perfbench/tracer.py wraps functions by name; none of them may be missing."""
+    """perfbench/tracer.py wraps functions by name; none of them may be missing, and its counts must hold."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     base = toy_files["dir"]
+    built = built_graph_counts(toy_files["config"])
     index_dir = base / "index"
     commands = {
         "extract": ["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)],
@@ -1265,6 +1266,28 @@ def test_tracer_finds_every_traced_name(toy_files):
         trace = json.loads(spans.read_text(encoding="utf-8"))
         assert trace["missing"] == [], name
         assert trace["spans"]
+        if name == "extract":  # the per-layer graph counts are those of the graphs extract builds
+            assert {key: trace["counters"][key] for key in built} == built
+
+
+def built_graph_counts(config_path) -> dict:
+    """The tracer's graph counters for ``extract`` of a config, taken in-process from the graphs it builds."""
+    from fusegraph.config import load_config, load_runs
+    from fusegraph.graph import BuildStats
+    from fusegraph.model import CollectionRankIndex
+    from fusegraph.retrieval import index_collection
+
+    config, stats = load_config(config_path), BuildStats()
+    fg_index = index_collection(
+        CollectionRankIndex(load_runs(config)), config.ranker_names, config.depth, config.comparator, config.strict, stats
+    )
+    graphs = [fg_index.graphs[item] for item in sorted(fg_index.graphs)]
+    return {
+        "graph.graphs": len(graphs),
+        "graph.vertices": sum(len(graph.vertices) for graph in graphs),
+        "graph.edges": sum(len(graph.edges) for graph in graphs),
+        "graph.entry_visits": stats.entry_visits,
+    }
 
 
 # sha256 of the index files `extract` writes for PINNED_COLLECTION, recorded

@@ -240,6 +240,7 @@ CORRUPTIONS = {
     "zero edge weight": ({"edge_weights": (0.0, 1.0)}, "not finite and positive"),
     "negative zero edge weight": ({"edge_weights": (1.0, -0.0)}, "not finite and positive"),
     "weight not finite": ({"edge_weights": (math.inf, 1.0)}, "not finite"),
+    "infinities of each sign": ({"weights": (math.inf, -math.inf, 0.05)}, "not finite and positive"),
     "two-byte slots under 257 labels": ({"slot": "H"}, "50 bytes of arrays"),
 }
 
@@ -249,6 +250,18 @@ def test_deserialize_rejects_corrupt_record(worked_graph, case):
     edit, message = CORRUPTIONS[case]
     with pytest.raises(MalformedGraphRecord, match=message):
         deserialize_graph(_record(**{**WORKED, **edit}))
+
+
+def test_deserialize_checks_the_weights_against_a_given_size():
+    record = _record(**WORKED)
+    size = graph_size(deserialize_graph(record))
+    assert deserialize_graph(record, size=size) == deserialize_graph(record)
+    larger = math.nextafter(size, math.inf)
+    with pytest.raises(MalformedGraphRecord) as caught:
+        deserialize_graph(record, size=larger)
+    assert str(caught.value) == f"graph record for 'q' has weights that disagree with its size {larger!r}"
+    with pytest.raises(MalformedGraphRecord, match="a weight that is not finite and positive"):  # checked first
+        deserialize_graph(_record(**{**WORKED, "edge_weights": (math.inf, 1.0)}), size=size)
 
 
 # a three-label record with faults among the decoder's checks, which run in the order degrees,
@@ -365,9 +378,14 @@ def test_serialize_takes_the_vertex_record_of_the_specification(graph):
 
 
 def test_serialize_graph_writes_nothing_into_the_graph(worked_graph):
-    serialize_graph(worked_graph)
-    vertex_record(worked_graph)
-    assert sorted(worked_graph.__dict__) == ["edges", "query", "vertices"]
+    decoded = deserialize_graph(_record(**WORKED))
+    for graph in (worked_graph, decoded):  # a builder graph, then one whose edges are a dict
+        keys = sorted(graph.__dict__)
+        serialize_graph(graph)
+        vertex_record(graph)
+        assert sorted(graph.__dict__) == keys
+    assert "edges" not in worked_graph.__dict__  # packed from its arrays
+    assert sorted(decoded.__dict__) == ["edges", "query", "vertices"]
 
 
 def test_graph_equality_ignores_the_vertex_record_cache(worked_graph):
@@ -452,8 +470,16 @@ def test_build_matches_reference_bit_for_bit(collection, data):
             continue
         rs = assemble_rank_set(item, index, data.draw(st.permutations(available)))
         expected = reference_build_fusion_graph(rs, index)
+        masses, size = vertex_masses(expected), graph_size(expected).hex()
         # with the shared table, and with a table of the graph's own
         for graph in (build_fusion_graph(rs, index, table=table), build_fusion_graph(rs, index)):
+            record, head = serialize_graph(graph)  # from the builder's arrays, before its edges are read
+            for vertices in (head, vertex_record(graph)):
+                assert vertices.labels == sorted(masses)
+                assert [mass.hex() for mass in vertices.mass] == [masses[label].hex() for label in vertices.labels]
+                assert vertices.size.hex() == size
+            assert "edges" not in graph.__dict__
+            assert record == reference_serialize_graph(FusionGraph(graph.query, graph.vertices, dict(graph.edges)))
             assert graph.query == expected.query
             assert list(graph.edges) == sorted(expected.edges)
             assert hexes(graph.vertices) == hexes(expected.vertices)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fusegraph import graph as graph_module
 from fusegraph import retrieval
 from fusegraph.errors import MalformedGraphRecord, MissingRank, RankerMismatch
 from fusegraph.graph import BuildStats, FusionGraph, build_fusion_graph, graph_size, vertex_record
@@ -220,6 +221,16 @@ def test_index_collection_reads_each_rank_once():
     fg_index = index_collection(index, index.rankers, L, stats=stats)
     assert list(fg_index.graphs.values())  # a graph is built when it is first read
     assert 0 < stats.entry_visits <= 2 * n * m * L
+
+
+def test_indexing_and_saving_make_no_edge_dict(tmp_path):
+    """A cost contract: save_index packs each built graph from its record arrays, never making its edge dict."""
+    collection, _ = synthetic_collection(3)
+    with mock.patch.object(graph_module, "_edge_dict", wraps=graph_module._edge_dict) as made:
+        save_index(tmp_path / "idx", index_collection(collection, collection.rankers, 10, "MCS"))
+        assert made.call_count == 0
+        assert load_index(tmp_path / "idx").graphs["s00_0"].edges  # decoding a record makes one
+        assert made.call_count == 1
 
 
 def test_scope_equivalence_random():
@@ -1105,8 +1116,8 @@ def test_library_path_builds_each_graph_once(tmp_path, monkeypatch):
     decoded: Counter = Counter()
     decode = retrieval.deserialize_graph
 
-    def counted(data):
-        graph = decode(data)
+    def counted(data, size):
+        graph = decode(data, size=size)
         decoded[graph.query] += 1
         return graph
 
