@@ -13,13 +13,12 @@ on accumulation order: permuting the rankers of a rank set changes no weight.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import struct
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyGraph, MalformedGraphRecord
 from .model import CollectionRankIndex, ItemId, RankSet, ScoredRank
@@ -239,66 +238,77 @@ def vertex_record(g: FusionGraph) -> VertexRecord:
 
 
 def _slot_code(n_labels: int) -> str:
-    """The struct code of a label slot or an out-degree in the record of a graph of ``n_labels`` labels."""
+    """The struct code of a slot among ``n_labels`` labels, or of a count up to ``n_labels`` - 1, in an index record."""
     return "B" if n_labels <= 256 else "H" if n_labels <= 65536 else "I"
 
 
-def serialize_graph(g: FusionGraph) -> tuple[bytes, VertexRecord]:
+HEADER = struct.Struct("<II")  # a graph record's item slot and label count
+
+
+def serialize_graph(g: FusionGraph, slots: Mapping[ItemId, int], item: int) -> tuple[bytes, VertexRecord]:
     """The graph-store record of ``g``, and vertex_record(g), both taken from the same arrays.
 
-    A record is a JSON header line, then the graph's arrays as raw bytes,
-    little-endian, in compressed sparse rows. The header holds ``query`` and
-    ``vertices``, the labels in sorted order. After its newline come the
-    vertex weights in label order (float64), each label's out-degree, the
+    ``slots`` maps each label of the index's sorted label table to its
+    position there, and ``item`` is g's query's slot among the index's sorted
+    graph items. A record is little-endian binary: a header of the item slot
+    and the label count (uint32 each) and each label's slot in the table, in
+    sorted label order, then the graph's arrays in compressed sparse rows:
+    the vertex weights in that order (float64), each label's out-degree, the
     edge weights in sorted (source, target) order (float64) and each edge's
-    target slot, its position in ``vertices``; an edge's source is implied
-    by the out-degrees. A slot or a degree takes 1 byte up to 256 labels, 2
-    up to 65536 and 4 beyond, so the edge count is what the arrays' length
-    leaves after the vertices, at 8 bytes plus a slot per edge. Every weight
-    round-trips bit for bit, and the record is byte-deterministic. Weights
-    that fsum cannot sum raise its error, as they do in vertex_record(g). A
+    target slot, its position among the header's labels; an edge's source is
+    implied by the out-degrees. A table slot takes 1 byte up to 256 table
+    labels, 2 up to 65536 and 4 beyond, and a target slot or a degree takes
+    as many for the graph's own label count, so the edge count is what the
+    arrays' length leaves after the vertices, at 8 bytes plus a slot per
+    edge. Every weight round-trips bit for bit, and the record is
+    byte-deterministic. A label with no slot raises KeyError. Weights that
+    fsum cannot sum raise its error, as they do in vertex_record(g). A
     builder graph's own arrays are packed, so its edge dict is never made.
     """
     labels, weights, degrees, edge_weights, targets = arrays = g.__dict__.get("_arrays") or _record_arrays(g)
-    head = _vertex_record(*arrays)
-    header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
     n, m, code = len(labels), len(edge_weights), _slot_code(len(labels))
-    arrays = struct.pack(f"<{n}d{n}{code}{m}d{m}{code}", *weights, *degrees, *edge_weights, *targets)
-    return (header + "\n").encode("ascii") + arrays, head
+    layout = f"<II{n}{_slot_code(len(slots))}{n}d{n}{code}{m}d{m}{code}"
+    record = struct.pack(layout, item, n, *map(slots.__getitem__, labels), *weights, *degrees, *edge_weights, *targets)
+    return record, _vertex_record(*arrays)
 
 
 def _bad(query, problem: str) -> MalformedGraphRecord:
     return MalformedGraphRecord(f"graph record for {query!r} has {problem}")
 
 
-def deserialize_graph(record: bytes, size: float | None = None) -> FusionGraph:
-    """Parse a graph-store record; rejects bad shapes.
+def deserialize_graph(
+    record: bytes, table: Sequence[ItemId], items: Sequence[ItemId], size: float | None = None
+) -> FusionGraph:
+    """Parse a graph-store record whose slots index ``table``, the sorted labels, and ``items``, the sorted graph items.
 
-    The header must be a JSON object whose query and every label are strings,
-    with at least one label; the arrays must hold one weight and one
-    out-degree per label and whole edges, and the degrees must sum to the
-    edge count. Labels and edges must be distinct, every target must name
+    The header must hold an item slot among ``items``, and at least one
+    label slot, each inside ``table``; the arrays must hold one weight and
+    one out-degree per label and whole edges, and the degrees must sum to
+    the edge count. Labels and edges must be distinct, every target must name
     another label than its source, and every weight must be finite and
     positive. With ``size``, the weights must sum to it, as graph_size does.
+    The labels are ``table``'s own strings.
     """
-    header, newline, body = record.partition(b"\n")
     try:
-        data = json.loads(header)
-    except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
-        raise MalformedGraphRecord(f"graph record header is not JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise MalformedGraphRecord("graph record header is not an object")
-    query, labels = data.get("query"), data.get("vertices")
-    if type(query) is not str:
-        raise _bad(query, "a non-string query")
-    if type(labels) is not list or not all(type(label) is str for label in labels):
-        raise _bad(query, "a non-string label")
-    if not labels:
+        item, n = HEADER.unpack_from(record)
+        query = items[item]
+    except (IndexError, struct.error):
+        raise MalformedGraphRecord(f"graph record has no header naming one of the {len(items)} graph items") from None
+    table_code = _slot_code(len(table))
+    start = HEADER.size + n * struct.calcsize(table_code)
+    if len(record) < start:
+        raise _bad(query, f"{len(record)} bytes, too few for the slots of its {n} labels")
+    if not n:
         raise EmptyGraph(f"graph record for {query!r} has an empty vertex map")
-    n, code = len(labels), _slot_code(len(labels))
+    slots = struct.unpack_from(f"<{n}{table_code}", record, HEADER.size)
+    try:
+        labels = [*map(table.__getitem__, slots)]
+    except IndexError:
+        raise _bad(query, f"a label slot {max(slots)}, beyond the {len(table)} labels of its index") from None
+    body, code = record[start:], _slot_code(n)
     unit = 8 + struct.calcsize(code)  # a weight and a slot or a degree, per vertex and per edge
     n_edges = len(body) // unit - n
-    if not newline or n_edges < 0 or len(body) % unit:
+    if n_edges < 0 or len(body) % unit:
         raise _bad(query, f"{len(body)} bytes of arrays, not {unit} per vertex for {n} and {unit} per edge")
     values = struct.unpack(f"<{n}d{n}{code}{n_edges}d{n_edges}{code}", body)
     weights, degrees = values[:n], values[n : 2 * n]

@@ -98,9 +98,13 @@ def normalize_collection(
     """Normalize every stored rank of the chosen rankers against ``index``.
 
     Every rank is repositioned against the same original index, so the result
-    does not depend on processing order.
+    does not depend on processing order. The position tables that delta
+    cached on the ranks of ``index`` are dropped, since callers keep those ranks.
     """
-    return CollectionRankIndex({
+    normalized = CollectionRankIndex({
         ranker: {query: normalize_rank(index.require(ranker, query), index, depth) for query in index.queries(ranker)}
         for ranker in rankers
     })
+    for rank in (index.require(ranker, query) for ranker in rankers for query in index.queries(ranker)):
+        vars(rank).pop("positions", None)
+    return normalized

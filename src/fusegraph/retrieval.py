@@ -12,18 +12,20 @@ items that can still enter them: vertex postings give every item that
 shares a vertex with the query a lower bound on its distance, and items are
 scored in ascending bound order until a bound exceeds the L-th best distance.
 
-The index directory (format 9) holds the graph records (each graph's edges as
-compressed sparse rows, with slots as narrow as its label count allows), the
-vertex postings that bound reads (per label, each graph's mass there), one
-rank record per indexed item with the raw and the normalized order of each of
-its ranks (the raw positions are what the online normalization of an incoming
-query needs), a table of contents that holds L, the comparator, the rankers
-and each record's place and digest, keyed by item or label, and a manifest
-that holds its sha256. load_index reads the manifest and the table of
-contents only; a search reads, checks, decodes and keeps a posting list, graph
-or rank record when it first needs it, so its cost follows the records it
-reads; every read of a rank builds it anew from its item's record.
-verify_index checks every record.
+The index directory (format 10) holds the graph records (each graph's edges
+as compressed sparse rows, with slots as narrow as its label count allows),
+the vertex postings that bound reads (per label, each graph's mass there), one
+binary rank record per indexed item with the raw and the normalized order of
+each of its ranks (the raw positions are what the online normalization of an
+incoming query needs), a table of contents that holds L, the comparator, the
+rankers, the sorted table of every vertex label and each record's place and
+digest, keyed by item or by label slot, and a manifest that holds its sha256.
+Every item id is written once, in the table of contents: graph and rank
+records name labels and items by their slots there. load_index reads the
+manifest and the table of contents only; a search reads, checks, decodes and
+keeps a posting list, graph or rank record when it first needs it, so its cost
+follows the records it reads; every read of a rank builds it anew from its
+item's record. verify_index checks every record.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import struct
 import weakref
@@ -46,6 +49,7 @@ from .graph import (
     FusionGraph,
     NeighbourTable,
     VertexRecord,
+    _slot_code,
     build_fusion_graph,
     deserialize_graph,
     serialize_graph,
@@ -62,12 +66,12 @@ from .model import (
 from .normalize import gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
-MANIFEST_VERSION = 9
+MANIFEST_VERSION = 10
 MANIFEST_NAME = "manifest.json"
 INDEX_FILES = {
     "graphs": "graphs.bin",
     "postings": "postings.bin",
-    "ranks": "collection_ranks.jsonl",
+    "ranks": "ranks.bin",
     "toc": "toc.json",
 }
 # one posting: item slot (its position among the sorted indexed items), the vertex's mass
@@ -200,10 +204,10 @@ class StoredRecords(Records):
         super().__init__(toc, record)
 
 
-def _graph_record(item: ItemId, entry: list, data: bytes, what: str) -> FusionGraph:
-    """The graph of a record whose entry is (offset, length, digest, the graph's size)."""
+def _graph_record(labels: list, items: list, item: ItemId, entry: list, data: bytes, what: str) -> FusionGraph:
+    """The graph of a record whose entry is (offset, length, digest, the graph's size), by deserialize_graph."""
     # a module-global lookup, so a wrapper bound to the name is called
-    graph = deserialize_graph(data, size=entry[3])
+    graph = deserialize_graph(data, labels, items, size=entry[3])
     if graph.query != item:
         raise MalformedGraphRecord(f"{what} holds the graph of {graph.query!r}")
     return graph
@@ -211,37 +215,43 @@ def _graph_record(item: ItemId, entry: list, data: bytes, what: str) -> FusionGr
 
 def _posting_list(count: int, label: ItemId, entry: list, data: bytes, what: str) -> bytes:
     """A list of POSTINGs as stored, once its item slots rise and stay below ``count``, the indexed items'."""
-    last = -1
-    for slot, *_ in POSTING.iter_unpack(data):
-        if not last < slot < count:
-            raise MalformedGraphRecord(f"{what} has item slot {slot} out of order or range")
-        last = slot
+    slots = struct.unpack("<" + "I8x" * (len(data) // POSTING.size), data)
+    if not (slots and slots[-1] < count and all(map(operator.lt, slots, slots[1:]))):
+        for last, slot in zip((-1, *slots), slots):  # only to name the first slot out of order or range
+            if not last < slot < count:
+                raise MalformedGraphRecord(f"{what} has item slot {slot} out of order or range")
     return data
 
 
-def _rank_record(depth: int, rankers: list, item: ItemId, entry: list, data: bytes, what: str) -> dict:
-    """An item's rank record checked in full: per ranker in it, its raw and its normalized order, as item ids."""
-    orders, ranker = {}, None
+def _rank_record(depth: int, rankers: list, labels: list, items: list, item, entry, data, what) -> dict:
+    """An item's rank record checked in full: per ranker that ranks it, its raw and normalized order, as item ids."""
+    count, code = _slot_code(depth + 1), _slot_code(len(labels))
+    orders, ranker, at = {}, None, 4
     try:
-        record = json.loads(data)
-        if record["query"] != item:
-            raise ValueError(f"it holds the ranks of {record['query']!r}")
-        if type(record["ranks"]) is not dict:  # {} for a graph item that no chosen ranker ranks
-            raise ValueError("ranks must be an object")
-        for ranker, rank in record["ranks"].items():
-            if ranker not in rankers:
-                raise ValueError("that ranker is not one of the index's rankers")
-            items, slots = rank["items"], rank["normalized"]
-            if type(items) is not list or not all(type(item) is str for item in items):
-                raise ValueError("items must be a list of strings")
-            if "" in items or len(set(items)) != len(items):
-                raise ValueError("item ids must be non-empty and distinct")
-            if len(items) > depth:
-                raise ValueError(f"{len(items)} items exceed L={depth}")
-            if type(slots) is not list or sorted(slots) != list(range(len(items))):
+        (slot,) = struct.unpack_from("<I", data)
+        if slot >= len(items) or items[slot] != item:
+            held = repr(items[slot]) if slot < len(items) else f"item slot {slot}, beyond the {len(items)} items"
+            raise ValueError(f"it holds the ranks of {held}")
+        for ranker in rankers:  # a count of 0: no rank
+            (k,) = struct.unpack_from("<" + count, data, at)
+            if k > depth:
+                raise ValueError(f"{k} items exceed L={depth}")
+            layout = f"<{count}{k}{code}{k}{count}"  # the count, the raw order's label slots, the normalized positions
+            values, at = struct.unpack_from(layout, data, at), at + struct.calcsize(layout)
+            ids, positions = values[1 : k + 1], values[k + 1 :]
+            if ids and max(ids) >= len(labels):
+                raise ValueError(f"label slot {max(ids)} is beyond the {len(labels)} labels")
+            if len(set(ids)) != k:
+                raise ValueError("item ids must be distinct")
+            if sorted(positions) != list(range(k)):
                 raise ValueError("normalized is not a permutation of the slots of items")
-            orders[ranker] = items, [items[slot] for slot in slots]
-    except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            if k:
+                raw = [*map(labels.__getitem__, ids)]
+                orders[ranker] = raw, [*map(raw.__getitem__, positions)]
+        ranker = None
+        if at != len(data):
+            raise ValueError(f"{len(data) - at} bytes follow its ranks")
+    except (struct.error, ValueError) as exc:
         under = "" if ranker is None else f" under {ranker!r}"
         raise MalformedGraphRecord(f"bad {what}{under}: {exc}") from exc
     return orders
@@ -402,19 +412,21 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
-    """Persist the graph index with its raw and normalized rank orders, in index format 9.
+    """Persist the graph index with its raw and normalized rank orders, in index format 10.
 
-    ``graphs.bin`` holds one serialize_graph record per item in item order,
-    ``postings.bin`` the graphs' posting lists in sorted label order and
-    ``collection_ranks.jsonl`` one JSON line per item in item order, {"query":
-    item, "ranks": {ranker: {"items": raw order, "normalized": slots into
-    items}}} with sorted keys, over the chosen rankers whose ``raw.get`` answers
-    for the item; each file is as long as its records' lengths sum to.
-    ``toc.json`` holds L, the comparator and the rankers, and maps each item to
-    its graph record's (offset, length, digest) and its graph's size and to its
-    rank record's (offset, length, digest), and each label to its posting list's
-    (offset, count, digest); a digest is a 16-byte BLAKE2b, in hex. The manifest
-    holds the format, the file names and the toc's sha256.
+    The label table is every item of the raw ranks of the chosen rankers
+    that ``raw.get`` answers for a graph item, sorted; a label's slot is its
+    position there, and an item's slot its position among the sorted graph
+    items. ``graphs.bin`` holds one serialize_graph record per item in item
+    order; ``postings.bin`` the graphs' posting lists in table order, which
+    must hold exactly the table's labels; ``ranks.bin`` one record per item
+    in item order, packed by _rank_records; each file is as long as its
+    records' lengths sum to. ``toc.json`` holds L, the comparator, the
+    rankers and the table as ``labels``, and maps each item to its graph
+    record's (offset, length, digest) and its graph's size and to its rank
+    record's (offset, length, digest), and lists each label's posting list as
+    (offset, count, digest) in table order; a digest is a 16-byte BLAKE2b, in
+    hex. The manifest holds the format, the file names and the toc's sha256.
 
     Each graph is read once, by the store's ``make`` when ``graphs`` has one,
     which keeps none, and serialized; the vertex record that serialize_graph
@@ -431,29 +443,31 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     vertex_postings = VertexPostings([], {}, {})
     by_label = vertex_postings.by_label
     read = getattr(fg_index.graphs, "make", fg_index.graphs.__getitem__)  # Records' make keeps no graph
+    items = sorted(fg_index.graphs)
+    raw = (fg_index.raw.get(ranker, item) for item in items for ranker in fg_index.ranker_names)
+    labels = sorted(set().union(*(rank.items() for rank in raw if rank is not None)))
+    slots = {label: slot for slot, label in enumerate(labels)}
     staged: list[tuple[Path, Path]] = []
 
     def records() -> Iterator[tuple[ItemId, bytes]]:
-        for item in sorted(fg_index.graphs):
-            record, head = serialize_graph(read(item))
+        for slot, item in enumerate(items):
+            record, head = serialize_graph(read(item), slots, slot)
             vertex_postings.add(item, head)
             yield item, record
 
     try:
         graphs = _stage(directory / INDEX_FILES["graphs"], records(), staged)
-        postings = _stage(
-            directory / INDEX_FILES["postings"], ((label, by_label[label]) for label in sorted(by_label)), staged
-        )
-        ranks = _stage(directory / INDEX_FILES["ranks"], _rank_lines(fg_index, graphs), staged)
+        if by_label.keys() != slots.keys():  # a vertex outside the table raised KeyError in serialize_graph
+            raise ValueError("a label of the raw ranks of the graph items is a vertex of none of their graphs")
+        postings = _stage(directory / INDEX_FILES["postings"], ((label, by_label[label]) for label in labels), staged)
+        ranks = _stage(directory / INDEX_FILES["ranks"], _rank_records(fg_index, items, slots), staged)
         toc = {
             "L": fg_index.depth,
             "comparator": fg_index.comparator,
             "rankers": list(fg_index.ranker_names),
+            "labels": labels,
             "graphs": {item: [*entry, vertex_postings.sizes[item]] for item, entry in graphs.items()},
-            "postings": {
-                label: [offset, length // POSTING.size, digest]
-                for label, (offset, length, digest) in postings.items()
-            },
+            "postings": [[offset, length // POSTING.size, digest] for offset, length, digest in postings.values()],
             "ranks": ranks,
         }
         toc_bytes = json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
@@ -493,20 +507,23 @@ def _stage(path: Path, records: Iterable[tuple[object, bytes]], staged: list[tup
     return entries
 
 
-def _rank_lines(fg_index: FusionGraphIndex, items: Iterable[ItemId]) -> Iterator[tuple[ItemId, bytes]]:
-    """One record per item: per chosen ranker that ranks it, its raw item order and its normalized order as slots."""
-    for item in items:
-        ranks = {}
+def _rank_records(fg_index: FusionGraphIndex, items: list[ItemId], slots: Mapping) -> Iterator[tuple[ItemId, bytes]]:
+    """The rank record of each of ``items``, in their order, little-endian: the item's slot (uint32), then per
+    chosen ranker a count k <= L (0: no rank), the raw order as k label slots and the normalized order as k
+    positions in it. A count or a position is as wide as _slot_code gives for L + 1 labels, a label slot as for
+    ``slots``, which maps each label to its slot."""
+    count, code = _slot_code(fg_index.depth + 1), _slot_code(len(slots))
+    for slot, item in enumerate(items):
+        layout, values = ["<I"], [slot]
         for ranker in fg_index.ranker_names:
-            raw = fg_index.raw.get(ranker, item)
-            if raw is not None:
-                slot = {entry.item: i for i, entry in enumerate(raw)}
-                order = fg_index.normalized.get(ranker, item)
-                if order is None:
-                    raise MissingRank(ranker, item)
-                ranks[ranker] = {"items": list(slot), "normalized": [slot[entry.item] for entry in order]}
-        line = json.dumps({"query": item, "ranks": ranks}, separators=(",", ":"), sort_keys=True) + "\n"
-        yield item, line.encode("utf-8")
+            raw, normalized = fg_index.raw.get(ranker, item), fg_index.normalized.get(ranker, item)
+            if raw is not None and normalized is None:
+                raise MissingRank(ranker, item)
+            position = {label: i for i, label in enumerate(raw.items() if raw else ())}
+            layout.append(f"{count}{len(position)}{code}{len(position)}{count}")
+            values += (len(position), *map(slots.__getitem__, position))
+            values += map(position.__getitem__, normalized.items() if raw else ())
+        yield item, struct.pack("".join(layout), *values)
 
 
 MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
@@ -546,14 +563,8 @@ def _read_manifest(directory: Path) -> dict:
 
 def _is_entry(entry: object, fields: int) -> bool:
     """Whether ``entry`` is a table-of-contents list: offset, length or count, digest, and more."""
-    return (
-        type(entry) is list
-        and len(entry) == fields
-        and type(entry[0]) is int
-        and type(entry[1]) is int
-        and entry[0] >= 0
-        and entry[1] >= 0
-        and type(entry[2]) is str
+    return type(entry) is list and len(entry) == fields and type(entry[2]) is str and all(
+        type(n) is int and n >= 0 for n in entry[:2]
     )
 
 
@@ -565,12 +576,13 @@ def _read_toc(directory: Path, sha256: str) -> dict:
         raise MalformedGraphRecord(f"index file {name!r} does not match its sha256 in the manifest")
     try:
         toc = json.loads(data)
-        if type(toc) is not dict or not all(type(toc.get(part)) is dict for part in ("graphs", "postings", "ranks")):
-            raise ValueError("it must be an object whose graphs, postings and ranks are objects")
+        parts = ("graphs", "ranks", "labels", "postings")
+        if type(toc) is not dict or tuple(type(toc.get(part)) for part in parts) != (dict, dict, list, list):
+            raise ValueError("it must be an object whose graphs and ranks are objects and labels and postings lists")
         for field, valid in TOC_FIELDS.items():
             if not valid(toc.get(field)):
                 raise ValueError(f"field {field!r} is missing or ill-typed: {toc.get(field)!r}")
-        graphs, postings, ranks = toc["graphs"], toc["postings"], toc["ranks"]
+        graphs, postings, ranks, labels = toc["graphs"], toc["postings"], toc["ranks"], toc["labels"]
         if " ".join(graphs).split() != list(graphs):  # a run line holds an item as one field
             raise ValueError("a graph item is empty or holds whitespace")
         if list(graphs) != sorted(graphs):  # slot order must be item order
@@ -582,7 +594,11 @@ def _read_toc(directory: Path, sha256: str) -> dict:
                 raise ValueError(f"graph size of {item!r} is {entry[3]!r}, not a positive finite number")
         if list(ranks) != list(graphs):
             raise ValueError("rank items are not the graph items")
-        if not all(_is_entry(entry, 3) for part in (postings, ranks) for entry in part.values()):
+        if not all(type(label) is str and label for label in labels) or not all(map(operator.lt, labels, labels[1:])):
+            raise ValueError("labels must be non-empty strings in strictly ascending order")
+        if len(postings) != len(labels):
+            raise ValueError(f"{len(postings)} posting lists for {len(labels)} labels")
+        if not all(_is_entry(entry, 3) for entry in itertools.chain(postings, ranks.values())):
             raise ValueError("bad posting list or rank entry")
     except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedGraphRecord(f"bad table of contents {name!r}: {exc}") from exc
@@ -598,7 +614,8 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     match the manifest's sha256, its fields in TOC_FIELDS must be well typed
     and every entry in it must be too, with graph items non-empty, free of
     whitespace and ascending, the rank records keyed by the same items in the
-    same order and graph sizes positive and finite; every data file must be
+    same order, graph sizes positive and finite, the labels non-empty strings
+    in strictly ascending order and one posting list per label; every data file must be
     as long as the sum of its records' lengths. Otherwise (and for an index
     of an older format) MalformedGraphRecord is raised. A graph, posting list
     or rank record is read when search first needs it, and is checked then:
@@ -607,18 +624,16 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     """
     directory = Path(directory)
     toc = _read_toc(directory, _read_manifest(directory)["sha256"]["toc"])
-    graphs, postings, ranks, depth = toc["graphs"], toc["postings"], toc["ranks"], toc["L"]
-    stored_graphs = StoredRecords(directory, "graphs", graphs, "graph record of {!r}".format, _graph_record)
+    graphs, labels, depth, items = toc["graphs"], toc["labels"], toc["L"], list(toc["graphs"])
+    stored_graphs = StoredRecords(
+        directory, "graphs", graphs, "graph record of {!r}".format, partial(_graph_record, labels, items)
+    )
+    entries = {label: [at, count * POSTING.size, digest] for label, (at, count, digest) in zip(labels, toc["postings"])}
     posting_lists = StoredRecords(
-        directory,
-        "postings",
-        {label: [offset, count * POSTING.size, digest] for label, (offset, count, digest) in postings.items()},
-        "posting list of {!r}".format,
-        partial(_posting_list, len(graphs)),
+        directory, "postings", entries, "posting list of {!r}".format, partial(_posting_list, len(items))
     )
-    records = StoredRecords(
-        directory, "ranks", ranks, "rank record of {!r}".format, partial(_rank_record, depth, toc["rankers"])
-    )
+    check = partial(_rank_record, depth, toc["rankers"], labels, items)
+    records = StoredRecords(directory, "ranks", toc["ranks"], "rank record of {!r}".format, check)
     fg_index = FusionGraphIndex(
         stored_graphs,
         depth,
@@ -628,7 +643,7 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
         StoredRanks(records, depth, normalized=False),
     )
     # what the cached property would derive by decoding every graph
-    fg_index.postings = VertexPostings(list(graphs), posting_lists, {item: entry[3] for item, entry in graphs.items()})
+    fg_index.postings = VertexPostings(items, posting_lists, {item: entry[3] for item, entry in graphs.items()})
     return fg_index
 
 
@@ -645,7 +660,7 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
     fg_index = load_index(directory)
     stored = fg_index.postings.by_label
     derived = VertexPostings.of(fg_index.graphs, fg_index.graphs.make).by_label  # checks every graph, keeps none
-    if list(stored) != sorted(derived) or any(stored[label] != postings for label, postings in derived.items()):
+    if stored.keys() != derived.keys() or any(stored[label] != postings for label, postings in derived.items()):
         raise MalformedGraphRecord("the posting lists are not those of the graphs")
     records = fg_index.raw.records
     ranks = sum(len(records.make(item)) for item in records)  # reads and checks every rank record, keeps none

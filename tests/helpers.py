@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -147,21 +148,29 @@ def _swap_graph_entries(toc) -> None:
 
 
 # faults in the manifest or the table of contents of the toy index (items A,
-# B and C under rankers r1 and r2) that load_index rejects with the message
-# given, all but the last before any record is read; a table of contents is
-# resealed, so its own checks are what catch the fault
-NOT_AN_OBJECT = "bad table of contents 'toc.json': it must be an object whose graphs, postings and ranks are objects"
+# B and C under rankers r1 and r2, labels A, B, C, X and Y) that load_index
+# rejects with the message given, all but the last before any record is read;
+# a table of contents is resealed, so its own checks are what catch the fault
+NOT_AN_OBJECT = (
+    "bad table of contents 'toc.json': it must be an object whose graphs and ranks are objects and labels and postings lists"
+)
+LABELS = "labels must be non-empty strings in strictly ascending order"
 LOAD_FAULTS = {
     "toc not an object": (lambda d: seal_toc(d, b"[]"), NOT_AN_OBJECT),
     **{
         f"{part} not an object": (lambda d, part=part: edit_toc(d, lambda toc: toc.update({part: []})), NOT_AN_OBJECT)
-        for part in ("graphs", "postings", "ranks")
+        for part in ("graphs", "ranks")
+    },
+    **{
+        f"{part} not a list": (lambda d, part=part: edit_toc(d, lambda toc: toc.update({part: {}})), NOT_AN_OBJECT)
+        for part in ("labels", "postings")
     },
     "graph entry ill-typed": (
         lambda d: edit_toc(d, lambda toc: toc["graphs"]["A"].__setitem__(0, "0")), "bad graph entry for 'A'"
     ),
     "posting list entry ill-typed": (
-        lambda d: edit_toc(d, lambda toc: toc["postings"]["X"].pop()), "bad posting list or rank entry"
+        lambda d: edit_toc(d, lambda toc: toc["postings"][toc["labels"].index("X")].pop()),
+        "bad posting list or rank entry",
     ),
     "rank entry ill-typed": (
         lambda d: edit_toc(d, lambda toc: toc["ranks"]["B"].__setitem__(1, -1)), "bad posting list or rank entry"
@@ -183,6 +192,25 @@ LOAD_FAULTS = {
             "a graph item is empty or holds whitespace",
         )
         for item in ("", "a b")
+    },
+    **{
+        f"labels {fault}": (lambda d, labels=labels: edit_toc(d, lambda toc: toc.update({"labels": labels})), LABELS)
+        for fault, labels in (
+            ("unsorted", ["A", "C", "B", "X", "Y"]),
+            ("duplicated", ["A", "B", "B", "X", "Y"]),
+            ("holding an empty string", ["", "B", "C", "X", "Y"]),
+            ("holding a number", ["A", "B", "C", "X", 7]),
+        )
+    },
+    **{
+        f"postings {fault}": (
+            lambda d, edit=edit: edit_toc(d, lambda toc: edit(toc["postings"])),
+            f"{count} posting lists for 5 labels",
+        )
+        for fault, edit, count in (
+            ("one short of the labels", list.pop, 4),
+            ("one more than the labels", lambda postings: postings.append(postings[-1]), 6),
+        )
     },
     "sha256 of more than the toc": (
         lambda d: edit_manifest(d, lambda m: m["sha256"].update({"params": "00"})),
@@ -210,7 +238,12 @@ LOAD_FAULTS = {
 }
 
 
-INDEX_DATA_FILES = {"graphs": "graphs.bin", "postings": "postings.bin", "ranks": "collection_ranks.jsonl"}
+INDEX_DATA_FILES = {"graphs": "graphs.bin", "postings": "postings.bin", "ranks": "ranks.bin"}
+
+
+def toc_entries(toc, role) -> dict:
+    """The table-of-contents entries of data file ``role`` by key: an item, or for postings a label."""
+    return dict(zip(toc["labels"], toc["postings"])) if role == "postings" else toc[role]
 
 
 def rewrite_record(index_dir, role, key, edit) -> None:
@@ -226,7 +259,7 @@ def rewrite_record(index_dir, role, key, edit) -> None:
     path = index_dir / INDEX_DATA_FILES[role]
     data = path.read_bytes()
     out = bytearray()
-    for name, entry in sorted(toc[role].items(), key=lambda kv: kv[1][0]):
+    for name, entry in sorted(toc_entries(toc, role).items(), key=lambda kv: kv[1][0]):
         offset, length = entry[0], entry[1] * unit
         record = data[offset : offset + length]
         if name == key:
@@ -237,18 +270,95 @@ def rewrite_record(index_dir, role, key, edit) -> None:
     seal_toc(index_dir, toc)
 
 
+def slot_width(n_labels: int) -> int:
+    """The bytes of a slot among ``n_labels`` labels, or of a count below ``n_labels``, in an index record."""
+    return 1 if n_labels <= 256 else 2 if n_labels <= 65536 else 4
+
+
+@functools.cache
+def label_table(size: int) -> tuple[list[str], dict[str, int]]:
+    """A sorted label table of ``size`` labels, and each label's slot."""
+    labels = [f"l{i:06d}" for i in range(size)]
+    return labels, {label: slot for slot, label in enumerate(labels)}
+
+
+def _uints(data, at, count, width) -> list[int]:
+    return [int.from_bytes(data[at + i * width : at + (i + 1) * width], "little") for i in range(count)]
+
+
+def unpack_rank_record(data: bytes, toc) -> dict:
+    """A rank record read by the format-10 layout, as {"query", "ranks": {ranker: {"items", "normalized"}}}.
+
+    A ranker whose count is 0 has no rank. Kept as the layout's specification.
+    """
+    count, slot = slot_width(toc["L"] + 1), slot_width(len(toc["labels"]))
+    at, ranks = 4, {}
+    for ranker in toc["rankers"]:
+        (k,) = _uints(data, at, 1, count)
+        items, normalized = _uints(data, at + count, k, slot), _uints(data, at + count + k * slot, k, count)
+        at += count + k * (slot + count)
+        if k:
+            ranks[ranker] = {"items": [toc["labels"][i] for i in items], "normalized": normalized}
+    assert at == len(data)
+    return {"query": list(toc["graphs"])[_uints(data, 0, 1, 4)[0]], "ranks": ranks}
+
+
+def pack_rank_record(record: dict, toc) -> bytes:
+    """The bytes of a rank record given as unpack_rank_record gives it.
+
+    An int item or query is written as the slot it is. Without ``ranks``
+    the record is its item slot alone; a rank without ``normalized`` has no
+    positions; ranks under rankers the index lacks follow those of its own.
+    """
+    count, slot = slot_width(toc["L"] + 1), slot_width(len(toc["labels"]))
+    query = record["query"]
+    out = (query if type(query) is int else list(toc["graphs"]).index(query)).to_bytes(4, "little")
+    ranks = record.get("ranks", {})
+    for ranker in [*toc["rankers"], *(r for r in ranks if r not in toc["rankers"])] if "ranks" in record else ():
+        rank = ranks.get(ranker, {"items": []})
+        out += len(rank["items"]).to_bytes(count, "little")
+        out += b"".join((i if type(i) is int else toc["labels"].index(i)).to_bytes(slot, "little") for i in rank["items"])
+        out += b"".join(p.to_bytes(count, "little") for p in rank.get("normalized", ()))
+    return out
+
+
 def edit_rank_record(index_dir, ranker, query, edit) -> None:
-    """Apply ``edit`` to the JSON object of ``ranker``'s rank in ``query``'s rank record, resealing the index.
+    """Apply ``edit`` to ``ranker``'s rank, as unpack_rank_record gives it, in ``query``'s rank record, resealing the index.
 
     With ``ranker`` None, ``edit`` gets the whole record. The index is resealed by rewrite_record.
     """
+    toc = json.loads((index_dir / "toc.json").read_bytes())
 
-    def apply(line):
-        record = json.loads(line)
+    def apply(data):
+        record = unpack_rank_record(data, toc)
         edit(record if ranker is None else record["ranks"][ranker])
-        return json.dumps(record).encode("utf-8") + b"\n"
+        return pack_rank_record(record, toc)
 
     rewrite_record(index_dir, "ranks", query, apply)
+
+
+def edit_graph_header(index_dir, item, edit) -> None:
+    """Apply ``edit`` to {"query": item, "vertices": labels} of ``item``'s graph record, resealing the index.
+
+    An int query or label is written as the slot it is.
+    """
+    toc = json.loads((index_dir / "toc.json").read_bytes())
+    items, labels, width = list(toc["graphs"]), toc["labels"], slot_width(len(toc["labels"]))
+
+    def apply(data):
+        n = _uints(data, 4, 1, 4)[0]
+        header = {"query": items[_uints(data, 0, 1, 4)[0]], "vertices": [labels[i] for i in _uints(data, 8, n, width)]}
+        edit(header)
+        query, vertices = header["query"], header["vertices"]
+        slots = [v if type(v) is int else labels.index(v) for v in vertices]
+        return b"".join((
+            (query if type(query) is int else items.index(query)).to_bytes(4, "little"),
+            len(vertices).to_bytes(4, "little"),
+            *(s.to_bytes(width, "little") for s in slots),
+            data[8 + n * width :],
+        ))
+
+    rewrite_record(index_dir, "graphs", item, apply)
 
 
 def mkrank(query, ranker, items, scores=None, depth=None):
@@ -408,21 +518,26 @@ def reference_build_fusion_graph(rs: RankSet, index, strict: bool = False) -> Fu
     return normalize_graph_weights(FusionGraph(rs.query, vertices, edges))
 
 
-def reference_serialize_graph(g: FusionGraph) -> bytes:
-    """serialize_graph as two plain sorts and one pack per array, kept as its specification."""
+def reference_serialize_graph(g: FusionGraph, slots=None, item: int = 0) -> bytes:
+    """serialize_graph as two plain sorts and one pack per array, kept as its specification.
+
+    ``slots`` maps labels to their slots in the index's label table; by
+    default the table is the graph's own labels.
+    """
     labels = sorted(g.vertices)
+    slots = slots or {label: i for i, label in enumerate(labels)}
     slot = {label: i for i, label in enumerate(labels)}
     pairs = sorted(g.edges)
     degrees = [sum(src == label for src, _ in pairs) for label in labels]
-    code = "B" if len(labels) <= 256 else "H" if len(labels) <= 65536 else "I"
-    header = json.dumps({"query": g.query, "vertices": labels}, separators=(",", ":"), sort_keys=True)
-    arrays = b"".join((
+    code, table_code = ("B" if n <= 256 else "H" if n <= 65536 else "I" for n in (len(labels), len(slots)))
+    return b"".join((
+        struct.pack("<II", item, len(labels)),
+        struct.pack(f"<{len(labels)}{table_code}", *map(slots.__getitem__, labels)),
         struct.pack(f"<{len(labels)}d", *map(g.vertices.__getitem__, labels)),
         struct.pack(f"<{len(labels)}{code}", *degrees),
         struct.pack(f"<{len(pairs)}d", *map(g.edges.__getitem__, pairs)),
         struct.pack(f"<{len(pairs)}{code}", *[slot[tgt] for _, tgt in pairs]),
     ))
-    return (header + "\n").encode("ascii") + arrays
 
 
 def vertex_masses(g: FusionGraph) -> dict[ItemId, float]:

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -37,6 +38,7 @@ from helpers import (
     rewrite_record,
     seal_toc,
     synthetic_collection,
+    toc_entries,
     write_config,
     write_runs,
 )
@@ -741,24 +743,27 @@ def test_graph_items_out_of_order_print_one_json_line(toy_files, command):
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    """Indexes of formats 1 to 8 are all rejected by name."""
-    for version in range(1, 9):
+    """Indexes of formats 1 to 9 are all rejected by name."""
+    for version in range(1, 10):
         error = search_error_after_edit(
             toy_files, lambda index_dir: edit_manifest(index_dir, lambda m: m.update({"v": version}))
         )
         assert error["error"] == "MalformedGraphRecord"
-        assert "predates index format 9" in error["message"]
+        assert "predates index format 10" in error["message"]
         assert "re-extracted" in error["message"]
 
 
 # every record a search reads is checked against its digest before any
 # record check, so the digest catches each of these
 SAME_SIZE_CORRUPTIONS = {
+    # B's record starts with its item slot, 1, and its label count, 3; slot 555 names no item
     "graph_query_not_a_string": (
-        "graphs.bin", b'"query":"B"', b'"query":555', "graph record of 'B' in 'graphs.bin'"
+        "graphs.bin", struct.pack("<II", 1, 3), struct.pack("<II", 555, 3), "graph record of 'B' in 'graphs.bin'"
     ),
-    "rank_ranker_not_in_manifest": (
-        "collection_ranks.jsonl", b'"r1":{', b'"r9":{', "rank record of 'A' in 'collection_ranks.jsonl'"
+    # A's ranks under r1 and r2, each a count of 2, two label slots and two positions, swap rankers
+    "rank_filed_under_the_other_ranker": (
+        "ranks.bin", bytes([2, 0, 1, 0, 1, 2, 0, 2, 0, 1]), bytes([2, 0, 2, 0, 1, 2, 0, 1, 0, 1]),
+        "rank record of 'A' in 'ranks.bin'",
     ),
     # the first edge weight of A's graph, 1.0, becomes 1.0000000000000002
     "graph_edge_weight_changed": (
@@ -785,7 +790,7 @@ def test_record_past_the_end_of_its_file_prints_one_json_line(toy_files, role, c
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
 
     def move(toc):  # every record of the role moves to offset 2**44; the lengths still sum to the file's size
-        for entry in toc[role].values():
+        for entry in toc_entries(toc, role).values():
             entry[0] = 2**44
 
     edit_toc(index_dir, move)
@@ -885,7 +890,7 @@ def test_verify_rejects_bad_rank_search_never_reads(tmp_path):
     edit_rank_record(index_dir, "r1", "Z", lambda record: record.update({"items": ["Z", "Z"]}))
     assert_search_unchanged_and_verify_fails(
         tmp_path, index_dir, queries, expected,
-        "bad rank record of 'Z' under 'r1': item ids must be non-empty and distinct",
+        "bad rank record of 'Z' under 'r1': item ids must be distinct",
     )
 
 
@@ -914,6 +919,7 @@ DEEP_JSON_CASES = {
         "MalformedGraphRecord", lambda files, index_dir: (index_dir / "manifest.json").write_bytes(DEEP_JSON), "search"
     ),
     "toc": ("MalformedGraphRecord", lambda files, index_dir: seal_toc(index_dir, DEEP_JSON), "verify"),
+    # graph and rank records are binary: deep JSON in their place is bytes that decode to no record
     "rank_record": (
         "MalformedGraphRecord",
         lambda files, index_dir: rewrite_record(index_dir, "ranks", "A", lambda record: DEEP_JSON + b"\n"),
@@ -992,7 +998,7 @@ def sound_z_index(tmp_path_factory):
     return index_files(index_dir), queries, run, verified.rsplit(" in ", 1)[0]
 
 
-INDEX_FILE_NAMES = ["collection_ranks.jsonl", "graphs.bin", "manifest.json", "postings.bin", "toc.json"]
+INDEX_FILE_NAMES = ["graphs.bin", "manifest.json", "postings.bin", "ranks.bin", "toc.json"]
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1233,8 +1239,8 @@ def test_one_query_search_decodes_few_graphs(tmp_path, monkeypatch):
     decoded = []
     deserialize = retrieval.deserialize_graph
 
-    def counting(record, size):
-        graph = deserialize(record, size=size)
+    def counting(record, *tables, size):
+        graph = deserialize(record, *tables, size=size)
         decoded.append(graph.query)
         return graph
 
@@ -1304,13 +1310,16 @@ def built_graph_counts(config_path) -> dict:
 # re-pinned the posting file, the table of contents and the manifest: its
 # graph and rank files are format 8's byte for byte, and its table of
 # contents differs from format 8's only in the posting lists' offsets and
-# digests.
+# digests. Format 10 re-pinned the graph and rank files, the table of
+# contents and the manifest from an index whose posting file is format 9's
+# byte for byte, and whose every graph, graph size, raw and normalized rank
+# and posting list decodes to format 9's, bit for bit.
 PINNED_INDEX = {
-    "graphs.bin": "dcfe3bfbcc9d657a30cd224047076ec42e1bab0777c6cb5621257a8fa70db9d0",
+    "graphs.bin": "8c69bed95334e0daaa6f5d0ccad033c40c86fb1077a7c3d396befc67bd5ec977",
     "postings.bin": "0c6f95b214ef64420ede6996a0cb7dfb7a995bd323e80e68ede0e089a5f5b2fd",
-    "collection_ranks.jsonl": "014bbe91dd8527c72da49ba35ea7bf767442ee0d70b6dd96140a8fcd0da85fcb",
-    "toc.json": "38457293c8e3625f366a33e0ad4b7c0e107f31261d15ef458fb1086c103242d1",
-    "manifest.json": "ed458618a0a11c6d39066d13636185729e946e49708391773719d53ca25f83f4",
+    "ranks.bin": "7cd2c22e9eefe8f8e998671d41e7ae1c987f96c8280c1e6a750e4740db056386",
+    "toc.json": "01650372884f0a6bdbf69357b9c214b5c67dd56754e2b2db6d275500ae1461c7",
+    "manifest.json": "6f377e9d9a295bfabbcdad7b4b0e568d86a4056593d8167774480a9b9eab82a7",
 }
 
 
@@ -1336,13 +1345,13 @@ def test_extract_index_bytes_are_pinned(tmp_path):
 
 # sha256 of the index files `extract` writes for a strict MCS collection at
 # L=20, recorded before the graph builder summed two-part edges with `+`,
-# and re-recorded for formats 6, 7, 8 and 9 as PINNED_INDEX was.
+# and re-recorded for formats 6, 7, 8, 9 and 10 as PINNED_INDEX was.
 PINNED_STRICT_INDEX = {
-    "graphs.bin": "640a22cca1e671b42de4838041f8c6b62c3e46a5f0f7d7019dcd171a85554140",
+    "graphs.bin": "894c3d01681905738ae95161ca9e31fe69c82673282f1a172cf65a181541c737",
     "postings.bin": "8ae6969b9b7cce8256a71a6e7ebe6257a6656316a71bc6509b11b4b2807d05a0",
-    "collection_ranks.jsonl": "5c3c657275d6dfea33d87e061932a5207f6eb13b1240378798a6e7f9f4e33d34",
-    "toc.json": "a04f18dc942997e507fe8bb62263ab2b56551c2f51e76a1e0d9c5d95df065a30",
-    "manifest.json": "1a6819bd9afad0aaacb0bcb440c6adad2ddfeab092276864d5264baff6f7d239",
+    "ranks.bin": "8193bffe16489296c71c7cf055bd07e0102e94225451eccc0f8f9ae9bd4b7b20",
+    "toc.json": "1aa7f2e400f7b6035e6c63cd2a675325110ec3b269c4681b36a0f8554d76a8fe",
+    "manifest.json": "bd4b6623264436189bc67b48958abb07f9499eb71a65f6ef69d63d2c017088b1",
 }
 
 

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 import re
@@ -24,6 +23,7 @@ from fusegraph.normalize import normalize_collection
 from fusegraph.retrieval import index_collection
 
 from helpers import (
+    label_table,
     mkrank,
     normalize_graph_weights,
     random_rank_index,
@@ -161,38 +161,53 @@ def test_graph_constructor_rejects_weights_not_finite_and_positive(key, weight):
         FusionGraph("q", vertices, edges)
 
 
+def pack(graph):
+    """serialize_graph of ``graph`` whose index has its sorted labels as the label table and its query as the one item."""
+    return serialize_graph(graph, {label: slot for slot, label in enumerate(sorted(graph.vertices))}, 0)
+
+
+def unpack(record, graph, size=None):
+    """deserialize_graph of a record that pack made of ``graph``."""
+    return deserialize_graph(record, sorted(graph.vertices), [graph.query], size)
+
+
 def test_serialize_round_trip(worked_graph):
-    line, _ = serialize_graph(worked_graph)
-    assert deserialize_graph(line) == worked_graph
+    line, _ = pack(worked_graph)
+    assert unpack(line, worked_graph) == worked_graph
     # byte-determinism of re-serialization
-    assert serialize_graph(deserialize_graph(line))[0] == line
+    assert pack(unpack(line, worked_graph))[0] == line
+
+
+# the worked graph's index: its labels are the table, and q the one graph item
+TABLE, ITEMS = ["A", "B", "C"], ["q"]
 
 
 def test_deserialize_rejects_garbage():
-    with pytest.raises(MalformedGraphRecord):
-        deserialize_graph(b"{not json\n")
-    with pytest.raises(MalformedGraphRecord):
-        deserialize_graph(b'{"v": 99, "query": "q"}\n')
-    with pytest.raises(MalformedGraphRecord):
-        deserialize_graph(b"[1, 2, 3]\n")
+    for garbage in (b"{not json\n", b'{"v": 99, "query": "q"}\n', b"[1, 2, 3]\n", b"", bytes(7)):
+        with pytest.raises(MalformedGraphRecord):
+            deserialize_graph(garbage, TABLE, ITEMS)
 
 
 def test_deserialize_truncated_record(worked_graph):
-    line, _ = serialize_graph(worked_graph)
+    line, _ = pack(worked_graph)
     with pytest.raises(MalformedGraphRecord):
-        deserialize_graph(line[: len(line) // 2])
+        unpack(line[: len(line) // 2], worked_graph)
 
 
 def test_deserialize_empty_vertex_map():
-    with pytest.raises(EmptyGraph):
-        deserialize_graph(b'{"query":"q","vertices":[]}\n')
+    with pytest.raises(EmptyGraph, match="^graph record for 'q' has an empty vertex map$"):
+        deserialize_graph(struct.pack("<II", 0, 0), TABLE, ITEMS)
 
 
-def _record(header, weights, degrees, edge_weights, targets, tail=b"", slot="B"):
-    """A graph record written independently of the codec: JSON header line, then the compressed sparse rows."""
+def _record(weights, degrees, edge_weights, targets, item=0, labels=(0, 1, 2), head=None, tail=b"", slot="B"):
+    """A graph record written independently of the codec: the header, then the compressed sparse rows.
+
+    The header is ``head`` if given, else the item slot and the label count
+    (uint32 each) and a one-byte slot per label, as under a table of at most
+    256 labels.
+    """
     return b"".join((
-        header if isinstance(header, bytes) else json.dumps(header).encode("utf-8"),
-        b"\n",
+        struct.pack(f"<II{len(labels)}B", item, len(labels), *labels) if head is None else head,
         struct.pack(f"<{len(weights)}d", *weights),
         struct.pack(f"<{len(degrees)}{slot}", *degrees),
         struct.pack(f"<{len(edge_weights)}d", *edge_weights),
@@ -202,7 +217,6 @@ def _record(header, weights, degrees, edge_weights, targets, tail=b"", slot="B")
 
 
 WORKED = {
-    "header": {"query": "q", "vertices": ["A", "B", "C"]},
     "weights": (1.0, 0.05, 0.05),
     "degrees": (2, 0, 0),  # A -> B, A -> C
     "edge_weights": (1.0, 1.0),
@@ -211,14 +225,21 @@ WORKED = {
 
 
 def test_record_layout(worked_graph):
-    header = b'{"query":"q","vertices":["A","B","C"]}'
-    assert serialize_graph(worked_graph)[0] == _record(**{**WORKED, "header": header})
+    assert pack(worked_graph)[0] == _record(**WORKED)
+    # in an index of more labels and items, the header holds the slots there
+    table = ["0", "A", "AB", "B", "C"]
+    record, _ = serialize_graph(worked_graph, {label: slot for slot, label in enumerate(table)}, 2)
+    assert record == _record(**{**WORKED, "item": 2, "labels": (1, 3, 4)})
+    assert deserialize_graph(record, table, ["o", "p", "q"]) == worked_graph
 
 
 # the worked record's arrays take 9 bytes, a float64 and a one-byte slot or
 # degree, per vertex and per edge: 45 bytes
 CORRUPTIONS = {
-    "header not json": ({"header": b"{not json"}, "header is not JSON"),
+    # a record whose header is a JSON line, as format 9 wrote it: "{not" reads as an item slot
+    "header not json": ({"head": b"{not json\n"}, "no header naming one of the 1 graph items"),
+    "item slot beyond the items": ({"item": 1}, "no header naming one of the 1 graph items"),
+    "label slots cut short": ({"head": struct.pack("<II", 0, 99)}, "53 bytes, too few for the slots of its 99 labels"),
     "partial item": ({"tail": b"1234567"}, "52 bytes of arrays"),
     "weight count": ({"weights": (1.0, 0.5)}, "37 bytes of arrays"),
     "endpoint count": ({"targets": (1,)}, "44 bytes of arrays"),
@@ -229,9 +250,10 @@ CORRUPTIONS = {
     "degrees beyond the edges": ({"degrees": (2, 1, 0)}, "out-degrees that sum to 3, not its 2 edges"),
     # a whole edge's bytes after the last array read as a third edge
     "bytes after the last array": ({"tail": bytes(9)}, "out-degrees that sum to 2, not its 3 edges"),
-    "duplicate label": ({"header": {"query": "q", "vertices": ["A", "A", "C"]}}, "duplicate label"),
+    "duplicate label": ({"labels": (0, 0, 2)}, "duplicate label"),
     "duplicate edge": ({"targets": (1, 1)}, "duplicate edge"),
-    "non-string label": ({"header": {"query": "q", "vertices": ["A", 7, "C"]}}, "non-string label"),
+    # a label is a slot into the table: slot 7 names no string
+    "non-string label": ({"labels": (0, 7, 2)}, "a label slot 7, beyond the 3 labels of its index"),
     "self-edge": ({"targets": (0, 2)}, "self-edge"),
     "self-edge of a later source": ({"degrees": (1, 1, 0), "targets": (1, 1)}, "self-edge"),
     "negative weight": ({"weights": (1.0, -0.05, 0.05)}, "not finite and positive"),
@@ -249,42 +271,42 @@ CORRUPTIONS = {
 def test_deserialize_rejects_corrupt_record(worked_graph, case):
     edit, message = CORRUPTIONS[case]
     with pytest.raises(MalformedGraphRecord, match=message):
-        deserialize_graph(_record(**{**WORKED, **edit}))
+        deserialize_graph(_record(**{**WORKED, **edit}), TABLE, ITEMS)
 
 
 def test_deserialize_checks_the_weights_against_a_given_size():
     record = _record(**WORKED)
-    size = graph_size(deserialize_graph(record))
-    assert deserialize_graph(record, size=size) == deserialize_graph(record)
+    size = graph_size(deserialize_graph(record, TABLE, ITEMS))
+    assert deserialize_graph(record, TABLE, ITEMS, size=size) == deserialize_graph(record, TABLE, ITEMS)
     larger = math.nextafter(size, math.inf)
     with pytest.raises(MalformedGraphRecord) as caught:
-        deserialize_graph(record, size=larger)
+        deserialize_graph(record, TABLE, ITEMS, size=larger)
     assert str(caught.value) == f"graph record for 'q' has weights that disagree with its size {larger!r}"
     with pytest.raises(MalformedGraphRecord, match="a weight that is not finite and positive"):  # checked first
-        deserialize_graph(_record(**{**WORKED, "edge_weights": (math.inf, 1.0)}), size=size)
+        deserialize_graph(_record(**{**WORKED, "edge_weights": (math.inf, 1.0)}), TABLE, ITEMS, size=size)
 
 
 # a three-label record with faults among the decoder's checks, which run in the order degrees,
 # target range, duplicate label, self-edge, duplicate edge, weights: the full message of each, as
 # recorded from the decoder that compared every edge's endpoints and took max(targets) first
-A_C = {"query": "q", "vertices": ["A", "A", "C"]}
+A_C = {"labels": (0, 0, 2)}
 PRECEDENCE = {
     "degrees": ({"degrees": (1, 0, 0)}, "out-degrees that sum to 1, not its 2 edges"),
     "target": ({"targets": (1, 3)}, "an edge target at slot 3, beyond its 3 labels"),
-    "duplicate label": ({"header": A_C}, "a duplicate label"),
+    "duplicate label": (A_C, "a duplicate label"),
     "self-edge": ({"targets": (0, 2)}, "a self-edge"),
     "duplicate edge": ({"targets": (1, 1)}, "a duplicate edge"),
     "weight": ({"weights": (1.0, -0.5, 0.25)}, "a weight that is not finite and positive"),
     "self-edge and duplicate edge": ({"targets": (0, 0)}, "a self-edge"),
     "self-edge of a later source and duplicate edge": ({"degrees": (0, 2, 0), "targets": (1, 1)}, "a self-edge"),
-    "duplicate label and bad target": ({"header": A_C, "targets": (1, 9)},
+    "duplicate label and bad target": ({**A_C, "targets": (1, 9)},
                                        "an edge target at slot 9, beyond its 3 labels"),
     "bad target and self-edge": ({"targets": (0, 200)}, "an edge target at slot 200, beyond its 3 labels"),
     "two bad targets, the larger first": ({"targets": (9, 5)}, "an edge target at slot 9, beyond its 3 labels"),
     "two bad targets, the larger last": ({"targets": (5, 9)}, "an edge target at slot 9, beyond its 3 labels"),
     "degrees and bad target": ({"degrees": (3, 0, 0), "targets": (1, 9)}, "out-degrees that sum to 3, not its 2 edges"),
-    "duplicate label and self-edge": ({"header": A_C, "targets": (0, 2)}, "a duplicate label"),
-    "duplicate label and duplicate edge": ({"header": A_C, "targets": (1, 1)}, "a duplicate label"),
+    "duplicate label and self-edge": ({**A_C, "targets": (0, 2)}, "a duplicate label"),
+    "duplicate label and duplicate edge": ({**A_C, "targets": (1, 1)}, "a duplicate label"),
     "self-edge and weight": ({"edge_weights": (1.0, math.nan), "targets": (2, 0)}, "a self-edge"),
     "duplicate edge and weight": ({"edge_weights": (0.0, 0.5), "targets": (2, 2)}, "a duplicate edge"),
 }
@@ -294,7 +316,9 @@ PRECEDENCE = {
 def test_decoder_reports_the_first_fault_in_check_order(case):
     edit, problem = PRECEDENCE[case]
     with pytest.raises(MalformedGraphRecord) as caught:
-        deserialize_graph(_record(**{**WORKED, "weights": (1.0, 0.5, 0.25), "edge_weights": (1.0, 0.5), **edit}))
+        deserialize_graph(
+            _record(**{**WORKED, "weights": (1.0, 0.5, 0.25), "edge_weights": (1.0, 0.5), **edit}), TABLE, ITEMS
+        )
     assert str(caught.value) == f"graph record for 'q' has {problem}"
 
 
@@ -306,12 +330,12 @@ def test_slot_width_follows_the_label_count(n_labels, slot):
     # the last slot, at the top of its width, as a source and as a target; no edges at the large sizes
     edges = {(labels[0], labels[-1]): 0.5, (labels[-1], labels[0]): 1.0} if n_labels < 1000 else {}
     graph = FusionGraph("q", vertices, edges)
-    line, _ = serialize_graph(graph)
-    body = line.partition(b"\n")[2]
-    assert len(body) == (8 + struct.calcsize(slot)) * (n_labels + len(edges))
-    restored = deserialize_graph(line)
+    line, _ = pack(graph)
+    header = 8 + struct.calcsize(slot) * n_labels  # the graph's labels are its table, so slots are as wide
+    assert len(line) - header == (8 + struct.calcsize(slot)) * (n_labels + len(edges))
+    restored = unpack(line, graph)
     assert restored == graph
-    assert serialize_graph(restored)[0] == line
+    assert pack(restored)[0] == line
     if edges:
         assert line == reference_serialize_graph(graph)
 
@@ -341,8 +365,8 @@ def stored_graphs(draw):
 @example(graph=FusionGraph("q é", {"b c": 5e-324, "ü": 1.0}, {}))
 @example(graph=FusionGraph("q", {"x y": 0.5, "日本": 1.0}, {("日本", "x y"): 5e-324}))
 def test_serialize_round_trip_is_bit_exact(graph):
-    line, _ = serialize_graph(graph)
-    restored = deserialize_graph(line)
+    line, _ = pack(graph)
+    restored = unpack(line, graph)
     assert restored == graph
     assert {k: v.hex() for k, v in restored.vertices.items()} == {
         k: v.hex() for k, v in graph.vertices.items()
@@ -350,7 +374,44 @@ def test_serialize_round_trip_is_bit_exact(graph):
     assert {k: v.hex() for k, v in restored.edges.items()} == {
         k: v.hex() for k, v in graph.edges.items()
     }
-    assert serialize_graph(restored)[0] == line
+    assert pack(restored)[0] == line
+
+
+@st.composite
+def tabled_graphs(draw):
+    """A graph whose labels are drawn from a table at a width boundary, its table and the slot of its item."""
+    size = draw(st.sampled_from([1, 256, 257, 65536, 65537]))
+    table, slots = label_table(size)
+    picked = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=6, unique=True))
+    picked += draw(st.sampled_from([[], [size - 1], [0, size - 1]]))  # the first and the last slot
+    labels = [table[slot] for slot in dict.fromkeys(picked)]
+    vertices = {label: draw(WEIGHTS) for label in labels}
+    pairs = [(a, b) for a in labels for b in labels if a != b]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), WEIGHTS, max_size=8)) if pairs else {}
+    item = draw(st.integers(0, 2))
+    return FusionGraph(f"item{item}", vertices, edges), table, slots, item
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=tabled_graphs())
+def test_record_slots_follow_the_label_table_width(drawn):
+    """A header's label slots are 1, 2 or 4 bytes as the table holds up to 256, 65536 or more labels."""
+    graph, table, slots, item = drawn
+    record, _ = serialize_graph(graph, slots, item)
+    assert record == reference_serialize_graph(graph, slots, item)
+    width = 1 if len(table) <= 256 else 2 if len(table) <= 65536 else 4
+    assert struct.unpack_from("<II", record) == (item, len(graph.vertices))
+    assert len(record) == 8 + width * len(graph.vertices) + 9 * (len(graph.vertices) + len(graph.edges))
+    restored = deserialize_graph(record, table, ["item0", "item1", "item2"], size=graph_size(graph))
+    assert restored == graph
+    assert {k: v.hex() for k, v in restored.edges.items()} == {k: v.hex() for k, v in graph.edges.items()}
+    assert all(label is table[slots[label]] for label in restored.vertices)  # the table's own strings
+    assert serialize_graph(restored, slots, item)[0] == record
+
+
+def test_serialize_needs_a_slot_for_every_label(worked_graph):
+    with pytest.raises(KeyError, match="'C'"):
+        serialize_graph(worked_graph, {"A": 0, "B": 1}, 0)
 
 
 @st.composite
@@ -368,7 +429,7 @@ def shuffled_graphs(draw):
 @example(graph=FusionGraph("q", {"a": 0.5, "b": 1.0, "c": 0.25}, {("c", "a"): 1.0, ("a", "c"): 0.5, ("a", "b"): 0.1}))
 def test_serialize_takes_the_vertex_record_of_the_specification(graph):
     """One walk packs the record and takes the vertex record: both bit for bit the specification's."""
-    line, returned = serialize_graph(graph)
+    line, returned = pack(graph)
     assert line == reference_serialize_graph(graph)
     masses = vertex_masses(graph)
     for record in (returned, vertex_record(graph)):
@@ -378,10 +439,10 @@ def test_serialize_takes_the_vertex_record_of_the_specification(graph):
 
 
 def test_serialize_graph_writes_nothing_into_the_graph(worked_graph):
-    decoded = deserialize_graph(_record(**WORKED))
+    decoded = deserialize_graph(_record(**WORKED), TABLE, ITEMS)
     for graph in (worked_graph, decoded):  # a builder graph, then one whose edges are a dict
         keys = sorted(graph.__dict__)
-        serialize_graph(graph)
+        pack(graph)
         vertex_record(graph)
         assert sorted(graph.__dict__) == keys
     assert "edges" not in worked_graph.__dict__  # packed from its arrays
@@ -389,7 +450,7 @@ def test_serialize_graph_writes_nothing_into_the_graph(worked_graph):
 
 
 def test_graph_equality_ignores_the_vertex_record_cache(worked_graph):
-    decoded = deserialize_graph(serialize_graph(worked_graph)[0])
+    decoded = unpack(pack(worked_graph)[0], worked_graph)
     assert worked_graph == decoded and decoded == worked_graph
     assert worked_graph != FusionGraph("q", worked_graph.vertices, {})
     assert worked_graph != FusionGraph("p", worked_graph.vertices, worked_graph.edges)
@@ -398,9 +459,9 @@ def test_graph_equality_ignores_the_vertex_record_cache(worked_graph):
 def test_serialize_graph_of_weights_fsum_cannot_sum_leaves_no_record():
     graph = FusionGraph("q", {"a": 1.7e308, "b": 1.7e308}, {})
     with pytest.raises(OverflowError):
-        serialize_graph(graph)
+        pack(graph)
     with pytest.raises(MalformedGraphRecord, match="not finite"):
-        deserialize_graph(reference_serialize_graph(graph))
+        unpack(reference_serialize_graph(graph), graph)
 
 
 def test_two_part_edge_whose_sum_overflows_raises_as_fsum_does():
@@ -473,7 +534,7 @@ def test_build_matches_reference_bit_for_bit(collection, data):
         masses, size = vertex_masses(expected), graph_size(expected).hex()
         # with the shared table, and with a table of the graph's own
         for graph in (build_fusion_graph(rs, index, table=table), build_fusion_graph(rs, index)):
-            record, head = serialize_graph(graph)  # from the builder's arrays, before its edges are read
+            record, head = pack(graph)  # from the builder's arrays, before its edges are read
             for vertices in (head, vertex_record(graph)):
                 assert vertices.labels == sorted(masses)
                 assert [mass.hex() for mass in vertices.mass] == [masses[label].hex() for label in vertices.labels]

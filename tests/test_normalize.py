@@ -215,6 +215,16 @@ def test_normalize_collection_orders_by_delta(drawn):
             assert normalized.get(ranker, query).items() == tuple(order)
 
 
+def test_normalize_collection_drops_the_position_tables_delta_cached():
+    """delta caches each rank's positions; the collection's ranks outlive normalization, so the tables go."""
+    index = random_rank_index(random.Random(5), n_items=20, n_rankers=2, depth=5)
+    ranks = [index.get(ranker, query) for ranker in index.rankers for query in index.queries(ranker)]
+    first, second = (normalize_collection(index, index.rankers, 5) for _ in range(2))
+    assert not any("positions" in vars(rank) for rank in ranks)
+    # a rank whose table was dropped builds it again when read: the second pass gives the same orders
+    assert [first.get(rank.ranker, rank.query) for rank in ranks] == [second.get(rank.ranker, rank.query) for rank in ranks]
+
+
 @settings(max_examples=200, deadline=None)
 @given(drawn=partial_collections(), data=st.data())
 def test_normalizing_a_rank_reads_it_as_if_stored_under_its_query(drawn, data):

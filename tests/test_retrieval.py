@@ -37,18 +37,23 @@ from fusegraph.similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_fl
 
 from helpers import (
     LOAD_FAULTS,
+    label_table,
+    edit_graph_header,
     edit_rank_record,
     edit_manifest,
     edit_toc,
     index_files,
     reverse_graph_items,
     mkrank,
+    pack_rank_record,
     random_rank_index,
     reference_build_fusion_graph,
     reference_fuse_query,
     reference_query_graph,
+    reference_serialize_graph,
     rewrite_record,
     synthetic_collection,
+    unpack_rank_record,
     vertex_masses,
 )
 
@@ -481,11 +486,11 @@ def test_manifest_layout(tmp_path, toy_fg_index):
     save_index(tmp_path / "idx", fg_index)
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8"))
     assert sorted(manifest) == ["files", "sha256", "v"]
-    assert manifest["v"] == 9
+    assert manifest["v"] == 10
     assert manifest["files"] == {
         "graphs": "graphs.bin",
         "postings": "postings.bin",
-        "ranks": "collection_ranks.jsonl",
+        "ranks": "ranks.bin",
         "toc": "toc.json",
     }
     assert sorted(path.name for path in (tmp_path / "idx").iterdir()) == sorted(
@@ -499,30 +504,33 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
     toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
-    assert sorted(toc) == ["L", "comparator", "graphs", "postings", "rankers", "ranks"]
+    assert sorted(toc) == ["L", "comparator", "graphs", "labels", "postings", "rankers", "ranks"]
     assert (toc["L"], toc["comparator"], toc["rankers"]) == (2, "WGU", ["r1", "r2"])
     assert list(toc["graphs"]) == ["A", "B", "C"]
+    # every vertex label, which is every item of every stored raw rank, once and sorted
+    labels = sorted({label for graph in fg_index.graphs.values() for label in graph.vertices})
+    assert toc["labels"] == labels == ["A", "B", "C", "X", "Y"]
     graphs = (tmp_path / "idx" / "graphs.bin").read_bytes()
     postings = (tmp_path / "idx" / "postings.bin").read_bytes()
-    ranks = (tmp_path / "idx" / "collection_ranks.jsonl").read_bytes()
+    ranks = (tmp_path / "idx" / "ranks.bin").read_bytes()
     # a data file's size is the sum of its records' lengths
     assert len(graphs) == sum(entry[1] for entry in toc["graphs"].values())
-    assert len(postings) == POSTING.size * sum(entry[1] for entry in toc["postings"].values())
+    assert len(postings) == POSTING.size * sum(entry[1] for entry in toc["postings"])
     assert len(ranks) == sum(entry[1] for entry in toc["ranks"].values())
-    for item, (offset, length, digest, size) in toc["graphs"].items():
+    slots = {label: slot for slot, label in enumerate(labels)}
+    for item_slot, (item, (offset, length, digest, size)) in enumerate(toc["graphs"].items()):
         record = graphs[offset : offset + length]
         assert hashlib.blake2b(record, digest_size=16).hexdigest() == digest
-        assert record.startswith(b'{"query":"%s",' % item.encode())
+        assert record == reference_serialize_graph(fg_index.graphs[item], slots, item_slot)
         assert size == graph_size(fg_index.graphs[item])
-    labels = sorted({label for graph in fg_index.graphs.values() for label in graph.vertices})
-    assert list(toc["postings"]) == labels
-    slots = {item: slot for slot, item in enumerate(toc["graphs"])}
-    for label, (offset, count, digest) in toc["postings"].items():
+    items = {item: slot for slot, item in enumerate(toc["graphs"])}
+    assert len(toc["postings"]) == len(labels)
+    for label, (offset, count, digest) in zip(labels, toc["postings"]):
         data = postings[offset : offset + POSTING.size * count]
         assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
         # one posting per graph holding the label, in slot order: slot, mass
         expected = [
-            (slots[item], vertex_masses(graph)[label])
+            (items[item], vertex_masses(graph)[label])
             for item, graph in sorted(fg_index.graphs.items())
             if label in graph.vertices
         ]
@@ -535,7 +543,7 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
         end += length
         record = ranks[offset : offset + length]
         assert hashlib.blake2b(record, digest_size=16).hexdigest() == digest
-        assert json.loads(record)["query"] == item
+        assert unpack_rank_record(record, toc)["query"] == item
     # verify counts ranks, two per item, not records
     assert verify_index(tmp_path / "idx") == (3, len(labels), 6)
 
@@ -543,18 +551,22 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
 def test_rank_record_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    lines = (tmp_path / "idx" / "collection_ranks.jsonl").read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
-    # one compact line per item, in item order, with sorted keys
-    assert lines == [json.dumps(record, separators=(",", ":"), sort_keys=True) for record in records]
-    assert [record["query"] for record in records] == ["A", "B", "C"]
-    for record in records:
-        assert sorted(record) == ["query", "ranks"]
-        assert list(record["ranks"]) == ["r1", "r2"]
-        for ranker, rank in record["ranks"].items():
-            assert sorted(rank) == ["items", "normalized"]
-            raw = index.get(ranker, record["query"]).items()
-            normalized = fg_index.normalized.get(ranker, record["query"]).items()
+    toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
+    data = (tmp_path / "idx" / "ranks.bin").read_bytes()
+    records = [data[offset : offset + length] for offset, length, _ in toc["ranks"].values()]
+    # A's: item slot 0, then per ranker a one-byte count, one-byte label slots (raw order) and one-byte
+    # positions (normalized order); the labels are A, B, C, X, Y
+    normalized = [fg_index.normalized.get(r, "A").items() for r in ("r1", "r2")]
+    assert normalized == [("A", "B"), ("A", "C")]
+    assert records[0] == struct.pack("<I10B", 0, 2, 0, 1, 0, 1, 2, 0, 2, 0, 1)
+    for slot, (item, record) in enumerate(zip(toc["ranks"], records)):
+        assert record[:4] == struct.pack("<I", slot)
+        assert pack_rank_record(unpack_rank_record(record, toc), toc) == record
+        ranks = unpack_rank_record(record, toc)["ranks"]
+        assert list(ranks) == ["r1", "r2"]
+        for ranker, rank in ranks.items():
+            raw = index.get(ranker, item).items()
+            normalized = fg_index.normalized.get(ranker, item).items()
             assert rank["items"] == list(raw)
             assert [rank["items"][slot] for slot in rank["normalized"]] == list(normalized)
 
@@ -643,8 +655,8 @@ def test_load_and_verify_reject_manifest_params_that_miss_their_sha256(tmp_path,
             read(tmp_path / "idx")
 
 
-ITEM_TYPES = "bad rank record of 'A' under 'r1': items must be a list of strings"
-DISTINCT_IDS = "bad rank record of 'A' under 'r1': item ids must be non-empty and distinct"
+DISTINCT_IDS = "bad rank record of 'A' under 'r1': item ids must be distinct"
+LABEL_TABLE = "bad table of contents 'toc.json': labels must be non-empty strings in strictly ascending order"
 
 
 def _rank_edit(edit, ranker="r1"):
@@ -652,63 +664,72 @@ def _rank_edit(edit, ranker="r1"):
     return lambda directory: edit_rank_record(directory, ranker, "A", edit)
 
 
-def _rename_ranker(record):
-    record["ranks"]["r9"] = record["ranks"].pop("r1")
+def _add_ranker(record):
+    record["ranks"]["r9"] = record["ranks"]["r1"]
 
 
 def _graph_header_edit(edit):
-    """An index edit that applies ``edit`` to the JSON header of A's graph record."""
-
-    def apply(record):
-        header, _, body = record.partition(b"\n")
-        data = json.loads(header)
-        edit(data)
-        return json.dumps(data).encode("utf-8") + b"\n" + body
-
-    return lambda directory: rewrite_record(directory, "graphs", "A", apply)
+    """An index edit that applies ``edit`` to the header of A's graph record, as edit_graph_header gives it."""
+    return lambda directory: edit_graph_header(directory, "A", edit)
 
 
 def _with_vertex_weights(record, *weights):
-    """A graph record whose first vertex weights are ``weights``: they lead the arrays after the header line."""
-    header, _, body = record.partition(b"\n")
-    return header + b"\n" + struct.pack(f"<{len(weights)}d", *weights) + body[8 * len(weights) :]
+    """A graph record of the toy index whose first vertex weights are ``weights``: they lead the arrays."""
+    start = 8 + struct.unpack_from("<I", record, 4)[0]  # item slot, label count and one-byte label slots
+    return record[:start] + struct.pack(f"<{len(weights)}d", *weights) + record[start + 8 * len(weights) :]
 
 
 def _set_graph_size(size):
     return lambda directory: edit_toc(directory, lambda toc: toc["graphs"]["A"].__setitem__(3, size))
 
 
+def _empty_item_a(toc):
+    for part in ("graphs", "ranks"):
+        toc[part] = {"" if item == "A" else item: entry for item, entry in toc[part].items()}
+
+
 # each edit keeps every digest, size and the table of contents' sha256 true,
-# so the record checks are what catch it
+# so the record checks are what catch it; the toy index's labels are A, B, C,
+# X and Y, and its items A, B and C
 BAD_RECORDS = {
-    "graph query not a string": (_graph_header_edit(lambda h: h.update({"query": 555})), "non-string query"),
-    "rank ranker not in manifest": (
-        _rank_edit(_rename_ranker, None),
-        "bad rank record of 'A' under 'r9': that ranker is not one of the index's rankers",
+    # a record names its query by an item slot: 555 names none, so no string
+    "graph query not a string": (
+        _graph_header_edit(lambda h: h.update({"query": 555})), "graph record has no header naming one of the 3 graph items"
     ),
-    "rank query not a string": (_rank_edit(lambda r: r.update({"query": 7}), None), "it holds the ranks of 7"),
-    "rank items not a list": (_rank_edit(lambda r: r.update({"items": "AB"})), ITEM_TYPES),
-    "rank item not a string": (_rank_edit(lambda r: r["items"].__setitem__(1, 7)), ITEM_TYPES),
+    "graph label slot out of range": (
+        _graph_header_edit(lambda h: h["vertices"].__setitem__(1, 5)),
+        "graph record for 'A' has a label slot 5, beyond the 5 labels of its index",
+    ),
+    "graph label slot repeated": (
+        _graph_header_edit(lambda h: h["vertices"].__setitem__(1, "A")), "graph record for 'A' has a duplicate label"
+    ),
+    # a rank under a ranker the index lacks follows the ranks of its own: five bytes after them
+    "rank ranker not in manifest": (_rank_edit(_add_ranker, None), "bad rank record of 'A': 5 bytes follow its ranks"),
+    "rank query not a string": (
+        _rank_edit(lambda r: r.update({"query": 555}), None), "it holds the ranks of item slot 555, beyond the 3 items"
+    ),
+    # a rank's item is a label slot: 7 names no string
+    "rank item not a string": (
+        _rank_edit(lambda r: r["items"].__setitem__(1, 7)),
+        "bad rank record of 'A' under 'r1': label slot 7 is beyond the 5 labels",
+    ),
     "rank repeated": (_rank_edit(lambda r: r.update({"query": "B"}), None), "it holds the ranks of 'B'"),
-    **{
-        f"rank record's ranks {fault}": (
-            _rank_edit(lambda r, ranks=ranks: r.update({"ranks": ranks}), None),
-            "bad rank record of 'A': ranks must be an object",
-        )
-        for fault, ranks in (("not an object", [["r1", {}]]), ("null", None))
-    },
-    "rank record without ranks": (_rank_edit(lambda r: r.pop("ranks"), None), "bad rank record of 'A': 'ranks'"),
-    "rank not an object": (
-        _rank_edit(lambda r: r["ranks"].update({"r1": ["A", "B"]}), None), "bad rank record of 'A' under 'r1'"
+    # the record is its item slot alone
+    "rank record without ranks": (
+        _rank_edit(lambda r: r.pop("ranks"), None), "bad rank record of 'A' under 'r1': unpack_from requires"
     ),
-    "rank without its normalized order": (_rank_edit(lambda r: r.pop("normalized")), "under 'r1': 'normalized'"),
+    # r2's is the last rank of A's record, which ends with its normalized order
+    "rank without its normalized order": (
+        _rank_edit(lambda r: r.pop("normalized"), "r2"), "bad rank record of 'A' under 'r2': unpack_from requires"
+    ),
     "rank longer than L": (
         _rank_edit(lambda r: r.update({"items": ["A", "B", "C"], "normalized": [0, 1, 2]})),
         "3 items exceed L=2",
     ),
     "rank repeats an item": (_rank_edit(lambda r: r["items"].__setitem__(1, "A")), DISTINCT_IDS),
-    "rank query empty": (_rank_edit(lambda r: r.update({"query": ""}), None), "it holds the ranks of ''"),
-    "rank item empty": (_rank_edit(lambda r: r["items"].__setitem__(1, "")), DISTINCT_IDS),
+    # a rank names its query by its slot among the toc's graph items, and its items by their label slots
+    "rank query empty": (lambda d: edit_toc(d, _empty_item_a), "a graph item is empty or holds whitespace"),
+    "rank item empty": (lambda d: edit_toc(d, lambda toc: toc["labels"].__setitem__(0, "")), LABEL_TABLE),
     "graph size not a number": (_set_graph_size("3.1"), "not a positive finite number"),
     # A's vertex weights, each finite, too large for fsum to sum
     "graph weights fsum cannot sum": (
@@ -721,6 +742,13 @@ BAD_RECORDS = {
     "posting slots out of order": (
         lambda directory: rewrite_record(directory, "postings", "X", lambda data: data[POSTING.size :] + data[: POSTING.size]),
         "posting list of 'X' has item slot 1 out of order",
+    ),
+    # A's first posting, item slot 3: no item has it
+    "posting slot out of range": (
+        lambda directory: rewrite_record(
+            directory, "postings", "A", lambda data: POSTING.pack(3, POSTING.unpack_from(data)[1]) + data[POSTING.size :]
+        ),
+        "posting list of 'A' has item slot 3 out of order or range",
     ),
     # a posting's slot is its item's position in the table of contents
     "graph items out of order": (reverse_graph_items, "graph items are not in ascending order"),
@@ -772,22 +800,22 @@ def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
     # a byte no table-of-contents entry covers, at the end of the rank file: the lengths no longer sum to its size
-    path = tmp_path / "idx" / "collection_ranks.jsonl"
+    path = tmp_path / "idx" / "ranks.bin"
     data = path.read_bytes()
     path.write_bytes(data + b"\n")
     with pytest.raises(MalformedGraphRecord, match=f"holds {len(data) + 1} bytes, its records {len(data)}$"):
         load_index(tmp_path / "idx")
 
-    # the first two rank records share a byte, a space that ends the first and starts the second, so the
-    # lengths sum to the file's size over a gap of one byte, a space at its end; JSON allows both spaces
+    # the first two rank records share a byte: A's ends with r2's last normalized position, 1, and B's
+    # starts with its item slot, 1. With B's record moved one byte back and a byte added at the end, every
+    # record keeps its bytes and digest and the lengths sum to the file's size, over a gap of one byte
     def overlap(toc):
         first, second, *rest = sorted(toc["ranks"].values())
         cut = second[0]
-        first[1:] = [cut + 1, hashlib.blake2b(data[:cut] + b" ", digest_size=16).hexdigest()]
-        second[1:] = [second[1] + 1, hashlib.blake2b(b" " + data[cut : cut + second[1]], digest_size=16).hexdigest()]
-        for entry in rest:
-            entry[0] += 1
-        path.write_bytes(data[:cut] + b" " + data[cut:] + b" ")
+        assert data[cut - 1 : cut + 1] == b"\x01\x01"
+        for entry in (second, *rest):
+            entry[0] -= 1
+        path.write_bytes(data[:cut] + data[cut + 1 :] + b"\x00")
 
     edit_toc(tmp_path / "idx", overlap)
     load_index(tmp_path / "idx")
@@ -796,13 +824,14 @@ def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
 
 
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
-    """Indexes of formats 1 to 8 are all rejected by name."""
+    """Indexes of formats 1 to 9 are all rejected by name."""
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    for version in range(1, 9):
+    for version in range(1, 10):
         edit_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
-        with pytest.raises(MalformedGraphRecord, match="predates index format 9.*re-extracted"):
-            load_index(tmp_path / "idx")
+        for read in (load_index, verify_index):
+            with pytest.raises(MalformedGraphRecord, match=f"version {version}, which predates index format 10.*re-extracted"):
+                read(tmp_path / "idx")
 
 
 def test_load_rejects_data_file_of_another_index(tmp_path, toy_fg_index):
@@ -826,11 +855,11 @@ def test_failed_save_leaves_older_index_intact(tmp_path, toy_fg_index, monkeypat
     serialize = retrieval.serialize_graph
     calls = []
 
-    def fail_on_second_graph(graph):
+    def fail_on_second_graph(graph, *tables):
         calls.append(graph.query)
         if len(calls) == 2:
             raise OSError("disk full")
-        return serialize(graph)
+        return serialize(graph, *tables)
 
     monkeypatch.setattr(retrieval, "serialize_graph", fail_on_second_graph)
     rebuilt = index_collection(index, ("r1", "r2"), 2, "MCS")
@@ -842,16 +871,79 @@ def test_failed_save_leaves_older_index_intact(tmp_path, toy_fg_index, monkeypat
     assert loaded.comparator == "WGU"
 
 
+@st.composite
+def rank_records(draw):
+    """An item's orders under three rankers, None for no rank, over a label table at a width boundary."""
+    size, depth = draw(st.sampled_from([256, 257, 65536, 65537])), draw(st.sampled_from([1, 2, 255, 256]))
+    orders = []
+    for _ in range(3):
+        length = draw(st.sampled_from([0, 1, depth, draw(st.integers(1, depth))]))
+        slots = draw(st.lists(st.integers(0, size - 1), min_size=length, max_size=length, unique=True))
+        if length and draw(st.booleans()):  # the last slot of the table
+            slots[draw(st.integers(0, length - 1))] = size - 1
+        raw = [label_table(size)[0][slot] for slot in dict.fromkeys(slots)]
+        orders.append((raw, draw(st.permutations(raw))) if raw else None)
+    return size, depth, draw(st.integers(0, 2)), orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=rank_records())
+def test_rank_record_round_trip_at_the_width_boundaries(drawn):
+    """A rank record decodes to its orders; a label slot is 1, 2 or 4 bytes by the table, a count by L + 1."""
+    size, depth, item, orders = drawn
+    labels, slots = label_table(size)
+    rankers, items = ["r1", "r2", "r3"], ["d0", "d1", "d2"]
+    raw, normalized = (
+        CollectionRankIndex({
+            ranker: {items[item]: mkrank(items[item], ranker, order[side], depth=depth)}
+            for ranker, order in zip(rankers, orders) if order
+        })
+        for side in (0, 1)
+    )
+    fg_index = FusionGraphIndex({}, depth, tuple(rankers), "WGU", normalized, raw)
+    (_, data), = [record for record in retrieval._rank_records(fg_index, items, slots) if record[0] == items[item]]
+    decoded = retrieval._rank_record(depth, rankers, labels, items, items[item], None, data, "rank record")
+    assert decoded == {ranker: (list(order[0]), list(order[1])) for ranker, order in zip(rankers, orders) if order}
+    assert all(label is labels[slots[label]] for raw, _ in decoded.values() for label in raw)  # the table's strings
+    slot, count = (1 if n <= 256 else 2 if n <= 65536 else 4 for n in (size, depth + 1))
+    assert len(data) == 4 + sum(count + len(raw) * (slot + count) for raw, _ in (o or ((), ()) for o in orders))
+    # the layout's specification reads and writes the same bytes
+    toc = {"L": depth, "labels": labels, "rankers": rankers, "graphs": dict.fromkeys(items)}
+    record = unpack_rank_record(data, toc)
+    assert record["query"] == items[item] and pack_rank_record(record, toc) == data
+    assert {r: (rank["items"], [rank["items"][p] for p in rank["normalized"]]) for r, rank in record["ranks"].items()} == decoded
+
+
 def test_a_graph_item_without_ranks_gets_an_empty_rank_record(tmp_path, toy_fg_index):
     """A caller's graphs may hold an item that no chosen ranker ranks: it saves, verifies and reads no rank."""
     index, fg_index = toy_fg_index
-    graphs = {**fg_index.graphs, "Z": FusionGraph("Z", {"Z": 1.0}, {})}
+    graphs = {**fg_index.graphs, "Z": FusionGraph("Z", {"A": 1.0}, {})}
     save_index(tmp_path / "idx", FusionGraphIndex(graphs, 2, ("r1", "r2"), "WGU", fg_index.normalized, index))
-    lines = (tmp_path / "idx" / "collection_ranks.jsonl").read_text(encoding="utf-8").splitlines()
-    assert lines[-1] == '{"query":"Z","ranks":{}}'
+    toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
+    offset, length, _ = toc["ranks"]["Z"]
+    # item slot 3, then a count of 0 under each ranker
+    assert (tmp_path / "idx" / "ranks.bin").read_bytes()[offset : offset + length] == struct.pack("<I2B", 3, 0, 0)
     assert verify_index(tmp_path / "idx")[::2] == (4, 6)
     loaded = load_index(tmp_path / "idx")
     assert loaded.raw.get("r1", "Z") is None and loaded.normalized.get("r2", "Z") is None
+    assert loaded.graphs["Z"] == graphs["Z"]
+
+
+def test_save_checks_the_label_table_before_its_renames(tmp_path, toy_fg_index):
+    """The label table is the raw ranks' items: a graph vertex outside it, or an item no graph holds, fails the save."""
+    index, fg_index = toy_fg_index
+    directory = tmp_path / "idx"
+    save_index(directory, fg_index)
+    before = index_files(directory)
+    outside = {**fg_index.graphs, "Z": FusionGraph("Z", {"Z": 1.0}, {})}
+    with pytest.raises(KeyError, match="'Z'"):
+        save_index(directory, FusionGraphIndex(outside, 2, ("r1", "r2"), "WGU", fg_index.normalized, index))
+    # no graph holds Y, an item of B's and C's raw ranks
+    unheld = {**fg_index.graphs, "C": FusionGraph("C", {"C": 1.0}, {})}
+    unheld["B"] = FusionGraph("B", {"B": 1.0, "X": 0.5}, {})
+    with pytest.raises(ValueError, match="is a vertex of none of their graphs"):
+        save_index(directory, FusionGraphIndex(unheld, 2, ("r1", "r2"), "WGU", fg_index.normalized, index))
+    assert index_files(directory) == before
 
 
 def test_save_of_a_raw_rank_without_its_normalized_rank_raises_missing_rank(tmp_path, toy_fg_index):
@@ -878,7 +970,7 @@ def test_save_syncs_the_directory_after_its_renames(tmp_path, toy_fg_index, monk
     assert [is_dir for is_dir, _ in synced] == [False] * 5 + [True]
 
 
-BAD_PERMUTATIONS = ([0, 0], [0, 2], [1], [0, 1, 2], "01", [1.0, 0], None)
+BAD_PERMUTATIONS = ([0, 0], [1, 1], [0, 2], [2, 1], [255, 0])
 
 
 def test_load_rejects_bad_normalized_permutation(tmp_path, toy_fg_index):
@@ -913,8 +1005,8 @@ SILENT_EDITS = {
     "an edge weight": (
         "graphs.bin", "A", struct.pack("<2d", 1.0, 1.0), struct.pack("<2d", 1.0 + 2**-52, 1.0 - 2**-52)
     ),
-    # the first normalized order in A's rank record is r1's, by its sorted keys
-    "the normalized order": ("collection_ranks.jsonl", "A", b'"normalized":[0,1]', b'"normalized":[1,0]'),
+    # A's rank under r1: a count of 2, label slots 0 and 1, positions 0 and 1, which become 1 and 0
+    "the normalized order": ("ranks.bin", "A", b"\x02\x00\x01\x00\x01", b"\x02\x00\x01\x01\x00"),
 }
 
 
@@ -1116,8 +1208,8 @@ def test_library_path_builds_each_graph_once(tmp_path, monkeypatch):
     decoded: Counter = Counter()
     decode = retrieval.deserialize_graph
 
-    def counted(data, size):
-        graph = decode(data, size=size)
+    def counted(data, *tables, size):
+        graph = decode(data, *tables, size=size)
         decoded[graph.query] += 1
         return graph
 
