@@ -12,20 +12,21 @@ items that can still enter them: vertex postings give every item that
 shares a vertex with the query a lower bound on its distance, and items are
 scored in ascending bound order until a bound exceeds the L-th best distance.
 
-The index directory (format 10) holds the graph records (each graph's edges
+The index directory (format 11) holds the graph records (each graph's edges
 as compressed sparse rows, with slots as narrow as its label count allows),
 the vertex postings that bound reads (per label, each graph's mass there), one
 binary rank record per indexed item with the raw and the normalized order of
 each of its ranks (the raw positions are what the online normalization of an
 incoming query needs), a table of contents that holds L, the comparator, the
-rankers, the sorted table of every vertex label and each record's place and
-digest, keyed by item or by label slot, and a manifest that holds its sha256.
-Every item id is written once, in the table of contents: graph and rank
-records name labels and items by their slots there. load_index reads the
-manifest and the table of contents only; a search reads, checks, decodes and
-keeps a posting list, graph or rank record when it first needs it, so its cost
-follows the records it reads; every read of a rank builds it anew from its
-item's record. verify_index checks every record.
+rankers, the sorted graph items, the sorted table of every vertex label and,
+in the order of either list, each record's end and digest, and a manifest
+that holds its sha256. The table of contents lists the items and the labels
+once each; graph and rank records name them by their slots there. A record
+runs from the end of the one before it, so the records of a file tile it.
+load_index reads the manifest and the table of contents only; a search reads,
+checks, decodes and keeps a posting list, graph or rank record when it first
+needs it, so its cost follows the records it reads; every read of a rank
+builds it anew from its item's record. verify_index checks every record.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .model import (
 from .normalize import gridded_rank, normalize_collection, normalize_rank_set
 from .similarity import dist_mcs, dist_mcs_floor, dist_wgu, dist_wgu_floor
 
-MANIFEST_VERSION = 10
+MANIFEST_VERSION = 11
 MANIFEST_NAME = "manifest.json"
 INDEX_FILES = {
     "graphs": "graphs.bin",
@@ -173,41 +174,47 @@ class Records(Mapping):
 class StoredRecords(Records):
     """Records of the ``role`` data file of index ``directory``, by key, each read, checked and decoded when first read.
 
-    ``toc`` maps a key to its record's table-of-contents entry, (offset,
-    length, digest) and maybe more; opening the file checks that its size is
-    the sum of the lengths. A record is handed to ``decode(key, entry, data, what)``
-    only when it lies inside the file and matches its digest; ``what``
-    names it, by ``describe(key)``, in errors. The file stays open while this object lives, for reads at any offset.
+    ``entries`` holds the table-of-contents entry of each of ``keys``, in
+    order: its record's end, in units of ``unit`` bytes, its digest and maybe
+    more. A record runs from the end before its own, or from 0, to its own
+    end. Opening the file checks that the ends are ints that strictly ascend
+    and that the last is the file's size (0 with no records), so the records
+    tile the file and every byte lies under exactly one digest. A record is handed to
+    ``decode(key, entry, data, what)`` only when it matches its digest;
+    ``what`` names it, by ``describe(key)``, in errors. The file stays open
+    while this object lives, for reads at any offset.
     """
 
-    def __init__(self, directory: Path, role: str, toc: dict, describe: Callable[[object], str], decode: Callable):
+    def __init__(
+        self, directory: Path, role: str, keys: list, entries: list, describe: Callable, decode: Callable, unit: int = 1
+    ):
         path = directory / INDEX_FILES[role]
-        self.name, self.toc = path.name, toc
-        self.size = size = sum(entry[1] for entry in toc.values())
+        ends = [0, *(entry[0] for entry in entries)]
         fd = os.open(path, os.O_RDONLY)
         weakref.finalize(self, os.close, fd)
-        actual = os.fstat(fd).st_size
-        if actual != size:
-            raise MalformedGraphRecord(f"index file {self.name!r} holds {actual} bytes, its records {size}")
+        size = os.fstat(fd).st_size
+        if not all(type(end) is int for end in ends) or not all(map(operator.lt, ends, ends[1:])):
+            raise MalformedGraphRecord(f"the ends of the records of {path.name!r} are not ints that strictly ascend")
+        if ends[-1] * unit != size:
+            raise MalformedGraphRecord(f"index file {path.name!r} holds {size} bytes, its records {ends[-1] * unit}")
+        slots = {key: slot for slot, key in enumerate(keys)}
 
         def record(key):  # holds no reference to self, so the file closes once this store is dropped
-            entry = toc[key]
-            offset, length, digest = entry[:3]
+            slot = slots[key]
+            start, end, entry = ends[slot] * unit, ends[slot + 1] * unit, entries[slot]
             what = describe(key)
-            if offset + length > size:
-                raise MalformedGraphRecord(f"{what} ends past the {size} bytes of {path.name!r}")
-            data = os.pread(fd, length, offset)
-            if len(data) != length or _digest(data) != digest:
+            data = os.pread(fd, end - start, start)
+            if len(data) != end - start or _digest(data) != entry[1]:
                 raise MalformedGraphRecord(f"{what} in {path.name!r} does not match its digest")
             return decode(key, entry, data, what)
 
-        super().__init__(toc, record)
+        super().__init__(slots, record)
 
 
 def _graph_record(labels: list, items: list, item: ItemId, entry: list, data: bytes, what: str) -> FusionGraph:
-    """The graph of a record whose entry is (offset, length, digest, the graph's size), by deserialize_graph."""
+    """The graph of a record whose entry is (end, digest, the graph's size), by deserialize_graph."""
     # a module-global lookup, so a wrapper bound to the name is called
-    graph = deserialize_graph(data, labels, items, size=entry[3])
+    graph = deserialize_graph(data, labels, items, size=entry[2])
     if graph.query != item:
         raise MalformedGraphRecord(f"{what} holds the graph of {graph.query!r}")
     return graph
@@ -412,7 +419,7 @@ def fuse_query(query_ranks: RankSet, fg_index: FusionGraphIndex, exclude_self: b
 
 
 def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
-    """Persist the graph index with its raw and normalized rank orders, in index format 10.
+    """Persist the graph index with its raw and normalized rank orders, in index format 11.
 
     The label table is every item of the raw ranks of the chosen rankers
     that ``raw.get`` answers for a graph item, sorted; a label's slot is its
@@ -420,13 +427,15 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     items. ``graphs.bin`` holds one serialize_graph record per item in item
     order; ``postings.bin`` the graphs' posting lists in table order, which
     must hold exactly the table's labels; ``ranks.bin`` one record per item
-    in item order, packed by _rank_records; each file is as long as its
-    records' lengths sum to. ``toc.json`` holds L, the comparator, the
-    rankers and the table as ``labels``, and maps each item to its graph
-    record's (offset, length, digest) and its graph's size and to its rank
-    record's (offset, length, digest), and lists each label's posting list as
-    (offset, count, digest) in table order; a digest is a 16-byte BLAKE2b, in
+    in item order, packed by _rank_records; each back to back. ``toc.json``
+    holds L, the comparator, the rankers, the sorted graph items as ``items``
+    and the table as ``labels``; in item order, each graph record's [end,
+    digest, the graph's size] as ``graphs`` and each rank record's [end,
+    digest] as ``ranks``; in table order, each posting list's [end, digest]
+    as ``postings``, where an end counts postings. An end is where a record
+    stops in its file, and the next starts; a digest is a 16-byte BLAKE2b, in
     hex. The manifest holds the format, the file names and the toc's sha256.
+    A graph vertex outside the table raises ValueError, before any rename.
 
     Each graph is read once, by the store's ``make`` when ``graphs`` has one,
     which keeps none, and serialized; the vertex record that serialize_graph
@@ -449,33 +458,40 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
     slots = {label: slot for slot, label in enumerate(labels)}
     staged: list[tuple[Path, Path]] = []
 
-    def records() -> Iterator[tuple[ItemId, bytes]]:
+    def records() -> Iterator[bytes]:
         for slot, item in enumerate(items):
-            record, head = serialize_graph(read(item), slots, slot)
+            graph = read(item)
+            try:
+                record, head = serialize_graph(graph, slots, slot)
+            except KeyError as exc:  # the slot lookup of a label outside the table
+                raise ValueError(
+                    f"the graph of {item!r} has vertex {exc.args[0]!r}, which no raw rank of a graph item holds"
+                ) from None
             vertex_postings.add(item, head)
-            yield item, record
+            yield record
 
     try:
         graphs = _stage(directory / INDEX_FILES["graphs"], records(), staged)
-        if by_label.keys() != slots.keys():  # a vertex outside the table raised KeyError in serialize_graph
+        if by_label.keys() != slots.keys():
             raise ValueError("a label of the raw ranks of the graph items is a vertex of none of their graphs")
-        postings = _stage(directory / INDEX_FILES["postings"], ((label, by_label[label]) for label in labels), staged)
+        postings = _stage(directory / INDEX_FILES["postings"], map(by_label.__getitem__, labels), staged)
         ranks = _stage(directory / INDEX_FILES["ranks"], _rank_records(fg_index, items, slots), staged)
         toc = {
             "L": fg_index.depth,
             "comparator": fg_index.comparator,
             "rankers": list(fg_index.ranker_names),
+            "items": items,
             "labels": labels,
-            "graphs": {item: [*entry, vertex_postings.sizes[item]] for item, entry in graphs.items()},
-            "postings": [[offset, length // POSTING.size, digest] for offset, length, digest in postings.values()],
+            "graphs": [[*entry, vertex_postings.sizes[item]] for item, entry in zip(items, graphs)],
+            "postings": [[end // POSTING.size, digest] for end, digest in postings],
             "ranks": ranks,
         }
         toc_bytes = json.dumps(toc, separators=(",", ":"), sort_keys=True).encode("utf-8")
-        _stage(directory / INDEX_FILES["toc"], [(None, toc_bytes)], staged)
+        _stage(directory / INDEX_FILES["toc"], [toc_bytes], staged)
         sha256 = {"toc": hashlib.sha256(toc_bytes).hexdigest()}
         manifest = {"v": MANIFEST_VERSION, "files": INDEX_FILES, "sha256": sha256}
         manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        _stage(directory / MANIFEST_NAME, [(None, manifest_bytes)], staged)
+        _stage(directory / MANIFEST_NAME, [manifest_bytes], staged)
         for tmp, path in staged:
             os.replace(tmp, path)
         descriptor = os.open(directory, os.O_RDONLY)
@@ -488,26 +504,22 @@ def save_index(directory: str | Path, fg_index: FusionGraphIndex) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _stage(path: Path, records: Iterable[tuple[object, bytes]], staged: list[tuple[Path, Path]]) -> dict:
-    """Write the (key, record) ``records`` back to back, durably, to a temporary sibling of ``path``.
-
-    Returns each key's [offset, length, digest].
-    """
+def _stage(path: Path, records: Iterable[bytes], staged: list[tuple[Path, Path]]) -> list[list]:
+    """Write ``records`` back to back, durably, to a temporary sibling of ``path``; returns each one's [end, digest]."""
     tmp = path.with_name(path.name + ".tmp")
     staged.append((tmp, path))
-    entries: dict = {}
-    offset = 0
+    entries, end = [], 0
     with open(tmp, "wb") as fh:
-        for key, record in records:
+        for record in records:
             fh.write(record)
-            entries[key] = [offset, len(record), _digest(record)]
-            offset += len(record)
+            end += len(record)
+            entries.append([end, _digest(record)])
         fh.flush()
         os.fsync(fh.fileno())
     return entries
 
 
-def _rank_records(fg_index: FusionGraphIndex, items: list[ItemId], slots: Mapping) -> Iterator[tuple[ItemId, bytes]]:
+def _rank_records(fg_index: FusionGraphIndex, items: list[ItemId], slots: Mapping) -> Iterator[bytes]:
     """The rank record of each of ``items``, in their order, little-endian: the item's slot (uint32), then per
     chosen ranker a count k <= L (0: no rank), the raw order as k label slots and the normalized order as k
     positions in it. A count or a position is as wide as _slot_code gives for L + 1 labels, a label slot as for
@@ -523,7 +535,7 @@ def _rank_records(fg_index: FusionGraphIndex, items: list[ItemId], slots: Mappin
             layout.append(f"{count}{len(position)}{code}{len(position)}{count}")
             values += (len(position), *map(slots.__getitem__, position))
             values += map(position.__getitem__, normalized.items() if raw else ())
-        yield item, struct.pack("".join(layout), *values)
+        yield struct.pack("".join(layout), *values)
 
 
 MANIFEST_FIELDS: dict[str, Callable[[object], bool]] = {
@@ -561,45 +573,35 @@ def _read_manifest(directory: Path) -> dict:
     return manifest
 
 
-def _is_entry(entry: object, fields: int) -> bool:
-    """Whether ``entry`` is a table-of-contents list: offset, length or count, digest, and more."""
-    return type(entry) is list and len(entry) == fields and type(entry[2]) is str and all(
-        type(n) is int and n >= 0 for n in entry[:2]
-    )
-
-
 def _read_toc(directory: Path, sha256: str) -> dict:
-    """The table of contents, if it matches ``sha256``: its fields in TOC_FIELDS checked, and every entry."""
+    """The table of contents, if it matches ``sha256``: its fields in TOC_FIELDS, its keys and its entries checked."""
     name = INDEX_FILES["toc"]
     data = (directory / name).read_bytes()
     if hashlib.sha256(data).hexdigest() != sha256:
         raise MalformedGraphRecord(f"index file {name!r} does not match its sha256 in the manifest")
     try:
         toc = json.loads(data)
-        parts = ("graphs", "ranks", "labels", "postings")
-        if type(toc) is not dict or tuple(type(toc.get(part)) for part in parts) != (dict, dict, list, list):
-            raise ValueError("it must be an object whose graphs and ranks are objects and labels and postings lists")
+        parts = ("items", "labels", "graphs", "postings", "ranks")
+        if type(toc) is not dict or any(type(toc.get(part)) is not list for part in parts):
+            raise ValueError("it must be an object whose items, labels, graphs, postings and ranks are lists")
         for field, valid in TOC_FIELDS.items():
             if not valid(toc.get(field)):
                 raise ValueError(f"field {field!r} is missing or ill-typed: {toc.get(field)!r}")
-        graphs, postings, ranks, labels = toc["graphs"], toc["postings"], toc["ranks"], toc["labels"]
-        if " ".join(graphs).split() != list(graphs):  # a run line holds an item as one field
+        items, labels = toc["items"], toc["labels"]
+        if " ".join(items).split() != items:  # a run line holds an item as one field
             raise ValueError("a graph item is empty or holds whitespace")
-        if list(graphs) != sorted(graphs):  # slot order must be item order
-            raise ValueError("graph items are not in ascending order")
-        for item, entry in graphs.items():
-            if not _is_entry(entry, 4):
-                raise ValueError(f"bad graph entry for {item!r}: {entry!r}")
-            if type(entry[3]) is not float or not 0.0 < entry[3] < math.inf:
-                raise ValueError(f"graph size of {item!r} is {entry[3]!r}, not a positive finite number")
-        if list(ranks) != list(graphs):
-            raise ValueError("rank items are not the graph items")
+        if not all(map(operator.lt, items, items[1:])):  # slot order must be item order
+            raise ValueError("graph items are not in strictly ascending order")
         if not all(type(label) is str and label for label in labels) or not all(map(operator.lt, labels, labels[1:])):
             raise ValueError("labels must be non-empty strings in strictly ascending order")
-        if len(postings) != len(labels):
-            raise ValueError(f"{len(postings)} posting lists for {len(labels)} labels")
-        if not all(_is_entry(entry, 3) for entry in itertools.chain(postings, ranks.values())):
-            raise ValueError("bad posting list or rank entry")
+        for part, keys, fields in (("graphs", "items", 3), ("ranks", "items", 2), ("postings", "labels", 2)):
+            entries, count = toc[part], len(toc[keys])
+            if len(entries) != count or not all(type(entry) is list and len(entry) == fields for entry in entries):
+                shape = "[end, digest, size]" if fields == 3 else "[end, digest]"
+                raise ValueError(f"{part} must hold one {shape} for each of the {count} {keys}")
+        for item, (_, _, size) in zip(items, toc["graphs"]):
+            if type(size) is not float or not 0.0 < size < math.inf:
+                raise ValueError(f"graph size of {item!r} is {size!r}, not a positive finite number")
     except (KeyError, RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedGraphRecord(f"bad table of contents {name!r}: {exc}") from exc
     return toc
@@ -611,29 +613,30 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
     Reads the manifest and the table of contents only. The manifest must
     hold the fields in MANIFEST_FIELDS, well typed, and no other; ``files``
     must name INDEX_FILES, the only files opened. The table of contents must
-    match the manifest's sha256, its fields in TOC_FIELDS must be well typed
-    and every entry in it must be too, with graph items non-empty, free of
-    whitespace and ascending, the rank records keyed by the same items in the
-    same order, graph sizes positive and finite, the labels non-empty strings
-    in strictly ascending order and one posting list per label; every data file must be
-    as long as the sum of its records' lengths. Otherwise (and for an index
-    of an older format) MalformedGraphRecord is raised. A graph, posting list
-    or rank record is read when search first needs it, and is checked then:
-    against its digest, and by deserialize_graph, the posting list's slot
-    check or the rank record check. ``raw`` and ``normalized`` answer ``get``.
+    match the manifest's sha256 and its fields in TOC_FIELDS must be well
+    typed; its graph items must be non-empty, free of whitespace and strictly
+    ascending, its labels non-empty strings in strictly ascending order, and
+    it must hold one graph and one rank entry per item and one posting list
+    entry per label, each a list of the right length, with graph sizes
+    positive and finite. Every data file's record ends must be ints that
+    strictly ascend to its size. Otherwise (and for an index of an older
+    format) MalformedGraphRecord is raised. A graph, posting list or rank
+    record is read when search first needs it, and is checked then: against
+    its digest, and by deserialize_graph, the posting list's slot check or
+    the rank record check. ``raw`` and ``normalized`` answer ``get``.
     """
     directory = Path(directory)
     toc = _read_toc(directory, _read_manifest(directory)["sha256"]["toc"])
-    graphs, labels, depth, items = toc["graphs"], toc["labels"], toc["L"], list(toc["graphs"])
+    items, labels, depth, graphs = toc["items"], toc["labels"], toc["L"], toc["graphs"]
     stored_graphs = StoredRecords(
-        directory, "graphs", graphs, "graph record of {!r}".format, partial(_graph_record, labels, items)
+        directory, "graphs", items, graphs, "graph record of {!r}".format, partial(_graph_record, labels, items)
     )
-    entries = {label: [at, count * POSTING.size, digest] for label, (at, count, digest) in zip(labels, toc["postings"])}
     posting_lists = StoredRecords(
-        directory, "postings", entries, "posting list of {!r}".format, partial(_posting_list, len(items))
+        directory, "postings", labels, toc["postings"], "posting list of {!r}".format,
+        partial(_posting_list, len(items)), POSTING.size,
     )
     check = partial(_rank_record, depth, toc["rankers"], labels, items)
-    records = StoredRecords(directory, "ranks", toc["ranks"], "rank record of {!r}".format, check)
+    records = StoredRecords(directory, "ranks", items, toc["ranks"], "rank record of {!r}".format, check)
     fg_index = FusionGraphIndex(
         stored_graphs,
         depth,
@@ -643,18 +646,17 @@ def load_index(directory: str | Path) -> FusionGraphIndex:
         StoredRanks(records, depth, normalized=False),
     )
     # what the cached property would derive by decoding every graph
-    fg_index.postings = VertexPostings(items, posting_lists, {item: entry[3] for item, entry in graphs.items()})
+    fg_index.postings = VertexPostings(items, posting_lists, {item: entry[2] for item, entry in zip(items, graphs)})
     return fg_index
 
 
 def verify_index(directory: str | Path) -> tuple[int, int, int]:
     """Check every record of the index at ``directory``: (graphs, posting lists, ranks in the rank records) checked.
 
-    On top of load_index's checks, every graph, posting list and rank record
-    is read and checked as a search would check it; the posting lists must
-    be those VertexPostings.of derives from the decoded graphs;
-    and the records of each data file must cover it exactly, back to back,
-    so that every byte of the index is under a digest. Raises
+    On top of load_index's checks, which leave every byte of each data file
+    under one digest, every graph, posting list and rank record is read and
+    checked as a search would check it, and the posting lists must be those
+    VertexPostings.of derives from the decoded graphs. Raises
     MalformedGraphRecord on the first fault.
     """
     fg_index = load_index(directory)
@@ -664,12 +666,4 @@ def verify_index(directory: str | Path) -> tuple[int, int, int]:
         raise MalformedGraphRecord("the posting lists are not those of the graphs")
     records = fg_index.raw.records
     ranks = sum(len(records.make(item)) for item in records)  # reads and checks every rank record, keeps none
-    for store in (fg_index.graphs, stored, records):
-        end = 0
-        for offset, length in sorted(entry[:2] for entry in store.toc.values()):
-            if offset != end:
-                break
-            end += length
-        if end != store.size:
-            raise MalformedGraphRecord(f"the records of {store.name!r} do not cover it back to back from byte {end}")
     return len(fg_index.graphs), len(stored), ranks

@@ -124,65 +124,82 @@ def edit_toc(index_dir, edit, reseal=True) -> None:
 
 def reverse_graph_items(index_dir) -> None:
     """Reverse the order of the graph items in the index's table of contents, and reseal it."""
-    toc = json.loads((index_dir / "toc.json").read_bytes())
-    toc["graphs"] = dict(reversed(toc["graphs"].items()))
-    seal_toc(index_dir, json.dumps(toc, separators=(",", ":")).encode("utf-8"))
-
-
-def _reseal_ranks(index_dir, edit) -> None:
-    """Make ``edit(ranks)`` the ranks of the index's table of contents, in the order it gives them, and reseal it."""
-    toc = json.loads((index_dir / "toc.json").read_bytes())
-    toc["ranks"] = edit(toc["ranks"])
-    seal_toc(index_dir, json.dumps(toc, separators=(",", ":")).encode("utf-8"))
+    edit_toc(index_dir, lambda toc: toc["items"].reverse())
 
 
 def _rename_item(toc, name) -> None:
-    """Item A of the table of contents is called ``name`` in its graphs and its ranks."""
-    for part in ("graphs", "ranks"):
-        toc[part][name] = toc[part].pop("A")
+    """Item A of the table of contents is called ``name``."""
+    toc["items"][toc["items"].index("A")] = name
 
 
-def _swap_graph_entries(toc) -> None:
-    graphs = toc["graphs"]
-    graphs["A"], graphs["B"] = graphs["B"], graphs["A"]
+def _edit_entries(part, edit):
+    """An index edit that applies ``edit`` to the table of contents' list of ``part`` entries, and reseals it."""
+    return lambda index_dir: edit_toc(index_dir, lambda toc: edit(toc[part]))
+
+
+def _swap_ends(entries) -> None:
+    entries[0][0], entries[1][0] = entries[1][0], entries[0][0]
+
+
+def _move_last_end(step):
+    return lambda entries: entries[-1].__setitem__(0, entries[-1][0] + step)
 
 
 # faults in the manifest or the table of contents of the toy index (items A,
 # B and C under rankers r1 and r2, labels A, B, C, X and Y) that load_index
 # rejects with the message given, all but the last before any record is read;
 # a table of contents is resealed, so its own checks are what catch the fault
-NOT_AN_OBJECT = (
-    "bad table of contents 'toc.json': it must be an object whose graphs and ranks are objects and labels and postings lists"
+TOC_SHAPE = (
+    "bad table of contents 'toc.json': it must be an object whose items, labels, graphs, postings and ranks are lists"
 )
 LABELS = "labels must be non-empty strings in strictly ascending order"
+ITEMS = "graph items are not in strictly ascending order"
+ENDS = "the ends of the records of {!r} are not ints that strictly ascend"
+INDEX_DATA_FILES = {"graphs": "graphs.bin", "postings": "postings.bin", "ranks": "ranks.bin"}
+# each data file's entries, by the keys they follow and by their fields
+ENTRIES = {
+    "graphs": ("items", "[end, digest, size]"),
+    "ranks": ("items", "[end, digest]"),
+    "postings": ("labels", "[end, digest]"),
+}
 LOAD_FAULTS = {
-    "toc not an object": (lambda d: seal_toc(d, b"[]"), NOT_AN_OBJECT),
+    "toc not an object": (lambda d: seal_toc(d, b"[]"), TOC_SHAPE),
     **{
-        f"{part} not an object": (lambda d, part=part: edit_toc(d, lambda toc: toc.update({part: []})), NOT_AN_OBJECT)
-        for part in ("graphs", "ranks")
-    },
-    **{
-        f"{part} not a list": (lambda d, part=part: edit_toc(d, lambda toc: toc.update({part: {}})), NOT_AN_OBJECT)
-        for part in ("labels", "postings")
+        f"{part} not a list": (lambda d, part=part: edit_toc(d, lambda toc: toc.update({part: {}})), TOC_SHAPE)
+        for part in ("items", "labels", "graphs", "postings", "ranks")
     },
     "graph entry ill-typed": (
-        lambda d: edit_toc(d, lambda toc: toc["graphs"]["A"].__setitem__(0, "0")), "bad graph entry for 'A'"
+        _edit_entries("graphs", lambda entries: entries[0].__setitem__(0, "0")), ENDS.format("graphs.bin")
     ),
     "posting list entry ill-typed": (
         lambda d: edit_toc(d, lambda toc: toc["postings"][toc["labels"].index("X")].pop()),
-        "bad posting list or rank entry",
+        "postings must hold one [end, digest] for each of the 5 labels",
     ),
     "rank entry ill-typed": (
-        lambda d: edit_toc(d, lambda toc: toc["ranks"]["B"].__setitem__(1, -1)), "bad posting list or rank entry"
+        _edit_entries("ranks", lambda entries: entries[1].__setitem__(0, -1)), ENDS.format("ranks.bin")
     ),
+    # a record runs from the end before its own: ends that do not strictly
+    # ascend, or that stop short of their file or past it, leave a byte under
+    # two digests or under none
     **{
-        f"rank items {fault}": (
-            lambda d, edit=edit: _reseal_ranks(d, edit),
-            "rank items are not the graph items",
+        f"{part} {fault}": (_edit_entries(part, edit), message.format(INDEX_DATA_FILES[part]))
+        for part in INDEX_DATA_FILES
+        for fault, edit, message in (
+            ("ends swapped", _swap_ends, ENDS),
+            ("end repeated", lambda entries: entries[1].__setitem__(0, entries[0][0]), ENDS),
+            ("last end past the file", _move_last_end(1), "index file {!r} holds "),
+            ("last end short of the file", _move_last_end(-1), "index file {!r} holds "),
         )
+    },
+    **{
+        f"{part} {fault} the {keys}": (
+            _edit_entries(part, edit),
+            f"{part} must hold one {shape} for each of the {3 if keys == 'items' else 5} {keys}",
+        )
+        for part, (keys, shape) in ENTRIES.items()
         for fault, edit in (
-            ("are not the graph items", lambda ranks: {item: ranks[item] for item in ("A", "B")}),
-            ("in another order", lambda ranks: dict(reversed(ranks.items()))),
+            ("one short of", list.pop),
+            ("one more than", lambda entries: entries.append(entries[-1])),
         )
     },
     # a run line holds an item as one field, which neither item can be
@@ -194,22 +211,16 @@ LOAD_FAULTS = {
         for item in ("", "a b")
     },
     **{
+        f"items {fault}": (lambda d, items=items: edit_toc(d, lambda toc: toc.update({"items": items})), ITEMS)
+        for fault, items in (("unsorted", ["B", "A", "C"]), ("duplicated", ["A", "A", "C"]))
+    },
+    **{
         f"labels {fault}": (lambda d, labels=labels: edit_toc(d, lambda toc: toc.update({"labels": labels})), LABELS)
         for fault, labels in (
             ("unsorted", ["A", "C", "B", "X", "Y"]),
             ("duplicated", ["A", "B", "B", "X", "Y"]),
             ("holding an empty string", ["", "B", "C", "X", "Y"]),
             ("holding a number", ["A", "B", "C", "X", 7]),
-        )
-    },
-    **{
-        f"postings {fault}": (
-            lambda d, edit=edit: edit_toc(d, lambda toc: edit(toc["postings"])),
-            f"{count} posting lists for 5 labels",
-        )
-        for fault, edit, count in (
-            ("one short of the labels", list.pop, 4),
-            ("one more than the labels", lambda postings: postings.append(postings[-1]), 6),
         )
     },
     "sha256 of more than the toc": (
@@ -232,40 +243,40 @@ LOAD_FAULTS = {
         )
         for fault, extra in (("repeated", "r1"), ("with an empty name", ""))
     },
+    # A's entry leads to a record of B's graph: its header names item slot 1
     "graph filed under another item": (
-        lambda d: edit_toc(d, _swap_graph_entries), "graph record of 'A' holds the graph of 'B'"
+        lambda d: edit_graph_header(d, "A", lambda header: header.update({"query": "B"})),
+        "graph record of 'A' holds the graph of 'B'",
     ),
 }
 
 
-INDEX_DATA_FILES = {"graphs": "graphs.bin", "postings": "postings.bin", "ranks": "ranks.bin"}
-
-
-def toc_entries(toc, role) -> dict:
-    """The table-of-contents entries of data file ``role`` by key: an item, or for postings a label."""
-    return dict(zip(toc["labels"], toc["postings"])) if role == "postings" else toc[role]
+def record_span(toc, role, key) -> tuple[int, int]:
+    """Where ``key``'s record lies in data file ``role``: from the end of the record before it, or 0, to its own."""
+    unit = POSTING.size if role == "postings" else 1  # a postings end counts postings
+    slot = toc[ENTRIES[role][0]].index(key)
+    return (toc[role][slot - 1][0] * unit if slot else 0), toc[role][slot][0] * unit
 
 
 def rewrite_record(index_dir, role, key, edit) -> None:
     """Replace one record of data file ``role`` by ``edit(record)`` and reseal the index around it.
 
     ``key`` is the record's key in the table of contents: an item (graphs,
-    ranks) or a label (postings). Offsets, lengths, digests and the table of
-    contents' sha256 are all updated as an index written with the edited
-    record would hold them, so only a record check can catch the edit.
+    ranks) or a label (postings). Ends, digests and the table of contents'
+    sha256 are all updated as an index written with the edited record would
+    hold them, so only a record check can catch the edit.
     """
     toc = json.loads((index_dir / "toc.json").read_bytes())
-    unit = POSTING.size if role == "postings" else 1  # a postings entry counts postings
+    unit = POSTING.size if role == "postings" else 1
     path = index_dir / INDEX_DATA_FILES[role]
     data = path.read_bytes()
-    out = bytearray()
-    for name, entry in sorted(toc_entries(toc, role).items(), key=lambda kv: kv[1][0]):
-        offset, length = entry[0], entry[1] * unit
-        record = data[offset : offset + length]
+    out, start = bytearray(), 0
+    for name, entry in zip(toc[ENTRIES[role][0]], toc[role]):
+        record, start = data[start : entry[0] * unit], entry[0] * unit
         if name == key:
             record = edit(record)
-        entry[:3] = [len(out), len(record) // unit, hashlib.blake2b(record, digest_size=16).hexdigest()]
         out += record
+        entry[:2] = [len(out) // unit, hashlib.blake2b(record, digest_size=16).hexdigest()]
     path.write_bytes(bytes(out))
     seal_toc(index_dir, toc)
 
@@ -287,7 +298,7 @@ def _uints(data, at, count, width) -> list[int]:
 
 
 def unpack_rank_record(data: bytes, toc) -> dict:
-    """A rank record read by the format-10 layout, as {"query", "ranks": {ranker: {"items", "normalized"}}}.
+    """A rank record read by the format-11 layout, as {"query", "ranks": {ranker: {"items", "normalized"}}}.
 
     A ranker whose count is 0 has no rank. Kept as the layout's specification.
     """
@@ -300,7 +311,7 @@ def unpack_rank_record(data: bytes, toc) -> dict:
         if k:
             ranks[ranker] = {"items": [toc["labels"][i] for i in items], "normalized": normalized}
     assert at == len(data)
-    return {"query": list(toc["graphs"])[_uints(data, 0, 1, 4)[0]], "ranks": ranks}
+    return {"query": toc["items"][_uints(data, 0, 1, 4)[0]], "ranks": ranks}
 
 
 def pack_rank_record(record: dict, toc) -> bytes:
@@ -312,7 +323,7 @@ def pack_rank_record(record: dict, toc) -> bytes:
     """
     count, slot = slot_width(toc["L"] + 1), slot_width(len(toc["labels"]))
     query = record["query"]
-    out = (query if type(query) is int else list(toc["graphs"]).index(query)).to_bytes(4, "little")
+    out = (query if type(query) is int else toc["items"].index(query)).to_bytes(4, "little")
     ranks = record.get("ranks", {})
     for ranker in [*toc["rankers"], *(r for r in ranks if r not in toc["rankers"])] if "ranks" in record else ():
         rank = ranks.get(ranker, {"items": []})
@@ -343,7 +354,7 @@ def edit_graph_header(index_dir, item, edit) -> None:
     An int query or label is written as the slot it is.
     """
     toc = json.loads((index_dir / "toc.json").read_bytes())
-    items, labels, width = list(toc["graphs"]), toc["labels"], slot_width(len(toc["labels"]))
+    items, labels, width = toc["items"], toc["labels"], slot_width(len(toc["labels"]))
 
     def apply(data):
         n = _uints(data, 4, 1, 4)[0]

@@ -14,9 +14,10 @@ temporary directory it:
 - searches the collection's orders scored otherwise, whose run must be
   byte-identical (each query reads its item's stored graph), and a held-out
   query, whose graph is built from its ranks, and checks its run;
-- checks that a copy of its index marked format 6, and one whose table of
-  contents says L=5 without being resealed, each fail verify with one JSON
-  error line and nothing on stdout;
+- checks that a copy of its index marked format 10, one whose table of
+  contents says L=5 without being resealed, and one with a byte appended to
+  its graph file, each fail verify with one JSON error line and nothing on
+  stdout;
 - fuses the collection by borda;
 - scores both runs by N-S against two classes of two items, given as class
   labels and as the equal grades, so both judgment parsers run;
@@ -119,9 +120,14 @@ def flow(command: list[str], work: Path) -> None:
     index = work / "index"
     succeeds(command, "extract", "--config", config, "--out", index)
     succeeds(command, "verify", "--index", index)
-    fails_verify(command, edited_copy(index, "index9", "manifest.json", '"v": 10\n', '"v": 9\n'),
-                 "version 9, which predates index format 10")
+    fails_verify(command, edited_copy(index, "index10", "manifest.json", '"v": 11\n', '"v": 10\n'),
+                 "version 10, which predates index format 11")
     fails_verify(command, edited_copy(index, "index-l5", "toc.json", '"L":4,', '"L":5,'), "sha256")
+    longer = index.with_name("index-longer")
+    shutil.copytree(index, longer)
+    with open(longer / "graphs.bin", "ab") as graphs:
+        graphs.write(b"\0")
+    fails_verify(command, longer, "'graphs.bin' holds")
 
     succeeds(command, "search", "--index", index, "--queries", config, "--out", work / "fg.run")
     check(line_count(work / "fg.run") == 16, "the fused run does not hold 16 lines")

@@ -22,6 +22,7 @@ from fusegraph import baselines, cli, normalize, retrieval
 from fusegraph.cli import main
 from fusegraph.io import parse_run_file
 from fusegraph.model import ScoredRank
+from fusegraph.retrieval import POSTING
 
 from helpers import (
     INDEX_DATA_FILES,
@@ -34,11 +35,11 @@ from helpers import (
     index_files,
     live_graphs,
     random_rank_index,
+    record_span,
     reverse_graph_items,
     rewrite_record,
     seal_toc,
     synthetic_collection,
-    toc_entries,
     write_config,
     write_runs,
 )
@@ -737,19 +738,19 @@ def test_graph_items_out_of_order_print_one_json_line(toy_files, command):
     assert [json.loads(line) for line in result.stderr.splitlines()] == [
         {
             "error": "MalformedGraphRecord",
-            "message": "bad table of contents 'toc.json': graph items are not in ascending order",
+            "message": "bad table of contents 'toc.json': graph items are not in strictly ascending order",
         }
     ]
 
 
 def test_search_on_v1_index_prints_one_json_line(toy_files):
-    """Indexes of formats 1 to 9 are all rejected by name."""
-    for version in range(1, 10):
+    """Indexes of formats 1 to 10 are all rejected by name."""
+    for version in range(1, 11):
         error = search_error_after_edit(
             toy_files, lambda index_dir: edit_manifest(index_dir, lambda m: m.update({"v": version}))
         )
         assert error["error"] == "MalformedGraphRecord"
-        assert "predates index format 10" in error["message"]
+        assert "predates index format 11" in error["message"]
         assert "re-extracted" in error["message"]
 
 
@@ -788,12 +789,8 @@ def test_record_past_the_end_of_its_file_prints_one_json_line(toy_files, role, c
     """A table-of-contents entry reaching past its file is rejected before any byte of it is read."""
     index_dir = toy_files["dir"] / "index"
     assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
-
-    def move(toc):  # every record of the role moves to offset 2**44; the lengths still sum to the file's size
-        for entry in toc_entries(toc, role).values():
-            entry[0] = 2**44
-
-    edit_toc(index_dir, move)
+    # the last record of the role ends at 2**44; the ends still strictly ascend
+    edit_toc(index_dir, lambda toc: toc[role][-1].__setitem__(0, 2**44))
     args = ["--index", str(index_dir)]
     if command == "search":
         args += ["--queries", str(toy_files["queries"]), "--out", str(toy_files["dir"] / "fg.run")]
@@ -802,9 +799,11 @@ def test_record_past_the_end_of_its_file_prints_one_json_line(toy_files, role, c
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
     error = json.loads(lines[0])
-    name = INDEX_DATA_FILES[role]
-    assert error["error"] == "MalformedGraphRecord"
-    assert error["message"].endswith(f" ends past the {(index_dir / name).stat().st_size} bytes of {name!r}")
+    name, unit = INDEX_DATA_FILES[role], POSTING.size if role == "postings" else 1
+    assert error == {
+        "error": "MalformedGraphRecord",
+        "message": f"index file {name!r} holds {(index_dir / name).stat().st_size} bytes, its records {2**44 * unit}",
+    }
 
 
 def _retype(field):
@@ -897,10 +896,10 @@ def test_verify_rejects_bad_rank_search_never_reads(tmp_path):
 def test_search_ignores_flipped_byte_in_graph_it_never_reads(tmp_path):
     index_dir, queries, expected = z_index(tmp_path)
     toc = json.loads((index_dir / "toc.json").read_bytes())
-    offset, length = toc["graphs"]["Z"][:2]
+    _, end = record_span(toc, "graphs", "Z")
     path = index_dir / "graphs.bin"
     data = bytearray(path.read_bytes())
-    data[offset + length - 1] ^= 0x40
+    data[end - 1] ^= 0x40
     path.write_bytes(bytes(data))
     assert_search_unchanged_and_verify_fails(
         tmp_path, index_dir, queries, expected,
@@ -1313,13 +1312,17 @@ def built_graph_counts(config_path) -> dict:
 # digests. Format 10 re-pinned the graph and rank files, the table of
 # contents and the manifest from an index whose posting file is format 9's
 # byte for byte, and whose every graph, graph size, raw and normalized rank
-# and posting list decodes to format 9's, bit for bit.
+# and posting list decodes to format 9's, bit for bit. Format 11 re-pinned
+# the table of contents and the manifest only: its data files are format
+# 10's byte for byte, and its table of contents is format 10's rewritten to
+# list the items once and give each record's end in place of its offset and
+# length, with the same digests and sizes.
 PINNED_INDEX = {
     "graphs.bin": "8c69bed95334e0daaa6f5d0ccad033c40c86fb1077a7c3d396befc67bd5ec977",
     "postings.bin": "0c6f95b214ef64420ede6996a0cb7dfb7a995bd323e80e68ede0e089a5f5b2fd",
     "ranks.bin": "7cd2c22e9eefe8f8e998671d41e7ae1c987f96c8280c1e6a750e4740db056386",
-    "toc.json": "01650372884f0a6bdbf69357b9c214b5c67dd56754e2b2db6d275500ae1461c7",
-    "manifest.json": "6f377e9d9a295bfabbcdad7b4b0e568d86a4056593d8167774480a9b9eab82a7",
+    "toc.json": "c2b38856eb239fedefd44180c12c8180b4b60d1e38d4aa9a866235dbbb34159a",
+    "manifest.json": "038caa875b37e76a9c60766814082f4d3b3f7fb4e775340e6c21aa5b0d72ca29",
 }
 
 
@@ -1345,13 +1348,13 @@ def test_extract_index_bytes_are_pinned(tmp_path):
 
 # sha256 of the index files `extract` writes for a strict MCS collection at
 # L=20, recorded before the graph builder summed two-part edges with `+`,
-# and re-recorded for formats 6, 7, 8, 9 and 10 as PINNED_INDEX was.
+# and re-recorded for formats 6, 7, 8, 9, 10 and 11 as PINNED_INDEX was.
 PINNED_STRICT_INDEX = {
     "graphs.bin": "894c3d01681905738ae95161ca9e31fe69c82673282f1a172cf65a181541c737",
     "postings.bin": "8ae6969b9b7cce8256a71a6e7ebe6257a6656316a71bc6509b11b4b2807d05a0",
     "ranks.bin": "8193bffe16489296c71c7cf055bd07e0102e94225451eccc0f8f9ae9bd4b7b20",
-    "toc.json": "1aa7f2e400f7b6035e6c63cd2a675325110ec3b269c4681b36a0f8554d76a8fe",
-    "manifest.json": "bd4b6623264436189bc67b48958abb07f9499eb71a65f6ef69d63d2c017088b1",
+    "toc.json": "0001b5840e0d32bb246571feffa473582de9d46708124359cb258d6d6655425c",
+    "manifest.json": "aa928720a1d26a9c429a6b58beb47c1dfdbd0232b1496ca21a9bac8398f2392d",
 }
 
 

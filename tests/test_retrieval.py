@@ -47,6 +47,7 @@ from helpers import (
     mkrank,
     pack_rank_record,
     random_rank_index,
+    record_span,
     reference_build_fusion_graph,
     reference_fuse_query,
     reference_query_graph,
@@ -486,7 +487,7 @@ def test_manifest_layout(tmp_path, toy_fg_index):
     save_index(tmp_path / "idx", fg_index)
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text(encoding="utf-8"))
     assert sorted(manifest) == ["files", "sha256", "v"]
-    assert manifest["v"] == 10
+    assert manifest["v"] == 11
     assert manifest["files"] == {
         "graphs": "graphs.bin",
         "postings": "postings.bin",
@@ -504,30 +505,30 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
     toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
-    assert sorted(toc) == ["L", "comparator", "graphs", "labels", "postings", "rankers", "ranks"]
+    assert sorted(toc) == ["L", "comparator", "graphs", "items", "labels", "postings", "rankers", "ranks"]
     assert (toc["L"], toc["comparator"], toc["rankers"]) == (2, "WGU", ["r1", "r2"])
-    assert list(toc["graphs"]) == ["A", "B", "C"]
+    assert toc["items"] == ["A", "B", "C"]
     # every vertex label, which is every item of every stored raw rank, once and sorted
     labels = sorted({label for graph in fg_index.graphs.values() for label in graph.vertices})
     assert toc["labels"] == labels == ["A", "B", "C", "X", "Y"]
-    graphs = (tmp_path / "idx" / "graphs.bin").read_bytes()
-    postings = (tmp_path / "idx" / "postings.bin").read_bytes()
-    ranks = (tmp_path / "idx" / "ranks.bin").read_bytes()
-    # a data file's size is the sum of its records' lengths
-    assert len(graphs) == sum(entry[1] for entry in toc["graphs"].values())
-    assert len(postings) == POSTING.size * sum(entry[1] for entry in toc["postings"])
-    assert len(ranks) == sum(entry[1] for entry in toc["ranks"].values())
+    files = {part: (tmp_path / "idx" / f"{part}.bin").read_bytes() for part in ("graphs", "postings", "ranks")}
+    # one entry per key, in the keys' order: each record runs from the end before it, or 0, to its own end,
+    # and the last end is its file's size (a postings end counts 12-byte postings)
+    for part, keys in (("graphs", toc["items"]), ("ranks", toc["items"]), ("postings", labels)):
+        unit = POSTING.size if part == "postings" else 1
+        assert len(toc[part]) == len(keys)
+        assert toc[part][-1][0] * unit == len(files[part])
+        for key, entry in zip(keys, toc[part]):
+            record = files[part][slice(*record_span(toc, part, key))]
+            assert record and hashlib.blake2b(record, digest_size=16).hexdigest() == entry[1]
     slots = {label: slot for slot, label in enumerate(labels)}
-    for item_slot, (item, (offset, length, digest, size)) in enumerate(toc["graphs"].items()):
-        record = graphs[offset : offset + length]
-        assert hashlib.blake2b(record, digest_size=16).hexdigest() == digest
+    for item_slot, (item, (_, _, size)) in enumerate(zip(toc["items"], toc["graphs"])):
+        record = files["graphs"][slice(*record_span(toc, "graphs", item))]
         assert record == reference_serialize_graph(fg_index.graphs[item], slots, item_slot)
         assert size == graph_size(fg_index.graphs[item])
-    items = {item: slot for slot, item in enumerate(toc["graphs"])}
-    assert len(toc["postings"]) == len(labels)
-    for label, (offset, count, digest) in zip(labels, toc["postings"]):
-        data = postings[offset : offset + POSTING.size * count]
-        assert hashlib.blake2b(data, digest_size=16).hexdigest() == digest
+    items = {item: slot for slot, item in enumerate(toc["items"])}
+    for label in labels:
+        data = files["postings"][slice(*record_span(toc, "postings", label))]
         # one posting per graph holding the label, in slot order: slot, mass
         expected = [
             (items[item], vertex_masses(graph)[label])
@@ -535,14 +536,9 @@ def test_toc_and_postings_layout(tmp_path, toy_fg_index):
             if label in graph.vertices
         ]
         assert list(POSTING.iter_unpack(data)) == expected
-    # one rank record per graph item, in the same order, back to back
-    assert list(toc["ranks"]) == list(toc["graphs"])
-    end = 0
-    for item, (offset, length, digest) in toc["ranks"].items():
-        assert offset == end
-        end += length
-        record = ranks[offset : offset + length]
-        assert hashlib.blake2b(record, digest_size=16).hexdigest() == digest
+    # one rank record per graph item, in the same order
+    for item in toc["items"]:
+        record = files["ranks"][slice(*record_span(toc, "ranks", item))]
         assert unpack_rank_record(record, toc)["query"] == item
     # verify counts ranks, two per item, not records
     assert verify_index(tmp_path / "idx") == (3, len(labels), 6)
@@ -553,13 +549,13 @@ def test_rank_record_layout(tmp_path, toy_fg_index):
     save_index(tmp_path / "idx", fg_index)
     toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
     data = (tmp_path / "idx" / "ranks.bin").read_bytes()
-    records = [data[offset : offset + length] for offset, length, _ in toc["ranks"].values()]
+    records = [data[slice(*record_span(toc, "ranks", item))] for item in toc["items"]]
     # A's: item slot 0, then per ranker a one-byte count, one-byte label slots (raw order) and one-byte
     # positions (normalized order); the labels are A, B, C, X, Y
     normalized = [fg_index.normalized.get(r, "A").items() for r in ("r1", "r2")]
     assert normalized == [("A", "B"), ("A", "C")]
     assert records[0] == struct.pack("<I10B", 0, 2, 0, 1, 0, 1, 2, 0, 2, 0, 1)
-    for slot, (item, record) in enumerate(zip(toc["ranks"], records)):
+    for slot, (item, record) in enumerate(zip(toc["items"], records)):
         assert record[:4] == struct.pack("<I", slot)
         assert pack_rank_record(unpack_rank_record(record, toc), toc) == record
         ranks = unpack_rank_record(record, toc)["ranks"]
@@ -680,12 +676,11 @@ def _with_vertex_weights(record, *weights):
 
 
 def _set_graph_size(size):
-    return lambda directory: edit_toc(directory, lambda toc: toc["graphs"]["A"].__setitem__(3, size))
+    return lambda directory: edit_toc(directory, lambda toc: toc["graphs"][0].__setitem__(2, size))
 
 
 def _empty_item_a(toc):
-    for part in ("graphs", "ranks"):
-        toc[part] = {"" if item == "A" else item: entry for item, entry in toc[part].items()}
+    toc["items"][0] = ""
 
 
 # each edit keeps every digest, size and the table of contents' sha256 true,
@@ -751,7 +746,7 @@ BAD_RECORDS = {
         "posting list of 'A' has item slot 3 out of order or range",
     ),
     # a posting's slot is its item's position in the table of contents
-    "graph items out of order": (reverse_graph_items, "graph items are not in ascending order"),
+    "graph items out of order": (reverse_graph_items, "graph items are not in strictly ascending order"),
 }
 
 
@@ -799,38 +794,22 @@ def test_stored_vertex_data_is_checked(tmp_path, toy_fg_index, case):
 def test_verify_rejects_bytes_no_record_covers(tmp_path, toy_fg_index):
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    # a byte no table-of-contents entry covers, at the end of the rank file: the lengths no longer sum to its size
+    # a byte no table-of-contents entry covers, at the end of the rank file: the last end is no longer its size
     path = tmp_path / "idx" / "ranks.bin"
     data = path.read_bytes()
     path.write_bytes(data + b"\n")
     with pytest.raises(MalformedGraphRecord, match=f"holds {len(data) + 1} bytes, its records {len(data)}$"):
         load_index(tmp_path / "idx")
 
-    # the first two rank records share a byte: A's ends with r2's last normalized position, 1, and B's
-    # starts with its item slot, 1. With B's record moved one byte back and a byte added at the end, every
-    # record keeps its bytes and digest and the lengths sum to the file's size, over a gap of one byte
-    def overlap(toc):
-        first, second, *rest = sorted(toc["ranks"].values())
-        cut = second[0]
-        assert data[cut - 1 : cut + 1] == b"\x01\x01"
-        for entry in (second, *rest):
-            entry[0] -= 1
-        path.write_bytes(data[:cut] + data[cut + 1 :] + b"\x00")
-
-    edit_toc(tmp_path / "idx", overlap)
-    load_index(tmp_path / "idx")
-    with pytest.raises(MalformedGraphRecord, match="do not cover it back to back from byte"):
-        verify_index(tmp_path / "idx")
-
 
 def test_load_rejects_v1_index_by_name(tmp_path, toy_fg_index):
-    """Indexes of formats 1 to 9 are all rejected by name."""
+    """Indexes of formats 1 to 10 are all rejected by name."""
     index, fg_index = toy_fg_index
     save_index(tmp_path / "idx", fg_index)
-    for version in range(1, 10):
+    for version in range(1, 11):
         edit_manifest(tmp_path / "idx", lambda m: m.update({"v": version}))
         for read in (load_index, verify_index):
-            with pytest.raises(MalformedGraphRecord, match=f"version {version}, which predates index format 10.*re-extracted"):
+            with pytest.raises(MalformedGraphRecord, match=f"version {version}, which predates index format 11.*re-extracted"):
                 read(tmp_path / "idx")
 
 
@@ -901,14 +880,14 @@ def test_rank_record_round_trip_at_the_width_boundaries(drawn):
         for side in (0, 1)
     )
     fg_index = FusionGraphIndex({}, depth, tuple(rankers), "WGU", normalized, raw)
-    (_, data), = [record for record in retrieval._rank_records(fg_index, items, slots) if record[0] == items[item]]
+    data = [*retrieval._rank_records(fg_index, items, slots)][item]
     decoded = retrieval._rank_record(depth, rankers, labels, items, items[item], None, data, "rank record")
     assert decoded == {ranker: (list(order[0]), list(order[1])) for ranker, order in zip(rankers, orders) if order}
     assert all(label is labels[slots[label]] for raw, _ in decoded.values() for label in raw)  # the table's strings
     slot, count = (1 if n <= 256 else 2 if n <= 65536 else 4 for n in (size, depth + 1))
     assert len(data) == 4 + sum(count + len(raw) * (slot + count) for raw, _ in (o or ((), ()) for o in orders))
     # the layout's specification reads and writes the same bytes
-    toc = {"L": depth, "labels": labels, "rankers": rankers, "graphs": dict.fromkeys(items)}
+    toc = {"L": depth, "labels": labels, "rankers": rankers, "items": items}
     record = unpack_rank_record(data, toc)
     assert record["query"] == items[item] and pack_rank_record(record, toc) == data
     assert {r: (rank["items"], [rank["items"][p] for p in rank["normalized"]]) for r, rank in record["ranks"].items()} == decoded
@@ -920,13 +899,28 @@ def test_a_graph_item_without_ranks_gets_an_empty_rank_record(tmp_path, toy_fg_i
     graphs = {**fg_index.graphs, "Z": FusionGraph("Z", {"A": 1.0}, {})}
     save_index(tmp_path / "idx", FusionGraphIndex(graphs, 2, ("r1", "r2"), "WGU", fg_index.normalized, index))
     toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
-    offset, length, _ = toc["ranks"]["Z"]
+    start, end = record_span(toc, "ranks", "Z")
     # item slot 3, then a count of 0 under each ranker
-    assert (tmp_path / "idx" / "ranks.bin").read_bytes()[offset : offset + length] == struct.pack("<I2B", 3, 0, 0)
+    assert (tmp_path / "idx" / "ranks.bin").read_bytes()[start:end] == struct.pack("<I2B", 3, 0, 0)
     assert verify_index(tmp_path / "idx")[::2] == (4, 6)
     loaded = load_index(tmp_path / "idx")
     assert loaded.raw.get("r1", "Z") is None and loaded.normalized.get("r2", "Z") is None
     assert loaded.graphs["Z"] == graphs["Z"]
+
+
+def test_an_index_of_no_graphs_saves_loads_and_verifies(tmp_path):
+    """With no graph items every list of the table of contents is empty, each data file is 0 bytes long and
+    holds no record, and a search ranks nothing."""
+    empty = CollectionRankIndex({})
+    save_index(tmp_path / "idx", FusionGraphIndex({}, 2, ("r1",), "WGU", empty, empty))
+    toc = json.loads((tmp_path / "idx" / "toc.json").read_bytes())
+    assert [toc[part] for part in ("items", "labels", "graphs", "postings", "ranks")] == [[]] * 5
+    assert [(tmp_path / "idx" / f"{part}.bin").stat().st_size for part in ("graphs", "postings", "ranks")] == [0] * 3
+    assert verify_index(tmp_path / "idx") == (0, 0, 0)
+    loaded = load_index(tmp_path / "idx")
+    for query in ("q", "A"):
+        rank = fuse_query(RankSet(query, (mkrank(query, "r1", ["A", "B"], depth=2),)), loaded)
+        assert (rank.query, rank.ranker, rank.items()) == (query, "fusegraph", ())
 
 
 def test_save_checks_the_label_table_before_its_renames(tmp_path, toy_fg_index):
@@ -935,8 +929,9 @@ def test_save_checks_the_label_table_before_its_renames(tmp_path, toy_fg_index):
     directory = tmp_path / "idx"
     save_index(directory, fg_index)
     before = index_files(directory)
-    outside = {**fg_index.graphs, "Z": FusionGraph("Z", {"Z": 1.0}, {})}
-    with pytest.raises(KeyError, match="'Z'"):
+    # Z's graph holds W, which no raw rank holds
+    outside = {**fg_index.graphs, "Z": FusionGraph("Z", {"A": 1.0, "W": 1.0}, {})}
+    with pytest.raises(ValueError, match="^the graph of 'Z' has vertex 'W', which no raw rank of a graph item holds$"):
         save_index(directory, FusionGraphIndex(outside, 2, ("r1", "r2"), "WGU", fg_index.normalized, index))
     # no graph holds Y, an item of B's and C's raw ranks
     unheld = {**fg_index.graphs, "C": FusionGraph("C", {"C": 1.0}, {})}
@@ -989,12 +984,12 @@ def _replace_in_record(name, key, old, new):
 
     def apply(directory):
         toc = json.loads((directory / "toc.json").read_bytes())
-        offset, length = toc["graphs" if name == "graphs.bin" else "ranks"][key][:2]
+        start, end = record_span(toc, name.removesuffix(".bin"), key)
         path = directory / name
         data = path.read_bytes()
-        record = data[offset : offset + length]
+        record = data[start:end]
         assert old in record and len(old) == len(new)
-        path.write_bytes(data[:offset] + record.replace(old, new, 1) + data[offset + length :])
+        path.write_bytes(data[:start] + record.replace(old, new, 1) + data[end:])
 
     return apply
 
