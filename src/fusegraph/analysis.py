@@ -3,6 +3,7 @@ with the report files the correlate, select, winners and ttest commands read and
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
@@ -146,16 +147,10 @@ def select_rankers(
         raise NotEnoughRankers("best-pair selection needs at least 2 rankers")
     if correlations is None:
         raise ValueError("best-pair selection needs a correlation matrix")
-    best_pair: tuple[str, str] | None = None
-    best_value = -math.inf
-    names = sorted(effectiveness)
-    for i, x in enumerate(names):
-        for y in names[i + 1 :]:
-            value = selection_measure(effectiveness[x], effectiveness[y], _pair_correlation(correlations, x, y))
-            if value > best_value:
-                best_pair, best_value = (x, y), value
-    assert best_pair is not None
-    return best_pair
+    return max(  # of pairs with equal measures, the first in name order
+        itertools.combinations(sorted(effectiveness), 2),
+        key=lambda pair: selection_measure(*map(effectiveness.get, pair), _pair_correlation(correlations, *pair)),
+    )
 
 
 def winning_numbers(table: Mapping[tuple[str, str], Mapping[str, float]]) -> dict[str, int]:
@@ -205,7 +200,8 @@ def paired_t_test(
     strict direction, with t infinite and that difference as the mean. The
     p-value is ``_t_tail``'s two-sided Student-t tail, within a relative
     1e-9 of scipy's up to 10⁴ degrees of freedom. ``alpha`` must lie
-    strictly between 0 and 1, and every value must be finite.
+    strictly between 0 and 1, every value must be finite, and so must the
+    differences and their mean and variance, else ValueError.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -217,8 +213,13 @@ def paired_t_test(
     if not all(map(math.isfinite, [*per_query_a, *per_query_b])):
         raise ValueError("per-query values must be finite")
     diffs = [a - b for a, b in zip(per_query_a, per_query_b)]
-    mean = diffs[0] if diffs.count(diffs[0]) == n else math.fsum(diffs) / n  # fsum(n equal terms) / n may round
-    variance = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
+    if not all(map(math.isfinite, diffs)):
+        raise ValueError("a paired difference overflows the float range")
+    try:
+        mean = diffs[0] if diffs.count(diffs[0]) == n else math.fsum(diffs) / n  # fsum(n equal terms) / n may round
+        variance = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
+    except OverflowError:
+        raise ValueError("the mean or variance of the paired differences overflows the float range") from None
     if variance == 0.0:
         if mean == 0.0:
             return TTestResult(VERDICT_TIE, 0.0, 1.0, 0.0, n)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import EmptyRank, InvalidRankSet, TooManyItems
@@ -119,13 +120,21 @@ def _minmax(rank: ScoredRank, floor: float = 0.0) -> dict[ItemId, float]:
     return out
 
 
-COMB_VARIANTS = ("SUM", "MIN", "MAX", "MED", "ANZ", "MNZ")
-
-
 def _median(values: list[float]) -> float:
     """The middle value, or the mean of the two middle ones, as statistics.median computes it."""
     data, i = sorted(values), len(values) // 2
     return data[i] if len(data) % 2 else (data[i - 1] + data[i]) / 2
+
+
+COMB_REDUCERS: dict[str, Callable[[list[float]], float]] = {
+    "SUM": sum,
+    "MIN": min,
+    "MAX": max,
+    "MED": _median,
+    "ANZ": lambda vals: sum(vals) / len(vals),
+    "MNZ": lambda vals: sum(vals) * len(vals),
+}
+COMB_VARIANTS = tuple(COMB_REDUCERS)
 
 
 def comb(rs: RankSet, variant: str, depth: int | None = None) -> ScoredRank:
@@ -137,21 +146,13 @@ def comb(rs: RankSet, variant: str, depth: int | None = None) -> ScoredRank:
     """
     _check(rs)
     variant = variant.upper()
-    if variant not in COMB_VARIANTS:
+    reduce = COMB_REDUCERS.get(variant)
+    if reduce is None:
         raise ValueError(f"unknown Comb variant {variant!r}, expected one of {COMB_VARIANTS}")
     per_item: dict[ItemId, list[float]] = defaultdict(list)
     for rank in rs:
         for item, value in _minmax(rank).items():
             per_item[item].append(value)
-    reducers: dict[str, Callable[[list[float]], float]] = {
-        "SUM": sum,
-        "MIN": min,
-        "MAX": max,
-        "MED": _median,
-        "ANZ": lambda vals: sum(vals) / len(vals),
-        "MNZ": lambda vals: sum(vals) * len(vals),
-    }
-    reduce = reducers[variant]
     scores = {item: float(reduce(values)) for item, values in per_item.items()}
     return _finalize(rs, scores, depth, f"comb{variant.lower()}")
 
@@ -202,15 +203,8 @@ def mra(rs: RankSet, depth: int | None = None) -> ScoredRank:
             if len(placed) == length:
                 break
         if len(placed) == length:
-            break
-    total_occurrence: dict[ItemId, int] = defaultdict(int)
-    for rank in rs:
-        for entry in rank:
-            total_occurrence[entry.item] += 1
-    leftovers = sorted(
-        (item for item in total_occurrence if item not in placed_set),
-        key=lambda item: (-total_occurrence[item], item),
-    )
+            break  # the cut is full, so no leftover reaches it: counts need not cover the deeper positions
+    leftovers = sorted(counts.keys() - placed_set, key=lambda item: (-counts[item], item))
     return _order_to_rank(rs, placed + leftovers, depth, "mra")
 
 
@@ -291,25 +285,15 @@ def kemeny_exact(
     items = sorted({entry.item for rank in rs for entry in rank})
     if len(items) > cap:
         raise TooManyItems(f"{len(items)} distinct items exceed the Kemeny cap of {cap}")
-    best_order: tuple[ItemId, ...] | None = None
-    best_cost = None
-    for permutation in itertools.permutations(items):
-        cost = kendall_discordance(permutation, rs)
-        if best_cost is None or cost < best_cost:
-            best_order, best_cost = permutation, cost
-    assert best_order is not None
+    # permutations of sorted items come in lexicographic order, and min keeps the first of equal costs
+    best_order = min(itertools.permutations(items), key=lambda order: kendall_discordance(order, rs))
     return _order_to_rank(rs, best_order, depth, "kemeny")
 
 
 METHODS: dict[str, Callable[..., ScoredRank]] = {
     "borda": borda,
     "rrf": rrf,
-    "combsum": lambda rs, **kw: comb(rs, "SUM", **kw),
-    "combmin": lambda rs, **kw: comb(rs, "MIN", **kw),
-    "combmax": lambda rs, **kw: comb(rs, "MAX", **kw),
-    "combmed": lambda rs, **kw: comb(rs, "MED", **kw),
-    "combanz": lambda rs, **kw: comb(rs, "ANZ", **kw),
-    "combmnz": lambda rs, **kw: comb(rs, "MNZ", **kw),
+    **{f"comb{variant.lower()}": partial(comb, variant=variant) for variant in COMB_VARIANTS},
     "mra": mra,
     "condorcet": condorcet,
     "rlsim": rlsim,

@@ -190,7 +190,10 @@ class StoredRecords(Records):
     ):
         path = directory / INDEX_FILES[role]
         ends = [0, *(entry[0] for entry in entries)]
-        fd = os.open(path, os.O_RDONLY)
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError as exc:
+            raise MalformedGraphRecord(f"cannot read index file {path.name!r}: {exc}") from exc
         weakref.finalize(self, os.close, fd)
         size = os.fstat(fd).st_size
         if not all(type(end) is int for end in ends) or not all(map(operator.lt, ends, ends[1:])):
@@ -576,7 +579,10 @@ def _read_manifest(directory: Path) -> dict:
 def _read_toc(directory: Path, sha256: str) -> dict:
     """The table of contents, if it matches ``sha256``: its fields in TOC_FIELDS, its keys and its entries checked."""
     name = INDEX_FILES["toc"]
-    data = (directory / name).read_bytes()
+    try:
+        data = (directory / name).read_bytes()
+    except OSError as exc:
+        raise MalformedGraphRecord(f"cannot read index file {name!r}: {exc}") from exc
     if hashlib.sha256(data).hexdigest() != sha256:
         raise MalformedGraphRecord(f"index file {name!r} does not match its sha256 in the manifest")
     try:

@@ -30,6 +30,13 @@ TOY_LAYOUT = {
     "r2": {"A": ["A", "C"], "B": ["B", "Y"], "C": ["C", "Y"]},
 }
 TOY_QUERY = {"r1": {"q": ["A", "B"]}, "r2": {"q": ["A", "C"]}}
+# paired t-test inputs whose differences, or the differences' mean or variance, overflow, and the ValueError each
+# gives: the first overflows math.fsum, the second squares a deviation of 1e200, the third differs by inf
+TTEST_OVERFLOWS = {
+    "sum_of_differences": ([1e308, 1.5e308], [0.0, 0.0], "mean or variance of the paired differences overflows"),
+    "square_of_a_deviation": ([1e200, -1e200], [0.0, 0.0], "mean or variance of the paired differences overflows"),
+    "difference": ([1e308, 0.0], [-1e308, 0.0], "a paired difference overflows the float range"),
+}
 
 
 def write_runs(directory, layout, tag):

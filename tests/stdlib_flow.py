@@ -19,6 +19,10 @@ temporary directory it:
   its graph file, each fail verify with one JSON error line and nothing on
   stdout;
 - fuses the collection by borda;
+- correlates the two rankers and r3, a copy of r1, by Kendall's tau; picks
+  the best pair by that matrix, where r3's correlation of 1 with r1 makes it
+  r1 and r2 rather than the more effective r1 and r3; and counts winning
+  numbers over an effectiveness table;
 - scores both runs by N-S against two classes of two items, given as class
   labels and as the equal grades, so both judgment parsers run;
 - scores a run of negative similarity scores by its order.
@@ -45,6 +49,11 @@ NS_REPORT = "mean ns 2.000000 over 4 queries"
 # the ranks of a query "e" held out of the collection, and the first four fields of its fused run
 HELD_OUT = {"r1": "bacd", "r2": "bcad"}
 HELD_OUT_RUN = [["e", "Q0", item, str(pos)] for pos, item in enumerate("bacd", start=1)]
+# the Kendall matrix of r1, r2 and r3, a copy of r1: r1 and r2 order one pair of each query's four items apart
+KENDALL_MATRIX = ("ranker\tr1\tr2\tr3\nr1\t1.000000\t0.833333\t1.000000\n"
+                  "r2\t0.833333\t1.000000\t0.833333\nr3\t1.000000\t0.833333\t1.000000\n")
+# a method's wins over two configurations: fg beats both rivals on c1, borda both on c2
+WINNERS_TABLE = "d1 c1 fg 0.9\nd1 c1 borda 0.8\nd1 c1 r1 0.7\nd1 c2 fg 0.6\nd1 c2 borda 0.8\nd1 c2 r1 0.5\n"
 
 
 def check(condition: bool, message: str) -> None:
@@ -143,6 +152,23 @@ def flow(command: list[str], work: Path) -> None:
     check([fields[:4] for fields in run_lines] == HELD_OUT_RUN, f"held.run holds {run_lines}")
     succeeds(command, "baseline", "borda", "--config", config, "--out", work / "borda.run")
     check(line_count(work / "borda.run") == 16, "the borda run does not hold 16 lines")
+
+    (work / "r3.run").write_text((work / "r1.run").read_text(encoding="utf-8").replace(" r1\n", " r3\n"),
+                                 encoding="utf-8")
+    three = work / "three.json"
+    three.write_text(json.dumps({"rankers": [*rankers, {"name": "r3", "run": "r3.run"}], "depth": 4}) + "\n",
+                     encoding="utf-8")
+    succeeds(command, "correlate", "--config", three, "--measure", "kendall", "--out", work / "kendall.tsv")
+    matrix = (work / "kendall.tsv").read_text(encoding="utf-8")
+    check(matrix == KENDALL_MATRIX, f"kendall.tsv holds {matrix!r}")
+    # r1 and r3 are the most effective pair, but (1 + 0.6 * 0.5) / (1 + 0.833333) beats (1 + 0.6 * 0.6) / (1 + 1)
+    (work / "eff").write_text("r1 0.6\nr2 0.5\nr3 0.6\n", encoding="utf-8")
+    chosen = succeeds(command, "select", "--effectiveness", work / "eff", "--correlations", work / "kendall.tsv",
+                      "--strategy", "best-pair")
+    check(chosen == "r1 r2\n", f"best-pair chose {chosen!r}")
+    (work / "table").write_text(WINNERS_TABLE, encoding="utf-8")
+    wins = succeeds(command, "winners", "--table", work / "table")
+    check(wins == "borda\t3\nfg\t3\nr1\t0\n", f"winners printed {wins!r}")
 
     (work / "labels").write_text("a x\nb x\nc y\nd y\n", encoding="utf-8")
     grades = "".join(f"{q} 0 {item} 1\n" for q, item in ("aa", "ab", "ba", "bb", "cc", "cd", "dc", "dd"))

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gc
 import hashlib
@@ -29,6 +30,7 @@ from helpers import (
     LOAD_FAULTS,
     TOY_LAYOUT,
     TOY_QUERY,
+    TTEST_OVERFLOWS,
     edit_manifest,
     edit_rank_record,
     edit_toc,
@@ -413,6 +415,18 @@ def test_stdlib_flow_passes_without_site_packages():
     assert result.stdout == "stdlib flow passed\n"
 
 
+def test_no_module_holds_an_assert():
+    """python -O strips an assert, and without -O a failing one escapes cli.main as a traceback."""
+    package = Path(fusegraph.__file__).parent
+    asserts = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def test_io_baselines_evaluation_leave_retrieval_unloaded():
     probe = (
         "import sys, fusegraph.io, fusegraph.config, fusegraph.baselines, "
@@ -653,6 +667,40 @@ def test_ttest_on_different_query_sets_prints_one_json_line(tmp_path):
         "error": "QuerySetMismatch",
         "message": "metric files cover different queries",
     }
+
+
+@pytest.mark.parametrize("a, b, message", TTEST_OVERFLOWS.values(), ids=TTEST_OVERFLOWS)
+def test_ttest_on_differences_that_overflow_prints_one_json_line(tmp_path, a, b, message):
+    paths = {name: tmp_path / f"{name}.tsv" for name in "ab"}
+    for name, values in zip("ab", (a, b)):
+        paths[name].write_text("".join(f"q{i}\t{value!r}\n" for i, value in enumerate(values)), encoding="utf-8")
+    result = run_cli_process("-m", "fusegraph.cli", "ttest", "--a", str(paths["a"]), "--b", str(paths["b"]))
+    assert (result.returncode, result.stdout) == (1, "")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueError" and message in error["message"]
+
+
+def test_best_pair_of_measures_that_overflow_prints_the_first_pair(tmp_path):
+    """Every pair's measure is -inf: the first pair in name order is chosen, not a crash."""
+    eff, corr = tmp_path / "eff.txt", tmp_path / "corr.tsv"
+    eff.write_text("a -1e200\nb 1e200\n", encoding="utf-8")
+    corr.write_text("ranker\ta\tb\na\t1.0\t0.5\nb\t0.5\t1.0\n", encoding="utf-8")
+    result = run_cli_process("-m", "fusegraph.cli", "select", "--effectiveness", str(eff),
+                             "--correlations", str(corr), "--strategy", "best-pair")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "a b\n", "")
+
+
+def test_eval_of_an_empty_run_prints_one_json_line(tmp_path):
+    """The invalid-value case eval_empty_run, run in process and checked to its message."""
+    run, labels = tmp_path / "empty.run", tmp_path / "labels"
+    run.write_text("", encoding="utf-8")
+    labels.write_text("a x\n", encoding="utf-8")
+    code, stdout, stderr = _run_main(["eval", "--run", str(run), "--class-labels", str(labels)])
+    assert (code, stdout) == (1, "")
+    errors = [json.loads(line) for line in stderr.splitlines()]
+    assert errors == [{"error": "ValueError", "message": "no queries to evaluate"}]
 
 
 def test_repeated_qrels_line_prints_one_json_line(tmp_path):
@@ -1045,6 +1093,25 @@ def test_every_index_fault_gives_the_same_run_or_one_json_line(sound_z_index, na
                 lines = stderr.splitlines()
                 assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
                 assert command == "verify" or not out.exists()
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+@pytest.mark.parametrize("name", INDEX_FILE_NAMES)
+def test_a_deleted_index_file_prints_one_json_line(toy_files, name, command):
+    """A missing manifest, table of contents or data file is a MalformedGraphRecord that names it."""
+    index_dir = toy_files["dir"] / "index"
+    assert main(["extract", "--config", str(toy_files["config"]), "--out", str(index_dir)]) == 0
+    (index_dir / name).unlink()
+    args = ["--index", str(index_dir)]
+    if command == "search":
+        args += ["--queries", str(toy_files["queries"]), "--out", str(toy_files["dir"] / "fg.run")]
+    code, stdout, stderr = _run_main([command, *args])
+    assert (code, stdout) == (1, "")
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    error = json.loads(lines[0])
+    assert error["error"] == "MalformedGraphRecord"
+    assert error["message"].startswith("cannot read index") and repr(str(index_dir / name)) in error["message"]
 
 
 def test_verify_command_checks_a_sound_index(toy_files):

@@ -23,7 +23,7 @@ from fusegraph.errors import (
 )
 from fusegraph.evaluation import Qrels, evaluate_runs, ndcg_at_k, ns_score
 
-from helpers import mkrank
+from helpers import TTEST_OVERFLOWS, mkrank
 
 
 def qrels_for(relevant, query="q", universe=()):
@@ -197,6 +197,20 @@ def test_select_rankers_reads_a_pair_from_either_row():
     assert select_rankers({"a": 0.5, "b": 0.6, "c": 0.9}, correlations, "best-pair") == ("a", "b")
 
 
+def test_best_pair_of_measures_that_overflow_is_the_first_pair():
+    """Every pair's measure is -inf here: (1 + -1e200 * 1e200) / (1 + cor)."""
+    corr = {"a": {"b": 0.5}}
+    assert select_rankers({"b": 1e200, "a": -1e200}, corr, "best-pair") == ("a", "b")
+
+
+def test_best_pair_of_equal_measures_is_the_first_pair_in_name_order():
+    effectiveness = {"d": 0.5, "c": 0.5, "b": 0.5, "a": 0.5}
+    corr = {x: {y: 0.2 for y in effectiveness} for x in effectiveness}
+    assert select_rankers(effectiveness, corr, "best-pair") == ("a", "b")
+    corr["a"] = {"b": 0.3, "c": 0.3, "d": 0.3}  # (b, c), (b, d) and (c, d) now tie above every pair of a
+    assert select_rankers(effectiveness, corr, "best-pair") == ("b", "c")
+
+
 def test_select_rankers_not_enough():
     with pytest.raises(NotEnoughRankers):
         select_rankers({"a": 0.5}, None, "top-two")
@@ -264,6 +278,10 @@ BAD_INPUTS = {
     "best_pair_of_one": (lambda: select_rankers({"a": 0.5}, None, "best-pair"), NotEnoughRankers,
                          "best-pair selection needs at least 2 rankers"),
     "empty_table": (lambda: winning_numbers({}), ValueError, "effectiveness table is empty"),
+    **{
+        f"ttest_{name}_overflows": (lambda a=a, b=b: paired_t_test(a, b), ValueError, message)
+        for name, (a, b, message) in TTEST_OVERFLOWS.items()
+    },
 }
 
 

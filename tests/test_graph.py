@@ -63,6 +63,13 @@ def test_smallest_graph_single_self_rank():
     assert graph.edges == {}
 
 
+@pytest.mark.parametrize("ranks", [(), (mkrank("q", "r1", [], depth=3),)], ids=["no ranks", "no entries"])
+def test_build_of_a_rank_set_with_no_items_raises_empty_graph(ranks):
+    index = CollectionRankIndex({"r1": {}})
+    with pytest.raises(EmptyGraph, match="fusion graph for 'q' has no vertices"):
+        build_fusion_graph(RankSet("q", ranks), index)
+
+
 def test_build_deterministic(worked_graph):
     index = worked_example_index()
     rs = RankSet("q", (index.get("r1", "q"), index.get("r2", "q")))
